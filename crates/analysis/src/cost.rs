@@ -13,9 +13,9 @@
 //! * **array** — `g · 2^n`, infeasible past
 //!   [`ARRAY_MAX_QUBITS`] (dense allocation);
 //! * **array(fuse=5)** — `G · 2^n` with `G` the greedy gate-fusion
-//!   group count at width [`FUSE_DISPATCH_WIDTH`] (mirroring
-//!   `qdt-array`'s streaming fuser): the dense kernels are
-//!   memory-bound, so each fused group costs one strided pass over the
+//!   group count at width [`FUSE_DISPATCH_WIDTH`] (the streaming
+//!   fuser's rule, see [`fused_group_count`]): the dense kernels are
+//!   memory-bound, so each fused group costs one pass over the
 //!   state regardless of how many gates it absorbed. `G ≤ g`, so the
 //!   fused array never prices above the plain one, and the tie-break
 //!   order keeps the plain array when fusion merges nothing;
@@ -84,60 +84,38 @@ pub struct CircuitFacts {
     pub fused_groups: usize,
 }
 
-/// Counts the groups a width-`width` streaming greedy fuser would form
-/// over `circuit`: adjacent unconditioned gates merge while their union
-/// support stays within `width` qubits; measurements, resets, barriers,
-/// and classically conditioned gates are fusion boundaries, and a
-/// conditioned gate still costs one pass of its own.
+/// Counts the passes a width-`width` streaming greedy fuser executes over
+/// `circuit`: adjacent unconditioned gates merge while the qubits they
+/// *mix* ([`Instruction::fusion_support`](qdt_circuit::Instruction::fusion_support))
+/// stay within `width`; measurements, resets, barriers, and classically
+/// conditioned gates are fusion boundaries, and a conditioned gate (or a
+/// gate too wide to fuse at all) still costs one pass of its own.
 ///
-/// This mirrors `qdt_array::Fuser` without depending on the backend
-/// crate — the cost model only needs the pass count, not the groups.
+/// This is the pass count of `qdt_array::plan_groups` — both apply the
+/// same [`FusionSupport::merge_into`](qdt_circuit::FusionSupport::merge_into)
+/// rule — computed without depending on the backend crate. It is total
+/// for any register width.
 #[must_use]
 pub fn fused_group_count(circuit: &Circuit, width: usize) -> usize {
     let mut groups = 0usize;
-    let mut mask = 0usize;
+    // The open group's mixed qubits, or `None` when no group is open.
+    let mut open: Option<Vec<usize>> = None;
     for inst in circuit.iter() {
-        let support = if inst.cond.is_some() {
-            None
+        if let Some(support) = inst.fusion_support().filter(|_| width > 0) {
+            if let Some(mixed) = open.as_mut() {
+                if support.merge_into(mixed, width) {
+                    continue;
+                }
+            }
+            let mut mixed = Vec::new();
+            open = support.merge_into(&mut mixed, width).then_some(mixed);
+            groups += 1;
         } else {
-            match &inst.kind {
-                OpKind::Unitary {
-                    target, controls, ..
-                } => {
-                    let mut m = 1usize << target;
-                    for &c in controls {
-                        m |= 1 << c;
-                    }
-                    Some(m)
-                }
-                OpKind::Swap { a, b, controls } => {
-                    let mut m = (1usize << a) | (1 << b);
-                    for &c in controls {
-                        m |= 1 << c;
-                    }
-                    Some(m)
-                }
-                OpKind::Measure { .. } | OpKind::Reset { .. } | OpKind::Barrier(_) => None,
-            }
-        };
-        match support {
-            Some(m) => {
-                let merged = mask | m;
-                if mask != 0 && width > 0 && merged.count_ones() as usize <= width {
-                    mask = merged;
-                } else {
-                    // Width overflow (or first gate): start a new group.
-                    groups += 1;
-                    mask = m;
-                }
-            }
-            None => {
-                // Boundary: the pending group flushes; a conditioned
-                // gate additionally executes as a pass of its own.
-                mask = 0;
-                if matches!(inst.kind, OpKind::Unitary { .. } | OpKind::Swap { .. }) {
-                    groups += 1;
-                }
+            // Boundary: the open group flushes; a unitary that cannot
+            // fuse still executes as a pass of its own.
+            open = None;
+            if matches!(inst.kind, OpKind::Unitary { .. } | OpKind::Swap { .. }) {
+                groups += 1;
             }
         }
     }
@@ -357,12 +335,23 @@ mod tests {
         let mut qc = Circuit::with_clbits(2, 1);
         qc.h(0).cx(0, 1).measure(0, 0).x(1).c_if(0, true).h(1);
         assert_eq!(fused_group_count(&qc, 5), 3);
-        // Six disjoint 2-qubit gates overflow width 5 after two.
+        // Six disjoint CX gates mix one qubit each (controls are free),
+        // so width 5 holds five of them and the sixth opens a new group.
         let mut wide = Circuit::new(12);
         for i in 0..6 {
             wide.cx(2 * i, 2 * i + 1);
         }
-        assert_eq!(fused_group_count(&wide, 5), 3);
+        assert_eq!(fused_group_count(&wide, 5), 2);
+    }
+
+    #[test]
+    fn dispatch_is_total_past_64_qubits() {
+        // Debug builds check shift overflow: no qubit index, however
+        // high, may turn into a `1 << q` mask on the dispatch path.
+        let qc = generators::random_clifford_seeded(200, 8, 7);
+        let decision = dispatch_circuit(&qc);
+        assert_eq!(decision.chosen, "stabilizer", "{:?}", decision.estimates);
+        assert!(fused_group_count(&qc, FUSE_DISPATCH_WIDTH) > 0);
     }
 
     #[test]

@@ -106,7 +106,7 @@ impl ArrayEngine {
         }
     }
 
-    /// Enables gate fusion with groups of up to `width` qubits
+    /// Enables gate fusion with groups mixing up to `width` qubits
     /// (`width = 0` disables fusion; this is the `fuse=` knob of the
     /// `array(fuse=5)` engine spec). Fusion never changes results — the
     /// fused kernels are bit-identical to unfused execution — only the
@@ -266,7 +266,7 @@ impl SimulationEngine for ArrayEngine {
     fn apply_instruction(&mut self, inst: &Instruction) -> Result<(), EngineError> {
         // With fusion enabled, unitaries accumulate until a boundary
         // (non-unitary instruction, barrier, width overflow) or a state
-        // query flushes them as one strided pass.
+        // query flushes them as one pass.
         if self.fuser.width() > 0 {
             if self.fuser.try_push(inst) {
                 return Ok(());

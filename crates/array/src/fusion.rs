@@ -1,22 +1,33 @@
 //! Greedy gate fusion for the dense array backend.
 //!
-//! Adjacent unitary instructions whose combined qubit support (targets,
-//! controls, and swap operands) fits in `width ≤ 5` qubits are merged
-//! into one *fused kernel*: a single strided pass over the state vector
-//! that, for each of the `2^{n−k}` blocks spanned by the `k` fused
-//! qubits, applies every constituent gate to the block's `2^k`
-//! amplitudes while they are L1-resident (the constituents are compiled
-//! to explicit pair-offset lists up front, so the per-block loops are
-//! straight-line). One memory sweep replaces one sweep *per gate*,
-//! which is the entire win — dense gate application is memory-bound.
+//! Adjacent unitary instructions are merged into one *fused group* while
+//! the qubits they **mix** — targets of non-diagonal gates and swap
+//! operands ([`Instruction::fusion_support`]) — number at most
+//! `width ≤ 5`. Controls and the targets of diagonal gates do not count:
+//! inside a block they only select which amplitudes a gate touches, and
+//! outside it they become per-block *guards* tested against the block's
+//! base index (a control mask, or a choice between `m00` and `m11`). A
+//! QFT therefore fuses five Hadamards with every controlled phase in
+//! between, whatever qubits the phases touch.
+//!
+//! A flushed group runs as one pass over the state vector. The block of
+//! a pass holds the mixed qubits *padded with the lowest free qubits* up
+//! to `2^10` amplitudes (never more than a quarter of the state, so
+//! planning stays small next to the sweep), which makes the block a few
+//! long unit-stride runs. Each constituent is planned once into run lists
+//! of [`crate::simd`] updates; every block then applies them in program
+//! order while its amplitudes are L1-resident. One memory sweep replaces
+//! one sweep *per gate*.
 //!
 //! # Exactness
 //!
-//! Fusion is **bit-identical** to unfused execution, not merely close:
-//! every constituent gate only mixes amplitudes within a block (its
-//! support is contained in the fused qubit set), and each local update
-//! runs the same floating-point expressions as the global kernels in
-//! [`crate::simd`]. The fused matrix is deliberately *not* composed —
+//! Fusion is **bit-identical** to unfused execution under IEEE `==`, not
+//! merely close: every constituent only mixes amplitudes within a block
+//! (its mixed qubits are block qubits), a guard only decides *whether*
+//! the block's amplitudes take part, and each update runs the same
+//! floating-point expressions as the unfused kernels in [`crate::simd`],
+//! so every amplitude receives the same `mul_fma` sequence in program
+//! order. The fused matrix is deliberately *not* composed —
 //! pre-multiplying the constituents in f64 would reassociate roundings
 //! and break the exact fused-vs-unfused differential tests.
 //!
@@ -33,48 +44,37 @@ use qdt_parallel::SharedSlice;
 
 use qdt_complex::Complex;
 
-use crate::simd::{pair_update, PairGate};
+use crate::simd::{
+    apply_runs, gate_runs, outside_diagonal_runs, swap_runs, PairGate, Run, RunSet, RunSpec, Update,
+};
 
-/// The maximum fused-kernel width: 2⁵ amplitudes per block keep the
-/// gather buffer comfortably in L1 while already amortising the memory
-/// sweep over many gates. `array(fuse=k)` rejects anything larger.
+/// The maximum fusion width: the number of qubits one group may *mix*
+/// (targets of non-diagonal gates and swap operands; controls and
+/// diagonal targets are free). Five mixed qubits plus at least five
+/// padding qubits fill a `2^10`-amplitude block. `array(fuse=k)` rejects
+/// anything larger.
 pub const MAX_FUSE_WIDTH: usize = 5;
 
-/// A gate lowered onto the local index space of a fused block buffer
-/// (bit `i` of a local index is the fused qubit `qubits[i]`).
-#[derive(Clone, Debug)]
-pub(crate) enum LocalOp {
-    /// A (possibly controlled) 2×2 gate on local target bit `tbit`.
-    Gate {
-        /// Unpacked 2×2 matrix.
-        g: PairGate,
-        /// Local target bit value (`1 << local_target`).
-        tbit: usize,
-        /// Local control mask.
-        cmask: usize,
-    },
-    /// A (possibly controlled) swap of two local bits.
-    Swap {
-        /// First swapped bit value.
-        abit: usize,
-        /// Second swapped bit value.
-        bbit: usize,
-        /// Local control mask.
-        cmask: usize,
-    },
-}
+/// Log₂ of the padded block size: `2^10` amplitudes (16 KiB) stay
+/// L1-resident across all of a group's constituents.
+const BLOCK_BITS: usize = 10;
 
-/// A run of fusable instructions with their combined qubit support.
+/// A block never holds more than `2^-BLOCK_SPLIT_BITS` of the state, so
+/// planning one block stays small next to the sweep over all of them.
+const BLOCK_SPLIT_BITS: usize = 2;
+
+/// A run of fusable instructions with the qubits they mix.
 #[derive(Clone, Debug)]
 pub struct FusedGroup {
-    /// The fused qubits, ascending. `len() ≤ MAX_FUSE_WIDTH`.
+    /// The mixed qubits, ascending. `len() ≤ MAX_FUSE_WIDTH`.
     qubits: Vec<usize>,
     /// The constituent instructions, in program order.
     ops: Vec<Instruction>,
 }
 
 impl FusedGroup {
-    /// The fused qubits, ascending.
+    /// The qubits the group mixes, ascending (its fusion width is
+    /// their count).
     #[must_use]
     pub fn qubits(&self) -> &[usize] {
         &self.qubits
@@ -97,87 +97,18 @@ impl FusedGroup {
     pub fn ops(&self) -> &[Instruction] {
         &self.ops
     }
-
-    /// Lowers every constituent onto the local block index space.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the group contains a non-unitary instruction — the
-    /// [`Fuser`] never admits one, so this is an internal invariant.
-    pub(crate) fn lower(&self) -> Vec<LocalOp> {
-        let local = |q: usize| -> usize {
-            self.qubits
-                .binary_search(&q)
-                .expect("fused op acts outside the group support")
-        };
-        self.ops
-            .iter()
-            .map(|inst| match &inst.kind {
-                OpKind::Unitary {
-                    gate,
-                    target,
-                    controls,
-                } => {
-                    let m = gate.matrix();
-                    LocalOp::Gate {
-                        g: PairGate {
-                            m00: m.get(0, 0),
-                            m01: m.get(0, 1),
-                            m10: m.get(1, 0),
-                            m11: m.get(1, 1),
-                        },
-                        tbit: 1 << local(*target),
-                        cmask: controls.iter().map(|&c| 1usize << local(c)).sum(),
-                    }
-                }
-                OpKind::Swap { a, b, controls } => LocalOp::Swap {
-                    abit: 1 << local(*a),
-                    bbit: 1 << local(*b),
-                    cmask: controls.iter().map(|&c| 1usize << local(c)).sum(),
-                },
-                other => unreachable!("non-unitary op {other:?} in fused group"),
-            })
-            .collect()
-    }
-}
-
-/// The qubit-support mask of a *fusable* instruction: targets, controls,
-/// and swap operands of an unconditioned unitary. Returns `None` for
-/// everything else — measurements, resets, conditioned gates, and
-/// barriers are fusion boundaries.
-#[must_use]
-pub fn fusable_mask(inst: &Instruction) -> Option<usize> {
-    if inst.cond.is_some() {
-        return None;
-    }
-    match &inst.kind {
-        OpKind::Unitary {
-            target, controls, ..
-        } => {
-            let mut m = 1usize << target;
-            for &c in controls {
-                m |= 1 << c;
-            }
-            Some(m)
-        }
-        OpKind::Swap { a, b, controls } => {
-            let mut m = (1usize << a) | (1 << b);
-            for &c in controls {
-                m |= 1 << c;
-            }
-            Some(m)
-        }
-        OpKind::Measure { .. } | OpKind::Reset { .. } | OpKind::Barrier(_) => None,
-    }
 }
 
 /// Streaming greedy fuser: push instructions in program order; each push
 /// either absorbs the instruction into the pending group or signals that
-/// the caller must flush first.
+/// the caller must flush first. An instruction joins while the qubits
+/// the group *mixes* stay within the width
+/// ([`FusionSupport::merge_into`](qdt_circuit::FusionSupport::merge_into));
+/// controls and diagonal targets never widen a group.
 #[derive(Clone, Debug)]
 pub struct Fuser {
     width: usize,
-    mask: usize,
+    mixed: Vec<usize>,
     ops: Vec<Instruction>,
 }
 
@@ -189,7 +120,7 @@ impl Fuser {
     pub fn new(width: usize) -> Self {
         Fuser {
             width: width.min(MAX_FUSE_WIDTH),
-            mask: 0,
+            mixed: Vec::new(),
             ops: Vec::new(),
         }
     }
@@ -208,22 +139,20 @@ impl Fuser {
 
     /// Tries to absorb `inst` into the pending group. Returns `false` —
     /// without modifying the pending group — when `inst` is a fusion
-    /// boundary (non-unitary, conditioned, or a barrier) or when adding
-    /// its support would exceed the fusion width; the caller must then
+    /// boundary (non-unitary, conditioned, or a barrier) or when the
+    /// qubits it mixes would exceed the fusion width; the caller must then
     /// flush via [`Fuser::take`] and handle `inst` itself (retrying the
     /// push only makes sense for width overflows).
     pub fn try_push(&mut self, inst: &Instruction) -> bool {
         if self.width == 0 {
             return false;
         }
-        let Some(mask) = fusable_mask(inst) else {
+        let Some(support) = inst.fusion_support() else {
             return false;
         };
-        let merged = self.mask | mask;
-        if merged.count_ones() as usize > self.width {
+        if !support.merge_into(&mut self.mixed, self.width) {
             return false;
         }
-        self.mask = merged;
         self.ops.push(inst.clone());
         true
     }
@@ -233,12 +162,10 @@ impl Fuser {
         if self.ops.is_empty() {
             return None;
         }
-        let mask = std::mem::take(&mut self.mask);
-        let ops = std::mem::take(&mut self.ops);
-        let qubits = (0..usize::BITS as usize)
-            .filter(|&q| mask & (1 << q) != 0)
-            .collect();
-        Some(FusedGroup { qubits, ops })
+        Some(FusedGroup {
+            qubits: std::mem::take(&mut self.mixed),
+            ops: std::mem::take(&mut self.ops),
+        })
     }
 }
 
@@ -250,7 +177,7 @@ pub struct GroupSpan {
     pub start: usize,
     /// Number of instructions in the span.
     pub len: usize,
-    /// Fused qubit support (ascending); empty for unfused boundary spans.
+    /// Mixed qubits (ascending); empty for unfused boundary spans.
     pub qubits: Vec<usize>,
     /// `true` when the span runs as one fused kernel (width > 0 and the
     /// span is a run of fusable instructions).
@@ -299,227 +226,237 @@ pub fn plan_groups(insts: &[Instruction], width: usize) -> Vec<GroupSpan> {
     spans
 }
 
-/// One constituent op compiled to an explicit pair list on the local
-/// block index space, pre-resolved to amplitude *offsets from the block
-/// base*: every partner pair that passes the op's control mask, in the
-/// same enumeration order as the global kernels in [`crate::simd`] — so
-/// replaying the list reproduces their values exactly while the
-/// per-block inner loops stay straight-line (no bit tricks, no mask
-/// checks).
-///
-/// Gates with structured matrices are specialised at planning time:
-/// diagonal constituents (Z, S, T, Rz, Phase, and every controlled
-/// phase — the bulk of the QFT and Clifford+T workloads) skip the
-/// multiplications by exact `0` and `1` of the full 2×2 expression, and
-/// `X`-shaped anti-diagonals become cross multiplies or pure moves.
-/// Dropping a `x·0` / `+0` term can only change the *sign of a zero*
-/// relative to the full expression (never a rounded value), so the
-/// specialised kernels stay exactly equal under IEEE comparison — which
-/// is what the fused-vs-unfused differential suite asserts with `==`
-/// (see DESIGN.md §16).
+/// One constituent gate planned onto a block: its runs, and the guards
+/// that decide per block whether (and with which factor) it applies.
 #[derive(Clone, Debug)]
-pub(crate) enum PlannedOp {
-    /// Apply the full 2×2 `g` to each `(base + o0, base + o1)` pair.
-    Gate {
-        /// Unpacked 2×2 matrix.
-        g: PairGate,
-        /// Control-filtered `(offset₀, offset₁)` partner pairs.
-        pairs: Vec<(usize, usize)>,
-    },
-    /// Diagonal gate with `m00 = 1` exactly: scale only the
-    /// `(base + o)` amplitudes with the target bit set by `m11`.
-    Phase {
-        /// The lower-right matrix entry.
-        m11: Complex,
-        /// Control-filtered offsets of the `|…1…⟩` amplitudes.
-        odds: Vec<usize>,
-    },
-    /// General diagonal gate: scale each side of the pair by its entry.
-    Diag {
-        /// The upper-left matrix entry.
-        m00: Complex,
-        /// The lower-right matrix entry.
-        m11: Complex,
-        /// Control-filtered `(offset₀, offset₁)` partner pairs.
-        pairs: Vec<(usize, usize)>,
-    },
-    /// Anti-diagonal gate (X, Y): cross-multiply the pair.
-    AntiDiag {
-        /// The upper-right matrix entry.
-        m01: Complex,
-        /// The lower-left matrix entry.
-        m10: Complex,
-        /// Control-filtered `(offset₀, offset₁)` partner pairs.
-        pairs: Vec<(usize, usize)>,
-    },
-    /// Swap each `(base + o0, base + o1)` amplitude pair (pure moves —
-    /// also the `X`/`CX` fast path, whose anti-diagonal is exactly 1s).
-    Swap {
-        /// Control-filtered `(offset₀, offset₁)` partner pairs.
-        pairs: Vec<(usize, usize)>,
-    },
+struct PlannedOp {
+    /// Controls outside the block: the op applies to a block only when
+    /// its base index has all of these bits set.
+    guard: usize,
+    /// The target bit of a diagonal gate outside the block (0 if none):
+    /// the base's value of this bit picks `updates[0]` (`m00`) or
+    /// `updates[1]` (`m11`).
+    select: usize,
+    /// The update per `select` value; `None` skips the block (a factor
+    /// of exactly 1).
+    updates: [Option<Update>; 2],
+    /// The runs, as offsets into the block's local index space.
+    runs: Vec<Run>,
 }
 
-/// Compiles lowered ops into explicit pair-offset lists for a block of
-/// `2^k` amplitudes, where `offs[j]` maps local index `j` to its
-/// amplitude offset from the block base.
-pub(crate) fn plan_local(ops: &[LocalOp], offs: &[usize]) -> Vec<PlannedOp> {
-    let dim = offs.len();
-    ops.iter()
-        .map(|op| match op {
-            LocalOp::Gate { g, tbit, cmask } => {
-                // Same pair enumeration as `gate_pairs_body`: expand p
-                // around the target bit, filter on the control mask.
-                let low = tbit - 1;
-                let pairs: Vec<(usize, usize)> = (0..dim >> 1)
-                    .filter_map(|p| {
-                        let i0 = ((p & !low) << 1) | (p & low);
-                        (i0 & cmask == *cmask).then(|| (offs[i0], offs[i0 | tbit]))
-                    })
-                    .collect();
-                let zero = |c: Complex| c.re == 0.0 && c.im == 0.0;
-                let one = |c: Complex| c.re == 1.0 && c.im == 0.0;
-                if zero(g.m01) && zero(g.m10) {
-                    if one(g.m00) {
-                        PlannedOp::Phase {
-                            m11: g.m11,
-                            odds: pairs.into_iter().map(|(_, o1)| o1).collect(),
-                        }
-                    } else {
-                        PlannedOp::Diag {
-                            m00: g.m00,
-                            m11: g.m11,
-                            pairs,
-                        }
-                    }
-                } else if zero(g.m00) && zero(g.m11) {
-                    if one(g.m01) && one(g.m10) {
-                        PlannedOp::Swap { pairs }
-                    } else {
-                        PlannedOp::AntiDiag {
-                            m01: g.m01,
-                            m10: g.m10,
-                            pairs,
-                        }
-                    }
-                } else {
-                    PlannedOp::Gate { g: *g, pairs }
+/// A fused group compiled for one register width: the block layout and
+/// every constituent's runs over the block's local index space (bit `i`
+/// of a local index is block qubit `i`), built once before any amplitude
+/// is touched.
+#[derive(Clone, Debug)]
+pub(crate) struct BlockPlan {
+    /// The block holds qubits `0..low` …
+    low: usize,
+    /// … and these, ascending (all above `low`).
+    high: Vec<usize>,
+    /// Offsets from the block base of its contiguous `2^low`-amplitude
+    /// chunks, in local order.
+    chunks: Vec<usize>,
+    /// The constituents, in program order.
+    ops: Vec<PlannedOp>,
+}
+
+impl BlockPlan {
+    /// Plans `group` for a `num_qubits`-qubit state. The block is the
+    /// group's mixed qubits padded with the lowest free qubits to
+    /// `2^BLOCK_BITS` amplitudes, but to at most a `2^-BLOCK_SPLIT_BITS`
+    /// share of the state (never fewer than the mixed qubits).
+    pub(crate) fn new(group: &FusedGroup, num_qubits: usize) -> BlockPlan {
+        let mixed = group.qubits();
+        let bits = BLOCK_BITS
+            .min(num_qubits.saturating_sub(BLOCK_SPLIT_BITS))
+            .max(mixed.len())
+            .min(num_qubits);
+        let mut block = mixed.to_vec();
+        for q in (0..num_qubits).filter(|q| !mixed.contains(q)) {
+            if block.len() == bits {
+                break;
+            }
+            block.push(q);
+        }
+        block.sort_unstable();
+        let low = block
+            .iter()
+            .enumerate()
+            .take_while(|&(i, &q)| i == q)
+            .count();
+        let chunks = (0..1usize << (bits - low))
+            .map(|c| {
+                block[low..]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &q)| ((c >> i) & 1) << q)
+                    .sum()
+            })
+            .collect();
+        let local = |q: usize| block.binary_search(&q).ok().map(|i| 1usize << i);
+        let mut ops = Vec::new();
+        for inst in group.ops() {
+            let controls: &[usize] = match &inst.kind {
+                OpKind::Unitary { controls, .. } | OpKind::Swap { controls, .. } => controls,
+                other => unreachable!("non-unitary op {other:?} in fused group"),
+            };
+            let (mut cmask, mut guard) = (0usize, 0usize);
+            for &c in controls {
+                match local(c) {
+                    Some(bit) => cmask |= bit,
+                    None => guard |= 1 << c,
                 }
             }
-            LocalOp::Swap { abit, bbit, cmask } => {
-                // Mirror of `StateVector::apply_swap_with`, on local
-                // indices: enumerate the dim/4 settings of the other
-                // bits and pair the |…0a…1b…⟩ / |…1a…0b…⟩ partners.
-                let lo_low = *abit.min(bbit) - 1;
-                let hi_low = *abit.max(bbit) - 1;
-                let pairs = (0..dim >> 2)
-                    .filter_map(|q| {
-                        let x = ((q & !lo_low) << 1) | (q & lo_low);
-                        let base = ((x & !hi_low) << 1) | (x & hi_low);
-                        (base & cmask == *cmask).then(|| (offs[base | abit], offs[base | bbit]))
-                    })
-                    .collect();
-                PlannedOp::Swap { pairs }
+            let mut push = |select, updates, spec: &RunSpec| {
+                let runs = RunSet::new(bits, spec);
+                ops.push(PlannedOp {
+                    guard,
+                    select,
+                    updates,
+                    runs: (0..runs.count()).map(|p| runs.run(p)).collect(),
+                });
+            };
+            match &inst.kind {
+                OpKind::Unitary { gate, target, .. } => {
+                    let g = PairGate::from_matrix(&gate.matrix());
+                    if let Some(tbit) = local(*target) {
+                        for spec in gate_runs(tbit, cmask, &g).into_iter().flatten() {
+                            push(0, [Some(spec.update), None], &spec);
+                        }
+                    } else {
+                        // Only diagonal gates leave their target unmixed.
+                        debug_assert!(g.is_diagonal(), "{inst:?} mixes a qubit outside the block");
+                        if let Some((spec, updates)) = outside_diagonal_runs(cmask, &g) {
+                            push(1 << target, updates, &spec);
+                        }
+                    }
+                }
+                OpKind::Swap { a, b, .. } => {
+                    let bit = |q: usize| local(q).expect("swap operand outside the block");
+                    let spec = swap_runs(bit(*a), bit(*b), cmask);
+                    push(0, [Some(spec.update), None], &spec);
+                }
+                _ => unreachable!("checked above"),
             }
-        })
-        .collect()
-}
-
-/// Applies the planned ops to every fused block in `range`, updating
-/// the shared amplitude slice in place. Dispatches the whole chunk to
-/// one AVX2+FMA-compiled instantiation when `simd` is true (each
-/// `mul_add` inlines to a fused `vfmadd` instead of a libm call), and
-/// to the plain scalar instantiation otherwise — both run the same
-/// expressions in the same order, so the bits agree either way.
-pub(crate) fn run_fused_blocks(
-    amps: &SharedSlice<'_, Complex>,
-    range: core::ops::Range<usize>,
-    qubits: &[usize],
-    plans: &[PlannedOp],
-    simd: bool,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if simd {
-        // SAFETY: `simd` is only true after a runtime AVX2+FMA check
-        // (see `crate::simd::simd_active`).
-        #[allow(unsafe_code)]
-        unsafe {
-            return fused_blocks_avx2(amps, range, qubits, plans);
+        }
+        BlockPlan {
+            low,
+            high: block[low..].to_vec(),
+            chunks,
+            ops,
         }
     }
-    let _ = simd;
-    fused_blocks_body(amps, range, qubits, plans);
-}
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(unsafe_code)]
-unsafe fn fused_blocks_avx2(
-    amps: &SharedSlice<'_, Complex>,
-    range: core::ops::Range<usize>,
-    qubits: &[usize],
-    plans: &[PlannedOp],
-) {
-    fused_blocks_body(amps, range, qubits, plans);
-}
+    /// Number of blocks in a `num_qubits`-qubit state.
+    pub(crate) fn blocks(&self, num_qubits: usize) -> usize {
+        1 << (num_qubits - self.low - self.high.len())
+    }
 
-/// The shared per-block loop: expand the block number to its base
-/// amplitude index, then stream every planned pair update directly on
-/// the strided working set (≤ 2^5 cache lines, L1-resident across all
-/// constituent ops — that locality is the entire point of fusion).
-#[inline(always)]
-fn fused_blocks_body(
-    amps: &SharedSlice<'_, Complex>,
-    range: core::ops::Range<usize>,
-    qubits: &[usize],
-    plans: &[PlannedOp],
-) {
-    for b in range {
-        // Insert a zero at each fused qubit position (ascending).
-        let mut base = b;
-        for &q in qubits {
-            let low = (1usize << q) - 1;
-            base = ((base & !low) << 1) | (base & low);
+    /// Scheduling weight of one block: its amplitudes times the
+    /// constituents applied to them.
+    pub(crate) fn block_weight(&self) -> usize {
+        (1 << (self.low + self.high.len())) * self.ops.len().max(1)
+    }
+
+    /// Applies the plan to every block in `range`, updating the shared
+    /// amplitude slice in place. Dispatches the whole chunk to one
+    /// AVX2+FMA-compiled instantiation when `simd` is true, and to the
+    /// plain scalar instantiation otherwise — both run the same
+    /// expressions in the same order, so the bits agree either way.
+    pub(crate) fn run(
+        &self,
+        amps: &SharedSlice<'_, Complex>,
+        range: core::ops::Range<usize>,
+        simd: bool,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if simd {
+            // SAFETY: `simd` is only true after a runtime AVX2+FMA check
+            // (see `crate::simd::simd_active`).
+            #[allow(unsafe_code)]
+            unsafe {
+                return self.run_avx2(amps, range);
+            }
         }
-        // SAFETY: block b owns exactly the indices base + offs[j]
-        // (distinct blocks have disjoint index sets), and every planned
-        // offset is one of the offs[j].
-        #[allow(unsafe_code)]
-        unsafe {
-            for plan in plans {
-                match plan {
-                    PlannedOp::Gate { g, pairs } => {
-                        for &(o0, o1) in pairs {
-                            let (b0, b1) = pair_update(g, amps.get(base + o0), amps.get(base + o1));
-                            amps.set(base + o0, b0);
-                            amps.set(base + o1, b1);
-                        }
+        let _ = simd;
+        self.run_body::<false>(amps, range);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[allow(unsafe_code)]
+    unsafe fn run_avx2(&self, amps: &SharedSlice<'_, Complex>, range: core::ops::Range<usize>) {
+        self.run_body::<true>(amps, range);
+    }
+
+    /// The shared per-block loop: expand the block number to its base
+    /// index, gather the block's chunks into a contiguous buffer (a
+    /// block whose qubits are all low is contiguous already and runs in
+    /// place), apply every planned op whose guards the base passes, and
+    /// scatter the block back. The buffer keeps the block L1-resident
+    /// across all the ops: in place, the chunks of a block lie a power
+    /// of two apart and evict each other from the cache.
+    #[inline(always)]
+    fn run_body<const SIMD: bool>(
+        &self,
+        amps: &SharedSlice<'_, Complex>,
+        range: core::ops::Range<usize>,
+    ) {
+        let chunk_len = 1usize << self.low;
+        let gathered = self.chunks.len() > 1;
+        let mut buf = vec![
+            Complex::ZERO;
+            if gathered {
+                chunk_len * self.chunks.len()
+            } else {
+                0
+            }
+        ];
+        for b in range {
+            // Insert a zero at each block qubit position (ascending).
+            let mut base = b << self.low;
+            for &q in &self.high {
+                let below = (1usize << q) - 1;
+                base = ((base & !below) << 1) | (base & below);
+            }
+            // SAFETY: block b owns exactly the indices base + chunk
+            // offset + i, i < chunk_len (distinct blocks have disjoint
+            // index sets); every planned run stays inside the block's
+            // local index space, which the buffer (or, ungathered, the
+            // contiguous block itself) covers.
+            #[allow(unsafe_code)]
+            unsafe {
+                let block = if gathered {
+                    for (c, &off) in self.chunks.iter().enumerate() {
+                        let src = amps.as_mut_ptr().add(base + off);
+                        std::ptr::copy_nonoverlapping(
+                            src,
+                            buf.as_mut_ptr().add(c * chunk_len),
+                            chunk_len,
+                        );
                     }
-                    PlannedOp::Phase { m11, odds } => {
-                        for &o in odds {
-                            amps.set(base + o, m11.mul_fma(amps.get(base + o)));
-                        }
+                    buf.as_mut_ptr()
+                } else {
+                    amps.as_mut_ptr().add(base)
+                };
+                for op in &self.ops {
+                    if base & op.guard != op.guard {
+                        continue;
                     }
-                    PlannedOp::Diag { m00, m11, pairs } => {
-                        for &(o0, o1) in pairs {
-                            amps.set(base + o0, m00.mul_fma(amps.get(base + o0)));
-                            amps.set(base + o1, m11.mul_fma(amps.get(base + o1)));
-                        }
-                    }
-                    PlannedOp::AntiDiag { m01, m10, pairs } => {
-                        for &(o0, o1) in pairs {
-                            let b0 = m01.mul_fma(amps.get(base + o1));
-                            let b1 = m10.mul_fma(amps.get(base + o0));
-                            amps.set(base + o0, b0);
-                            amps.set(base + o1, b1);
-                        }
-                    }
-                    PlannedOp::Swap { pairs } => {
-                        for &(o0, o1) in pairs {
-                            let tmp = amps.get(base + o0);
-                            amps.set(base + o0, amps.get(base + o1));
-                            amps.set(base + o1, tmp);
-                        }
+                    let Some(update) = &op.updates[usize::from(base & op.select != 0)] else {
+                        continue;
+                    };
+                    apply_runs::<SIMD>(block, op.runs.len(), |k| op.runs[k], update);
+                }
+                if gathered {
+                    for (c, &off) in self.chunks.iter().enumerate() {
+                        let dst = amps.as_mut_ptr().add(base + off);
+                        std::ptr::copy_nonoverlapping(
+                            buf.as_ptr().add(c * chunk_len),
+                            dst,
+                            chunk_len,
+                        );
                     }
                 }
             }
@@ -620,7 +557,7 @@ mod tests {
         let mut qc = Circuit::with_clbits(1, 1);
         qc.x(0).c_if(0, true);
         let inst = &qc.instructions()[0];
-        assert_eq!(fusable_mask(inst), None);
+        assert_eq!(inst.fusion_support(), None);
         let mut fuser = Fuser::new(5);
         assert!(!fuser.try_push(inst));
         assert!(fuser.take().is_none());
@@ -635,7 +572,103 @@ mod tests {
             assert!(fuser.try_push(inst));
         }
         let group = fuser.take().expect("pending group");
-        assert_eq!(group.qubits(), &[1, 3, 4]);
+        // The control 4 of the CX is not mixed: only targets count.
+        assert_eq!(group.qubits(), &[1, 3]);
         assert_eq!(group.len(), 2);
+    }
+
+    /// A non-trivial 16-qubit state: H on every qubit, then phases, so
+    /// every amplitude differs.
+    fn spread_state(n: usize) -> crate::StateVector {
+        let mut qc = Circuit::new(n);
+        for q in 0..n {
+            qc.h(q).rz(0.1 + q as f64, q);
+        }
+        qc.cx(0, n - 1).ry(0.7, 3);
+        crate::StateVector::from_circuit(&qc).expect("unitary")
+    }
+
+    /// Fused (one pass over the planned blocks) against unfused
+    /// (instruction by instruction): exact `==`.
+    fn assert_fused_matches_unfused(qc: &Circuit) {
+        let ctx = qdt_parallel::KernelContext::sequential();
+        let mut fuser = Fuser::new(MAX_FUSE_WIDTH);
+        for inst in qc.instructions() {
+            assert!(fuser.try_push(inst), "{inst:?} does not fit the group");
+        }
+        let group = fuser.take().expect("pending group");
+        let mut fused = spread_state(qc.num_qubits());
+        let mut unfused = fused.clone();
+        fused.apply_fused_with(&group, &ctx);
+        for inst in qc.instructions() {
+            unfused.apply_instruction_with(inst, &ctx).expect("unitary");
+        }
+        assert!(fused == unfused, "fused pass drifted from unfused");
+    }
+
+    #[test]
+    fn a_cp_outside_the_group_fuses_without_widening_it() {
+        let mut qc = Circuit::new(16);
+        qc.h(0).h(1).cp(0.3, 12, 13).h(2);
+        let mut fuser = Fuser::new(MAX_FUSE_WIDTH);
+        for inst in qc.instructions() {
+            assert!(fuser.try_push(inst));
+        }
+        let group = fuser.take().expect("pending group");
+        assert_eq!(
+            group.qubits(),
+            &[0, 1, 2],
+            "controls and diagonal targets are free"
+        );
+        // The padded block is qubits 0..10: the CP's control becomes a
+        // guard and its target picks the factor per block.
+        let plan = BlockPlan::new(&group, 16);
+        let cp = &plan.ops[2];
+        assert_eq!((cp.guard, cp.select), (1 << 12, 1 << 13));
+        assert!(cp.updates[0].is_none(), "m00 = 1 skips the block");
+        assert!(cp.updates[1].is_some());
+        assert_fused_matches_unfused(&qc);
+    }
+
+    #[test]
+    fn an_outside_control_on_an_h_becomes_a_guard() {
+        let mut qc = Circuit::new(16);
+        qc.ch(14, 0).x(1).ccz(15, 13, 1);
+        let mut fuser = Fuser::new(MAX_FUSE_WIDTH);
+        for inst in qc.instructions() {
+            assert!(fuser.try_push(inst));
+        }
+        let group = fuser.take().expect("pending group");
+        assert_eq!(group.qubits(), &[0, 1]);
+        let plan = BlockPlan::new(&group, 16);
+        assert_eq!(
+            plan.ops[0].guard,
+            1 << 14,
+            "the control outside the block guards the H"
+        );
+        assert_eq!(plan.ops[0].select, 0);
+        // CCZ targets qubit 1 (in the block), controlled from outside.
+        assert_eq!(plan.ops[2].guard, (1 << 15) | (1 << 13));
+        assert_fused_matches_unfused(&qc);
+    }
+
+    #[test]
+    fn fused_blocks_match_unfused_on_every_update_kind() {
+        // Gates on qubit 0 (interleaved), controls on qubit 0 (lanes),
+        // dense and X-shaped matrices, Y, swaps, diagonal
+        // targets inside and outside the block, on a state large enough
+        // to gather blocks from scattered chunks.
+        let mut qc = Circuit::new(14);
+        qc.h(0)
+            .cx(0, 12)
+            .rz(0.4, 0)
+            .y(11)
+            .cp(0.9, 0, 13)
+            .swap(12, 13)
+            .u(0.3, 0.2, 0.1, 12)
+            .crz(1.1, 5, 11)
+            .t(9)
+            .cswap(3, 0, 11);
+        assert_fused_matches_unfused(&qc);
     }
 }

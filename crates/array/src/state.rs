@@ -268,9 +268,16 @@ impl StateVector {
     }
 
     /// [`StateVector::apply_controlled_gate`] scheduled through a
-    /// [`KernelContext`]: the `dim/2` amplitude pairs are partitioned on
-    /// the target-qubit stride so each worker owns disjoint pairs, with a
-    /// sequential fallback below the context's threshold.
+    /// [`KernelContext`]: the visited amplitudes are split into
+    /// unit-stride runs, partitioned so each worker owns disjoint runs,
+    /// with a sequential fallback below the context's threshold.
+    ///
+    /// Diagonal gates (Z, S, T, Rz, phases and their controlled forms)
+    /// visit only the amplitudes that pass the controls and skip a side
+    /// whose entry is exactly 1, so a controlled phase touches a quarter
+    /// of the state instead of sweeping all of it. Dropping the `× 0` and
+    /// `× 1` terms changes at most the sign of a zero, so results stay
+    /// equal under `==` to the full 2×2 update.
     ///
     /// Every pair is transformed by the same floating-point expressions
     /// regardless of partitioning, so results are bit-identical across
@@ -294,72 +301,71 @@ impl StateVector {
             assert_ne!(c, target, "control equals target");
             cmask |= 1 << c;
         }
-        let tbit = 1usize << target;
-        let g = crate::simd::PairGate {
-            m00: gate.get(0, 0),
-            m01: gate.get(0, 1),
-            m10: gate.get(1, 0),
-            m11: gate.get(1, 1),
-        };
-        let pairs = self.amps.len() >> 1;
-        let simd = crate::simd::simd_active();
-        // Pair p < dim/2 expands to its 0-side index by inserting a zero
-        // at the target bit: distinct p yield disjoint {i0, i1} sets, so
-        // any partition of the pair range satisfies the SharedSlice
-        // contract. The per-pair arithmetic lives in `crate::simd`, whose
-        // scalar and AVX2 paths are bit-identical.
-        let amps = SharedSlice::new(&mut self.amps);
-        ctx.run(pairs, 1, &|range| {
-            crate::simd::apply_gate_pairs(&amps, range, tbit, cmask, &g, simd);
-        });
+        let g = crate::simd::PairGate::from_matrix(gate);
+        let specs = crate::simd::gate_runs(1 << target, cmask, &g);
+        self.apply_runs_with(specs.iter().flatten(), ctx);
     }
 
-    /// Applies a fused group as one strided pass: for every setting of
-    /// the non-fused qubits, gather the `2^k` block amplitudes spanned by
-    /// `group.qubits()`, run each constituent gate on the local buffer,
-    /// and scatter the block back. Blocks are disjoint, so the pass
-    /// partitions across workers exactly like the plain kernels and stays
-    /// bit-identical across thread counts — and because each constituent
-    /// performs the same per-pair arithmetic as its unfused kernel,
-    /// fused and unfused execution agree bit-for-bit too.
+    /// Runs each spec over the whole state, partitioned by runs. A run
+    /// owns a disjoint index set (its `o0` and `o1` sides), so any
+    /// partition of the run range satisfies the [`SharedSlice`] contract,
+    /// and every amplitude sees the same arithmetic whatever the
+    /// partition — results are bit-identical across thread counts.
+    fn apply_runs_with<'s>(
+        &mut self,
+        specs: impl IntoIterator<Item = &'s crate::simd::RunSpec>,
+        ctx: &KernelContext,
+    ) {
+        let simd = crate::simd::simd_active();
+        let n = self.num_qubits;
+        let amps = SharedSlice::new(&mut self.amps);
+        for spec in specs {
+            let runs = crate::simd::RunSet::new(n, spec);
+            ctx.run(runs.count(), runs.weight(), &|range| {
+                crate::simd::apply_run_set(&amps, range, &runs, &spec.update, simd);
+            });
+        }
+    }
+
+    /// Applies a fused group as one pass over the state: the group is
+    /// planned once into unit-stride runs over padded blocks (see
+    /// [`crate::fusion`]), then every block applies each constituent
+    /// gate in program order while its amplitudes are cache-resident.
+    /// Blocks are disjoint, so the pass partitions across workers like
+    /// the plain kernels and stays bit-identical across thread counts —
+    /// and because each constituent performs the same per-amplitude
+    /// arithmetic as its unfused kernel, fused and unfused execution
+    /// agree under `==` too.
     ///
     /// # Panics
     ///
-    /// Panics if the group is empty, acts on out-of-range qubits, or is
-    /// wider than [`crate::fusion::MAX_FUSE_WIDTH`].
+    /// Panics if the group is empty, acts on out-of-range qubits, or
+    /// mixes more than [`crate::fusion::MAX_FUSE_WIDTH`] qubits.
     pub fn apply_fused_with(&mut self, group: &crate::fusion::FusedGroup, ctx: &KernelContext) {
         use crate::fusion::MAX_FUSE_WIDTH;
-        let qubits = group.qubits();
-        let k = qubits.len();
         assert!(!group.is_empty(), "empty fused group");
-        assert!(k <= MAX_FUSE_WIDTH, "fused group too wide");
         assert!(
-            qubits.iter().all(|&q| q < self.num_qubits),
+            group.qubits().len() <= MAX_FUSE_WIDTH,
+            "fused group too wide"
+        );
+        assert!(
+            group
+                .ops()
+                .iter()
+                .flat_map(Instruction::qubits)
+                .all(|q| q < self.num_qubits),
             "fused qubit out of range"
         );
-        let ops = group.lower();
-        let k_dim = 1usize << k;
-        let blocks = self.amps.len() >> k;
-        // Local index j → amplitude offset from the block base: bit i of
-        // j is fused qubit qubits[i].
-        let offs: Vec<usize> = (0..k_dim)
-            .map(|j| {
-                qubits
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &q)| ((j >> i) & 1) << q)
-                    .sum()
-            })
-            .collect();
-        // Compile each constituent to its control-filtered pair-offset
-        // list once; the per-block loops then carry no bit arithmetic.
-        let plans = crate::fusion::plan_local(&ops, &offs);
+        let plan = crate::fusion::BlockPlan::new(group, self.num_qubits);
         let simd = crate::simd::simd_active();
         let amps = SharedSlice::new(&mut self.amps);
-        // Weight: each block touches 2^k amplitudes per constituent op.
-        ctx.run(blocks, k_dim * group.len(), &|range| {
-            crate::fusion::run_fused_blocks(&amps, range, qubits, &plans, simd);
-        });
+        ctx.run(
+            plan.blocks(self.num_qubits),
+            plan.block_weight(),
+            &|range| {
+                plan.run(&amps, range, simd);
+            },
+        );
     }
 
     /// Swaps qubits `a` and `b`, optionally controlled.
@@ -390,35 +396,7 @@ impl StateVector {
             assert!(c != a && c != b, "control overlaps swap target");
             cmask |= 1 << c;
         }
-        let abit = 1usize << a;
-        let bbit = 1usize << b;
-        // Enumerate the dim/4 settings of the other n−2 bits; expanding
-        // each by inserting zeros at both swap positions yields a base
-        // index owning the disjoint pair {base|abit, base|bbit}. (A naive
-        // range split over full indices would race: the partner index of
-        // a boundary element lies outside the chunk.)
-        let lo_low = abit.min(bbit) - 1;
-        let hi_low = abit.max(bbit) - 1;
-        let quads = self.amps.len() >> 2;
-        let amps = SharedSlice::new(&mut self.amps);
-        ctx.run(quads, 1, &|range| {
-            for q in range {
-                let x = ((q & !lo_low) << 1) | (q & lo_low);
-                let base = ((x & !hi_low) << 1) | (x & hi_low);
-                if base & cmask == cmask {
-                    let i = base | abit;
-                    let j = base | bbit;
-                    // SAFETY: each q is claimed by exactly one chunk and
-                    // owns both indices of its pair.
-                    #[allow(unsafe_code)]
-                    unsafe {
-                        let tmp = amps.get(i);
-                        amps.set(i, amps.get(j));
-                        amps.set(j, tmp);
-                    }
-                }
-            }
-        });
+        self.apply_runs_with([&crate::simd::swap_runs(1 << a, 1 << b, cmask)], ctx);
     }
 
     /// Applies one IR instruction (unitary gates and swaps only).

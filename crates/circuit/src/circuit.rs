@@ -208,6 +208,37 @@ impl Instruction {
         self.cond.is_none() && matches!(self.kind, OpKind::Unitary { .. } | OpKind::Swap { .. })
     }
 
+    /// The qubits this instruction *mixes*, or `None` when it cannot join
+    /// a fused gate group at all (measurements, resets, barriers, and
+    /// classically conditioned instructions).
+    ///
+    /// A gate mixes its target unless it is diagonal ([`Gate::is_diagonal`]);
+    /// a swap mixes both operands. Controls never mix anything: they only
+    /// select which amplitudes the gate touches, as does the target of a
+    /// diagonal gate. This is the width the dense array's gate fusion
+    /// counts, and the single definition the cost model shares with it.
+    #[must_use]
+    pub fn fusion_support(&self) -> Option<FusionSupport> {
+        if self.cond.is_some() {
+            return None;
+        }
+        match &self.kind {
+            OpKind::Unitary { gate, target, .. } => Some(if gate.is_diagonal() {
+                FusionSupport::EMPTY
+            } else {
+                FusionSupport {
+                    qubits: [*target, 0],
+                    len: 1,
+                }
+            }),
+            OpKind::Swap { a, b, .. } => Some(FusionSupport {
+                qubits: [*a, *b],
+                len: 2,
+            }),
+            OpKind::Measure { .. } | OpKind::Reset { .. } | OpKind::Barrier(_) => None,
+        }
+    }
+
     /// A short human-readable name, e.g. `"cx"` or `"measure"`.
     pub fn name(&self) -> String {
         match &self.kind {
@@ -221,6 +252,47 @@ impl Instruction {
             OpKind::Reset { .. } => "reset".into(),
             OpKind::Barrier(_) => "barrier".into(),
         }
+    }
+}
+
+/// The at most two qubits one instruction mixes (see
+/// [`Instruction::fusion_support`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FusionSupport {
+    qubits: [usize; 2],
+    len: usize,
+}
+
+impl FusionSupport {
+    const EMPTY: FusionSupport = FusionSupport {
+        qubits: [0; 2],
+        len: 0,
+    };
+
+    /// The mixed qubits (target, or both swap operands; empty for a
+    /// diagonal gate).
+    #[must_use]
+    pub fn qubits(&self) -> &[usize] {
+        &self.qubits[..self.len]
+    }
+
+    /// Adds the mixed qubits to the ascending set `group` when the union
+    /// holds at most `width` qubits, and reports whether it did (`group`
+    /// is left untouched otherwise). This is the whole greedy fusion
+    /// rule: a gate joins the open group while the group's mixed qubits
+    /// fit the fusion width.
+    pub fn merge_into(&self, group: &mut Vec<usize>, width: usize) -> bool {
+        let new = self.qubits().iter().filter(|q| !group.contains(q)).count();
+        // Swap operands are distinct, so `new` counts distinct qubits.
+        if group.len() + new > width {
+            return false;
+        }
+        for &q in self.qubits() {
+            if let Err(at) = group.binary_search(&q) {
+                group.insert(at, q);
+            }
+        }
+        true
     }
 }
 

@@ -33,7 +33,7 @@ pub mod generators;
 mod pauli;
 pub mod qasm;
 
-pub use circuit::{Circuit, ClassicalState, Condition, Instruction, OpKind};
+pub use circuit::{Circuit, ClassicalState, Condition, FusionSupport, Instruction, OpKind};
 pub use gate::Gate;
 pub use pauli::{ParsePauliError, Pauli, PauliString};
 

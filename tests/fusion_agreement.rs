@@ -22,7 +22,7 @@
 //!   per-pair arithmetic.
 
 use proptest::prelude::*;
-use qdt::circuit::{generators, Circuit, Gate};
+use qdt::circuit::{generators, Circuit, Gate, OpKind};
 use qdt::complex::Complex;
 use qdt::engine::run;
 use qdt::EngineRegistry;
@@ -370,4 +370,145 @@ fn forced_scalar_fusion_is_bit_identical() {
         failures.is_empty(),
         "scalar bit-identity broke: {failures:?}"
     );
+}
+
+// ---------------------------------------------------------------------
+// Phase-heavy circuits: guards on the hot path
+// ---------------------------------------------------------------------
+
+/// Every fuse width × thread count, for the exact-equality checks below.
+fn all_fused_specs() -> Vec<String> {
+    let mut specs = Vec::new();
+    for fuse in 1..=5 {
+        specs.push(format!("array(fuse={fuse})"));
+        for threads in [2, 4] {
+            specs.push(format!("array(fuse={fuse},threads={threads},threshold=1)"));
+        }
+    }
+    specs
+}
+
+/// Asserts every fused spec reproduces the unfused amplitudes with
+/// exact `==`: the fused kernels run each amplitude through the same
+/// arithmetic as the unfused ones, on the SIMD and the scalar path alike.
+fn assert_fused_exact(qc: &Circuit) -> Result<(), TestCaseError> {
+    let want = amplitudes_on("array", qc);
+    for spec in all_fused_specs() {
+        let got = amplitudes_on(&spec, qc);
+        prop_assert!(got == want, "{} drifted from unfused", spec);
+    }
+    Ok(())
+}
+
+/// A random circuit of controlled phases, controlled Rz, CCZ and T gates
+/// with sparse H and X on 2–14 qubits: most gates mix nothing, so a
+/// fused group spans many qubits through controls and diagonal targets
+/// — the guards — while only the few H/X widen it.
+fn phase_heavy_circuit() -> impl Strategy<Value = Circuit> {
+    (2usize..=14).prop_flat_map(|n| {
+        let op = ((0usize..12, 0..n), (0..n, 0..n, 0.1f64..6.2));
+        prop::collection::vec(op, 0..40).prop_map(move |ops| {
+            let mut qc = Circuit::new(n);
+            for ((kind, a), (b, c, angle)) in ops {
+                let distinct2 = a != b;
+                let distinct3 = distinct2 && c != a && c != b;
+                match kind {
+                    0 => {
+                        qc.h(a);
+                    }
+                    1 => {
+                        qc.x(a);
+                    }
+                    2 | 3 => {
+                        qc.t(a);
+                    }
+                    4..=6 if distinct2 => {
+                        qc.cp(angle, a, b);
+                    }
+                    7 | 8 if distinct2 => {
+                        qc.crz(angle, a, b);
+                    }
+                    9 | 10 if distinct3 => {
+                        qc.ccz(a, b, c);
+                    }
+                    _ => {
+                        qc.gate(Gate::Phase(angle), a, &[]);
+                    }
+                }
+            }
+            qc
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Phase-heavy circuits fuse across controls and diagonal targets
+    /// outside each group's mixed qubits; the results stay exactly equal
+    /// to the unfused engine at every fuse width and thread count.
+    #[test]
+    fn phase_heavy_circuits_fuse_exactly(qc in phase_heavy_circuit()) {
+        assert_fused_exact(&qc)?;
+    }
+
+    /// The textbook QFT on a random basis state: five Hadamards per group
+    /// with every controlled phase in between.
+    #[test]
+    fn qft_on_random_basis_states_fuses_exactly(n in 2usize..=14, x in 0u64..1 << 14) {
+        let mut qc = Circuit::new(n);
+        for q in 0..n {
+            if x >> q & 1 == 1 {
+                qc.x(q);
+            }
+        }
+        qc.append(&generators::qft(n, true));
+        assert_fused_exact(&qc)?;
+    }
+}
+
+// ---------------------------------------------------------------------
+// One definition of fusion support
+// ---------------------------------------------------------------------
+
+/// The passes `plan_groups` executes: fused spans, plus unfused spans
+/// that still run a gate (a conditioned gate, or one too wide to fuse).
+fn executed_passes(qc: &Circuit, width: usize) -> usize {
+    qdt::array::plan_groups(qc.instructions(), width)
+        .iter()
+        .filter(|s| {
+            s.fused
+                || matches!(
+                    qc.instructions()[s.start].kind,
+                    OpKind::Unitary { .. } | OpKind::Swap { .. }
+                )
+        })
+        .count()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The cost model's pass count is the fuser's, at every width.
+    #[test]
+    fn fused_group_count_matches_plan_groups(
+        ct in clifford_t_circuit(),
+        dense in dense_random_circuit(),
+        seed in 0u64..1000,
+    ) {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let generated = [
+            generators::random_clifford_t(9, 8, 0.3, &mut rng),
+            generators::random_circuit(7, 6, &mut rng),
+        ];
+        for qc in [&ct, &dense].into_iter().chain(&generated) {
+            for width in 0..=5 {
+                prop_assert_eq!(
+                    qdt::analysis::cost::fused_group_count(qc, width),
+                    executed_passes(qc, width)
+                );
+            }
+        }
+    }
 }
