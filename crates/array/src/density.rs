@@ -1,132 +1,38 @@
-//! Density-matrix simulation with noise channels.
+//! The density-matrix substrate.
 //!
 //! Extends the array-based representation of Section II from pure states
 //! to mixed states, enabling the noise-aware simulation the paper cites as
 //! reference \[13\] (Grurl/Fuß/Wille). States are `2^n × 2^n` density
 //! matrices ρ; gates act as `ρ → UρU†` and noise as Kraus channels
-//! `ρ → Σ_i K_i ρ K_i†`.
+//! `ρ → Σ_i K_i ρ K_i†`. Circuits and noise models run on it through
+//! `qdt-noise`'s `DensityMatrixEngine`.
 
-use qdt_circuit::{Circuit, Gate, OpKind};
 use qdt_complex::{Complex, Matrix};
 use qdt_parallel::{KernelContext, SharedSlice};
 
-use crate::{ArrayError, StateVector};
-
-/// A single-qubit noise channel, described by its Kraus operators.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum NoiseChannel {
-    /// Depolarizing channel: with probability `p` replace the qubit state
-    /// by the maximally mixed state.
-    Depolarizing(f64),
-    /// Amplitude damping (T1 decay) with damping probability `gamma`.
-    AmplitudeDamping(f64),
-    /// Phase damping (pure T2 dephasing) with parameter `lambda`.
-    PhaseDamping(f64),
-    /// Bit flip (X error) with probability `p`.
-    BitFlip(f64),
-    /// Phase flip (Z error) with probability `p`.
-    PhaseFlip(f64),
-}
-
-impl NoiseChannel {
-    /// The Kraus operators of the channel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the channel parameter lies outside `[0, 1]`.
-    pub fn kraus_operators(&self) -> Vec<Matrix> {
-        let check = |p: f64| {
-            assert!(
-                (0.0..=1.0).contains(&p),
-                "channel parameter {p} outside [0,1]"
-            );
-            p
-        };
-        let z = Complex::ZERO;
-        match *self {
-            NoiseChannel::Depolarizing(p) => {
-                let p = check(p);
-                let k0 = Matrix::identity(2).scale(Complex::real((1.0 - p).sqrt()));
-                let s = Complex::real((p / 3.0).sqrt());
-                vec![
-                    k0,
-                    Gate::X.matrix().scale(s),
-                    Gate::Y.matrix().scale(s),
-                    Gate::Z.matrix().scale(s),
-                ]
-            }
-            NoiseChannel::AmplitudeDamping(gamma) => {
-                let gamma = check(gamma);
-                let k0 = Matrix::from_rows(
-                    2,
-                    2,
-                    &[Complex::ONE, z, z, Complex::real((1.0 - gamma).sqrt())],
-                );
-                let k1 = Matrix::from_rows(2, 2, &[z, Complex::real(gamma.sqrt()), z, z]);
-                vec![k0, k1]
-            }
-            NoiseChannel::PhaseDamping(lambda) => {
-                let lambda = check(lambda);
-                let k0 = Matrix::from_rows(
-                    2,
-                    2,
-                    &[Complex::ONE, z, z, Complex::real((1.0 - lambda).sqrt())],
-                );
-                let k1 = Matrix::from_rows(2, 2, &[z, z, z, Complex::real(lambda.sqrt())]);
-                vec![k0, k1]
-            }
-            NoiseChannel::BitFlip(p) => {
-                let p = check(p);
-                vec![
-                    Matrix::identity(2).scale(Complex::real((1.0 - p).sqrt())),
-                    Gate::X.matrix().scale(Complex::real(p.sqrt())),
-                ]
-            }
-            NoiseChannel::PhaseFlip(p) => {
-                let p = check(p);
-                vec![
-                    Matrix::identity(2).scale(Complex::real((1.0 - p).sqrt())),
-                    Gate::Z.matrix().scale(Complex::real(p.sqrt())),
-                ]
-            }
-        }
-    }
-}
-
-/// A noise model: the channels applied to every qubit an instruction
-/// touches, after the instruction executes.
-#[derive(Debug, Clone, Default)]
-pub struct NoiseModel {
-    /// Channels applied in order after each gate.
-    pub channels: Vec<NoiseChannel>,
-}
-
-impl NoiseModel {
-    /// An empty (noiseless) model.
-    pub fn new() -> Self {
-        NoiseModel::default()
-    }
-
-    /// Adds a channel to the model (builder style).
-    pub fn with_channel(mut self, channel: NoiseChannel) -> Self {
-        self.channels.push(channel);
-        self
-    }
-}
+use crate::StateVector;
 
 /// A mixed quantum state as a dense density matrix.
 ///
 /// # Example
 ///
 /// ```
-/// use qdt_array::{DensityMatrix, NoiseChannel, NoiseModel};
-/// use qdt_circuit::generators;
+/// use qdt_array::DensityMatrix;
+/// use qdt_circuit::Gate;
+/// use qdt_complex::{Complex, Matrix};
 ///
-/// let noise = NoiseModel::new().with_channel(NoiseChannel::Depolarizing(0.05));
-/// let rho = DensityMatrix::from_circuit(&generators::bell(), &noise)?;
+/// // A Bell state, then a 5% bit flip on qubit 0.
+/// let mut rho = DensityMatrix::zero_state(2);
+/// rho.apply_controlled_gate(&Gate::H.matrix(), 0, &[]);
+/// rho.apply_controlled_gate(&Gate::X.matrix(), 1, &[0]);
+/// let p: f64 = 0.05;
+/// let kraus = [
+///     Matrix::identity(2).scale(Complex::real((1.0 - p).sqrt())),
+///     Gate::X.matrix().scale(Complex::real(p.sqrt())),
+/// ];
+/// rho.apply_kraus(&kraus, 0);
 /// assert!(rho.purity() < 1.0); // noise mixes the state
 /// assert!((rho.trace() - 1.0).abs() < 1e-10); // but channels preserve trace
-/// # Ok::<(), qdt_array::ArrayError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct DensityMatrix {
@@ -174,63 +80,6 @@ impl DensityMatrix {
             num_qubits: psi.num_qubits(),
             rho,
         }
-    }
-
-    /// Runs a unitary circuit from `|0…0⟩⟨0…0|`, applying `noise` after
-    /// every gate (to each qubit the gate touches).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArrayError::NonUnitary`] on measurement/reset and
-    /// [`ArrayError::TooManyQubits`] beyond the 12-qubit density limit.
-    pub fn from_circuit(circuit: &Circuit, noise: &NoiseModel) -> Result<Self, ArrayError> {
-        if circuit.num_qubits() > MAX_DM_QUBITS {
-            return Err(ArrayError::TooManyQubits {
-                num_qubits: circuit.num_qubits(),
-            });
-        }
-        let mut dm = DensityMatrix::zero_state(circuit.num_qubits().max(1));
-        for inst in circuit {
-            if inst.cond.is_some() {
-                return Err(ArrayError::NonUnitary {
-                    op: format!("conditioned {}", inst.name()),
-                });
-            }
-            match &inst.kind {
-                OpKind::Unitary {
-                    gate,
-                    target,
-                    controls,
-                } => {
-                    dm.apply_controlled_gate(&gate.matrix(), *target, controls);
-                }
-                OpKind::Swap { a, b, controls } => {
-                    // Decompose SWAP into three CNOTs for the kernel path.
-                    let x = Gate::X.matrix();
-                    let mut ctl = controls.clone();
-                    ctl.push(*a);
-                    dm.apply_controlled_gate(&x, *b, &ctl);
-                    ctl.pop();
-                    ctl.push(*b);
-                    dm.apply_controlled_gate(&x, *a, &ctl);
-                    ctl.pop();
-                    ctl.push(*a);
-                    dm.apply_controlled_gate(&x, *b, &ctl);
-                }
-                OpKind::Barrier(_) => continue,
-                other => {
-                    return Err(ArrayError::NonUnitary {
-                        op: format!("{other:?}"),
-                    })
-                }
-            }
-            for &q in &inst.qubits() {
-                for ch in &noise.channels {
-                    dm.apply_channel(*ch, q);
-                }
-            }
-        }
-        Ok(dm)
     }
 
     /// The number of qubits.
@@ -380,21 +229,10 @@ impl DensityMatrix {
         });
     }
 
-    /// Applies a single-qubit Kraus channel to `qubit`:
-    /// `ρ → Σ_i K_i ρ K_i†`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `qubit` is out of range or a channel parameter is invalid.
-    pub fn apply_channel(&mut self, channel: NoiseChannel, qubit: usize) {
-        self.apply_kraus(&channel.kraus_operators(), qubit);
-    }
-
     /// Applies an arbitrary single-qubit Kraus channel, given directly
     /// by its operator list: `ρ → Σ_i K_i ρ K_i†`. This is the
     /// superoperator primitive the `qdt-noise` density-matrix engine
-    /// drives; [`apply_channel`](DensityMatrix::apply_channel) is the
-    /// built-in-channel convenience wrapper over it.
+    /// drives.
     ///
     /// # Panics
     ///
@@ -437,120 +275,11 @@ mod tests {
     use super::*;
     use qdt_circuit::generators;
 
-    fn noiseless() -> NoiseModel {
-        NoiseModel::new()
-    }
-
-    #[test]
-    fn kraus_operators_are_trace_preserving() {
-        for ch in [
-            NoiseChannel::Depolarizing(0.3),
-            NoiseChannel::AmplitudeDamping(0.4),
-            NoiseChannel::PhaseDamping(0.2),
-            NoiseChannel::BitFlip(0.1),
-            NoiseChannel::PhaseFlip(0.25),
-        ] {
-            let ks = ch.kraus_operators();
-            let mut sum = Matrix::zeros(2, 2);
-            for k in &ks {
-                sum = sum.add(&k.dagger().mul(k));
-            }
-            assert!(
-                sum.approx_eq(&Matrix::identity(2), 1e-12),
-                "{ch:?} violates Σ K†K = I"
-            );
-        }
-    }
-
-    #[test]
-    fn noiseless_matches_state_vector() {
-        for qc in [
-            generators::bell(),
-            generators::ghz(3),
-            generators::qft(3, true),
-        ] {
-            let dm = DensityMatrix::from_circuit(&qc, &noiseless()).unwrap();
-            let psi = StateVector::from_circuit(&qc).unwrap();
-            assert!((dm.purity() - 1.0).abs() < 1e-10, "pure run lost purity");
-            assert!((dm.fidelity_with_pure(&psi) - 1.0).abs() < 1e-10);
-            for (i, p) in psi.probabilities().iter().enumerate() {
-                assert!((dm.probability(i) - p).abs() < 1e-10);
-            }
-        }
-    }
-
     #[test]
     fn from_pure_round_trips() {
         let psi = StateVector::from_circuit(&generators::w_state(3)).unwrap();
         let dm = DensityMatrix::from_pure(&psi);
         assert!((dm.purity() - 1.0).abs() < 1e-12);
         assert!((dm.fidelity_with_pure(&psi) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn depolarizing_reduces_purity_and_preserves_trace() {
-        let noise = NoiseModel::new().with_channel(NoiseChannel::Depolarizing(0.1));
-        let dm = DensityMatrix::from_circuit(&generators::ghz(3), &noise).unwrap();
-        assert!((dm.trace() - 1.0).abs() < 1e-10);
-        assert!(dm.purity() < 0.95, "purity {} should drop", dm.purity());
-    }
-
-    #[test]
-    fn stronger_noise_means_lower_fidelity() {
-        let qc = generators::ghz(4);
-        let psi = StateVector::from_circuit(&qc).unwrap();
-        let mut last = 1.0;
-        for p in [0.01, 0.05, 0.1, 0.2] {
-            let noise = NoiseModel::new().with_channel(NoiseChannel::Depolarizing(p));
-            let dm = DensityMatrix::from_circuit(&qc, &noise).unwrap();
-            let f = dm.fidelity_with_pure(&psi);
-            assert!(f < last, "fidelity must fall monotonically with noise");
-            last = f;
-        }
-    }
-
-    #[test]
-    fn amplitude_damping_fixes_ground_state() {
-        // Full damping sends everything to |0⟩⟨0|.
-        let mut dm = DensityMatrix::zero_state(1);
-        dm.apply_controlled_gate(&Gate::X.matrix(), 0, &[]);
-        dm.apply_channel(NoiseChannel::AmplitudeDamping(1.0), 0);
-        assert!((dm.probability(0) - 1.0).abs() < 1e-12);
-        assert!(dm.probability(1) < 1e-12);
-    }
-
-    #[test]
-    fn phase_damping_kills_coherences_not_populations() {
-        let mut dm = DensityMatrix::zero_state(1);
-        dm.apply_controlled_gate(&Gate::H.matrix(), 0, &[]);
-        let p_before = dm.probability(0);
-        dm.apply_channel(NoiseChannel::PhaseDamping(1.0), 0);
-        assert!((dm.probability(0) - p_before).abs() < 1e-12);
-        assert!(
-            dm.as_matrix().get(0, 1).abs() < 1e-12,
-            "coherence must vanish"
-        );
-    }
-
-    #[test]
-    fn bit_flip_half_probability_maximally_mixes() {
-        let mut dm = DensityMatrix::zero_state(1);
-        dm.apply_channel(NoiseChannel::BitFlip(0.5), 0);
-        assert!((dm.probability(0) - 0.5).abs() < 1e-12);
-        assert!((dm.purity() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn swap_decomposition_correct() {
-        let mut qc = qdt_circuit::Circuit::new(2);
-        qc.x(0).swap(0, 1);
-        let dm = DensityMatrix::from_circuit(&qc, &noiseless()).unwrap();
-        assert!((dm.probability(0b10) - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside [0,1]")]
-    fn invalid_channel_parameter_panics() {
-        NoiseChannel::Depolarizing(1.5).kraus_operators();
     }
 }

@@ -8,7 +8,8 @@
 //! footprint grows exponentially with the qubit count — the paper puts the
 //! practical limit below 50 qubits; on a laptop it is nearer 26–30.
 //!
-//! Two execution paths are provided, mirroring the paper's description:
+//! Two representations of a circuit's action are provided, mirroring the
+//! paper's description:
 //!
 //! * [`StateVector`] applies 2×2 gate kernels directly to the amplitude
 //!   array (the efficient way actual array-based simulators work), and
@@ -17,8 +18,14 @@
 //!   paper's Example 1) — exponentially expensive, but exact and useful
 //!   for cross-validation.
 //!
-//! The [`DensityMatrix`] simulator extends the representation to mixed
-//! states and noise channels (the paper's reference \[13\]).
+//! Circuits execute through one path: [`ArrayEngine`], the array backend
+//! of the `SimulationEngine` trait. Measurement, reset and classical
+//! control run through the same engine under the shot executor
+//! (`qdt_engine::ShotExecutor`, or `qdt::sample_dynamic`).
+//!
+//! The [`DensityMatrix`] substrate extends the representation to mixed
+//! states and Kraus channels (the paper's reference \[13\]); the
+//! `qdt-noise` crate drives it with noise models.
 //!
 //! # Example
 //!
@@ -38,15 +45,13 @@ mod density;
 mod engine;
 pub mod fusion;
 pub mod simd;
-mod simulator;
 mod state;
 mod unitary;
 
-pub use density::{DensityMatrix, NoiseChannel, NoiseModel};
+pub use density::DensityMatrix;
 pub use engine::ArrayEngine;
 pub use fusion::{plan_groups, FusedGroup, Fuser, GroupSpan, MAX_FUSE_WIDTH};
 pub use simd::simd_active;
-pub use simulator::{ArraySimulator, RunResult};
 pub use state::StateVector;
 pub use unitary::{circuit_unitary, instruction_unitary};
 
@@ -66,7 +71,8 @@ pub enum ArrayError {
         norm: f64,
     },
     /// The circuit contains an instruction the deterministic paths cannot
-    /// execute (measurement/reset need an RNG — use [`ArraySimulator`]).
+    /// execute (measurement/reset need an RNG — run the circuit through
+    /// the shot executor instead).
     NonUnitary {
         /// Name of the offending operation.
         op: String,
@@ -90,7 +96,8 @@ impl fmt::Display for ArrayError {
             ArrayError::NonUnitary { op } => {
                 write!(
                     f,
-                    "instruction {op} is not unitary; use ArraySimulator::run"
+                    "instruction {op} is not unitary; run it through ShotExecutor \
+                     (qdt::sample_dynamic)"
                 )
             }
             ArrayError::TooManyQubits { num_qubits } => {

@@ -90,8 +90,9 @@ impl StateVector {
     /// # Errors
     ///
     /// Returns [`ArrayError::NonUnitary`] if the circuit contains
-    /// measurement or reset (use [`ArraySimulator`](crate::ArraySimulator)
-    /// for those) and [`ArrayError::TooManyQubits`] above the dense limit.
+    /// measurement or reset (the shot executor runs those on
+    /// [`ArrayEngine`](crate::ArrayEngine)) and
+    /// [`ArrayError::TooManyQubits`] above the dense limit.
     pub fn from_circuit(circuit: &Circuit) -> Result<Self, ArrayError> {
         if circuit.num_qubits() > MAX_QUBITS {
             return Err(ArrayError::TooManyQubits {

@@ -3,21 +3,25 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qdt::circuit::generators;
-use qdt::dd::{DdNoiseChannel, DdNoiseModel, DdPackage};
+use qdt::dd::DdPackage;
+use qdt::engine::run;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn bench_noisy_trajectories(c: &mut Criterion) {
     let mut group = c.benchmark_group("c8_noisy_trajectory");
     group.sample_size(10);
-    let noise = DdNoiseModel::new().with_channel(DdNoiseChannel::Depolarizing(0.02));
     for n in [8usize, 16, 24] {
         let qc = generators::ghz(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &qc, |b, qc| {
+            let mut engine =
+                qdt::create_engine("traj(1, seed=1, depol=0.02):dd").expect("spec builds");
             let mut rng = StdRng::seed_from_u64(1);
             b.iter(|| {
-                let mut dd = DdPackage::new();
-                dd.run_noisy_trajectory(qc, &noise, &mut rng).expect("runs")
+                // The trajectory engine records the gates and evolves its
+                // one trajectory when queried.
+                run(engine.as_mut(), qc).expect("runs");
+                engine.sample(1, &mut rng).expect("samples")
             });
         });
     }

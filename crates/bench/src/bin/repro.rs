@@ -1234,51 +1234,41 @@ fn a1_tolerance_ablation() {
 }
 
 /// C8: noise-aware DD simulation by stochastic Kraus trajectories
-/// (paper ref \[13\]) converges to the density-matrix ground truth while
-/// keeping pure-state DDs throughout.
+/// (paper ref \[13\]) reaches widths no density matrix can, keeping one
+/// pure-state DD per trajectory. The `noise` experiment checks the same
+/// engines against the exact density matrix at small widths.
 fn c8_noise() {
-    use qdt::array::{DensityMatrix, NoiseChannel, NoiseModel};
-    use qdt::dd::{DdNoiseChannel, DdNoiseModel};
+    use qdt::circuit::PauliString;
     header("C8 — noise-aware DD simulation (paper ref [13])");
-    let p = 0.05;
-    let qc = generators::ghz(4);
-    let dm = DensityMatrix::from_circuit(
-        &qc,
-        &NoiseModel::new().with_channel(NoiseChannel::Depolarizing(p)),
-    )
-    .expect("density matrix fits");
-    let mut dd = DdPackage::new();
-    let noise = DdNoiseModel::new().with_channel(DdNoiseChannel::Depolarizing(p));
-    let mut rng = StdRng::seed_from_u64(0xC8);
-    let trajectories = 5000;
-    let (counts, secs) = timed(|| {
-        dd.sample_noisy(&qc, &noise, trajectories, &mut rng)
-            .expect("noisy sampling")
+    let (n, p, trajectories) = (24usize, 0.02f64, 1000usize);
+    let qc = generators::ghz(n);
+    let spec = format!("traj({trajectories}, seed=200, phaseflip={p}):dd");
+    let mut engine = qdt::create_engine(&spec).expect("spec builds");
+    let xs: PauliString = "X".repeat(n).parse().expect("Pauli string");
+    let (estimate, secs) = timed(|| {
+        run(engine.as_mut(), &qc).expect("trajectory run");
+        engine.expectation(&xs).expect("expectation")
     });
-    println!("depolarizing p = {p}, GHZ-4, {trajectories} trajectories ({secs:.2}s):");
+    // A phase flip after any gate of the GHZ ladder commutes through the
+    // later CX gates to a single Z on the output, which flips the sign of
+    // X^⊗n. So ⟨X^⊗n⟩ = (1−2p)^k over the k (gate, touched qubit) pairs.
+    let k: usize = qc.instructions().iter().map(|i| i.qubits().len()).sum();
+    assert_eq!(k, 2 * n - 1, "H plus 2 qubits per CX");
+    let exact = (1.0 - 2.0 * p).powi(i32::try_from(k).expect("small k"));
+    // Every trajectory ends in an X^⊗n eigenstate (eigenvalue ±1), so one
+    // trajectory's variance is 1 − ⟨X^⊗n⟩².
+    let se = ((1.0 - exact * exact) / trajectories as f64).sqrt();
+    println!("GHZ-{n}, phase flip p = {p} after every gate, `{spec}` ({secs:.2}s):");
+    println!("  <X^{n}> estimate {estimate:.4}, exact (1-2p)^{k} = {exact:.4}, std. error {se:.4}");
     println!(
-        "{:>8} {:>14} {:>14}",
-        "basis", "monte-carlo", "density-matrix"
+        "  mean fidelity with the ideal state (1+<X^{n}>)/2 = {:.3}",
+        (1.0 + estimate) / 2.0
     );
-    for i in [0usize, 5, 15] {
-        let mc = counts.get(&(i as u128)).copied().unwrap_or(0) as f64 / trajectories as f64;
-        println!(
-            "{:>8} {:>14.4} {:>14.4}",
-            format!("|{i:04b}>"),
-            mc,
-            dm.probability(i)
-        );
-    }
-    println!("\nnoisy simulation beyond density-matrix reach (24 qubits):");
-    let wide = generators::ghz(24);
-    let noise = DdNoiseModel::new().with_channel(DdNoiseChannel::PhaseFlip(0.02));
-    let mut dd = DdPackage::new();
-    let (f, secs) = timed(|| {
-        dd.noisy_fidelity(&wide, &noise, 100, &mut rng)
-            .expect("noisy fidelity")
-    });
-    println!("  GHZ-24 mean fidelity with ideal under 2% phase flips: {f:.3} ({secs:.2}s)");
     println!("  (a density matrix would need 2^48 entries = 4 PiB)");
+    assert!(
+        (estimate - exact).abs() <= 4.0 * se,
+        "trajectory estimate {estimate} is more than 4 standard errors from {exact}"
+    );
 }
 
 /// Noise subsystem: stochastic Kraus trajectories converge on the

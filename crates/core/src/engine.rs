@@ -1,5 +1,4 @@
-//! The engine registry, the engine-spec grammar, and the [`Backend`]
-//! facade.
+//! The engine registry and the engine-spec grammar.
 //!
 //! The registry maps textual engine specs to constructors of boxed
 //! [`SimulationEngine`]s, so backends are selectable from configuration
@@ -22,14 +21,8 @@
 //! A numeric `:` tail is a positional argument (`mps:16`); a
 //! non-numeric tail is a nested *inner* spec, which is how the
 //! trajectory engine names its substrate (`traj:dd`, `traj(500):mps(8)`).
-//!
-//! [`Backend`] is the original closed enum, kept as a thin facade over
-//! the registry so existing code keeps working while new code moves to
-//! engine specs and the trait; it parses from strings ([`FromStr`]) and
-//! round-trips through [`fmt::Display`].
 
 use std::fmt;
-use std::str::FromStr;
 use std::sync::Arc;
 
 use qdt_array::ArrayEngine;
@@ -411,8 +404,7 @@ impl fmt::Debug for EngineEntry {
     }
 }
 
-/// The engine registry: the open counterpart of the closed [`Backend`]
-/// enum.
+/// The engine registry: every backend, addressed by its spec string.
 ///
 /// # Example
 ///
@@ -829,164 +821,9 @@ pub fn shot_factory(spec: &str) -> Result<ShotFactory, QdtError> {
     }))
 }
 
-/// The simulation backend — one per data structure of the paper.
-///
-/// `Backend` predates the [`SimulationEngine`] trait and is kept as a
-/// thin, [`FromStr`]-parseable facade over the [`EngineRegistry`] so
-/// downstream code migrates gradually: [`Backend::engine`] hands out the
-/// trait object every entry point now drives. New code should prefer
-/// engine specs (`"mps:16".parse::<Backend>()` or
-/// [`create_engine`]) over matching on the enum; the noise-aware
-/// engines (`density`, `traj(…):dd`) exist only as specs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Dense state-vector simulation (Section II).
-    Array,
-    /// Decision-diagram simulation (Section III).
-    DecisionDiagram,
-    /// Tensor-network contraction (Section IV).
-    TensorNetwork,
-    /// Matrix-product-state simulation with bounded bond dimension
-    /// (Section IV, refs \[31\]/\[35\]).
-    Mps {
-        /// The bond-dimension cap χ.
-        max_bond: usize,
-    },
-}
-
-impl Backend {
-    /// The canonical registry spec of this backend (parseable by
-    /// [`EngineRegistry::create`] and [`FromStr`]).
-    pub fn spec(&self) -> String {
-        match self {
-            Backend::Array => "array".into(),
-            Backend::DecisionDiagram => "decision-diagram".into(),
-            Backend::TensorNetwork => "tensor-network".into(),
-            Backend::Mps { max_bond } => format!("mps:{max_bond}"),
-        }
-    }
-
-    /// Constructs this backend's [`SimulationEngine`] through the
-    /// default registry.
-    ///
-    /// # Errors
-    ///
-    /// Propagates registry construction failures.
-    pub fn engine(&self) -> Result<Box<dyn SimulationEngine>, QdtError> {
-        create_engine(&self.spec())
-    }
-}
-
-impl fmt::Display for Backend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Backend::Array => write!(f, "array"),
-            Backend::DecisionDiagram => write!(f, "decision-diagram"),
-            Backend::TensorNetwork => write!(f, "tensor-network"),
-            Backend::Mps { max_bond } => write!(f, "mps(χ={max_bond})"),
-        }
-    }
-}
-
-impl FromStr for Backend {
-    type Err = QdtError;
-
-    /// Parses a backend spec: any alias the default registry accepts,
-    /// with `mps:N` / `mps(N)` / `mps(χ=N)` selecting the bond cap
-    /// (defaulting to [`DEFAULT_MPS_BOND`] for a bare `mps`). The
-    /// [`fmt::Display`] form round-trips. Malformed specs (`mps:`,
-    /// `mps:0`, `array:7`) are rejected with descriptive errors.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let spec = parse_spec(s)?;
-        match spec.name.as_str() {
-            "array" | "arrays" | "statevector" | "sv" => {
-                spec.expect_no_args("array")?;
-                spec.expect_no_inner("array")?;
-                Ok(Backend::Array)
-            }
-            "decision-diagram" | "dd" | "qmdd" => {
-                spec.expect_no_args("decision-diagram")?;
-                spec.expect_no_inner("decision-diagram")?;
-                Ok(Backend::DecisionDiagram)
-            }
-            "tensor-network" | "tn" | "tensor" => {
-                spec.expect_no_args("tensor-network")?;
-                spec.expect_no_inner("tensor-network")?;
-                Ok(Backend::TensorNetwork)
-            }
-            "mps" => {
-                spec.expect_no_inner("mps")?;
-                Ok(Backend::Mps {
-                    max_bond: mps_bond_from_spec(&spec)?,
-                })
-            }
-            other => Err(QdtError::new(format!(
-                "unknown backend `{other}` (try array, decision-diagram, tensor-network, or mps:N)"
-            ))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn display_from_str_round_trips() {
-        for b in [
-            Backend::Array,
-            Backend::DecisionDiagram,
-            Backend::TensorNetwork,
-            Backend::Mps { max_bond: 8 },
-            Backend::Mps { max_bond: 1 },
-        ] {
-            let parsed: Backend = b.to_string().parse().unwrap();
-            assert_eq!(parsed, b, "round-trip through `{b}`");
-            let parsed: Backend = b.spec().parse().unwrap();
-            assert_eq!(parsed, b, "round-trip through `{}`", b.spec());
-        }
-    }
-
-    #[test]
-    fn from_str_accepts_aliases_and_parameter_forms() {
-        assert_eq!("dd".parse::<Backend>().unwrap(), Backend::DecisionDiagram);
-        assert_eq!("TN".parse::<Backend>().unwrap(), Backend::TensorNetwork);
-        assert_eq!(
-            "mps:16".parse::<Backend>().unwrap(),
-            Backend::Mps { max_bond: 16 }
-        );
-        assert_eq!(
-            "mps(32)".parse::<Backend>().unwrap(),
-            Backend::Mps { max_bond: 32 }
-        );
-        assert_eq!(
-            "mps(chi=4)".parse::<Backend>().unwrap(),
-            Backend::Mps { max_bond: 4 }
-        );
-        assert_eq!(
-            "mps".parse::<Backend>().unwrap(),
-            Backend::Mps {
-                max_bond: DEFAULT_MPS_BOND
-            }
-        );
-    }
-
-    #[test]
-    fn from_str_rejects_garbage_with_descriptive_errors() {
-        assert!("".parse::<Backend>().is_err());
-        assert!("zx".parse::<Backend>().is_err());
-        assert!("mps(χ=".parse::<Backend>().is_err());
-        assert!("mps:many".parse::<Backend>().is_err());
-        let err = "mps:".parse::<Backend>().unwrap_err().to_string();
-        assert!(err.contains("missing parameter"), "{err}");
-        let err = "mps:0".parse::<Backend>().unwrap_err().to_string();
-        assert!(err.contains("must be ≥ 1"), "{err}");
-        let err = "array:7".parse::<Backend>().unwrap_err().to_string();
-        assert!(err.contains("takes no parameter"), "{err}");
-        let err = "mps(bond=3)".parse::<Backend>().unwrap_err().to_string();
-        assert!(err.contains("unknown mps key"), "{err}");
-        assert!("array:dd".parse::<Backend>().is_err());
-    }
 
     #[test]
     fn spec_parser_handles_composites_and_round_trips() {
@@ -1030,6 +867,71 @@ mod tests {
     }
 
     #[test]
+    fn display_from_str_round_trips() {
+        // The displayed spec parses back to itself and builds the same
+        // engine as the text it came from.
+        for text in [
+            "array",
+            "decision-diagram",
+            "tensor-network",
+            "mps:8",
+            "mps(χ=1)",
+        ] {
+            let spec = parse_spec(text).unwrap();
+            let shown = spec.to_string();
+            assert_eq!(parse_spec(&shown).unwrap(), spec, "`{text}` → `{shown}`");
+            let engine = create_engine(&shown).unwrap();
+            assert_eq!(engine.describe(), create_engine(text).unwrap().describe());
+        }
+    }
+
+    #[test]
+    fn from_str_accepts_aliases_and_parameter_forms() {
+        assert_eq!(create_engine("dd").unwrap().name(), "decision-diagram");
+        assert_eq!(create_engine("TN").unwrap().name(), "tensor-network");
+        for (text, bond) in [
+            ("mps:16", 16),
+            ("mps(32)", 32),
+            ("mps(chi=4)", 4),
+            ("mps", DEFAULT_MPS_BOND),
+        ] {
+            assert_eq!(
+                mps_bond_from_spec(&parse_spec(text).unwrap()).unwrap(),
+                bond
+            );
+            assert_eq!(create_engine(text).unwrap().name(), "mps", "{text}");
+        }
+    }
+
+    #[test]
+    fn from_str_rejects_garbage_with_descriptive_errors() {
+        for bad in ["", "zx", "mps(χ=", "mps:many", "array:dd"] {
+            assert!(create_engine(bad).is_err(), "`{bad}` must be rejected");
+        }
+        for (bad, reason) in [
+            ("mps:", "missing parameter"),
+            ("mps:0", "must be ≥ 1"),
+            ("array:7", "only `key=value` arguments"),
+            ("mps(bond=3)", "unknown mps key"),
+        ] {
+            let err = create_engine(bad).err().expect(bad).to_string();
+            assert!(err.contains(reason), "`{bad}`: {err}");
+        }
+    }
+
+    #[test]
+    fn backend_engine_names_match_specs() {
+        for (spec, name) in [
+            ("array", "array"),
+            ("decision-diagram", "decision-diagram"),
+            ("tensor-network", "tensor-network"),
+            ("mps:2", "mps"),
+        ] {
+            assert_eq!(create_engine(spec).unwrap().name(), name);
+        }
+    }
+
+    #[test]
     fn registry_creates_all_default_engines() {
         let r = EngineRegistry::with_defaults();
         for spec in [
@@ -1055,8 +957,8 @@ mod tests {
             let e = r.create(spec).unwrap();
             assert!(!e.name().is_empty(), "{spec}");
         }
-        assert!(r.create("array:7").is_err(), "array takes no parameter");
         assert!(r.create("nope").is_err());
+        assert!(r.create("array:7").is_err(), "array takes no parameter");
     }
 
     #[test]
@@ -1175,17 +1077,5 @@ mod tests {
         }));
         assert_eq!(r.entries().len(), before + 1);
         assert!(r.create("null").is_ok());
-    }
-
-    #[test]
-    fn backend_engine_names_match_specs() {
-        for (b, name) in [
-            (Backend::Array, "array"),
-            (Backend::DecisionDiagram, "decision-diagram"),
-            (Backend::TensorNetwork, "tensor-network"),
-            (Backend::Mps { max_bond: 2 }, "mps"),
-        ] {
-            assert_eq!(b.engine().unwrap().name(), name);
-        }
     }
 }

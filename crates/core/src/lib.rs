@@ -29,20 +29,19 @@
 //! (`"array"`, `"dd"`, `"mps:16"`…), and [`engine::run`] drives any of
 //! them over a circuit while tracking the backend's own cost metric.
 //! The [`amplitudes`]/[`amplitude`]/[`sample`]/[`expectation`] entry
-//! points and the [`Backend`] enum remain as convenience facades, so
-//! the trade-offs — the central theme of the paper — can be compared on
-//! identical inputs with one line per backend.
+//! points take the same spec strings, so the trade-offs — the central
+//! theme of the paper — can be compared on identical inputs with one
+//! line per backend.
 //!
 //! # Example
 //!
 //! ```
-//! use qdt::{amplitudes, Backend};
+//! use qdt::amplitudes;
 //! use qdt::circuit::generators;
 //!
 //! let bell = generators::bell();
-//! for backend in ["array", "dd", "tn", "mps:2"] {
-//!     let backend: Backend = backend.parse()?;
-//!     let amps = amplitudes(&bell, backend)?;
+//! for spec in ["array", "dd", "tn", "mps:2"] {
+//!     let amps = amplitudes(&bell, spec)?;
 //!     assert!((amps[0].abs() - 1.0 / 2f64.sqrt()).abs() < 1e-9);
 //!     assert!((amps[3].abs() - 1.0 / 2f64.sqrt()).abs() < 1e-9);
 //! }
@@ -82,7 +81,7 @@ pub mod engine;
 
 pub use auto::AutoEngine;
 pub use engine::{
-    create_engine, parse_spec, shot_factory, Backend, EngineEntry, EngineFactory, EngineRegistry,
+    create_engine, parse_spec, shot_factory, EngineEntry, EngineFactory, EngineRegistry,
     EngineSpec, SpecArg, DEFAULT_MPS_BOND,
 };
 pub use qdt_engine::{run_traced, EngineError, RunStats, SimulationEngine, TelemetrySink};
@@ -123,18 +122,19 @@ impl From<EngineError> for QdtError {
     }
 }
 
-/// Simulates a unitary circuit from `|0…0⟩` and returns the full `2^n`
-/// amplitude vector.
+/// Simulates a unitary circuit from `|0…0⟩` on the engine named by
+/// `spec` (any spec [`create_engine`] accepts) and returns the full
+/// `2^n` amplitude vector.
 ///
 /// All backends agree on the result; they differ (exponentially) in how
 /// they get there — see the benchmark suite.
 ///
 /// # Errors
 ///
-/// Fails for non-unitary circuits, or when the width exceeds the
-/// backend's dense-output limit.
-pub fn amplitudes(circuit: &Circuit, backend: Backend) -> Result<Vec<Complex>, QdtError> {
-    let mut engine = backend.engine()?;
+/// Fails on malformed specs, for non-unitary circuits, or when the
+/// width exceeds the backend's dense-output limit.
+pub fn amplitudes(circuit: &Circuit, spec: &str) -> Result<Vec<Complex>, QdtError> {
+    let mut engine = create_engine(spec)?;
     qdt_engine::run(engine.as_mut(), circuit)?;
     Ok(engine.amplitudes()?)
 }
@@ -146,10 +146,10 @@ pub fn amplitudes(circuit: &Circuit, backend: Backend) -> Result<Vec<Complex>, Q
 ///
 /// # Errors
 ///
-/// Fails for non-unitary circuits or unsupported gate shapes (MPS needs
-/// ≤2-qubit gates).
-pub fn amplitude(circuit: &Circuit, basis: u128, backend: Backend) -> Result<Complex, QdtError> {
-    let mut engine = backend.engine()?;
+/// Fails on malformed specs, for non-unitary circuits or unsupported
+/// gate shapes (MPS needs ≤2-qubit gates).
+pub fn amplitude(circuit: &Circuit, basis: u128, spec: &str) -> Result<Complex, QdtError> {
+    let mut engine = create_engine(spec)?;
     qdt_engine::run(engine.as_mut(), circuit)?;
     Ok(engine.amplitude(basis)?)
 }
@@ -174,16 +174,16 @@ pub fn amplitude(circuit: &Circuit, basis: u128, backend: Backend) -> Result<Com
 ///
 /// # Errors
 ///
-/// Fails for non-unitary static circuits, when a dense-sampling backend
-/// exceeds its width limit, or for dynamic circuits on a backend
-/// without collapse support (tensor network).
+/// Fails on malformed specs, for non-unitary static circuits, when a
+/// dense-sampling backend exceeds its width limit, or for dynamic
+/// circuits on a backend without collapse support (tensor network).
 pub fn sample(
     circuit: &Circuit,
     shots: usize,
-    backend: Backend,
+    spec: &str,
     seed: u64,
 ) -> Result<BTreeMap<u128, usize>, QdtError> {
-    let mut engine = backend.engine()?;
+    let mut engine = create_engine(spec)?;
     if circuit.is_dynamic() {
         let result = qdt_engine::ShotExecutor::new(qdt_engine::ShotConfig::new(shots, seed))
             .run_on(engine.as_mut(), circuit)?;
@@ -240,13 +240,14 @@ pub fn sample_dynamic(
 ///
 /// # Errors
 ///
-/// Fails for non-unitary circuits or width mismatches.
+/// Fails on malformed specs, for non-unitary circuits or width
+/// mismatches.
 pub fn expectation(
     circuit: &Circuit,
     pauli: &qdt_circuit::PauliString,
-    backend: Backend,
+    spec: &str,
 ) -> Result<f64, QdtError> {
-    let mut engine = backend.engine()?;
+    let mut engine = create_engine(spec)?;
     qdt_engine::run(engine.as_mut(), circuit)?;
     Ok(engine.expectation(pauli)?)
 }
@@ -256,17 +257,12 @@ mod tests {
     use super::*;
     use qdt_circuit::generators;
 
-    const DENSE_BACKENDS: [Backend; 4] = [
-        Backend::Array,
-        Backend::DecisionDiagram,
-        Backend::TensorNetwork,
-        Backend::Mps { max_bond: 64 },
-    ];
+    const DENSE_BACKENDS: [&str; 4] = ["array", "decision-diagram", "tensor-network", "mps:64"];
 
     #[test]
     fn backends_agree_on_w_state() {
         let qc = generators::w_state(4);
-        let reference = amplitudes(&qc, Backend::Array).unwrap();
+        let reference = amplitudes(&qc, "array").unwrap();
         for b in DENSE_BACKENDS {
             let got = amplitudes(&qc, b).unwrap();
             for (i, (x, y)) in got.iter().zip(&reference).enumerate() {
@@ -278,7 +274,7 @@ mod tests {
     #[test]
     fn single_amplitude_agrees_across_backends() {
         let qc = generators::qft(4, true);
-        let reference = amplitude(&qc, 0b1010, Backend::Array).unwrap();
+        let reference = amplitude(&qc, 0b1010, "array").unwrap();
         for b in DENSE_BACKENDS {
             let got = amplitude(&qc, 0b1010, b).unwrap();
             assert!(got.approx_eq(reference, 1e-8), "{b}");
@@ -290,21 +286,17 @@ mod tests {
         // 60 qubits: impossible densely, trivial on DD / TN / MPS.
         let qc = generators::ghz(60);
         let all_ones = (1u128 << 60) - 1;
-        for b in [
-            Backend::DecisionDiagram,
-            Backend::TensorNetwork,
-            Backend::Mps { max_bond: 2 },
-        ] {
+        for b in ["decision-diagram", "tensor-network", "mps:2"] {
             let amp = amplitude(&qc, all_ones, b).unwrap();
             assert!((amp.abs() - 1.0 / 2f64.sqrt()).abs() < 1e-8, "{b}: {amp}");
         }
-        assert!(amplitude(&qc, all_ones, Backend::Array).is_err());
+        assert!(amplitude(&qc, all_ones, "array").is_err());
     }
 
     #[test]
     fn sampling_respects_ghz_structure() {
         let qc = generators::ghz(10);
-        let counts = sample(&qc, 400, Backend::DecisionDiagram, 7).unwrap();
+        let counts = sample(&qc, 400, "decision-diagram", 7).unwrap();
         let all_ones = (1u128 << 10) - 1;
         assert!(counts.keys().all(|&k| k == 0 || k == all_ones));
         let total: usize = counts.values().sum();
@@ -329,8 +321,16 @@ mod tests {
 
     #[test]
     fn backend_display() {
-        assert_eq!(Backend::Mps { max_bond: 8 }.to_string(), "mps(χ=8)");
-        assert_eq!(Backend::Array.to_string(), "array");
+        // Canonical spec text displays unchanged and drives the facades.
+        let qc = generators::bell();
+        let reference = amplitudes(&qc, "array").unwrap();
+        for text in ["mps(χ=8)", "array"] {
+            assert_eq!(parse_spec(text).unwrap().to_string(), text);
+            let got = amplitudes(&qc, text).unwrap();
+            for (x, y) in got.iter().zip(&reference) {
+                assert!(x.approx_eq(*y, 1e-12), "{text}");
+            }
+        }
     }
 
     #[test]
@@ -340,8 +340,8 @@ mod tests {
         let mut qc = qdt_circuit::Circuit::with_clbits(2, 2);
         qc.h(0);
         qc.measure(0, 0);
-        assert!(amplitudes(&qc, Backend::Array).is_err());
-        let counts = sample(&qc, 10, Backend::DecisionDiagram, 0).unwrap();
+        assert!(amplitudes(&qc, "array").is_err());
+        let counts = sample(&qc, 10, "decision-diagram", 0).unwrap();
         assert_eq!(counts.values().sum::<usize>(), 10);
         assert!(counts.keys().all(|&k| k <= 1));
     }
@@ -351,7 +351,7 @@ mod tests {
         let mut qc = qdt_circuit::Circuit::with_clbits(1, 1);
         qc.h(0);
         qc.measure(0, 0);
-        let err = sample(&qc, 10, Backend::TensorNetwork, 0).unwrap_err();
+        let err = sample(&qc, 10, "tensor-network", 0).unwrap_err();
         assert!(err.to_string().contains("EngineCaps::dynamic"), "{err}");
     }
 
@@ -380,12 +380,8 @@ mod expectation_tests {
     fn expectations_agree_across_backends() {
         let qc = generators::w_state(4);
         let p: PauliString = "ZZII".parse().unwrap();
-        let reference = expectation(&qc, &p, Backend::Array).unwrap();
-        for b in [
-            Backend::DecisionDiagram,
-            Backend::TensorNetwork,
-            Backend::Mps { max_bond: 16 },
-        ] {
+        let reference = expectation(&qc, &p, "array").unwrap();
+        for b in ["decision-diagram", "tensor-network", "mps:16"] {
             let got = expectation(&qc, &p, b).unwrap();
             assert!((got - reference).abs() < 1e-8, "{b}");
         }
@@ -395,7 +391,7 @@ mod expectation_tests {
     fn wide_structured_expectation() {
         let qc = generators::ghz(40);
         let p: PauliString = "X".repeat(40).parse().unwrap();
-        for b in [Backend::DecisionDiagram, Backend::Mps { max_bond: 2 }] {
+        for b in ["decision-diagram", "mps:2"] {
             let got = expectation(&qc, &p, b).unwrap();
             assert!((got - 1.0).abs() < 1e-8, "{b}");
         }
@@ -405,6 +401,143 @@ mod expectation_tests {
     fn width_mismatch_rejected() {
         let qc = generators::bell();
         let p: PauliString = "ZZZ".parse().unwrap();
-        assert!(expectation(&qc, &p, Backend::Array).is_err());
+        assert!(expectation(&qc, &p, "array").is_err());
+    }
+}
+
+/// Textbook readouts through the per-shot executor on the array engine.
+#[cfg(test)]
+mod simulator {
+    use qdt_circuit::Circuit;
+
+    type Counts = std::collections::BTreeMap<u128, usize>;
+
+    /// The histogram of `shots` single-worker runs of `qc` on `spec`.
+    pub(crate) fn readout(qc: &Circuit, shots: usize, spec: &str, seed: u64) -> Counts {
+        crate::sample_dynamic(qc, shots, spec, seed, 1)
+            .unwrap()
+            .counts
+    }
+
+    /// `qc` widened to `num_clbits` classical bits with qubit `q`
+    /// measured into bit `q` for every `q < num_clbits`.
+    fn measured(qc: &Circuit, num_clbits: usize) -> Circuit {
+        let mut out = Circuit::with_clbits(qc.num_qubits(), num_clbits);
+        out.append(qc);
+        for q in 0..num_clbits {
+            out.measure(q, q);
+        }
+        out
+    }
+
+    mod tests {
+        use super::*;
+        use qdt_circuit::generators;
+
+        #[test]
+        fn bernstein_vazirani_recovers_secret() {
+            for secret in [0b0u64, 0b1, 0b1010, 0b1111] {
+                let qc = generators::bernstein_vazirani(4, secret);
+                let counts = readout(&qc, 20, "array", 11);
+                assert_eq!(counts.get(&secret.into()), Some(&20), "secret {secret:b}");
+            }
+        }
+
+        #[test]
+        fn deutsch_jozsa_distinguishes() {
+            let constant = readout(&generators::deutsch_jozsa(3, false), 20, "array", 12);
+            assert_eq!(constant.get(&0), Some(&20), "constant oracle: 0…0");
+            let balanced = readout(&generators::deutsch_jozsa(3, true), 20, "array", 12);
+            assert!(!balanced.contains_key(&0), "balanced oracle: never 0…0");
+        }
+
+        #[test]
+        fn bell_measurements_are_correlated() {
+            let mut qc = Circuit::with_clbits(2, 2);
+            qc.h(0).cx(0, 1).measure(0, 0).measure(1, 1);
+            let counts = readout(&qc, 500, "array", 13);
+            assert!(counts.keys().all(|&k| k == 0b00 || k == 0b11));
+            let zeros = counts.get(&0).copied().unwrap_or(0);
+            assert!(zeros > 150 && zeros < 350, "00 count {zeros} out of range");
+        }
+
+        #[test]
+        fn grover_finds_marked_item() {
+            let n = 4;
+            let marked = 0b1011u64;
+            let qc = generators::grover(n, marked, generators::grover_optimal_iterations(n));
+            let counts = readout(&measured(&qc, n), 200, "array", 14);
+            let hits = counts.get(&marked.into()).copied().unwrap_or(0);
+            assert!(
+                hits > 150,
+                "Grover success rate too low: {hits}/200 for marked {marked:b}"
+            );
+        }
+
+        #[test]
+        fn qpe_estimates_phase() {
+            // θ = 5/8 is exactly representable with 3 counting bits.
+            let qc = measured(&generators::phase_estimation(3, 5.0 / 8.0), 3);
+            let counts = readout(&qc, 100, "array", 15);
+            let (&best, _) = counts.iter().max_by_key(|(_, &c)| c).unwrap();
+            assert_eq!(best, 5, "QPE should read out 5/8 exactly");
+        }
+
+        #[test]
+        fn reset_mid_circuit() {
+            let mut qc = Circuit::with_clbits(1, 1);
+            qc.h(0).reset(0).measure(0, 0);
+            assert_eq!(readout(&qc, 100, "array", 16).get(&0), Some(&100));
+        }
+
+        #[test]
+        fn empty_circuit_runs() {
+            let counts = readout(&Circuit::new(0), 1, "array", 17);
+            assert_eq!(counts.get(&0), Some(&1));
+        }
+    }
+}
+
+/// Readouts through the per-shot executor on the decision-diagram
+/// engine.
+#[cfg(test)]
+mod simulate {
+    mod tests {
+        use crate::simulator::readout;
+        use qdt_circuit::{generators, Circuit};
+
+        #[test]
+        fn bell_measurements_correlated() {
+            let mut qc = Circuit::with_clbits(2, 2);
+            qc.h(0).cx(0, 1).measure(0, 0).measure(1, 1);
+            let counts = readout(&qc, 100, "dd", 31);
+            assert!(counts.keys().all(|&k| k == 0b00 || k == 0b11));
+            let zeros = counts.get(&0).copied().unwrap_or(0);
+            assert!(zeros > 20 && zeros < 80, "zeros={zeros}");
+        }
+
+        #[test]
+        fn bv_on_dd_recovers_secret() {
+            let qc = generators::bernstein_vazirani(5, 0b10110);
+            assert_eq!(readout(&qc, 20, "dd", 32).get(&0b10110), Some(&20));
+        }
+
+        #[test]
+        fn sampling_ghz_yields_only_extremes() {
+            let counts = crate::sample(&generators::ghz(30), 1000, "dd", 33).unwrap();
+            let all_ones = (1u128 << 30) - 1;
+            for &k in counts.keys() {
+                assert!(k == 0 || k == all_ones, "impossible GHZ outcome {k}");
+            }
+            let zeros = counts.get(&0).copied().unwrap_or(0) as f64;
+            assert!((zeros / 1000.0 - 0.5).abs() < 0.08);
+        }
+
+        #[test]
+        fn reset_in_dd_simulator() {
+            let mut qc = Circuit::with_clbits(1, 1);
+            qc.h(0).reset(0).measure(0, 0);
+            assert_eq!(readout(&qc, 20, "dd", 34).get(&0), Some(&20));
+        }
     }
 }

@@ -8,7 +8,7 @@ use qdt_complex::{Complex, Matrix};
 use qdt_engine::{
     check_pauli_width, CostMetric, EngineCaps, EngineError, SimulationEngine, TelemetrySink,
 };
-use rand::RngCore;
+use rand::{Rng, RngCore};
 
 use crate::{DdError, DdPackage, DdStats, VectorDd};
 
@@ -184,12 +184,61 @@ impl DdEngine {
         metrics.mem_compute.record(mem.compute_tables);
         self.last = stats;
     }
+
+    /// Debug builds with the `audit` feature verify the package's
+    /// unique-table and normalisation invariants before every state
+    /// query, so each run is audited before its answer leaves the
+    /// engine. Release builds compile this to nothing.
+    fn audit(&self) {
+        #[cfg(all(debug_assertions, feature = "audit"))]
+        if let Err(violations) = self.dd.audit() {
+            panic!("DD package audit failed before a state query: {violations:?}");
+        }
+    }
 }
 
 impl Default for DdEngine {
     fn default() -> Self {
         DdEngine::new()
     }
+}
+
+/// Samples one operator of a non-empty single-qubit Kraus channel
+/// according to the Born probabilities `‖K_i|ψ⟩‖²`, applies it to `v`,
+/// and renormalises. Returns the index of the chosen operator.
+fn apply_stochastic_kraus(
+    dd: &mut DdPackage,
+    v: &mut VectorDd,
+    kraus: &[Matrix],
+    qubit: usize,
+    rng: &mut dyn RngCore,
+) -> usize {
+    // Born probabilities per operator: p_i = ‖K_i ψ‖².
+    let mut candidates = Vec::with_capacity(kraus.len());
+    let mut total = 0.0;
+    for k in kraus {
+        let applied = dd.apply_gate(v, k, qubit, &[]);
+        let p = dd.norm_sqr(&applied);
+        total += p;
+        candidates.push((applied, p));
+    }
+    debug_assert!(
+        (total - dd.norm_sqr(v)).abs() < 1e-9,
+        "channel not trace preserving"
+    );
+    let mut r: f64 = rng.gen_range(0.0..total.max(f64::MIN_POSITIVE));
+    let mut chosen = candidates.len() - 1;
+    for (i, (_, p)) in candidates.iter().enumerate() {
+        if r < *p {
+            chosen = i;
+            break;
+        }
+        r -= p;
+    }
+    let (mut state, _) = candidates.swap_remove(chosen);
+    dd.normalize(&mut state);
+    *v = state;
+    chosen
 }
 
 fn map_err(e: DdError) -> EngineError {
@@ -268,6 +317,7 @@ impl SimulationEngine for DdEngine {
     }
 
     fn amplitudes(&mut self) -> Result<Vec<Complex>, EngineError> {
+        self.audit();
         let n = self.v.num_qubits();
         if n > DENSE_LIMIT {
             return Err(EngineError::TooWide {
@@ -280,6 +330,7 @@ impl SimulationEngine for DdEngine {
     }
 
     fn amplitude(&mut self, basis: u128) -> Result<Complex, EngineError> {
+        self.audit();
         let n = self.v.num_qubits();
         if n < 128 && basis >> n > 0 {
             return Err(EngineError::Backend {
@@ -295,6 +346,7 @@ impl SimulationEngine for DdEngine {
         shots: usize,
         rng: &mut dyn RngCore,
     ) -> Result<BTreeMap<u128, usize>, EngineError> {
+        self.audit();
         let mut counts = BTreeMap::new();
         for _ in 0..shots {
             *counts.entry(self.dd.sample_once(&self.v, rng)).or_insert(0) += 1;
@@ -303,6 +355,7 @@ impl SimulationEngine for DdEngine {
     }
 
     fn expectation(&mut self, pauli: &PauliString) -> Result<f64, EngineError> {
+        self.audit();
         check_pauli_width(self.v.num_qubits(), pauli)?;
         Ok(self.dd.expectation_pauli(&self.v, pauli))
     }
@@ -323,9 +376,7 @@ impl SimulationEngine for DdEngine {
                 ),
             });
         }
-        let chosen = self
-            .dd
-            .apply_stochastic_kraus(&mut self.v, kraus, qubit, rng);
+        let chosen = apply_stochastic_kraus(&mut self.dd, &mut self.v, kraus, qubit, rng);
         // Long trajectory batches reuse one engine arena; keep it bounded.
         if self.dd.vector_arena_size() > 1 << 20 {
             self.dd.clear_caches();
@@ -334,6 +385,7 @@ impl SimulationEngine for DdEngine {
     }
 
     fn probability_of_one(&mut self, qubit: usize) -> Result<f64, EngineError> {
+        self.audit();
         if qubit >= self.v.num_qubits() {
             return Err(EngineError::Backend {
                 engine: "decision-diagram",

@@ -16,10 +16,12 @@
 //!   the tolerance-canonicalising complex table.
 //! * [`VectorDd`] / [`MatrixDd`] are root edges of vector and matrix
 //!   diagrams, created and combined through package methods.
-//! * [`DdSimulator`] runs circuits (including
-//!   measurement) on vector DDs; [`equivalence`](crate::check_equivalence)
-//!   multiplies one circuit with the inverse of another and checks the
-//!   result against the identity DD — the paper's verification task.
+//! * [`DdEngine`] runs circuits on vector DDs behind the
+//!   `SimulationEngine` trait — measurement, reset and noise included,
+//!   through the shot executor and the trajectory engine;
+//!   [`equivalence`](crate::check_equivalence) multiplies one circuit
+//!   with the inverse of another and checks the result against the
+//!   identity DD — the paper's verification task.
 //! * [`to_dot`](crate::DdPackage::vector_to_dot) renders diagrams in
 //!   Graphviz format, standing in for the paper's web-based visualiser.
 //!
@@ -44,17 +46,13 @@ mod dot;
 mod engine;
 mod equivalence;
 mod matrix;
-pub mod noise;
 mod package;
-mod simulate;
 mod vector;
 
 pub use approx::ApproxResult;
 pub use engine::DdEngine;
 pub use equivalence::{check_equivalence, EquivalenceResult};
-pub use noise::{DdNoiseChannel, DdNoiseModel};
 pub use package::{DdMemory, DdPackage, DdStats, MatrixDd, VectorDd};
-pub use simulate::DdSimulator;
 
 use std::fmt;
 
@@ -80,7 +78,11 @@ impl fmt::Display for DdError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DdError::NonUnitary { op } => {
-                write!(f, "instruction {op} is not unitary; use DdSimulator::run")
+                write!(
+                    f,
+                    "instruction {op} is not unitary; run it through ShotExecutor \
+                     (qdt::sample_dynamic)"
+                )
             }
             DdError::QubitCountMismatch { left, right } => {
                 write!(f, "qubit count mismatch: {left} vs {right}")

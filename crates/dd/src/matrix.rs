@@ -211,8 +211,8 @@ impl DdPackage {
     ///
     /// # Errors
     ///
-    /// Returns [`DdError::NonUnitary`] on measurement/reset (use
-    /// [`DdSimulator`](crate::DdSimulator) for those).
+    /// Returns [`DdError::NonUnitary`] on measurement/reset (the shot
+    /// executor runs those on [`DdEngine`](crate::DdEngine)).
     pub fn run_circuit(&mut self, circuit: &Circuit) -> Result<VectorDd, DdError> {
         let mut v = self.zero_state(circuit.num_qubits().max(1));
         for inst in circuit {

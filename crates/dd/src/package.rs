@@ -664,8 +664,9 @@ impl DdPackage {
     /// * **Terminal reachability** — child levels strictly decrease, so
     ///   every path reaches the terminal (no cycles).
     ///
-    /// Compiled only with the `audit` cargo feature; debug builds of the
-    /// simulators call this after every run.
+    /// Compiled only with the `audit` cargo feature; debug builds of
+    /// [`DdEngine`](crate::DdEngine) call this before answering every
+    /// state query.
     ///
     /// # Errors
     ///

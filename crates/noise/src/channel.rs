@@ -10,8 +10,8 @@
 
 use std::fmt;
 
-use qdt_array::NoiseChannel;
-use qdt_complex::Matrix;
+use qdt_circuit::Gate;
+use qdt_complex::{Complex, Matrix};
 
 use crate::NoiseError;
 
@@ -137,17 +137,42 @@ impl KrausChannel {
     /// ([`validate`](KrausChannel::validate) first to get an error
     /// instead).
     pub fn kraus_operators(&self) -> Vec<Matrix> {
-        // The operator matrices are shared with the density-matrix
-        // layer in `qdt-array`, so both noise paths evolve under
-        // byte-identical channels.
-        let ch = match *self {
-            KrausChannel::Depolarizing { p } => NoiseChannel::Depolarizing(p),
-            KrausChannel::AmplitudeDamping { gamma } => NoiseChannel::AmplitudeDamping(gamma),
-            KrausChannel::PhaseDamping { lambda } => NoiseChannel::PhaseDamping(lambda),
-            KrausChannel::BitFlip { p } => NoiseChannel::BitFlip(p),
-            KrausChannel::PhaseFlip { p } => NoiseChannel::PhaseFlip(p),
-        };
-        ch.kraus_operators()
+        let p = self.parameter();
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "channel parameter {p} outside [0,1]"
+        );
+        let z = Complex::ZERO;
+        // `√(1−p)·I` plus `√p`-weighted Paulis for the mixed-unitary
+        // channels; the damping channels keep |0⟩ and shrink |1⟩.
+        let keep = || Matrix::identity(2).scale(Complex::real((1.0 - p).sqrt()));
+        let damped =
+            || Matrix::from_rows(2, 2, &[Complex::ONE, z, z, Complex::real((1.0 - p).sqrt())]);
+        match self {
+            KrausChannel::Depolarizing { .. } => {
+                let s = Complex::real((p / 3.0).sqrt());
+                vec![
+                    keep(),
+                    Gate::X.matrix().scale(s),
+                    Gate::Y.matrix().scale(s),
+                    Gate::Z.matrix().scale(s),
+                ]
+            }
+            KrausChannel::AmplitudeDamping { .. } => vec![
+                damped(),
+                Matrix::from_rows(2, 2, &[z, Complex::real(p.sqrt()), z, z]),
+            ],
+            KrausChannel::PhaseDamping { .. } => vec![
+                damped(),
+                Matrix::from_rows(2, 2, &[z, z, z, Complex::real(p.sqrt())]),
+            ],
+            KrausChannel::BitFlip { .. } => {
+                vec![keep(), Gate::X.matrix().scale(Complex::real(p.sqrt()))]
+            }
+            KrausChannel::PhaseFlip { .. } => {
+                vec![keep(), Gate::Z.matrix().scale(Complex::real(p.sqrt()))]
+            }
+        }
     }
 }
 
@@ -174,11 +199,7 @@ pub fn completeness_defect(kraus: &[Matrix]) -> f64 {
     let mut defect = 0.0f64;
     for r in 0..dim {
         for c in 0..dim {
-            let expect = if r == c {
-                qdt_complex::Complex::ONE
-            } else {
-                qdt_complex::Complex::ZERO
-            };
+            let expect = if r == c { Complex::ONE } else { Complex::ZERO };
             defect += (sum.get(r, c) - expect).norm_sqr();
         }
     }

@@ -383,7 +383,8 @@ impl SimulationEngine for DensityMatrixEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qdt_circuit::Circuit;
+    use qdt_array::StateVector;
+    use qdt_circuit::{generators, Circuit};
     use qdt_engine::run;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -482,6 +483,116 @@ mod tests {
             e.prepare(MAX_DENSITY_QUBITS + 1),
             Err(EngineError::TooWide { .. })
         ));
+    }
+
+    /// Runs `qc` on a density-matrix engine with `model` attached.
+    fn density_after(qc: &Circuit, model: &NoiseModel) -> DensityMatrix {
+        let mut e = DensityMatrixEngine::with_noise(model).unwrap();
+        run(&mut e, qc).unwrap();
+        e.density().clone()
+    }
+
+    #[test]
+    fn kraus_operators_are_trace_preserving() {
+        let mut prep = Circuit::new(1);
+        prep.h(0).t(0);
+        for ch in [
+            KrausChannel::Depolarizing { p: 0.3 },
+            KrausChannel::AmplitudeDamping { gamma: 0.4 },
+            KrausChannel::PhaseDamping { lambda: 0.2 },
+            KrausChannel::BitFlip { p: 0.1 },
+            KrausChannel::PhaseFlip { p: 0.25 },
+        ] {
+            let dm = density_after(&prep, &NoiseModel::uniform(ch));
+            assert!((dm.trace() - 1.0).abs() < 1e-12, "{ch} violates Tr ρ = 1");
+        }
+    }
+
+    #[test]
+    fn noiseless_matches_state_vector() {
+        for qc in [
+            generators::bell(),
+            generators::ghz(3),
+            generators::qft(3, true),
+        ] {
+            let dm = density_after(&qc, &NoiseModel::new());
+            let psi = StateVector::from_circuit(&qc).unwrap();
+            assert!((dm.purity() - 1.0).abs() < 1e-10, "pure run lost purity");
+            assert!((dm.fidelity_with_pure(&psi) - 1.0).abs() < 1e-10);
+            for (i, p) in psi.probabilities().iter().enumerate() {
+                assert!((dm.probability(i) - p).abs() < 1e-10);
+            }
+        }
+    }
+
+    #[test]
+    fn depolarizing_reduces_purity_and_preserves_trace() {
+        let noise = NoiseModel::uniform(KrausChannel::Depolarizing { p: 0.1 });
+        let dm = density_after(&generators::ghz(3), &noise);
+        assert!((dm.trace() - 1.0).abs() < 1e-10);
+        assert!(dm.purity() < 0.95, "purity {} should drop", dm.purity());
+    }
+
+    #[test]
+    fn stronger_noise_means_lower_fidelity() {
+        let qc = generators::ghz(4);
+        let psi = StateVector::from_circuit(&qc).unwrap();
+        let mut last = 1.0;
+        for p in [0.01, 0.05, 0.1, 0.2] {
+            let noise = NoiseModel::uniform(KrausChannel::Depolarizing { p });
+            let f = density_after(&qc, &noise).fidelity_with_pure(&psi);
+            assert!(f < last, "fidelity must fall monotonically with noise");
+            last = f;
+        }
+    }
+
+    #[test]
+    fn amplitude_damping_fixes_ground_state() {
+        // Full damping sends everything to |0⟩⟨0|.
+        let mut qc = Circuit::new(1);
+        qc.x(0);
+        let noise = NoiseModel::uniform(KrausChannel::AmplitudeDamping { gamma: 1.0 });
+        let dm = density_after(&qc, &noise);
+        assert!((dm.probability(0) - 1.0).abs() < 1e-12);
+        assert!(dm.probability(1) < 1e-12);
+    }
+
+    #[test]
+    fn phase_damping_kills_coherences_not_populations() {
+        let mut qc = Circuit::new(1);
+        qc.h(0);
+        let noise = NoiseModel::uniform(KrausChannel::PhaseDamping { lambda: 1.0 });
+        let dm = density_after(&qc, &noise);
+        assert!((dm.probability(0) - 0.5).abs() < 1e-12);
+        assert!(
+            dm.as_matrix().get(0, 1).abs() < 1e-12,
+            "coherence must vanish"
+        );
+    }
+
+    #[test]
+    fn bit_flip_half_probability_maximally_mixes() {
+        // Z leaves |0⟩ unchanged; the channel after it does the mixing.
+        let mut qc = Circuit::new(1);
+        qc.z(0);
+        let noise = NoiseModel::uniform(KrausChannel::BitFlip { p: 0.5 });
+        let dm = density_after(&qc, &noise);
+        assert!((dm.probability(0) - 0.5).abs() < 1e-12);
+        assert!((dm.purity() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn swap_decomposition_correct() {
+        let mut qc = Circuit::new(2);
+        qc.x(0).swap(0, 1);
+        let dm = density_after(&qc, &NoiseModel::new());
+        assert!((dm.probability(0b10) - 1.0).abs() < 1e-10);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0,1]")]
+    fn invalid_channel_parameter_panics() {
+        KrausChannel::Depolarizing { p: 1.5 }.kraus_operators();
     }
 
     #[test]

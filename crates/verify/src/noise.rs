@@ -83,6 +83,23 @@ fn ideal_state(circuit: &Circuit) -> Result<StateVector, VerifyError> {
     Ok(psi)
 }
 
+/// `trajectories` stochastic trajectories on the decision-diagram
+/// substrate over four workers — the engine a `traj(…):dd` spec builds.
+fn dd_trajectories(
+    model: &NoiseModel,
+    trajectories: usize,
+    seed: u64,
+) -> Result<TrajectoryEngine, VerifyError> {
+    let factory: InnerFactory =
+        Arc::new(|| Ok(Box::new(DdEngine::new()) as Box<dyn SimulationEngine>));
+    let config = TrajectoryConfig {
+        trajectories,
+        seed,
+        workers: 4,
+    };
+    TrajectoryEngine::new(factory, config, model).map_err(simulation_error)
+}
+
 /// Runs `circuit` ideally and under `model` on the exact
 /// density-matrix engine, and reports fidelity, purity, and
 /// total-variation distance.
@@ -168,14 +185,7 @@ pub fn trajectory_agreement(
     run(&mut exact, circuit).map_err(simulation_error)?;
     let probs = exact.density().probabilities();
 
-    let factory: InnerFactory =
-        Arc::new(|| Ok(Box::new(DdEngine::new()) as Box<dyn SimulationEngine>));
-    let config = TrajectoryConfig {
-        trajectories,
-        seed,
-        workers: 4,
-    };
-    let mut sampled = TrajectoryEngine::new(factory, config, model).map_err(simulation_error)?;
+    let mut sampled = dd_trajectories(model, trajectories, seed)?;
     run(&mut sampled, circuit).map_err(simulation_error)?;
     let mut rng = StdRng::seed_from_u64(seed);
     let histogram = sampled
@@ -199,8 +209,9 @@ pub fn trajectory_agreement(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qdt_circuit::generators;
-    use qdt_noise::KrausChannel;
+    use qdt_circuit::{generators, PauliString};
+    use qdt_dd::DdPackage;
+    use qdt_noise::{GateSelector, KrausChannel};
 
     #[test]
     fn noiseless_model_reports_perfect_fidelity() {
@@ -250,5 +261,135 @@ mod tests {
             report.threshold
         );
         assert_eq!(report.histogram.values().sum::<usize>(), 2000);
+    }
+
+    /// The fidelity `⟨ψ|ρ|ψ⟩` of the trajectory ensemble in `engine`
+    /// with the ideal state ψ of `qc`, from the Pauli expansion
+    /// `⟨ψ|ρ|ψ⟩ = 2⁻ⁿ Σ_P ⟨P⟩_ψ ⟨P⟩_ρ` over the Paulis with `⟨P⟩_ψ ≠ 0`.
+    fn fidelity_with_ideal(engine: &mut TrajectoryEngine, qc: &Circuit) -> f64 {
+        let n = qc.num_qubits();
+        let psi = ideal_state(qc).unwrap();
+        let mut sum = 0.0;
+        for index in 0..1usize << (2 * n) {
+            let text: String = (0..n)
+                .map(|q| b"IXYZ"[(index >> (2 * q)) & 3] as char)
+                .collect();
+            let pauli: PauliString = text.parse().unwrap();
+            let ideal = qdt_engine::dense_expectation(psi.amplitudes(), &pauli);
+            if ideal.abs() > 1e-12 {
+                sum += ideal * engine.expectation(&pauli).unwrap();
+            }
+        }
+        sum / (1u64 << n) as f64
+    }
+
+    #[test]
+    fn kraus_operators_trace_preserving() {
+        // Σᵢ ‖Kᵢψ‖² = ⟨ψ|Σᵢ Kᵢ†Kᵢ|ψ⟩ = 1 on the decision diagrams the
+        // trajectories draw their branches from.
+        let mut dd = DdPackage::new();
+        let mut prep = Circuit::new(1);
+        prep.h(0).t(0);
+        let psi = dd.run_circuit(&prep).unwrap();
+        for ch in [
+            KrausChannel::Depolarizing { p: 0.2 },
+            KrausChannel::AmplitudeDamping { gamma: 0.3 },
+            KrausChannel::PhaseDamping { lambda: 0.15 },
+            KrausChannel::BitFlip { p: 0.1 },
+            KrausChannel::PhaseFlip { p: 0.4 },
+        ] {
+            let total: f64 = ch
+                .kraus_operators()
+                .iter()
+                .map(|k| {
+                    let branch = dd.apply_gate(&psi, k, 0, &[]);
+                    dd.norm_sqr(&branch)
+                })
+                .sum();
+            assert!((total - 1.0).abs() < 1e-12, "{ch}: Σ‖Kψ‖² = {total}");
+        }
+    }
+
+    #[test]
+    fn zero_noise_is_exact() {
+        let qc = generators::ghz(5);
+        let model = NoiseModel::uniform(KrausChannel::Depolarizing { p: 0.0 });
+        let mut engine = dd_trajectories(&model, 8, 1).unwrap();
+        run(&mut engine, &qc).unwrap();
+        assert!((fidelity_with_ideal(&mut engine, &qc) - 1.0).abs() < 1e-10);
+    }
+
+    #[test]
+    fn trajectory_states_stay_normalised() {
+        let qc = generators::qft(4, true);
+        let model = NoiseModel::uniform(KrausChannel::AmplitudeDamping { gamma: 0.2 })
+            .with_rule(GateSelector::All, KrausChannel::PhaseFlip { p: 0.1 });
+        let identity: PauliString = "IIII".parse().unwrap();
+        // One trajectory per engine, so ⟨ψ|I|ψ⟩ is that trajectory's norm.
+        for seed in 0..10 {
+            let mut engine = dd_trajectories(&model, 1, seed).unwrap();
+            run(&mut engine, &qc).unwrap();
+            let norm = engine.expectation(&identity).unwrap();
+            assert!((norm - 1.0).abs() < 1e-9, "seed {seed}: ‖ψ‖² = {norm}");
+        }
+    }
+
+    #[test]
+    fn full_amplitude_damping_forces_ground_state() {
+        let mut qc = Circuit::new(1);
+        qc.x(0);
+        let model = NoiseModel::uniform(KrausChannel::AmplitudeDamping { gamma: 1.0 });
+        let mut engine = dd_trajectories(&model, 8, 3).unwrap();
+        run(&mut engine, &qc).unwrap();
+        let z: PauliString = "Z".parse().unwrap();
+        assert!((engine.expectation(&z).unwrap() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn trajectories_converge_to_density_matrix() {
+        let qc = generators::ghz(3);
+        let model = NoiseModel::uniform(KrausChannel::Depolarizing { p: 0.1 });
+        let mut exact = DensityMatrixEngine::with_noise(&model).unwrap();
+        run(&mut exact, &qc).unwrap();
+        let trajectories = 1500;
+        let report = trajectory_agreement(&qc, &model, trajectories, 4).unwrap();
+        for (i, p_exact) in exact.density().probabilities().iter().enumerate() {
+            let hits = report.histogram.get(&(i as u128)).copied().unwrap_or(0);
+            let p_mc = hits as f64 / trajectories as f64;
+            assert!(
+                (p_mc - p_exact).abs() < 0.05,
+                "basis {i}: MC {p_mc:.3} vs exact {p_exact:.3}"
+            );
+        }
+    }
+
+    #[test]
+    fn noisy_fidelity_decreases_with_noise_strength() {
+        let qc = generators::ghz(4);
+        let mut last = 1.01;
+        for p in [0.0, 0.05, 0.2] {
+            let model = NoiseModel::uniform(KrausChannel::Depolarizing { p });
+            let mut engine = dd_trajectories(&model, 200, 5).unwrap();
+            run(&mut engine, &qc).unwrap();
+            let f = fidelity_with_ideal(&mut engine, &qc);
+            assert!(f < last + 0.02, "fidelity should fall: {f} after {last}");
+            last = f;
+        }
+        assert!(last < 0.7, "strong noise must visibly hurt GHZ fidelity");
+    }
+
+    #[test]
+    fn wide_noisy_simulation_runs() {
+        // 24 qubits with noise — far beyond a 2^48-entry density matrix.
+        let qc = generators::ghz(24);
+        let model = NoiseModel::uniform(KrausChannel::PhaseFlip { p: 0.02 });
+        let mut engine = dd_trajectories(&model, 50, 6).unwrap();
+        run(&mut engine, &qc).unwrap();
+        let mut rng = StdRng::seed_from_u64(0);
+        let counts = engine.sample(50, &mut rng).unwrap();
+        assert_eq!(counts.values().sum::<usize>(), 50);
+        // Phase flips never change GHZ populations.
+        let all_ones = (1u128 << 24) - 1;
+        assert!(counts.keys().all(|&k| k == 0 || k == all_ones));
     }
 }

@@ -120,16 +120,15 @@ fn measurements_survive_compilation() {
 
 #[test]
 fn bernstein_vazirani_still_works_after_compilation() {
-    use qdt::array::ArraySimulator;
     let secret = 0b1011u64;
     let qc = generators::bernstein_vazirani(4, secret);
     let map = CouplingMap::linear(5);
     let routed = compile(&qc, &GateSet::ibm_basis(), &map).unwrap();
     // The routed circuit measures *physical* qubits; the classical bits
     // still carry the answer.
-    let mut rng = StdRng::seed_from_u64(32);
-    let result = ArraySimulator::new()
-        .run(&routed.circuit, &mut rng)
-        .unwrap();
-    assert_eq!(result.classical_value(), secret);
+    let result = qdt::sample_dynamic(&routed.circuit, 1, "array", 32, 1).unwrap();
+    assert_eq!(
+        result.counts.keys().copied().collect::<Vec<_>>(),
+        [u128::from(secret)]
+    );
 }

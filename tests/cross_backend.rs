@@ -5,22 +5,15 @@
 //! amplitudes on a spread of circuit families.
 
 use qdt::circuit::{generators, Circuit};
-use qdt::{amplitude, amplitudes, Backend};
+use qdt::{amplitude, amplitudes};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn all_dense_backends() -> Vec<Backend> {
-    vec![
-        Backend::Array,
-        Backend::DecisionDiagram,
-        Backend::TensorNetwork,
-        Backend::Mps { max_bond: 64 },
-    ]
-}
+const DENSE_BACKENDS: [&str; 4] = ["array", "decision-diagram", "tensor-network", "mps:64"];
 
 fn assert_backends_agree(qc: &Circuit, label: &str) {
-    let reference = amplitudes(qc, Backend::Array).expect("array simulation");
-    for b in all_dense_backends() {
+    let reference = amplitudes(qc, "array").expect("array simulation");
+    for b in DENSE_BACKENDS {
         let got = amplitudes(qc, b).unwrap_or_else(|e| panic!("{label}/{b}: {e}"));
         assert_eq!(got.len(), reference.len(), "{label}/{b}: length");
         for (i, (x, y)) in got.iter().zip(&reference).enumerate() {
@@ -54,8 +47,8 @@ fn grover_agrees() {
     let qc = generators::grover(4, 0b1101, 2);
     // Grover uses multi-controlled Z: MPS cannot run it directly, so
     // compare the other three backends.
-    let reference = amplitudes(&qc, Backend::Array).unwrap();
-    for b in [Backend::DecisionDiagram] {
+    let reference = amplitudes(&qc, "array").unwrap();
+    for b in ["decision-diagram"] {
         let got = amplitudes(&qc, b).unwrap();
         for (i, (x, y)) in got.iter().zip(&reference).enumerate() {
             assert!(x.approx_eq(*y, 1e-7), "{b}: amplitude {i}");
@@ -99,23 +92,19 @@ fn single_amplitudes_scale_beyond_arrays() {
     // 48-qubit GHZ: DD, TN and MPS all answer; the array path refuses.
     let qc = generators::ghz(48);
     let idx = (1u128 << 48) - 1;
-    for b in [
-        Backend::DecisionDiagram,
-        Backend::TensorNetwork,
-        Backend::Mps { max_bond: 2 },
-    ] {
+    for b in ["decision-diagram", "tensor-network", "mps:2"] {
         let amp = amplitude(&qc, idx, b).unwrap();
         assert!((amp.abs() - 1.0 / 2f64.sqrt()).abs() < 1e-8, "{b}");
     }
-    assert!(amplitude(&qc, idx, Backend::Array).is_err());
+    assert!(amplitude(&qc, idx, "array").is_err());
 }
 
 #[test]
 fn deep_circuit_stress() {
     let mut rng = StdRng::seed_from_u64(13);
     let qc = generators::random_clifford(6, 30, &mut rng);
-    let reference = amplitudes(&qc, Backend::Array).unwrap();
-    let got = amplitudes(&qc, Backend::DecisionDiagram).unwrap();
+    let reference = amplitudes(&qc, "array").unwrap();
+    let got = amplitudes(&qc, "decision-diagram").unwrap();
     for (x, y) in got.iter().zip(&reference) {
         assert!(x.approx_eq(*y, 1e-7));
     }
@@ -129,7 +118,7 @@ fn ripple_carry_adder_computes_sums() {
         let expect_b = (a + b) % (1 << n);
         // Output layout: a unchanged, b holds the sum, carry clear.
         let expect_index = (a as u128) | ((expect_b as u128) << n);
-        for backend in [Backend::Array, Backend::DecisionDiagram] {
+        for backend in ["array", "decision-diagram"] {
             let amp = amplitude(&qc, expect_index, backend).unwrap();
             assert!(
                 (amp.abs() - 1.0).abs() < 1e-9,
@@ -146,7 +135,7 @@ fn wide_adder_on_dd_only() {
     let (n, a, b) = (8usize, 200u64, 100u64);
     let qc = generators::adder_with_inputs(n, a, b);
     let expect_index = (a as u128) | ((((a + b) % 256) as u128) << n);
-    let amp = amplitude(&qc, expect_index, Backend::DecisionDiagram).unwrap();
+    let amp = amplitude(&qc, expect_index, "decision-diagram").unwrap();
     assert!((amp.abs() - 1.0).abs() < 1e-9);
 }
 

@@ -6,10 +6,10 @@
 //! agreement.
 
 use proptest::prelude::*;
+use qdt::amplitudes;
 use qdt::circuit::{Circuit, Gate};
 use qdt::complex::Complex;
 use qdt::dd::DdPackage;
-use qdt::{amplitudes, Backend};
 
 /// A strategy for arbitrary single-qubit gates.
 fn gate_strategy() -> impl Strategy<Value = Gate> {
@@ -83,7 +83,7 @@ proptest! {
     /// Unitary evolution preserves the norm on every backend.
     #[test]
     fn norm_is_preserved(qc in circuit_strategy(4, 14)) {
-        for b in [Backend::Array, Backend::DecisionDiagram] {
+        for b in ["array", "decision-diagram"] {
             let amps = amplitudes(&qc, b).unwrap();
             let norm: f64 = amps.iter().map(|a| a.norm_sqr()).sum();
             prop_assert!((norm - 1.0).abs() < 1e-8, "{b}: norm {norm}");
@@ -93,8 +93,8 @@ proptest! {
     /// Decision diagrams and arrays agree amplitude-for-amplitude.
     #[test]
     fn dd_matches_array(qc in circuit_strategy(4, 14)) {
-        let a = amplitudes(&qc, Backend::Array).unwrap();
-        let d = amplitudes(&qc, Backend::DecisionDiagram).unwrap();
+        let a = amplitudes(&qc, "array").unwrap();
+        let d = amplitudes(&qc, "decision-diagram").unwrap();
         for (x, y) in a.iter().zip(&d) {
             prop_assert!(x.approx_eq(*y, 1e-7));
         }
@@ -103,8 +103,8 @@ proptest! {
     /// Tensor-network contraction agrees with arrays.
     #[test]
     fn tn_matches_array(qc in circuit_strategy(3, 10)) {
-        let a = amplitudes(&qc, Backend::Array).unwrap();
-        let t = amplitudes(&qc, Backend::TensorNetwork).unwrap();
+        let a = amplitudes(&qc, "array").unwrap();
+        let t = amplitudes(&qc, "tensor-network").unwrap();
         for (x, y) in a.iter().zip(&t) {
             prop_assert!(x.approx_eq(*y, 1e-7));
         }
@@ -176,8 +176,8 @@ proptest! {
     /// MPS with a generous bond cap is exact.
     #[test]
     fn mps_exact_with_large_bond(qc in circuit_strategy(4, 10)) {
-        let a = amplitudes(&qc, Backend::Array).unwrap();
-        let m = amplitudes(&qc, Backend::Mps { max_bond: 64 }).unwrap();
+        let a = amplitudes(&qc, "array").unwrap();
+        let m = amplitudes(&qc, "mps:64").unwrap();
         for (x, y) in a.iter().zip(&m) {
             prop_assert!(x.approx_eq(*y, 1e-7));
         }
@@ -219,8 +219,8 @@ proptest! {
     #[test]
     fn pauli_expectations_cross_backend(qc in circuit_strategy(3, 8)) {
         let p: qdt::circuit::PauliString = "ZXY".parse().unwrap();
-        let reference = qdt::expectation(&qc, &p, Backend::Array).unwrap();
-        for b in [Backend::DecisionDiagram, Backend::TensorNetwork] {
+        let reference = qdt::expectation(&qc, &p, "array").unwrap();
+        for b in ["decision-diagram", "tensor-network"] {
             let got = qdt::expectation(&qc, &p, b).unwrap();
             prop_assert!((got - reference).abs() < 1e-7, "{b}");
         }

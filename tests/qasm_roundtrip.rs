@@ -60,7 +60,7 @@ fn external_program_parses_and_runs() {
     assert_eq!(qc.num_qubits(), 3);
     assert_eq!(qc.count_by_name()["measure"], 3);
     // Execute it: no panic, normalised output.
-    let amps = qdt::amplitudes(&qc.unitary_part(), qdt::Backend::Array).unwrap();
+    let amps = qdt::amplitudes(&qc.unitary_part(), "array").unwrap();
     let norm: f64 = amps.iter().map(|a| a.norm_sqr()).sum();
     assert!((norm - 1.0).abs() < 1e-9);
 }
@@ -128,4 +128,18 @@ fn external_dynamic_program_parses_and_runs() {
     // c1 reads a freshly reset qubit: always 0, so keys are 0b00/0b01.
     assert!(result.counts.keys().all(|&k| k == 0b00 || k == 0b01));
     assert_eq!(result.stats.resets, 200);
+}
+
+#[test]
+fn non_finite_angles_are_rejected_with_their_line() {
+    let program = |angle: &str| {
+        format!("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[1];\nrz({angle}) q[0];\n")
+    };
+    for angle in ["1/0", "-1/0", "0/0", "1e308*10"] {
+        let e = qasm::parse(&program(angle)).expect_err(angle);
+        assert_eq!(e.line, 4, "{angle}: {e}");
+        assert!(e.message.contains("finite"), "{angle}: {e}");
+    }
+    let qc = qasm::parse(&program("pi/2")).unwrap();
+    assert_eq!(qc.len(), 1);
 }
