@@ -27,7 +27,7 @@ use qdt::dd::DdPackage;
 use qdt::engine::run;
 use qdt::tensor::mps::Mps;
 use qdt::tensor::{ContractionPlan, PlanKind, TensorNetwork};
-use qdt::verify::{check, verify_compilation, Method};
+use qdt::verify::{check, verify_compilation_traced, Method};
 use qdt::zx::{simplify, Diagram};
 use qdt_bench::{timed, Family};
 use rand::rngs::StdRng;
@@ -1348,41 +1348,62 @@ fn c9_approximation() {
     println!(" budget admits pruning more of the low-probability paths)");
 }
 
-/// C7: compilation onto constrained devices.
+/// C7: compilation onto constrained devices, every output re-verified by
+/// the DD miter (asserted in-binary). The `nodes` column counts the
+/// matrix nodes each miter created.
 fn c7_compilation() {
+    use qdt::telemetry::MetricValue;
+    use qdt::TelemetrySink;
+
     header("C7 — compilation: gate set + connectivity (Sec. I task 2)");
     println!(
-        "{:>8} {:>12} {:>8} {:>8} {:>8} {:>8} {:>10}",
-        "circuit", "device", "gates", "2q", "swaps", "depth", "verified"
+        "{:>8} {:>12} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9} {:>10}",
+        "circuit", "device", "gates", "2q", "swaps", "depth", "nodes", "verify", "verified"
     );
-    let maps: [(&str, CouplingMap); 4] = [
-        ("line", CouplingMap::linear(6)),
-        ("ring", CouplingMap::ring(6)),
-        ("grid2x3", CouplingMap::grid(2, 3)),
-        ("hhex2x3", CouplingMap::heavy_hex(2, 3)),
-    ];
+    let mut rows: Vec<(Family, usize, &str, CouplingMap)> = Vec::new();
     for fam in [Family::Ghz, Family::Qft] {
-        let qc = fam.circuit(6);
-        for (name, map) in &maps {
-            let routed = qdt::compile::compile(&qc, &GateSet::ibm_basis(), map)
-                .expect("compilation succeeds");
-            let verdict = verify_compilation(&qc, &routed, map, Method::DecisionDiagram)
-                .expect("verification runs");
-            println!(
-                "{:>8} {:>12} {:>8} {:>8} {:>8} {:>8} {:>10}",
-                fam.name(),
-                name,
-                routed.circuit.gate_count(),
-                routed.circuit.two_qubit_gate_count(),
-                routed.swap_count,
-                routed.circuit.depth(),
-                if verdict.is_equivalent() {
-                    "yes"
-                } else {
-                    "NO!"
-                }
-            );
-        }
+        rows.push((fam, 6, "line", CouplingMap::linear(6)));
+        rows.push((fam, 6, "ring", CouplingMap::ring(6)));
+        rows.push((fam, 6, "grid2x3", CouplingMap::grid(2, 3)));
+        rows.push((fam, 6, "hhex2x3", CouplingMap::heavy_hex(2, 3)));
     }
-    println!("(sparser connectivity -> more SWAPs; every output is re-verified)");
+    // The miter that pairing gates by index blew up to 445k created nodes.
+    rows.push((Family::Qft, 16, "full16", CouplingMap::full(16)));
+    for (fam, n, name, map) in &rows {
+        let qc = fam.circuit(*n);
+        let routed =
+            qdt::compile::compile(&qc, &GateSet::ibm_basis(), map).expect("compilation succeeds");
+        let sink = TelemetrySink::new();
+        let (verdict, secs) = timed(|| {
+            verify_compilation_traced(&qc, &routed, map, Method::DecisionDiagram, &sink)
+                .expect("verification runs")
+        });
+        let nodes = match sink.metrics().get("verify.dd.nodes") {
+            Some(MetricValue::Gauge(nodes)) => nodes,
+            other => panic!("the DD check records its node count, got {other:?}"),
+        };
+        println!(
+            "{:>8} {:>12} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8.3}s {:>10}",
+            format!("{}-{n}", fam.name()),
+            name,
+            routed.circuit.gate_count(),
+            routed.circuit.two_qubit_gate_count(),
+            routed.swap_count,
+            routed.circuit.depth(),
+            nodes,
+            secs,
+            if verdict.is_equivalent() {
+                "yes"
+            } else {
+                "NO!"
+            }
+        );
+        assert!(
+            verdict.is_equivalent(),
+            "{}-{n} on {name} failed verification: {verdict:?}",
+            fam.name()
+        );
+    }
+    println!("(sparser connectivity -> more SWAPs; every output is re-verified, the");
+    println!(" miter pairing each source gate with the compiled gates it lowers to)");
 }

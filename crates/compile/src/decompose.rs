@@ -2,7 +2,7 @@
 
 use std::f64::consts::{FRAC_PI_2, PI};
 
-use qdt_circuit::{Circuit, Gate, OpKind};
+use qdt_circuit::{Circuit, Gate, Instruction, OpKind};
 use qdt_complex::{zyz_decompose, Matrix};
 
 use crate::target::GateSet;
@@ -18,58 +18,96 @@ use crate::CompileError;
 /// # Errors
 ///
 /// Returns [`CompileError::NotRepresentable`] when a continuous rotation
-/// hits a discrete basis (e.g. `Rz(0.3)` under Clifford+T) and
-/// [`CompileError::NonUnitary`] only never — measurement/reset/barrier
+/// hits a discrete basis (e.g. `Rz(0.3)` under Clifford+T) or a gate has
+/// more than 15 controls (its parity network would have 2^16 terms or
+/// more), and [`CompileError::NonUnitary`] only never — measurement/reset/barrier
 /// pass through untouched.
 pub fn rebase(circuit: &Circuit, gate_set: &GateSet) -> Result<Circuit, CompileError> {
     let mut out = Circuit::with_clbits(circuit.num_qubits(), circuit.num_clbits());
     for inst in circuit {
-        match &inst.kind {
-            OpKind::Measure { .. } | OpKind::Reset { .. } | OpKind::Barrier(_) => {
-                out.push(inst.clone()).expect("same register sizes");
-            }
-            OpKind::Swap { a, b, controls } => match controls.len() {
-                0 => {
-                    if matches!(gate_set, GateSet::Universal) {
-                        out.push(inst.clone()).expect("validated");
-                    } else {
-                        emit_swap(&mut out, *a, *b, gate_set)?;
-                    }
-                }
-                1 => {
-                    // Fredkin = CX(b→a) · CCX(c,a→b) · CX(b→a).
-                    emit_controlled(&mut out, Gate::X, *b, *a, gate_set)?;
-                    emit_ccx(&mut out, controls[0], *a, *b, gate_set)?;
-                    emit_controlled(&mut out, Gate::X, *b, *a, gate_set)?;
-                }
-                _ => return Err(CompileError::GateTooWide { op: inst.name() }),
-            },
-            OpKind::Unitary {
-                gate,
-                target,
-                controls,
-            } => match controls.len() {
-                0 => emit_1q(&mut out, *gate, *target, gate_set)?,
-                1 => emit_controlled(&mut out, *gate, controls[0], *target, gate_set)?,
-                2 if matches!(gate, Gate::X) => {
-                    emit_ccx(&mut out, controls[0], controls[1], *target, gate_set)?;
-                }
-                2 if matches!(gate, Gate::Z) => {
-                    emit_1q(&mut out, Gate::H, *target, gate_set)?;
-                    emit_ccx(&mut out, controls[0], controls[1], *target, gate_set)?;
-                    emit_1q(&mut out, Gate::H, *target, gate_set)?;
-                }
-                _ => {
-                    // n-controlled phase-style construction: works for
-                    // any diagonalisable target via H-conjugation when
-                    // the gate is X or Z; everything else goes through a
-                    // single borrowed construction on Phase gates.
-                    emit_multi_controlled(&mut out, *gate, controls, *target, gate_set)?;
-                }
-            },
-        }
+        emit_instruction(&mut out, inst, gate_set)?;
     }
     Ok(out)
+}
+
+/// The number of instructions [`rebase`] lowers one instruction to on
+/// `gate_set`: 1 for a gate already in the set and for the measurements,
+/// resets and barriers that pass through untouched. Multi-controlled
+/// gates are counted in closed form, without building their lowering.
+///
+/// This is the instruction's cost after compilation, the weight by which
+/// a DD miter pairs a source circuit's gates with its compiled form's.
+///
+/// # Errors
+///
+/// The [`rebase`] errors for an instruction the set cannot express.
+pub fn lowered_len(inst: &Instruction, gate_set: &GateSet) -> Result<usize, CompileError> {
+    match &inst.kind {
+        // The parity network has 2^n terms: count it, do not build it.
+        OpKind::Unitary { gate, controls, .. } if controls.len() > 2 => {
+            multi_controlled_len(*gate, controls.len(), gate_set)
+        }
+        OpKind::Unitary { .. } | OpKind::Swap { .. } => {
+            let width = inst.qubits().into_iter().max().map_or(1, |q| q + 1);
+            let mut out = Circuit::new(width);
+            emit_instruction(&mut out, inst, gate_set)?;
+            Ok(out.len())
+        }
+        OpKind::Measure { .. } | OpKind::Reset { .. } | OpKind::Barrier(_) => Ok(1),
+    }
+}
+
+/// Emits one instruction in the basis; non-unitary ones pass through.
+fn emit_instruction(
+    out: &mut Circuit,
+    inst: &Instruction,
+    gate_set: &GateSet,
+) -> Result<(), CompileError> {
+    match &inst.kind {
+        OpKind::Measure { .. } | OpKind::Reset { .. } | OpKind::Barrier(_) => {
+            out.push(inst.clone()).expect("same register sizes");
+        }
+        OpKind::Swap { a, b, controls } => match controls.len() {
+            0 => {
+                if matches!(gate_set, GateSet::Universal) {
+                    out.push(inst.clone()).expect("validated");
+                } else {
+                    emit_swap(out, *a, *b, gate_set)?;
+                }
+            }
+            1 => {
+                // Fredkin = CX(b→a) · CCX(c,a→b) · CX(b→a).
+                emit_controlled(out, Gate::X, *b, *a, gate_set)?;
+                emit_ccx(out, controls[0], *a, *b, gate_set)?;
+                emit_controlled(out, Gate::X, *b, *a, gate_set)?;
+            }
+            _ => return Err(CompileError::GateTooWide { op: inst.name() }),
+        },
+        OpKind::Unitary {
+            gate,
+            target,
+            controls,
+        } => match controls.len() {
+            0 => emit_1q(out, *gate, *target, gate_set)?,
+            1 => emit_controlled(out, *gate, controls[0], *target, gate_set)?,
+            2 if matches!(gate, Gate::X) => {
+                emit_ccx(out, controls[0], controls[1], *target, gate_set)?;
+            }
+            2 if matches!(gate, Gate::Z) => {
+                emit_1q(out, Gate::H, *target, gate_set)?;
+                emit_ccx(out, controls[0], controls[1], *target, gate_set)?;
+                emit_1q(out, Gate::H, *target, gate_set)?;
+            }
+            _ => {
+                // n-controlled phase-style construction: works for
+                // any diagonalisable target via H-conjugation when
+                // the gate is X or Z; everything else goes through a
+                // single borrowed construction on Phase gates.
+                emit_multi_controlled(out, *gate, controls, *target, gate_set)?;
+            }
+        },
+    }
+    Ok(())
 }
 
 /// Emits a 1-qubit gate in the basis.
@@ -308,8 +346,9 @@ fn emit_ccx(
 /// all subset parities; `MCX` is the H-conjugated `MCP(π)`.
 ///
 /// Exact but exponential in the control count (fine for the ≤6 controls
-/// realistic circuits use); diagonal targets use the construction
-/// directly, X/Z targets via conjugation, anything else is rejected.
+/// realistic circuits use, and refused past [`MAX_PARITY_QUBITS`]);
+/// diagonal targets use the construction directly, X/Z targets via
+/// conjugation, anything else is rejected.
 fn emit_multi_controlled(
     out: &mut Circuit,
     gate: Gate,
@@ -317,30 +356,67 @@ fn emit_multi_controlled(
     target: usize,
     gs: &GateSet,
 ) -> Result<(), CompileError> {
-    match gate {
-        Gate::X => {
-            emit_1q(out, Gate::H, target, gs)?;
-            let mut qubits = controls.to_vec();
-            qubits.push(target);
-            emit_mcp(out, PI, &qubits, gs)?;
-            emit_1q(out, Gate::H, target, gs)?;
-            Ok(())
-        }
-        Gate::Z => {
-            let mut qubits = controls.to_vec();
-            qubits.push(target);
-            emit_mcp(out, PI, &qubits, gs)
-        }
-        Gate::Phase(theta) => {
-            let mut qubits = controls.to_vec();
-            qubits.push(target);
-            emit_mcp(out, theta, &qubits, gs)
-        }
-        other => Err(CompileError::NotRepresentable {
-            gate: format!("{}-controlled {}", controls.len(), other.name()),
-            basis: gs.name().into(),
-        }),
+    let theta = parity_network_angle(gate, controls.len(), gs)?;
+    let mut qubits = controls.to_vec();
+    qubits.push(target);
+    if matches!(gate, Gate::X) {
+        emit_1q(out, Gate::H, target, gs)?;
+        emit_mcp(out, theta, &qubits, gs)?;
+        emit_1q(out, Gate::H, target, gs)
+    } else {
+        emit_mcp(out, theta, &qubits, gs)
     }
+}
+
+/// The widest parity network [`emit_mcp`] builds, in qubits (controls
+/// plus target): it has `2^n − 1` terms.
+const MAX_PARITY_QUBITS: usize = 16;
+
+/// The phase `θ` of the `MCP(θ)` that [`emit_multi_controlled`] builds
+/// for `gate` under `controls` controls, or why it cannot.
+fn parity_network_angle(gate: Gate, controls: usize, gs: &GateSet) -> Result<f64, CompileError> {
+    let theta = match gate {
+        Gate::X | Gate::Z => PI,
+        Gate::Phase(theta) => theta,
+        _ => return Err(not_multi_controllable(gate, controls, gs)),
+    };
+    if controls + 1 > MAX_PARITY_QUBITS {
+        return Err(not_multi_controllable(gate, controls, gs));
+    }
+    Ok(theta)
+}
+
+fn not_multi_controllable(gate: Gate, controls: usize, gs: &GateSet) -> CompileError {
+    CompileError::NotRepresentable {
+        gate: format!("{controls}-controlled {}", gate.name()),
+        basis: gs.name().into(),
+    }
+}
+
+/// The length of [`emit_multi_controlled`]'s output, counted in closed
+/// form: the subsets of size `k` each fold with `2(k−1)` CX around one
+/// phase, odd sizes `P(+θ/2^{n−1})`, even ones `P(−θ/2^{n−1})`.
+fn multi_controlled_len(gate: Gate, controls: usize, gs: &GateSet) -> Result<usize, CompileError> {
+    let theta = parity_network_angle(gate, controls, gs)?;
+    let len_of = |emit: &dyn Fn(&mut Circuit) -> Result<(), CompileError>| {
+        let mut scratch = Circuit::new(2);
+        emit(&mut scratch).map(|()| scratch.len())
+    };
+    let n = controls + 1;
+    let base = theta / f64::powi(2.0, n as i32 - 1);
+    let cx = len_of(&|c| emit_cx(c, 0, 1, gs))?;
+    let odd = len_of(&|c| emit_1q(c, Gate::Phase(base), 0, gs))?;
+    let even = len_of(&|c| emit_1q(c, Gate::Phase(-base), 0, gs))?;
+    let mut len = 0;
+    let mut subsets = 1; // C(n, k), starting from C(n, 0)
+    for k in 1..=n {
+        subsets = subsets * (n - k + 1) / k;
+        len += subsets * (2 * (k - 1) * cx + if k % 2 == 1 { odd } else { even });
+    }
+    if matches!(gate, Gate::X) {
+        len += 2 * len_of(&|c| emit_1q(c, Gate::H, 0, gs))?;
+    }
+    Ok(len)
 }
 
 /// Emits the diagonal `exp(iθ·b_0b_1…b_{n−1})` on the given qubits via
@@ -352,7 +428,10 @@ fn emit_mcp(
     gs: &GateSet,
 ) -> Result<(), CompileError> {
     let n = qubits.len();
-    assert!((1..=16).contains(&n), "unsupported control count");
+    debug_assert!(
+        (1..=MAX_PARITY_QUBITS).contains(&n),
+        "checked by the caller"
+    );
     if n == 1 {
         return emit_1q(out, Gate::Phase(theta), qubits[0], gs);
     }
@@ -510,6 +589,64 @@ mod tests {
         let qc = generators::grover(3, 0b101, 1);
         let rebased = rebase(&qc, &GateSet::ibm_basis()).unwrap();
         assert_equiv_up_to_phase(&qc, &rebased);
+    }
+
+    #[test]
+    fn lowered_len_counts_what_rebase_emits() {
+        let ibm = GateSet::ibm_basis();
+        let mut qc = Circuit::with_clbits(3, 1);
+        qc.rz(0.3, 0)
+            .cx(0, 1)
+            .h(0)
+            .swap(0, 2)
+            .cp(0.4, 1, 2)
+            .ccx(0, 1, 2);
+        qc.measure(0, 0);
+        let lens: Vec<usize> = qc.iter().map(|i| lowered_len(i, &ibm).unwrap()).collect();
+        // H, T, T† become 5 gates each (ZXZXZ); a Toffoli has 9 of them and 6 CX.
+        assert_eq!(lens, [1, 1, 5, 3, 20, 9 * 5 + 6, 1]);
+        assert_eq!(lens.iter().sum::<usize>(), rebase(&qc, &ibm).unwrap().len());
+    }
+
+    #[test]
+    fn lowered_len_counts_parity_networks_without_building_them() {
+        let sets = [
+            GateSet::ibm_basis(),
+            GateSet::RzRxCz,
+            GateSet::clifford_t(),
+            GateSet::universal(),
+        ];
+        for gs in &sets {
+            for controls in 2..=5 {
+                let qubits: Vec<usize> = (0..controls).collect();
+                for gate in [Gate::X, Gate::Z, Gate::Phase(0.7), Gate::Phase(4.0 * PI)] {
+                    let mut qc = Circuit::new(controls + 1);
+                    qc.gate(gate, controls, &qubits);
+                    let counted = lowered_len(&qc.instructions()[0], gs);
+                    match rebase(&qc, gs) {
+                        Ok(built) => assert_eq!(counted, Ok(built.len()), "{gs:?} {qc:?}"),
+                        Err(e) => assert_eq!(counted, Err(e), "{gs:?} {qc:?}"),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parity_networks_past_sixteen_qubits_are_refused_not_built() {
+        let ibm = GateSet::ibm_basis();
+        let mut qc = Circuit::new(17);
+        qc.mcx(&(0..16).collect::<Vec<_>>(), 16);
+        let refused = Err(CompileError::NotRepresentable {
+            gate: "16-controlled x".into(),
+            basis: ibm.name().into(),
+        });
+        assert_eq!(rebase(&qc, &ibm).map(|c| c.len()), refused);
+        assert_eq!(lowered_len(&qc.instructions()[0], &ibm), refused);
+        // 15 controls: 2^16 − 1 parity terms, counted in closed form.
+        let mut qc = Circuit::new(16);
+        qc.mcx(&(0..15).collect::<Vec<_>>(), 15);
+        assert!(lowered_len(&qc.instructions()[0], &ibm).unwrap() > 1 << 16);
     }
 
     #[test]

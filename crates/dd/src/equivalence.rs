@@ -7,8 +7,23 @@
 //! stay close to the (linear-size) identity. The alternation strategy of
 //! Burgholzer/Wille (ref \[20\]) interleaves gates from `G` with inverted
 //! gates from `G'` proportionally to keep intermediates small.
+//!
+//! *Gate-cost alternation.* How the two streams are interleaved decides
+//! how close to the identity the product stays. When `G'` is a compiled
+//! form of `G`, each source gate became several compiled gates, and not
+//! the same number for each: on the IBM basis an `H` becomes 5 gates, a
+//! controlled phase 20, a SWAP 3. Pairing by gate index drifts
+//! whenever that ratio changes along the circuit. For a 16-qubit QFT
+//! (144 source gates, 2114 compiled) it lines the source's final SWAPs
+//! up with compiled gates that are not theirs. The product then grows
+//! to 60k nodes and the check creates 445k. [`check_equivalence_by_cost`]
+//! instead weighs every gate by a caller-given cost and keeps the two
+//! circuits' shares of cost applied in step. Costed by their lowered
+//! length, the compiler's own expansion of a gate, the same check
+//! peaks at about a hundred nodes and creates 19k. Unit costs give
+//! the index-proportional order of [`check_equivalence`].
 
-use qdt_circuit::{Circuit, OpKind};
+use qdt_circuit::{Circuit, Instruction, OpKind};
 use qdt_complex::Complex;
 
 use crate::{DdError, DdPackage};
@@ -32,8 +47,10 @@ impl EquivalenceResult {
 }
 
 /// Checks two circuits for equivalence by building `G'† · G` as a matrix
-/// DD with the proportional alternation strategy and testing it against
-/// `λ·I`.
+/// DD, alternating between the circuits in proportion to their gate
+/// counts, and testing the product against `λ·I`.
+///
+/// This is [`check_equivalence_by_cost`] with every gate costing 1.
 ///
 /// Non-unitary instructions are rejected; strip measurements first with
 /// [`Circuit::unitary_part`].
@@ -48,6 +65,30 @@ pub fn check_equivalence(
     g1: &Circuit,
     g2: &Circuit,
 ) -> Result<EquivalenceResult, DdError> {
+    check_equivalence_by_cost(dd, g1, g2, |_| 1)
+}
+
+/// Checks two circuits for equivalence by building `G'† · G` as a matrix
+/// DD with gate-cost alternation, and testing the product against `λ·I`.
+///
+/// `cost` weighs each instruction of either circuit (barriers are
+/// skipped). The miter takes the next gate from whichever circuit has
+/// applied the smaller share of its total cost, so a source gate that
+/// compiles to `k` gates is multiplied in next to those `k` gates.
+/// Unit costs pair the circuits by gate index.
+///
+/// # Errors
+///
+/// As [`check_equivalence`].
+pub fn check_equivalence_by_cost<F>(
+    dd: &mut DdPackage,
+    g1: &Circuit,
+    g2: &Circuit,
+    cost: F,
+) -> Result<EquivalenceResult, DdError>
+where
+    F: Fn(&Instruction) -> usize,
+{
     if g1.num_qubits() != g2.num_qubits() {
         return Err(DdError::QubitCountMismatch {
             left: g1.num_qubits(),
@@ -60,40 +101,39 @@ pub fn check_equivalence(
             op: "measurement/reset in circuit".into(),
         });
     }
+    let a = costed_gates(g1, &cost);
     // Inverting each instruction of G2 *in place* (original order) makes
     // the right-hand accumulation below come out as
-    // inv(h_1)·inv(h_2)···inv(h_m) = G2†.
-    let g2_gatewise_inv: Vec<_> = g2
-        .instructions()
-        .iter()
-        .filter(|i| !matches!(i.kind, OpKind::Barrier(_)))
-        .map(invert_instruction)
+    // inv(h_1)·inv(h_2)···inv(h_m) = G2†. Costs are those of the gates
+    // as written.
+    let b: Vec<_> = costed_gates(g2, &cost)
+        .into_iter()
+        .map(|(i, c)| (invert_instruction(i), c))
         .collect();
 
-    // Proportional alternation: advance through the longer circuit faster
-    // so both streams finish together, keeping U ≈ I throughout when the
-    // circuits are equivalent. Gates of G1 multiply from the left
-    // (U ← g·U); inverted gates of G2 from the right (U ← U·h), so the
-    // final product is G1 · G2† (= λI iff the circuits are equivalent).
-    let a: Vec<_> = g1
-        .instructions()
-        .iter()
-        .filter(|i| !matches!(i.kind, OpKind::Barrier(_)))
-        .collect();
-    let b: Vec<_> = g2_gatewise_inv.iter().collect();
+    // Cost-proportional alternation: take the next gate from the circuit
+    // that has applied the smaller fraction of its total cost, so both
+    // streams finish together and U ≈ I throughout when the circuits are
+    // equivalent. Gates of G1 multiply from the left (U ← g·U); inverted
+    // gates of G2 from the right (U ← U·h), so the final product is
+    // G1 · G2† (= λI iff the circuits are equivalent).
+    let ta = a.iter().map(|g| g.1).sum::<usize>().max(1);
+    let tb = b.iter().map(|g| g.1).sum::<usize>().max(1);
     let mut acc = dd.identity(n);
     let (mut ia, mut ib) = (0usize, 0usize);
-    let (la, lb) = (a.len().max(1), b.len().max(1));
+    let (mut ca, mut cb) = (0usize, 0usize);
     while ia < a.len() || ib < b.len() {
-        // Keep the fractions ia/la and ib/lb in lock-step.
-        let take_a = ib >= b.len() || (ia < a.len() && ia * lb <= ib * la);
+        // Keep the fractions ca/ta and cb/tb in lock-step.
+        let take_a = ib >= b.len() || (ia < a.len() && ca * tb <= cb * ta);
         if take_a {
-            let g = dd.instruction_dd(a[ia], n)?;
+            let g = dd.instruction_dd(a[ia].0, n)?;
             acc = dd.multiply(&g, &acc)?;
+            ca += a[ia].1;
             ia += 1;
         } else {
-            let h = dd.instruction_dd(b[ib], n)?;
+            let h = dd.instruction_dd(&b[ib].0, n)?;
             acc = dd.multiply(&acc, &h)?;
+            cb += b[ib].1;
             ib += 1;
         }
     }
@@ -101,9 +141,20 @@ pub fn check_equivalence(
     finish(dd, acc)
 }
 
+/// The circuit's instructions other than barriers, each with its cost.
+fn costed_gates<'c>(
+    g: &'c Circuit,
+    cost: &impl Fn(&Instruction) -> usize,
+) -> Vec<(&'c Instruction, usize)> {
+    g.instructions()
+        .iter()
+        .filter(|i| !matches!(i.kind, OpKind::Barrier(_)))
+        .map(|i| (i, cost(i)))
+        .collect()
+}
+
 /// Inverts a single unitary instruction (swap is self-inverse).
-fn invert_instruction(inst: &qdt_circuit::Instruction) -> qdt_circuit::Instruction {
-    use qdt_circuit::Instruction;
+fn invert_instruction(inst: &Instruction) -> Instruction {
     match &inst.kind {
         OpKind::Unitary {
             gate,

@@ -51,7 +51,7 @@ mod vector;
 
 pub use approx::ApproxResult;
 pub use engine::DdEngine;
-pub use equivalence::{check_equivalence, EquivalenceResult};
+pub use equivalence::{check_equivalence, check_equivalence_by_cost, EquivalenceResult};
 pub use package::{DdMemory, DdPackage, DdStats, MatrixDd, VectorDd};
 
 use std::fmt;

@@ -583,6 +583,14 @@ impl DdPackage {
             return MEdge::terminal(self.canon(a.weight * b.weight));
         }
         debug_assert_ne!(b.node, TERMINAL, "level skew in mat_mat");
+        // Gate diagrams are the identity below their target, so this
+        // skips most of a gate product's recursion and cache probes.
+        if self.is_identity_node(a.node) {
+            return self.mscale(b, a.weight);
+        }
+        if self.is_identity_node(b.node) {
+            return self.mscale(a, b.weight);
+        }
         let f = self.canon(a.weight * b.weight);
         let key = (a.node, b.node);
         self.stats.compute_lookups += 1;
@@ -623,6 +631,12 @@ impl DdPackage {
             self.ident.push(e);
         }
         self.ident[level]
+    }
+
+    /// Whether the (non-terminal) node is the cached identity of its level.
+    fn is_identity_node(&self, id: NodeId) -> bool {
+        let level = usize::from(self.mnode(id).level);
+        self.ident.get(level).is_some_and(|e| e.node == id)
     }
 
     /// The identity operator as a [`MatrixDd`] on `num_qubits` qubits.
@@ -918,11 +932,14 @@ mod tests {
     #[test]
     fn stats_count_compute_cache_hits() {
         let mut p = DdPackage::new();
-        let i = p.identity_edge(3);
+        // (Unnormalised) H ⊗ I: identity operands skip the cache.
+        let below = p.identity_edge(2);
+        let minus = p.mscale(below, -Complex::ONE);
+        let h = p.make_mnode(3, [below, below, below, minus]);
         let before = p.stats();
-        let _ = p.mat_mat(i, i); // populates the mm cache
+        let _ = p.mat_mat(h, h); // populates the mm cache
         let mid = p.stats();
-        let _ = p.mat_mat(i, i); // fully served from the cache
+        let _ = p.mat_mat(h, h); // fully served from the cache
         let after = p.stats();
         assert!(mid.compute_lookups > before.compute_lookups);
         assert_eq!(after.compute_lookups, mid.compute_lookups + 1);
@@ -946,6 +963,25 @@ mod tests {
         let prod = p.mat_mat(i, i);
         assert_eq!(prod.node, i.node);
         assert!(prod.weight.approx_eq(Complex::ONE, 1e-12));
+    }
+
+    #[test]
+    fn mat_mat_with_identity_skips_the_cache() {
+        let mut p = DdPackage::new();
+        let i = p.identity_edge(3);
+        let below = p.identity_edge(2);
+        let minus = p.mscale(below, -Complex::ONE);
+        let h = p.make_mnode(3, [below, below, below, minus]);
+        let w = Complex::new(0.0, 2.0);
+        let scaled = p.mscale(i, w);
+        let before = p.stats();
+        let left = p.mat_mat(scaled, h);
+        let right = p.mat_mat(h, scaled);
+        assert_eq!(p.stats().compute_lookups, before.compute_lookups);
+        for prod in [left, right] {
+            assert_eq!(prod.node, h.node);
+            assert!(prod.weight.approx_eq(h.weight * w, 1e-12));
+        }
     }
 
     #[test]

@@ -37,9 +37,11 @@ pub mod noise;
 use std::fmt;
 
 use qdt_array::circuit_unitary;
-use qdt_circuit::Circuit;
+use qdt_circuit::{Circuit, Instruction};
 use qdt_compile::coupling::CouplingMap;
+use qdt_compile::decompose::lowered_len;
 use qdt_compile::routing::RoutedCircuit;
+use qdt_compile::target::GateSet;
 use qdt_complex::Complex;
 use qdt_dd::{DdEngine, DdPackage, EquivalenceResult};
 use qdt_engine::{EngineError, SimulationEngine, TelemetrySink};
@@ -52,7 +54,9 @@ use rand::{Rng, SeedableRng};
 pub enum Method {
     /// Build both full unitaries and compare (exponential; ≤ 10 qubits).
     Array,
-    /// Decision-diagram miter with proportional alternation.
+    /// Decision-diagram miter with gate-cost alternation: each gate is
+    /// weighed by the number of instructions it lowers to on the IBM
+    /// basis, so a source gate meets the compiled gates it became.
     DecisionDiagram,
     /// ZX-calculus rewriting of `G₁ ; G₂†`.
     Zx,
@@ -164,7 +168,8 @@ pub fn check(g1: &Circuit, g2: &Circuit, method: Method) -> Result<Equivalence, 
 /// `verify`-category span named after the method, and each method's
 /// distinct phases (building unitaries, folding the miter, rewriting,
 /// per-stimulus simulation) get nested sub-spans — so an exported trace
-/// shows where verification time goes.
+/// shows where verification time goes. The DD method also sets the
+/// `verify.dd.nodes` gauge to the matrix nodes its miter created.
 ///
 /// # Errors
 ///
@@ -222,8 +227,11 @@ pub fn check_traced(
         Method::DecisionDiagram => {
             let _miter = tracer.span_in("verify", "fold-miter");
             let mut dd = DdPackage::new();
-            let r =
-                qdt_dd::check_equivalence(&mut dd, g1, g2).map_err(|_| VerifyError::NonUnitary)?;
+            let r = qdt_dd::check_equivalence_by_cost(&mut dd, g1, g2, compiled_cost)
+                .map_err(|_| VerifyError::NonUnitary)?;
+            #[allow(clippy::cast_precision_loss)]
+            sink.metrics()
+                .gauge_set("verify.dd.nodes", dd.matrix_arena_size() as f64);
             Ok(match r {
                 EquivalenceResult::Equivalent => Equivalence::Equivalent,
                 EquivalenceResult::EquivalentUpToGlobalPhase(l) => {
@@ -249,6 +257,16 @@ pub fn check_traced(
             random_stimuli(g1, g2, samples)
         }
     }
+}
+
+/// A gate's weight in the DD miter's alternation: the number of
+/// instructions the compiler lowers it to on the IBM basis (1 for a gate
+/// already in the basis, and for one the compiler cannot lower, such as
+/// a gate with more than 15 controls). Costing
+/// both circuits this way multiplies each source gate in next to the
+/// compiled gates that implement it.
+fn compiled_cost(inst: &Instruction) -> usize {
+    lowered_len(inst, &GateSet::ibm_basis()).unwrap_or(1)
 }
 
 /// Random-stimuli comparison on the default engine (decision diagrams,
@@ -391,12 +409,27 @@ pub fn verify_compilation(
     map: &CouplingMap,
     method: Method,
 ) -> Result<Equivalence, VerifyError> {
+    verify_compilation_traced(original, routed, map, method, &TelemetrySink::disabled())
+}
+
+/// [`verify_compilation`] with telemetry, as [`check_traced`].
+///
+/// # Errors
+///
+/// Propagates [`check`] errors.
+pub fn verify_compilation_traced(
+    original: &Circuit,
+    routed: &RoutedCircuit,
+    map: &CouplingMap,
+    method: Method,
+    sink: &TelemetrySink,
+) -> Result<Equivalence, VerifyError> {
     let undone = routed.with_unrouting_swaps(map);
     let reference = original.unitary_part().remap(
         &routed.initial_layout[..original.num_qubits()],
         map.num_qubits(),
     );
-    check(&undone.unitary_part(), &reference, method)
+    check_traced(&undone.unitary_part(), &reference, method, sink)
 }
 
 /// Runs every exact method that applies and reports the verdicts
@@ -418,7 +451,6 @@ mod tests {
     use super::*;
     use qdt_circuit::generators;
     use qdt_compile::routing::route;
-    use qdt_compile::target::GateSet;
 
     const METHODS: [Method; 4] = [
         Method::Array,
@@ -573,7 +605,7 @@ mod tests {
 
     #[test]
     fn traced_check_tags_method_phases_as_spans() {
-        use qdt_engine::telemetry::TraceEventKind;
+        use qdt_engine::telemetry::{MetricValue, TraceEventKind};
 
         let qc = generators::qft(3, true);
         let sink = TelemetrySink::new();
@@ -603,6 +635,34 @@ mod tests {
                 "missing phase span {phase}"
             );
         }
+        // The DD check also reports the matrix nodes its miter created.
+        match sink.metrics().get("verify.dd.nodes") {
+            Some(MetricValue::Gauge(nodes)) => assert!(nodes > 0.0, "{nodes} nodes"),
+            other => panic!("missing verify.dd.nodes gauge: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn dd_weighs_wide_multi_controlled_gates_without_lowering_them() {
+        // A 16-control MCZ is wider than the compiler lowers: weight 1.
+        let qc = generators::grover(17, 0b1_0110_1001_0110_1001, 1);
+        assert_eq!(
+            check(&qc, &qc, Method::DecisionDiagram).unwrap(),
+            Equivalence::Equivalent
+        );
+        // A 12-control MCX lowers to ~10^5 gates: counted, not built.
+        let mut qc = Circuit::new(13);
+        qc.h(0).mcx(&(0..12).collect::<Vec<_>>(), 12);
+        let mut flipped = qc.clone();
+        flipped.x(12);
+        assert_eq!(
+            check(&qc, &qc, Method::DecisionDiagram).unwrap(),
+            Equivalence::Equivalent
+        );
+        assert_eq!(
+            check(&qc, &flipped, Method::DecisionDiagram).unwrap(),
+            Equivalence::NotEquivalent
+        );
     }
 
     #[test]
@@ -618,6 +678,4 @@ mod tests {
             );
         }
     }
-
-    use qdt_circuit::Circuit;
 }

@@ -5,7 +5,9 @@ use qdt::circuit::{generators, Circuit, OpKind};
 use qdt::compile::coupling::CouplingMap;
 use qdt::compile::target::GateSet;
 use qdt::compile::{compile, routing::route};
-use qdt::verify::{verify_compilation, Method};
+use qdt::telemetry::MetricValue;
+use qdt::verify::{verify_compilation, verify_compilation_traced, Equivalence, Method};
+use qdt::TelemetrySink;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -131,4 +133,89 @@ fn bernstein_vazirani_still_works_after_compilation() {
         result.counts.keys().copied().collect::<Vec<_>>(),
         [u128::from(secret)]
     );
+}
+
+#[test]
+fn qft16_miter_stays_small_under_gate_cost_alternation() {
+    // Pairing the source's gates with their compiled forms keeps the
+    // miter near the identity; pairing by gate index (2114 compiled
+    // gates against 144) let it grow to 60k nodes and create 445k.
+    let qc = generators::qft(16, true);
+    let map = CouplingMap::full(16);
+    let routed = compile(&qc, &GateSet::ibm_basis(), &map).unwrap();
+    let sink = TelemetrySink::new();
+    let verdict =
+        verify_compilation_traced(&qc, &routed, &map, Method::DecisionDiagram, &sink).unwrap();
+    assert!(verdict.is_equivalent(), "{verdict:?}");
+    let Some(MetricValue::Gauge(nodes)) = sink.metrics().get("verify.dd.nodes") else {
+        panic!("the DD check records the matrix nodes it created");
+    };
+    assert!(
+        nodes < 50_000.0,
+        "the QFT-16 miter created {nodes} matrix nodes"
+    );
+}
+
+/// `circuit` with an `X` on `qubit` inserted before instruction `at`.
+fn with_x_inserted(circuit: &Circuit, at: usize, qubit: usize) -> Circuit {
+    let mut out = Circuit::with_clbits(circuit.num_qubits(), circuit.num_clbits());
+    for (i, inst) in circuit.iter().enumerate() {
+        if i == at {
+            out.x(qubit);
+        }
+        out.push(inst.clone()).unwrap();
+    }
+    out
+}
+
+/// Whether two verdicts agree, global phases within round-off.
+fn same_verdict(a: Equivalence, b: Equivalence) -> bool {
+    match (a, b) {
+        (Equivalence::EquivalentUpToGlobalPhase(x), Equivalence::EquivalentUpToGlobalPhase(y)) => {
+            x.approx_eq(y, 1e-6)
+        }
+        _ => a == b,
+    }
+}
+
+#[test]
+fn dd_verdicts_match_array_on_compiled_circuits() {
+    // The DD miter's alternation order decides its cost, never its
+    // verdict: on every source × device, unchanged and with one stray X,
+    // it must say what the dense unitaries say.
+    let n = 6;
+    let mut rng = StdRng::seed_from_u64(0xD1FF);
+    let sources = [
+        ("qft", generators::qft(n, true)),
+        ("ghz", generators::ghz(n)),
+        (
+            "clifford+t",
+            generators::random_clifford_t(n, 8, 0.2, &mut rng),
+        ),
+    ];
+    let maps = [
+        CouplingMap::linear(n),
+        CouplingMap::ring(n),
+        CouplingMap::grid(2, n / 2),
+        CouplingMap::heavy_hex(2, n / 2),
+    ];
+    for (name, qc) in &sources {
+        for (m, map) in maps.iter().enumerate() {
+            let mut routed = compile(qc, &GateSet::ibm_basis(), map).unwrap();
+            for mutant in [false, true] {
+                if mutant {
+                    let at = routed.circuit.len() / 2;
+                    routed.circuit = with_x_inserted(&routed.circuit, at, m % n);
+                }
+                let by_dd = verify_compilation(qc, &routed, map, Method::DecisionDiagram).unwrap();
+                let by_array = verify_compilation(qc, &routed, map, Method::Array).unwrap();
+                let label = format!("{name} on map {m}, mutant {mutant}");
+                assert_eq!(by_array.is_equivalent(), !mutant, "{label}: {by_array:?}");
+                assert!(
+                    same_verdict(by_dd, by_array),
+                    "{label}: DD {by_dd:?} vs array {by_array:?}"
+                );
+            }
+        }
+    }
 }
