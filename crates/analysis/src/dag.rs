@@ -5,7 +5,7 @@
 //! * **Qubit chains** — instruction `j` depends on instruction `i`
 //!   through qubit `q` when `i` is the latest earlier instruction
 //!   touching `q`. Barriers carry no data and are skipped (they pin
-//!   *ordering*, which the peephole lints handle separately).
+//!   *ordering*, which the cancellation scan handles separately).
 //! * **Classical-bit chains** — a measurement writing clbit `c` is the
 //!   definition consumed by every later instruction conditioned on `c`
 //!   (up to the next measurement redefining `c`).

@@ -8,8 +8,11 @@
 //! * **Circuit lints** run over a [`qdt_circuit::Circuit`] and produce
 //!   structured [`Diagnostic`]s: well-formedness (`QDT0xx`), dead code
 //!   (`QDT1xx`), redundancy (`QDT2xx`), and dataflow findings
-//!   (`QDT4xx`) computed on the def-use DAG ([`dag`]) by fixed-point
-//!   passes ([`dataflow`], [`passes`]).
+//!   (`QDT4xx`). Each lint is a function of one [`CircuitFacts`],
+//!   computed once per analysis on the def-use DAG ([`dag`]) by
+//!   fixed-point passes ([`dataflow`], [`passes`]): dead gates
+//!   (`QDT101`/`QDT401`) come from lightcone liveness, cancelling pairs
+//!   (`QDT201`/`QDT402`) from one commutation-aware scan.
 //! * **A cost model** ([`cost`]) prices every backend from the same
 //!   dataflow facts; it powers the `auto` engine spec of the umbrella
 //!   crate.
@@ -47,12 +50,12 @@
 //! | QDT002 | error   | instruction names the same qubit twice            |
 //! | QDT003 | error   | classical bit index out of range                  |
 //! | QDT004 | warning | condition reads a clbit no measurement writes     |
-//! | QDT101 | warning | gate on a qubit after its final measurement       |
+//! | QDT101 | warning | dead gate on a qubit after its final measurement  |
 //! | QDT102 | info    | qubit never touched by any instruction            |
-//! | QDT201 | warning | adjacent gate pair cancels                        |
+//! | QDT201 | warning | pair cancels; nothing between shares its qubits   |
 //! | QDT301 | error   | data-structure invariant auditor violation        |
-//! | QDT401 | warning | gate outside every measurement lightcone          |
-//! | QDT402 | warning | pair cancels through provably-commuting gates     |
+//! | QDT401 | warning | other gate outside every measurement lightcone    |
+//! | QDT402 | warning | pair cancels through shared, commuting gates      |
 //! | QDT403 | info    | qubit never entangled with the measured set       |
 //! | QDT404 | info    | wide Clifford-only circuit on exponential backend |
 //! | QDT405 | warning | measurement result overwritten before any read    |
@@ -62,9 +65,7 @@ pub mod dag;
 pub mod dataflow;
 pub mod passes;
 
-mod deadcode;
 mod profile;
-mod redundancy;
 mod report;
 mod resources;
 mod wellformed;
@@ -75,15 +76,11 @@ pub mod audit;
 pub use cost::{
     circuit_facts, dispatch_circuit, plan_dispatch, BackendCost, CircuitFacts, DispatchDecision,
 };
-pub use deadcode::DeadCode;
-pub use passes::{BackendFit, Commutation, DeadClbit, Isolation, Lightcone};
 pub use profile::{
     render_simulation_profile, simulation_profile, simulation_profile_traced, SimulationProfile,
 };
-pub use redundancy::Redundancy;
 pub use report::{render_json, render_text};
 pub use resources::{resource_report, ResourceReport};
-pub use wellformed::WellFormedness;
 
 use qdt_circuit::Circuit;
 
@@ -124,19 +121,22 @@ pub enum Code {
     /// QDT004: an instruction is conditioned on a classical bit no
     /// earlier measurement writes.
     CondUnwrittenClbit,
-    /// QDT101: a gate acts on a qubit after its final measurement.
+    /// QDT101: a gate outside every measurement lightcone acts on a
+    /// qubit after that qubit's final measurement.
     GateAfterMeasure,
     /// QDT102: a qubit is never touched by any instruction.
     UntouchedQubit,
-    /// QDT201: two adjacent instructions cancel (H·H, X·X, CX·CX, …).
+    /// QDT201: two instructions cancel (H·H, X·X, CX·CX, …) and no
+    /// instruction between them shares a qubit with them.
     RedundantPair,
     /// QDT301: a data-structure invariant auditor found a violation.
     AuditViolation,
     /// QDT401: a gate lies outside every measurement lightcone — no
-    /// def-use chain connects it to an observed outcome.
+    /// def-use chain connects it to an observed outcome — and touches
+    /// no qubit after its final measurement (that case is QDT101).
     OutsideLightcone,
-    /// QDT402: a gate pair cancels through intervening gates that
-    /// provably commute with both.
+    /// QDT402: a gate pair cancels through intervening gates that share
+    /// a qubit with it and provably commute with both.
     CommutingCancellation,
     /// QDT403: a qubit is touched by gates but never entangled with any
     /// measured qubit.
@@ -233,14 +233,6 @@ impl Diagnostic {
     }
 }
 
-/// A lint pass over a circuit.
-pub trait Pass {
-    /// A short identifier, e.g. `"well-formedness"`.
-    fn name(&self) -> &'static str;
-    /// Runs the pass and returns its findings.
-    fn run(&self, circuit: &Circuit) -> Vec<Diagnostic>;
-}
-
 /// Dataflow facts and the cost-model verdict, condensed for reports.
 #[derive(Debug, Clone)]
 pub struct DataflowSummary {
@@ -285,57 +277,29 @@ impl AnalysisReport {
     }
 }
 
-/// Runs a configurable sequence of [`Pass`]es plus the resource report.
-pub struct Analyzer {
-    passes: Vec<Box<dyn Pass>>,
-}
-
-impl Default for Analyzer {
-    fn default() -> Self {
-        Analyzer::new()
-    }
-}
+/// Runs every lint plus the resource report and the cost model.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Analyzer;
 
 impl Analyzer {
-    /// An analyzer with the default pass set: well-formedness, dead code,
-    /// redundancy, plus the dataflow passes (lightcone, dead clbits,
-    /// commutation, isolation, backend fit).
+    /// The analyzer. Its lints are well-formedness (with untouched
+    /// qubits), dead gates, dead clbit writes, cancelling pairs,
+    /// isolated qubits, and backend fit.
     pub fn new() -> Self {
-        Analyzer {
-            passes: vec![
-                Box::new(WellFormedness),
-                Box::new(DeadCode),
-                Box::new(Redundancy),
-                Box::new(Lightcone),
-                Box::new(DeadClbit),
-                Box::new(Commutation),
-                Box::new(Isolation),
-                Box::new(BackendFit),
-            ],
-        }
+        Analyzer
     }
 
-    /// An analyzer with no passes; add them with [`Analyzer::with_pass`].
-    pub fn empty() -> Self {
-        Analyzer { passes: Vec::new() }
-    }
-
-    /// Appends a pass (builder-style).
-    #[must_use]
-    pub fn with_pass(mut self, pass: Box<dyn Pass>) -> Self {
-        self.passes.push(pass);
-        self
-    }
-
-    /// The names of the registered passes, in run order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
-    }
-
-    /// Runs every pass over `circuit` and collects the findings.
+    /// Computes the circuit's [`CircuitFacts`] once, runs every lint
+    /// over them, and collects the findings.
     pub fn analyze(&self, circuit: &Circuit) -> AnalysisReport {
-        let mut diagnostics: Vec<Diagnostic> =
-            self.passes.iter().flat_map(|p| p.run(circuit)).collect();
+        let facts = circuit_facts(circuit);
+        let dispatch = plan_dispatch(&facts);
+        let mut diagnostics = wellformed::well_formedness(circuit);
+        diagnostics.extend(passes::dead_gates(circuit, &facts));
+        diagnostics.extend(passes::dead_clbit_writes(circuit));
+        diagnostics.extend(passes::cancelling_pairs(circuit));
+        diagnostics.extend(passes::isolated_qubits(circuit, &facts));
+        diagnostics.extend(passes::backend_fit(&facts, &dispatch));
         diagnostics.sort_by(|a, b| {
             // Circuit-level findings (no index) sort after instruction
             // findings; ties break on code for stable output.
@@ -343,13 +307,12 @@ impl Analyzer {
             let kb = (b.instruction_index.is_none(), b.instruction_index, b.code);
             ka.cmp(&kb)
         });
-        let facts = circuit_facts(circuit);
         let dataflow = DataflowSummary {
             cut_width: facts.interaction.cut_width,
             clifford_regions: facts.regions.len(),
             dead_gates: facts.dead_gates,
             non_clifford_gates: facts.non_clifford_gates,
-            dispatch: plan_dispatch(&facts),
+            dispatch,
         };
         AnalysisReport {
             diagnostics,
@@ -474,5 +437,184 @@ mod tests {
         let mut sorted = indices.clone();
         sorted.sort_by_key(|i| (i.is_none(), *i));
         assert_eq!(indices, sorted);
+    }
+}
+
+/// The dead-code cases (`QDT101`, `QDT102`), asserted through the
+/// lightcone and well-formedness lints that now emit them.
+#[cfg(test)]
+mod deadcode {
+    mod tests {
+        use crate::{circuit_facts, passes, wellformed, Analyzer, Code, Diagnostic};
+        use qdt_circuit::{Circuit, Gate, Instruction, OpKind};
+
+        fn dead_code(qc: &Circuit) -> Vec<Diagnostic> {
+            let mut diags = passes::dead_gates(qc, &circuit_facts(qc));
+            diags.extend(wellformed::well_formedness(qc));
+            diags
+        }
+
+        #[test]
+        fn gate_after_final_measure_is_dead() {
+            let mut qc = Circuit::with_clbits(2, 2);
+            qc.h(0).measure(0, 0).x(0).measure(1, 1);
+            let diags = dead_code(&qc);
+            assert_eq!(diags.len(), 1);
+            assert_eq!(diags[0].code, Code::GateAfterMeasure);
+            assert_eq!(diags[0].instruction_index, Some(2));
+        }
+
+        #[test]
+        fn mid_circuit_measure_is_not_dead() {
+            let mut qc = Circuit::with_clbits(1, 2);
+            qc.h(0).measure(0, 0).x(0).measure(0, 1);
+            assert!(dead_code(&qc).is_empty());
+        }
+
+        #[test]
+        fn reset_revives_a_measured_qubit() {
+            // The reset revives q0, so x(0) is not after its final
+            // measurement; measured by nothing, it is QDT401 instead.
+            let mut qc = Circuit::with_clbits(1, 1);
+            qc.h(0).measure(0, 0).reset(0).x(0);
+            let diags = dead_code(&qc);
+            assert_eq!(diags.len(), 1, "{diags:?}");
+            assert_eq!(diags[0].code, Code::OutsideLightcone);
+            assert_eq!(diags[0].instruction_index, Some(3));
+        }
+
+        #[test]
+        fn conditioned_gate_feeding_a_measurement_is_not_dead() {
+            // measure(0)->c0 writes c0; the conditioned X on q1 reads it
+            // and feeds the final measurement of q1: live on every
+            // account.
+            let mut qc = Circuit::with_clbits(2, 2);
+            qc.h(0).measure(0, 0);
+            qc.push_unchecked(
+                Instruction::new(OpKind::Unitary {
+                    gate: Gate::X,
+                    target: 1,
+                    controls: vec![],
+                })
+                .with_cond(0, true),
+            );
+            qc.measure(1, 1);
+            assert!(dead_code(&qc).is_empty());
+            let report = Analyzer::new().analyze(&qc);
+            assert_eq!(report.with_code(Code::GateAfterMeasure).count(), 0);
+            assert_eq!(report.with_code(Code::OutsideLightcone).count(), 0);
+        }
+
+        #[test]
+        fn conditioned_gate_after_final_measure_is_still_dead() {
+            // The condition does not shield a gate acting after its
+            // qubit's final measurement.
+            let mut qc = Circuit::with_clbits(1, 1);
+            qc.h(0).measure(0, 0);
+            qc.push_unchecked(
+                Instruction::new(OpKind::Unitary {
+                    gate: Gate::X,
+                    target: 0,
+                    controls: vec![],
+                })
+                .with_cond(0, true),
+            );
+            let diags = dead_code(&qc);
+            assert_eq!(diags.len(), 1, "{diags:?}");
+            assert_eq!(diags[0].code, Code::GateAfterMeasure);
+        }
+
+        #[test]
+        fn untouched_qubit_is_reported() {
+            let mut qc = Circuit::new(3);
+            qc.h(0).cx(0, 2);
+            let diags = dead_code(&qc);
+            assert_eq!(diags.len(), 1);
+            assert_eq!(diags[0].code, Code::UntouchedQubit);
+            assert!(diags[0].message.contains("qubit 1"));
+            assert_eq!(diags[0].instruction_index, None);
+        }
+    }
+}
+
+/// The adjacent-pair cases (`QDT201`), asserted through the
+/// cancellation scan that now emits them.
+#[cfg(test)]
+mod redundancy {
+    mod tests {
+        use crate::passes::cancelling_pairs;
+        use crate::{Code, Diagnostic};
+        use qdt_circuit::Circuit;
+
+        fn redundant_pairs(qc: &Circuit) -> Vec<Diagnostic> {
+            let diags = cancelling_pairs(qc);
+            assert!(
+                diags.iter().all(|d| d.code == Code::RedundantPair),
+                "{diags:?}"
+            );
+            diags
+        }
+
+        #[test]
+        fn h_h_is_redundant() {
+            let mut qc = Circuit::new(1);
+            qc.h(0).h(0);
+            let diags = redundant_pairs(&qc);
+            assert_eq!(diags.len(), 1);
+            assert_eq!(diags[0].instruction_index, Some(1));
+        }
+
+        #[test]
+        fn cx_cx_is_redundant() {
+            let mut qc = Circuit::new(2);
+            qc.cx(0, 1).cx(0, 1);
+            assert_eq!(redundant_pairs(&qc).len(), 1);
+        }
+
+        #[test]
+        fn s_sdg_is_redundant() {
+            let mut qc = Circuit::new(1);
+            qc.s(0).sdg(0);
+            assert_eq!(redundant_pairs(&qc).len(), 1);
+        }
+
+        #[test]
+        fn swap_swap_is_redundant() {
+            let mut qc = Circuit::new(2);
+            qc.swap(0, 1).swap(0, 1);
+            assert_eq!(redundant_pairs(&qc).len(), 1);
+        }
+
+        #[test]
+        fn intervening_gate_blocks_the_pair() {
+            let mut qc = Circuit::new(1);
+            qc.h(0).x(0).h(0);
+            assert!(redundant_pairs(&qc).is_empty());
+        }
+
+        #[test]
+        fn different_footprints_do_not_cancel() {
+            let mut qc = Circuit::new(3);
+            qc.cx(0, 1).cx(0, 2);
+            assert!(redundant_pairs(&qc).is_empty());
+        }
+
+        #[test]
+        fn spectator_qubit_does_not_block() {
+            // A gate on an unrelated qubit between the pair leaves it
+            // adjacent on its own qubits.
+            let mut qc = Circuit::new(2);
+            qc.h(0).x(1).h(0);
+            assert_eq!(redundant_pairs(&qc).len(), 1);
+        }
+
+        #[test]
+        fn conditioned_gates_never_cancel() {
+            let mut qc = Circuit::with_clbits(1, 1);
+            qc.h(0).measure(0, 0).h(0).c_if(0, true);
+            // The second H is conditioned: not a static pair with
+            // anything.
+            assert!(redundant_pairs(&qc).is_empty());
+        }
     }
 }

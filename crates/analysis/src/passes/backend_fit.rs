@@ -9,47 +9,42 @@
 //! model — its stabilizer arm is feasible exactly when this lint
 //! fires — so the diagnostic names the spec `auto` would dispatch to.
 
-use qdt_circuit::Circuit;
-
-use crate::cost::{circuit_facts, clifford_only_and_wide, plan_dispatch, QDT404_WIDTH_THRESHOLD};
-use crate::{Code, Diagnostic, Pass};
+use crate::cost::{clifford_only_and_wide, QDT404_WIDTH_THRESHOLD};
+use crate::{CircuitFacts, Code, Diagnostic, DispatchDecision};
 
 /// Flags wide Clifford-only circuits for which exponential-cost
-/// backends are predicted overkill (`QDT404`).
-pub struct BackendFit;
-
-impl Pass for BackendFit {
-    fn name(&self) -> &'static str {
-        "backend-fit"
+/// backends are predicted overkill (`QDT404`); `decision` is the cost
+/// model's verdict on the same facts.
+pub(crate) fn backend_fit(facts: &CircuitFacts, decision: &DispatchDecision) -> Vec<Diagnostic> {
+    if !clifford_only_and_wide(facts) {
+        return Vec::new();
     }
-
-    fn run(&self, circuit: &Circuit) -> Vec<Diagnostic> {
-        let facts = circuit_facts(circuit);
-        if !clifford_only_and_wide(&facts) {
-            return Vec::new();
-        }
-        let decision = plan_dispatch(&facts);
-        vec![Diagnostic::new(
-            Code::CliffordOnlyExponential,
-            None,
-            format!(
-                "the circuit is Clifford-only on {} qubits (> {QDT404_WIDTH_THRESHOLD}): \
-                 an exponential dense backend is overkill; use the `stabilizer` tableau \
-                 engine (the cost model picks `{}`)",
-                facts.resources.num_qubits, decision.chosen
-            ),
-        )]
-    }
+    vec![Diagnostic::new(
+        Code::CliffordOnlyExponential,
+        None,
+        format!(
+            "the circuit is Clifford-only on {} qubits (> {QDT404_WIDTH_THRESHOLD}): \
+             an exponential dense backend is overkill; use the `stabilizer` tableau \
+             engine (the cost model picks `{}`)",
+            facts.resources.num_qubits, decision.chosen
+        ),
+    )]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qdt_circuit::generators;
+    use crate::{circuit_facts, plan_dispatch};
+    use qdt_circuit::{generators, Circuit};
+
+    fn lint(qc: &Circuit) -> Vec<Diagnostic> {
+        let facts = circuit_facts(qc);
+        backend_fit(&facts, &plan_dispatch(&facts))
+    }
 
     #[test]
     fn wide_clifford_circuit_is_flagged() {
-        let diags = BackendFit.run(&generators::ghz(24));
+        let diags = lint(&generators::ghz(24));
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, Code::CliffordOnlyExponential);
         assert!(
@@ -66,18 +61,18 @@ mod tests {
 
     #[test]
     fn narrow_clifford_circuit_is_not_flagged() {
-        assert!(BackendFit.run(&generators::ghz(8)).is_empty());
+        assert!(lint(&generators::ghz(8)).is_empty());
     }
 
     #[test]
     fn wide_non_clifford_circuit_is_not_flagged() {
         let mut qc = generators::ghz(24);
         qc.t(0);
-        assert!(BackendFit.run(&qc).is_empty());
+        assert!(lint(&qc).is_empty());
     }
 
     #[test]
     fn empty_circuit_is_not_flagged() {
-        assert!(BackendFit.run(&Circuit::new(32)).is_empty());
+        assert!(lint(&Circuit::new(32)).is_empty());
     }
 }

@@ -15,10 +15,10 @@
 
 use qdt_circuit::{Circuit, OpKind};
 
-use crate::{Code, Diagnostic, Pass};
+use crate::{Code, Diagnostic};
 
-/// The `QDT405` pass: flags measurements whose classical result is
-/// overwritten before any conditioned instruction reads it.
+/// Flags measurements whose classical result is overwritten before any
+/// conditioned instruction reads it (`QDT405`).
 ///
 /// # Example
 ///
@@ -36,50 +36,41 @@ use crate::{Code, Diagnostic, Pass};
 ///     .iter()
 ///     .any(|d| d.code == Code::DeadClbitWrite));
 /// ```
-pub struct DeadClbit;
-
-impl Pass for DeadClbit {
-    fn name(&self) -> &'static str {
-        "dead-clbit"
-    }
-
-    fn run(&self, circuit: &Circuit) -> Vec<Diagnostic> {
-        // Per clbit: the index of the last measurement writing it, and
-        // whether any condition has read that value since.
-        let mut pending: Vec<Option<(usize, bool)>> = vec![None; circuit.num_clbits()];
-        let mut diags = Vec::new();
-        for (i, inst) in circuit.instructions().iter().enumerate() {
-            if let Some(cond) = inst.cond {
-                if let Some(entry) = pending.get_mut(cond.clbit).and_then(Option::as_mut) {
-                    entry.1 = true;
-                }
+pub(crate) fn dead_clbit_writes(circuit: &Circuit) -> Vec<Diagnostic> {
+    // Per clbit: the index of the last measurement writing it, and
+    // whether any condition has read that value since.
+    let mut pending: Vec<Option<(usize, bool)>> = vec![None; circuit.num_clbits()];
+    let mut diags = Vec::new();
+    for (i, inst) in circuit.instructions().iter().enumerate() {
+        if let Some(cond) = inst.cond {
+            if let Some(entry) = pending.get_mut(cond.clbit).and_then(Option::as_mut) {
+                entry.1 = true;
             }
-            if let OpKind::Measure { qubit, clbit } = inst.kind {
-                if clbit < pending.len() {
-                    if let Some((def, read)) = pending[clbit].replace((i, false)) {
-                        if !read {
-                            diags.push(Diagnostic::new(
-                                Code::DeadClbitWrite,
-                                Some(def),
-                                format!(
-                                    "measurement into clbit {clbit} is overwritten at \
-                                     instruction {i} before any condition reads it \
-                                     (qubit {qubit} is collapsed for an unused value)"
-                                ),
-                            ));
-                        }
+        }
+        if let OpKind::Measure { qubit, clbit } = inst.kind {
+            if clbit < pending.len() {
+                if let Some((def, read)) = pending[clbit].replace((i, false)) {
+                    if !read {
+                        diags.push(Diagnostic::new(
+                            Code::DeadClbitWrite,
+                            Some(def),
+                            format!(
+                                "measurement into clbit {clbit} is overwritten at \
+                                 instruction {i} before any condition reads it \
+                                 (qubit {qubit} is collapsed for an unused value)"
+                            ),
+                        ));
                     }
                 }
             }
         }
-        diags
     }
+    diags
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qdt_circuit::Circuit;
 
     #[test]
     fn unread_overwritten_measurement_is_flagged() {
@@ -88,7 +79,7 @@ mod tests {
         qc.measure(0, 0);
         qc.h(1);
         qc.measure(1, 0);
-        let diags = DeadClbit.run(&qc);
+        let diags = dead_clbit_writes(&qc);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, Code::DeadClbitWrite);
         assert_eq!(diags[0].instruction_index, Some(1));
@@ -104,7 +95,7 @@ mod tests {
         qc.x(1).c_if(0, true);
         qc.h(0);
         qc.measure(0, 0);
-        assert!(DeadClbit.run(&qc).is_empty());
+        assert!(dead_clbit_writes(&qc).is_empty());
     }
 
     #[test]
@@ -112,7 +103,7 @@ mod tests {
         let mut qc = Circuit::with_clbits(1, 1);
         qc.h(0);
         qc.measure(0, 0);
-        assert!(DeadClbit.run(&qc).is_empty());
+        assert!(dead_clbit_writes(&qc).is_empty());
     }
 
     #[test]
@@ -121,6 +112,6 @@ mod tests {
         qc.h(0).h(1);
         qc.measure(0, 0);
         qc.measure(1, 1);
-        assert!(DeadClbit.run(&qc).is_empty());
+        assert!(dead_clbit_writes(&qc).is_empty());
     }
 }

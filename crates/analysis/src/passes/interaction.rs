@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use qdt_circuit::{Circuit, OpKind};
 
-use crate::{Code, Diagnostic, Pass};
+use crate::{CircuitFacts, Code, Diagnostic};
 
 /// The interaction graph and its derived dataflow facts.
 #[derive(Debug, Clone)]
@@ -150,51 +150,48 @@ fn greedy_order(nq: usize, edges: &BTreeMap<(usize, usize), usize>) -> Vec<usize
 /// Flags qubits that gates touch but that can never be entangled with
 /// any measured qubit (`QDT403`). Silent on circuits without
 /// measurements.
-pub struct Isolation;
-
-impl Pass for Isolation {
-    fn name(&self) -> &'static str {
-        "isolation"
+pub(crate) fn isolated_qubits(circuit: &Circuit, facts: &CircuitFacts) -> Vec<Diagnostic> {
+    let nq = circuit.num_qubits();
+    let mut measured = BTreeSet::new();
+    for inst in circuit.iter() {
+        if let OpKind::Measure { qubit, .. } = inst.kind {
+            if qubit < nq {
+                measured.insert(qubit);
+            }
+        }
     }
-
-    fn run(&self, circuit: &Circuit) -> Vec<Diagnostic> {
-        let nq = circuit.num_qubits();
-        let mut measured = BTreeSet::new();
-        for inst in circuit.iter() {
-            if let OpKind::Measure { qubit, .. } = inst.kind {
-                if qubit < nq {
-                    measured.insert(qubit);
-                }
-            }
-        }
-        if measured.is_empty() {
-            return Vec::new();
-        }
-        let facts = interaction_facts(circuit);
-        let mut out = Vec::new();
-        for q in 0..nq {
-            if !facts.touched[q] || measured.contains(&q) {
-                continue;
-            }
-            if measured.iter().any(|&m| facts.connected(q, m)) {
-                continue;
-            }
-            out.push(Diagnostic::new(
-                Code::UnentangledQubit,
-                None,
-                format!(
-                    "qubit {q} is touched by gates but never entangled with any \
-                     measured qubit; its state cannot affect an observed outcome"
-                ),
-            ));
-        }
-        out
+    if measured.is_empty() {
+        return Vec::new();
     }
+    let facts = &facts.interaction;
+    let mut out = Vec::new();
+    for q in 0..nq {
+        if !facts.touched[q] || measured.contains(&q) {
+            continue;
+        }
+        if measured.iter().any(|&m| facts.connected(q, m)) {
+            continue;
+        }
+        out.push(Diagnostic::new(
+            Code::UnentangledQubit,
+            None,
+            format!(
+                "qubit {q} is touched by gates but never entangled with any \
+                 measured qubit; its state cannot affect an observed outcome"
+            ),
+        ));
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit_facts;
+
+    fn lint(qc: &Circuit) -> Vec<Diagnostic> {
+        isolated_qubits(qc, &circuit_facts(qc))
+    }
     use qdt_circuit::generators;
 
     #[test]
@@ -228,7 +225,7 @@ mod tests {
     fn unentangled_but_touched_qubit_is_flagged() {
         let mut qc = Circuit::with_clbits(3, 1);
         qc.h(0).cx(0, 1).h(2).measure(0, 0);
-        let diags = Isolation.run(&qc);
+        let diags = lint(&qc);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, Code::UnentangledQubit);
         assert!(diags[0].message.contains("qubit 2"));
@@ -238,21 +235,26 @@ mod tests {
     fn entangled_with_measured_set_is_not_flagged() {
         let mut qc = Circuit::with_clbits(2, 1);
         qc.h(0).cx(0, 1).measure(0, 0); // q1 entangled with measured q0
-        assert!(Isolation.run(&qc).is_empty());
+        assert!(lint(&qc).is_empty());
     }
 
     #[test]
     fn no_measurements_means_no_findings() {
         let mut qc = Circuit::new(2);
         qc.h(0).h(1);
-        assert!(Isolation.run(&qc).is_empty());
+        assert!(lint(&qc).is_empty());
     }
 
     #[test]
     fn untouched_qubits_are_not_flagged_here() {
-        // QDT102's territory: q1 is untouched, not "unentangled".
+        // q1 is untouched, not "unentangled": the well-formedness lint
+        // reports it as QDT102, this one stays silent.
         let mut qc = Circuit::with_clbits(2, 1);
         qc.h(0).measure(0, 0);
-        assert!(Isolation.run(&qc).is_empty());
+        assert!(lint(&qc).is_empty());
+        let diags = crate::wellformed::well_formedness(&qc);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code, Code::UntouchedQubit);
+        assert!(diags[0].message.contains("qubit 1"));
     }
 }

@@ -1,9 +1,10 @@
-//! Backward lightcone / qubit-liveness from measurements (`QDT401`).
+//! Backward lightcone / qubit-liveness from measurements, and the
+//! dead-gate lints built on it (`QDT101`, `QDT401`).
 //!
 //! An instruction is *live* when some chain of dependence edges leads
 //! from it to a measurement: its effect can reach an observed outcome.
-//! The analysis runs backward over the def-use DAG with two wrinkles
-//! the peephole dead-code pass cannot see:
+//! The analysis runs backward over the def-use DAG with two wrinkles a
+//! per-wire scan cannot see:
 //!
 //! * **Reset kills** — liveness does not flow backwards through a
 //!   `reset`, which overwrites its qubit regardless of history.
@@ -11,15 +12,20 @@
 //!   measurement that wrote its clbit, so a conditioned gate feeding a
 //!   measurement keeps *that* measurement's whole cone live too.
 //!
+//! A gate outside every lightcone is reported once: as `QDT101` when it
+//! touches a qubit after that qubit's final measurement, as `QDT401`
+//! otherwise. A gate after a final measurement that still feeds another
+//! measurement (`measure q0; cx q0,q1; measure q1`) is live and silent.
+//!
 //! Circuits without any measurement are treated as observed at the end
 //! of every wire (the caller will read amplitudes), so nothing is dead
-//! and the pass stays silent.
+//! and the lint stays silent.
 
 use qdt_circuit::{Circuit, OpKind};
 
 use crate::dag::{CircuitDag, Edge, EdgeKind};
 use crate::dataflow::{solve, Analysis, Direction};
-use crate::{Code, Diagnostic, Pass};
+use crate::{CircuitFacts, Code, Diagnostic};
 
 /// The liveness analysis: `true` = inside some measurement lightcone.
 struct Liveness;
@@ -96,46 +102,13 @@ pub fn lightcone_facts(circuit: &Circuit, dag: &CircuitDag) -> LightconeFacts {
     }
 }
 
-/// Flags unitary instructions outside every measurement lightcone
-/// (`QDT401`). Skips the simpler after-final-measurement cases that the
-/// peephole dead-code pass already reports as `QDT101`.
-pub struct Lightcone;
-
-impl Pass for Lightcone {
-    fn name(&self) -> &'static str {
-        "lightcone"
+/// Flags unitary instructions outside every measurement lightcone:
+/// `QDT101` when the gate acts on a qubit after that qubit's final
+/// measurement (with no reviving reset), `QDT401` otherwise.
+pub(crate) fn dead_gates(circuit: &Circuit, facts: &CircuitFacts) -> Vec<Diagnostic> {
+    if !facts.lightcone.has_measurements {
+        return Vec::new();
     }
-
-    fn run(&self, circuit: &Circuit) -> Vec<Diagnostic> {
-        let dag = CircuitDag::build(circuit);
-        let facts = lightcone_facts(circuit, &dag);
-        if !facts.has_measurements {
-            return Vec::new();
-        }
-        let after_measure = after_final_measure(circuit);
-        let mut out = Vec::new();
-        for (i, inst) in circuit.iter().enumerate() {
-            let is_gate = matches!(inst.kind, OpKind::Unitary { .. } | OpKind::Swap { .. });
-            if !is_gate || facts.live[i] || after_measure[i] {
-                continue;
-            }
-            out.push(Diagnostic::new(
-                Code::OutsideLightcone,
-                Some(i),
-                format!(
-                    "{}: no dependence chain reaches any measurement; \
-                     the gate cannot affect an observed outcome",
-                    inst.name()
-                ),
-            ));
-        }
-        out
-    }
-}
-
-/// Marks instructions the peephole rule already catches: gates on a
-/// qubit strictly after its final measurement (no reviving reset).
-fn after_final_measure(circuit: &Circuit) -> Vec<bool> {
     let nq = circuit.num_qubits();
     let mut final_measure: Vec<Option<usize>> = vec![None; nq];
     for (i, inst) in circuit.iter().enumerate() {
@@ -145,16 +118,43 @@ fn after_final_measure(circuit: &Circuit) -> Vec<bool> {
             }
         }
     }
-    let mut dead = vec![false; nq];
-    let mut out = vec![false; circuit.len()];
+    // Qubits past their final measurement; a reset revives one.
+    let mut measured_out = vec![false; nq];
+    let mut out = Vec::new();
     for (i, inst) in circuit.iter().enumerate() {
         match inst.kind {
             OpKind::Measure { qubit, .. } if qubit < nq && final_measure[qubit] == Some(i) => {
-                dead[qubit] = true;
+                measured_out[qubit] = true;
             }
-            OpKind::Reset { qubit } if qubit < nq => dead[qubit] = false,
-            OpKind::Unitary { .. } | OpKind::Swap { .. } => {
-                out[i] = inst.qubits().iter().any(|&q| q < nq && dead[q]);
+            OpKind::Reset { qubit } if qubit < nq => measured_out[qubit] = false,
+            OpKind::Unitary { .. } | OpKind::Swap { .. } if !facts.lightcone.live[i] => {
+                let after: Vec<usize> = inst
+                    .qubits()
+                    .into_iter()
+                    .filter(|&q| q < nq && measured_out[q])
+                    .collect();
+                out.push(if after.is_empty() {
+                    Diagnostic::new(
+                        Code::OutsideLightcone,
+                        Some(i),
+                        format!(
+                            "{}: no dependence chain reaches any measurement; \
+                             the gate cannot affect an observed outcome",
+                            inst.name()
+                        ),
+                    )
+                } else {
+                    Diagnostic::new(
+                        Code::GateAfterMeasure,
+                        Some(i),
+                        format!(
+                            "{}: acts on qubit{} {after:?} after the final measurement; \
+                             it cannot affect any outcome",
+                            inst.name(),
+                            if after.len() == 1 { "" } else { "s" },
+                        ),
+                    )
+                });
             }
             _ => {}
         }
@@ -165,12 +165,17 @@ fn after_final_measure(circuit: &Circuit) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit_facts;
+
+    fn lint(qc: &Circuit) -> Vec<Diagnostic> {
+        dead_gates(qc, &circuit_facts(qc))
+    }
 
     #[test]
     fn gate_on_unmeasured_wire_is_outside_the_lightcone() {
         let mut qc = Circuit::with_clbits(2, 1);
         qc.h(0).h(1).measure(0, 0);
-        let diags = Lightcone.run(&qc);
+        let diags = lint(&qc);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, Code::OutsideLightcone);
         assert_eq!(diags[0].instruction_index, Some(1));
@@ -182,14 +187,14 @@ mod tests {
         // even though q1 itself is never measured.
         let mut qc = Circuit::with_clbits(2, 1);
         qc.h(1).cx(1, 0).measure(0, 0);
-        assert!(Lightcone.run(&qc).is_empty());
+        assert!(lint(&qc).is_empty());
     }
 
     #[test]
     fn reset_cuts_the_cone() {
         let mut qc = Circuit::with_clbits(1, 1);
         qc.h(0).reset(0).x(0).measure(0, 0);
-        let diags = Lightcone.run(&qc);
+        let diags = lint(&qc);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].instruction_index, Some(0), "the pre-reset H");
     }
@@ -202,7 +207,7 @@ mod tests {
         qc.h(0).measure(0, 0);
         qc.x(1).c_if(0, true);
         qc.measure(1, 1);
-        assert!(Lightcone.run(&qc).is_empty());
+        assert!(lint(&qc).is_empty());
     }
 
     #[test]
@@ -210,7 +215,7 @@ mod tests {
         let mut qc = Circuit::with_clbits(2, 2);
         qc.h(0).measure(0, 0);
         qc.x(1).c_if(0, true); // q1 is never observed afterwards
-        let diags = Lightcone.run(&qc);
+        let diags = lint(&qc);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].instruction_index, Some(2));
     }
@@ -219,17 +224,32 @@ mod tests {
     fn no_measurements_means_no_findings() {
         let mut qc = Circuit::new(2);
         qc.h(0).x(1);
-        assert!(Lightcone.run(&qc).is_empty());
+        assert!(lint(&qc).is_empty());
         let dag = CircuitDag::build(&qc);
         assert_eq!(lightcone_facts(&qc, &dag).dead_gates(&qc), 0);
     }
 
     #[test]
     fn after_measure_cases_are_left_to_the_peephole_pass() {
-        // x(0) after q0's final measurement: QDT101 territory, so the
-        // lightcone pass stays silent about it.
+        // x(0) after q0's final measurement is dead: reported once, as
+        // QDT101 rather than QDT401.
         let mut qc = Circuit::with_clbits(1, 1);
         qc.h(0).measure(0, 0).x(0);
-        assert!(Lightcone.run(&qc).is_empty());
+        let diags = lint(&qc);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code, Code::GateAfterMeasure);
+        assert_eq!(diags[0].instruction_index, Some(2));
+    }
+
+    #[test]
+    fn gates_after_a_final_measurement_that_feed_another_are_live() {
+        // x(0) and cx(0,1) act on q0 after its final measurement, but
+        // both feed the measurement of q1.
+        let mut qc = Circuit::with_clbits(2, 2);
+        qc.h(0).measure(0, 0).x(0).cx(0, 1).measure(1, 1);
+        assert!(lint(&qc).is_empty());
+        let report = crate::Analyzer::new().analyze(&qc);
+        assert_eq!(report.with_code(Code::GateAfterMeasure).count(), 0);
+        assert_eq!(report.with_code(Code::OutsideLightcone).count(), 0);
     }
 }

@@ -1,30 +1,13 @@
 //! Text and JSON rendering of an [`AnalysisReport`].
 //!
 //! The JSON writer is hand-rolled (the workspace builds offline, without
-//! serde); the escape rules cover everything the diagnostics emit.
+//! serde); strings go through `qdt_telemetry::json::escape`.
 
 use std::fmt::Write as _;
 
-use crate::AnalysisReport;
+use qdt_telemetry::json;
 
-/// Escapes a string for inclusion in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use crate::AnalysisReport;
 
 /// Renders a report as human-readable text, one finding per line,
 /// followed by the resource summary.
@@ -99,7 +82,7 @@ pub fn render_text(name: &str, report: &AnalysisReport) -> String {
 pub fn render_json(name: &str, report: &AnalysisReport) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    let _ = writeln!(out, "  \"name\": \"{}\",", json_escape(name));
+    let _ = writeln!(out, "  \"name\": \"{}\",", json::escape(name));
     out.push_str("  \"diagnostics\": [\n");
     for (i, d) in report.diagnostics.iter().enumerate() {
         let idx = match d.instruction_index {
@@ -112,7 +95,7 @@ pub fn render_json(name: &str, report: &AnalysisReport) -> String {
              \"instruction_index\": {idx}, \"message\": \"{}\"}}",
             d.code.as_str(),
             d.severity.label(),
-            json_escape(&d.message)
+            json::escape(&d.message)
         );
         out.push_str(if i + 1 < report.diagnostics.len() {
             ",\n"
@@ -139,7 +122,7 @@ pub fn render_json(name: &str, report: &AnalysisReport) -> String {
     let counts: Vec<String> = r
         .gate_counts
         .iter()
-        .map(|(g, c)| format!("\"{}\": {c}", json_escape(g)))
+        .map(|(g, c)| format!("\"{}\": {c}", json::escape(g)))
         .collect();
     out.push_str(&counts.join(", "));
     out.push_str("}\n  },\n");
@@ -156,14 +139,14 @@ pub fn render_json(name: &str, report: &AnalysisReport) -> String {
     let _ = writeln!(
         out,
         "    \"auto_dispatch\": \"{}\",",
-        json_escape(&df.dispatch.chosen)
+        json::escape(&df.dispatch.chosen)
     );
     out.push_str("    \"cost_estimates\": [\n");
     for (i, e) in df.dispatch.estimates.iter().enumerate() {
         let _ = write!(
             out,
             "      {{\"spec\": \"{}\", \"cost\": {:.6e}, \"feasible\": {}}}",
-            json_escape(&e.spec),
+            json::escape(&e.spec),
             e.cost,
             e.feasible
         );
@@ -213,10 +196,5 @@ mod tests {
             json.matches(']').count(),
             "{json}"
         );
-    }
-
-    #[test]
-    fn json_escapes_control_characters() {
-        assert_eq!(super::json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 }

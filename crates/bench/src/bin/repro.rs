@@ -25,6 +25,7 @@ use qdt::compile::target::GateSet;
 use qdt::complex::Complex;
 use qdt::dd::DdPackage;
 use qdt::engine::run;
+use qdt::telemetry::json::JsonValue;
 use qdt::tensor::mps::Mps;
 use qdt::tensor::{ContractionPlan, PlanKind, TensorNetwork};
 use qdt::verify::{check, verify_compilation_traced, Method};
@@ -233,7 +234,7 @@ fn engines(backends: &[String]) {
                 fam.name(),
                 profile.num_qubits,
                 profile.gates_applied,
-                spec_threads(b),
+                spec_threads(b, e.as_ref()),
                 profile.metric_name,
                 profile.peak_metric,
                 profile.peak_gate_index,
@@ -376,27 +377,13 @@ fn auto_dispatch() {
 
 /// The kernel thread count a spec runs with: an explicit `threads=N`
 /// key, else the `QDT_THREADS` environment default — shown only for
-/// the dense engines that have chunked parallel kernels.
-fn spec_threads(spec: &str) -> String {
-    let Ok(parsed) = qdt::engine::parse_spec(spec) else {
-        return "-".into();
-    };
-    if !matches!(
-        parsed.name.as_str(),
-        "array"
-            | "arrays"
-            | "statevector"
-            | "sv"
-            | "density"
-            | "density-matrix"
-            | "dm"
-            | "stabilizer"
-            | "tableau"
-            | "chp"
-    ) {
+/// the dense engines that have chunked parallel kernels. `engine` is
+/// the engine the spec built, so aliases resolve through the registry.
+fn spec_threads(spec: &str, engine: &dyn qdt::SimulationEngine) -> String {
+    if !matches!(engine.name(), "array" | "density" | "stabilizer") {
         return "-".into();
     }
-    match parsed.usize_of(&["threads"]) {
+    match qdt::engine::parse_spec(spec).and_then(|parsed| parsed.usize_of(&["threads"])) {
         Ok(Some(t)) => t.to_string(),
         Ok(None) => qdt::parallel::default_threads().to_string(),
         Err(_) => "-".into(),
@@ -631,18 +618,30 @@ fn stabilizer_scaling(snapshot_path: Option<&str>) {
     }
 
     if let Some(path) = snapshot_path {
-        // Deterministic integers only — timings stay out so the file
-        // diffs cleanly across machines.
-        let json = format!(
-            "{{\n  \"ghz\": {{\n    \"qubits\": {GHZ_QUBITS},\n    \"shots\": {GHZ_SHOTS},\n    \
-             \"seed\": {GHZ_SEED},\n    \"tableau_words\": {words},\n    \
-             \"all_zeros\": {n_zeros},\n    \"all_ones\": {n_ones}\n  }},\n  \
-             \"repetition_code\": {{\n    \"distance\": {CODE_DISTANCE},\n    \
-             \"rounds\": {CODE_ROUNDS},\n    \"shots\": {CODE_SHOTS},\n    \
-             \"seed\": {CODE_SEED},\n    \"zero_syndromes\": {zero_syndrome}\n  }}\n}}\n"
-        );
-        std::fs::write(path, json).expect("snapshot file writes");
-        println!("\nsnapshot -> {path}");
+        let doc = JsonValue::Object(vec![
+            (
+                "ghz".into(),
+                int_object(&[
+                    ("qubits", GHZ_QUBITS as u64),
+                    ("shots", GHZ_SHOTS as u64),
+                    ("seed", GHZ_SEED),
+                    ("tableau_words", words as u64),
+                    ("all_zeros", n_zeros as u64),
+                    ("all_ones", n_ones as u64),
+                ]),
+            ),
+            (
+                "repetition_code".into(),
+                int_object(&[
+                    ("distance", CODE_DISTANCE as u64),
+                    ("rounds", CODE_ROUNDS as u64),
+                    ("shots", CODE_SHOTS as u64),
+                    ("seed", CODE_SEED),
+                    ("zero_syndromes", zero_syndrome as u64),
+                ]),
+            ),
+        ]);
+        write_snapshot(path, &doc);
     }
     println!("(exponential backends stop near 30 qubits; the tableau holds the");
     println!(" same GHZ state in {words} machine words and samples it exactly)");
@@ -755,11 +754,14 @@ fn kernel_fusion(snapshot_path: Option<&str>) {
         );
         rows.push((
             name.replace('-', "_"),
-            qc.num_qubits(),
-            gates,
-            groups,
-            width.sum as u64,
-            width.max as u64,
+            int_object(&[
+                ("qubits", qc.num_qubits() as u64),
+                ("gates", gates as u64),
+                ("fuse_width", FUSE_WIDTH as u64),
+                ("fused_groups", groups),
+                ("width_sum", width.sum as u64),
+                ("width_max", width.max as u64),
+            ]),
         ));
     }
 
@@ -772,23 +774,28 @@ fn kernel_fusion(snapshot_path: Option<&str>) {
     );
 
     if let Some(path) = snapshot_path {
-        // Deterministic integers only — timings stay out so the file
-        // diffs cleanly across machines.
-        let mut json = String::from("{\n");
-        for (i, (name, qubits, gates, groups, width_sum, width_max)) in rows.iter().enumerate() {
-            json.push_str(&format!(
-                "  \"{name}\": {{\n    \"qubits\": {qubits},\n    \"gates\": {gates},\n    \
-                 \"fuse_width\": {FUSE_WIDTH},\n    \"fused_groups\": {groups},\n    \
-                 \"width_sum\": {width_sum},\n    \"width_max\": {width_max}\n  }}{}\n",
-                if i + 1 < rows.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("}\n");
-        std::fs::write(path, json).expect("snapshot file writes");
-        println!("\nsnapshot -> {path}");
+        write_snapshot(path, &JsonValue::Object(rows));
     }
     println!("(each fused group is one strided pass over the state; the group");
     println!(" count and width histogram are pure functions of the circuit)");
+}
+
+/// A JSON object of integer fields, in the given order.
+fn int_object(fields: &[(&str, u64)]) -> JsonValue {
+    JsonValue::Object(
+        fields
+            .iter()
+            .map(|&(key, value)| (key.to_string(), JsonValue::Number(value as f64)))
+            .collect(),
+    )
+}
+
+/// Writes a snapshot for `qdt-bench-diff`. Snapshots hold deterministic
+/// integers only — timings stay out so the file diffs cleanly across
+/// machines.
+fn write_snapshot(path: &str, doc: &JsonValue) {
+    std::fs::write(path, format!("{doc}\n")).expect("snapshot file writes");
+    println!("\nsnapshot -> {path}");
 }
 
 /// Telemetry: one traced run end-to-end — spans from the engine

@@ -422,4 +422,10 @@ mod tests {
         assert_eq!(format_number(0.5), "0.5");
         assert_eq!(format_number(f64::NAN), "0");
     }
+
+    #[test]
+    fn json_escapes_control_characters() {
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}\t"), "\\u0001\\t");
+    }
 }
