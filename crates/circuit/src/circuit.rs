@@ -199,6 +199,38 @@ impl Instruction {
         }
     }
 
+    /// This instruction with every qubit index `q` replaced by `f(q)`
+    /// (classical bits and the condition are kept).
+    #[must_use]
+    pub fn remapped(&self, f: impl Fn(usize) -> usize) -> Instruction {
+        let kind = match &self.kind {
+            OpKind::Unitary {
+                gate,
+                target,
+                controls,
+            } => OpKind::Unitary {
+                gate: *gate,
+                target: f(*target),
+                controls: controls.iter().map(|&c| f(c)).collect(),
+            },
+            OpKind::Swap { a, b, controls } => OpKind::Swap {
+                a: f(*a),
+                b: f(*b),
+                controls: controls.iter().map(|&c| f(c)).collect(),
+            },
+            OpKind::Measure { qubit, clbit } => OpKind::Measure {
+                qubit: f(*qubit),
+                clbit: *clbit,
+            },
+            OpKind::Reset { qubit } => OpKind::Reset { qubit: f(*qubit) },
+            OpKind::Barrier(qs) => OpKind::Barrier(qs.iter().map(|&q| f(q)).collect()),
+        };
+        Instruction {
+            kind,
+            cond: self.cond,
+        }
+    }
+
     /// Returns `true` for unitary operations (gates and swaps).
     ///
     /// A classically conditioned gate is *not* unitary as a map on the
@@ -770,28 +802,16 @@ impl Circuit {
                     op: format!("conditioned {}", inst.name()),
                 });
             }
-            let kind = match &inst.kind {
-                OpKind::Unitary {
-                    gate,
-                    target,
-                    controls,
-                } => OpKind::Unitary {
-                    gate: gate.inverse(),
-                    target: *target,
-                    controls: controls.clone(),
-                },
-                OpKind::Swap { a, b, controls } => OpKind::Swap {
-                    a: *a,
-                    b: *b,
-                    controls: controls.clone(),
-                },
-                OpKind::Barrier(qs) => OpKind::Barrier(qs.clone()),
+            let mut kind = inst.kind.clone();
+            match &mut kind {
+                OpKind::Unitary { gate, .. } => *gate = gate.inverse(),
+                OpKind::Swap { .. } | OpKind::Barrier(_) => {}
                 other => {
                     return Err(CircuitError::NotInvertible {
                         op: format!("{other:?}"),
                     })
                 }
-            };
+            }
             inv.instructions.push(Instruction::new(kind));
         }
         Ok(inv)
@@ -824,34 +844,7 @@ impl Circuit {
             p
         };
         let mut qc = Circuit::with_clbits(new_width, self.num_clbits);
-        for inst in &self.instructions {
-            let kind = match &inst.kind {
-                OpKind::Unitary {
-                    gate,
-                    target,
-                    controls,
-                } => OpKind::Unitary {
-                    gate: *gate,
-                    target: m(*target),
-                    controls: controls.iter().map(|&c| m(c)).collect(),
-                },
-                OpKind::Swap { a, b, controls } => OpKind::Swap {
-                    a: m(*a),
-                    b: m(*b),
-                    controls: controls.iter().map(|&c| m(c)).collect(),
-                },
-                OpKind::Measure { qubit, clbit } => OpKind::Measure {
-                    qubit: m(*qubit),
-                    clbit: *clbit,
-                },
-                OpKind::Reset { qubit } => OpKind::Reset { qubit: m(*qubit) },
-                OpKind::Barrier(qs) => OpKind::Barrier(qs.iter().map(|&q| m(q)).collect()),
-            };
-            qc.instructions.push(Instruction {
-                kind,
-                cond: inst.cond,
-            });
-        }
+        qc.instructions = self.instructions.iter().map(|i| i.remapped(m)).collect();
         qc
     }
 }

@@ -19,10 +19,13 @@ use std::collections::{BTreeSet, VecDeque};
 pub struct CouplingMap {
     num_qubits: usize,
     edges: BTreeSet<(usize, usize)>,
+    /// `dist[a * num_qubits + b]`: hop distance (`usize::MAX` if none).
+    dist: Vec<usize>,
 }
 
 impl CouplingMap {
-    /// Builds a map from an explicit edge list.
+    /// Builds a map from an explicit edge list, with the hop distance of
+    /// every qubit pair (one breadth-first search per qubit).
     ///
     /// # Panics
     ///
@@ -34,10 +37,15 @@ impl CouplingMap {
             assert_ne!(a, b, "self-loop in coupling map");
             set.insert((a.min(b), a.max(b)));
         }
-        CouplingMap {
+        let mut map = CouplingMap {
             num_qubits,
             edges: set,
-        }
+            dist: Vec::new(),
+        };
+        map.dist = (0..num_qubits)
+            .flat_map(|from| map.bfs(from).into_iter().map(|(_, hops)| hops))
+            .collect();
+        map
     }
 
     /// A line: 0—1—2—…—(n−1).
@@ -135,77 +143,46 @@ impl CouplingMap {
 
     /// BFS hop distance between two qubits (`usize::MAX` if unreachable).
     pub fn distance(&self, from: usize, to: usize) -> usize {
-        if from == to {
-            return 0;
-        }
-        let mut dist = vec![usize::MAX; self.num_qubits];
-        dist[from] = 0;
+        self.dist[from * self.num_qubits + to]
+    }
+
+    /// Breadth-first search from `from`: each qubit's predecessor on a
+    /// shortest path and its hop distance (`usize::MAX` if unreachable).
+    fn bfs(&self, from: usize) -> Vec<(usize, usize)> {
+        let mut tree = vec![(usize::MAX, usize::MAX); self.num_qubits];
+        tree[from] = (from, 0);
         let mut queue = VecDeque::from([from]);
         while let Some(q) = queue.pop_front() {
             for n in self.neighbors(q) {
-                if dist[n] == usize::MAX {
-                    dist[n] = dist[q] + 1;
-                    if n == to {
-                        return dist[n];
-                    }
+                if tree[n].1 == usize::MAX {
+                    tree[n] = (q, tree[q].1 + 1);
                     queue.push_back(n);
                 }
             }
         }
-        dist[to]
+        tree
     }
 
     /// A shortest path between two qubits (inclusive of both endpoints),
     /// or `None` if disconnected.
     pub fn shortest_path(&self, from: usize, to: usize) -> Option<Vec<usize>> {
-        if from == to {
-            return Some(vec![from]);
+        let tree = self.bfs(from);
+        if tree[to].1 == usize::MAX {
+            return None;
         }
-        let mut prev = vec![usize::MAX; self.num_qubits];
-        let mut seen = vec![false; self.num_qubits];
-        seen[from] = true;
-        let mut queue = VecDeque::from([from]);
-        while let Some(q) = queue.pop_front() {
-            for n in self.neighbors(q) {
-                if !seen[n] {
-                    seen[n] = true;
-                    prev[n] = q;
-                    if n == to {
-                        let mut path = vec![to];
-                        let mut cur = to;
-                        while prev[cur] != usize::MAX {
-                            cur = prev[cur];
-                            path.push(cur);
-                        }
-                        path.reverse();
-                        return Some(path);
-                    }
-                    queue.push_back(n);
-                }
-            }
-        }
-        None
+        let mut path: Vec<usize> =
+            std::iter::successors(Some(to), |&q| (q != from).then(|| tree[q].0)).collect();
+        path.reverse();
+        Some(path)
     }
 
     /// Whether every qubit can reach every other.
     pub fn is_connected(&self) -> bool {
-        if self.num_qubits <= 1 {
-            return true;
-        }
-        let mut seen = vec![false; self.num_qubits];
-        seen[0] = true;
-        let mut queue = VecDeque::from([0usize]);
-        let mut count = 1;
-        while let Some(q) = queue.pop_front() {
-            for n in self.neighbors(q) {
-                if !seen[n] {
-                    seen[n] = true;
-                    count += 1;
-                    queue.push_back(n);
-                }
-            }
-        }
-        count == self.num_qubits
+        // Row 0 of the distance table: every qubit reachable from qubit 0.
+        self.dist
+            .iter()
+            .take(self.num_qubits)
+            .all(|&d| d != usize::MAX)
     }
 }
 

@@ -106,11 +106,7 @@ pub fn interaction_layout(
 
     // Extend to a total permutation with the unused sites.
     let mut out: Vec<usize> = layout.into_iter().map(|p| p.expect("placed")).collect();
-    for (p, used) in phys_used.iter().enumerate() {
-        if !used {
-            out.push(p);
-        }
-    }
+    out.extend((0..n_phys).filter(|&p| !phys_used[p]));
     Ok(out)
 }
 
@@ -172,7 +168,7 @@ mod tests {
         let map = CouplingMap::grid(2, 3);
         let layout = interaction_layout(&qc, &map).unwrap();
         let routed = route_with_layout(&qc, &map, Some(layout)).unwrap();
-        let undone = routed.with_unrouting_swaps(&map);
+        let undone = routed.with_unrouting_swaps();
         let reference = qc.remap(&routed.initial_layout[..5], map.num_qubits());
         let mut dd = DdPackage::new();
         let r = check_equivalence(&mut dd, &undone, &reference).unwrap();

@@ -13,18 +13,13 @@ use qdt_complex::{zyz_decompose, Matrix};
 pub fn optimize(circuit: &Circuit) -> Circuit {
     let mut current = circuit.clone();
     loop {
-        let mut changed = false;
-        let (next, c1) = cancel_inverses(&current);
+        let (next, cancelled) = cancel_inverses(&current);
+        let (next, merged) = merge_rotations(&next);
         current = next;
-        changed |= c1;
-        let (next, c2) = merge_rotations(&current);
-        current = next;
-        changed |= c2;
-        if !changed {
-            break;
+        if !cancelled && !merged {
+            return current;
         }
     }
-    current
 }
 
 /// Like [`optimize`] but additionally fuses runs of ≥3 single-qubit
@@ -46,6 +41,11 @@ fn is_inverse_pair(a: &Instruction, b: &Instruction) -> bool {
         // register, so it never statically cancels.
         return false;
     }
+    let sorted = |c: &[usize]| {
+        let mut s = c.to_vec();
+        s.sort_unstable();
+        s
+    };
     match (&a.kind, &b.kind) {
         (
             OpKind::Unitary {
@@ -59,19 +59,12 @@ fn is_inverse_pair(a: &Instruction, b: &Instruction) -> bool {
                 controls: c2,
             },
         ) => {
-            if t1 != t2 {
-                return false;
-            }
-            let mut s1 = c1.clone();
-            let mut s2 = c2.clone();
-            s1.sort_unstable();
-            s2.sort_unstable();
-            if s1 != s2 {
-                return false;
-            }
-            g1.matrix()
-                .mul(&g2.matrix())
-                .approx_eq(&Matrix::identity(2), 1e-12)
+            t1 == t2
+                && sorted(c1) == sorted(c2)
+                && g1
+                    .matrix()
+                    .mul(&g2.matrix())
+                    .approx_eq(&Matrix::identity(2), 1e-12)
         }
         (
             OpKind::Swap {
@@ -87,11 +80,7 @@ fn is_inverse_pair(a: &Instruction, b: &Instruction) -> bool {
         ) => {
             let p1 = (a1.min(b1), a1.max(b1));
             let p2 = (a2.min(b2), a2.max(b2));
-            let mut s1 = c1.clone();
-            let mut s2 = c2.clone();
-            s1.sort_unstable();
-            s2.sort_unstable();
-            p1 == p2 && s1 == s2
+            p1 == p2 && sorted(c1) == sorted(c2)
         }
         _ => false,
     }
@@ -261,15 +250,7 @@ pub fn fuse_1q_runs(circuit: &Circuit) -> (Circuit, bool) {
             let run = std::mem::take(&mut runs[q]);
             match run.len() {
                 0 => {}
-                1 | 2 if false => {}
-                1 => {
-                    out.push(Instruction::new(OpKind::Unitary {
-                        gate: run[0],
-                        target: q,
-                        controls: vec![],
-                    }));
-                }
-                2 => {
+                1 | 2 => {
                     for g in run {
                         out.push(Instruction::new(OpKind::Unitary {
                             gate: g,

@@ -7,7 +7,7 @@
 //! upcoming gates most — a light-weight lookahead in the spirit of
 //! SABRE, the paper's reference \[18\]).
 
-use qdt_circuit::{Circuit, Instruction, OpKind};
+use qdt_circuit::Circuit;
 
 use crate::coupling::CouplingMap;
 use crate::CompileError;
@@ -30,84 +30,43 @@ pub struct RoutedCircuit {
 }
 
 impl RoutedCircuit {
-    /// Returns the physical circuit extended with SWAPs that undo the
-    /// routing permutation, so it implements exactly
-    /// `original.remap(initial_layout)`. Used for verification.
-    pub fn with_unrouting_swaps(&self, map: &CouplingMap) -> Circuit {
+    /// The physical circuit with SWAPs appended that undo the routing, so
+    /// it implements exactly `original.remap(initial_layout)`. The SWAPs
+    /// come from [`push_permutation`] and ignore the coupling map.
+    pub fn with_unrouting_swaps(&self) -> Circuit {
+        // The content of final_layout[l] moves back to initial_layout[l].
+        let mut perm = vec![0; self.final_layout.len()];
+        for (&end, &start) in self.final_layout.iter().zip(&self.initial_layout) {
+            perm[end] = start;
+        }
         let mut qc = self.circuit.clone();
-        let mut current = self.final_layout.clone();
-        let n = map.num_qubits();
-
-        // Token placement on a spanning tree: process physical nodes in
-        // reverse BFS order, so each node is a leaf of the still-active
-        // subtree when its token arrives and is never disturbed again.
-        let mut parent = vec![usize::MAX; n];
-        let mut order = Vec::with_capacity(n);
-        let mut seen = vec![false; n];
-        seen[0] = true;
-        let mut queue = std::collections::VecDeque::from([0usize]);
-        while let Some(u) = queue.pop_front() {
-            order.push(u);
-            for v in map.neighbors(u) {
-                if !seen[v] {
-                    seen[v] = true;
-                    parent[v] = u;
-                    queue.push_back(v);
-                }
-            }
-        }
-        debug_assert_eq!(order.len(), n, "map must be connected");
-        let mut depth = vec![0usize; n];
-        for &u in &order {
-            if parent[u] != usize::MAX {
-                depth[u] = depth[parent[u]] + 1;
-            }
-        }
-        // Tree path between two nodes via lowest common ancestor.
-        let tree_path = |mut a: usize, mut b: usize| -> Vec<usize> {
-            let mut up_a = vec![a];
-            let mut up_b = vec![b];
-            while depth[a] > depth[b] {
-                a = parent[a];
-                up_a.push(a);
-            }
-            while depth[b] > depth[a] {
-                b = parent[b];
-                up_b.push(b);
-            }
-            while a != b {
-                a = parent[a];
-                b = parent[b];
-                up_a.push(a);
-                up_b.push(b);
-            }
-            up_b.pop(); // drop the duplicated LCA
-            up_a.extend(up_b.into_iter().rev());
-            up_a
-        };
-
-        for &target in order.iter().rev() {
-            // The logical qubit whose home is `target`.
-            let logical = self
-                .initial_layout
-                .iter()
-                .position(|&p| p == target)
-                .expect("initial layout is a permutation");
-            let mut pos = current[logical];
-            if pos == target {
-                continue;
-            }
-            for &next in &tree_path(pos, target)[1..] {
-                qc.swap(pos, next);
-                if let Some(other) = current.iter().position(|&p| p == next) {
-                    current[other] = pos;
-                }
-                current[logical] = next;
-                pos = next;
-            }
-        }
+        push_permutation(&mut qc, &perm);
         qc
     }
+}
+
+/// Appends SWAPs to `qc` that move the content of each qubit `q` to
+/// qubit `perm[q]`, and returns how many it appended: one per element a
+/// cycle of `perm` moves, less one per cycle, so at most `n − 1`. The
+/// SWAPs ignore any coupling map.
+///
+/// # Panics
+///
+/// Panics if `perm` is not a permutation of `0..perm.len()` or is wider
+/// than `qc`.
+pub fn push_permutation(qc: &mut Circuit, perm: &[usize]) -> usize {
+    let before = qc.len();
+    let mut rest = perm.to_vec();
+    for q in 0..rest.len() {
+        // Swapping q with its destination settles the content of q; the
+        // content that was there now sits on q and still has to move.
+        while rest[q] != q {
+            let to = rest[q];
+            qc.swap(q, to);
+            rest.swap(q, to);
+        }
+    }
+    qc.len() - before
 }
 
 /// Routes a circuit onto a coupling map with a trivial initial layout
@@ -149,23 +108,14 @@ pub fn route_with_layout(
     let n_phys = map.num_qubits();
     // layout[logical] = physical; extend a partial layout with the
     // unused sites so the permutation is total.
-    let mut layout: Vec<usize> = match initial {
-        None => (0..n_phys).collect(),
-        Some(mut given) => {
-            let mut used = vec![false; n_phys];
-            for &p in &given {
-                assert!(p < n_phys, "layout target {p} out of range");
-                assert!(!used[p], "layout maps two qubits to site {p}");
-                used[p] = true;
-            }
-            for (p, taken) in used.iter().enumerate() {
-                if !taken {
-                    given.push(p);
-                }
-            }
-            given
-        }
-    };
+    let mut layout = initial.unwrap_or_default();
+    let mut used = vec![false; n_phys];
+    for &p in &layout {
+        assert!(p < n_phys, "layout target {p} out of range");
+        assert!(!used[p], "layout maps two qubits to site {p}");
+        used[p] = true;
+    }
+    layout.extend((0..n_phys).filter(|&p| !used[p]));
     let initial_layout: Vec<usize> = layout.clone();
     let mut out = Circuit::with_clbits(n_phys, circuit.num_clbits());
     let mut swap_count = 0usize;
@@ -199,22 +149,19 @@ pub fn route_with_layout(
                 let move_a = path[1];
                 let move_b = path[path.len() - 2];
                 let cost = |layout: &[usize]| -> usize {
-                    let mut c = 0;
-                    for &(x, y) in future.iter().skip(future_idx).take(8) {
-                        c += map.distance(layout[x], layout[y]);
-                    }
-                    c
+                    future[future_idx..]
+                        .iter()
+                        .take(8)
+                        .map(|&(x, y)| map.distance(layout[x], layout[y]))
+                        .sum()
                 };
                 let try_swap = |layout: &[usize], phys_from: usize, phys_to: usize| {
-                    let mut l = layout.to_vec();
-                    for v in l.iter_mut() {
-                        if *v == phys_from {
-                            *v = phys_to;
-                        } else if *v == phys_to {
-                            *v = phys_from;
-                        }
-                    }
-                    l
+                    let swapped = |v| match v {
+                        v if v == phys_from => phys_to,
+                        v if v == phys_to => phys_from,
+                        v => v,
+                    };
+                    layout.iter().map(|&v| swapped(v)).collect::<Vec<_>>()
                 };
                 let la = try_swap(&layout, layout[a], move_a);
                 let lb = try_swap(&layout, layout[b], move_b);
@@ -230,8 +177,8 @@ pub fn route_with_layout(
             future_idx += 1;
         }
         // Emit the instruction on physical qubits.
-        let mapped = remap_instruction(inst, &layout);
-        out.push(mapped).expect("physical indices in range");
+        out.push(inst.remapped(|q| layout[q]))
+            .expect("physical indices in range");
     }
 
     Ok(RoutedCircuit {
@@ -240,36 +187,6 @@ pub fn route_with_layout(
         final_layout: layout,
         swap_count,
     })
-}
-
-fn remap_instruction(inst: &Instruction, layout: &[usize]) -> Instruction {
-    let m = |q: usize| layout[q];
-    let kind = match &inst.kind {
-        OpKind::Unitary {
-            gate,
-            target,
-            controls,
-        } => OpKind::Unitary {
-            gate: *gate,
-            target: m(*target),
-            controls: controls.iter().map(|&c| m(c)).collect(),
-        },
-        OpKind::Swap { a, b, controls } => OpKind::Swap {
-            a: m(*a),
-            b: m(*b),
-            controls: controls.iter().map(|&c| m(c)).collect(),
-        },
-        OpKind::Measure { qubit, clbit } => OpKind::Measure {
-            qubit: m(*qubit),
-            clbit: *clbit,
-        },
-        OpKind::Reset { qubit } => OpKind::Reset { qubit: m(*qubit) },
-        OpKind::Barrier(qs) => OpKind::Barrier(qs.iter().map(|&q| m(q)).collect()),
-    };
-    Instruction {
-        kind,
-        cond: inst.cond,
-    }
 }
 
 #[cfg(test)]
@@ -294,7 +211,7 @@ mod tests {
                 );
             }
         }
-        let undone = routed.with_unrouting_swaps(map);
+        let undone = routed.with_unrouting_swaps();
         let reference = qc.remap(&routed.initial_layout, map.num_qubits());
         let mut dd = DdPackage::new();
         let r = check_equivalence(&mut dd, &undone, &reference).unwrap();
@@ -302,6 +219,31 @@ mod tests {
             matches!(r, EquivalenceResult::Equivalent),
             "routing broke semantics: {r:?}"
         );
+    }
+
+    #[test]
+    fn push_permutation_moves_each_qubit_to_its_destination() {
+        // One SWAP per moved qubit, less one per cycle.
+        for (perm, expected) in [
+            (vec![1, 2, 0], 2),
+            (vec![2, 0, 1], 2),
+            (vec![3, 2, 1, 0], 2),
+            (vec![0, 1, 2], 0),
+            (vec![1, 0, 3, 4, 2], 3),
+        ] {
+            let mut qc = Circuit::new(perm.len());
+            assert_eq!(push_permutation(&mut qc, &perm), expected, "{perm:?}");
+            assert_eq!(qc.len(), expected);
+            // Follow the content of every qubit through the SWAPs.
+            let mut content: Vec<usize> = (0..perm.len()).collect();
+            for inst in &qc {
+                let qs = inst.qubits();
+                content.swap(qs[0], qs[1]);
+            }
+            for (q, &to) in perm.iter().enumerate() {
+                assert_eq!(content[to], q, "{perm:?}");
+            }
+        }
     }
 
     #[test]

@@ -287,8 +287,15 @@ impl Matrix {
     /// physically indistinguishable, so equivalence checking is typically
     /// performed modulo this factor.
     pub fn approx_eq_up_to_global_phase(&self, other: &Matrix, tol: f64) -> bool {
+        self.global_phase_to(other, tol).is_some()
+    }
+
+    /// The unit-modulus `λ` with `self ≈ λ · other`, read off the largest
+    /// entry of `other`, or `None` if there is none (`1` when both are
+    /// zero).
+    pub fn global_phase_to(&self, other: &Matrix, tol: f64) -> Option<Complex> {
         if self.rows != other.rows || self.cols != other.cols {
-            return false;
+            return None;
         }
         // Find the largest entry of `other` to estimate the phase robustly.
         let mut best = 0usize;
@@ -301,16 +308,20 @@ impl Matrix {
             }
         }
         if best_mag == 0.0 {
-            return self.data.iter().all(|a| a.is_zero(tol));
+            return self
+                .data
+                .iter()
+                .all(|a| a.is_zero(tol))
+                .then_some(Complex::ONE);
         }
         let lambda = self.data[best] / other.data[best];
-        if (lambda.abs() - 1.0).abs() > 1e-6 {
-            return false;
-        }
-        self.data
-            .iter()
-            .zip(&other.data)
-            .all(|(&a, &b)| a.approx_eq(lambda * b, tol))
+        ((lambda.abs() - 1.0).abs() <= 1e-6
+            && self
+                .data
+                .iter()
+                .zip(&other.data)
+                .all(|(&a, &b)| a.approx_eq(lambda * b, tol)))
+        .then_some(lambda)
     }
 }
 

@@ -18,6 +18,13 @@
 //! accepts any engine factory, so the same probabilistic check runs on
 //! every registered backend.
 //!
+//! [`verify_compilation`] checks a routed circuit against its source. It
+//! treats SWAPs the way QCEC does: both sides drop every plain `swap`
+//! and every `cx(a,b) cx(b,a) cx(a,b)` triple consecutive on its wires,
+//! and relabel the later gates. Only the residual output permutation is
+//! appended, as at most `n − 1` SWAPs, so a routed circuit costs the
+//! miter about what the unrouted one does.
+//!
 //! # Example
 //!
 //! ```
@@ -33,6 +40,7 @@
 
 pub mod dynamic;
 pub mod noise;
+mod swaps;
 
 use std::fmt;
 
@@ -40,9 +48,9 @@ use qdt_array::circuit_unitary;
 use qdt_circuit::{Circuit, Instruction};
 use qdt_compile::coupling::CouplingMap;
 use qdt_compile::decompose::lowered_len;
-use qdt_compile::routing::RoutedCircuit;
+use qdt_compile::routing::{push_permutation, RoutedCircuit};
 use qdt_compile::target::GateSet;
-use qdt_complex::Complex;
+use qdt_complex::{Complex, Matrix};
 use qdt_dd::{DdEngine, DdPackage, EquivalenceResult};
 use qdt_engine::{EngineError, SimulationEngine, TelemetrySink};
 use qdt_zx::ZxEquivalence;
@@ -132,6 +140,13 @@ pub enum VerifyError {
         /// The engine's error message.
         message: String,
     },
+    /// A routing result cannot be interpreted: its layouts are not
+    /// permutations of the device's qubits, its initial layout is shorter
+    /// than the source, or its circuit is not as wide as the device.
+    BadLayout {
+        /// What is wrong with the routing result.
+        reason: String,
+    },
 }
 
 impl fmt::Display for VerifyError {
@@ -149,6 +164,7 @@ impl fmt::Display for VerifyError {
             VerifyError::Simulation { message } => {
                 write!(f, "stimuli simulation failed: {message}")
             }
+            VerifyError::BadLayout { reason } => write!(f, "malformed routing result: {reason}"),
         }
     }
 }
@@ -182,15 +198,7 @@ pub fn check_traced(
 ) -> Result<Equivalence, VerifyError> {
     let tracer = sink.tracer();
     let _check_span = tracer.span_in("verify", &method.to_string());
-    if g1.num_qubits() != g2.num_qubits() {
-        return Err(VerifyError::WidthMismatch {
-            left: g1.num_qubits(),
-            right: g2.num_qubits(),
-        });
-    }
-    if !g1.is_unitary() || !g2.is_unitary() {
-        return Err(VerifyError::NonUnitary);
-    }
+    comparable(g1, g2)?;
     match method {
         Method::Array => {
             if g1.num_qubits() > 10 {
@@ -206,19 +214,7 @@ pub fn check_traced(
             let _compare = tracer.span_in("verify", "compare-unitaries");
             if u1.approx_eq(&u2, 1e-9) {
                 Ok(Equivalence::Equivalent)
-            } else if u1.approx_eq_up_to_global_phase(&u2, 1e-9) {
-                // λ with U1 = λ·U2, read off the largest entry.
-                let mut best = (0, 0);
-                let mut mag = 0.0;
-                for r in 0..u2.rows() {
-                    for c in 0..u2.cols() {
-                        if u2.get(r, c).norm_sqr() > mag {
-                            mag = u2.get(r, c).norm_sqr();
-                            best = (r, c);
-                        }
-                    }
-                }
-                let lambda = u1.get(best.0, best.1) / u2.get(best.0, best.1);
+            } else if let Some(lambda) = u1.global_phase_to(&u2, 1e-9) {
                 Ok(Equivalence::EquivalentUpToGlobalPhase(lambda))
             } else {
                 Ok(Equivalence::NotEquivalent)
@@ -259,6 +255,20 @@ pub fn check_traced(
     }
 }
 
+/// Both circuits must be equally wide and unitary.
+fn comparable(g1: &Circuit, g2: &Circuit) -> Result<(), VerifyError> {
+    if g1.num_qubits() != g2.num_qubits() {
+        return Err(VerifyError::WidthMismatch {
+            left: g1.num_qubits(),
+            right: g2.num_qubits(),
+        });
+    }
+    if !g1.is_unitary() || !g2.is_unitary() {
+        return Err(VerifyError::NonUnitary);
+    }
+    Ok(())
+}
+
 /// A gate's weight in the DD miter's alternation: the number of
 /// instructions the compiler lowers it to on the IBM basis (1 for a gate
 /// already in the basis, and for one the compiler cannot lower, such as
@@ -294,7 +304,7 @@ const STIMULI_SHOTS: usize = 32;
 ///
 /// Rather than expanding either state densely, the check samples
 /// `STIMULI_SHOTS` outcomes from each output (native on array/DD,
-/// amplitude-based otherwise), estimates the phase ratio λ at the
+/// amplitude-based otherwise), estimates the phase ratio λ at `G₂`'s
 /// strongest sampled amplitude, and requires `⟨x|G₁ψ⟩ ≈ λ·⟨x|G₂ψ⟩` at
 /// every sampled basis state `x` — sound for rejection, probabilistic
 /// for acceptance, and as wide as the engine's `amplitude`/`sample`
@@ -313,15 +323,7 @@ pub fn random_stimuli_with_engine<F>(
 where
     F: Fn() -> Box<dyn SimulationEngine>,
 {
-    if g1.num_qubits() != g2.num_qubits() {
-        return Err(VerifyError::WidthMismatch {
-            left: g1.num_qubits(),
-            right: g2.num_qubits(),
-        });
-    }
-    if !g1.is_unitary() || !g2.is_unitary() {
-        return Err(VerifyError::NonUnitary);
-    }
+    comparable(g1, g2)?;
     let n = g1.num_qubits();
     let mut rng = StdRng::seed_from_u64(0x5717AB1E);
     for _ in 0..samples.max(1) {
@@ -360,49 +362,31 @@ where
         support.sort_unstable();
         support.dedup();
 
-        let pairs: Vec<(Complex, Complex)> = support
-            .iter()
-            .map(|&x| {
-                Ok((
-                    ea.amplitude(x).map_err(engine_failure)?,
-                    eb.amplitude(x).map_err(engine_failure)?,
-                ))
-            })
-            .collect::<Result<_, VerifyError>>()?;
-
-        // λ from the strongest amplitude pair; the states are equivalent
-        // up to global phase iff every pair satisfies aa = λ·bb.
-        let Some(&(la, lb)) = pairs.iter().max_by(|p, q| {
-            let wp = p.0.norm_sqr().max(p.1.norm_sqr());
-            let wq = q.0.norm_sqr().max(q.1.norm_sqr());
-            wp.partial_cmp(&wq).expect("amplitude weights are finite")
-        }) else {
-            continue; // no shots requested
-        };
-        if la.norm_sqr() < 1e-18 || lb.norm_sqr() < 1e-18 {
-            // One state has weight where the other is (numerically) zero.
-            return Ok(Equivalence::NotEquivalent);
+        let mut amps = [Vec::new(), Vec::new()];
+        for &x in &support {
+            amps[0].push(ea.amplitude(x).map_err(engine_failure)?);
+            amps[1].push(eb.amplitude(x).map_err(engine_failure)?);
         }
-        let lambda = la / lb;
-        if (lambda.abs() - 1.0).abs() > 1e-6 {
+        // Equivalent up to global phase iff aa = λ·bb at every sample.
+        let [aa, bb] = amps.map(|a| Matrix::column(&a));
+        if !aa.approx_eq_up_to_global_phase(&bb, 1e-6) {
             return Ok(Equivalence::NotEquivalent);
-        }
-        for (aa, bb) in pairs {
-            if !aa.approx_eq(lambda * bb, 1e-6) {
-                return Ok(Equivalence::NotEquivalent);
-            }
         }
     }
     Ok(Equivalence::ProbablyEquivalent)
 }
 
-/// Verifies a routed/compiled circuit against its source: appends the
-/// un-routing SWAPs, remaps the original through the initial layout, and
-/// checks equivalence with the chosen method.
+/// Verifies a routed/compiled circuit against its source, remapped
+/// through the initial layout, with the chosen method. Both sides' SWAPs
+/// become relabellings (see the crate docs); the compiled side's, the
+/// routing permutation and the inverse of the source side's compose to
+/// one residual permutation, the only SWAPs the method sees. The
+/// relabelling is exact. `map` only fixes the device width.
 ///
 /// # Errors
 ///
-/// Propagates [`check`] errors.
+/// [`VerifyError::BadLayout`] for a routing result that does not fit
+/// `map` and `original`; otherwise as [`check`].
 pub fn verify_compilation(
     original: &Circuit,
     routed: &RoutedCircuit,
@@ -412,11 +396,14 @@ pub fn verify_compilation(
     verify_compilation_traced(original, routed, map, method, &TelemetrySink::disabled())
 }
 
-/// [`verify_compilation`] with telemetry, as [`check_traced`].
+/// [`verify_compilation`] with telemetry, as [`check_traced`]. It also
+/// sets the `verify.swaps.elided` gauge (SWAPs dropped from both sides)
+/// and the `verify.swaps.residual` gauge (SWAPs appended for the residual
+/// permutation).
 ///
 /// # Errors
 ///
-/// Propagates [`check`] errors.
+/// As [`verify_compilation`].
 pub fn verify_compilation_traced(
     original: &Circuit,
     routed: &RoutedCircuit,
@@ -424,12 +411,48 @@ pub fn verify_compilation_traced(
     method: Method,
     sink: &TelemetrySink,
 ) -> Result<Equivalence, VerifyError> {
-    let undone = routed.with_unrouting_swaps(map);
-    let reference = original.unitary_part().remap(
+    check_routing(original, routed, map.num_qubits())?;
+    let compiled = swaps::elide_swaps(&routed.circuit.unitary_part());
+    let reference = swaps::elide_swaps(&original.unitary_part().remap(
         &routed.initial_layout[..original.num_qubits()],
         map.num_qubits(),
-    );
-    check_traced(&undone.unitary_part(), &reference, method, sink)
+    ));
+    // Logical qubit l ends on compiled.loc[final_layout[l]] in the
+    // compiled circuit and on reference.loc[initial_layout[l]] in the source.
+    let mut residual = vec![0; compiled.loc.len()];
+    for (&end, &start) in routed.final_layout.iter().zip(&routed.initial_layout) {
+        residual[compiled.loc[end]] = reference.loc[start];
+    }
+    let mut undone = compiled.circuit;
+    let appended = push_permutation(&mut undone, &residual);
+    let elided = compiled.swaps + reference.swaps;
+    let metrics = sink.metrics();
+    metrics.gauge_set("verify.swaps.elided", elided as f64);
+    metrics.gauge_set("verify.swaps.residual", appended as f64);
+    check_traced(&undone, &reference.circuit, method, sink)
+}
+
+/// Rejects a routing result that [`verify_compilation`] cannot interpret
+/// on `n` device qubits.
+fn check_routing(original: &Circuit, routed: &RoutedCircuit, n: usize) -> Result<(), VerifyError> {
+    let is_permutation = |layout: &[usize]| {
+        let mut sorted = layout.to_vec();
+        sorted.sort_unstable();
+        sorted.into_iter().eq(0..n)
+    };
+    let (width, source) = (routed.circuit.num_qubits(), original.num_qubits());
+    let reason = if width != n {
+        format!("the routed circuit has {width} qubits, the device {n}")
+    } else if routed.initial_layout.len() < source {
+        let placed = routed.initial_layout.len();
+        format!("the initial layout places {placed} of the source's {source} qubits")
+    } else if !is_permutation(&routed.initial_layout) || !is_permutation(&routed.final_layout) {
+        let (from, to) = (&routed.initial_layout, &routed.final_layout);
+        format!("the layouts {from:?} -> {to:?} are not permutations of 0..{n}")
+    } else {
+        return Ok(());
+    };
+    Err(VerifyError::BadLayout { reason })
 }
 
 /// Runs every exact method that applies and reports the verdicts
@@ -601,6 +624,110 @@ mod tests {
         routed.circuit.x(2);
         let r = verify_compilation(&qc, &routed, &map, Method::DecisionDiagram).unwrap();
         assert_eq!(r, Equivalence::NotEquivalent);
+    }
+
+    /// A routing result with identity layouts on `n` qubits.
+    fn unrouted(circuit: Circuit) -> RoutedCircuit {
+        let n = circuit.num_qubits();
+        RoutedCircuit {
+            circuit,
+            initial_layout: (0..n).collect(),
+            final_layout: (0..n).collect(),
+            swap_count: 0,
+        }
+    }
+
+    fn bad_layout(original: &Circuit, routed: &RoutedCircuit, map: &CouplingMap) -> String {
+        match verify_compilation(original, routed, map, Method::DecisionDiagram) {
+            Err(VerifyError::BadLayout { reason }) => reason,
+            other => panic!("expected a BadLayout error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn layouts_that_are_not_permutations_are_bad_layouts() {
+        let qc = generators::ghz(3);
+        let map = CouplingMap::linear(3);
+        let mut routed = route(&qc, &map).unwrap();
+        for (initial, last) in [
+            (vec![0, 1, 2], vec![0, 0, 2]),
+            (vec![0, 1, 2], vec![0, 1, 3]),
+            (vec![0, 1, 2], vec![0, 1]),
+            (vec![1, 1, 0], vec![2, 1, 0]),
+            (vec![0, 1, 2, 3], vec![2, 1, 0]),
+        ] {
+            routed.initial_layout = initial;
+            routed.final_layout = last;
+            assert!(bad_layout(&qc, &routed, &map).contains("not permutations of 0..3"));
+        }
+    }
+
+    #[test]
+    fn an_initial_layout_shorter_than_the_source_is_a_bad_layout() {
+        let qc = generators::ghz(4);
+        let map = CouplingMap::linear(3);
+        let routed = unrouted(generators::ghz(3));
+        assert!(bad_layout(&qc, &routed, &map).contains("source's 4 qubits"));
+    }
+
+    #[test]
+    fn a_routed_circuit_narrower_than_the_map_is_a_bad_layout() {
+        let qc = generators::ghz(3);
+        let routed = unrouted(qc.clone());
+        let reason = bad_layout(&qc, &routed, &CouplingMap::linear(4));
+        assert!(reason.contains("3 qubits, the device 4"), "{reason}");
+    }
+
+    /// `verify.swaps.elided` and `verify.swaps.residual` of one check.
+    fn swap_gauges(original: &Circuit, routed: &RoutedCircuit) -> (Equivalence, f64, f64) {
+        use qdt_engine::telemetry::MetricValue;
+        let sink = TelemetrySink::new();
+        let map = CouplingMap::full(routed.circuit.num_qubits());
+        let verdict =
+            verify_compilation_traced(original, routed, &map, Method::DecisionDiagram, &sink)
+                .unwrap();
+        let gauge = |name| match sink.metrics().get(name) {
+            Some(MetricValue::Gauge(v)) => v,
+            other => panic!("missing {name} gauge: {other:?}"),
+        };
+        (
+            verdict,
+            gauge("verify.swaps.elided"),
+            gauge("verify.swaps.residual"),
+        )
+    }
+
+    #[test]
+    fn disjoint_swaps_on_both_sides_cancel_to_an_empty_residual() {
+        let mut qc = Circuit::new(4);
+        qc.h(0).swap(0, 1).swap(2, 3).cx(1, 2);
+        let mut compiled = Circuit::new(4);
+        compiled.h(0).swap(2, 3);
+        compiled.cx(0, 1).cx(1, 0).cx(0, 1).cx(1, 2);
+        let (verdict, elided, residual) = swap_gauges(&qc, &unrouted(compiled));
+        assert_eq!(verdict, Equivalence::Equivalent);
+        assert_eq!((elided, residual), (4.0, 0.0));
+    }
+
+    #[test]
+    fn routing_swaps_leave_a_residual_of_transpositions() {
+        // Routing a CX between the ends of a line moves qubit 0 along it;
+        // the compiled side's elided SWAPs and the unrouting cancel.
+        let mut qc = Circuit::new(4);
+        qc.h(0).cx(0, 3).t(0);
+        let map = CouplingMap::linear(4);
+        let routed = route(&qc, &map).unwrap();
+        assert_eq!(routed.swap_count, 2);
+        let (verdict, elided, residual) = swap_gauges(&qc, &routed);
+        assert_eq!(verdict, Equivalence::Equivalent);
+        assert_eq!((elided, residual), (2.0, 0.0));
+        // Without the unrouting the residual is the 3-cycle the SWAPs
+        // made, two transpositions.
+        let mut unrouted_result = routed.clone();
+        unrouted_result.final_layout = unrouted_result.initial_layout.clone();
+        let (verdict, _, residual) = swap_gauges(&qc, &unrouted_result);
+        assert_eq!(verdict, Equivalence::NotEquivalent);
+        assert_eq!(residual, 2.0);
     }
 
     #[test]

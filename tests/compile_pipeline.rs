@@ -6,10 +6,10 @@ use qdt::compile::coupling::CouplingMap;
 use qdt::compile::target::GateSet;
 use qdt::compile::{compile, routing::route};
 use qdt::telemetry::MetricValue;
-use qdt::verify::{verify_compilation, verify_compilation_traced, Equivalence, Method};
+use qdt::verify::{check, verify_compilation, verify_compilation_traced, Equivalence, Method};
 use qdt::TelemetrySink;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn assert_respects_map(qc: &Circuit, map: &CouplingMap) {
     for inst in qc {
@@ -218,4 +218,136 @@ fn dd_verdicts_match_array_on_compiled_circuits() {
             }
         }
     }
+}
+
+/// Matrix nodes the DD miter of `verify_compilation` created.
+fn miter_nodes(qc: &Circuit, map: &CouplingMap) -> f64 {
+    let routed = compile(qc, &GateSet::ibm_basis(), map).unwrap();
+    let sink = TelemetrySink::new();
+    let verdict =
+        verify_compilation_traced(qc, &routed, map, Method::DecisionDiagram, &sink).unwrap();
+    assert!(verdict.is_equivalent(), "{verdict:?}");
+    let Some(MetricValue::Gauge(nodes)) = sink.metrics().get("verify.dd.nodes") else {
+        panic!("the DD check records the matrix nodes it created");
+    };
+    nodes
+}
+
+#[test]
+fn routed_qft_miters_stay_small_when_swaps_are_relabelled() {
+    // Multiplying the router's SWAPs into the miter created 15,569 to
+    // 29,704 nodes for QFT-8 and 137,841 for QFT-10 on a line.
+    let cases = [
+        (8, CouplingMap::linear(8), 5_000.0),
+        (8, CouplingMap::ring(8), 5_000.0),
+        (8, CouplingMap::grid(2, 4), 5_000.0),
+        (8, CouplingMap::heavy_hex(2, 4), 5_000.0),
+        (10, CouplingMap::linear(10), 10_000.0),
+    ];
+    for (n, map, bound) in cases {
+        let nodes = miter_nodes(&generators::qft(n, true), &map);
+        assert!(nodes < bound, "QFT-{n} on {map:?}: {nodes} nodes");
+    }
+}
+
+/// The verdict of the construction without SWAP elision: the compiled
+/// circuit with the un-routing SWAPs appended, against the remapped
+/// source, on dense unitaries.
+fn unelided_array_verdict(qc: &Circuit, routed: &qdt::compile::routing::RoutedCircuit) -> bool {
+    let undone = routed.with_unrouting_swaps().unitary_part();
+    let reference = qc.unitary_part().remap(
+        &routed.initial_layout[..qc.num_qubits()],
+        routed.circuit.num_qubits(),
+    );
+    check(&undone, &reference, Method::Array)
+        .unwrap()
+        .is_equivalent()
+}
+
+/// `map` cut down to its first `n` qubits (which must stay connected),
+/// so the dense oracle works on `2^n`-dimensional unitaries.
+fn first_qubits(map: &CouplingMap, n: usize) -> CouplingMap {
+    let edges: Vec<(usize, usize)> = (0..n)
+        .flat_map(|a| map.neighbors(a).into_iter().map(move |b| (a, b)))
+        .filter(|&(a, b)| a < b && b < n)
+        .collect();
+    let cut = CouplingMap::from_edges(n, &edges);
+    assert!(cut.is_connected());
+    cut
+}
+
+#[test]
+fn relabelled_miter_agrees_with_the_unelided_array_check() {
+    // QFT, Clifford+T and random sources on lines, rings, grids and
+    // heavy-hex patches; every second case carries a stray X.
+    let mut rng = StdRng::seed_from_u64(0x5A4B);
+    let mut cases = 0;
+    for (n, trials) in [(5, 24), (6, 10), (7, 4)] {
+        let maps = [
+            CouplingMap::linear(n),
+            CouplingMap::ring(n),
+            first_qubits(&CouplingMap::grid(2, n.div_ceil(2)), n),
+            first_qubits(&CouplingMap::heavy_hex(2, n.div_ceil(2)), n),
+        ];
+        for map in &maps {
+            for trial in 0..trials {
+                let qc = match cases / 2 % 3 {
+                    0 => generators::qft(n, cases % 4 < 2),
+                    1 => generators::random_clifford_t(n, 6, 0.2, &mut rng),
+                    _ => generators::random_circuit(n, 3, &mut rng),
+                };
+                let mut routed = compile(&qc, &GateSet::ibm_basis(), map).unwrap();
+                let mutant = trial % 2 == 1;
+                if mutant {
+                    let at = rng.gen_range(0..=routed.circuit.len());
+                    let qubit = rng.gen_range(0..n);
+                    routed.circuit = with_x_inserted(&routed.circuit, at, qubit);
+                }
+                let oracle = unelided_array_verdict(&qc, &routed);
+                assert_eq!(oracle, !mutant, "width {n}, trial {trial}");
+                let by_dd = verify_compilation(&qc, &routed, map, Method::DecisionDiagram).unwrap();
+                assert_eq!(
+                    by_dd.is_equivalent(),
+                    oracle,
+                    "width {n} on {map:?}, trial {trial}: {by_dd:?}"
+                );
+                cases += 1;
+            }
+        }
+    }
+    assert!(cases >= 150, "{cases} cases");
+
+    // A residual 3-cycle: the compiled circuit moves its qubits round
+    // with SWAPs the elision does not recognise (the middle CX written as
+    // H·CZ·H), so the whole permutation is appended. Emitted in the wrong
+    // orientation it would realise the inverse cycle.
+    let mut qc = Circuit::new(3);
+    qc.h(0).t(1).cx(1, 2);
+    let mut compiled = qc.clone();
+    for (a, b) in [(0, 1), (1, 2)] {
+        compiled.cx(a, b).h(a).cz(b, a).h(a).cx(a, b);
+    }
+    let mut routed = qdt::compile::routing::RoutedCircuit {
+        circuit: compiled,
+        initial_layout: vec![0, 1, 2],
+        final_layout: vec![2, 0, 1],
+        swap_count: 2,
+    };
+    let map = CouplingMap::linear(3);
+    let sink = TelemetrySink::new();
+    let verdict =
+        verify_compilation_traced(&qc, &routed, &map, Method::DecisionDiagram, &sink).unwrap();
+    assert!(verdict.is_equivalent(), "{verdict:?}");
+    assert!(unelided_array_verdict(&qc, &routed));
+    assert_eq!(
+        sink.metrics().get("verify.swaps.residual"),
+        Some(MetricValue::Gauge(2.0))
+    );
+    // The inverse cycle is the wrong final layout.
+    routed.final_layout = vec![1, 2, 0];
+    for method in [Method::DecisionDiagram, Method::Array] {
+        let verdict = verify_compilation(&qc, &routed, &map, method).unwrap();
+        assert_eq!(verdict, Equivalence::NotEquivalent, "{method}");
+    }
+    assert!(!unelided_array_verdict(&qc, &routed));
 }

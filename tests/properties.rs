@@ -252,7 +252,7 @@ proptest! {
         use qdt::compile::{coupling::CouplingMap, routing::route};
         let map = CouplingMap::linear(4);
         let routed = route(&qc, &map).unwrap();
-        let undone = routed.with_unrouting_swaps(&map);
+        let undone = routed.with_unrouting_swaps();
         let reference = qc.remap(&routed.initial_layout[..4], 4);
         let ua = qdt::array::circuit_unitary(&undone).unwrap();
         let ub = qdt::array::circuit_unitary(&reference).unwrap();
