@@ -35,21 +35,30 @@
 //! * **tensor network** — `16 · g · 2^min(2w, n)`: single-amplitude
 //!   contraction with intermediate tensors bounded by the cut.
 //!
+//! Decision diagrams, MPS and tensor networks are feasible up to
+//! [`WIDE_ENGINE_MAX_QUBITS`], the `max_qubits` their engines advertise.
+//! Past it only the stabilizer tableau is left, so a wider non-Clifford
+//! circuit has no feasible backend at all.
+//!
 //! The units are arbitrary flop-shaped counts: only the *ordering*
 //! matters, and ties break toward the earlier entry in
 //! [`DispatchDecision::estimates`] (exact-and-simple first).
 
-use qdt_circuit::{Circuit, OpKind};
+use qdt_circuit::{Circuit, Instruction, OpKind};
 
-use crate::dag::CircuitDag;
 use crate::passes::{
     clifford_regions, interaction_facts, lightcone_facts, CliffordRegion, InteractionFacts,
     LightconeFacts,
 };
-use crate::resources::{resource_report, ResourceReport};
+use crate::resources::{is_clifford_inst, resource_report, ResourceReport};
 
 /// Widest register the dense array backend is considered feasible for.
 pub const ARRAY_MAX_QUBITS: usize = 28;
+
+/// Widest register the decision-diagram, MPS and tensor-network engines
+/// accept (mirrors their `capabilities().max_qubits`: basis indices and
+/// sample keys are `u128`).
+pub const WIDE_ENGINE_MAX_QUBITS: usize = 128;
 
 /// Bond-dimension cap written into a dispatched `mps:<χ>` spec.
 pub const MPS_DISPATCH_BOND_CAP: usize = 64;
@@ -98,22 +107,22 @@ pub struct CircuitFacts {
 #[must_use]
 pub fn fused_group_count(circuit: &Circuit, width: usize) -> usize {
     let mut groups = 0usize;
-    // The open group's mixed qubits, or `None` when no group is open.
-    let mut open: Option<Vec<usize>> = None;
+    // The open group's mixed qubits (one buffer, reused by every group),
+    // and whether a group is open at all.
+    let mut mixed = Vec::new();
+    let mut open = false;
     for inst in circuit.iter() {
         if let Some(support) = inst.fusion_support().filter(|_| width > 0) {
-            if let Some(mixed) = open.as_mut() {
-                if support.merge_into(mixed, width) {
-                    continue;
-                }
+            if open && support.merge_into(&mut mixed, width) {
+                continue;
             }
-            let mut mixed = Vec::new();
-            open = support.merge_into(&mut mixed, width).then_some(mixed);
+            mixed.clear();
+            open = support.merge_into(&mut mixed, width);
             groups += 1;
         } else {
             // Boundary: the open group flushes; a unitary that cannot
             // fuse still executes as a pass of its own.
-            open = None;
+            open = false;
             if matches!(inst.kind, OpKind::Unitary { .. } | OpKind::Swap { .. }) {
                 groups += 1;
             }
@@ -125,8 +134,7 @@ pub fn fused_group_count(circuit: &Circuit, width: usize) -> usize {
 /// Gathers all dataflow facts of `circuit` in one pass bundle.
 #[must_use]
 pub fn circuit_facts(circuit: &Circuit) -> CircuitFacts {
-    let dag = CircuitDag::build(circuit);
-    let lightcone = lightcone_facts(circuit, &dag);
+    let lightcone = lightcone_facts(circuit);
     let dead_gates = lightcone.dead_gates(circuit);
     let regions = clifford_regions(circuit);
     let clifford_in_regions: usize = regions.iter().map(|r| r.gates).sum();
@@ -157,6 +165,10 @@ pub struct BackendCost {
 
 /// The cost model's verdict: the cheapest feasible backend plus every
 /// estimate that went into the decision.
+///
+/// When no backend is feasible, `chosen` names the cheapest estimate
+/// anyway and [`DispatchDecision::chosen_estimate`] reports it
+/// infeasible.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DispatchDecision {
     /// Spec of the predicted-cheapest feasible backend.
@@ -211,6 +223,7 @@ pub fn plan_dispatch(facts: &CircuitFacts) -> DispatchDecision {
     let stab_feasible =
         facts.resources.clifford_only && n > QDT404_WIDTH_THRESHOLD && n <= STABILIZER_MAX_QUBITS;
 
+    let wide_feasible = n <= WIDE_ENGINE_MAX_QUBITS;
     let mps_spec = format!("mps:{}", (chi_hat as usize).clamp(2, MPS_DISPATCH_BOND_CAP));
     let estimates = vec![
         BackendCost {
@@ -231,24 +244,28 @@ pub fn plan_dispatch(facts: &CircuitFacts) -> DispatchDecision {
         BackendCost {
             spec: "decision-diagram".into(),
             cost: cost_dd,
-            feasible: true,
+            feasible: wide_feasible,
         },
         BackendCost {
             spec: mps_spec,
             cost: cost_mps,
-            feasible: true,
+            feasible: wide_feasible,
         },
         BackendCost {
             spec: "tensor-network".into(),
             cost: cost_tn,
-            feasible: true,
+            feasible: wide_feasible,
         },
     ];
+    // Feasible first, then cheapest; `min_by` keeps the earliest of ties.
     let chosen = estimates
         .iter()
-        .filter(|e| e.feasible)
-        .min_by(|a, b| a.cost.partial_cmp(&b.cost).expect("finite costs"))
-        .expect("dd and mps are always feasible")
+        .min_by(|a, b| {
+            b.feasible
+                .cmp(&a.feasible)
+                .then(a.cost.partial_cmp(&b.cost).expect("finite costs"))
+        })
+        .expect("six estimates")
         .spec
         .clone();
     DispatchDecision { chosen, estimates }
@@ -258,6 +275,16 @@ pub fn plan_dispatch(facts: &CircuitFacts) -> DispatchDecision {
 #[must_use]
 pub fn dispatch_circuit(circuit: &Circuit) -> DispatchDecision {
     plan_dispatch(&circuit_facts(circuit))
+}
+
+/// Whether some backend can still take `inst` on a `num_qubits`-wide
+/// register. Past [`WIDE_ENGINE_MAX_QUBITS`] only the stabilizer tableau
+/// is left (up to [`STABILIZER_MAX_QUBITS`]), and it takes Clifford
+/// operations only.
+#[must_use]
+pub fn feasible_at_width(inst: &Instruction, num_qubits: usize) -> bool {
+    num_qubits <= WIDE_ENGINE_MAX_QUBITS
+        || (num_qubits <= STABILIZER_MAX_QUBITS && is_clifford_inst(inst))
 }
 
 /// Width above which a Clifford-only circuit on an exponential backend
@@ -352,6 +379,38 @@ mod tests {
         let decision = dispatch_circuit(&qc);
         assert_eq!(decision.chosen, "stabilizer", "{:?}", decision.estimates);
         assert!(fused_group_count(&qc, FUSE_DISPATCH_WIDTH) > 0);
+    }
+
+    #[test]
+    fn dispatch_respects_engine_width_limits() {
+        // Past 128 qubits DD, MPS and TN cannot take the register: the
+        // wide GHZ goes to the tableau, not to `mps:2`.
+        let decision = dispatch_circuit(&generators::ghz(200));
+        assert_eq!(decision.chosen, "stabilizer", "{:?}", decision.estimates);
+        for e in &decision.estimates {
+            assert_eq!(e.feasible, e.spec == "stabilizer", "{e:?}");
+        }
+        // At 128 they are still feasible.
+        let decision = dispatch_circuit(&generators::ghz(128));
+        assert!(decision.estimates[3..].iter().all(|e| e.feasible));
+        // A wide non-Clifford circuit has no feasible backend, and the
+        // decision says so instead of naming a backend that would refuse.
+        let mut wide_t = generators::ghz(200);
+        wide_t.t(7);
+        let decision = dispatch_circuit(&wide_t);
+        assert!(!decision.chosen_estimate().feasible, "{decision:?}");
+        assert!(decision.estimates.iter().all(|e| !e.feasible));
+    }
+
+    #[test]
+    fn feasibility_at_width_leaves_only_clifford_gates_past_128_qubits() {
+        let mut qc = Circuit::new(200);
+        qc.h(0).cx(0, 199).t(3);
+        let [h, cx, t] = [0, 1, 2].map(|i| &qc.instructions()[i]);
+        assert!([h, cx, t].iter().all(|i| feasible_at_width(i, 128)));
+        assert!(feasible_at_width(h, 200) && feasible_at_width(cx, 200));
+        assert!(!feasible_at_width(t, 200));
+        assert!(!feasible_at_width(h, STABILIZER_MAX_QUBITS + 1));
     }
 
     #[test]

@@ -74,7 +74,8 @@ mod wellformed;
 pub mod audit;
 
 pub use cost::{
-    circuit_facts, dispatch_circuit, plan_dispatch, BackendCost, CircuitFacts, DispatchDecision,
+    circuit_facts, dispatch_circuit, feasible_at_width, plan_dispatch, BackendCost, CircuitFacts,
+    DispatchDecision,
 };
 pub use profile::{
     render_simulation_profile, simulation_profile, simulation_profile_traced, SimulationProfile,

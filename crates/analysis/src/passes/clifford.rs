@@ -9,7 +9,7 @@
 
 use std::collections::BTreeSet;
 
-use qdt_circuit::{Circuit, OpKind};
+use qdt_circuit::{Circuit, Instruction, OpKind};
 
 use crate::resources::is_clifford_inst;
 
@@ -22,31 +22,39 @@ pub struct CliffordRegion {
     pub end: usize,
     /// Clifford gates inside the span (barriers excluded).
     pub gates: usize,
-    /// The qubits the span touches.
-    pub qubits: BTreeSet<usize>,
+}
+
+impl CliffordRegion {
+    /// The qubits the span's gates touch (computed on demand, so
+    /// segmenting a circuit allocates nothing per region).
+    #[must_use]
+    pub fn qubits(&self, circuit: &Circuit) -> BTreeSet<usize> {
+        let nq = circuit.num_qubits();
+        circuit.instructions()[self.start..self.end]
+            .iter()
+            .filter(|i| !matches!(i.kind, OpKind::Barrier(_)))
+            .flat_map(Instruction::qubits)
+            .filter(|&q| q < nq)
+            .collect()
+    }
 }
 
 /// Segments `circuit` into maximal Clifford-only regions.
 #[must_use]
 pub fn clifford_regions(circuit: &Circuit) -> Vec<CliffordRegion> {
-    let nq = circuit.num_qubits();
     let mut regions = Vec::new();
     let mut current: Option<CliffordRegion> = None;
     for (i, inst) in circuit.iter().enumerate() {
         let is_gate = matches!(inst.kind, OpKind::Unitary { .. } | OpKind::Swap { .. });
         let extends = is_gate && inst.cond.is_none() && is_clifford_inst(inst);
         if extends {
-            let region = current.get_or_insert_with(|| CliffordRegion {
+            let region = current.get_or_insert(CliffordRegion {
                 start: i,
                 end: i,
                 gates: 0,
-                qubits: BTreeSet::new(),
             });
             region.end = i + 1;
             region.gates += 1;
-            region
-                .qubits
-                .extend(inst.qubits().into_iter().filter(|&q| q < nq));
         } else if matches!(inst.kind, OpKind::Barrier(_)) {
             // Transparent: neither breaks nor extends the span.
         } else if let Some(region) = current.take() {
@@ -70,7 +78,7 @@ mod tests {
         assert_eq!(regions[0].start, 0);
         assert_eq!(regions[0].end, 4);
         assert_eq!(regions[0].gates, 4);
-        assert_eq!(regions[0].qubits, BTreeSet::from([0, 1, 2]));
+        assert_eq!(regions[0].qubits(&qc), BTreeSet::from([0, 1, 2]));
     }
 
     #[test]

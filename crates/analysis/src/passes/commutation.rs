@@ -88,9 +88,8 @@ fn commutes(a: &Instruction, b: &Instruction) -> bool {
         // barriers pin ordering. All treated as non-commuting.
         return false;
     }
-    let qa = a.qubits();
-    for &q in &qa {
-        if !b.qubits().contains(&q) {
+    for q in a.qubits() {
+        if !b.qubits().any(|r| r == q) {
             continue;
         }
         let (ax, bx) = (axis_on(a, q), axis_on(b, q));
@@ -169,7 +168,6 @@ pub(crate) fn cancelling_pairs(circuit: &Circuit) -> Vec<Diagnostic> {
         // gate: the union of each qubit's next WINDOW.
         let mut shared: Vec<usize> = gate
             .qubits()
-            .into_iter()
             .filter(|&q| q < nq)
             .flat_map(|q| {
                 let list = &on_qubit[q];

@@ -15,7 +15,7 @@
 //!   chain-like circuits (GHZ, W) score 1 while all-to-all circuits
 //!   (QFT) score ~n/2.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 use qdt_circuit::{Circuit, OpKind};
 
@@ -65,13 +65,11 @@ pub fn interaction_facts(circuit: &Circuit) -> InteractionFacts {
         if !matches!(inst.kind, OpKind::Unitary { .. } | OpKind::Swap { .. }) {
             continue;
         }
-        let qs: Vec<usize> = inst.qubits().into_iter().filter(|&q| q < nq).collect();
-        for &q in &qs {
-            touched[q] = true;
-        }
-        for i in 0..qs.len() {
-            for j in i + 1..qs.len() {
-                let (a, b) = (qs[i].min(qs[j]), qs[i].max(qs[j]));
+        let qs = inst.qubits().filter(|&q| q < nq);
+        for (i, x) in qs.clone().enumerate() {
+            touched[x] = true;
+            for y in qs.clone().skip(i + 1) {
+                let (a, b) = (x.min(y), x.max(y));
                 if a == b {
                     continue;
                 }
@@ -97,21 +95,26 @@ pub fn interaction_facts(circuit: &Circuit) -> InteractionFacts {
 /// the number of distinct edges crossing, capped per cut by the
 /// smaller side's size (entanglement across a cut of `k` qubits is at
 /// most `2^k` regardless of how many gates straddle it).
+///
+/// An edge between positions `lo < hi` crosses cuts `lo+1..=hi`, so one
+/// difference array over the cuts counts every crossing in O(n + E).
 fn cut_width_of(order: &[usize], edges: &BTreeMap<(usize, usize), usize>) -> usize {
     let n = order.len();
     let mut position = vec![0usize; n];
     for (pos, &q) in order.iter().enumerate() {
         position[q] = pos;
     }
+    // (edges starting to cross at this cut, edges no longer crossing it)
+    let mut delta = vec![(0usize, 0usize); n + 1];
+    for &(a, b) in edges.keys() {
+        let (pa, pb) = (position[a], position[b]);
+        delta[pa.min(pb) + 1].0 += 1;
+        delta[pa.max(pb) + 1].1 += 1;
+    }
+    let mut crossing = 0;
     let mut width = 0;
-    for cut in 1..n {
-        let crossing = edges
-            .keys()
-            .filter(|&&(a, b)| {
-                let (pa, pb) = (position[a], position[b]);
-                pa.min(pb) < cut && pa.max(pb) >= cut
-            })
-            .count();
+    for (cut, &(opened, closed)) in delta.iter().enumerate().take(n).skip(1) {
+        crossing = crossing + opened - closed;
         width = width.max(crossing.min(cut).min(n - cut));
     }
     width
@@ -119,30 +122,55 @@ fn cut_width_of(order: &[usize], edges: &BTreeMap<(usize, usize), usize>) -> usi
 
 /// Greedy linear arrangement: start from a minimum-degree qubit, then
 /// repeatedly place the qubit with the most edges into the placed set
-/// (ties to the lowest index), closing edges as early as possible.
+/// (ties to the lower degree, then the lowest index), closing edges as
+/// early as possible.
+///
+/// Placing a qubit bumps its unplaced neighbours' counts and pushes
+/// their new keys on a max-heap; outdated keys are skipped when popped,
+/// so the order costs O((n + E) log n).
 fn greedy_order(nq: usize, edges: &BTreeMap<(usize, usize), usize>) -> Vec<usize> {
-    let mut degree = vec![0usize; nq];
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); nq];
+    // Adjacency in compressed rows: the neighbours of `q` are
+    // `adj[start[q]..start[q + 1]]`.
+    let mut start = vec![0usize; nq + 1];
     for &(a, b) in edges.keys() {
-        degree[a] += 1;
-        degree[b] += 1;
-        adj[a].push(b);
-        adj[b].push(a);
+        start[a + 1] += 1;
+        start[b + 1] += 1;
     }
+    for q in 0..nq {
+        start[q + 1] += start[q];
+    }
+    let mut next = start.clone();
+    let mut adj = vec![0usize; 2 * edges.len()];
+    for &(a, b) in edges.keys() {
+        adj[next[a]] = b;
+        next[a] += 1;
+        adj[next[b]] = a;
+        next[b] += 1;
+    }
+    // Seed choice (no one placed yet): prefer low degree; ties then
+    // lowest index, via the reversed key.
+    let key = |q: usize, into_placed: usize| {
+        let degree = start[q + 1] - start[q];
+        (into_placed, usize::MAX - degree, usize::MAX - q)
+    };
+    let mut into_placed = vec![0usize; nq];
     let mut placed = vec![false; nq];
+    let mut heap = BinaryHeap::with_capacity(nq + adj.len());
+    heap.extend((0..nq).map(|q| key(q, 0)));
     let mut order = Vec::with_capacity(nq);
-    while order.len() < nq {
-        let next = (0..nq)
-            .filter(|&q| !placed[q])
-            .max_by_key(|&q| {
-                let into_placed = adj[q].iter().filter(|&&r| placed[r]).count();
-                // Seed choice (no one placed yet): prefer low degree.
-                // Ties then lowest index via the reversed key.
-                (into_placed, usize::MAX - degree[q], usize::MAX - q)
-            })
-            .expect("some qubit unplaced");
-        placed[next] = true;
-        order.push(next);
+    while let Some((into, _, reversed)) = heap.pop() {
+        let q = usize::MAX - reversed;
+        if placed[q] || into != into_placed[q] {
+            continue;
+        }
+        placed[q] = true;
+        order.push(q);
+        for &r in &adj[start[q]..start[q + 1]] {
+            if !placed[r] {
+                into_placed[r] += 1;
+                heap.push(key(r, into_placed[r]));
+            }
+        }
     }
     order
 }
@@ -193,6 +221,116 @@ mod tests {
         isolated_qubits(qc, &circuit_facts(qc))
     }
     use qdt_circuit::generators;
+
+    /// The quadratic cut width the linear one replaced, kept as its
+    /// oracle: every cut counts every edge, and every greedy step
+    /// rescans each unplaced qubit's adjacency.
+    fn oracle_cut_width(nq: usize, edges: &BTreeMap<(usize, usize), usize>) -> usize {
+        let width_of = |order: &[usize]| {
+            let n = order.len();
+            let mut position = vec![0usize; n];
+            for (pos, &q) in order.iter().enumerate() {
+                position[q] = pos;
+            }
+            let mut width = 0;
+            for cut in 1..n {
+                let crossing = edges
+                    .keys()
+                    .filter(|&&(a, b)| {
+                        let (pa, pb) = (position[a], position[b]);
+                        pa.min(pb) < cut && pa.max(pb) >= cut
+                    })
+                    .count();
+                width = width.max(crossing.min(cut).min(n - cut));
+            }
+            width
+        };
+        let natural: Vec<usize> = (0..nq).collect();
+        width_of(&natural).min(width_of(&oracle_greedy_order(nq, edges)))
+    }
+
+    fn oracle_greedy_order(nq: usize, edges: &BTreeMap<(usize, usize), usize>) -> Vec<usize> {
+        let mut degree = vec![0usize; nq];
+        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); nq];
+        for &(a, b) in edges.keys() {
+            degree[a] += 1;
+            degree[b] += 1;
+            adj[a].push(b);
+            adj[b].push(a);
+        }
+        let mut placed = vec![false; nq];
+        let mut order = Vec::with_capacity(nq);
+        while order.len() < nq {
+            let next = (0..nq)
+                .filter(|&q| !placed[q])
+                .max_by_key(|&q| {
+                    let into_placed = adj[q].iter().filter(|&&r| placed[r]).count();
+                    (into_placed, usize::MAX - degree[q], usize::MAX - q)
+                })
+                .expect("some qubit unplaced");
+            placed[next] = true;
+            order.push(next);
+        }
+        order
+    }
+
+    fn assert_matches_oracle(qc: &Circuit, label: &str) {
+        let facts = interaction_facts(qc);
+        let nq = qc.num_qubits();
+        assert_eq!(
+            greedy_order(nq, &facts.edges),
+            oracle_greedy_order(nq, &facts.edges),
+            "{label}: greedy order"
+        );
+        assert_eq!(
+            facts.cut_width,
+            oracle_cut_width(nq, &facts.edges),
+            "{label}: cut width"
+        );
+    }
+
+    #[test]
+    fn linear_cut_width_matches_the_quadratic_oracle() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        for i in 0..500 {
+            let n = rng.gen_range(1usize..40);
+            let qc = match i % 4 {
+                0 => generators::random_circuit(n, rng.gen_range(1usize..8), &mut rng),
+                1 => generators::random_clifford_t(n, rng.gen_range(1usize..8), 0.3, &mut rng),
+                2 => generators::random_clifford(n, rng.gen_range(1usize..8), &mut rng),
+                // Sparse random graphs: a few long-range two-qubit gates.
+                _ => {
+                    let mut qc = Circuit::new(n.max(2));
+                    for _ in 0..rng.gen_range(0..2 * n) {
+                        let a = rng.gen_range(0..n.max(2));
+                        let b = rng.gen_range(0..n.max(2));
+                        if a != b {
+                            qc.cx(a, b);
+                        }
+                    }
+                    qc
+                }
+            };
+            assert_matches_oracle(&qc, &format!("random #{i}"));
+        }
+        for (qc, label) in [
+            (generators::bell(), "bell"),
+            (generators::ghz(64), "ghz"),
+            (generators::w_state(64), "w"),
+            (generators::qft(12, true), "qft"),
+            (generators::grover(5, 3, 2), "grover"),
+            (generators::ripple_carry_adder(4), "adder"),
+            (generators::phase_estimation(5, 0.3), "qpe"),
+            (
+                generators::random_clifford_seeded(200, 8, 7),
+                "clifford-200",
+            ),
+            (generators::repetition_code(5, 2), "repetition"),
+        ] {
+            assert_matches_oracle(&qc, label);
+        }
+    }
 
     #[test]
     fn ghz_chain_has_cut_width_one() {

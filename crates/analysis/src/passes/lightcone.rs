@@ -83,9 +83,11 @@ impl LightconeFacts {
     }
 }
 
-/// Computes liveness for every instruction of `circuit`.
+/// Computes liveness for every instruction of `circuit`. The def-use
+/// DAG is built only when the circuit measures something: without a
+/// measurement every instruction is live and there is nothing to solve.
 #[must_use]
-pub fn lightcone_facts(circuit: &Circuit, dag: &CircuitDag) -> LightconeFacts {
+pub fn lightcone_facts(circuit: &Circuit) -> LightconeFacts {
     let has_measurements = circuit
         .iter()
         .any(|i| matches!(i.kind, OpKind::Measure { .. }));
@@ -95,7 +97,7 @@ pub fn lightcone_facts(circuit: &Circuit, dag: &CircuitDag) -> LightconeFacts {
             has_measurements,
         };
     }
-    let solution = solve(&Liveness, circuit, dag);
+    let solution = solve(&Liveness, circuit, &CircuitDag::build(circuit));
     LightconeFacts {
         live: solution.facts,
         has_measurements,
@@ -130,7 +132,6 @@ pub(crate) fn dead_gates(circuit: &Circuit, facts: &CircuitFacts) -> Vec<Diagnos
             OpKind::Unitary { .. } | OpKind::Swap { .. } if !facts.lightcone.live[i] => {
                 let after: Vec<usize> = inst
                     .qubits()
-                    .into_iter()
                     .filter(|&q| q < nq && measured_out[q])
                     .collect();
                 out.push(if after.is_empty() {
@@ -225,8 +226,7 @@ mod tests {
         let mut qc = Circuit::new(2);
         qc.h(0).x(1);
         assert!(lint(&qc).is_empty());
-        let dag = CircuitDag::build(&qc);
-        assert_eq!(lightcone_facts(&qc, &dag).dead_gates(&qc), 0);
+        assert_eq!(lightcone_facts(&qc).dead_gates(&qc), 0);
     }
 
     #[test]

@@ -50,12 +50,25 @@ pub(crate) fn is_clifford_inst(inst: &qdt_circuit::Instruction) -> bool {
 }
 
 /// Computes the [`ResourceReport`] of a circuit.
+///
+/// Gates are counted per (base gate, control count) and each distinct
+/// kind's name is built once at the end, so the pass allocates per
+/// distinct kind and per qubit, never per gate.
 pub fn resource_report(circuit: &Circuit) -> ResourceReport {
-    let mut gate_counts = BTreeMap::new();
+    // (base name, control count) → gates; a handful of distinct kinds.
+    let mut kinds: Vec<((&'static str, usize), usize)> = Vec::new();
     let mut clifford_only = true;
     for inst in circuit.iter() {
-        if matches!(inst.kind, OpKind::Unitary { .. } | OpKind::Swap { .. }) {
-            *gate_counts.entry(inst.name()).or_insert(0) += 1;
+        let kind = match &inst.kind {
+            OpKind::Unitary { gate, controls, .. } => Some((gate.name(), controls.len())),
+            OpKind::Swap { controls, .. } => Some(("swap", controls.len())),
+            _ => None,
+        };
+        if let Some(kind) = kind {
+            match kinds.iter_mut().find(|(k, _)| *k == kind) {
+                Some((_, n)) => *n += 1,
+                None => kinds.push((kind, 1)),
+            }
         }
         clifford_only &= is_clifford_inst(inst);
     }
@@ -68,22 +81,23 @@ pub fn resource_report(circuit: &Circuit) -> ResourceReport {
     let mut full_frontier = vec![0usize; nq];
     let mut frontier = vec![0usize; nq];
     for inst in circuit.iter() {
-        let qs: Vec<usize> = inst.qubits().into_iter().filter(|&q| q < nq).collect();
-        if qs.is_empty() {
+        let qs = inst.qubits().filter(|&q| q < nq);
+        let Some(level) = qs.clone().map(|q| full_frontier[q]).max() else {
             continue;
-        }
+        };
         // Full depth: every instruction advances its wires; barriers only
         // align them (mirrors `Circuit::depth`).
-        let level = qs.iter().map(|&q| full_frontier[q]).max().unwrap_or(0);
         let is_barrier = matches!(inst.kind, OpKind::Barrier(_));
-        for &q in &qs {
+        for q in qs.clone() {
             full_frontier[q] = if is_barrier { level } else { level + 1 };
         }
         // Two-qubit depth: frontier levels advance only on multi-qubit
         // unitaries.
-        if qs.len() >= 2 && matches!(inst.kind, OpKind::Unitary { .. } | OpKind::Swap { .. }) {
-            let level = qs.iter().map(|&q| frontier[q]).max().unwrap_or(0) + 1;
-            for &q in &qs {
+        if qs.clone().nth(1).is_some()
+            && matches!(inst.kind, OpKind::Unitary { .. } | OpKind::Swap { .. })
+        {
+            let level = qs.clone().map(|q| frontier[q]).max().unwrap_or(0) + 1;
+            for q in qs {
                 frontier[q] = level;
             }
         }
@@ -91,6 +105,12 @@ pub fn resource_report(circuit: &Circuit) -> ResourceReport {
     let depth = full_frontier.into_iter().max().unwrap_or(0);
     let two_qubit_depth = frontier.into_iter().max().unwrap_or(0);
 
+    let mut gate_counts = BTreeMap::new();
+    for ((name, controls), n) in kinds {
+        *gate_counts
+            .entry(format!("{}{name}", "c".repeat(controls)))
+            .or_insert(0) += n;
+    }
     ResourceReport {
         num_qubits: circuit.num_qubits(),
         num_clbits: circuit.num_clbits(),

@@ -20,8 +20,7 @@ pub(crate) fn well_formedness(circuit: &Circuit) -> Vec<Diagnostic> {
     let mut named = vec![false; nq];
 
     for (i, inst) in circuit.iter().enumerate() {
-        let qs = inst.qubits();
-        for &q in &qs {
+        for q in inst.qubits() {
             if q < nq {
                 named[q] = true;
             } else {
@@ -35,7 +34,7 @@ pub(crate) fn well_formedness(circuit: &Circuit) -> Vec<Diagnostic> {
                 ));
             }
         }
-        let mut sorted = qs.clone();
+        let mut sorted: Vec<usize> = inst.qubits().collect();
         sorted.sort_unstable();
         for w in sorted.windows(2) {
             if w[0] == w[1] {

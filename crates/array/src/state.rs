@@ -764,16 +764,50 @@ mod tests {
 impl StateVector {
     /// The expectation value `⟨ψ|P|ψ⟩` of a Pauli string.
     ///
+    /// One pass, no copy of the state: `(Pψ)ᵢ = phase(i) · ψ[i ⊕ x]`,
+    /// with `x` the mask of X and Y factors and
+    /// `phase(i) = (−i)^#Y · (−1)^popcount(i ∧ (y ∨ z))`. A phase of
+    /// ±1 or ±i only swaps and negates components, which is exact, and
+    /// the sum runs in index order, so the result equals
+    /// `Re ⟨ψ|Pψ⟩` computed from a transformed copy (up to the sign of
+    /// a zero).
+    ///
     /// # Panics
     ///
     /// Panics if the string's width differs from the state's.
     pub fn expectation_pauli(&self, pauli: &qdt_circuit::PauliString) -> f64 {
+        use qdt_circuit::Pauli;
         assert_eq!(pauli.num_qubits(), self.num_qubits, "Pauli width mismatch");
-        let mut transformed = self.clone();
+        let (mut xmask, mut yzmask, mut num_y) = (0usize, 0usize, 0usize);
         for (q, p) in pauli.support() {
-            transformed.apply_gate(&p.matrix(), q);
+            match p {
+                Pauli::X => xmask |= 1 << q,
+                Pauli::Y => {
+                    xmask |= 1 << q;
+                    yzmask |= 1 << q;
+                    num_y += 1;
+                }
+                Pauli::Z => yzmask |= 1 << q,
+                Pauli::I => {}
+            }
         }
-        self.inner_product(&transformed).re
+        // (−i)^#Y: an odd count rotates by ∓i (swap the components), and
+        // #Y ≡ 2, 3 (mod 4) contributes an extra −1.
+        let rotated = num_y % 2 == 1;
+        let negated = num_y % 4 >= 2;
+        let mut sum = 0.0;
+        for (i, a) in self.amps.iter().enumerate() {
+            let b = self.amps[i ^ xmask];
+            // Re(conj(a) · phase · b) for phase ∈ {1, −i} before the sign.
+            let term = if rotated {
+                a.re * b.im - a.im * b.re
+            } else {
+                a.re * b.re + a.im * b.im
+            };
+            let odd = (i & yzmask).count_ones() % 2 == 1;
+            sum += if odd != negated { -term } else { term };
+        }
+        sum
     }
 }
 
@@ -781,6 +815,51 @@ impl StateVector {
 mod pauli_tests {
     use super::*;
     use qdt_circuit::{generators, PauliString};
+
+    /// The clone-and-apply formula the one-pass readout replaced.
+    fn expectation_by_copy(psi: &StateVector, pauli: &PauliString) -> f64 {
+        let mut transformed = psi.clone();
+        for (q, p) in pauli.support() {
+            transformed.apply_gate(&p.matrix(), q);
+        }
+        psi.inner_product(&transformed).re
+    }
+
+    #[test]
+    fn one_pass_readout_equals_the_copy_based_formula() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(29);
+        for n in 1..=7 {
+            for _ in 0..8 {
+                let mut psi = StateVector {
+                    num_qubits: n,
+                    amps: (0..1usize << n)
+                        .map(|_| Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
+                        .collect(),
+                };
+                psi.normalize();
+                let random: String = (0..n)
+                    .map(|_| ['I', 'X', 'Y', 'Z'][rng.gen_range(0usize..4)])
+                    .collect();
+                let mut strings = vec![random];
+                for c in ['X', 'Y', 'Z'] {
+                    strings.push(std::iter::repeat_n(c, n).collect());
+                    let mut single = vec!['I'; n];
+                    single[rng.gen_range(0..n)] = c;
+                    strings.push(single.into_iter().collect());
+                }
+                for s in strings {
+                    let p: PauliString = s.parse().unwrap();
+                    assert_eq!(
+                        psi.expectation_pauli(&p),
+                        expectation_by_copy(&psi, &p),
+                        "{s}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn z_expectations_match_dedicated_method() {

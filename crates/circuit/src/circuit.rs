@@ -179,23 +179,22 @@ impl Instruction {
         self
     }
 
-    /// All qubits this instruction touches (targets then controls).
-    pub fn qubits(&self) -> Vec<usize> {
-        match &self.kind {
+    /// All qubits this instruction touches (targets then controls),
+    /// borrowed from the instruction: iterating them allocates nothing.
+    pub fn qubits(&self) -> Qubits<'_> {
+        let (lead, lead_len, rest): ([usize; 2], usize, &[usize]) = match &self.kind {
             OpKind::Unitary {
                 target, controls, ..
-            } => {
-                let mut qs = vec![*target];
-                qs.extend(controls);
-                qs
-            }
-            OpKind::Swap { a, b, controls } => {
-                let mut qs = vec![*a, *b];
-                qs.extend(controls);
-                qs
-            }
-            OpKind::Measure { qubit, .. } | OpKind::Reset { qubit } => vec![*qubit],
-            OpKind::Barrier(qs) => qs.clone(),
+            } => ([*target, 0], 1, controls),
+            OpKind::Swap { a, b, controls } => ([*a, *b], 2, controls),
+            OpKind::Measure { qubit, .. } | OpKind::Reset { qubit } => ([*qubit, 0], 1, &[]),
+            OpKind::Barrier(qs) => ([0; 2], 0, qs),
+        };
+        Qubits {
+            lead,
+            next_lead: 0,
+            lead_len,
+            rest: rest.iter(),
         }
     }
 
@@ -285,6 +284,57 @@ impl Instruction {
             OpKind::Barrier(_) => "barrier".into(),
         }
     }
+}
+
+/// The qubits one instruction touches, in [`Instruction::qubits`] order.
+///
+/// The target (or both swap operands, or the measured/reset qubit) is
+/// held inline and the controls or barrier list are borrowed, so the
+/// iterator is `Clone` and its `len` is exact without a heap copy.
+#[derive(Debug, Clone)]
+pub struct Qubits<'a> {
+    lead: [usize; 2],
+    next_lead: usize,
+    lead_len: usize,
+    rest: std::slice::Iter<'a, usize>,
+}
+
+impl Iterator for Qubits<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.next_lead < self.lead_len {
+            self.next_lead += 1;
+            Some(self.lead[self.next_lead - 1])
+        } else {
+            self.rest.next().copied()
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = self.lead_len - self.next_lead + self.rest.len();
+        (len, Some(len))
+    }
+}
+
+impl ExactSizeIterator for Qubits<'_> {}
+
+/// The smallest qubit listed more than once, if any.
+fn repeated_qubit(qubits: Qubits<'_>) -> Option<usize> {
+    // Gates name a handful of qubits: a pairwise scan beats sorting a
+    // copy. Wide barriers sort one.
+    if qubits.len() <= 8 {
+        let mut repeated: Option<usize> = None;
+        for (i, q) in qubits.clone().enumerate() {
+            if qubits.clone().skip(i + 1).any(|r| r == q) && repeated.is_none_or(|m| q < m) {
+                repeated = Some(q);
+            }
+        }
+        return repeated;
+    }
+    let mut sorted: Vec<usize> = qubits.collect();
+    sorted.sort_unstable();
+    sorted.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
 }
 
 /// The at most two qubits one instruction mixes (see
@@ -407,22 +457,31 @@ impl Circuit {
         self.instructions[index].cond = cond;
     }
 
+    /// Appends `size` qubits (or classical bits) to the register and
+    /// returns the index of the first, or `None` on overflow
+    /// (crate-internal: the QASM parser widens the circuit as it meets
+    /// `qreg`/`creg` declarations).
+    pub(crate) fn widen(&mut self, classical: bool, size: usize) -> Option<usize> {
+        let width = if classical {
+            &mut self.num_clbits
+        } else {
+            &mut self.num_qubits
+        };
+        let first = *width;
+        *width = first.checked_add(size)?;
+        Some(first)
+    }
+
     fn validate(&self, inst: &Instruction) -> Result<(), CircuitError> {
-        let qs = inst.qubits();
-        for &q in &qs {
-            if q >= self.num_qubits {
-                return Err(CircuitError::QubitOutOfRange {
-                    qubit: q,
-                    num_qubits: self.num_qubits,
-                });
-            }
+        let qubits = inst.qubits();
+        if let Some(qubit) = qubits.clone().find(|&q| q >= self.num_qubits) {
+            return Err(CircuitError::QubitOutOfRange {
+                qubit,
+                num_qubits: self.num_qubits,
+            });
         }
-        let mut sorted = qs.clone();
-        sorted.sort_unstable();
-        for w in sorted.windows(2) {
-            if w[0] == w[1] {
-                return Err(CircuitError::DuplicateQubit { qubit: w[0] });
-            }
+        if let Some(qubit) = repeated_qubit(qubits) {
+            return Err(CircuitError::DuplicateQubit { qubit });
         }
         if let OpKind::Measure { clbit, .. } = inst.kind {
             if clbit >= self.num_clbits {
@@ -440,15 +499,22 @@ impl Circuit {
                 });
             }
         }
+        if let OpKind::Unitary { gate, .. } = &inst.kind {
+            if !gate.has_finite_params() {
+                return Err(CircuitError::NonFiniteParameter { gate: gate.name() });
+            }
+        }
         Ok(())
     }
 
-    /// Appends an instruction after validating its qubit indices.
+    /// Appends an instruction after validating its qubit indices and
+    /// gate angles.
     ///
     /// # Errors
     ///
-    /// Returns [`CircuitError`] if any index is out of range or a qubit is
-    /// repeated within the instruction.
+    /// Returns [`CircuitError`] if any index is out of range, a qubit is
+    /// repeated within the instruction, or a gate angle is NaN or
+    /// infinite.
     pub fn push(&mut self, inst: Instruction) -> Result<(), CircuitError> {
         self.validate(&inst)?;
         self.instructions.push(inst);
@@ -773,13 +839,11 @@ impl Circuit {
     pub fn depth(&self) -> usize {
         let mut frontier = vec![0usize; self.num_qubits];
         for inst in &self.instructions {
-            let qs = inst.qubits();
-            if qs.is_empty() {
+            let Some(level) = inst.qubits().map(|q| frontier[q]).max() else {
                 continue;
-            }
-            let level = qs.iter().map(|&q| frontier[q]).max().unwrap_or(0);
+            };
             let is_barrier = matches!(inst.kind, OpKind::Barrier(_));
-            for &q in &qs {
+            for q in inst.qubits() {
                 frontier[q] = if is_barrier { level } else { level + 1 };
             }
         }
@@ -859,7 +923,12 @@ impl fmt::Display for Circuit {
             self.instructions.len()
         )?;
         for inst in &self.instructions {
-            writeln!(f, "  {} {:?}", inst.name(), inst.qubits())?;
+            writeln!(
+                f,
+                "  {} {:?}",
+                inst.name(),
+                inst.qubits().collect::<Vec<_>>()
+            )?;
         }
         Ok(())
     }
@@ -925,6 +994,60 @@ mod tests {
             err,
             CircuitError::ClbitOutOfRange { clbit: 3, .. }
         ));
+    }
+
+    #[test]
+    fn push_rejects_non_finite_angles() {
+        let mut qc = Circuit::new(2);
+        for gate in [
+            Gate::Rz(f64::NAN),
+            Gate::Phase(f64::INFINITY),
+            Gate::U(0.0, f64::NEG_INFINITY, 0.0),
+        ] {
+            for controls in [vec![], vec![1]] {
+                let err = qc
+                    .push(Instruction::new(OpKind::Unitary {
+                        gate,
+                        target: 0,
+                        controls,
+                    }))
+                    .unwrap_err();
+                assert_eq!(err, CircuitError::NonFiniteParameter { gate: gate.name() });
+            }
+        }
+        assert!(qc.is_empty());
+        qc.rz(1e300, 0);
+        assert_eq!(qc.len(), 1);
+    }
+
+    #[test]
+    fn qubits_iterate_without_a_copy_and_report_their_length() {
+        let mut qc = Circuit::with_clbits(4, 1);
+        qc.cswap(3, 0, 2).measure(1, 0).barrier();
+        let qubits: Vec<Vec<usize>> = qc.iter().map(|i| i.qubits().collect()).collect();
+        assert_eq!(qubits, vec![vec![0, 2, 3], vec![1], vec![0, 1, 2, 3]]);
+        let mut swap = qc.instructions()[0].qubits();
+        assert_eq!(swap.len(), 3);
+        swap.next();
+        assert_eq!(swap.len(), 2);
+    }
+
+    #[test]
+    fn push_reports_the_smallest_repeated_qubit() {
+        let mut qc = Circuit::new(12);
+        let wide: Vec<usize> = (0..10).chain([7, 3]).collect();
+        let err = qc
+            .push(Instruction::new(OpKind::Barrier(wide)))
+            .unwrap_err();
+        assert_eq!(err, CircuitError::DuplicateQubit { qubit: 3 });
+        let err = qc
+            .push(Instruction::new(OpKind::Swap {
+                a: 5,
+                b: 2,
+                controls: vec![5, 2],
+            }))
+            .unwrap_err();
+        assert_eq!(err, CircuitError::DuplicateQubit { qubit: 2 });
     }
 
     #[test]
@@ -1075,7 +1198,11 @@ mod tests {
         qc.cx(0, 1);
         let mapped = qc.remap(&[3, 1], 4);
         assert_eq!(mapped.num_qubits(), 4);
-        assert_eq!(mapped.instructions()[0].qubits(), vec![1, 3]); // target 1, control 3
+        // target 1, control 3
+        assert_eq!(
+            mapped.instructions()[0].qubits().collect::<Vec<_>>(),
+            vec![1, 3]
+        );
     }
 
     #[test]
@@ -1092,7 +1219,10 @@ mod tests {
     fn instruction_qubits_order() {
         let mut qc = Circuit::new(3);
         qc.ccx(2, 1, 0);
-        assert_eq!(qc.instructions()[0].qubits(), vec![0, 2, 1]);
+        assert_eq!(
+            qc.instructions()[0].qubits().collect::<Vec<_>>(),
+            vec![0, 2, 1]
+        );
         assert_eq!(qc.instructions()[0].name(), "ccx");
     }
 

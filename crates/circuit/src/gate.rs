@@ -187,6 +187,15 @@ impl Gate {
         }
     }
 
+    /// Returns `true` unless some rotation angle is NaN or infinite.
+    pub(crate) fn has_finite_params(&self) -> bool {
+        match *self {
+            Gate::Rx(t) | Gate::Ry(t) | Gate::Rz(t) | Gate::Phase(t) => t.is_finite(),
+            Gate::U(a, b, c) => a.is_finite() && b.is_finite() && c.is_finite(),
+            _ => true,
+        }
+    }
+
     /// Returns `true` if the gate is (exactly) a Clifford gate.
     ///
     /// Parameterised rotations are reported as Clifford only when their

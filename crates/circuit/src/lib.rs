@@ -33,7 +33,7 @@ pub mod generators;
 mod pauli;
 pub mod qasm;
 
-pub use circuit::{Circuit, ClassicalState, Condition, FusionSupport, Instruction, OpKind};
+pub use circuit::{Circuit, ClassicalState, Condition, FusionSupport, Instruction, OpKind, Qubits};
 pub use gate::Gate;
 pub use pauli::{ParsePauliError, Pauli, PauliString};
 
@@ -60,6 +60,11 @@ pub enum CircuitError {
     DuplicateQubit {
         /// The qubit that appears more than once.
         qubit: usize,
+    },
+    /// A gate angle is NaN or infinite.
+    NonFiniteParameter {
+        /// Name of the gate carrying the angle.
+        gate: &'static str,
     },
     /// An operation without a unitary inverse (measurement/reset) blocked
     /// circuit inversion.
@@ -89,6 +94,9 @@ impl fmt::Display for CircuitError {
                     f,
                     "qubit {qubit} used more than once in a single instruction"
                 )
+            }
+            CircuitError::NonFiniteParameter { gate } => {
+                write!(f, "gate {gate} has a non-finite angle")
             }
             CircuitError::NotInvertible { op } => {
                 write!(f, "operation {op} has no unitary inverse")

@@ -28,10 +28,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::collections::HashMap;
 use std::fmt;
 
-use crate::{Circuit, Gate, Instruction, OpKind};
+use crate::{Circuit, Condition, Gate, Instruction, OpKind};
 
 /// Error produced while parsing OpenQASM source.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,649 +69,637 @@ impl fmt::Display for WriteQasmError {
 
 impl std::error::Error for WriteQasmError {}
 
-fn err(line: usize, message: impl Into<String>) -> ParseQasmError {
-    ParseQasmError {
-        line,
-        message: message.into(),
-    }
-}
+/// Deepest parenthesis nesting an angle expression may use.
+const MAX_EXPR_DEPTH: usize = 64;
 
 /// Parses an OpenQASM 2.0 program into a [`Circuit`].
+///
+/// The parser makes one forward scan over the source. Tokens are slices
+/// borrowed from it, registers are found by a linear scan of the (few)
+/// declarations, and nothing is allocated per token or per gate beyond
+/// the instruction itself. Registers must be declared before they are
+/// used.
 ///
 /// # Errors
 ///
 /// Returns [`ParseQasmError`] on syntax errors, unknown gates, undefined
-/// registers or out-of-range indices.
+/// registers or out-of-range indices. Every error carries the line the
+/// failing statement starts on.
 pub fn parse(source: &str) -> Result<Circuit, ParseQasmError> {
-    let mut qregs: Vec<(String, usize, usize)> = Vec::new(); // (name, offset, size)
-    let mut cregs: Vec<(String, usize, usize)> = Vec::new();
-    let mut num_qubits = 0usize;
-    let mut num_clbits = 0usize;
-    let mut statements: Vec<(usize, String)> = Vec::new();
-
-    // Strip comments, split into `;`-terminated statements while tracking
-    // line numbers.
-    let mut current = String::new();
-    let mut start_line = 1;
-    for (lineno, raw) in source.lines().enumerate() {
-        let line = match raw.find("//") {
-            Some(pos) => &raw[..pos],
-            None => raw,
-        };
-        for ch in line.chars() {
-            if ch == ';' {
-                let stmt = current.trim().to_string();
-                if !stmt.is_empty() {
-                    statements.push((start_line, stmt));
+    let mut p = Parser {
+        src: source,
+        pos: 0,
+        line: 1,
+        stmt: 0,
+        parens: 0,
+        qregs: Vec::new(),
+        cregs: Vec::new(),
+        qc: Circuit::new(0),
+    };
+    loop {
+        p.skip_ws();
+        match p.peek() {
+            None => return Ok(p.qc),
+            Some(b';') => p.pos += 1,
+            Some(_) => {
+                let line = p.line;
+                p.stmt = p.pos;
+                if let Err(mut message) = p.statement() {
+                    // A statement that runs into the end of the input is
+                    // unterminated, whatever else is wrong with it.
+                    if p.statement_end().is_none() {
+                        message = "unterminated statement (missing ';')".into();
+                    }
+                    return Err(ParseQasmError { line, message });
                 }
-                current.clear();
-                start_line = lineno + 1;
-            } else {
-                if current.trim().is_empty() {
-                    start_line = lineno + 1;
-                }
-                current.push(ch);
             }
         }
-        current.push(' ');
     }
-    if !current.trim().is_empty() {
-        return Err(err(start_line, "unterminated statement (missing ';')"));
-    }
-
-    let mut pending: Vec<(usize, String)> = Vec::new();
-
-    for (line, stmt) in statements {
-        let stmt = stmt.trim();
-        if stmt.starts_with("OPENQASM") || stmt.starts_with("include") {
-            continue;
-        }
-        if let Some(rest) = stmt.strip_prefix("qreg") {
-            let (name, size) = parse_decl(rest.trim(), line)?;
-            qregs.push((name, num_qubits, size));
-            num_qubits += size;
-            continue;
-        }
-        if let Some(rest) = stmt.strip_prefix("creg") {
-            let (name, size) = parse_decl(rest.trim(), line)?;
-            cregs.push((name, num_clbits, size));
-            num_clbits += size;
-            continue;
-        }
-        pending.push((line, stmt.to_string()));
-    }
-
-    let mut qc = Circuit::with_clbits(num_qubits, num_clbits);
-    let qmap: HashMap<&str, (usize, usize)> = qregs
-        .iter()
-        .map(|(n, o, s)| (n.as_str(), (*o, *s)))
-        .collect();
-    let cmap: HashMap<&str, (usize, usize)> = cregs
-        .iter()
-        .map(|(n, o, s)| (n.as_str(), (*o, *s)))
-        .collect();
-
-    for (line, stmt) in pending {
-        apply_statement(&mut qc, &qmap, &cmap, line, &stmt)?;
-    }
-    Ok(qc)
 }
 
-fn parse_decl(rest: &str, line: usize) -> Result<(String, usize), ParseQasmError> {
-    // e.g. `q[3]`
-    let open = rest
-        .find('[')
-        .ok_or_else(|| err(line, "expected '[' in register declaration"))?;
-    let close = rest
-        .find(']')
-        .ok_or_else(|| err(line, "expected ']' in register declaration"))?;
-    let name = rest[..open].trim().to_string();
-    if name.is_empty() {
-        return Err(err(line, "empty register name"));
-    }
-    let size: usize = rest[open + 1..close]
-        .trim()
-        .parse()
-        .map_err(|_| err(line, "invalid register size"))?;
-    if size == 0 {
-        return Err(err(line, "register size must be positive"));
-    }
-    Ok((name, size))
+/// A declared register: its name and its slice of the flat index space.
+#[derive(Clone, Copy)]
+struct Register<'a> {
+    name: &'a str,
+    offset: usize,
+    size: usize,
 }
 
 /// An argument reference: either one bit or a whole register.
+#[derive(Clone, Copy)]
 enum ArgRef {
     Bit(usize),
     Register(usize, usize), // offset, size
 }
 
-fn parse_arg(
-    text: &str,
-    map: &HashMap<&str, (usize, usize)>,
-    line: usize,
-    what: &str,
-) -> Result<ArgRef, ParseQasmError> {
-    let text = text.trim();
-    if let Some(open) = text.find('[') {
-        let close = text
-            .find(']')
-            .ok_or_else(|| err(line, format!("expected ']' in {what} argument")))?;
-        let name = text[..open].trim();
-        let idx: usize = text[open + 1..close]
-            .trim()
-            .parse()
-            .map_err(|_| err(line, format!("invalid index in {what} argument")))?;
-        let &(offset, size) = map
-            .get(name)
-            .ok_or_else(|| err(line, format!("undefined {what} register '{name}'")))?;
-        if idx >= size {
-            return Err(err(
-                line,
-                format!("index {idx} out of range for register '{name}' of size {size}"),
-            ));
+/// Up to three operands inline, plus the true count. No gate takes more
+/// than three qubits or angles, so a longer list is only ever reported.
+#[derive(Clone, Copy, Default)]
+struct Operands<T: Copy + Default> {
+    items: [T; 3],
+    len: usize,
+}
+
+impl<T: Copy + Default> Operands<T> {
+    fn push(&mut self, value: T) {
+        if let Some(slot) = self.items.get_mut(self.len) {
+            *slot = value;
         }
-        Ok(ArgRef::Bit(offset + idx))
-    } else {
-        let &(offset, size) = map
-            .get(text)
-            .ok_or_else(|| err(line, format!("undefined {what} register '{text}'")))?;
-        Ok(ArgRef::Register(offset, size))
+        self.len += 1;
     }
 }
 
-fn apply_statement(
-    qc: &mut Circuit,
-    qmap: &HashMap<&str, (usize, usize)>,
-    cmap: &HashMap<&str, (usize, usize)>,
+/// The scanner state. Errors inside a statement are plain messages;
+/// [`parse`] attaches the statement's line.
+struct Parser<'a> {
+    src: &'a str,
+    pos: usize,
+    /// 1-based line of `pos`.
     line: usize,
-    stmt: &str,
-) -> Result<(), ParseQasmError> {
-    // Classical condition: `if (c[k] == v) stmt` (single-bit dialect
-    // extension) or the OpenQASM 2.0 `if (c == v) stmt` restricted to
-    // one-bit registers.
-    if let Some(rest) = stmt.strip_prefix("if") {
-        let rest = rest.trim_start();
-        if !rest.starts_with('(') {
-            return Err(err(line, "expected '(' after 'if'"));
+    /// Start of the statement being parsed.
+    stmt: usize,
+    /// Parenthesis depth inside the angle expression being parsed.
+    parens: usize,
+    qregs: Vec<Register<'a>>,
+    cregs: Vec<Register<'a>>,
+    qc: Circuit,
+}
+
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<u8> {
+        self.src.as_bytes().get(self.pos).copied()
+    }
+
+    /// Skips whitespace and `//` comments, counting newlines.
+    fn skip_ws(&mut self) {
+        let src = self.src;
+        let bytes = src.as_bytes();
+        while let Some(&b) = bytes.get(self.pos) {
+            match b {
+                b'\n' => {
+                    self.line += 1;
+                    self.pos += 1;
+                }
+                b' ' | b'\t' | b'\r' | 0x0b | 0x0c => self.pos += 1,
+                b'/' if bytes.get(self.pos + 1) == Some(&b'/') => {
+                    let rest = &bytes[self.pos..];
+                    self.pos += rest.iter().position(|&c| c == b'\n').unwrap_or(rest.len());
+                }
+                0x80..=0xff => match src[self.pos..].chars().next() {
+                    Some(c) if c.is_whitespace() => self.pos += c.len_utf8(),
+                    _ => return,
+                },
+                _ => return,
+            }
         }
-        let close = matching_paren(rest, 0).ok_or_else(|| err(line, "unbalanced parentheses"))?;
-        let cond_text = &rest[1..close];
-        let inner = rest[close + 1..].trim();
-        if inner.is_empty() {
-            return Err(err(line, "'if' requires a statement to condition"));
+    }
+
+    fn peek_ws(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.peek()
+    }
+
+    fn eat(&mut self, token: &str) -> bool {
+        let found = self.src.as_bytes()[self.pos..].starts_with(token.as_bytes());
+        if found {
+            self.pos += token.len();
         }
-        let parts: Vec<&str> = cond_text.split("==").collect();
-        if parts.len() != 2 {
-            return Err(err(line, "condition must be 'c[k] == value'"));
+        found
+    }
+
+    /// The identifier at the cursor (possibly empty).
+    fn word(&mut self) -> &'a str {
+        let start = self.pos;
+        while self
+            .peek()
+            .is_some_and(|b| b.is_ascii_alphanumeric() || b == b'_')
+        {
+            self.pos += 1;
         }
-        let value: u64 = parts[1]
-            .trim()
-            .parse()
-            .map_err(|_| err(line, "invalid condition value"))?;
-        let clbit = match parse_arg(parts[0], cmap, line, "classical")? {
-            ArgRef::Bit(b) => b,
-            ArgRef::Register(offset, 1) => offset,
+        let src = self.src;
+        &src[start..self.pos]
+    }
+
+    /// The decimal integer at the cursor; `None` without digits or on
+    /// overflow.
+    fn integer(&mut self) -> Option<usize> {
+        let start = self.pos;
+        let mut value = Some(0usize);
+        while let Some(digit) = self.peek().filter(u8::is_ascii_digit) {
+            value = value.and_then(|v| v.checked_mul(10)?.checked_add(usize::from(digit - b'0')));
+            self.pos += 1;
+        }
+        value.filter(|_| self.pos > start)
+    }
+
+    /// The `;` ending the current statement (comments skipped), if any.
+    fn statement_end(&self) -> Option<usize> {
+        let bytes = self.src.as_bytes();
+        let mut i = self.stmt;
+        while let Some(&b) = bytes.get(i) {
+            match b {
+                b';' => return Some(i),
+                b'/' if bytes.get(i + 1) == Some(&b'/') => {
+                    i += bytes[i..].iter().position(|&c| c == b'\n')?;
+                }
+                _ => i += 1,
+            }
+        }
+        None
+    }
+
+    fn malformed(&self) -> String {
+        let end = self.statement_end().unwrap_or(self.src.len());
+        format!("malformed statement '{}'", self.src[self.stmt..end].trim())
+    }
+
+    fn statement(&mut self) -> Result<(), String> {
+        let head = self.word();
+        if head.starts_with("OPENQASM") || head.starts_with("include") {
+            let end = self.statement_end().ok_or_else(String::new)?;
+            let skipped = &self.src.as_bytes()[self.pos..end];
+            self.line += skipped.iter().filter(|&&b| b == b'\n').count();
+            self.pos = end + 1;
+            return Ok(());
+        }
+        match head {
+            "qreg" => self.declaration(false)?,
+            "creg" => self.declaration(true)?,
+            _ => self.operation(head)?,
+        }
+        if self.peek_ws() != Some(b';') {
+            return Err(self.malformed());
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    fn declaration(&mut self, classical: bool) -> Result<(), String> {
+        self.skip_ws();
+        let name = self.word();
+        if self.peek_ws() != Some(b'[') {
+            return Err("expected '[' in register declaration".into());
+        }
+        self.pos += 1;
+        self.skip_ws();
+        let size = self.integer();
+        if self.peek_ws() != Some(b']') {
+            return Err("expected ']' in register declaration".into());
+        }
+        self.pos += 1;
+        if name.is_empty() {
+            return Err("empty register name".into());
+        }
+        let size = size.ok_or("invalid register size")?;
+        if size == 0 {
+            return Err("register size must be positive".into());
+        }
+        let offset = self
+            .qc
+            .widen(classical, size)
+            .ok_or("invalid register size")?;
+        let registers = if classical {
+            &mut self.cregs
+        } else {
+            &mut self.qregs
+        };
+        registers.push(Register { name, offset, size });
+        Ok(())
+    }
+
+    fn operation(&mut self, head: &'a str) -> Result<(), String> {
+        match head {
+            "if" => self.conditioned(),
+            "measure" => self.measure(),
+            "reset" => match self.arg(false)? {
+                ArgRef::Bit(qubit) => self.push(OpKind::Reset { qubit }),
+                ArgRef::Register(o, s) => {
+                    (o..o + s).try_for_each(|qubit| self.push(OpKind::Reset { qubit }))
+                }
+            },
+            "barrier" => {
+                let mut qubits = Vec::new();
+                loop {
+                    match self.arg(false)? {
+                        ArgRef::Bit(q) => qubits.push(q),
+                        ArgRef::Register(o, s) => qubits.extend(o..o + s),
+                    }
+                    if self.peek_ws() != Some(b',') {
+                        return self.push(OpKind::Barrier(qubits));
+                    }
+                    self.pos += 1;
+                }
+            }
+            name => self.gate(name),
+        }
+    }
+
+    /// `if (c[k] == v) operation` (single-bit dialect extension) or the
+    /// OpenQASM 2.0 `if (c == v) operation` restricted to one-bit
+    /// registers.
+    fn conditioned(&mut self) -> Result<(), String> {
+        if self.peek_ws() != Some(b'(') {
+            return Err("expected '(' after 'if'".into());
+        }
+        self.pos += 1;
+        let bit = self.arg(true)?;
+        self.skip_ws();
+        if !self.eat("==") {
+            return Err("condition must be 'c[k] == value'".into());
+        }
+        self.skip_ws();
+        let value = self.integer().ok_or("invalid condition value")?;
+        if self.peek_ws() != Some(b')') {
+            return Err("invalid condition value".into());
+        }
+        self.pos += 1;
+        let clbit = match bit {
+            ArgRef::Bit(b) | ArgRef::Register(b, 1) => b,
             ArgRef::Register(..) => {
-                return Err(err(
-                    line,
-                    "only single-bit conditions are supported (use c[k] == 0|1)",
-                ))
+                return Err("only single-bit conditions are supported (use c[k] == 0|1)".into())
             }
         };
         if value > 1 {
-            return Err(err(line, "single-bit condition value must be 0 or 1"));
+            return Err("single-bit condition value must be 0 or 1".into());
         }
-        let before = qc.len();
-        apply_statement(qc, qmap, cmap, line, inner)?;
-        for i in before..qc.len() {
-            qc.set_cond(
-                i,
-                Some(crate::Condition {
-                    clbit,
-                    value: value == 1,
-                }),
-            );
+        if matches!(self.peek_ws(), Some(b';') | None) {
+            return Err("'if' requires a statement to condition".into());
         }
-        return Ok(());
+        let first = self.qc.len();
+        let head = self.word();
+        self.operation(head)?;
+        let cond = Condition {
+            clbit,
+            value: value == 1,
+        };
+        for i in first..self.qc.len() {
+            self.qc.set_cond(i, Some(cond));
+        }
+        Ok(())
     }
 
-    // measure q[i] -> c[j];
-    if let Some(rest) = stmt.strip_prefix("measure") {
-        let parts: Vec<&str> = rest.split("->").collect();
-        if parts.len() != 2 {
-            return Err(err(line, "measure requires 'q -> c'"));
+    fn measure(&mut self) -> Result<(), String> {
+        let q = self.arg(false)?;
+        self.skip_ws();
+        if !self.eat("->") {
+            return Err("measure requires 'q -> c'".into());
         }
-        let q = parse_arg(parts[0], qmap, line, "quantum")?;
-        let c = parse_arg(parts[1], cmap, line, "classical")?;
-        match (q, c) {
-            (ArgRef::Bit(qb), ArgRef::Bit(cb)) => {
-                qc.push(Instruction::new(OpKind::Measure {
-                    qubit: qb,
-                    clbit: cb,
-                }))
-                .map_err(|e| err(line, e.to_string()))?;
-            }
+        match (q, self.arg(true)?) {
+            (ArgRef::Bit(qubit), ArgRef::Bit(clbit)) => self.push(OpKind::Measure { qubit, clbit }),
             (ArgRef::Register(qo, qs), ArgRef::Register(co, cs)) => {
                 if qs != cs {
-                    return Err(err(line, "register sizes differ in broadcast measure"));
+                    return Err("register sizes differ in broadcast measure".into());
                 }
-                for k in 0..qs {
-                    qc.push(Instruction::new(OpKind::Measure {
+                (0..qs).try_for_each(|k| {
+                    self.push(OpKind::Measure {
                         qubit: qo + k,
                         clbit: co + k,
-                    }))
-                    .map_err(|e| err(line, e.to_string()))?;
-                }
+                    })
+                })
             }
-            _ => return Err(err(line, "cannot mix bit and register in measure")),
+            _ => Err("cannot mix bit and register in measure".into()),
         }
-        return Ok(());
     }
 
-    if let Some(rest) = stmt.strip_prefix("reset") {
-        match parse_arg(rest, qmap, line, "quantum")? {
-            ArgRef::Bit(q) => {
-                qc.push(Instruction::new(OpKind::Reset { qubit: q }))
-                    .map_err(|e| err(line, e.to_string()))?;
-            }
-            ArgRef::Register(o, s) => {
-                for k in 0..s {
-                    qc.push(Instruction::new(OpKind::Reset { qubit: o + k }))
-                        .map_err(|e| err(line, e.to_string()))?;
-                }
-            }
+    /// One argument: `name[index]` or a whole register `name`.
+    fn arg(&mut self, classical: bool) -> Result<ArgRef, String> {
+        let what = if classical { "classical" } else { "quantum" };
+        self.skip_ws();
+        let name = self.word();
+        let registers = if classical { &self.cregs } else { &self.qregs };
+        // A redeclared name refers to its latest declaration.
+        let register = registers.iter().rev().find(|r| r.name == name).copied();
+        let undefined = || format!("undefined {what} register '{name}'");
+        if self.peek_ws() != Some(b'[') {
+            let r = register.ok_or_else(undefined)?;
+            return Ok(ArgRef::Register(r.offset, r.size));
         }
-        return Ok(());
+        self.pos += 1;
+        self.skip_ws();
+        let index = self.integer();
+        if self.peek_ws() != Some(b']') {
+            return Err(format!("expected ']' in {what} argument"));
+        }
+        self.pos += 1;
+        let index = index.ok_or_else(|| format!("invalid index in {what} argument"))?;
+        let r = register.ok_or_else(undefined)?;
+        if index >= r.size {
+            return Err(format!(
+                "index {index} out of range for register '{name}' of size {}",
+                r.size
+            ));
+        }
+        Ok(ArgRef::Bit(r.offset + index))
     }
 
-    if let Some(rest) = stmt.strip_prefix("barrier") {
-        let mut qubits = Vec::new();
-        for part in rest.split(',') {
-            match parse_arg(part, qmap, line, "quantum")? {
-                ArgRef::Bit(q) => qubits.push(q),
-                ArgRef::Register(o, s) => qubits.extend(o..o + s),
+    /// Gate application: `name[(angles)] args`, broadcast over a whole
+    /// register for single-qubit gates.
+    fn gate(&mut self, name: &str) -> Result<(), String> {
+        let mut params = Operands::default();
+        let has_params = self.peek_ws() == Some(b'(');
+        if has_params {
+            let open = self.pos;
+            self.angles(&mut params)
+                .map_err(|e| match self.list_end(open + 1, false) {
+                    Some(_) => e,
+                    None => "unbalanced parentheses".into(),
+                })?;
+        }
+        if name.is_empty() || (!has_params && matches!(self.peek_ws(), Some(b';') | None)) {
+            return Err(self.malformed());
+        }
+        let mut bits = Operands::default();
+        let mut register = None;
+        if self.peek_ws() != Some(b';') {
+            loop {
+                match self.arg(false)? {
+                    ArgRef::Bit(b) => bits.push(b),
+                    ArgRef::Register(o, s) => {
+                        bits.push(o);
+                        register = Some((o, s));
+                    }
+                }
+                if self.peek_ws() != Some(b',') {
+                    break;
+                }
+                self.pos += 1;
             }
         }
-        qc.push(Instruction::new(OpKind::Barrier(qubits)))
-            .map_err(|e| err(line, e.to_string()))?;
-        return Ok(());
+        match register {
+            Some((o, s)) if bits.len == 1 => (o..o + s).try_for_each(|q| {
+                let mut bit = Operands::default();
+                bit.push(q);
+                self.apply_gate(name, &params, &bit)
+            }),
+            Some(_) => Err("whole-register arguments only supported for single-qubit gates".into()),
+            None => self.apply_gate(name, &params, &bits),
+        }
     }
 
-    // Gate application: name[(params)] args
-    let (head, args_text) = match stmt.find(|c: char| c.is_whitespace()) {
-        Some(pos) if !stmt[..pos].contains('(') && stmt.find('(').is_some_and(|p| p > pos) => {
-            (&stmt[..pos], &stmt[pos..])
-        }
-        _ => {
-            // The gate name may be glued to '(' as in `rz(pi/2) q[0]`.
-            if let Some(open) = stmt.find('(') {
-                let close = matching_paren(stmt, open)
-                    .ok_or_else(|| err(line, "unbalanced parentheses"))?;
-                (&stmt[..close + 1], &stmt[close + 1..])
-            } else {
-                match stmt.find(|c: char| c.is_whitespace()) {
-                    Some(pos) => (&stmt[..pos], &stmt[pos..]),
-                    None => return Err(err(line, format!("malformed statement '{stmt}'"))),
-                }
-            }
-        }
-    };
-
-    let (name, params) = if let Some(open) = head.find('(') {
-        let close =
-            matching_paren(head, open).ok_or_else(|| err(line, "unbalanced parentheses"))?;
-        let name = head[..open].trim();
-        let params: Result<Vec<f64>, ParseQasmError> = split_top_level(&head[open + 1..close])
-            .into_iter()
-            .map(|p| eval_expr(&p, line))
-            .collect();
-        (name.to_string(), params?)
-    } else {
-        (head.trim().to_string(), vec![])
-    };
-
-    let args: Vec<ArgRef> = split_top_level(args_text)
-        .into_iter()
-        .map(|a| parse_arg(&a, qmap, line, "quantum"))
-        .collect::<Result<_, _>>()?;
-
-    // Broadcast: single-qubit gate applied to a whole register.
-    if args.len() == 1 {
-        if let ArgRef::Register(o, s) = args[0] {
-            for k in 0..s {
-                apply_gate(qc, &name, &params, &[o + k], line)?;
-            }
+    /// The comma-separated angle list after the `(` at the cursor,
+    /// through its closing `)`.
+    fn angles(&mut self, params: &mut Operands<f64>) -> Result<(), String> {
+        self.pos += 1;
+        if self.peek_ws() == Some(b')') {
+            self.pos += 1;
             return Ok(());
         }
-    }
-    let bits: Vec<usize> = args
-        .iter()
-        .map(|a| match a {
-            ArgRef::Bit(b) => Ok(*b),
-            ArgRef::Register(..) => Err(err(
-                line,
-                "whole-register arguments only supported for single-qubit gates",
-            )),
-        })
-        .collect::<Result<_, _>>()?;
-    apply_gate(qc, &name, &params, &bits, line)
-}
-
-fn matching_paren(s: &str, open: usize) -> Option<usize> {
-    let mut depth = 0;
-    for (i, c) in s.char_indices().skip(open) {
-        match c {
-            '(' => depth += 1,
-            ')' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(i);
+        loop {
+            self.skip_ws();
+            let start = self.pos;
+            let value = self.expr()?;
+            let src = self.src;
+            let text = src[start..self.pos].trim_end();
+            match self.peek_ws() {
+                Some(b',' | b')') => {}
+                _ => {
+                    let end = self.list_end(start, true).unwrap_or(self.pos);
+                    let text = src[start..end].trim();
+                    return Err(format!("trailing characters in expression '{text}'"));
                 }
             }
-            _ => {}
-        }
-    }
-    None
-}
-
-fn split_top_level(s: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth = 0;
-    let mut cur = String::new();
-    for c in s.chars() {
-        match c {
-            '(' => {
-                depth += 1;
-                cur.push(c);
+            if !value.is_finite() {
+                return Err(format!(
+                    "expression '{text}' evaluates to {value}, not a finite angle"
+                ));
             }
-            ')' => {
-                depth -= 1;
-                cur.push(c);
+            params.push(value);
+            self.pos += 1;
+            if self.src.as_bytes()[self.pos - 1] == b')' {
+                return Ok(());
             }
-            ',' if depth == 0 => {
-                out.push(cur.trim().to_string());
-                cur.clear();
+        }
+    }
+
+    /// From `from` inside an angle list: the `)` closing the list, or
+    /// the first top-level `,` when `at_comma`; `None` when the
+    /// statement's `;` comes first.
+    fn list_end(&self, from: usize, at_comma: bool) -> Option<usize> {
+        let mut depth = 0usize;
+        for (i, &b) in self.src.as_bytes().iter().enumerate().skip(from) {
+            match b {
+                b'(' => depth += 1,
+                b')' if depth == 0 => return Some(i),
+                b')' => depth -= 1,
+                b',' if at_comma && depth == 0 => return Some(i),
+                b';' => return None,
+                _ => {}
             }
-            _ => cur.push(c),
         }
+        None
     }
-    if !cur.trim().is_empty() {
-        out.push(cur.trim().to_string());
+
+    fn expr(&mut self) -> Result<f64, String> {
+        let mut v = self.term()?;
+        while let Some(op @ (b'+' | b'-')) = self.peek_ws() {
+            self.pos += 1;
+            let rhs = self.term()?;
+            v = if op == b'+' { v + rhs } else { v - rhs };
+        }
+        Ok(v)
     }
-    out
-}
 
-fn expect_params(name: &str, params: &[f64], n: usize, line: usize) -> Result<(), ParseQasmError> {
-    if params.len() != n {
-        Err(err(
-            line,
-            format!(
-                "gate '{name}' expects {n} parameter(s), got {}",
-                params.len()
-            ),
-        ))
-    } else {
-        Ok(())
+    fn term(&mut self) -> Result<f64, String> {
+        let mut v = self.factor()?;
+        while let Some(op @ (b'*' | b'/')) = self.peek_ws() {
+            self.pos += 1;
+            let rhs = self.factor()?;
+            v = if op == b'*' { v * rhs } else { v / rhs };
+        }
+        Ok(v)
     }
-}
 
-fn expect_args(name: &str, bits: &[usize], n: usize, line: usize) -> Result<(), ParseQasmError> {
-    if bits.len() != n {
-        Err(err(
-            line,
-            format!("gate '{name}' expects {n} qubit(s), got {}", bits.len()),
-        ))
-    } else {
-        Ok(())
-    }
-}
-
-fn apply_gate(
-    qc: &mut Circuit,
-    name: &str,
-    params: &[f64],
-    bits: &[usize],
-    line: usize,
-) -> Result<(), ParseQasmError> {
-    use std::f64::consts::PI;
-    let push = |qc: &mut Circuit, gate: Gate, target: usize, controls: &[usize]| {
-        qc.push(Instruction::new(OpKind::Unitary {
-            gate,
-            target,
-            controls: controls.to_vec(),
-        }))
-        .map_err(|e| err(line, e.to_string()))
-    };
-    let simple_1q = |g: Gate| -> Result<(Gate, usize), ParseQasmError> {
-        expect_params(name, params, 0, line)?;
-        expect_args(name, bits, 1, line)?;
-        Ok((g, bits[0]))
-    };
-    match name {
-        "id" | "x" | "y" | "z" | "h" | "s" | "sdg" | "t" | "tdg" | "sx" | "sxdg" => {
-            let g = match name {
-                "id" => Gate::I,
-                "x" => Gate::X,
-                "y" => Gate::Y,
-                "z" => Gate::Z,
-                "h" => Gate::H,
-                "s" => Gate::S,
-                "sdg" => Gate::Sdg,
-                "t" => Gate::T,
-                "tdg" => Gate::Tdg,
-                "sx" => Gate::Sx,
-                _ => Gate::Sxdg,
-            };
-            let (g, t) = simple_1q(g)?;
-            push(qc, g, t, &[])
-        }
-        "rx" | "ry" | "rz" | "p" | "u1" => {
-            expect_params(name, params, 1, line)?;
-            expect_args(name, bits, 1, line)?;
-            let g = match name {
-                "rx" => Gate::Rx(params[0]),
-                "ry" => Gate::Ry(params[0]),
-                "rz" => Gate::Rz(params[0]),
-                _ => Gate::Phase(params[0]),
-            };
-            push(qc, g, bits[0], &[])
-        }
-        "u2" => {
-            expect_params(name, params, 2, line)?;
-            expect_args(name, bits, 1, line)?;
-            push(qc, Gate::U(PI / 2.0, params[0], params[1]), bits[0], &[])
-        }
-        "u3" | "u" => {
-            expect_params(name, params, 3, line)?;
-            expect_args(name, bits, 1, line)?;
-            push(qc, Gate::U(params[0], params[1], params[2]), bits[0], &[])
-        }
-        "cx" | "cy" | "cz" | "ch" | "csx" => {
-            expect_params(name, params, 0, line)?;
-            expect_args(name, bits, 2, line)?;
-            let g = match name {
-                "cx" => Gate::X,
-                "cy" => Gate::Y,
-                "cz" => Gate::Z,
-                "ch" => Gate::H,
-                _ => Gate::Sx,
-            };
-            push(qc, g, bits[1], &[bits[0]])
-        }
-        "cp" | "cu1" | "crx" | "cry" | "crz" => {
-            expect_params(name, params, 1, line)?;
-            expect_args(name, bits, 2, line)?;
-            let g = match name {
-                "cp" | "cu1" => Gate::Phase(params[0]),
-                "crx" => Gate::Rx(params[0]),
-                "cry" => Gate::Ry(params[0]),
-                _ => Gate::Rz(params[0]),
-            };
-            push(qc, g, bits[1], &[bits[0]])
-        }
-        "ccx" => {
-            expect_params(name, params, 0, line)?;
-            expect_args(name, bits, 3, line)?;
-            push(qc, Gate::X, bits[2], &[bits[0], bits[1]])
-        }
-        "swap" => {
-            expect_params(name, params, 0, line)?;
-            expect_args(name, bits, 2, line)?;
-            qc.push(Instruction::new(OpKind::Swap {
-                a: bits[0],
-                b: bits[1],
-                controls: vec![],
-            }))
-            .map_err(|e| err(line, e.to_string()))
-        }
-        "cswap" => {
-            expect_params(name, params, 0, line)?;
-            expect_args(name, bits, 3, line)?;
-            qc.push(Instruction::new(OpKind::Swap {
-                a: bits[1],
-                b: bits[2],
-                controls: vec![bits[0]],
-            }))
-            .map_err(|e| err(line, e.to_string()))
-        }
-        other => Err(err(line, format!("unknown gate '{other}'"))),
-    }
-}
-
-// --- tiny arithmetic expression evaluator (angles) ------------------------
-
-fn eval_expr(text: &str, line: usize) -> Result<f64, ParseQasmError> {
-    let mut parser = ExprParser {
-        chars: text.chars().collect(),
-        pos: 0,
-        line,
-    };
-    let v = parser.expr()?;
-    parser.skip_ws();
-    if parser.pos != parser.chars.len() {
-        return Err(err(
-            line,
-            format!("trailing characters in expression '{text}'"),
-        ));
-    }
-    if !v.is_finite() {
-        return Err(err(
-            line,
-            format!("expression '{text}' evaluates to {v}, not a finite angle"),
-        ));
-    }
-    Ok(v)
-}
-
-struct ExprParser {
-    chars: Vec<char>,
-    pos: usize,
-    line: usize,
-}
-
-impl ExprParser {
-    fn skip_ws(&mut self) {
-        while self.pos < self.chars.len() && self.chars[self.pos].is_whitespace() {
+    fn factor(&mut self) -> Result<f64, String> {
+        // Unary signs fold into one parity: negation is exact.
+        let mut negate = false;
+        loop {
+            match self.peek_ws() {
+                Some(b'-') => negate = !negate,
+                Some(b'+') => {}
+                _ => break,
+            }
             self.pos += 1;
         }
+        let v = self.primary()?;
+        Ok(if negate { -v } else { v })
     }
 
-    fn peek(&mut self) -> Option<char> {
-        self.skip_ws();
-        self.chars.get(self.pos).copied()
-    }
-
-    fn expr(&mut self) -> Result<f64, ParseQasmError> {
-        let mut v = self.term()?;
-        while let Some(op) = self.peek() {
-            match op {
-                '+' => {
-                    self.pos += 1;
-                    v += self.term()?;
-                }
-                '-' => {
-                    self.pos += 1;
-                    v -= self.term()?;
-                }
-                _ => break,
-            }
-        }
-        Ok(v)
-    }
-
-    fn term(&mut self) -> Result<f64, ParseQasmError> {
-        let mut v = self.factor()?;
-        while let Some(op) = self.peek() {
-            match op {
-                '*' => {
-                    self.pos += 1;
-                    v *= self.factor()?;
-                }
-                '/' => {
-                    self.pos += 1;
-                    v /= self.factor()?;
-                }
-                _ => break,
-            }
-        }
-        Ok(v)
-    }
-
-    fn factor(&mut self) -> Result<f64, ParseQasmError> {
+    fn primary(&mut self) -> Result<f64, String> {
+        let src = self.src;
+        let bytes = src.as_bytes();
+        let start = self.pos;
         match self.peek() {
-            Some('-') => {
+            Some(b'(') => {
+                if self.parens == MAX_EXPR_DEPTH {
+                    return Err("expression nested too deeply".into());
+                }
                 self.pos += 1;
-                Ok(-self.factor()?)
-            }
-            Some('+') => {
-                self.pos += 1;
-                self.factor()
-            }
-            Some('(') => {
-                self.pos += 1;
-                let v = self.expr()?;
-                if self.peek() != Some(')') {
-                    return Err(err(self.line, "expected ')' in expression"));
+                self.parens += 1;
+                let v = self.expr();
+                self.parens -= 1;
+                let v = v?;
+                if self.peek_ws() != Some(b')') {
+                    return Err("expected ')' in expression".into());
                 }
                 self.pos += 1;
                 Ok(v)
             }
-            Some(c) if c.is_ascii_digit() || c == '.' => {
-                let start = self.pos;
-                while self.pos < self.chars.len()
-                    && (self.chars[self.pos].is_ascii_digit()
-                        || self.chars[self.pos] == '.'
-                        || self.chars[self.pos] == 'e'
-                        || self.chars[self.pos] == 'E'
-                        || ((self.chars[self.pos] == '+' || self.chars[self.pos] == '-')
-                            && self.pos > start
-                            && (self.chars[self.pos - 1] == 'e'
-                                || self.chars[self.pos - 1] == 'E')))
-                {
+            Some(c) if c.is_ascii_digit() || c == b'.' => {
+                while let Some(&c) = bytes.get(self.pos) {
+                    let exponent_sign = matches!(c, b'+' | b'-')
+                        && self.pos > start
+                        && matches!(bytes[self.pos - 1], b'e' | b'E');
+                    if !(c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E') || exponent_sign) {
+                        break;
+                    }
                     self.pos += 1;
                 }
-                let text: String = self.chars[start..self.pos].iter().collect();
-                text.parse()
-                    .map_err(|_| err(self.line, format!("invalid number '{text}'")))
+                let text = &src[start..self.pos];
+                text.parse().map_err(|_| format!("invalid number '{text}'"))
             }
             Some(c) if c.is_ascii_alphabetic() => {
-                let start = self.pos;
-                while self.pos < self.chars.len() && self.chars[self.pos].is_ascii_alphanumeric() {
+                while self.peek().is_some_and(|b| b.is_ascii_alphanumeric()) {
                     self.pos += 1;
                 }
-                let word: String = self.chars[start..self.pos].iter().collect();
-                if word == "pi" {
-                    Ok(std::f64::consts::PI)
-                } else {
-                    Err(err(self.line, format!("unknown identifier '{word}'")))
+                match &src[start..self.pos] {
+                    "pi" => Ok(std::f64::consts::PI),
+                    word => Err(format!("unknown identifier '{word}'")),
                 }
             }
-            other => Err(err(
-                self.line,
-                format!("unexpected character {other:?} in expression"),
-            )),
+            next => {
+                // The end of this angle reads as no character at all.
+                let end = match next {
+                    Some(b',' | b')') => self.parens == 0,
+                    other => matches!(other, Some(b';') | None),
+                };
+                let c = src[start..].chars().next().filter(|_| !end);
+                Err(format!("unexpected character {c:?} in expression"))
+            }
         }
     }
+
+    fn push(&mut self, kind: OpKind) -> Result<(), String> {
+        self.qc
+            .push(Instruction::new(kind))
+            .map_err(|e| e.to_string())
+    }
+
+    /// Appends the standard gate `name` after checking its angle and
+    /// qubit counts.
+    fn apply_gate(
+        &mut self,
+        name: &str,
+        params: &Operands<f64>,
+        bits: &Operands<usize>,
+    ) -> Result<(), String> {
+        let [p0, p1, p2] = params.items;
+        let [b0, b1, b2] = bits.items;
+        let (np, nq, kind) = match name {
+            "id" => (0, 1, one_q(Gate::I, b0)),
+            "x" => (0, 1, one_q(Gate::X, b0)),
+            "y" => (0, 1, one_q(Gate::Y, b0)),
+            "z" => (0, 1, one_q(Gate::Z, b0)),
+            "h" => (0, 1, one_q(Gate::H, b0)),
+            "s" => (0, 1, one_q(Gate::S, b0)),
+            "sdg" => (0, 1, one_q(Gate::Sdg, b0)),
+            "t" => (0, 1, one_q(Gate::T, b0)),
+            "tdg" => (0, 1, one_q(Gate::Tdg, b0)),
+            "sx" => (0, 1, one_q(Gate::Sx, b0)),
+            "sxdg" => (0, 1, one_q(Gate::Sxdg, b0)),
+            "rx" => (1, 1, one_q(Gate::Rx(p0), b0)),
+            "ry" => (1, 1, one_q(Gate::Ry(p0), b0)),
+            "rz" => (1, 1, one_q(Gate::Rz(p0), b0)),
+            "p" | "u1" => (1, 1, one_q(Gate::Phase(p0), b0)),
+            "u2" => (
+                2,
+                1,
+                one_q(Gate::U(std::f64::consts::FRAC_PI_2, p0, p1), b0),
+            ),
+            "u3" | "u" => (3, 1, one_q(Gate::U(p0, p1, p2), b0)),
+            "cx" => (0, 2, controlled(Gate::X, b1, vec![b0])),
+            "cy" => (0, 2, controlled(Gate::Y, b1, vec![b0])),
+            "cz" => (0, 2, controlled(Gate::Z, b1, vec![b0])),
+            "ch" => (0, 2, controlled(Gate::H, b1, vec![b0])),
+            "csx" => (0, 2, controlled(Gate::Sx, b1, vec![b0])),
+            "cp" | "cu1" => (1, 2, controlled(Gate::Phase(p0), b1, vec![b0])),
+            "crx" => (1, 2, controlled(Gate::Rx(p0), b1, vec![b0])),
+            "cry" => (1, 2, controlled(Gate::Ry(p0), b1, vec![b0])),
+            "crz" => (1, 2, controlled(Gate::Rz(p0), b1, vec![b0])),
+            "ccx" => (0, 3, controlled(Gate::X, b2, vec![b0, b1])),
+            "swap" => (0, 2, swap(b0, b1, vec![])),
+            "cswap" => (0, 3, swap(b1, b2, vec![b0])),
+            other => return Err(format!("unknown gate '{other}'")),
+        };
+        if params.len != np {
+            return Err(format!(
+                "gate '{name}' expects {np} parameter(s), got {}",
+                params.len
+            ));
+        }
+        if bits.len != nq {
+            return Err(format!(
+                "gate '{name}' expects {nq} qubit(s), got {}",
+                bits.len
+            ));
+        }
+        self.push(kind)
+    }
+}
+
+fn one_q(gate: Gate, target: usize) -> OpKind {
+    controlled(gate, target, Vec::new())
+}
+
+fn controlled(gate: Gate, target: usize, controls: Vec<usize>) -> OpKind {
+    OpKind::Unitary {
+        gate,
+        target,
+        controls,
+    }
+}
+
+fn swap(a: usize, b: usize, controls: Vec<usize>) -> OpKind {
+    OpKind::Swap { a, b, controls }
 }
 
 // --- writer ----------------------------------------------------------------
@@ -740,8 +727,9 @@ pub fn write(circuit: &Circuit) -> Result<String, WriteQasmError> {
     Ok(out)
 }
 
+/// The shortest decimal that parses back to exactly `a`.
 fn fmt_angle(a: f64) -> String {
-    format!("{a:.17}")
+    format!("{a}")
 }
 
 fn write_instruction(inst: &Instruction) -> Result<String, WriteQasmError> {
@@ -933,7 +921,10 @@ mod tests {
         let qc = parse("qreg a[2]; qreg b[2]; cx a[1], b[0];").unwrap();
         assert_eq!(qc.num_qubits(), 4);
         // a[1] = 1, b[0] = 2
-        assert_eq!(qc.instructions()[0].qubits(), vec![2, 1]);
+        assert_eq!(
+            qc.instructions()[0].qubits().collect::<Vec<_>>(),
+            vec![2, 1]
+        );
     }
 
     #[test]
@@ -1091,6 +1082,59 @@ mod extra_tests {
     fn unknown_identifier_in_expression() {
         let e = parse("qreg q[1]; rz(tau) q[0];").unwrap_err();
         assert!(e.message.contains("unknown identifier"));
+    }
+
+    #[test]
+    fn registers_must_be_declared_before_use() {
+        let e = parse("h q[0];\nqreg q[1];").unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(e.message.contains("undefined quantum register 'q'"), "{e}");
+    }
+
+    #[test]
+    fn a_redeclared_register_name_means_the_latest_declaration() {
+        let qc = parse("qreg q[1]; qreg q[2]; x q[1];").unwrap();
+        assert_eq!(qc.num_qubits(), 3);
+        assert_eq!(qc.instructions()[0].qubits().collect::<Vec<_>>(), vec![2]);
+    }
+
+    #[test]
+    fn text_after_a_complete_argument_is_rejected() {
+        for src in [
+            "qreg q[2]; barrier q[0] q[1];",
+            "qreg q[2]; h q[0] // c;\nh q[1];",
+            "qreg q[3]0;",
+        ] {
+            let e = parse(src).unwrap_err();
+            assert!(e.message.contains("malformed statement"), "{src}: {e}");
+        }
+    }
+
+    #[test]
+    fn errors_carry_the_line_the_statement_starts_on() {
+        let e = parse("qreg q[1];\n\n// note\nh\n  q[5];").unwrap_err();
+        assert_eq!(e.line, 4, "{e}");
+        assert!(e.message.contains("out of range"), "{e}");
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let depth = 100_000;
+        let src = format!(
+            "qreg q[1]; rz({}1{}) q[0];",
+            "(".repeat(depth),
+            ")".repeat(depth)
+        );
+        let e = parse(&src).unwrap_err();
+        assert!(e.message.contains("nested too deeply"), "{e}");
+        let signs = format!("qreg q[1]; rz({}1) q[0];", "-".repeat(depth));
+        assert_eq!(parse(&signs).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn unicode_whitespace_separates_tokens() {
+        let qc = parse("qreg\u{2003}q[2];\u{a0}cx q[0],\u{2003}q[1];").unwrap();
+        assert_eq!(qc.len(), 1);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub fn lowered_len(inst: &Instruction, gate_set: &GateSet) -> Result<usize, Comp
             multi_controlled_len(*gate, controls.len(), gate_set)
         }
         OpKind::Unitary { .. } | OpKind::Swap { .. } => {
-            let width = inst.qubits().into_iter().max().map_or(1, |q| q + 1);
+            let width = inst.qubits().max().map_or(1, |q| q + 1);
             let mut out = Circuit::new(width);
             emit_instruction(&mut out, inst, gate_set)?;
             Ok(out.len())

@@ -46,14 +46,10 @@ pub fn interaction_layout(
     // Interaction weights between logical pairs.
     let mut weight: HashMap<(usize, usize), usize> = HashMap::new();
     let mut total: Vec<usize> = vec![0; n_log];
-    for inst in circuit {
-        let qs = inst.qubits();
-        if inst.is_unitary() && qs.len() == 2 {
-            let key = (qs[0].min(qs[1]), qs[0].max(qs[1]));
-            *weight.entry(key).or_insert(0) += 1;
-            total[qs[0]] += 1;
-            total[qs[1]] += 1;
-        }
+    for (a, b) in circuit.iter().filter_map(crate::two_qubit_operands) {
+        *weight.entry((a.min(b), a.max(b))).or_insert(0) += 1;
+        total[a] += 1;
+        total[b] += 1;
     }
 
     let w =

@@ -41,13 +41,23 @@ pub mod optimize;
 pub mod routing;
 pub mod target;
 
-use qdt_circuit::Circuit;
+use qdt_circuit::{Circuit, Instruction};
 
 use coupling::CouplingMap;
 use routing::RoutedCircuit;
 use target::GateSet;
 
 use std::fmt;
+
+/// The two qubits of a two-qubit unitary (target first), or `None` for
+/// anything else.
+pub(crate) fn two_qubit_operands(inst: &Instruction) -> Option<(usize, usize)> {
+    let mut qs = inst.qubits();
+    match (inst.is_unitary(), qs.len()) {
+        (true, 2) => Some((qs.next()?, qs.next()?)),
+        _ => None,
+    }
+}
 
 /// Error type for compilation.
 #[derive(Debug, Clone, PartialEq)]

@@ -104,9 +104,9 @@ pub fn cancel_inverses(circuit: &Circuit) -> (Circuit, bool) {
         }
         let qs = inst.qubits();
         // The candidate predecessor must be the same for all our qubits.
-        let preds: Vec<Option<usize>> = qs.iter().map(|&q| last[q]).collect();
-        let cancelled = if let Some(Some(p)) = preds.first().copied() {
-            preds.iter().all(|&x| x == Some(p))
+        let pred = qs.clone().next().and_then(|q| last[q]);
+        let cancelled = if let Some(p) = pred {
+            qs.clone().all(|q| last[q] == Some(p))
                 && keep[p]
                 && !matches!(insts[p].kind, OpKind::Barrier(_))
                 && is_inverse_pair(&insts[p], inst)
@@ -114,25 +114,25 @@ pub fn cancel_inverses(circuit: &Circuit) -> (Circuit, bool) {
             false
         };
         if cancelled {
-            let p = preds[0].expect("checked");
+            let p = pred.expect("checked");
             keep[p] = false;
             keep[i] = false;
             changed = true;
             // Re-expose whatever preceded p on these qubits.
             let mut prior: Vec<Option<usize>> = vec![None; qs.len()];
-            for (idx, &q) in qs.iter().enumerate() {
+            for (idx, q) in qs.clone().enumerate() {
                 for j in (0..p).rev() {
-                    if keep[j] && insts[j].qubits().contains(&q) {
+                    if keep[j] && insts[j].qubits().any(|r| r == q) {
                         prior[idx] = Some(j);
                         break;
                     }
                 }
             }
-            for (idx, &q) in qs.iter().enumerate() {
+            for (idx, q) in qs.enumerate() {
                 last[q] = prior[idx];
             }
         } else {
-            for &q in &qs {
+            for q in qs {
                 last[q] = Some(i);
             }
         }
@@ -189,10 +189,8 @@ pub fn merge_rotations(circuit: &Circuit) -> (Circuit, bool) {
             if let Some((axis, angle)) = mergeable {
                 // Find the last kept instruction touching any of our
                 // qubits; merge if it is the same-axis rotation here.
-                let qs = inst.qubits();
                 for j in (0..out.len()).rev() {
-                    let other_qs = out[j].qubits();
-                    if !qs.iter().any(|q| other_qs.contains(q)) {
+                    if !inst.qubits().any(|q| out[j].qubits().any(|r| r == q)) {
                         continue;
                     }
                     if let OpKind::Unitary {

@@ -124,21 +124,15 @@ pub fn route_with_layout(
     let future: Vec<(usize, usize)> = circuit
         .instructions()
         .iter()
-        .filter(|i| i.is_unitary() && i.qubits().len() == 2)
-        .map(|i| {
-            let qs = i.qubits();
-            (qs[0], qs[1])
-        })
+        .filter_map(crate::two_qubit_operands)
         .collect();
     let mut future_idx = 0usize;
 
     for inst in circuit {
-        let qs = inst.qubits();
-        if inst.is_unitary() && qs.len() > 2 {
+        if inst.is_unitary() && inst.qubits().len() > 2 {
             return Err(CompileError::GateTooWide { op: inst.name() });
         }
-        if inst.is_unitary() && qs.len() == 2 {
-            let (a, b) = (qs[0], qs[1]);
+        if let Some((a, b)) = crate::two_qubit_operands(inst) {
             // Bring the operands together along a shortest path.
             while !map.connected(layout[a], layout[b]) {
                 let path = map
@@ -201,13 +195,11 @@ mod tests {
         let routed = route(qc, map).unwrap();
         // Every 2q gate respects the map.
         for inst in &routed.circuit {
-            if inst.is_unitary() && inst.qubits().len() == 2 {
-                let qs = inst.qubits();
+            if let Some((a, b)) = crate::two_qubit_operands(inst) {
                 assert!(
-                    map.connected(qs[0], qs[1]),
-                    "gate {} on non-adjacent {:?}",
-                    inst.name(),
-                    qs
+                    map.connected(a, b),
+                    "gate {} on non-adjacent ({a}, {b})",
+                    inst.name()
                 );
             }
         }
@@ -237,8 +229,8 @@ mod tests {
             // Follow the content of every qubit through the SWAPs.
             let mut content: Vec<usize> = (0..perm.len()).collect();
             for inst in &qc {
-                let qs = inst.qubits();
-                content.swap(qs[0], qs[1]);
+                let mut qs = inst.qubits();
+                content.swap(qs.next().unwrap(), qs.next().unwrap());
             }
             for (q, &to) in perm.iter().enumerate() {
                 assert_eq!(content[to], q, "{perm:?}");

@@ -25,7 +25,8 @@ use qdt_complex::Complex;
 use rand::RngCore;
 use std::collections::BTreeMap;
 
-use qdt_analysis::dispatch_circuit;
+use qdt_analysis::cost::{STABILIZER_MAX_QUBITS, WIDE_ENGINE_MAX_QUBITS};
+use qdt_analysis::{dispatch_circuit, feasible_at_width};
 use qdt_engine::{CostMetric, EngineCaps, EngineError, SimulationEngine, TelemetrySink};
 
 use crate::engine::EngineRegistry;
@@ -113,7 +114,7 @@ impl SimulationEngine for AutoEngine {
             // approximate (the dispatched spec may be a bounded-bond
             // MPS).
             None => EngineCaps {
-                max_qubits: 128,
+                max_qubits: STABILIZER_MAX_QUBITS,
                 dense_limit: 28,
                 wide_amplitudes: true,
                 native_sampling: true,
@@ -135,6 +136,14 @@ impl SimulationEngine for AutoEngine {
     }
 
     fn prepare(&mut self, num_qubits: usize) -> Result<(), EngineError> {
+        // No candidate takes a register wider than the tableau's.
+        if num_qubits > STABILIZER_MAX_QUBITS {
+            return Err(EngineError::TooWide {
+                num_qubits,
+                limit: STABILIZER_MAX_QUBITS,
+                what: "auto-dispatched register",
+            });
+        }
         self.buffer = Circuit::new(num_qubits);
         self.chosen = None;
         self.inner = None;
@@ -149,6 +158,17 @@ impl SimulationEngine for AutoEngine {
         }
         match inst.kind {
             OpKind::Barrier(_) => Ok(()),
+            // Past the general engines' width only the tableau is left:
+            // a gate it cannot take fails now, not at the first query.
+            OpKind::Unitary { .. } | OpKind::Swap { .. }
+                if !feasible_at_width(inst, self.buffer.num_qubits()) =>
+            {
+                Err(EngineError::TooWide {
+                    num_qubits: self.buffer.num_qubits(),
+                    limit: WIDE_ENGINE_MAX_QUBITS,
+                    what: "non-Clifford register",
+                })
+            }
             OpKind::Unitary { .. } | OpKind::Swap { .. } => {
                 self.buffer.push_unchecked(inst.clone());
                 Ok(())
@@ -233,6 +253,36 @@ mod tests {
         let described = engine.describe();
         // A wide Clifford-only circuit dispatches to the tableau.
         assert_eq!(described, "auto->stabilizer");
+    }
+
+    #[test]
+    fn auto_rejects_what_no_engine_can_take_before_any_query() {
+        let mut engine = auto_engine();
+        // A 200-qubit Clifford circuit is the tableau's.
+        run(engine.as_mut(), &generators::ghz(200)).unwrap();
+        engine.amplitude(0).unwrap();
+        assert_eq!(engine.describe(), "auto->stabilizer");
+        // Its non-Clifford variant fits no engine: `run` fails at the T
+        // gate, before anything is dispatched.
+        let mut wide_t = generators::ghz(200);
+        wide_t.t(5);
+        let mut engine = auto_engine();
+        let err = run(engine.as_mut(), &wide_t).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                EngineError::TooWide {
+                    num_qubits: 200,
+                    limit: 128,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(engine.describe(), "auto");
+        // A register wider than every engine fails in `prepare`.
+        let err = engine.prepare(STABILIZER_MAX_QUBITS + 1).unwrap_err();
+        assert!(matches!(err, EngineError::TooWide { .. }), "{err:?}");
     }
 
     #[test]

@@ -740,7 +740,7 @@ mod tests {
             // A 20% stochastic bit-flip channel on each gate's first
             // target — classic trajectory noise, driven by the shot RNG.
             if rand::Rng::gen_bool(rng, 0.2) {
-                if let Some(&q) = inst.qubits().first() {
+                if let Some(q) = inst.qubits().next() {
                     work.apply_instruction(&flip(q))?;
                 }
             }

@@ -209,11 +209,7 @@ impl CompiledNoise {
         self.rules
             .iter()
             .filter(|r| r.selector.matches(inst))
-            .flat_map(|r| {
-                inst.qubits()
-                    .into_iter()
-                    .map(move |q| (q, r.kraus.as_slice()))
-            })
+            .flat_map(|r| inst.qubits().map(move |q| (q, r.kraus.as_slice())))
     }
 
     /// The per-bit readout flip probability.

@@ -124,7 +124,7 @@ mod tests {
         let names: Vec<String> = e.circuit.iter().map(Instruction::name).collect();
         assert_eq!(names, ["h", "t", "s", "cx"]);
         // t follows qubit 0's content; s and cx follow it through both.
-        let qubits: Vec<Vec<usize>> = e.circuit.iter().map(Instruction::qubits).collect();
+        let qubits: Vec<Vec<usize>> = e.circuit.iter().map(|i| i.qubits().collect()).collect();
         assert_eq!(qubits, [vec![0], vec![0], vec![0], vec![1, 0]]);
     }
 

@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 fn assert_respects_map(qc: &Circuit, map: &CouplingMap) {
     for inst in qc {
         if inst.is_unitary() && inst.qubits().len() == 2 {
-            let qs = inst.qubits();
+            let qs: Vec<usize> = inst.qubits().collect();
             assert!(
                 map.connected(qs[0], qs[1]),
                 "{} on {:?} violates the coupling map",

@@ -143,3 +143,17 @@ fn non_finite_angles_are_rejected_with_their_line() {
     let qc = qasm::parse(&program("pi/2")).unwrap();
     assert_eq!(qc.len(), 1);
 }
+
+#[test]
+fn bundled_examples_parse_to_their_reference_circuits() {
+    // The circuits the previous (statement-splitting) parser produced.
+    let mut clean = Circuit::with_clbits(2, 2);
+    clean.h(0).cx(0, 1).measure(0, 0).measure(1, 1);
+    let parsed = qasm::parse(include_str!("../examples/lint_clean.qasm")).unwrap();
+    assert_eq!(parsed, clean);
+    let mut flawed = Circuit::with_clbits(3, 2);
+    flawed.h(0).h(0).cx(0, 1).z(0).c_if(1, true);
+    flawed.measure(1, 0).x(1).measure(0, 0);
+    let parsed = qasm::parse(include_str!("../examples/lint_flawed.qasm")).unwrap();
+    assert_eq!(parsed, flawed);
+}
