@@ -433,8 +433,11 @@ fn parallel_scaling() {
 /// Dynamic circuits: mid-circuit measurement, reset, and classical
 /// feed-forward through the per-shot executor — protocol oracles exact
 /// on every collapse-capable backend, histograms bit-identical across
-/// worker counts, and the shot loop's throughput per substrate.
+/// worker counts, and the shot loop's throughput and suffix replays per
+/// substrate.
 fn dynamic_circuits() {
+    use qdt::engine::{ShotConfig, ShotExecutor};
+    use qdt::telemetry::MetricValue;
     use qdt::verify::dynamic::{check_iterative_phase_estimation, check_teleportation};
 
     header("Dynamic — mid-circuit measurement, reset, feed-forward");
@@ -483,20 +486,35 @@ fn dynamic_circuits() {
 
     println!("\nshot-loop determinism and throughput (teleportation, seed 42):");
     println!(
-        "{:>18} {:>8} {:>8} {:>10} {:>10}",
-        "backend", "shots", "workers", "time", "identical"
+        "{:>18} {:>8} {:>8} {:>10} {:>10} {:>9}",
+        "backend", "shots", "workers", "time", "identical", "replayed"
     );
     let qc = generators::teleportation(std::f64::consts::FRAC_PI_3, std::f64::consts::PI / 5.0);
     for spec in specs {
+        let factory = qdt::engine::shot_factory(spec).expect("spec builds");
         let mut reference = None;
         for workers in [1usize, 2, 4] {
-            let (result, secs) =
-                timed(|| qdt::sample_dynamic(&qc, 4096, spec, 42, workers).expect("sampling runs"));
+            let sink = qdt::TelemetrySink::new();
+            let executor = ShotExecutor::new(ShotConfig::new(4096, 42).with_workers(workers))
+                .with_telemetry(&sink);
+            let (result, secs) = timed(|| executor.sample(&factory, &qc).expect("sampling runs"));
             let base = reference.get_or_insert_with(|| result.counts.clone());
             assert_eq!(&result.counts, base, "{spec}: workers={workers} diverged");
+            // Suffix materialisations: the outcome tree replays each of
+            // teleportation's four measurement branches once per worker.
+            let replayed = match sink.metrics().get("shots.replayed") {
+                Some(MetricValue::Counter(n)) => n,
+                other => panic!("shots.replayed missing: {other:?}"),
+            };
+            if workers == 1 {
+                assert!(
+                    replayed <= 4,
+                    "{spec}: one worker replayed {replayed} teleportation paths (at most 4)"
+                );
+            }
             println!(
-                "{:>18} {:>8} {:>8} {:>8.3}s {:>10}",
-                spec, 4096, workers, secs, "yes"
+                "{:>18} {:>8} {:>8} {:>8.3}s {:>10} {:>9}",
+                spec, 4096, workers, secs, "yes", replayed
             );
         }
     }

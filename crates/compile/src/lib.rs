@@ -88,6 +88,17 @@ pub enum CompileError {
         /// Name of the offending operation.
         op: String,
     },
+    /// An explicit initial layout is not an injective map into the
+    /// device: an entry names a site outside it, or a site an earlier
+    /// entry already took.
+    InvalidLayout {
+        /// The logical qubit whose entry is invalid.
+        logical: usize,
+        /// The physical site it names.
+        site: usize,
+        /// Width of the device.
+        device: usize,
+    },
 }
 
 impl fmt::Display for CompileError {
@@ -105,6 +116,25 @@ impl fmt::Display for CompileError {
             CompileError::DisconnectedDevice => write!(f, "coupling map is disconnected"),
             CompileError::NonUnitary { op } => {
                 write!(f, "instruction {op} is not unitary")
+            }
+            CompileError::InvalidLayout {
+                logical,
+                site,
+                device,
+            } => {
+                if site >= device {
+                    write!(
+                        f,
+                        "layout maps qubit {logical} to site {site}, outside the \
+                         {device}-qubit device"
+                    )
+                } else {
+                    write!(
+                        f,
+                        "layout maps qubit {logical} to site {site}, which an earlier \
+                         qubit already takes"
+                    )
+                }
             }
         }
     }

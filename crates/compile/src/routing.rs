@@ -89,8 +89,8 @@ pub fn route(circuit: &Circuit, map: &CouplingMap) -> Result<RoutedCircuit, Comp
 ///
 /// # Errors
 ///
-/// As for [`route`]; additionally rejects layouts that are not
-/// injective or out of range.
+/// As for [`route`]; additionally [`CompileError::InvalidLayout`] for
+/// a layout that is not injective or names a site outside the device.
 pub fn route_with_layout(
     circuit: &Circuit,
     map: &CouplingMap,
@@ -110,10 +110,15 @@ pub fn route_with_layout(
     // unused sites so the permutation is total.
     let mut layout = initial.unwrap_or_default();
     let mut used = vec![false; n_phys];
-    for &p in &layout {
-        assert!(p < n_phys, "layout target {p} out of range");
-        assert!(!used[p], "layout maps two qubits to site {p}");
-        used[p] = true;
+    for (logical, &site) in layout.iter().enumerate() {
+        if site >= n_phys || used[site] {
+            return Err(CompileError::InvalidLayout {
+                logical,
+                site,
+                device: n_phys,
+            });
+        }
+        used[site] = true;
     }
     layout.extend((0..n_phys).filter(|&p| !used[p]));
     let initial_layout: Vec<usize> = layout.clone();
@@ -323,6 +328,41 @@ mod tests {
         qc.cx(0, 3).measure(3, 3);
         let routed = route(&qc, &CouplingMap::linear(4)).unwrap();
         assert_eq!(routed.circuit.count_by_name()["measure"], 1);
+    }
+
+    #[test]
+    fn out_of_range_layout_site_is_rejected() {
+        let mut qc = Circuit::new(2);
+        qc.cx(0, 1);
+        let err = route_with_layout(&qc, &CouplingMap::linear(3), Some(vec![0, 3])).unwrap_err();
+        assert_eq!(
+            err,
+            CompileError::InvalidLayout {
+                logical: 1,
+                site: 3,
+                device: 3
+            }
+        );
+        assert!(
+            err.to_string().contains("outside the 3-qubit device"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn duplicated_layout_site_is_rejected() {
+        let mut qc = Circuit::new(3);
+        qc.cx(0, 2);
+        let err = route_with_layout(&qc, &CouplingMap::linear(4), Some(vec![2, 1, 2])).unwrap_err();
+        assert_eq!(
+            err,
+            CompileError::InvalidLayout {
+                logical: 2,
+                site: 2,
+                device: 4
+            }
+        );
+        assert!(err.to_string().contains("already takes"), "{err}");
     }
 
     use qdt_circuit::Circuit;

@@ -9,6 +9,10 @@ use qdt_complex::{Complex, Matrix};
 use crate::package::{DdPackage, MEdge, NodeId, TERMINAL};
 use crate::{DdError, MatrixDd, VectorDd};
 
+/// Widest register whose gates [`DdPackage::gate_dd`] memoises: the
+/// memo keys the control set as a `u128` mask.
+const MEMO_MAX_QUBITS: usize = 128;
+
 impl DdPackage {
     /// Builds the matrix DD of a (multi-)controlled single-qubit gate on
     /// an `num_qubits`-qubit register.
@@ -30,28 +34,34 @@ impl DdPackage {
     ) -> MatrixDd {
         assert_eq!((gate.rows(), gate.cols()), (2, 2), "gate must be 2x2");
         assert!(target < num_qubits, "target out of range");
-        let control_set: HashSet<usize> = controls.iter().copied().collect();
-        assert_eq!(control_set.len(), controls.len(), "duplicate controls");
-        assert!(!control_set.contains(&target), "control equals target");
-        for &c in controls {
-            assert!(c < num_qubits, "control out of range");
-        }
+        // Checked by scanning, not through a set: control lists are
+        // short, and a memo hit must not allocate.
+        let duplicate = (1..controls.len()).any(|i| controls[..i].contains(&controls[i]));
+        assert!(!duplicate, "duplicate controls");
+        assert!(!controls.contains(&target), "control equals target");
+        assert!(
+            controls.iter().all(|&c| c < num_qubits),
+            "control out of range"
+        );
         // Memo hit: the same gate on the same wires rebuilds to the
         // same canonical root, so skip the construction entirely (the
-        // per-shot path of dynamic circuits re-applies a handful of
-        // suffix gates thousands of times).
-        let key: crate::package::GateKey = (
-            [
-                gate.get(0, 0).to_bits(),
-                gate.get(0, 1).to_bits(),
-                gate.get(1, 0).to_bits(),
-                gate.get(1, 1).to_bits(),
-            ],
-            num_qubits,
-            target,
-            controls.to_vec(),
-        );
-        if let Some(&root) = self.gate_cache.get(&key) {
+        // DD miter and the dynamic shot loop's suffix replays re-apply
+        // the same gates many times). The key holds the control set as
+        // a mask, so control order does not matter.
+        let key: Option<crate::package::GateKey> = (num_qubits <= MEMO_MAX_QUBITS).then(|| {
+            (
+                [
+                    gate.get(0, 0).to_bits(),
+                    gate.get(0, 1).to_bits(),
+                    gate.get(1, 0).to_bits(),
+                    gate.get(1, 1).to_bits(),
+                ],
+                num_qubits,
+                target,
+                controls.iter().fold(0u128, |mask, &c| mask | 1 << c),
+            )
+        });
+        if let Some(&root) = key.as_ref().and_then(|key| self.gate_cache.get(key)) {
             return MatrixDd { root, num_qubits };
         }
 
@@ -64,7 +74,7 @@ impl DdPackage {
         ];
         // Below the target: grow each entry separately.
         for z in 0..target {
-            if control_set.contains(&z) {
+            if controls.contains(&z) {
                 let ident_below = self.identity_edge(z as isize - 1);
                 for (idx, e) in em.iter_mut().enumerate() {
                     let row = idx / 2;
@@ -82,14 +92,16 @@ impl DdPackage {
         let mut e = self.make_mnode(target as u16, em);
         // Above the target: controls gate the whole operator.
         for z in target + 1..num_qubits {
-            if control_set.contains(&z) {
+            if controls.contains(&z) {
                 let ident_below = self.identity_edge(z as isize - 1);
                 e = self.make_mnode(z as u16, [ident_below, MEdge::ZERO, MEdge::ZERO, e]);
             } else {
                 e = self.make_mnode(z as u16, [e, MEdge::ZERO, MEdge::ZERO, e]);
             }
         }
-        self.gate_cache.insert(key, e);
+        if let Some(key) = key {
+            self.gate_cache.insert(key, e);
+        }
         MatrixDd {
             root: e,
             num_qubits,
@@ -434,6 +446,21 @@ mod tests {
                 assert!(dense.get(row, col).approx_eq(v, 1e-12), "({row},{col})");
             }
         }
+    }
+
+    #[test]
+    fn gate_memo_ignores_control_order_and_skips_wide_registers() {
+        let mut p = DdPackage::new();
+        let x = Gate::X.matrix();
+        let a = p.gate_dd(&x, 5, 2, &[0, 4]);
+        let b = p.gate_dd(&x, 5, 2, &[4, 0]);
+        assert_eq!(a, b);
+        assert_eq!(p.gate_cache.len(), 1);
+        // Past 128 qubits the control mask cannot key the memo: the
+        // gate is built without it, and still canonically.
+        let wide = p.gate_dd(&x, 200, 150, &[199, 3]);
+        assert_eq!(p.gate_cache.len(), 1);
+        assert_eq!(p.gate_dd(&x, 200, 150, &[3, 199]), wide);
     }
 
     #[test]

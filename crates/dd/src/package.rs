@@ -97,8 +97,9 @@ pub(crate) struct MNode {
 type VKey = (u16, [(NodeId, (u64, u64)); 2]);
 type MKey = (u16, [(NodeId, (u64, u64)); 4]);
 /// Memo key of a constructed gate diagram: the four 2×2 entry bit
-/// patterns, the register width, the target and the control set.
-pub(crate) type GateKey = ([(u64, u64); 4], usize, usize, Vec<usize>);
+/// patterns, the register width, the target and the control set as a
+/// bit mask.
+pub(crate) type GateKey = ([(u64, u64); 4], usize, usize, u128);
 
 /// A handle to a vector decision diagram rooted in a [`DdPackage`].
 ///

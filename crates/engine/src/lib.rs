@@ -470,8 +470,9 @@ pub trait SimulationEngine {
     /// cheap enough to anchor per-shot execution.
     ///
     /// The [`shot::ShotExecutor`] snapshots the engine after the static
-    /// unitary prefix and restores from the snapshot each shot; engines
-    /// returning `None` fall back to replaying the prefix per shot.
+    /// unitary prefix and restores from the snapshot for each suffix
+    /// replay; engines returning `None` fall back to replaying the
+    /// prefix.
     fn snapshot(&self) -> Option<Box<dyn SimulationEngine>> {
         None
     }
@@ -481,13 +482,13 @@ pub trait SimulationEngine {
     /// in-place restore.
     ///
     /// This is the cheapest per-shot anchor: the [`shot::ShotExecutor`]
-    /// checkpoints the post-prefix state once per shot, runs the
-    /// dynamic suffix *on the engine itself*, and calls
+    /// checkpoints the post-prefix state once per suffix replay, runs
+    /// the dynamic suffix *on the engine itself*, and calls
     /// [`rollback`](SimulationEngine::rollback) afterwards. Unlike
     /// [`snapshot`](SimulationEngine::snapshot), backend-internal
     /// structures (arenas, unique tables, compute caches) survive
-    /// across shots, so repeated suffix work hits warm caches instead
-    /// of being recomputed against a fresh copy every shot.
+    /// across replays, so repeated suffix work hits warm caches instead
+    /// of being recomputed against a fresh copy every time.
     fn checkpoint(&mut self) -> bool {
         false
     }

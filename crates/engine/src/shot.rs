@@ -10,16 +10,40 @@
 //! 1. **Static prefix** — the leading unconditioned unitaries run once
 //!    through the ordinary [`run`] loop, exactly as before;
 //! 2. **Dynamic suffix** — everything from the first measurement,
-//!    reset, or condition onward is re-executed per shot, threading a
+//!    reset, or condition onward runs per outcome path, threading a
 //!    [`ClassicalState`] through the shot: measurements collapse the
-//!    state ([`collapse_qubit`]) and write clbits, resets
-//!    measure-and-correct ([`reset_to_zero`]), and conditions gate
+//!    state (the draw of [`collapse_qubit`](crate::collapse_qubit)) and
+//!    write clbits, resets measure-and-correct
+//!    ([`reset_to_zero`](crate::reset_to_zero)), and conditions gate
 //!    execution on the clbits written so far.
 //!
-//! The engine state after the prefix is restored per shot by the
-//! cheapest anchor the substrate offers: an in-place checkpoint
+//! **Outcome tree.** A shot's state after the prefix depends only on
+//! the outcomes it has drawn so far, so shots are walks down a binary
+//! tree of *draw points*: measurements, the collapses of resets, and
+//! the final per-qubit sample of a reset-only circuit. Each worker
+//! grows its own tree lazily. A node stores the `P(1)` the engine
+//! reported at that draw point, a leaf the path's histogram key and
+//! [`ShotStats`]. A shot walks the tree calling `gen_bool(p1)` at each
+//! node — the same call `collapse_qubit` makes, so the RNG stream is
+//! the one a per-shot replay would consume. Only when the walk leaves
+//! the tree does the shot *materialise*: restore the post-prefix
+//! anchor, replay the suffix projecting onto the outcomes already drawn
+//! ([`SimulationEngine::project`]), and continue live from there,
+//! recording the new nodes. Teleportation thus runs its four branches
+//! once each, not once per shot. The tree holds no engine handles and
+//! stops growing at 2^16 draw nodes; past the cap, new paths run live
+//! without being recorded.
+//!
+//! Two cases materialise every shot. With a gate hook (noise
+//! trajectories) the hook's own draws interleave with the collapses,
+//! so no tree is kept. With an inspector
+//! ([`ShotExecutor::run_on_inspected`]) each shot replays its walked
+//! path, so the inspector sees that shot's collapsed state.
+//!
+//! A materialisation restores the post-prefix state by the cheapest
+//! anchor the substrate offers: an in-place checkpoint
 //! ([`SimulationEngine::checkpoint`], which keeps backend caches warm
-//! across shots — the DD collapse fast path), a boxed clone
+//! across replays — the DD collapse fast path), a boxed clone
 //! ([`SimulationEngine::snapshot`]), or replaying the prefix when
 //! neither is supported.
 //!
@@ -36,9 +60,9 @@ use std::sync::{Arc, Mutex};
 use qdt_circuit::{Circuit, ClassicalState, Instruction, OpKind};
 use qdt_parallel::WorkerPool;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
-use crate::{collapse_qubit, reset_to_zero, run, EngineError, SimulationEngine, TelemetrySink};
+use crate::{run, EngineError, SimulationEngine, TelemetrySink};
 
 /// Constructor of fresh engines, one per worker thread — the same shape
 /// the noise layer's trajectory factory uses. The umbrella crate wraps
@@ -61,7 +85,7 @@ pub type ShotGateHook = Arc<
         + Sync,
 >;
 
-/// Borrowed form of [`ShotGateHook`] threaded through the per-shot loop.
+/// Borrowed form of [`ShotGateHook`] threaded through the shot loop.
 type GateHookRef<'h> = &'h (dyn Fn(
     &mut dyn SimulationEngine,
     &Instruction,
@@ -69,6 +93,14 @@ type GateHookRef<'h> = &'h (dyn Fn(
 ) -> Result<(), EngineError>
          + Send
          + Sync);
+
+/// Per-shot inspection callback of [`ShotExecutor::run_on_inspected`].
+type Inspect<'i> = dyn FnMut(u64, &mut dyn SimulationEngine, &ClassicalState) + 'i;
+
+/// Draw nodes one worker's outcome tree may hold (2^16, 1.5 MiB of
+/// nodes). Paths that would grow the tree past the cap run live without
+/// being recorded.
+const MAX_TREE_NODES: usize = 1 << 16;
 
 /// How many shots to run, from which seed, on how many workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,6 +171,13 @@ pub struct ShotResult {
     pub stats: ShotStats,
 }
 
+impl ShotResult {
+    fn add(&mut self, key: u128, stats: &ShotStats) {
+        *self.counts.entry(key).or_insert(0) += 1;
+        self.stats.absorb(stats);
+    }
+}
+
 /// The per-shot RNG seed: a SplitMix64-style mix of the master seed and
 /// the global shot index, deliberately independent of worker
 /// assignment (the analogue of the trajectory engine's seeding).
@@ -195,18 +234,22 @@ impl ShotExecutor {
     }
 
     /// Attaches a per-gate hook (see [`ShotGateHook`]). With a hook the
-    /// static-prefix optimisation is disabled: every shot replays the
-    /// *whole* circuit so the hook sees an independent realisation per
-    /// shot — exactly the noise-trajectory semantics of `traj(...)`,
-    /// now composed with mid-circuit measurement and feedback.
+    /// static-prefix optimisation is disabled and no outcome tree is
+    /// kept: every shot replays the *whole* circuit live, because the
+    /// hook's own draws interleave with the collapses, so two shots
+    /// that measure alike need not share a state. Each shot is an
+    /// independent realisation — exactly the noise-trajectory semantics
+    /// of `traj(...)`, composed with mid-circuit measurement and
+    /// feedback.
     #[must_use]
     pub fn with_gate_hook(mut self, hook: ShotGateHook) -> ShotExecutor {
         self.hook = Some(hook);
         self
     }
 
-    /// Attaches telemetry: the executor reports `shots.dynamic` and
-    /// `collapse.count` counters (plus `shots.workers` when striping).
+    /// Attaches telemetry: the executor reports the `shots.dynamic`,
+    /// `shots.replayed` (suffix materialisations) and `collapse.count`
+    /// counters, plus the `shots.workers` gauge when striping.
     #[must_use]
     pub fn with_telemetry(mut self, sink: &TelemetrySink) -> ShotExecutor {
         self.sink = sink.enabled_clone();
@@ -228,7 +271,7 @@ impl ShotExecutor {
     ///
     /// [`EngineError::Unsupported`] when the circuit is dynamic but the
     /// engine does not advertise [`EngineCaps::dynamic`]; otherwise any
-    /// engine error from the prefix run or the per-shot suffix.
+    /// engine error from the prefix run or the suffix replays.
     ///
     /// [`EngineCaps::dynamic`]: crate::EngineCaps::dynamic
     pub fn run_on(
@@ -236,14 +279,17 @@ impl ShotExecutor {
         engine: &mut dyn SimulationEngine,
         circuit: &Circuit,
     ) -> Result<ShotResult, EngineError> {
-        self.run_on_inspected(engine, circuit, &mut |_, _, _| {})
+        self.run_sequential(engine, circuit, None)
     }
 
     /// [`run_on`](ShotExecutor::run_on) with a per-shot inspection
     /// hook: after each dynamic shot, `inspect` receives the shot
     /// index, the engine holding that shot's final collapsed state, and
     /// the final classical register — the hook the verification
-    /// oracles use to check per-shot state fidelity.
+    /// oracles use to check per-shot state fidelity. Every shot
+    /// therefore materialises its path on the engine; outcomes are
+    /// still drawn from the shared outcome tree, so the histogram is
+    /// the one [`run_on`](ShotExecutor::run_on) returns.
     ///
     /// The hook is not called on the static (non-dynamic) fast path,
     /// where no per-shot state exists.
@@ -257,7 +303,16 @@ impl ShotExecutor {
         circuit: &Circuit,
         inspect: &mut dyn FnMut(u64, &mut dyn SimulationEngine, &ClassicalState),
     ) -> Result<ShotResult, EngineError> {
-        let plan = ShotPlan::new(circuit, engine, self.hook.is_some())?;
+        self.run_sequential(engine, circuit, Some(inspect))
+    }
+
+    fn run_sequential(
+        &self,
+        engine: &mut dyn SimulationEngine,
+        circuit: &Circuit,
+        inspect: Option<&mut Inspect<'_>>,
+    ) -> Result<ShotResult, EngineError> {
+        let plan = ShotPlan::new(circuit, engine, self.hook.as_deref())?;
         let shots = self.config.shots;
         if !plan.dynamic {
             // Classic two-step: evolve once, sample the final state.
@@ -271,34 +326,31 @@ impl ShotExecutor {
                     ..ShotStats::default()
                 },
             };
-            self.report(&result);
+            self.report(&result, 0);
             return Ok(result);
         }
-        let mut result = ShotResult::default();
         {
             let _frame = qdt_telemetry::profile_frame("shot:prefix");
             run(engine, &plan.prefix)?;
         }
         let _frame = qdt_telemetry::profile_frame("shot:suffix-loop");
-        for s in 0..shots as u64 {
-            let key = plan.run_shot(
-                engine,
-                self.config.seed,
-                s,
-                self.hook.as_deref(),
-                &mut result.stats,
-                inspect,
-            )?;
-            *result.counts.entry(key).or_insert(0) += 1;
-        }
-        result.stats.shots = shots;
-        self.report(&result);
+        let mut result = ShotResult::default();
+        let mut worker = ShotWorker::default();
+        worker.run_shots(
+            &plan,
+            engine,
+            0..shots as u64,
+            self.config.seed,
+            inspect,
+            &mut result,
+        )?;
+        self.report(&result, worker.replayed);
         Ok(result)
     }
 
     /// Runs the shots striped across the shared worker pool, one fresh
-    /// engine per worker from `factory` (worker `w` owns shots
-    /// `w, w + workers, …`). Results are bit-identical to
+    /// engine and outcome tree per worker from `factory` (worker `w`
+    /// owns shots `w, w + workers, …`). Results are bit-identical to
     /// [`run_on`](ShotExecutor::run_on) for any worker count, because
     /// every shot's RNG depends only on the config seed and the global
     /// shot index.
@@ -323,35 +375,33 @@ impl ShotExecutor {
         }
         // One result slot per worker, folded in worker order (the same
         // deterministic striping the trajectory engine uses).
-        type Slot = Mutex<Option<Result<ShotResult, EngineError>>>;
+        type Slot = Mutex<Option<Result<(ShotResult, u64), EngineError>>>;
         let slots: Vec<Slot> = (0..workers).map(|_| Mutex::new(None)).collect();
         let seed = self.config.seed;
         WorkerPool::shared(workers).run_per_worker(workers, &|w| {
             let _frame = qdt_telemetry::profile_frame("shot:worker");
             let out = (|| {
                 let mut engine = factory()?;
-                let plan = ShotPlan::new(circuit, engine.as_mut(), self.hook.is_some())?;
-                let mut partial = ShotResult::default();
+                let plan = ShotPlan::new(circuit, engine.as_mut(), self.hook.as_deref())?;
                 run(engine.as_mut(), &plan.prefix)?;
-                for s in (w..shots).step_by(workers) {
-                    let key = plan.run_shot(
-                        engine.as_mut(),
-                        seed,
-                        s as u64,
-                        self.hook.as_deref(),
-                        &mut partial.stats,
-                        &mut |_, _, _| {},
-                    )?;
-                    *partial.counts.entry(key).or_insert(0) += 1;
-                    partial.stats.shots += 1;
-                }
-                Ok(partial)
+                let mut partial = ShotResult::default();
+                let mut worker = ShotWorker::default();
+                worker.run_shots(
+                    &plan,
+                    engine.as_mut(),
+                    (w as u64..shots as u64).step_by(workers),
+                    seed,
+                    None,
+                    &mut partial,
+                )?;
+                Ok((partial, worker.replayed))
             })();
             *slots[w].lock().expect("shot slot poisoned") = Some(out);
         });
         let mut result = ShotResult::default();
+        let mut replayed = 0;
         for slot in slots {
-            let partial = slot
+            let (partial, partial_replayed) = slot
                 .into_inner()
                 .expect("shot slot poisoned")
                 .expect("shot worker slot unfilled")?;
@@ -359,24 +409,28 @@ impl ShotExecutor {
                 *result.counts.entry(key).or_insert(0) += count;
             }
             result.stats.absorb(&partial.stats);
+            replayed += partial_replayed;
         }
-        self.report(&result);
+        self.report(&result, replayed);
         Ok(result)
     }
 
-    fn report(&self, result: &ShotResult) {
+    fn report(&self, result: &ShotResult, replayed: u64) {
         if let Some(sink) = &self.sink {
             let m = sink.metrics();
             m.counter_add("shots.dynamic", result.stats.shots as u64);
+            m.counter_add("shots.replayed", replayed);
             m.counter_add("collapse.count", result.stats.collapses);
         }
     }
 }
 
-/// The split circuit: static unitary prefix plus dynamic suffix.
+/// The split circuit: static unitary prefix plus dynamic suffix, and
+/// the gate hook decorating the suffix.
 struct ShotPlan<'c> {
     prefix: Circuit,
     suffix: &'c [Instruction],
+    hook: Option<GateHookRef<'c>>,
     num_clbits: usize,
     dynamic: bool,
     /// Whether any suffix instruction is a measurement — if so, the
@@ -389,7 +443,7 @@ impl<'c> ShotPlan<'c> {
     fn new(
         circuit: &'c Circuit,
         engine: &mut dyn SimulationEngine,
-        full_replay: bool,
+        hook: Option<GateHookRef<'c>>,
     ) -> Result<Self, EngineError> {
         let dynamic = circuit.is_dynamic();
         if dynamic && !engine.caps().dynamic {
@@ -414,8 +468,8 @@ impl<'c> ShotPlan<'c> {
         // With a gate hook every shot is its own stochastic
         // realisation, so the whole circuit becomes the per-shot
         // suffix; without one, the static prefix runs once and is
-        // snapshotted.
-        let (prefix, suffix) = if full_replay {
+        // anchored.
+        let (prefix, suffix) = if hook.is_some() {
             // The empty prefix still carries the register widths, so
             // `run` (and the per-shot snapshot) prepares `|0…0⟩` at the
             // right size before the whole circuit replays as suffix.
@@ -430,32 +484,31 @@ impl<'c> ShotPlan<'c> {
         Ok(ShotPlan {
             prefix,
             suffix,
+            hook,
             num_clbits: circuit.num_clbits(),
-            dynamic: dynamic || full_replay,
+            dynamic: dynamic || hook.is_some(),
             has_measure,
         })
     }
 
-    /// Executes one shot's dynamic suffix and returns its histogram
-    /// key. `engine` must hold the post-prefix state; it is restored to
-    /// it when the engine supports checkpoints or snapshots, and left
-    /// holding the shot's final state otherwise (the caller re-runs the
-    /// prefix next shot implicitly via [`ShotPlan::run_shot`]'s replay
-    /// branch).
-    #[allow(clippy::too_many_lines)]
-    fn run_shot(
+    /// Materialises one shot on `engine`, which holds the post-prefix
+    /// state: restores that state by the cheapest anchor, plays the
+    /// suffix with `draws`, hands the final state to `inspect`, and
+    /// rolls a checkpoint back. Returns the shot's key and counters.
+    ///
+    /// Without a checkpoint or snapshot the engine is left holding the
+    /// shot's final state; the next materialisation replays the prefix
+    /// first.
+    fn materialise(
         &self,
         engine: &mut dyn SimulationEngine,
-        seed: u64,
+        draws: &mut Draws<'_>,
         shot: u64,
-        hook: Option<GateHookRef<'_>>,
-        stats: &mut ShotStats,
-        inspect: &mut dyn FnMut(u64, &mut dyn SimulationEngine, &ClassicalState),
-    ) -> Result<u128, EngineError> {
-        let mut rng = StdRng::seed_from_u64(shot_seed(seed, shot));
+        inspect: Option<&mut Inspect<'_>>,
+    ) -> Result<(u128, ShotStats), EngineError> {
         let mut snapshot;
         // Cheapest first: an in-place checkpoint keeps the backend's
-        // internal tables warm across shots (the DD collapse fast
+        // internal tables warm across replays (the DD collapse fast
         // path); next a boxed clone; last, full prefix replay.
         let checkpointed = engine.checkpoint();
         let work: &mut dyn SimulationEngine = if checkpointed {
@@ -474,6 +527,28 @@ impl<'c> ShotPlan<'c> {
                 }
             }
         };
+        let (key, stats, classical) = self.play(work, draws)?;
+        if let Some(inspect) = inspect {
+            inspect(shot, work, &classical);
+        }
+        if checkpointed {
+            work.rollback()?;
+        }
+        Ok((key, stats))
+    }
+
+    /// Executes the suffix on `work` as one shot, taking every outcome
+    /// from `draws`, and returns the histogram key, the shot's counters
+    /// and its final classical register.
+    fn play(
+        &self,
+        work: &mut dyn SimulationEngine,
+        draws: &mut Draws<'_>,
+    ) -> Result<(u128, ShotStats, ClassicalState), EngineError> {
+        let mut stats = ShotStats {
+            shots: 1,
+            ..ShotStats::default()
+        };
         let mut classical = ClassicalState::new(self.num_clbits);
         for inst in self.suffix {
             if let Some(cond) = inst.cond {
@@ -486,12 +561,19 @@ impl<'c> ShotPlan<'c> {
             match &inst.kind {
                 OpKind::Barrier(_) => {}
                 OpKind::Measure { qubit, clbit } => {
-                    let bit = collapse_qubit(work, *qubit, &mut rng)?;
+                    let bit = draws.collapse(work, *qubit)?;
                     classical.set(*clbit, bit);
                     stats.collapses += 1;
                 }
                 OpKind::Reset { qubit } => {
-                    reset_to_zero(work, *qubit, &mut rng)?;
+                    // Measure-and-correct, as `reset_to_zero` does.
+                    if draws.collapse(work, *qubit)? {
+                        work.apply_instruction(&Instruction::new(OpKind::Unitary {
+                            gate: qdt_circuit::Gate::X,
+                            target: *qubit,
+                            controls: vec![],
+                        }))?;
+                    }
                     stats.collapses += 1;
                     stats.resets += 1;
                 }
@@ -503,13 +585,13 @@ impl<'c> ShotPlan<'c> {
                         let mut bare = inst.clone();
                         bare.cond = None;
                         work.apply_instruction(&bare)?;
-                        if let Some(hook) = hook {
-                            hook(work, &bare, &mut rng)?;
+                        if let Some(hook) = self.hook {
+                            hook(work, &bare, draws.rng)?;
                         }
                     } else {
                         work.apply_instruction(inst)?;
-                        if let Some(hook) = hook {
-                            hook(work, inst, &mut rng)?;
+                        if let Some(hook) = self.hook {
+                            hook(work, inst, draws.rng)?;
                         }
                     }
                 }
@@ -526,17 +608,206 @@ impl<'c> ShotPlan<'c> {
             // identical on every substrate.
             let mut key = 0u128;
             for q in 0..work.num_qubits() {
-                if collapse_qubit(work, q, &mut rng)? {
+                if draws.collapse(work, q)? {
                     key |= 1u128 << q;
                 }
             }
             key
         };
-        inspect(shot, work, &classical);
-        if checkpointed {
-            work.rollback()?;
+        Ok((key, stats, classical))
+    }
+}
+
+/// The outcome source of one materialisation. The first
+/// `forced.len()` draws project onto outcomes the shot already drew
+/// walking the tree. Later draws are live, made exactly as
+/// [`collapse_qubit`](crate::collapse_qubit) makes them, and are
+/// appended to `live` as `(p1, outcome)` for the tree to record.
+struct Draws<'a> {
+    rng: &'a mut StdRng,
+    forced: &'a [bool],
+    drawn: usize,
+    live: &'a mut Vec<(f64, bool)>,
+}
+
+impl Draws<'_> {
+    /// Collapses `qubit` onto the next outcome and returns it.
+    fn collapse(
+        &mut self,
+        work: &mut dyn SimulationEngine,
+        qubit: usize,
+    ) -> Result<bool, EngineError> {
+        let outcome = if let Some(&forced) = self.forced.get(self.drawn) {
+            forced
+        } else {
+            let p1 = work.probability_of_one(qubit)?.clamp(0.0, 1.0);
+            let outcome = self.rng.gen_bool(p1);
+            self.live.push((p1, outcome));
+            outcome
+        };
+        self.drawn += 1;
+        work.project(qubit, outcome)?;
+        Ok(outcome)
+    }
+}
+
+/// What follows one outcome of a draw node (or the tree's root).
+#[derive(Debug, Clone, Copy, Default)]
+enum Link {
+    /// No shot has taken this branch yet.
+    #[default]
+    Missing,
+    /// The next draw point: an index into [`OutcomeTree::nodes`].
+    Node(u32),
+    /// The end of a path: an index into [`OutcomeTree::leaves`].
+    Leaf(u32),
+}
+
+/// One random draw point of a path, as the first shot to reach it saw it.
+#[derive(Debug)]
+struct DrawNode {
+    /// `P(1)` the engine reported here, clamped to `[0, 1]`.
+    p1: f64,
+    /// The continuation after outcome 0 and after outcome 1.
+    next: [Link; 2],
+}
+
+/// A completed path: its histogram key and one shot's counters.
+#[derive(Debug)]
+struct Leaf {
+    key: u128,
+    stats: ShotStats,
+}
+
+/// A position in the tree where a link lives.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Root,
+    /// The branch of node `.0` taken on outcome `.1`.
+    Branch(u32, bool),
+}
+
+/// The lazily grown tree of outcome paths one worker has executed.
+#[derive(Debug, Default)]
+struct OutcomeTree {
+    root: Link,
+    nodes: Vec<DrawNode>,
+    leaves: Vec<Leaf>,
+}
+
+impl OutcomeTree {
+    fn link(&self, slot: Slot) -> Link {
+        match slot {
+            Slot::Root => self.root,
+            Slot::Branch(node, bit) => self.nodes[node as usize].next[usize::from(bit)],
         }
-        Ok(key)
+    }
+
+    fn set(&mut self, slot: Slot, link: Link) {
+        match slot {
+            Slot::Root => self.root = link,
+            Slot::Branch(node, bit) => self.nodes[node as usize].next[usize::from(bit)] = link,
+        }
+    }
+
+    /// Draws a shot's outcomes down the recorded tree, appending them
+    /// to `path`. Returns the leaf reached, or the slot where the shot
+    /// leaves the tree.
+    fn walk(&self, rng: &mut StdRng, path: &mut Vec<bool>) -> Result<&Leaf, Slot> {
+        let mut slot = Slot::Root;
+        loop {
+            match self.link(slot) {
+                Link::Missing => return Err(slot),
+                Link::Leaf(leaf) => return Ok(&self.leaves[leaf as usize]),
+                Link::Node(node) => {
+                    let outcome = rng.gen_bool(self.nodes[node as usize].p1);
+                    path.push(outcome);
+                    slot = Slot::Branch(node, outcome);
+                }
+            }
+        }
+    }
+
+    /// Records a materialised path below `slot`: the live draws, then
+    /// the leaf. A path that would take the tree past
+    /// [`MAX_TREE_NODES`] is dropped.
+    fn record(&mut self, mut slot: Slot, live: &[(f64, bool)], leaf: Leaf) {
+        if self.nodes.len() + live.len() > MAX_TREE_NODES {
+            return;
+        }
+        for &(p1, outcome) in live {
+            let node = self.nodes.len() as u32;
+            self.nodes.push(DrawNode {
+                p1,
+                next: [Link::Missing; 2],
+            });
+            self.set(slot, Link::Node(node));
+            slot = Slot::Branch(node, outcome);
+        }
+        self.set(slot, Link::Leaf(self.leaves.len() as u32));
+        self.leaves.push(leaf);
+    }
+}
+
+/// One worker's shot state: its outcome tree, scratch buffers, and how
+/// many shots it had to materialise.
+#[derive(Debug, Default)]
+struct ShotWorker {
+    tree: OutcomeTree,
+    path: Vec<bool>,
+    live: Vec<(f64, bool)>,
+    replayed: u64,
+}
+
+impl ShotWorker {
+    /// The shot routine: runs the given shots (global indices) on
+    /// `engine`, which holds the post-prefix state, and adds their
+    /// outcomes to `result`. Each shot walks the tree and materialises
+    /// only when it leaves it — or always, under a hook or inspector.
+    fn run_shots(
+        &mut self,
+        plan: &ShotPlan<'_>,
+        engine: &mut dyn SimulationEngine,
+        shots: impl Iterator<Item = u64>,
+        seed: u64,
+        mut inspect: Option<&mut Inspect<'_>>,
+        result: &mut ShotResult,
+    ) -> Result<(), EngineError> {
+        for shot in shots {
+            let mut rng = StdRng::seed_from_u64(shot_seed(seed, shot));
+            self.path.clear();
+            self.live.clear();
+            // A hook draws from the shot RNG between collapses, so its
+            // shots share no tree; they run live from the anchor.
+            let grow_at = if plan.hook.is_some() {
+                None
+            } else {
+                match self.tree.walk(&mut rng, &mut self.path) {
+                    Ok(leaf) if inspect.is_none() => {
+                        result.add(leaf.key, &leaf.stats);
+                        continue;
+                    }
+                    // The inspector must see this shot's state: replay
+                    // the whole recorded path.
+                    Ok(_) => None,
+                    Err(slot) => Some(slot),
+                }
+            };
+            let mut draws = Draws {
+                rng: &mut rng,
+                forced: &self.path,
+                drawn: 0,
+                live: &mut self.live,
+            };
+            let (key, stats) =
+                plan.materialise(engine, &mut draws, shot, inspect.as_deref_mut())?;
+            self.replayed += 1;
+            if let Some(slot) = grow_at {
+                self.tree.record(slot, &self.live, Leaf { key, stats });
+            }
+            result.add(key, &stats);
+        }
+        Ok(())
     }
 }
 
@@ -765,5 +1036,111 @@ mod tests {
                 .unwrap();
             assert_eq!(striped.counts, sequential.counts, "workers={workers}");
         }
+    }
+
+    /// `count` fair coins on one qubit, each measured into its own clbit.
+    fn coins(count: usize) -> Circuit {
+        let mut qc = Circuit::with_clbits(1, count);
+        for k in 0..count {
+            qc.h(0);
+            qc.measure(0, k);
+        }
+        qc
+    }
+
+    /// Runs `qc` through one [`ShotWorker`] and returns it with the
+    /// result, so tests can look at the tree.
+    fn run_worker(qc: &Circuit, shots: usize, seed: u64) -> (ShotWorker, ShotResult) {
+        let mut engine = ReferenceEngine::default();
+        let plan = ShotPlan::new(qc, &mut engine, None).unwrap();
+        run(&mut engine, &plan.prefix).unwrap();
+        let mut worker = ShotWorker::default();
+        let mut result = ShotResult::default();
+        worker
+            .run_shots(&plan, &mut engine, 0..shots as u64, seed, None, &mut result)
+            .unwrap();
+        (worker, result)
+    }
+
+    #[test]
+    fn each_outcome_path_is_materialised_once() {
+        let (worker, result) = run_worker(&coin(), 4000, 11);
+        assert_eq!(worker.replayed, 2);
+        assert_eq!(worker.tree.nodes.len(), 1);
+        assert_eq!(worker.tree.leaves.len(), 2);
+        // The tree answers the same histogram the executor reports.
+        let direct = ShotExecutor::new(ShotConfig::new(4000, 11))
+            .run_on(&mut ReferenceEngine::default(), &coin())
+            .unwrap();
+        assert_eq!(result, direct);
+    }
+
+    #[test]
+    fn outcome_tree_stays_under_the_node_cap() {
+        // 20 coins over 4096 shots fit under the cap.
+        let (worker, result) = run_worker(&coins(20), 4096, 3);
+        assert!(worker.tree.nodes.len() <= MAX_TREE_NODES);
+        assert_eq!(result.stats.shots, 4096);
+        assert_eq!(result.stats.collapses, 20 * 4096);
+        // 64 coins over 2048 shots ask for about 110k nodes: the tree
+        // fills to the cap and later paths run unrecorded.
+        let (worker, result) = run_worker(&coins(64), 2048, 3);
+        let nodes = worker.tree.nodes.len();
+        assert!(nodes <= MAX_TREE_NODES, "{nodes} nodes");
+        assert!(
+            nodes > MAX_TREE_NODES - 64,
+            "{nodes} nodes: cap never reached"
+        );
+        assert_eq!(worker.replayed, 2048, "every 64-coin path is new");
+        assert!(worker.tree.leaves.len() < 2048);
+        assert_eq!(result.counts.values().sum::<usize>(), 2048);
+    }
+
+    #[test]
+    fn inspected_shots_replay_their_walked_path() {
+        // Teleportation-shaped: two fair measurements, then corrections
+        // conditioned on them.
+        let mut qc = Circuit::with_clbits(3, 3);
+        qc.h(0).h(1).cx(1, 2);
+        qc.measure(0, 0).measure(1, 1);
+        qc.x(2).c_if(1, true);
+        qc.z(2).c_if(0, true);
+        qc.measure(2, 2);
+        let executor = ShotExecutor::new(ShotConfig::new(300, 21));
+        let plain = executor
+            .run_on(&mut ReferenceEngine::default(), &qc)
+            .unwrap();
+        let mut seen = Vec::new();
+        let inspected = executor
+            .run_on_inspected(&mut ReferenceEngine::default(), &qc, &mut |s, work, c| {
+                // The engine holds this shot's collapsed state: its
+                // measured qubits agree with the register.
+                for q in 0..2 {
+                    let p1 = work.probability_of_one(q).unwrap();
+                    assert!((p1 - f64::from(u8::from(c.get(q)))).abs() < 1e-12);
+                }
+                seen.push(s);
+            })
+            .unwrap();
+        assert_eq!(inspected, plain);
+        assert_eq!(seen, (0..300).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn telemetry_reports_replays_beside_shots() {
+        let sink = TelemetrySink::new();
+        let factory: ShotFactory =
+            Arc::new(|| Ok(Box::new(ReferenceEngine::default()) as Box<dyn SimulationEngine>));
+        for workers in [1, 2] {
+            ShotExecutor::new(ShotConfig::new(64, 1).with_workers(workers))
+                .with_telemetry(&sink)
+                .sample(&factory, &coin())
+                .unwrap();
+        }
+        let metrics = sink.metrics().flattened();
+        let get = |name: &str| metrics.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
+        // One worker replays each branch once; two workers once each.
+        assert_eq!(get("shots.replayed"), Some(2.0 + 4.0));
+        assert_eq!(get("shots.dynamic"), Some(128.0));
     }
 }
