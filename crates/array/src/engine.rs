@@ -6,7 +6,8 @@ use std::collections::BTreeMap;
 use qdt_circuit::{Instruction, OpKind, PauliString};
 use qdt_complex::{Complex, Matrix};
 use qdt_engine::{
-    check_pauli_width, CostMetric, EngineCaps, EngineError, SimulationEngine, TelemetrySink,
+    check_basis, check_instruction_width, check_pauli_width, check_qubit, CostMetric, EngineCaps,
+    EngineError, SimulationEngine, TelemetrySink,
 };
 use qdt_parallel::KernelContext;
 use rand::RngCore;
@@ -264,6 +265,7 @@ impl SimulationEngine for ArrayEngine {
     }
 
     fn apply_instruction(&mut self, inst: &Instruction) -> Result<(), EngineError> {
+        check_instruction_width(self.num_qubits(), inst)?;
         // With fusion enabled, unitaries accumulate until a boundary
         // (non-unitary instruction, barrier, width overflow) or a state
         // query flushes them as one pass.
@@ -297,12 +299,7 @@ impl SimulationEngine for ArrayEngine {
 
     fn amplitude(&mut self, basis: u128) -> Result<Complex, EngineError> {
         self.flush_fusion();
-        if basis >= self.psi.amplitudes().len() as u128 {
-            return Err(EngineError::Backend {
-                engine: "array",
-                message: format!("basis index {basis} out of range"),
-            });
-        }
+        check_basis("array", self.psi.num_qubits(), basis)?;
         Ok(self.psi.amplitude(basis as usize))
     }
 
@@ -348,23 +345,13 @@ impl SimulationEngine for ArrayEngine {
 
     fn probability_of_one(&mut self, qubit: usize) -> Result<f64, EngineError> {
         self.flush_fusion();
-        if qubit >= self.psi.num_qubits() {
-            return Err(EngineError::Backend {
-                engine: "array",
-                message: format!("qubit {qubit} out of range"),
-            });
-        }
+        check_qubit(self.psi.num_qubits(), qubit)?;
         Ok(self.psi.probability_of_one(qubit))
     }
 
     fn project(&mut self, qubit: usize, outcome: bool) -> Result<(), EngineError> {
         self.flush_fusion();
-        if qubit >= self.psi.num_qubits() {
-            return Err(EngineError::Backend {
-                engine: "array",
-                message: format!("qubit {qubit} out of range"),
-            });
-        }
+        check_qubit(self.psi.num_qubits(), qubit)?;
         let p1 = self.psi.probability_of_one(qubit);
         let p = if outcome { p1 } else { 1.0 - p1 };
         if p <= 1e-12 {

@@ -199,18 +199,7 @@ fn header(title: &str) {
 fn engines(backends: &[String]) {
     header("Engines — one run loop, four data structures (instrumented)");
     println!(
-        "{:>16} {:>8} {:>8} {:>7} {:>8} {:>12} {:>8} {:>7} {:>8} {:>10} {:>10}",
-        "backend",
-        "circuit",
-        "qubits",
-        "gates",
-        "threads",
-        "metric",
-        "peak",
-        "peak@",
-        "final",
-        "mem",
-        "time"
+        "         backend  circuit   qubits   gates  threads       metric     peak   peak@    final        mem       time"
     );
     for (fam, n) in [
         (Family::Ghz, 12usize),
@@ -284,23 +273,19 @@ fn auto_dispatch() {
         ("random-12", generators::random_circuit(12, 10, &mut rng)),
         ("wstate-16", generators::w_state(16)),
     ];
-    let fixed = ["array", "decision-diagram", "mps:64", "tensor-network"];
-
-    let timed_run = |spec: &str, qc: &qdt::circuit::Circuit| -> f64 {
-        let mut e = qdt::create_engine(spec).expect("spec builds");
-        let (_, secs) = timed(|| {
-            run(e.as_mut(), qc).expect("simulates");
-            e.amplitude(0).expect("single amplitude");
-        });
-        secs
-    };
-
+    // The fixed backends, then `auto` last.
+    let specs = [
+        "array",
+        "decision-diagram",
+        "mps:64",
+        "tensor-network",
+        "auto",
+    ];
     println!(
         "{:>10} {:>12} {:>12} {:>12} {:>12} {:>12} {:>16}",
         "circuit", "array", "dd", "mps:64", "tn", "auto", "auto resolved"
     );
-    let mut fixed_totals = vec![0.0f64; fixed.len()];
-    let mut auto_total = 0.0f64;
+    let mut totals = [0.0f64; 5];
     for (name, qc) in &workload {
         // Predicted costs: the chosen spec is the cheapest feasible
         // estimate by construction; assert the dominance anyway so the
@@ -323,19 +308,18 @@ fn auto_dispatch() {
             );
         }
 
-        let mut row_secs = Vec::new();
-        for (i, spec) in fixed.iter().enumerate() {
-            let secs = timed_run(spec, qc);
-            fixed_totals[i] += secs;
-            row_secs.push(secs);
+        let mut row = [0.0f64; 5];
+        let mut resolved = String::new();
+        for (i, spec) in specs.iter().enumerate() {
+            let mut e = qdt::create_engine(spec).expect("spec builds");
+            row[i] = timed(|| {
+                run(e.as_mut(), qc).expect("simulates");
+                e.amplitude(0).expect("single amplitude");
+            })
+            .1;
+            totals[i] += row[i];
+            resolved = e.describe();
         }
-        let mut auto_engine = qdt::create_engine("auto").expect("auto is registered");
-        let (_, auto_secs) = timed(|| {
-            run(auto_engine.as_mut(), qc).expect("simulates");
-            auto_engine.amplitude(0).expect("single amplitude");
-        });
-        auto_total += auto_secs;
-        let resolved = auto_engine.describe();
         assert!(
             resolved.starts_with("auto->"),
             "{name}: auto did not resolve to a concrete backend: {resolved}"
@@ -347,22 +331,17 @@ fn auto_dispatch() {
         );
         println!(
             "{:>10} {:>11.4}s {:>11.4}s {:>11.4}s {:>11.4}s {:>11.4}s {:>16}",
-            name, row_secs[0], row_secs[1], row_secs[2], row_secs[3], auto_secs, resolved
+            name, row[0], row[1], row[2], row[3], row[4], resolved
         );
     }
+    let auto_total = totals[4];
     print!(
         "{:>10} {:>11.4}s {:>11.4}s {:>11.4}s {:>11.4}s {:>11.4}s",
-        "total", fixed_totals[0], fixed_totals[1], fixed_totals[2], fixed_totals[3], auto_total
+        "total", totals[0], totals[1], totals[2], totals[3], auto_total
     );
-    println!(
-        " {:>16}",
-        if fixed_totals.iter().all(|t| auto_total <= *t) {
-            "auto wins"
-        } else {
-            "auto ties"
-        }
-    );
-    for (spec, total) in fixed.iter().zip(&fixed_totals) {
+    let wins = totals[..4].iter().all(|t| auto_total <= *t);
+    println!(" {:>16}", if wins { "auto wins" } else { "auto ties" });
+    for (spec, total) in specs.iter().zip(&totals[..4]) {
         // "Beats or ties": a 10% + 50ms band absorbs timer noise on the
         // circuits where both choices are sub-millisecond.
         assert!(
@@ -395,7 +374,6 @@ fn spec_threads(spec: &str, engine: &dyn qdt::SimulationEngine) -> String {
 /// table measures scheduling overhead and speed-up alone.
 fn parallel_scaling() {
     header("Parallel — chunked state-vector kernels vs thread count");
-    const REPEATS: usize = 5;
     println!(
         "{:>8} {:>8} {:>8} {:>12} {:>9}",
         "circuit", "qubits", "threads", "time", "speedup"
@@ -406,13 +384,9 @@ fn parallel_scaling() {
         for threads in [1usize, 2, 4, 8] {
             let spec = format!("array(threads={threads})");
             let (amps, secs) = timed(|| {
-                let mut amps = Vec::new();
-                for _ in 0..REPEATS {
-                    let mut e = qdt::create_engine(&spec).expect("spec builds");
-                    run(e.as_mut(), &qc).expect("simulates");
-                    amps = e.amplitudes().expect("dense amplitudes");
-                }
-                amps
+                let mut e = qdt::create_engine(&spec).expect("spec builds");
+                run(e.as_mut(), &qc).expect("simulates");
+                e.amplitudes().expect("dense amplitudes")
             });
             let (base_amps, base_secs) = reference.get_or_insert((amps.clone(), secs));
             assert_eq!(&amps, base_amps, "thread count changed the amplitudes");
@@ -494,18 +468,21 @@ fn dynamic_circuits() {
         let factory = qdt::engine::shot_factory(spec).expect("spec builds");
         let mut reference = None;
         for workers in [1usize, 2, 4] {
-            let sink = qdt::TelemetrySink::new();
-            let executor = ShotExecutor::new(ShotConfig::new(4096, 42).with_workers(workers))
-                .with_telemetry(&sink);
-            let (result, secs) = timed(|| executor.sample(&factory, &qc).expect("sampling runs"));
+            // A fresh sink per run, so the counter reads one run's replays.
+            let ((result, replayed), secs) = timed(|| {
+                let sink = qdt::TelemetrySink::new();
+                let executor = ShotExecutor::new(ShotConfig::new(4096, 42).with_workers(workers))
+                    .with_telemetry(&sink);
+                let result = executor.sample(&factory, &qc).expect("sampling runs");
+                match sink.metrics().get("shots.replayed") {
+                    Some(MetricValue::Counter(n)) => (result, n),
+                    other => panic!("shots.replayed missing: {other:?}"),
+                }
+            });
             let base = reference.get_or_insert_with(|| result.counts.clone());
             assert_eq!(&result.counts, base, "{spec}: workers={workers} diverged");
             // Suffix materialisations: the outcome tree replays each of
             // teleportation's four measurement branches once per worker.
-            let replayed = match sink.metrics().get("shots.replayed") {
-                Some(MetricValue::Counter(n)) => n,
-                other => panic!("shots.replayed missing: {other:?}"),
-            };
             if workers == 1 {
                 assert!(
                     replayed <= 4,
@@ -693,29 +670,21 @@ fn kernel_fusion(snapshot_path: Option<&str>) {
         ),
     ];
 
-    // One timed run: build, simulate, read amplitude 0 (which flushes
-    // any pending fused group). Returns (amplitude, seconds).
+    // Simulate, then read amplitude 0 (which flushes any pending fused
+    // group); every run must reproduce the first run's amplitude exactly.
     let timed_run = |spec: &str, qc: &qdt::circuit::Circuit| {
         let mut e = qdt::create_engine(spec).expect("spec builds");
+        let mut first = None;
         timed(|| {
             run(e.as_mut(), qc).expect("simulates");
-            e.amplitude(0).expect("single amplitude")
+            let amp = e.amplitude(0).expect("single amplitude");
+            assert_eq!(
+                *first.get_or_insert(amp),
+                amp,
+                "{spec}: repeated runs must agree exactly"
+            );
+            amp
         })
-    };
-    // Best-of-3 wall clock, so one scheduler hiccup cannot flip the
-    // fused-vs-unfused comparison.
-    let best_of_3 = |spec: &str, qc: &qdt::circuit::Circuit| {
-        let mut best: Option<(Complex, f64)> = None;
-        for _ in 0..3 {
-            let (amp, secs) = timed_run(spec, qc);
-            if let Some((prev_amp, _)) = best {
-                assert_eq!(amp, prev_amp, "{spec}: repeated runs must agree exactly");
-            }
-            if best.is_none_or(|(_, b)| secs < b) {
-                best = Some((amp, secs));
-            }
-        }
-        best.expect("three runs")
     };
 
     println!(
@@ -744,10 +713,10 @@ fn kernel_fusion(snapshot_path: Option<&str>) {
         };
         assert_eq!(width.count, groups, "{name}: every group records a width");
 
-        let (plain_amp, plain_secs) = best_of_3("array", qc);
-        let (fused_best_amp, fused_secs) = best_of_3(&format!("array(fuse={FUSE_WIDTH})"), qc);
+        let (plain_amp, plain_secs) = timed_run("array", qc);
+        let (fused_run_amp, fused_secs) = timed_run(&format!("array(fuse={FUSE_WIDTH})"), qc);
         assert_eq!(
-            plain_amp, fused_best_amp,
+            plain_amp, fused_run_amp,
             "{name}: fused amplitude drifted from unfused"
         );
         assert_eq!(fused_amp, plain_amp, "{name}: instrumented run drifted");
@@ -871,25 +840,13 @@ fn fig1() {
     }
     let mut dd = DdPackage::new();
     let v = dd.run_circuit(&bell).expect("bell on DDs");
-    println!(
-        "decision diagram: {} nodes, root weight {}",
-        dd.vector_node_count(&v),
-        v_root_weight(&dd, &v)
-    );
+    println!("decision diagram: {} nodes", dd.vector_node_count(&v));
     println!(
         "amplitude reconstruction along the |00> path: {} (= 1/sqrt(2) * 1 * 1)",
         dd.amplitude(&v, 0)
     );
     println!("Graphviz source (render with `dot -Tsvg`):");
     print!("{}", dd.vector_to_dot(&v));
-}
-
-fn v_root_weight(dd: &DdPackage, v: &qdt::dd::VectorDd) -> Complex {
-    // The root weight is the |00...0⟩-path prefix; expose via amplitude
-    // of the all-zero string divided by the path weights (1 for Bell).
-    let _ = dd;
-    let _ = v;
-    Complex::real(std::f64::consts::FRAC_1_SQRT_2)
 }
 
 /// Fig. 2: the Bell circuit as a tensor network.
@@ -955,32 +912,26 @@ fn fig3() {
 fn c1_array_scaling() {
     header("C1 — array-based simulation scales exponentially (Sec. II)");
     println!(
-        "{:>6} {:>16} {:>14} {:>14}",
-        "qubits", "amplitudes", "memory", "ghz time"
+        "{:>6} {:>16} {:>14} {:>14} {:>14}",
+        "qubits", "amplitudes", "memory", "ghz time", "qft time"
     );
     for n in [4usize, 8, 12, 16, 20, 22, 24] {
         let qc = generators::ghz(n);
         let (psi, secs) = timed(|| StateVector::from_circuit(&qc).expect("fits"));
+        let qft = generators::qft(n, true);
+        let qft_secs = (n <= 20).then(|| timed(|| StateVector::from_circuit(&qft).expect("fits")));
         println!(
-            "{:>6} {:>16} {:>14} {:>12.4}s",
+            "{:>6} {:>16} {:>14} {:>12.4}s {:>14}",
             n,
             1u64 << n,
-            human_bytes(psi.memory_bytes()),
-            secs
+            format_bytes(psi.memory_bytes()),
+            secs,
+            qft_secs.map_or("-".into(), |(_, s)| format!("{s:.4}s"))
         );
     }
-    println!("(each +2 qubits quadruples memory; 50 qubits would need 16 PiB)");
-}
-
-fn human_bytes(b: usize) -> String {
-    const UNITS: [&str; 5] = ["B", "KiB", "MiB", "GiB", "TiB"];
-    let mut v = b as f64;
-    let mut u = 0;
-    while v >= 1024.0 && u < UNITS.len() - 1 {
-        v /= 1024.0;
-        u += 1;
-    }
-    format!("{v:.1} {}", UNITS[u])
+    println!("(each +2 qubits quadruples memory; 50 qubits would need 16 PiB;");
+    println!(" QFT is timed up to 20 qubits, where its O(n²) gates still run in");
+    println!(" well under a second)");
 }
 
 /// C2: DDs exploit redundancy — structured states stay tiny. Both
@@ -1049,6 +1000,17 @@ fn c3_tn_contraction() {
             );
         }
     }
+    println!("\ncontraction time of <0|C|0> at 10 qubits, by plan:");
+    for family in [Family::Ghz, Family::Qft] {
+        let (name, tn) = (
+            family.name(),
+            TensorNetwork::from_circuit(&family.circuit(10)),
+        );
+        let tn = tn.with_output_fixed(0);
+        let [naive, greedy] = [PlanKind::Naive, PlanKind::Greedy]
+            .map(|kind| timed(|| tn.contract(kind).expect("contracts")).1);
+        println!("  {name:>4}: naive {naive:.4}s    greedy {greedy:.4}s");
+    }
     println!("\nsingle amplitude vs full state (GHZ-20, greedy plan):");
     let qc = generators::ghz(20);
     let tn = TensorNetwork::from_circuit(&qc);
@@ -1081,14 +1043,18 @@ fn c4_mps_truncation() {
     println!("\nrandom 10-qubit circuit (depth 6): error vs chi");
     let mut rng = StdRng::seed_from_u64(0xC4);
     let qc = generators::random_circuit(10, 6, &mut rng);
-    println!("{:>6} {:>12} {:>14}", "chi", "mps entries", "trunc error");
+    println!(
+        "{:>6} {:>12} {:>14} {:>12}",
+        "chi", "mps entries", "trunc error", "time"
+    );
     for chi in [1usize, 2, 4, 8, 16, 32] {
-        let mps = Mps::from_circuit(&qc, chi).expect("mps run");
+        let (mps, secs) = timed(|| Mps::from_circuit(&qc, chi).expect("mps run"));
         println!(
-            "{:>6} {:>12} {:>14.3e}",
+            "{:>6} {:>12} {:>14.3e} {:>10.4}s",
             chi,
             mps.memory_entries(),
-            mps.truncation_error()
+            mps.truncation_error(),
+            secs
         );
     }
     println!("(the error collapses once chi reaches the state's entanglement)");
@@ -1098,16 +1064,7 @@ fn c4_mps_truncation() {
 fn c5_zx_simplification() {
     header("C5 — ZX-calculus: terminating graph-like simplification (Sec. V)");
     println!(
-        "{:>6} {:>6} {:>7} | {:>8} {:>8} | {:>13} {:>13} | {:>13} {:>13}",
-        "qubits",
-        "depth",
-        "t_prob",
-        "spiders",
-        "t-count",
-        "clifford_simp",
-        "t-count",
-        "full_reduce",
-        "t-count"
+        "qubits  depth  t_prob |  spiders  t-count     to-zx | clifford_simp  t-count      time | full_reduce  t-count"
     );
     let mut rng = StdRng::seed_from_u64(0xC5);
     for (n, depth, t_prob) in [
@@ -1120,21 +1077,26 @@ fn c5_zx_simplification() {
         (10, 20, 0.3),
     ] {
         let qc = generators::random_clifford_t(n, depth, t_prob, &mut rng);
-        let d0 = Diagram::from_circuit(&qc).expect("zx translation");
+        let (d0, zx_secs) = timed(|| Diagram::from_circuit(&qc).expect("zx translation"));
         let (s0, t0) = (d0.num_spiders(), d0.t_count());
-        let mut plain = d0.clone();
-        simplify::clifford_simp(&mut plain);
+        let (plain, simp_secs) = timed(|| {
+            let mut plain = d0.clone();
+            simplify::clifford_simp(&mut plain);
+            plain
+        });
         let mut full = d0;
         simplify::full_reduce(&mut full);
         println!(
-            "{:>6} {:>6} {:>7.1} | {:>8} {:>8} | {:>13} {:>13} | {:>13} {:>13}",
+            "{:>6} {:>6} {:>7.1} | {:>8} {:>8} {:>8.5}s | {:>13} {:>8} {:>8.5}s | {:>11} {:>8}",
             n,
             depth,
             t_prob,
             s0,
             t0,
+            zx_secs,
             plain.num_spiders(),
             plain.t_count(),
+            simp_secs,
             full.num_spiders(),
             full.t_count()
         );
@@ -1345,6 +1307,25 @@ fn noise_subsystem() {
     }
     println!("(sampling error falls like 1/sqrt(trajectories) toward the exact");
     println!(" distribution; each trajectory stays a pure state on the DD substrate)");
+
+    println!("\nworker sweep, traj(400, seed=7, depol=0.02):dd on GHZ-6:");
+    let ghz6 = generators::ghz(6);
+    let mut reference = None;
+    for workers in [1usize, 2, 4, 8] {
+        let spec = format!("traj(400, seed=7, workers={workers}, depol=0.02):dd");
+        let mut e = qdt::create_engine(&spec).expect("spec builds");
+        let (hist, secs) = timed(|| {
+            run(e.as_mut(), &ghz6).expect("trajectory run");
+            e.sample(400, &mut StdRng::seed_from_u64(7))
+                .expect("sampling")
+        });
+        let base = reference.get_or_insert_with(|| hist.clone());
+        assert_eq!(
+            &hist, base,
+            "workers={workers}: trajectory histogram diverged"
+        );
+        println!("  workers={workers}: {secs:.4}s, histogram identical: yes");
+    }
 }
 
 /// C9: approximate DD simulation (paper ref \[12\]) — bounded fidelity
@@ -1357,16 +1338,20 @@ fn c9_approximation() {
     let mut dd = DdPackage::new();
     let exact = dd.run_circuit(&qc).expect("simulates");
     println!(
-        "{:>10} {:>12} {:>12} {:>14} {:>12}",
-        "budget", "nodes", "pruned", "lost mass", "fidelity"
+        "{:>10} {:>12} {:>12} {:>14} {:>12} {:>10}",
+        "budget", "nodes", "pruned", "lost mass", "fidelity", "time"
     );
     for budget in [0.0, 1e-4, 1e-3, 1e-2, 5e-2] {
-        let mut v = dd.run_circuit(&qc).expect("simulates");
-        let r = dd.approximate(&mut v, budget);
+        // Simulate, then approximate: the pair the budget trades against.
+        let ((v, r), secs) = timed(|| {
+            let mut v = dd.run_circuit(&qc).expect("simulates");
+            let r = dd.approximate(&mut v, budget);
+            (v, r)
+        });
         let fid = dd.fidelity(&exact, &v);
         println!(
-            "{:>10.0e} {:>12} {:>12} {:>14.3e} {:>12.6}",
-            budget, r.nodes_after, r.pruned_edges, r.lost_mass, fid
+            "{:>10.0e} {:>12} {:>12} {:>14.3e} {:>12.6} {:>8.4}s",
+            budget, r.nodes_after, r.pruned_edges, r.lost_mass, fid, secs
         );
     }
     println!("(fidelity ≥ 1 − budget by construction; node count falls as the");
@@ -1384,7 +1369,7 @@ fn c7_compilation() {
 
     header("C7 — compilation: gate set + connectivity (Sec. I task 2)");
     println!(
-        " circuit       device    gates       2q    swaps    depth    nodes   elided residual    verify   verified"
+        " circuit       device    gates       2q    swaps    depth    nodes   elided residual   compile    verify   verified"
     );
     let mut rows: Vec<(Family, usize, &str, CouplingMap)> = Vec::new();
     for fam in [Family::Ghz, Family::Qft] {
@@ -1400,8 +1385,9 @@ fn c7_compilation() {
     rows.push((Family::Qft, 16, "full16", CouplingMap::full(16)));
     for (fam, n, name, map) in &rows {
         let qc = fam.circuit(*n);
-        let routed =
-            qdt::compile::compile(&qc, &GateSet::ibm_basis(), map).expect("compilation succeeds");
+        let (routed, compile_secs) = timed(|| {
+            qdt::compile::compile(&qc, &GateSet::ibm_basis(), map).expect("compilation succeeds")
+        });
         let sink = TelemetrySink::new();
         let (verdict, secs) = timed(|| {
             verify_compilation_traced(&qc, &routed, map, Method::DecisionDiagram, &sink)
@@ -1412,7 +1398,7 @@ fn c7_compilation() {
             other => panic!("the DD check records {name}, got {other:?}"),
         };
         println!(
-            "{:>8} {:>12} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8.3}s {:>10}",
+            "{:>8} {:>12} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8.3}s {:>8.3}s {:>10}",
             format!("{}-{n}", fam.name()),
             name,
             routed.circuit.gate_count(),
@@ -1422,6 +1408,7 @@ fn c7_compilation() {
             gauge("verify.dd.nodes"),
             gauge("verify.swaps.elided"),
             gauge("verify.swaps.residual"),
+            compile_secs,
             secs,
             if verdict.is_equivalent() {
                 "yes"

@@ -198,6 +198,30 @@ impl Instruction {
         }
     }
 
+    /// Checks that every qubit lies below `num_qubits` and that none is
+    /// listed twice.
+    ///
+    /// # Errors
+    ///
+    /// [`CircuitError::QubitOutOfRange`] or [`CircuitError::DuplicateQubit`].
+    pub fn check_qubits(&self, num_qubits: usize) -> Result<(), CircuitError> {
+        // One pass with a bit set over qubits below 64; only a repeat or
+        // a wider qubit pays for the exact `repeated_qubit` scan.
+        let (mut seen, mut suspect) = (0u64, false);
+        for qubit in self.qubits() {
+            if qubit >= num_qubits {
+                return Err(CircuitError::QubitOutOfRange { qubit, num_qubits });
+            }
+            let bit = if qubit < 64 { 1 << qubit } else { 0 };
+            suspect |= bit == 0 || seen & bit != 0;
+            seen |= bit;
+        }
+        match suspect.then(|| repeated_qubit(self.qubits())).flatten() {
+            Some(qubit) => Err(CircuitError::DuplicateQubit { qubit }),
+            None => Ok(()),
+        }
+    }
+
     /// This instruction with every qubit index `q` replaced by `f(q)`
     /// (classical bits and the condition are kept).
     #[must_use]
@@ -473,16 +497,7 @@ impl Circuit {
     }
 
     fn validate(&self, inst: &Instruction) -> Result<(), CircuitError> {
-        let qubits = inst.qubits();
-        if let Some(qubit) = qubits.clone().find(|&q| q >= self.num_qubits) {
-            return Err(CircuitError::QubitOutOfRange {
-                qubit,
-                num_qubits: self.num_qubits,
-            });
-        }
-        if let Some(qubit) = repeated_qubit(qubits) {
-            return Err(CircuitError::DuplicateQubit { qubit });
-        }
+        inst.check_qubits(self.num_qubits)?;
         if let OpKind::Measure { clbit, .. } = inst.kind {
             if clbit >= self.num_clbits {
                 return Err(CircuitError::ClbitOutOfRange {

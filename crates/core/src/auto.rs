@@ -27,7 +27,9 @@ use std::collections::BTreeMap;
 
 use qdt_analysis::cost::{STABILIZER_MAX_QUBITS, WIDE_ENGINE_MAX_QUBITS};
 use qdt_analysis::{dispatch_circuit, feasible_at_width};
-use qdt_engine::{CostMetric, EngineCaps, EngineError, SimulationEngine, TelemetrySink};
+use qdt_engine::{
+    check_instruction_width, CostMetric, EngineCaps, EngineError, SimulationEngine, TelemetrySink,
+};
 
 use crate::engine::EngineRegistry;
 
@@ -151,6 +153,7 @@ impl SimulationEngine for AutoEngine {
     }
 
     fn apply_instruction(&mut self, inst: &Instruction) -> Result<(), EngineError> {
+        check_instruction_width(self.num_qubits(), inst)?;
         if let Some(inner) = &mut self.inner {
             // Gates arriving after the first query evolve the inner
             // state directly; the decision is not revisited.

@@ -31,7 +31,7 @@ use qdt_noise::{
     channel_from_key, DensityMatrixEngine, GateSelector, NoiseModel, TrajectoryConfig,
     TrajectoryEngine,
 };
-use qdt_parallel::KernelContext;
+use qdt_parallel::{KernelContext, MAX_THREADS};
 use qdt_stabilizer::StabilizerEngine;
 use qdt_tensor::{MpsEngine, TensorNetEngine};
 
@@ -49,15 +49,6 @@ use crate::QdtError;
 /// Bond-dimension cap used when an MPS spec names no χ (generous enough
 /// to be exact on every workload this suite's tests run densely).
 pub const DEFAULT_MPS_BOND: usize = 64;
-
-/// Trajectory count used when a `traj` spec names none.
-pub const DEFAULT_TRAJECTORIES: usize = 500;
-
-/// Master seed used when a `traj` spec names none.
-pub const DEFAULT_TRAJECTORY_SEED: u64 = 0x5EED;
-
-/// Worker-thread count used when a `traj` spec names none.
-pub const DEFAULT_TRAJECTORY_WORKERS: usize = 4;
 
 /// One argument of an engine spec: a bare `value` (positional) or a
 /// `key=value` pair. Keys are lowercased during parsing.
@@ -212,9 +203,10 @@ impl fmt::Display for EngineSpec {
 ///
 /// # Errors
 ///
-/// Fails on empty specs, unbalanced parentheses, malformed `key=value`
-/// arguments, a dangling `:` with nothing after it, and trailing
-/// garbage after a closing parenthesis.
+/// Fails on empty specs, numeric engine names, unbalanced parentheses,
+/// malformed `key=value` arguments, a key given twice, a dangling `:`
+/// with nothing after it, and trailing garbage after a closing
+/// parenthesis.
 pub fn parse_spec(spec: &str) -> Result<EngineSpec, QdtError> {
     let spec_str = spec.trim();
     if spec_str.is_empty() {
@@ -225,6 +217,12 @@ pub fn parse_spec(spec: &str) -> Result<EngineSpec, QdtError> {
     if name.is_empty() {
         return Err(QdtError::new(format!(
             "engine spec `{spec_str}` is missing an engine name"
+        )));
+    }
+    // A number after `:` is a positional argument, never an engine.
+    if name.chars().all(|c| c.is_ascii_digit()) {
+        return Err(QdtError::new(format!(
+            "engine spec `{spec_str}`: `{name}` is a number, not an engine name"
         )));
     }
     let name = name.to_lowercase();
@@ -304,7 +302,7 @@ fn parse_args(args_str: &str, full: &str) -> Result<Vec<SpecArg>, QdtError> {
     if args_str.is_empty() {
         return Ok(Vec::new());
     }
-    args_str
+    let args = args_str
         .split(',')
         .map(|token| {
             let token = token.trim();
@@ -329,7 +327,15 @@ fn parse_args(args_str: &str, full: &str) -> Result<Vec<SpecArg>, QdtError> {
                 })
             }
         })
-        .collect()
+        .collect::<Result<Vec<_>, _>>()?;
+    for (i, arg) in args.iter().enumerate() {
+        if let Some(key) = arg.key.as_deref() {
+            if args[..i].iter().any(|a| a.key.as_deref() == Some(key)) {
+                return Err(QdtError::new(format!("repeated key `{key}` in `{full}`")));
+            }
+        }
+    }
+    Ok(args)
 }
 
 /// Constructor signature stored in the registry: receives the parsed
@@ -517,6 +523,7 @@ impl EngineRegistry {
             Some("count, seed=, workers=, noise channels; `:substrate` names the inner engine"),
             "stochastic noise trajectories (ref [13]) over any Kraus-capable substrate",
             |spec, registry| {
+                let defaults = TrajectoryConfig::default();
                 let trajectories = match spec.positional()? {
                     Some(v) => v.parse::<usize>().map_err(|_| {
                         QdtError::new(format!(
@@ -525,7 +532,7 @@ impl EngineRegistry {
                     })?,
                     None => spec
                         .usize_of(&["trajectories", "count"])?
-                        .unwrap_or(DEFAULT_TRAJECTORIES),
+                        .unwrap_or(defaults.trajectories),
                 };
                 if trajectories == 0 {
                     return Err(QdtError::new(format!(
@@ -533,17 +540,13 @@ impl EngineRegistry {
                     )));
                 }
                 let seed = match spec.value_of(&["seed"]) {
-                    None => DEFAULT_TRAJECTORY_SEED,
+                    None => defaults.seed,
                     Some(v) => v.parse::<u64>().map_err(|_| {
                         QdtError::new(format!("`{spec}`: seed must be an integer, got `{v}`"))
                     })?,
                 };
-                let workers = spec
-                    .usize_of(&["workers"])?
-                    .unwrap_or(DEFAULT_TRAJECTORY_WORKERS);
-                if workers == 0 {
-                    return Err(QdtError::new(format!("`{spec}`: workers must be ≥ 1")));
-                }
+                let workers = spec.usize_of(&["workers"])?.unwrap_or(defaults.workers);
+                check_thread_count(spec, "workers", workers)?;
                 let model =
                     noise_model_from_args(spec, &["trajectories", "count", "seed", "workers"])?;
                 let inner_spec = spec
@@ -730,13 +733,26 @@ fn kernel_context_from_spec(
     }
     let mut ctx = match spec.usize_of(&[KEY_THREADS])? {
         None => KernelContext::from_env(),
-        Some(0) => return Err(QdtError::new(format!("`{spec}`: threads must be ≥ 1"))),
-        Some(threads) => KernelContext::with_threads(threads),
+        Some(threads) => {
+            check_thread_count(spec, KEY_THREADS, threads)?;
+            KernelContext::with_threads(threads)
+        }
     };
     if let Some(threshold) = spec.usize_of(&[KEY_THRESHOLD])? {
         ctx = ctx.with_threshold(threshold);
     }
     Ok(ctx)
+}
+
+/// Rejects a `threads=`/`workers=` count of 0 or above [`MAX_THREADS`].
+fn check_thread_count(spec: impl fmt::Display, key: &str, n: usize) -> Result<(), QdtError> {
+    match n {
+        0 => Err(QdtError::new(format!("`{spec}`: {key} must be ≥ 1"))),
+        n if n > MAX_THREADS => Err(QdtError::new(format!(
+            "`{spec}`: {key} must be at most {MAX_THREADS}, got {n}"
+        ))),
+        _ => Ok(()),
+    }
 }
 
 /// Builds a [`NoiseModel`] from a spec's `key=value` arguments,

@@ -207,7 +207,8 @@ pub fn sample(
 ///
 /// # Errors
 ///
-/// Fails on malformed specs and on engines without collapse support.
+/// Fails on malformed specs, on engines without collapse support, and on
+/// more than [`MAX_THREADS`](qdt_parallel::MAX_THREADS) workers.
 ///
 /// # Example
 ///
@@ -227,6 +228,12 @@ pub fn sample_dynamic(
     seed: u64,
     workers: usize,
 ) -> Result<qdt_engine::ShotResult, QdtError> {
+    if workers > qdt_parallel::MAX_THREADS {
+        return Err(QdtError::new(format!(
+            "sample_dynamic: workers must be at most {}, got {workers}",
+            qdt_parallel::MAX_THREADS
+        )));
+    }
     let factory = shot_factory(spec)?;
     let config = qdt_engine::ShotConfig::new(shots, seed).with_workers(workers);
     Ok(qdt_engine::ShotExecutor::new(config).sample(&factory, circuit)?)

@@ -6,7 +6,8 @@ use std::collections::BTreeMap;
 use qdt_circuit::{Instruction, PauliString};
 use qdt_complex::{Complex, Matrix};
 use qdt_engine::{
-    check_pauli_width, CostMetric, EngineCaps, EngineError, SimulationEngine, TelemetrySink,
+    check_basis, check_instruction_width, check_pauli_width, check_qubit, CostMetric, EngineCaps,
+    EngineError, SimulationEngine, TelemetrySink,
 };
 use rand::{Rng, RngCore};
 
@@ -304,6 +305,7 @@ impl SimulationEngine for DdEngine {
     }
 
     fn apply_instruction(&mut self, inst: &Instruction) -> Result<(), EngineError> {
+        check_instruction_width(self.num_qubits(), inst)?;
         self.v = self.dd.apply_instruction(&self.v, inst).map_err(map_err)?;
         self.push_metrics();
         Ok(())
@@ -331,13 +333,7 @@ impl SimulationEngine for DdEngine {
 
     fn amplitude(&mut self, basis: u128) -> Result<Complex, EngineError> {
         self.audit();
-        let n = self.v.num_qubits();
-        if n < 128 && basis >> n > 0 {
-            return Err(EngineError::Backend {
-                engine: "decision-diagram",
-                message: format!("basis index {basis} out of range for {n} qubits"),
-            });
-        }
+        check_basis("decision-diagram", self.v.num_qubits(), basis)?;
         Ok(self.dd.amplitude(&self.v, basis))
     }
 
@@ -386,22 +382,12 @@ impl SimulationEngine for DdEngine {
 
     fn probability_of_one(&mut self, qubit: usize) -> Result<f64, EngineError> {
         self.audit();
-        if qubit >= self.v.num_qubits() {
-            return Err(EngineError::Backend {
-                engine: "decision-diagram",
-                message: format!("qubit {qubit} out of range"),
-            });
-        }
+        check_qubit(self.v.num_qubits(), qubit)?;
         Ok(self.dd.probability_of_one(&self.v, qubit))
     }
 
     fn project(&mut self, qubit: usize, outcome: bool) -> Result<(), EngineError> {
-        if qubit >= self.v.num_qubits() {
-            return Err(EngineError::Backend {
-                engine: "decision-diagram",
-                message: format!("qubit {qubit} out of range"),
-            });
-        }
+        check_qubit(self.v.num_qubits(), qubit)?;
         let p1 = self.dd.probability_of_one(&self.v, qubit);
         let p = if outcome { p1 } else { 1.0 - p1 };
         if p <= 1e-12 {

@@ -37,7 +37,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use qdt_circuit::{Circuit, Instruction, OpKind, PauliString};
+use qdt_circuit::{Circuit, CircuitError, Instruction, OpKind, PauliString};
 use qdt_complex::{Complex, Matrix};
 use rand::{Rng, RngCore};
 
@@ -81,6 +81,9 @@ pub enum EngineError {
         /// The operand's width.
         operand_qubits: usize,
     },
+    /// An instruction names a qubit outside the engine's register, or
+    /// the same qubit twice.
+    InvalidQubits(CircuitError),
     /// A backend-specific failure, wrapped with the engine's name.
     Backend {
         /// The engine's name.
@@ -114,6 +117,7 @@ impl fmt::Display for EngineError {
                 f,
                 "operand width {operand_qubits} does not match engine width {engine_qubits}"
             ),
+            EngineError::InvalidQubits(e) => write!(f, "invalid instruction: {e}"),
             EngineError::Backend { engine, message } => write!(f, "{engine} engine: {message}"),
         }
     }
@@ -300,6 +304,8 @@ pub trait SimulationEngine {
     ///
     /// # Errors
     ///
+    /// [`EngineError::InvalidQubits`] for a qubit outside the register or
+    /// named twice (see [`check_instruction_width`]),
     /// [`EngineError::NonUnitary`] for non-unitary instructions and
     /// engine-specific errors for unsupported gate shapes.
     fn apply_instruction(&mut self, inst: &Instruction) -> Result<(), EngineError>;
@@ -337,13 +343,7 @@ pub trait SimulationEngine {
     /// [`EngineError::TooWide`] if the default dense path is too wide,
     /// or [`EngineError::Backend`] for an out-of-range basis index.
     fn amplitude(&mut self, basis: u128) -> Result<Complex, EngineError> {
-        let n = self.num_qubits();
-        if basis >> n.min(127) > 0 {
-            return Err(EngineError::Backend {
-                engine: self.name(),
-                message: format!("basis index {basis} out of range for {n} qubits"),
-            });
-        }
+        check_basis(self.name(), self.num_qubits(), basis)?;
         Ok(self.amplitudes()?[basis as usize])
     }
 
@@ -424,16 +424,11 @@ pub trait SimulationEngine {
     ///
     /// # Errors
     ///
-    /// [`EngineError::Backend`] for an out-of-range qubit; expectation
-    /// errors otherwise.
+    /// [`EngineError::InvalidQubits`] for an out-of-range qubit;
+    /// expectation errors otherwise.
     fn probability_of_one(&mut self, qubit: usize) -> Result<f64, EngineError> {
         let n = self.num_qubits();
-        if qubit >= n {
-            return Err(EngineError::Backend {
-                engine: self.name(),
-                message: format!("qubit {qubit} out of range for {n} qubits"),
-            });
-        }
+        check_qubit(n, qubit)?;
         let mut ops = vec![qdt_circuit::Pauli::I; n];
         ops[qubit] = qdt_circuit::Pauli::Z;
         let z = self.expectation(&PauliString::new(ops))?;
@@ -452,8 +447,9 @@ pub trait SimulationEngine {
     /// # Errors
     ///
     /// [`EngineError::Unsupported`] when the engine has no collapse
-    /// path, [`EngineError::Backend`] for an out-of-range qubit or a
-    /// (numerically) zero-probability outcome.
+    /// path, [`EngineError::InvalidQubits`] for an out-of-range qubit,
+    /// [`EngineError::Backend`] for a (numerically) zero-probability
+    /// outcome.
     ///
     /// [`probability_of_one`]: SimulationEngine::probability_of_one
     fn project(&mut self, qubit: usize, outcome: bool) -> Result<(), EngineError> {
@@ -601,6 +597,56 @@ pub fn check_pauli_width(engine_qubits: usize, pauli: &PauliString) -> Result<()
         });
     }
     Ok(())
+}
+
+/// Validates an instruction's qubits against a register of
+/// `num_qubits` qubits, with the rule [`Circuit::push`] applies: every
+/// qubit in range, none repeated. Every engine's `apply_instruction`
+/// calls it before applying or buffering; for a gate it costs a few
+/// comparisons.
+///
+/// # Errors
+///
+/// [`EngineError::InvalidQubits`] naming the first offending qubit.
+pub fn check_instruction_width(num_qubits: usize, inst: &Instruction) -> Result<(), EngineError> {
+    inst.check_qubits(num_qubits)
+        .map_err(EngineError::InvalidQubits)
+}
+
+/// Validates a basis index against a register of `num_qubits` qubits
+/// (the guard of single-amplitude queries).
+///
+/// # Errors
+///
+/// [`EngineError::Backend`] naming `engine` when `basis ≥ 2^num_qubits`.
+pub fn check_basis(
+    engine: &'static str,
+    num_qubits: usize,
+    basis: u128,
+) -> Result<(), EngineError> {
+    if num_qubits >= 128 || basis >> num_qubits == 0 {
+        return Ok(());
+    }
+    Err(EngineError::Backend {
+        engine,
+        message: format!("basis index {basis} out of range for {num_qubits} qubits"),
+    })
+}
+
+/// Validates one qubit index against a register of `engine_qubits`
+/// qubits (the guard of `probability_of_one` and `project`).
+///
+/// # Errors
+///
+/// [`EngineError::InvalidQubits`] when `qubit ≥ engine_qubits`.
+pub fn check_qubit(engine_qubits: usize, qubit: usize) -> Result<(), EngineError> {
+    if qubit < engine_qubits {
+        return Ok(());
+    }
+    Err(EngineError::InvalidQubits(CircuitError::QubitOutOfRange {
+        qubit,
+        num_qubits: engine_qubits,
+    }))
 }
 
 /// `⟨ψ|P|ψ⟩` evaluated on a dense amplitude vector (the derivation the
@@ -817,7 +863,8 @@ pub fn run_traced(
 /// examples. Real engines live with their data structures.
 pub mod test_engine {
     use super::{
-        check_pauli_width, choose_weighted, CostMetric, EngineCaps, EngineError, SimulationEngine,
+        check_instruction_width, check_pauli_width, check_qubit, choose_weighted, CostMetric,
+        EngineCaps, EngineError, SimulationEngine,
     };
     use qdt_circuit::{Instruction, OpKind, PauliString};
     use qdt_complex::{Complex, Matrix};
@@ -870,6 +917,7 @@ pub mod test_engine {
         }
 
         fn apply_instruction(&mut self, inst: &Instruction) -> Result<(), EngineError> {
+            check_instruction_width(self.num_qubits, inst)?;
             match &inst.kind {
                 OpKind::Unitary {
                     gate,
@@ -923,12 +971,7 @@ pub mod test_engine {
         }
 
         fn probability_of_one(&mut self, qubit: usize) -> Result<f64, EngineError> {
-            if qubit >= self.num_qubits {
-                return Err(EngineError::Backend {
-                    engine: "reference",
-                    message: format!("qubit {qubit} out of range"),
-                });
-            }
+            check_qubit(self.num_qubits, qubit)?;
             let bit = 1usize << qubit;
             let p1: f64 = self
                 .amps

@@ -15,7 +15,8 @@ use qdt_circuit::{Gate, Instruction, OpKind, Pauli, PauliString};
 use qdt_complex::Complex;
 use qdt_engine::telemetry::{MemoryGauge, MetricId};
 use qdt_engine::{
-    check_pauli_width, CostMetric, EngineCaps, EngineError, SimulationEngine, TelemetrySink,
+    check_instruction_width, check_pauli_width, CostMetric, EngineCaps, EngineError,
+    SimulationEngine, TelemetrySink,
 };
 use qdt_parallel::KernelContext;
 use rand::{Rng, RngCore};
@@ -238,6 +239,7 @@ impl SimulationEngine for DensityMatrixEngine {
     }
 
     fn apply_instruction(&mut self, inst: &Instruction) -> Result<(), EngineError> {
+        check_instruction_width(self.num_qubits(), inst)?;
         match &inst.kind {
             OpKind::Unitary {
                 gate,

@@ -17,12 +17,13 @@
 //! bit-identical for any worker count.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use qdt_circuit::{Instruction, PauliString};
 use qdt_complex::Complex;
 use qdt_engine::{
-    check_pauli_width, CostMetric, EngineCaps, EngineError, SimulationEngine, TelemetrySink,
+    check_instruction_width, check_pauli_width, CostMetric, EngineCaps, EngineError,
+    SimulationEngine, TelemetrySink,
 };
 use qdt_parallel::WorkerPool;
 use rand::rngs::StdRng;
@@ -49,11 +50,15 @@ pub struct TrajectoryConfig {
 }
 
 impl Default for TrajectoryConfig {
+    /// 500 trajectories from seed `0x5EED` on `min(4, cores)` workers.
     fn default() -> Self {
+        // Read the core count once: the query costs tens of microseconds.
+        static WORKERS: OnceLock<usize> = OnceLock::new();
         TrajectoryConfig {
             trajectories: 500,
             seed: 0x5EED,
-            workers: 4,
+            workers: *WORKERS
+                .get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get().min(4))),
         }
     }
 }
@@ -279,6 +284,7 @@ impl SimulationEngine for TrajectoryEngine {
     }
 
     fn apply_instruction(&mut self, inst: &Instruction) -> Result<(), EngineError> {
+        check_instruction_width(self.num_qubits(), inst)?;
         // Gates are recorded, not executed: each trajectory replays the
         // program with its own noise realisation at query time.
         self.program.push(inst.clone());

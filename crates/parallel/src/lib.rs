@@ -68,15 +68,20 @@ pub const DEFAULT_PARALLEL_THRESHOLD: usize = 1 << 11;
 /// the atomic-counter scheduler can balance uneven progress.
 const CHUNKS_PER_THREAD: usize = 4;
 
+/// The most threads or workers any spec, argument or `QDT_THREADS` may
+/// request: far past any core count, far below what makes the OS refuse
+/// to spawn pool threads (which aborts the process).
+pub const MAX_THREADS: usize = 256;
+
 /// The number of kernel threads requested through the `QDT_THREADS`
 /// environment variable, defaulting to 1 (sequential) when the variable
-/// is unset or unparsable.
+/// is unset, unparsable, 0 or above [`MAX_THREADS`].
 #[must_use]
 pub fn default_threads() -> usize {
     std::env::var("QDT_THREADS")
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
+        .filter(|&n| (1..=MAX_THREADS).contains(&n))
         .unwrap_or(1)
 }
 
@@ -791,6 +796,8 @@ mod tests {
         std::env::set_var("QDT_THREADS", "zero");
         assert_eq!(default_threads(), 1);
         std::env::set_var("QDT_THREADS", "0");
+        assert_eq!(default_threads(), 1);
+        std::env::set_var("QDT_THREADS", "1000000");
         assert_eq!(default_threads(), 1);
         std::env::remove_var("QDT_THREADS");
     }

@@ -23,8 +23,8 @@ use qdt_circuit::{Gate, Instruction, OpKind, Pauli, PauliString};
 use qdt_complex::{Complex, Matrix};
 use qdt_engine::telemetry::{MemoryGauge, MetricId};
 use qdt_engine::{
-    check_pauli_width, choose_weighted, CostMetric, EngineCaps, EngineError, SimulationEngine,
-    TelemetrySink,
+    check_basis, check_instruction_width, check_pauli_width, check_qubit, choose_weighted,
+    CostMetric, EngineCaps, EngineError, SimulationEngine, TelemetrySink,
 };
 use qdt_parallel::KernelContext;
 use rand::RngCore;
@@ -154,17 +154,6 @@ impl StabilizerEngine {
             self.canon = Some(self.t.canonicalize());
         }
         self.canon.as_ref().expect("just memoised")
-    }
-
-    fn qubit_guard(&self, qubit: usize) -> Result<(), EngineError> {
-        let n = self.t.num_qubits();
-        if qubit >= n {
-            return Err(EngineError::Backend {
-                engine: "stabilizer",
-                message: format!("qubit {qubit} out of range for {n} qubits"),
-            });
-        }
-        Ok(())
     }
 
     fn push_rows(&self, rows: u64) {
@@ -302,6 +291,7 @@ impl SimulationEngine for StabilizerEngine {
     }
 
     fn apply_instruction(&mut self, inst: &Instruction) -> Result<(), EngineError> {
+        check_instruction_width(self.num_qubits(), inst)?;
         if inst.cond.is_some() {
             return Err(EngineError::NonUnitary {
                 op: format!("conditioned {}", inst.name()),
@@ -312,24 +302,16 @@ impl SimulationEngine for StabilizerEngine {
                 gate,
                 target,
                 controls,
-            } => {
-                self.qubit_guard(*target)?;
-                for &c in controls {
-                    self.qubit_guard(c)?;
-                }
-                match controls.as_slice() {
-                    [] => self.apply_gate(gate, *target),
-                    [ctrl] => self.apply_controlled(gate, *ctrl, *target),
-                    more => Err(non_clifford(&format!(
-                        "{}-controlled {}",
-                        more.len(),
-                        gate.name()
-                    ))),
-                }
-            }
+            } => match controls.as_slice() {
+                [] => self.apply_gate(gate, *target),
+                [ctrl] => self.apply_controlled(gate, *ctrl, *target),
+                more => Err(non_clifford(&format!(
+                    "{}-controlled {}",
+                    more.len(),
+                    gate.name()
+                ))),
+            },
             OpKind::Swap { a, b, controls } => {
-                self.qubit_guard(*a)?;
-                self.qubit_guard(*b)?;
                 if !controls.is_empty() {
                     return Err(non_clifford("controlled swap (Fredkin)"));
                 }
@@ -378,13 +360,7 @@ impl SimulationEngine for StabilizerEngine {
     }
 
     fn amplitude(&mut self, basis: u128) -> Result<Complex, EngineError> {
-        let n = self.t.num_qubits();
-        if n < 128 && basis >> n > 0 {
-            return Err(EngineError::Backend {
-                engine: "stabilizer",
-                message: format!("basis index {basis} out of range for {n} qubits"),
-            });
-        }
+        check_basis("stabilizer", self.t.num_qubits(), basis)?;
         let canon = self.canonical();
         let mut m = vec![0u64; canon.anchor().len()];
         #[allow(clippy::cast_possible_truncation)]
@@ -494,7 +470,7 @@ impl SimulationEngine for StabilizerEngine {
     }
 
     fn probability_of_one(&mut self, qubit: usize) -> Result<f64, EngineError> {
-        self.qubit_guard(qubit)?;
+        check_qubit(self.t.num_qubits(), qubit)?;
         let (kind, rowsums) = self.t.measure_kind(qubit);
         self.push_rowsums(rowsums);
         Ok(match kind {
@@ -510,7 +486,7 @@ impl SimulationEngine for StabilizerEngine {
     }
 
     fn project(&mut self, qubit: usize, outcome: bool) -> Result<(), EngineError> {
-        self.qubit_guard(qubit)?;
+        check_qubit(self.t.num_qubits(), qubit)?;
         let (kind, rowsums) = self.t.measure_kind(qubit);
         self.push_rowsums(rowsums);
         match kind {

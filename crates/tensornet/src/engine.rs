@@ -5,7 +5,8 @@ use qdt_circuit::{Circuit, Instruction, OpKind, PauliString};
 use qdt_complex::{Complex, Matrix};
 use qdt_engine::telemetry::{MemoryGauge, MetricId};
 use qdt_engine::{
-    check_pauli_width, CostMetric, EngineCaps, EngineError, SimulationEngine, TelemetrySink,
+    check_basis, check_instruction_width, check_pauli_width, check_qubit, CostMetric, EngineCaps,
+    EngineError, SimulationEngine, TelemetrySink,
 };
 use rand::RngCore;
 
@@ -178,6 +179,7 @@ impl SimulationEngine for TensorNetEngine {
     }
 
     fn apply_instruction(&mut self, inst: &Instruction) -> Result<(), EngineError> {
+        check_instruction_width(self.num_qubits(), inst)?;
         if !inst.is_unitary() {
             return Err(EngineError::Unsupported {
                 engine: "tensor-network",
@@ -190,12 +192,7 @@ impl SimulationEngine for TensorNetEngine {
                 ),
             });
         }
-        self.circuit
-            .push(inst.clone())
-            .map_err(|e| EngineError::Backend {
-                engine: "tensor-network",
-                message: e.to_string(),
-            })?;
+        self.circuit.push_unchecked(inst.clone());
         self.tensors += 1;
         // The gate becomes one rank-2k tensor of 4^k complex entries in
         // the built network, where k counts the qubits the local unitary
@@ -239,13 +236,7 @@ impl SimulationEngine for TensorNetEngine {
     }
 
     fn amplitude(&mut self, basis: u128) -> Result<Complex, EngineError> {
-        let n = self.circuit.num_qubits();
-        if n < 128 && basis >> n > 0 {
-            return Err(EngineError::Backend {
-                engine: "tensor-network",
-                message: format!("basis index {basis} out of range for {n} qubits"),
-            });
-        }
+        check_basis("tensor-network", self.circuit.num_qubits(), basis)?;
         self.network()
             .amplitude(basis, self.plan)
             .map_err(|e| map_err("tensor-network", e))
@@ -366,6 +357,7 @@ impl SimulationEngine for MpsEngine {
     }
 
     fn apply_instruction(&mut self, inst: &Instruction) -> Result<(), EngineError> {
+        check_instruction_width(self.num_qubits(), inst)?;
         self.mps
             .apply_instruction(inst)
             .map_err(|e| map_err("mps", e))?;
@@ -400,13 +392,7 @@ impl SimulationEngine for MpsEngine {
     }
 
     fn amplitude(&mut self, basis: u128) -> Result<Complex, EngineError> {
-        let n = self.mps.num_qubits();
-        if n < 128 && basis >> n > 0 {
-            return Err(EngineError::Backend {
-                engine: "mps",
-                message: format!("basis index {basis} out of range for {n} qubits"),
-            });
-        }
+        check_basis("mps", self.mps.num_qubits(), basis)?;
         Ok(self.mps.amplitude(basis))
     }
 
@@ -435,22 +421,12 @@ impl SimulationEngine for MpsEngine {
     }
 
     fn probability_of_one(&mut self, qubit: usize) -> Result<f64, EngineError> {
-        if qubit >= self.mps.num_qubits() {
-            return Err(EngineError::Backend {
-                engine: "mps",
-                message: format!("qubit {qubit} out of range"),
-            });
-        }
+        check_qubit(self.mps.num_qubits(), qubit)?;
         Ok(self.mps.probability_of_one(qubit))
     }
 
     fn project(&mut self, qubit: usize, outcome: bool) -> Result<(), EngineError> {
-        if qubit >= self.mps.num_qubits() {
-            return Err(EngineError::Backend {
-                engine: "mps",
-                message: format!("qubit {qubit} out of range"),
-            });
-        }
+        check_qubit(self.mps.num_qubits(), qubit)?;
         let p1 = self.mps.probability_of_one(qubit);
         let p = if outcome { p1 } else { 1.0 - p1 };
         if p <= 1e-12 {
