@@ -1262,6 +1262,7 @@ fn c8_noise() {
 /// exact density-matrix ground truth as the trajectory count grows —
 /// both engines built through the registry spec grammar.
 fn noise_subsystem() {
+    use qdt::circuit::PauliString;
     use qdt::noise::{DensityMatrixEngine, KrausChannel, NoiseModel};
     use qdt::verify::noise::{chi_squared_stat, noisy_vs_ideal};
 
@@ -1307,6 +1308,39 @@ fn noise_subsystem() {
     }
     println!("(sampling error falls like 1/sqrt(trajectories) toward the exact");
     println!(" distribution; each trajectory stays a pure state on the DD substrate)");
+
+    // The shape of the two noise jobs of the e2e `wide-shots` workload.
+    let (n, trajectories) = (8usize, 256usize);
+    let ghz8 = generators::ghz(n);
+    let z0z7: PauliString = format!("Z{}Z", "I".repeat(n - 2))
+        .parse()
+        .expect("Pauli string");
+    let mut density = qdt::create_engine("density(depol=0.01)").expect("spec builds");
+    let (truth, density_secs) = timed(|| {
+        run(density.as_mut(), &ghz8).expect("density run");
+        density.expectation(&z0z7).expect("expectation")
+    });
+    let spec = format!("traj({trajectories}, seed=3, workers=1, depol=0.01):dd");
+    let mut traj = qdt::create_engine(&spec).expect("spec builds");
+    let (estimate, traj_secs) = timed(|| {
+        run(traj.as_mut(), &ghz8).expect("trajectory run");
+        traj.expectation(&z0z7).expect("expectation")
+    });
+    // Pauli errors leave every trajectory in a Z₀Z₇ eigenstate (±1).
+    let se = ((1.0 - truth * truth) / trajectories as f64).sqrt();
+    println!("\nGHZ-{n}, uniform depolarizing p = 0.01, <Z0 Z{}>:", n - 1);
+    println!(
+        "  {:<44} {truth:>8.4} {density_secs:>9.4}s",
+        "density(depol=0.01)"
+    );
+    println!(
+        "  {:<44} {estimate:>8.4} {traj_secs:>9.4}s (std. error {se:.4})",
+        format!("`{spec}`")
+    );
+    assert!(
+        (estimate - truth).abs() <= 4.0 * se,
+        "GHZ-{n}: trajectory estimate {estimate} is more than 4 standard errors from {truth}"
+    );
 
     println!("\nworker sweep, traj(400, seed=7, depol=0.02):dd on GHZ-6:");
     let ghz6 = generators::ghz(6);

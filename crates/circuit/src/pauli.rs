@@ -3,7 +3,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use qdt_complex::Matrix;
+use qdt_complex::{Complex, Matrix};
 
 use crate::Gate;
 
@@ -28,6 +28,45 @@ impl Pauli {
             Pauli::X => Gate::X.matrix(),
             Pauli::Y => Gate::Y.matrix(),
             Pauli::Z => Gate::Z.matrix(),
+        }
+    }
+
+    /// Decomposes a 2×2 matrix in the Pauli basis and returns `(P, c)`
+    /// when it is a single scaled Pauli `c·P`, else `None` (also for a
+    /// matrix that is not 2×2). Coefficients of magnitude at most `1e-9`
+    /// count as zero, so the zero matrix is `0·I`.
+    ///
+    /// ```
+    /// use qdt_circuit::{Gate, Pauli};
+    /// use qdt_complex::{Complex, Matrix};
+    ///
+    /// let k = Gate::Y.matrix().scale(Complex::real(0.5));
+    /// let (p, c) = Pauli::from_scaled_matrix(&k).unwrap();
+    /// assert_eq!(p, Pauli::Y);
+    /// assert!((c.re - 0.5).abs() < 1e-12);
+    /// assert!(Pauli::from_scaled_matrix(&Gate::H.matrix()).is_none());
+    /// // A depolarizing channel at p = 0 has zero operators: weight 0.
+    /// let (_, zero) = Pauli::from_scaled_matrix(&Matrix::zeros(2, 2)).unwrap();
+    /// assert_eq!(zero.norm_sqr(), 0.0);
+    /// ```
+    pub fn from_scaled_matrix(m: &Matrix) -> Option<(Pauli, Complex)> {
+        const TOL: f64 = 1e-9;
+        if (m.rows(), m.cols()) != (2, 2) {
+            return None;
+        }
+        let (a, b, c, d) = (m.get(0, 0), m.get(0, 1), m.get(1, 0), m.get(1, 1));
+        // c_P = tr(P·M) / 2 (the Paulis are an orthogonal basis).
+        let coeffs = [
+            (Pauli::I, (a + d).scale(0.5)),
+            (Pauli::X, (b + c).scale(0.5)),
+            (Pauli::Y, (Complex::I * (b - c)).scale(0.5)),
+            (Pauli::Z, (a - d).scale(0.5)),
+        ];
+        let mut nonzero = coeffs.iter().filter(|(_, c)| c.abs() > TOL);
+        match (nonzero.next(), nonzero.next()) {
+            (Some(&hit), None) => Some(hit),
+            (None, _) => Some(coeffs[0]),
+            _ => None,
         }
     }
 }

@@ -597,6 +597,87 @@ mod tests {
         KrausChannel::Depolarizing { p: 1.5 }.kraus_operators();
     }
 
+    /// A random mixed 4-qubit ρ: random `U` gates and CX ladders, with
+    /// depolarizing and amplitude damping mixed in between.
+    fn random_mixed_state(seed: u64) -> DensityMatrix {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rho = DensityMatrix::zero_state(4);
+        for layer in 0..3 {
+            for q in 0..4 {
+                let u = Gate::U(rng.gen(), rng.gen(), rng.gen()).matrix();
+                rho.apply_controlled_gate(&u, q, &[]);
+            }
+            for q in 0..3 {
+                rho.apply_controlled_gate(&Gate::X.matrix(), q + 1, &[q]);
+            }
+            let depol = KrausChannel::Depolarizing {
+                p: rng.gen_range(0.0..0.3),
+            };
+            let damp = KrausChannel::AmplitudeDamping {
+                gamma: rng.gen_range(0.0..0.5),
+            };
+            rho.apply_kraus(&depol.kraus_operators(), layer);
+            rho.apply_kraus(&damp.kraus_operators(), 3 - layer);
+        }
+        rho
+    }
+
+    #[test]
+    fn channel_sweep_matches_kraus_sum() {
+        use qdt_complex::Matrix;
+
+        let n = 4;
+        let parallel = KernelContext::with_threads(4).with_threshold(1);
+        for seed in [1, 2, 3] {
+            let rho = random_mixed_state(seed);
+            assert!(rho.purity() < 0.99, "the input must be mixed");
+            for ch in KrausChannel::all_kinds(0.3) {
+                let kraus = ch.kraus_operators();
+                for q in 0..n {
+                    // Reference: Σ_i K_i ρ K_i† with K_i lifted to the
+                    // full register as I ⊗ … ⊗ K_i ⊗ … ⊗ I (qubit q is
+                    // bit q of the basis index).
+                    let mut expect = Matrix::zeros(16, 16);
+                    for k in &kraus {
+                        let full = Matrix::identity(1 << (n - 1 - q))
+                            .kron(k)
+                            .kron(&Matrix::identity(1 << q));
+                        let term = full.mul(rho.as_matrix()).mul(&full.dagger());
+                        expect = expect.add(&term);
+                    }
+                    let mut swept = rho.clone();
+                    swept.apply_kraus(&kraus, q);
+                    assert!(
+                        swept.as_matrix().approx_eq(&expect, 1e-12),
+                        "{ch} on qubit {q} (seed {seed}) differs from Σ KρK†"
+                    );
+                    let mut threaded = rho.clone();
+                    threaded.apply_kraus_with(&kraus, q, &parallel);
+                    assert_eq!(
+                        threaded.as_matrix().as_slice(),
+                        swept.as_matrix().as_slice(),
+                        "{ch} on qubit {q}: 4 threads must be bit-identical"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn purity_is_the_squared_frobenius_norm() {
+        for seed in [4, 5, 6] {
+            let rho = random_mixed_state(seed);
+            let m = rho.as_matrix();
+            let tr_rho_squared = m.mul(m).trace().re;
+            assert!(
+                (rho.purity() - tr_rho_squared).abs() < 1e-12,
+                "seed {seed}: {} vs Tr(ρ²) = {tr_rho_squared}",
+                rho.purity()
+            );
+        }
+    }
+
     #[test]
     fn cost_metric_counts_decoherence_fill_in() {
         let mut e = DensityMatrixEngine::new();

@@ -11,8 +11,10 @@
 //! [`DensityMatrixEngine`]: crate::DensityMatrixEngine
 //! [`TrajectoryEngine`]: crate::TrajectoryEngine
 
-use qdt_circuit::Instruction;
+use qdt_circuit::{Gate, Instruction, OpKind, Pauli};
 use qdt_complex::Matrix;
+use qdt_engine::{choose_weighted, EngineError, SimulationEngine};
+use rand::RngCore;
 
 use crate::{KrausChannel, NoiseError};
 
@@ -148,10 +150,7 @@ impl NoiseModel {
             rules: self
                 .rules
                 .iter()
-                .map(|r| CompiledRule {
-                    selector: r.selector.clone(),
-                    kraus: r.channel.kraus_operators(),
-                })
+                .map(|r| CompiledRule::new(r.selector.clone(), r.channel.kraus_operators()))
                 .collect(),
             readout_flip: self.readout_flip,
         })
@@ -159,8 +158,9 @@ impl NoiseModel {
 
     /// Wraps the compiled model into a [`ShotGateHook`] for
     /// [`ShotExecutor::with_gate_hook`]: after every unitary the shot
-    /// loop applies, the hook fires the matching rules' Kraus channels
-    /// with the shot's RNG — so each shot of a dynamic circuit is one
+    /// loop applies, the hook fires the matching rules' channels with
+    /// the shot's RNG through [`CompiledNoise::apply_stochastic`] — so
+    /// each shot of a dynamic circuit is one
     /// noise trajectory, composed with mid-circuit measurement, reset,
     /// and feedback. The classical [`readout_flip`] probability is
     /// *not* applied by the hook (the shot loop owns the measurement
@@ -176,10 +176,7 @@ impl NoiseModel {
     pub fn shot_hook(&self) -> Result<qdt_engine::ShotGateHook, NoiseError> {
         let compiled = self.compile()?;
         Ok(std::sync::Arc::new(move |engine, inst, rng| {
-            for (qubit, kraus) in compiled.channels_for(inst) {
-                engine.apply_kraus(kraus, qubit, rng)?;
-            }
-            Ok(())
+            compiled.apply_stochastic(engine, inst, rng)
         }))
     }
 }
@@ -189,6 +186,24 @@ impl NoiseModel {
 struct CompiledRule {
     selector: GateSelector,
     kraus: Vec<Matrix>,
+    /// `Some` when every operator is a scaled Pauli `cᵢ·Pᵢ`: the Paulis
+    /// and their Born weights `|cᵢ|²`.
+    pauli_mix: Option<(Vec<Pauli>, Vec<f64>)>,
+}
+
+impl CompiledRule {
+    fn new(selector: GateSelector, kraus: Vec<Matrix>) -> Self {
+        let pauli_mix = kraus
+            .iter()
+            .map(|k| Pauli::from_scaled_matrix(k).map(|(p, c)| (p, c.norm_sqr())))
+            .collect::<Option<Vec<_>>>()
+            .map(|mix| mix.into_iter().unzip());
+        CompiledRule {
+            selector,
+            kraus,
+            pauli_mix,
+        }
+    }
 }
 
 /// A validated noise model with materialised Kraus matrices — what the
@@ -210,6 +225,51 @@ impl CompiledNoise {
             .iter()
             .filter(|r| r.selector.matches(inst))
             .flat_map(|r| inst.qubits().map(move |q| (q, r.kraus.as_slice())))
+    }
+
+    /// Fires the channels `inst` triggers on a pure-state engine, drawing
+    /// one branch per channel application from `rng` (a noise
+    /// trajectory's step; same order as [`channels_for`]).
+    ///
+    /// A channel whose operators are all scaled Paulis `cᵢ·Pᵢ`
+    /// (depolarizing, bit flip, phase flip) has the Born weight `|cᵢ|²`
+    /// on every state, so the branch is drawn with [`choose_weighted`]
+    /// before touching the state, and only the drawn Pauli is applied,
+    /// as a gate (nothing for `I`). Other channels go through
+    /// [`SimulationEngine::apply_kraus`]. Either way one channel
+    /// consumes one draw.
+    ///
+    /// # Errors
+    ///
+    /// The engine's error from applying a Pauli gate or a Kraus channel.
+    ///
+    /// [`channels_for`]: CompiledNoise::channels_for
+    pub fn apply_stochastic(
+        &self,
+        engine: &mut dyn SimulationEngine,
+        inst: &Instruction,
+        rng: &mut dyn RngCore,
+    ) -> Result<(), EngineError> {
+        for rule in self.rules.iter().filter(|r| r.selector.matches(inst)) {
+            for qubit in inst.qubits() {
+                let Some((paulis, weights)) = &rule.pauli_mix else {
+                    engine.apply_kraus(&rule.kraus, qubit, rng)?;
+                    continue;
+                };
+                let gate = match paulis[choose_weighted(weights, rng)] {
+                    Pauli::I => continue,
+                    Pauli::X => Gate::X,
+                    Pauli::Y => Gate::Y,
+                    Pauli::Z => Gate::Z,
+                };
+                engine.apply_instruction(&Instruction::new(OpKind::Unitary {
+                    gate,
+                    target: qubit,
+                    controls: Vec::new(),
+                }))?;
+            }
+        }
+        Ok(())
     }
 
     /// The per-bit readout flip probability.

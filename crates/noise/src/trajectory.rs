@@ -5,7 +5,10 @@
 //! gate, each matching [`NoiseModel`](crate::NoiseModel) rule picks
 //! **one** Kraus operator with its Born probability, applies it, and
 //! renormalises (the method of the paper's reference \[13\],
-//! Grurl/Fuß/Wille). Averaging many trajectories converges to the
+//! Grurl/Fuß/Wille). For a mixture of scaled Paulis `cᵢ·Pᵢ` the Born
+//! probability is `|cᵢ|²` on every state, so the branch is drawn first
+//! and only the drawn Pauli is applied, as a gate. Averaging many
+//! trajectories converges to the
 //! density-matrix result — at pure-state memory cost, on any substrate
 //! engine that advertises
 //! [`EngineCaps::stochastic_kraus`](qdt_engine::EngineCaps).
@@ -160,17 +163,16 @@ impl TrajectoryEngine {
     }
 
     /// Replays the recorded program as trajectory `t`: fresh substrate,
-    /// per-trajectory RNG, stochastic Kraus application after each
-    /// matching gate.
+    /// per-trajectory RNG, one stochastic channel branch per matching
+    /// gate and touched qubit ([`CompiledNoise::apply_stochastic`]).
     fn evolve(&self, t: u64) -> Result<(Box<dyn SimulationEngine>, StdRng), EngineError> {
         let mut rng = StdRng::seed_from_u64(trajectory_seed(self.config.seed, t));
         let mut engine = (self.factory)()?;
         engine.prepare(self.num_qubits.max(1))?;
         for inst in &self.program {
             engine.apply_instruction(inst)?;
-            for (qubit, kraus) in self.noise.channels_for(inst) {
-                engine.apply_kraus(kraus, qubit, &mut rng)?;
-            }
+            self.noise
+                .apply_stochastic(engine.as_mut(), inst, &mut rng)?;
         }
         Ok((engine, rng))
     }
@@ -399,6 +401,8 @@ impl std::fmt::Debug for TrajectoryEngine {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     use super::*;
     use qdt_circuit::Circuit;
     use qdt_engine::run;
@@ -524,6 +528,123 @@ mod tests {
             err,
             Err(NoiseError::Engine(EngineError::Unsupported { .. }))
         ));
+    }
+
+    /// Forwards to [`ReferenceEngine`], counting `apply_kraus` calls.
+    struct CountingKraus(ReferenceEngine, Arc<AtomicUsize>);
+    impl SimulationEngine for CountingKraus {
+        fn name(&self) -> &'static str {
+            "counting-kraus"
+        }
+        fn caps(&self) -> EngineCaps {
+            self.0.caps()
+        }
+        fn num_qubits(&self) -> usize {
+            self.0.num_qubits()
+        }
+        fn prepare(&mut self, n: usize) -> Result<(), EngineError> {
+            self.0.prepare(n)
+        }
+        fn apply_instruction(&mut self, inst: &Instruction) -> Result<(), EngineError> {
+            self.0.apply_instruction(inst)
+        }
+        fn cost_metric(&self) -> CostMetric {
+            self.0.cost_metric()
+        }
+        fn amplitudes(&mut self) -> Result<Vec<Complex>, EngineError> {
+            self.0.amplitudes()
+        }
+        fn apply_kraus(
+            &mut self,
+            kraus: &[qdt_complex::Matrix],
+            qubit: usize,
+            rng: &mut dyn RngCore,
+        ) -> Result<usize, EngineError> {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.apply_kraus(kraus, qubit, rng)
+        }
+    }
+
+    /// A factory of [`CountingKraus`] engines sharing one call counter.
+    fn counting_factory() -> (InnerFactory, Arc<AtomicUsize>) {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&calls);
+        let factory: InnerFactory = Arc::new(move || {
+            Ok(Box::new(CountingKraus(
+                ReferenceEngine::default(),
+                Arc::clone(&counted),
+            )) as _)
+        });
+        (factory, calls)
+    }
+
+    #[test]
+    fn pauli_channels_draw_like_the_born_rule() {
+        let qc = qdt_circuit::generators::ghz(4);
+        let (trajectories, seed) = (64usize, 29u64);
+        // Z errors leave Z₀Z₃ alone but flip X^⊗4, so together the two
+        // observables see every branch of the three channels.
+        let paulis: [PauliString; 2] = ["ZIIZ".parse().unwrap(), "XXXX".parse().unwrap()];
+        for ch in [
+            KrausChannel::Depolarizing { p: 0.3 },
+            KrausChannel::BitFlip { p: 0.3 },
+            KrausChannel::PhaseFlip { p: 0.3 },
+        ] {
+            let model = NoiseModel::uniform(ch);
+            // The Born-weight path, written out: every channel through
+            // `ReferenceEngine::apply_kraus`, seeded per trajectory.
+            let compiled = model.compile().unwrap();
+            let mut born = [0.0; 2];
+            for t in 0..trajectories {
+                let mut rng = StdRng::seed_from_u64(trajectory_seed(seed, t as u64));
+                let mut e = ReferenceEngine::default();
+                e.prepare(4).unwrap();
+                for inst in qc.instructions() {
+                    e.apply_instruction(inst).unwrap();
+                    for (qubit, kraus) in compiled.channels_for(inst) {
+                        e.apply_kraus(kraus, qubit, &mut rng).unwrap();
+                    }
+                }
+                for (sum, p) in born.iter_mut().zip(&paulis) {
+                    *sum += e.expectation(p).unwrap() / trajectories as f64;
+                }
+            }
+            let (factory, calls) = counting_factory();
+            let config = TrajectoryConfig {
+                trajectories,
+                seed,
+                workers: 2,
+            };
+            let mut drawn = TrajectoryEngine::new(factory, config, &model).unwrap();
+            run(&mut drawn, &qc).unwrap();
+            for (expect, p) in born.iter().zip(&paulis) {
+                let got = drawn.expectation(p).unwrap();
+                assert!((got - expect).abs() < 1e-12, "{ch} {p}: {got} vs {expect}");
+            }
+            assert_eq!(
+                calls.load(Ordering::Relaxed),
+                0,
+                "{ch} is drawn, not Born-weighted"
+            );
+        }
+
+        // The damping channels still take the Born-weight path: 7
+        // channel firings (1 on H, 2 per CX) per trajectory.
+        for ch in [
+            KrausChannel::AmplitudeDamping { gamma: 0.3 },
+            KrausChannel::PhaseDamping { lambda: 0.3 },
+        ] {
+            let (factory, calls) = counting_factory();
+            let config = TrajectoryConfig {
+                trajectories: 8,
+                seed,
+                workers: 2,
+            };
+            let mut e = TrajectoryEngine::new(factory, config, &NoiseModel::uniform(ch)).unwrap();
+            run(&mut e, &qc).unwrap();
+            e.expectation(&paulis[0]).unwrap();
+            assert_eq!(calls.load(Ordering::Relaxed), 8 * 7, "{ch}");
+        }
     }
 
     #[test]

@@ -207,7 +207,7 @@ impl StabilizerEngine {
                 message: format!("control qubit {ctrl} equals the target"),
             });
         }
-        let Some((pauli, ipow)) = scaled_pauli_any(&gate.matrix()) else {
+        let Some((pauli, ipow)) = Pauli::from_scaled_matrix(&gate.matrix()) else {
             return Err(non_clifford(&format!("controlled-{}", gate.name())));
         };
         let Some(ipow) = unit_phase(ipow) else {
@@ -445,7 +445,7 @@ impl SimulationEngine for StabilizerEngine {
         let mut paulis = Vec::with_capacity(kraus.len());
         let mut weights = Vec::with_capacity(kraus.len());
         for k in kraus {
-            let Some((pauli, coeff)) = scaled_pauli_any(k) else {
+            let Some((pauli, coeff)) = Pauli::from_scaled_matrix(k) else {
                 return Err(EngineError::Unsupported {
                     engine: "stabilizer",
                     what: "non-Pauli Kraus operators — the tableau tracks only Pauli \
@@ -602,30 +602,6 @@ fn single_lut(gate: &Gate) -> Option<SingleLut> {
         on_z: conj(Pauli::Z)?,
         on_y: conj(Pauli::Y)?,
     })
-}
-
-/// Decomposes a 2×2 matrix in the Pauli basis and returns `(P, c)` when
-/// it is a single scaled Pauli `c·P` (any nonzero `c`), else `None`.
-fn scaled_pauli_any(u: &Matrix) -> Option<(Pauli, Complex)> {
-    let mut hit: Option<(Pauli, Complex)> = None;
-    for p in [Pauli::I, Pauli::X, Pauli::Y, Pauli::Z] {
-        let pm = p.matrix();
-        // c_P = tr(P·U) / 2 (the Paulis are an orthogonal basis).
-        let mut tr = Complex::ZERO;
-        for i in 0..2 {
-            for j in 0..2 {
-                tr += pm.get(i, j) * u.get(j, i);
-            }
-        }
-        let c = tr.scale(0.5);
-        if c.abs() > TOL {
-            if hit.is_some() {
-                return None;
-            }
-            hit = Some((p, c));
-        }
-    }
-    hit
 }
 
 /// Matches a unit coefficient against the fourth roots of unity,
