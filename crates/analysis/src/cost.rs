@@ -44,7 +44,7 @@
 //! matters, and ties break toward the earlier entry in
 //! [`DispatchDecision::estimates`] (exact-and-simple first).
 
-use qdt_circuit::{Circuit, Instruction, OpKind};
+use qdt_circuit::{Circuit, Instruction, OpKind, QubitMap};
 
 use crate::passes::{
     clifford_regions, interaction_facts, lightcone_facts, CliffordRegion, InteractionFacts,
@@ -99,11 +99,16 @@ pub struct CircuitFacts {
 /// stay within `width`; measurements, resets, barriers, and classically
 /// conditioned gates are fusion boundaries, and a conditioned gate (or a
 /// gate too wide to fuse at all) still costs one pass of its own.
+/// Relabellings ([`Instruction::is_relabelling`](qdt_circuit::Instruction::is_relabelling):
+/// uncontrolled `x` and `swap`) cost no pass: the array engine tracks
+/// them in its frame, so they neither open nor close a group, and later
+/// gates are grouped by the qubits the frame's [`QubitMap`] maps them
+/// to.
 ///
 /// This is the pass count of `qdt_array::plan_groups` — both apply the
 /// same [`FusionSupport::merge_into`](qdt_circuit::FusionSupport::merge_into)
-/// rule — computed without depending on the backend crate. It is total
-/// for any register width.
+/// rule through the same [`QubitMap`] — computed without depending on
+/// the backend crate. It is total for any register width.
 #[must_use]
 pub fn fused_group_count(circuit: &Circuit, width: usize) -> usize {
     let mut groups = 0usize;
@@ -111,8 +116,13 @@ pub fn fused_group_count(circuit: &Circuit, width: usize) -> usize {
     // and whether a group is open at all.
     let mut mixed = Vec::new();
     let mut open = false;
+    let mut map = QubitMap::default();
     for inst in circuit.iter() {
+        if map.relabel(inst) {
+            continue;
+        }
         if let Some(support) = inst.fusion_support().filter(|_| width > 0) {
+            let support = support.map(|q| map.get(q));
             if open && support.merge_into(&mut mixed, width) {
                 continue;
             }

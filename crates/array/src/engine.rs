@@ -12,6 +12,7 @@ use qdt_engine::{
 use qdt_parallel::KernelContext;
 use rand::RngCore;
 
+use crate::frame::Frame;
 use crate::fusion::{Fuser, MAX_FUSE_WIDTH};
 use crate::{ArrayError, StateVector};
 
@@ -37,7 +38,12 @@ const MAX_QUBITS: usize = 30;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ArrayEngine {
+    /// The stored amplitudes: logical basis state `l` lives at
+    /// `frame.index(l)`.
     psi: StateVector,
+    /// Uncontrolled `x` and `swap` gates, tracked instead of executed
+    /// (see [`crate::frame`]).
+    frame: Frame,
     /// Kernel scheduling: thread count, fallback threshold, pool sink.
     ctx: KernelContext,
     /// Streaming gate fuser (width 0 = fusion disabled, the default).
@@ -60,6 +66,7 @@ struct ArrayMetrics {
     amplitudes: qdt_engine::telemetry::MetricId,
     fuse_groups: qdt_engine::telemetry::MetricId,
     fuse_width: qdt_engine::telemetry::MetricId,
+    relabelled: qdt_engine::telemetry::MetricId,
     simd: qdt_engine::telemetry::MetricId,
     mem: qdt_engine::telemetry::MemoryGauge,
 }
@@ -73,6 +80,7 @@ impl ArrayMetrics {
             amplitudes: m.register("array.amplitudes"),
             fuse_groups: m.register("array.fuse.groups"),
             fuse_width: m.register("array.fuse.width"),
+            relabelled: m.register("array.frame.relabelled"),
             simd: m.register("array.simd.dispatched"),
             mem: qdt_engine::telemetry::MemoryGauge::new(m, "array.state_vector"),
             sink,
@@ -101,6 +109,7 @@ impl ArrayEngine {
     pub fn with_context(ctx: KernelContext) -> Self {
         ArrayEngine {
             psi: StateVector::zero_state(1),
+            frame: Frame::default(),
             ctx,
             fuser: Fuser::new(0),
             metrics: None,
@@ -139,10 +148,49 @@ impl ArrayEngine {
     }
 
     /// Read access to the underlying state vector, after flushing any
-    /// pending fused gates.
+    /// pending fused gates and moving the amplitudes into logical order
+    /// (one swap pass per displaced qubit, one `X` pass per flipped bit:
+    /// at most the passes the frame saved).
     pub fn state(&mut self) -> &StateVector {
         self.flush_fusion();
+        self.materialise_frame();
         &self.psi
+    }
+
+    /// Applies the frame to the amplitudes and resets it to the identity.
+    fn materialise_frame(&mut self) {
+        let mut flips = self.frame.flips();
+        while flips != 0 {
+            let q = flips.trailing_zeros() as usize;
+            self.psi
+                .apply_controlled_gate_with(&qdt_circuit::Gate::X.matrix(), q, &[], &self.ctx);
+            flips &= flips - 1;
+        }
+        let n = self.psi.num_qubits();
+        // Logical → stored, with the inverse kept alongside.
+        let mut stored: Vec<usize> = (0..n).map(|q| self.frame.qubit(q)).collect();
+        let mut logical = vec![0; n];
+        for (q, &p) in stored.iter().enumerate() {
+            logical[p] = q;
+        }
+        for q in 0..n {
+            let p = stored[q];
+            if p != q {
+                // Stored qubit q holds logical r: exchange it with p.
+                let r = logical[q];
+                self.psi.apply_swap_with(p, q, &[], &self.ctx);
+                stored.swap(q, r);
+                logical.swap(p, q);
+            }
+        }
+        self.frame = Frame::default();
+    }
+
+    /// Probability that logical `qubit` reads 1: its stored bit reads 1,
+    /// or 0 when flipped.
+    fn logical_probability_of_one(&self, qubit: usize) -> f64 {
+        self.psi
+            .probability_of_value(self.frame.qubit(qubit), !self.frame.is_flipped(qubit))
     }
 
     /// Applies and drains the pending fused group, recording fusion
@@ -156,7 +204,7 @@ impl ArrayEngine {
             // A lone gate gains nothing from gather/scatter: run the
             // plain kernel (bit-identical either way).
             self.psi
-                .apply_instruction_with(&group.ops()[0], &self.ctx)
+                .apply_framed_with(&group.ops()[0], group.flips()[0], &self.ctx)
                 .expect("fused groups contain only unitaries");
         } else {
             self.psi.apply_fused_with(&group, &self.ctx);
@@ -260,28 +308,39 @@ impl SimulationEngine for ArrayEngine {
         }
         // Discard any gates still buffered for the old register.
         self.fuser = Fuser::new(self.fuser.width());
+        self.frame = Frame::default();
         self.psi = StateVector::zero_state(num_qubits.max(1));
         Ok(())
     }
 
     fn apply_instruction(&mut self, inst: &Instruction) -> Result<(), EngineError> {
         check_instruction_width(self.num_qubits(), inst)?;
+        // Uncontrolled `x` and `swap` only change the frame: no pass, no
+        // flush (buffered gates are already in stored qubits).
+        if self.frame.relabel(inst) {
+            if let Some(metrics) = &self.metrics {
+                metrics.sink.metrics().counter_add_id(metrics.relabelled, 1);
+            }
+            return Ok(());
+        }
+        let op = self.frame.map(inst);
+        let flips = self.frame.flips();
         // With fusion enabled, unitaries accumulate until a boundary
         // (non-unitary instruction, barrier, width overflow) or a state
         // query flushes them as one pass.
         if self.fuser.width() > 0 {
-            if self.fuser.try_push(inst) {
+            if self.fuser.try_push_framed(&op, flips) {
                 return Ok(());
             }
             self.flush_fusion();
-            if self.fuser.try_push(inst) {
+            if self.fuser.try_push_framed(&op, flips) {
                 return Ok(());
             }
         }
         self.psi
-            .apply_instruction_with(inst, &self.ctx)
+            .apply_framed_with(&op, flips, &self.ctx)
             .map_err(map_err)?;
-        self.push_metrics(inst);
+        self.push_metrics(&op);
         Ok(())
     }
 
@@ -294,13 +353,21 @@ impl SimulationEngine for ArrayEngine {
 
     fn amplitudes(&mut self) -> Result<Vec<Complex>, EngineError> {
         self.flush_fusion();
-        Ok(self.psi.amplitudes().to_vec())
+        let stored = self.psi.amplitudes();
+        if self.frame.is_identity() {
+            return Ok(stored.to_vec());
+        }
+        // One gathering copy in logical order; the frame stays.
+        let mut out = Vec::with_capacity(stored.len());
+        self.frame
+            .for_each_logical(self.psi.num_qubits(), |i| out.push(stored[i]));
+        Ok(out)
     }
 
     fn amplitude(&mut self, basis: u128) -> Result<Complex, EngineError> {
         self.flush_fusion();
         check_basis("array", self.psi.num_qubits(), basis)?;
-        Ok(self.psi.amplitude(basis as usize))
+        Ok(self.psi.amplitude(self.frame.index(basis as usize)))
     }
 
     fn sample(
@@ -309,9 +376,16 @@ impl SimulationEngine for ArrayEngine {
         rng: &mut dyn RngCore,
     ) -> Result<BTreeMap<u128, usize>, EngineError> {
         self.flush_fusion();
-        Ok(self
-            .psi
-            .sample(shots, rng)
+        // The running sums in logical order, so the draws map to the same
+        // basis states as on a frame-less state.
+        let stored = self.psi.amplitudes();
+        let mut total = 0.0;
+        let mut cumulative = Vec::with_capacity(stored.len());
+        self.frame.for_each_logical(self.psi.num_qubits(), |i| {
+            total += stored[i].norm_sqr();
+            cumulative.push(total);
+        });
+        Ok(crate::state::sample_cumulative(&cumulative, shots, rng)
             .into_iter()
             .map(|(k, v)| (k as u128, v))
             .collect())
@@ -320,7 +394,9 @@ impl SimulationEngine for ArrayEngine {
     fn expectation(&mut self, pauli: &PauliString) -> Result<f64, EngineError> {
         self.flush_fusion();
         check_pauli_width(self.psi.num_qubits(), pauli)?;
-        Ok(self.psi.expectation_pauli(pauli))
+        let (masks, negated) = self.frame.pauli_masks(pauli);
+        let value = self.psi.expectation_masks(&masks);
+        Ok(if negated { -value } else { value })
     }
 
     fn apply_kraus(
@@ -340,19 +416,24 @@ impl SimulationEngine for ArrayEngine {
                 ),
             });
         }
-        Ok(self.psi.apply_kraus(kraus, qubit, rng))
+        Ok(self.psi.apply_kraus_framed(
+            kraus,
+            self.frame.qubit(qubit),
+            self.frame.is_flipped(qubit),
+            rng,
+        ))
     }
 
     fn probability_of_one(&mut self, qubit: usize) -> Result<f64, EngineError> {
         self.flush_fusion();
         check_qubit(self.psi.num_qubits(), qubit)?;
-        Ok(self.psi.probability_of_one(qubit))
+        Ok(self.logical_probability_of_one(qubit))
     }
 
     fn project(&mut self, qubit: usize, outcome: bool) -> Result<(), EngineError> {
         self.flush_fusion();
         check_qubit(self.psi.num_qubits(), qubit)?;
-        let p1 = self.psi.probability_of_one(qubit);
+        let p1 = self.logical_probability_of_one(qubit);
         let p = if outcome { p1 } else { 1.0 - p1 };
         if p <= 1e-12 {
             return Err(EngineError::Backend {
@@ -360,7 +441,10 @@ impl SimulationEngine for ArrayEngine {
                 message: format!("projection of qubit {qubit} onto a zero-probability branch"),
             });
         }
-        self.psi.project_qubit(qubit, outcome);
+        self.psi.project_qubit(
+            self.frame.qubit(qubit),
+            outcome != self.frame.is_flipped(qubit),
+        );
         Ok(())
     }
 

@@ -70,6 +70,9 @@ pub struct FusedGroup {
     qubits: Vec<usize>,
     /// The constituent instructions, in program order.
     ops: Vec<Instruction>,
+    /// Per constituent, the stored bits the engine's frame had flipped
+    /// when it arrived (see [`crate::frame`]; 0 outside the engine).
+    flips: Vec<usize>,
 }
 
 impl FusedGroup {
@@ -97,6 +100,11 @@ impl FusedGroup {
     pub fn ops(&self) -> &[Instruction] {
         &self.ops
     }
+
+    /// Per constituent, the stored bits flipped by the engine's frame.
+    pub(crate) fn flips(&self) -> &[usize] {
+        &self.flips
+    }
 }
 
 /// Streaming greedy fuser: push instructions in program order; each push
@@ -110,6 +118,7 @@ pub struct Fuser {
     width: usize,
     mixed: Vec<usize>,
     ops: Vec<Instruction>,
+    flips: Vec<usize>,
 }
 
 impl Fuser {
@@ -122,6 +131,7 @@ impl Fuser {
             width: width.min(MAX_FUSE_WIDTH),
             mixed: Vec::new(),
             ops: Vec::new(),
+            flips: Vec::new(),
         }
     }
 
@@ -144,6 +154,13 @@ impl Fuser {
     /// flush via [`Fuser::take`] and handle `inst` itself (retrying the
     /// push only makes sense for width overflows).
     pub fn try_push(&mut self, inst: &Instruction) -> bool {
+        self.try_push_framed(inst, 0)
+    }
+
+    /// [`Fuser::try_push`] for an instruction already renamed to stored
+    /// qubits by the engine's frame, whose stored bits in `flips` are
+    /// flipped.
+    pub(crate) fn try_push_framed(&mut self, inst: &Instruction, flips: usize) -> bool {
         if self.width == 0 {
             return false;
         }
@@ -154,6 +171,7 @@ impl Fuser {
             return false;
         }
         self.ops.push(inst.clone());
+        self.flips.push(flips);
         true
     }
 
@@ -165,6 +183,7 @@ impl Fuser {
         Some(FusedGroup {
             qubits: std::mem::take(&mut self.mixed),
             ops: std::mem::take(&mut self.ops),
+            flips: std::mem::take(&mut self.flips),
         })
     }
 }
@@ -175,9 +194,11 @@ impl Fuser {
 pub struct GroupSpan {
     /// Start index into the planned instruction list.
     pub start: usize,
-    /// Number of instructions in the span.
+    /// Number of instructions in the span (relabellings that arrive
+    /// while the group is open included).
     pub len: usize,
-    /// Mixed qubits (ascending); empty for unfused boundary spans.
+    /// Mixed qubits (ascending, numbered as the engine's frame stores
+    /// them); empty for unfused boundary spans.
     pub qubits: Vec<usize>,
     /// `true` when the span runs as one fused kernel (width > 0 and the
     /// span is a run of fusable instructions).
@@ -186,43 +207,54 @@ pub struct GroupSpan {
 
 /// Plans the fusion grouping of `insts` at the given width without
 /// executing anything — the exact grouping the engine's streaming
-/// [`Fuser`] produces, exposed for tests, the cost model, and the bench
-/// snapshot. Boundary instructions become their own unfused spans.
+/// [`Fuser`] produces behind its frame, exposed for tests, the cost
+/// model, and the bench snapshot. Boundary instructions become their own
+/// unfused spans. Relabellings ([`Instruction::is_relabelling`]) run no
+/// kernel: one that arrives while a group is open rides along in its
+/// span, any other belongs to no span, and later gates are grouped by
+/// the stored qubits the frame maps them to.
 #[must_use]
 pub fn plan_groups(insts: &[Instruction], width: usize) -> Vec<GroupSpan> {
     let mut fuser = Fuser::new(width);
+    let mut frame = crate::frame::Frame::default();
     let mut spans = Vec::new();
+    // Start of the open group's span.
     let mut start = 0usize;
-    let flush = |fuser: &mut Fuser, spans: &mut Vec<GroupSpan>, start: &mut usize| {
+    let flush = |fuser: &mut Fuser, spans: &mut Vec<GroupSpan>, start: usize, end: usize| {
         if let Some(group) = fuser.take() {
             spans.push(GroupSpan {
-                start: *start,
-                len: group.len(),
+                start,
+                len: end - start,
                 qubits: group.qubits,
                 fused: true,
             });
-            *start += spans.last().expect("just pushed").len;
         }
     };
     for (i, inst) in insts.iter().enumerate() {
-        if fuser.try_push(inst) {
+        if frame.relabel(inst) {
             continue;
         }
-        flush(&mut fuser, &mut spans, &mut start);
-        if fuser.try_push(inst) {
+        let inst = frame.map(inst);
+        if fuser.pending() == 0 {
+            start = i;
+        }
+        if fuser.try_push(&inst) {
+            continue;
+        }
+        flush(&mut fuser, &mut spans, start, i);
+        start = i;
+        if fuser.try_push(&inst) {
             continue;
         }
         // A genuine boundary: its own unfused singleton span.
-        debug_assert_eq!(start, i);
         spans.push(GroupSpan {
             start: i,
             len: 1,
             qubits: Vec::new(),
             fused: false,
         });
-        start = i + 1;
     }
-    flush(&mut fuser, &mut spans, &mut start);
+    flush(&mut fuser, &mut spans, start, insts.len());
     spans
 }
 
@@ -231,8 +263,11 @@ pub fn plan_groups(insts: &[Instruction], width: usize) -> Vec<GroupSpan> {
 #[derive(Clone, Debug)]
 struct PlannedOp {
     /// Controls outside the block: the op applies to a block only when
-    /// its base index has all of these bits set.
+    /// its base index has these bits equal to `guard_value` (set, or
+    /// clear for a control whose stored bit is flipped).
     guard: usize,
+    /// The required values of the `guard` bits.
+    guard_value: usize,
     /// The target bit of a diagonal gate outside the block (0 if none):
     /// the base's value of this bit picks `updates[0]` (`m00`) or
     /// `updates[1]` (`m11`).
@@ -296,22 +331,36 @@ impl BlockPlan {
             .collect();
         let local = |q: usize| block.binary_search(&q).ok().map(|i| 1usize << i);
         let mut ops = Vec::new();
-        for inst in group.ops() {
+        for (inst, &flips) in group.ops().iter().zip(&group.flips) {
             let controls: &[usize] = match &inst.kind {
                 OpKind::Unitary { controls, .. } | OpKind::Swap { controls, .. } => controls,
                 other => unreachable!("non-unitary op {other:?} in fused group"),
             };
-            let (mut cmask, mut guard) = (0usize, 0usize);
+            let flipped = |q: usize| flips >> q & 1 != 0;
+            // In-block controls and their flipped bits; outside ones
+            // become guards.
+            let (mut cmask, mut lflips, mut guard, mut guard_value) = (0usize, 0, 0, 0);
             for &c in controls {
                 match local(c) {
-                    Some(bit) => cmask |= bit,
-                    None => guard |= 1 << c,
+                    Some(bit) => {
+                        cmask |= bit;
+                        if flipped(c) {
+                            lflips |= bit;
+                        }
+                    }
+                    None => {
+                        guard |= 1 << c;
+                        if !flipped(c) {
+                            guard_value |= 1 << c;
+                        }
+                    }
                 }
             }
             let mut push = |select, updates, spec: &RunSpec| {
                 let runs = RunSet::new(bits, spec);
                 ops.push(PlannedOp {
                     guard,
+                    guard_value,
                     select,
                     updates,
                     runs: (0..runs.count()).map(|p| runs.run(p)).collect(),
@@ -321,20 +370,34 @@ impl BlockPlan {
                 OpKind::Unitary { gate, target, .. } => {
                     let g = PairGate::from_matrix(&gate.matrix());
                     if let Some(tbit) = local(*target) {
+                        if flipped(*target) {
+                            lflips |= tbit;
+                        }
                         for spec in gate_runs(tbit, cmask, &g).into_iter().flatten() {
+                            let spec = spec.flipped(lflips);
                             push(0, [Some(spec.update), None], &spec);
                         }
                     } else {
                         // Only diagonal gates leave their target unmixed.
                         debug_assert!(g.is_diagonal(), "{inst:?} mixes a qubit outside the block");
+                        // A flipped outside target exchanges m00 and m11.
+                        let g = if flipped(*target) { g.flipped() } else { g };
                         if let Some((spec, updates)) = outside_diagonal_runs(cmask, &g) {
+                            let spec = spec.flipped(lflips);
+                            let updates =
+                                updates.map(|u| u.map(|u| spec.update_flipped(lflips, u)));
                             push(1 << target, updates, &spec);
                         }
                     }
                 }
                 OpKind::Swap { a, b, .. } => {
                     let bit = |q: usize| local(q).expect("swap operand outside the block");
-                    let spec = swap_runs(bit(*a), bit(*b), cmask);
+                    for q in [*a, *b] {
+                        if flipped(q) {
+                            lflips |= bit(q);
+                        }
+                    }
+                    let spec = swap_runs(bit(*a), bit(*b), cmask).flipped(lflips);
                     push(0, [Some(spec.update), None], &spec);
                 }
                 _ => unreachable!("checked above"),
@@ -441,7 +504,7 @@ impl BlockPlan {
                     amps.as_mut_ptr().add(base)
                 };
                 for op in &self.ops {
-                    if base & op.guard != op.guard {
+                    if base & op.guard != op.guard_value {
                         continue;
                     }
                     let Some(update) = &op.updates[usize::from(base & op.select != 0)] else {
@@ -493,14 +556,16 @@ mod tests {
         let mut qc = Circuit::with_clbits(2, 1);
         qc.h(0);
         qc.measure(0, 0);
-        qc.x(1);
+        // A Y, not an X: an uncontrolled X is a relabelling and runs no
+        // pass at all (see the next test).
+        qc.y(1);
         qc.reset(0);
         qc.h(1);
         qc.x(0).c_if(0, true);
         qc.h(0);
         let spans = plan_groups(qc.instructions(), 5);
         let fused: Vec<bool> = spans.iter().map(|s| s.fused).collect();
-        // h | measure | x | reset | h | c_if x | h — nothing merges across
+        // h | measure | y | reset | h | c_if x | h — nothing merges across
         // any dynamic boundary.
         assert_eq!(
             fused,
@@ -508,6 +573,49 @@ mod tests {
             "{spans:?}"
         );
         assert!(spans.iter().all(|s| s.len == 1));
+    }
+
+    #[test]
+    fn relabellings_ride_along_or_open_no_span() {
+        let mut qc = Circuit::with_clbits(3, 1);
+        qc.x(2).h(0).swap(0, 2).h(0);
+        qc.measure(1, 0);
+        qc.x(1).swap(1, 2);
+        qc.reset(0);
+        let spans = plan_groups(qc.instructions(), 5);
+        // The leading x opens no span; the swap rides along in the open
+        // group, whose second H lands on stored qubit 2; the x and swap
+        // after the measurement run between two boundaries and belong to
+        // no span at all.
+        assert_eq!(
+            spans,
+            [
+                GroupSpan {
+                    start: 1,
+                    len: 3,
+                    qubits: vec![0, 2],
+                    fused: true
+                },
+                GroupSpan {
+                    start: 4,
+                    len: 1,
+                    qubits: vec![],
+                    fused: false
+                },
+                GroupSpan {
+                    start: 7,
+                    len: 1,
+                    qubits: vec![],
+                    fused: false
+                },
+            ]
+        );
+        // Without fusion, relabellings still run no pass.
+        let plain = plan_groups(qc.instructions(), 0);
+        assert_eq!(
+            plain.iter().map(|s| s.start).collect::<Vec<_>>(),
+            [1, 3, 4, 7]
+        );
     }
 
     #[test]

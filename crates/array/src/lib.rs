@@ -43,6 +43,7 @@
 
 mod density;
 mod engine;
+mod frame;
 pub mod fusion;
 pub mod simd;
 mod state;

@@ -124,6 +124,17 @@ impl PairGate {
     pub fn is_diagonal(&self) -> bool {
         is_zero(self.m01) && is_zero(self.m10)
     }
+
+    /// `X·G·X`: the gate acting on a target whose stored bit is flipped.
+    /// The entries move; none is recomputed.
+    pub fn flipped(&self) -> PairGate {
+        PairGate {
+            m00: self.m11,
+            m01: self.m10,
+            m10: self.m01,
+            m11: self.m00,
+        }
+    }
 }
 
 /// `true` for exactly `1 + 0i`: multiplying by it can change at most the
@@ -161,6 +172,9 @@ pub(crate) enum Update {
     /// Exchange pairs `(o0 + i, o1 + i)` (swaps, and `X` with unit
     /// entries): pure moves.
     Swap,
+    /// Exchange pairs `(o0 + 2i, o0 + 2i + 1)`: an `X`-shaped gate on
+    /// bit 0, a pure move.
+    SwapInterleaved,
     /// Multiply amplitude `o0 + i` by its lane's factor (diagonal gates).
     Scale([Complex; 2]),
 }
@@ -178,6 +192,50 @@ pub(crate) struct RunSpec {
     pub sides: (usize, usize),
     /// What each run does.
     pub update: Update,
+}
+
+impl Update {
+    /// The update with the lanes' roles exchanged, for a gate whose own
+    /// qubit on index bit 0 (its target or a control) has its stored
+    /// value flipped: lanes swap, and a gate on bit 0 becomes `X·G·X`.
+    fn flip_bit0(self) -> Update {
+        match self {
+            Update::Pairs([l0, l1]) => Update::Pairs([l1, l0]),
+            Update::Scale([l0, l1]) => Update::Scale([l1, l0]),
+            Update::Interleaved(g) => Update::Interleaved(g.flipped()),
+            moves @ (Update::Swap | Update::SwapInterleaved) => moves,
+        }
+    }
+}
+
+impl RunSpec {
+    /// The same gate on a state whose stored bits in `mask` are flipped
+    /// (`mask` holds only this gate's own bits). A flipped control or
+    /// diagonal target requires the opposite value, a flipped pair side
+    /// exchanges `o0` and `o1` (the amplitudes meet the same expression
+    /// in the same order), and a flipped bit 0 exchanges the lanes (see
+    /// [`Update`]). Nothing is recomputed, so every amplitude receives
+    /// the arithmetic it would receive unflipped.
+    pub(crate) fn flipped(self, mask: usize) -> RunSpec {
+        let sides = self.sides.0 | self.sides.1;
+        RunSpec {
+            value: self.value ^ (mask & self.fixed & !sides),
+            sides: (self.sides.0 ^ (mask & sides), self.sides.1 ^ (mask & sides)),
+            update: self.update_flipped(mask, self.update),
+            ..self
+        }
+    }
+
+    /// `u` (this spec's update, or a per-block alternative of it) with
+    /// its lanes exchanged when `mask` flips bit 0 and bit 0 selects
+    /// lanes rather than runs.
+    pub(crate) fn update_flipped(&self, mask: usize, u: Update) -> Update {
+        if mask & !self.fixed & 1 != 0 {
+            u.flip_bit0()
+        } else {
+            u
+        }
+    }
 }
 
 /// Moves a control on index bit 0 into the lanes (see the module docs):
@@ -199,7 +257,8 @@ fn scale_lanes(m: Complex, on_bit0: bool) -> [Complex; 2] {
 ///
 /// * diagonal — scale only the sides whose entry is not exactly 1, and
 ///   only the amplitudes that pass the controls (no pair update at all);
-/// * `X`-shaped (zero diagonal, unit anti-diagonal) — pure moves;
+/// * `X`-shaped (zero diagonal, unit anti-diagonal) — pure moves, also
+///   on bit 0;
 /// * a gate on bit 0 — interleaved pairs;
 /// * otherwise the full 2×2 on pair runs.
 pub(crate) fn gate_runs(tbit: usize, cmask: usize, g: &PairGate) -> [Option<RunSpec>; 2] {
@@ -228,12 +287,18 @@ pub(crate) fn gate_runs(tbit: usize, cmask: usize, g: &PairGate) -> [Option<RunS
             spec(cmask | tbit, cmask | side, (0, 0), update).filter(|_| !is_one(m))
         });
     }
+    let x_shaped = is_zero(g.m00) && is_zero(g.m11) && is_one(g.m01) && is_one(g.m10);
     if tbit == 1 {
-        return [spec(cmask, cmask, (0, 0), Update::Interleaved(*g)), None];
+        let update = if x_shaped {
+            Update::SwapInterleaved
+        } else {
+            Update::Interleaved(*g)
+        };
+        return [spec(cmask, cmask, (0, 0), update), None];
     }
     let update = if on_bit0 {
         Update::Pairs([PairGate::IDENTITY, *g])
-    } else if is_zero(g.m00) && is_zero(g.m11) && is_one(g.m01) && is_one(g.m10) {
+    } else if x_shaped {
         Update::Swap
     } else {
         Update::Pairs([*g, *g])
@@ -328,8 +393,40 @@ pub(crate) unsafe fn apply_runs<const SIMD: bool>(
     match u {
         Update::Pairs(g) => each!(|p0, p1, len| pairs_run::<SIMD>(p0, p1, len, g)),
         Update::Interleaved(g) => each!(|p0, p1, len| interleaved_run::<SIMD>(p0, len, g)),
-        Update::Swap => each!(|p0, p1, len| std::ptr::swap_nonoverlapping(p0, p1, len)),
+        Update::Swap => each!(|p0, p1, len| swap_run::<SIMD>(p0, p1, len)),
+        Update::SwapInterleaved => each!(|p0, p1, len| swap_interleaved_run::<SIMD>(p0, len)),
         Update::Scale(m) => each!(|p0, p1, len| scale_run::<SIMD>(p0, len, m)),
+    }
+}
+
+/// Exchanges `len` amplitudes of `p0` and `p1`.
+#[inline(always)]
+#[allow(unsafe_code)]
+unsafe fn swap_run<const SIMD: bool>(p0: *mut Complex, p1: *mut Complex, len: usize) {
+    let mut i = 0;
+    #[cfg(target_arch = "x86_64")]
+    if SIMD {
+        // SAFETY: caller contract; AVX2 enabled in the instantiation.
+        i = unsafe { avx2::swap_run(p0, p1, len) };
+    }
+    // SAFETY: caller contract (the two sides of a run never overlap).
+    unsafe { std::ptr::swap_nonoverlapping(p0.add(i), p1.add(i), len - i) };
+}
+
+/// Exchanges the two amplitudes of each of `pairs` pairs
+/// `(p[2i], p[2i + 1])`.
+#[inline(always)]
+#[allow(unsafe_code)]
+unsafe fn swap_interleaved_run<const SIMD: bool>(p: *mut Complex, pairs: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if SIMD {
+        // SAFETY: caller contract; AVX2 enabled in the instantiation.
+        unsafe { avx2::swap_interleaved_run(p, pairs) };
+        return;
+    }
+    for i in 0..pairs {
+        // SAFETY: caller contract.
+        unsafe { std::ptr::swap(p.add(2 * i), p.add(2 * i + 1)) };
     }
 }
 
@@ -437,7 +534,7 @@ impl RunSet {
         let outer = spec.fixed & !((1 << span_log) - 1);
         let len = match spec.update {
             // Bit 0 is the target, so it is never fixed: run_log ≥ 1.
-            Update::Interleaved(_) => 1 << (run_log - 1),
+            Update::Interleaved(_) | Update::SwapInterleaved => 1 << (run_log - 1),
             _ => 1 << run_log,
         };
         RunSet {
@@ -648,6 +745,43 @@ mod avx2 {
         }
     }
 
+    /// Moves only: two amplitudes of each side per register.
+    #[inline(always)]
+    #[allow(unsafe_code)]
+    pub(super) unsafe fn swap_run(p0: *mut Complex, p1: *mut Complex, len: usize) -> usize {
+        // SAFETY: the 4-f64 loads/stores cover amplitudes i and i+1 of
+        // both sides, inside the run the caller owns.
+        unsafe {
+            let (f0, f1) = (p0.cast::<f64>(), p1.cast::<f64>());
+            let even = len & !1;
+            let mut i = 0;
+            while i < even {
+                let v0 = _mm256_loadu_pd(f0.add(2 * i));
+                let v1 = _mm256_loadu_pd(f1.add(2 * i));
+                _mm256_storeu_pd(f0.add(2 * i), v1);
+                _mm256_storeu_pd(f1.add(2 * i), v0);
+                i += 2;
+            }
+            even
+        }
+    }
+
+    /// One 256-bit load holds a whole pair; exchanging its 128-bit
+    /// halves is the move.
+    #[inline(always)]
+    #[allow(unsafe_code)]
+    pub(super) unsafe fn swap_interleaved_run(p: *mut Complex, pairs: usize) {
+        // SAFETY: pair i owns complex slots 2i and 2i+1 — exactly the
+        // four f64 lanes loaded and stored here.
+        unsafe {
+            let f = p.cast::<f64>();
+            for i in 0..pairs {
+                let v = _mm256_loadu_pd(f.add(4 * i));
+                _mm256_storeu_pd(f.add(4 * i), _mm256_permute2f128_pd(v, v, 0x01));
+            }
+        }
+    }
+
     #[inline(always)]
     #[allow(unsafe_code)]
     pub(super) unsafe fn scale_run(p: *mut Complex, len: usize, m: &[Complex; 2]) -> usize {
@@ -715,8 +849,23 @@ mod tests {
                 specs.extend(gate_runs(tbit, cmask, &gate).into_iter().flatten());
             }
         }
+        // X-shaped moves: on bit 0 (interleaved), above it, and with a
+        // lane control; swaps whose runs are 1, 2 and 8 amplitudes long.
+        let x = PairGate::from_matrix(&qdt_circuit::Gate::X.matrix());
+        for (tbit, cmask) in [(1, 0), (1, 0b100), (2, 0), (8, 1)] {
+            specs.extend(gate_runs(tbit, cmask, &x).into_iter().flatten());
+        }
         specs.push(swap_runs(1, 64, 0));
+        specs.push(swap_runs(2, 64, 0));
+        specs.push(swap_runs(8, 128, 0b10));
         specs.push(swap_runs(4, 32, 0b10));
+        // The same gates on flipped stored bits: swapped sides and lanes,
+        // opposite control values.
+        let flipped: Vec<RunSpec> = specs
+            .iter()
+            .map(|s| s.flipped(s.fixed | s.sides.0 | s.sides.1 | 1))
+            .collect();
+        specs.extend(flipped);
         specs
     }
 

@@ -215,18 +215,39 @@ impl StateVector {
         target: usize,
         rng: &mut R,
     ) -> usize {
+        self.apply_kraus_framed(kraus, target, false, rng)
+    }
+
+    /// [`StateVector::apply_kraus`] on a target whose stored bit is
+    /// `flipped`: the logical `|0⟩` side of each pair is the stored `1`
+    /// side, so the operators see their usual amplitudes in their usual
+    /// order.
+    pub(crate) fn apply_kraus_framed<R: Rng + ?Sized>(
+        &mut self,
+        kraus: &[Matrix],
+        target: usize,
+        flipped: bool,
+        rng: &mut R,
+    ) -> usize {
         assert!(!kraus.is_empty(), "empty Kraus operator list");
         assert!(target < self.num_qubits, "target out of range");
         for k in kraus {
             assert_eq!((k.rows(), k.cols()), (2, 2), "Kraus operator must be 2x2");
         }
         let tbit = 1usize << target;
+        let pair = |i: usize| {
+            if flipped {
+                (i | tbit, i)
+            } else {
+                (i, i | tbit)
+            }
+        };
         let mut weights = vec![0.0f64; kraus.len()];
-        for i0 in 0..self.amps.len() {
-            if i0 & tbit != 0 {
+        for i in 0..self.amps.len() {
+            if i & tbit != 0 {
                 continue;
             }
-            let i1 = i0 | tbit;
+            let (i0, i1) = pair(i);
             let (a0, a1) = (self.amps[i0], self.amps[i1]);
             for (w, k) in weights.iter_mut().zip(kraus) {
                 *w += (k.get(0, 0) * a0 + k.get(0, 1) * a1).norm_sqr()
@@ -245,11 +266,11 @@ impl StateVector {
         }
         let k = &kraus[chosen];
         let scale = 1.0 / weights[chosen].sqrt().max(1e-300);
-        for i0 in 0..self.amps.len() {
-            if i0 & tbit != 0 {
+        for i in 0..self.amps.len() {
+            if i & tbit != 0 {
                 continue;
             }
-            let i1 = i0 | tbit;
+            let (i0, i1) = pair(i);
             let (a0, a1) = (self.amps[i0], self.amps[i1]);
             self.amps[i0] = (k.get(0, 0) * a0 + k.get(0, 1) * a1).scale(scale);
             self.amps[i1] = (k.get(1, 0) * a0 + k.get(1, 1) * a1).scale(scale);
@@ -294,6 +315,21 @@ impl StateVector {
         controls: &[usize],
         ctx: &KernelContext,
     ) {
+        self.apply_controlled_gate_framed(gate, target, controls, 0, ctx);
+    }
+
+    /// [`StateVector::apply_controlled_gate_with`] on a state whose
+    /// stored bits in `flips` are flipped (see [`RunSpec::flipped`]).
+    ///
+    /// [`RunSpec::flipped`]: crate::simd::RunSpec::flipped
+    fn apply_controlled_gate_framed(
+        &mut self,
+        gate: &Matrix,
+        target: usize,
+        controls: &[usize],
+        flips: usize,
+        ctx: &KernelContext,
+    ) {
         assert_eq!((gate.rows(), gate.cols()), (2, 2), "gate must be 2x2");
         assert!(target < self.num_qubits, "target out of range");
         let mut cmask = 0usize;
@@ -303,7 +339,9 @@ impl StateVector {
             cmask |= 1 << c;
         }
         let g = crate::simd::PairGate::from_matrix(gate);
-        let specs = crate::simd::gate_runs(1 << target, cmask, &g);
+        let own = flips & (cmask | 1 << target);
+        let specs =
+            crate::simd::gate_runs(1 << target, cmask, &g).map(|s| s.map(|s| s.flipped(own)));
         self.apply_runs_with(specs.iter().flatten(), ctx);
     }
 
@@ -386,6 +424,19 @@ impl StateVector {
     ///
     /// As [`StateVector::apply_swap`].
     pub fn apply_swap_with(&mut self, a: usize, b: usize, controls: &[usize], ctx: &KernelContext) {
+        self.apply_swap_framed(a, b, controls, 0, ctx);
+    }
+
+    /// [`StateVector::apply_swap_with`] on a state whose stored bits in
+    /// `flips` are flipped.
+    fn apply_swap_framed(
+        &mut self,
+        a: usize,
+        b: usize,
+        controls: &[usize],
+        flips: usize,
+        ctx: &KernelContext,
+    ) {
         assert!(
             a < self.num_qubits && b < self.num_qubits,
             "qubit out of range"
@@ -397,7 +448,9 @@ impl StateVector {
             assert!(c != a && c != b, "control overlaps swap target");
             cmask |= 1 << c;
         }
-        self.apply_runs_with([&crate::simd::swap_runs(1 << a, 1 << b, cmask)], ctx);
+        let own = flips & (cmask | 1 << a | 1 << b);
+        let spec = crate::simd::swap_runs(1 << a, 1 << b, cmask).flipped(own);
+        self.apply_runs_with([&spec], ctx);
     }
 
     /// Applies one IR instruction (unitary gates and swaps only).
@@ -423,6 +476,23 @@ impl StateVector {
         inst: &Instruction,
         ctx: &KernelContext,
     ) -> Result<(), ArrayError> {
+        self.apply_framed_with(inst, 0, ctx)
+    }
+
+    /// [`StateVector::apply_instruction_with`] on a state whose stored
+    /// bits in `flips` are flipped: the array engine's frame
+    /// ([`crate::frame`]) hands over instructions already renamed to
+    /// stored qubits, and its flip mask.
+    ///
+    /// # Errors
+    ///
+    /// As [`StateVector::apply_instruction`].
+    pub(crate) fn apply_framed_with(
+        &mut self,
+        inst: &Instruction,
+        flips: usize,
+        ctx: &KernelContext,
+    ) -> Result<(), ArrayError> {
         if inst.cond.is_some() {
             return Err(ArrayError::NonUnitary {
                 op: format!("conditioned {}", inst.name()),
@@ -434,11 +504,11 @@ impl StateVector {
                 target,
                 controls,
             } => {
-                self.apply_controlled_gate_with(&gate.matrix(), *target, controls, ctx);
+                self.apply_controlled_gate_framed(&gate.matrix(), *target, controls, flips, ctx);
                 Ok(())
             }
             OpKind::Swap { a, b, controls } => {
-                self.apply_swap_with(*a, *b, controls, ctx);
+                self.apply_swap_framed(*a, *b, controls, flips, ctx);
                 Ok(())
             }
             OpKind::Barrier(_) => Ok(()),
@@ -456,12 +526,17 @@ impl StateVector {
     ///
     /// Panics if `qubit` is out of range.
     pub fn probability_of_one(&self, qubit: usize) -> f64 {
+        self.probability_of_value(qubit, true)
+    }
+
+    /// Probability that the stored bit of `qubit` reads `one`.
+    pub(crate) fn probability_of_value(&self, qubit: usize, one: bool) -> f64 {
         assert!(qubit < self.num_qubits, "qubit out of range");
         let bit = 1usize << qubit;
         self.amps
             .iter()
             .enumerate()
-            .filter(|(i, _)| i & bit != 0)
+            .filter(|(i, _)| (i & bit != 0) == one)
             .map(|(_, a)| a.norm_sqr())
             .sum()
     }
@@ -503,28 +578,47 @@ impl StateVector {
 
     /// Samples `shots` full-register measurements *without* collapsing the
     /// state, returning a map from basis index to count.
+    ///
+    /// One pass builds the running sum of the probabilities; each shot
+    /// is then a binary search for the first index whose running sum
+    /// exceeds a uniform draw, so the cost is `O(2^n + shots·n)`.
     pub fn sample<R: Rng + ?Sized>(&self, shots: usize, rng: &mut R) -> BTreeMap<usize, usize> {
-        let probs = self.probabilities();
-        let mut counts = BTreeMap::new();
-        for _ in 0..shots {
-            let mut r: f64 = rng.gen();
-            let mut chosen = probs.len() - 1;
-            for (i, &p) in probs.iter().enumerate() {
-                if r < p {
-                    chosen = i;
-                    break;
-                }
-                r -= p;
-            }
-            *counts.entry(chosen).or_insert(0) += 1;
-        }
-        counts
+        let mut total = 0.0;
+        let cumulative: Vec<f64> = self
+            .amps
+            .iter()
+            .map(|a| {
+                total += a.norm_sqr();
+                total
+            })
+            .collect();
+        sample_cumulative(&cumulative, shots, rng)
     }
 
     /// The expectation value `⟨ψ|Z_qubit|ψ⟩`.
     pub fn expectation_z(&self, qubit: usize) -> f64 {
         1.0 - 2.0 * self.probability_of_one(qubit)
     }
+}
+
+/// `shots` draws from the distribution whose running sums are
+/// `cumulative` (index order): index `i` is drawn for a uniform `r` with
+/// `cumulative[i - 1] ≤ r < cumulative[i]`, and the last index when
+/// rounding leaves `r` above the total.
+pub(crate) fn sample_cumulative<R: Rng + ?Sized>(
+    cumulative: &[f64],
+    shots: usize,
+    rng: &mut R,
+) -> BTreeMap<usize, usize> {
+    let mut counts = BTreeMap::new();
+    for _ in 0..shots {
+        let r: f64 = rng.gen();
+        let chosen = cumulative
+            .partition_point(|&c| c <= r)
+            .min(cumulative.len() - 1);
+        *counts.entry(chosen).or_insert(0) += 1;
+    }
+    counts
 }
 
 impl fmt::Debug for StateVector {
@@ -714,6 +808,52 @@ mod tests {
         assert!((c00 / 20_000.0 - 0.5).abs() < 0.02);
     }
 
+    /// The sampler `sample` replaced: one linear scan of the
+    /// probabilities per shot, subtracting as it goes.
+    fn sample_by_linear_scan(
+        psi: &StateVector,
+        shots: usize,
+        rng: &mut StdRng,
+    ) -> BTreeMap<usize, usize> {
+        let probs = psi.probabilities();
+        let mut counts = BTreeMap::new();
+        for _ in 0..shots {
+            let mut r: f64 = rng.gen();
+            let mut chosen = probs.len() - 1;
+            for (i, &p) in probs.iter().enumerate() {
+                if r < p {
+                    chosen = i;
+                    break;
+                }
+                r -= p;
+            }
+            *counts.entry(chosen).or_insert(0) += 1;
+        }
+        counts
+    }
+
+    #[test]
+    fn bisection_sampling_matches_the_linear_scan() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut states = vec![
+            StateVector::from_circuit(&generators::ghz(9)).unwrap(),
+            StateVector::from_circuit(&generators::w_state(7)).unwrap(),
+            StateVector::zero_state(3),
+        ];
+        for n in [1, 5, 10] {
+            states.push(
+                StateVector::from_circuit(&generators::random_circuit(n, 6, &mut rng)).unwrap(),
+            );
+        }
+        for (k, psi) in states.iter().enumerate() {
+            for seed in 0..4 {
+                let got = psi.sample(3000, &mut StdRng::seed_from_u64(seed));
+                let want = sample_by_linear_scan(psi, 3000, &mut StdRng::seed_from_u64(seed));
+                assert_eq!(got, want, "state {k}, seed {seed}");
+            }
+        }
+    }
+
     #[test]
     fn expectation_z_values() {
         let psi = StateVector::zero_state(1);
@@ -776,21 +916,17 @@ impl StateVector {
     ///
     /// Panics if the string's width differs from the state's.
     pub fn expectation_pauli(&self, pauli: &qdt_circuit::PauliString) -> f64 {
-        use qdt_circuit::Pauli;
         assert_eq!(pauli.num_qubits(), self.num_qubits, "Pauli width mismatch");
-        let (mut xmask, mut yzmask, mut num_y) = (0usize, 0usize, 0usize);
-        for (q, p) in pauli.support() {
-            match p {
-                Pauli::X => xmask |= 1 << q,
-                Pauli::Y => {
-                    xmask |= 1 << q;
-                    yzmask |= 1 << q;
-                    num_y += 1;
-                }
-                Pauli::Z => yzmask |= 1 << q,
-                Pauli::I => {}
-            }
-        }
+        self.expectation_masks(&PauliMasks::new(pauli, |q| q))
+    }
+
+    /// [`StateVector::expectation_pauli`] of a string given by its masks.
+    pub(crate) fn expectation_masks(&self, masks: &PauliMasks) -> f64 {
+        let PauliMasks {
+            x: xmask,
+            yz: yzmask,
+            num_y,
+        } = *masks;
         // (−i)^#Y: an odd count rotates by ∓i (swap the components), and
         // #Y ≡ 2, 3 (mod 4) contributes an extra −1.
         let rotated = num_y % 2 == 1;
@@ -808,6 +944,41 @@ impl StateVector {
             sum += if odd != negated { -term } else { term };
         }
         sum
+    }
+}
+
+/// A Pauli string as the masks of its factors on stored qubits: `x`
+/// holds the X and Y factors, `yz` the Y and Z factors.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PauliMasks {
+    pub x: usize,
+    pub yz: usize,
+    pub num_y: usize,
+}
+
+impl PauliMasks {
+    /// The masks of `pauli` with qubit `q` stored at bit `at(q)`.
+    pub(crate) fn new(pauli: &qdt_circuit::PauliString, at: impl Fn(usize) -> usize) -> Self {
+        use qdt_circuit::Pauli;
+        let mut masks = PauliMasks {
+            x: 0,
+            yz: 0,
+            num_y: 0,
+        };
+        for (q, p) in pauli.support() {
+            let bit = 1usize << at(q);
+            match p {
+                Pauli::X => masks.x |= bit,
+                Pauli::Y => {
+                    masks.x |= bit;
+                    masks.yz |= bit;
+                    masks.num_y += 1;
+                }
+                Pauli::Z => masks.yz |= bit,
+                Pauli::I => {}
+            }
+        }
+        masks
     }
 }
 

@@ -643,12 +643,15 @@ fn stabilizer_scaling(snapshot_path: Option<&str>) {
 }
 
 /// Kernel fusion: the fused dense kernels against the plain ones on
-/// the three headline workloads (QFT-20, random Clifford+T-18, dense
+/// the headline workloads (QFT-20, QFT-22, random Clifford+T-18, dense
 /// random-12). Amplitude `0` is compared exactly between the fused and
 /// unfused runs, the fused QFT-20 must win on wall-clock, and with
 /// `--snapshot <file>` the deterministic integers (gate counts, fused
-/// group counts, width-histogram totals — never timings) are written
-/// for CI to diff against the committed `BENCH_kernels.json`.
+/// group counts, relabelled gates, width-histogram totals — never
+/// timings) are written for CI to diff against the committed
+/// `BENCH_kernels.json`. The last line prints fused QFT-22's time over
+/// its groups × one streaming pass, the in-run measure of how far the
+/// fused kernels are from the memory bound.
 fn kernel_fusion(snapshot_path: Option<&str>) {
     use qdt::telemetry::MetricValue;
     use qdt::TelemetrySink;
@@ -660,6 +663,7 @@ fn kernel_fusion(snapshot_path: Option<&str>) {
     let mut dr_rng = StdRng::seed_from_u64(0xDE45);
     let workloads: Vec<(&str, qdt::circuit::Circuit)> = vec![
         ("qft-20", generators::qft(20, true)),
+        ("qft-22", generators::qft(22, true)),
         (
             "clifford-t-18",
             generators::random_clifford_t(18, 24, 0.3, &mut ct_rng),
@@ -688,11 +692,12 @@ fn kernel_fusion(snapshot_path: Option<&str>) {
     };
 
     println!(
-        "{:>16} {:>7} {:>7} {:>8} {:>10} {:>10} {:>9}",
-        "circuit", "qubits", "gates", "groups", "unfused", "fused", "speedup"
+        "{:>16} {:>7} {:>7} {:>8} {:>10} {:>10} {:>10} {:>9}",
+        "circuit", "qubits", "gates", "groups", "relabelled", "unfused", "fused", "speedup"
     );
     let mut rows = Vec::new();
     let mut qft_secs = (0.0f64, 0.0f64);
+    let mut qft22 = (0u64, 0.0f64);
     for (name, qc) in &workloads {
         // Fused-group telemetry from an instrumented fused run: the
         // group count and width histogram are pure functions of the
@@ -706,6 +711,12 @@ fn kernel_fusion(snapshot_path: Option<&str>) {
         let groups = match sink.metrics().get("array.fuse.groups") {
             Some(MetricValue::Counter(n)) => n,
             other => panic!("array.fuse.groups missing: {other:?}"),
+        };
+        // Uncontrolled x and swap gates the engine's frame absorbed.
+        let relabelled = match sink.metrics().get("array.frame.relabelled") {
+            Some(MetricValue::Counter(n)) => n,
+            None => 0,
+            other => panic!("array.frame.relabelled is not a counter: {other:?}"),
         };
         let width = match sink.metrics().get("array.fuse.width") {
             Some(MetricValue::Histogram(h)) => h,
@@ -729,12 +740,16 @@ fn kernel_fusion(snapshot_path: Option<&str>) {
         if *name == "qft-20" {
             qft_secs = (plain_secs, fused_secs);
         }
+        if *name == "qft-22" {
+            qft22 = (groups, fused_secs);
+        }
         println!(
-            "{:>16} {:>7} {:>7} {:>8} {:>9.3}s {:>9.3}s {:>8.2}x",
+            "{:>16} {:>7} {:>7} {:>8} {:>10} {:>9.3}s {:>9.3}s {:>8.2}x",
             name,
             qc.num_qubits(),
             gates,
             groups,
+            relabelled,
             plain_secs,
             fused_secs,
             plain_secs / fused_secs.max(1e-9)
@@ -746,6 +761,7 @@ fn kernel_fusion(snapshot_path: Option<&str>) {
                 ("gates", gates as u64),
                 ("fuse_width", FUSE_WIDTH as u64),
                 ("fused_groups", groups),
+                ("relabelled", relabelled),
                 ("width_sum", width.sum as u64),
                 ("width_max", width.max as u64),
             ]),
@@ -760,11 +776,27 @@ fn kernel_fusion(snapshot_path: Option<&str>) {
         "fused QFT-20 ({fused:.3}s) must beat the plain array ({plain:.3}s)"
     );
 
+    // One streaming pass at 22 qubits: a Hadamard on the top qubit of a
+    // prepared plain engine (the allocation stays outside the clock).
+    let mut e = qdt::create_engine("array").expect("array builds");
+    e.prepare(22).expect("22 qubits fit");
+    let mut h = qdt::circuit::Circuit::new(22);
+    h.h(21);
+    let h = h.instructions()[0].clone();
+    let ((), pass_secs) = timed(|| e.apply_instruction(&h).expect("unitary"));
+    let (groups, fused_secs) = qft22;
+    println!(
+        "qft-22 fused / ({groups} groups x one streaming pass of {:.2} ms) = {:.1}",
+        pass_secs * 1e3,
+        fused_secs / (groups as f64 * pass_secs).max(1e-9)
+    );
+
     if let Some(path) = snapshot_path {
         write_snapshot(path, &JsonValue::Object(rows));
     }
-    println!("(each fused group is one strided pass over the state; the group");
-    println!(" count and width histogram are pure functions of the circuit)");
+    println!("(each fused group is one strided pass over the state; uncontrolled");
+    println!(" x and swap gates are relabelled, not executed; the group count and");
+    println!(" width histogram are pure functions of the circuit)");
 }
 
 /// A JSON object of integer fields, in the given order.

@@ -263,6 +263,27 @@ impl Instruction {
         self.cond.is_none() && matches!(self.kind, OpKind::Unitary { .. } | OpKind::Swap { .. })
     }
 
+    /// Whether this instruction only relabels the computational basis:
+    /// an uncontrolled, unconditioned `swap` (two qubits exchange their
+    /// labels) or `x` (one qubit's value is flipped). A dense simulator
+    /// can track such an instruction in a qubit map and a flip mask
+    /// instead of moving amplitudes; the array engine's frame, its
+    /// fusion plan and the cost model's pass count all use this one
+    /// rule (see [`QubitMap`]).
+    #[must_use]
+    pub fn is_relabelling(&self) -> bool {
+        self.cond.is_none()
+            && match &self.kind {
+                OpKind::Swap { controls, .. }
+                | OpKind::Unitary {
+                    gate: Gate::X,
+                    controls,
+                    ..
+                } => controls.is_empty(),
+                _ => false,
+            }
+    }
+
     /// The qubits this instruction *mixes*, or `None` when it cannot join
     /// a fused gate group at all (measurements, resets, barriers, and
     /// classically conditioned instructions).
@@ -375,6 +396,16 @@ impl FusionSupport {
         len: 0,
     };
 
+    /// The same support with every qubit renamed by `f` (a qubit map's
+    /// view of the instruction, see [`QubitMap`]).
+    #[must_use]
+    pub fn map(self, f: impl Fn(usize) -> usize) -> FusionSupport {
+        FusionSupport {
+            qubits: self.qubits.map(f),
+            len: self.len,
+        }
+    }
+
     /// The mixed qubits (target, or both swap operands; empty for a
     /// diagonal gate).
     #[must_use]
@@ -397,6 +428,68 @@ impl FusionSupport {
             if let Err(at) = group.binary_search(&q) {
                 group.insert(at, q);
             }
+        }
+        true
+    }
+}
+
+/// The qubit permutation left behind by a stream of relabellings
+/// ([`Instruction::is_relabelling`]): `get(q)` is the qubit that now
+/// holds the state of qubit `q`. An uncontrolled `swap(a, b)` exchanges
+/// the entries of `a` and `b`; an uncontrolled `x` leaves the map alone
+/// (a value flip, not a renaming).
+///
+/// The map starts as the identity and grows only when a swap names a
+/// qubit beyond it, so it needs no register width and allocates nothing
+/// for a circuit without swaps.
+///
+/// # Example
+///
+/// ```
+/// use qdt_circuit::{Circuit, QubitMap};
+///
+/// let mut qc = Circuit::new(3);
+/// qc.swap(0, 2).x(1).cx(0, 1);
+/// let mut map = QubitMap::default();
+/// let relabelled: Vec<bool> = qc.iter().map(|i| map.relabel(i)).collect();
+/// assert_eq!(relabelled, [true, true, false]);
+/// assert_eq!((map.get(0), map.get(1), map.get(2)), (2, 1, 0));
+/// ```
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct QubitMap {
+    to: Vec<usize>,
+}
+
+impl QubitMap {
+    /// The qubit holding qubit `q`'s state.
+    #[must_use]
+    pub fn get(&self, q: usize) -> usize {
+        self.to.get(q).copied().unwrap_or(q)
+    }
+
+    /// Whether no qubit has moved.
+    #[must_use]
+    pub fn is_identity(&self) -> bool {
+        self.to.iter().enumerate().all(|(i, &q)| i == q)
+    }
+
+    /// Exchanges the entries of `a` and `b`.
+    pub fn swap(&mut self, a: usize, b: usize) {
+        let len = a.max(b) + 1;
+        if self.to.len() < len {
+            self.to.extend(self.to.len()..len);
+        }
+        self.to.swap(a, b);
+    }
+
+    /// Absorbs `inst` when it is a relabelling and reports whether it
+    /// was: a swap exchanges two entries, an `x` changes nothing here.
+    pub fn relabel(&mut self, inst: &Instruction) -> bool {
+        if !inst.is_relabelling() {
+            return false;
+        }
+        if let OpKind::Swap { a, b, .. } = inst.kind {
+            self.swap(a, b);
         }
         true
     }

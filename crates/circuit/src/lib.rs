@@ -33,7 +33,9 @@ pub mod generators;
 mod pauli;
 pub mod qasm;
 
-pub use circuit::{Circuit, ClassicalState, Condition, FusionSupport, Instruction, OpKind, Qubits};
+pub use circuit::{
+    Circuit, ClassicalState, Condition, FusionSupport, Instruction, OpKind, QubitMap, Qubits,
+};
 pub use gate::Gate;
 pub use pauli::{ParsePauliError, Pauli, PauliString};
 
