@@ -124,7 +124,7 @@ impl ArrayEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `width` exceeds [`MAX_FUSE_WIDTH`]; the engine registry
+    /// Panics if `width` exceeds [`MAX_FUSE_WIDTH`]; `qdt::create_engine`
     /// reports this as a spec error before construction.
     #[must_use]
     pub fn with_fusion(mut self, width: usize) -> Self {

@@ -1098,36 +1098,26 @@ impl StateVector {
         for &q in keep {
             assert!(q < self.num_qubits, "qubit {q} out of range");
         }
-        let k = keep.len();
-        let dim = 1usize << k;
-        let extract = |full: usize| -> usize {
-            keep.iter()
+        let dim = 1usize << keep.len();
+        // The index whose qubit `qubits[pos]` holds bit `pos` of `bits`.
+        let deposit = |bits: usize, qubits: &[usize]| {
+            qubits
+                .iter()
                 .enumerate()
-                .fold(0, |acc, (pos, &q)| acc | (((full >> q) & 1) << pos))
+                .fold(0, |acc, (pos, &q)| acc | (((bits >> pos) & 1) << q))
         };
+        let offsets: Vec<usize> = (0..dim).map(|s| deposit(s, keep)).collect();
         let env_qubits: Vec<usize> = (0..self.num_qubits).filter(|q| !keep.contains(q)).collect();
         let mut rho = Matrix::zeros(dim, dim);
+        let mut sub = vec![Complex::ZERO; dim];
         // Iterate over environment configurations, accumulating
         // |ψ_e⟩⟨ψ_e| on the kept subsystem.
         for env in 0..1usize << env_qubits.len() {
-            let mut env_mask = 0usize;
-            for (pos, &q) in env_qubits.iter().enumerate() {
-                if env & (1 << pos) != 0 {
-                    env_mask |= 1 << q;
-                }
+            let env_mask = deposit(env, &env_qubits);
+            // Gather the amplitudes with this environment setting.
+            for (amp, &offset) in sub.iter_mut().zip(&offsets) {
+                *amp = self.amps[env_mask | offset];
             }
-            // Collect the amplitudes with this environment setting.
-            let mut sub = vec![Complex::ZERO; dim];
-            for (i, &amp) in self.amps.iter().enumerate() {
-                let mut env_bits = 0usize;
-                for (pos, &q) in env_qubits.iter().enumerate() {
-                    env_bits |= ((i >> q) & 1) << pos;
-                }
-                if env_bits == env {
-                    sub[extract(i)] = amp;
-                }
-            }
-            let _ = env_mask;
             for r in 0..dim {
                 for c in 0..dim {
                     let v = rho.get(r, c) + sub[r] * sub[c].conj();
@@ -1187,6 +1177,50 @@ mod entropy_tests {
         // Any bipartition of GHZ carries exactly 1 ebit.
         assert!((psi.entanglement_entropy(&[0, 1, 2]) - 1.0).abs() < 1e-9);
         assert!((psi.entanglement_entropy(&[5]) - 1.0).abs() < 1e-9);
+    }
+
+    /// The original reduced-density formula, kept as the oracle: for
+    /// each environment configuration it scans every amplitude and
+    /// keeps those whose environment bits match.
+    fn reduced_density_by_full_scan(psi: &StateVector, keep: &[usize]) -> Matrix {
+        let dim = 1usize << keep.len();
+        // The bits of `full` on `qubits`, packed in `qubits` order.
+        let extract = |full: usize, qubits: &[usize]| -> usize {
+            qubits
+                .iter()
+                .enumerate()
+                .fold(0, |acc, (pos, &q)| acc | (((full >> q) & 1) << pos))
+        };
+        let env_qubits: Vec<usize> = (0..psi.num_qubits).filter(|q| !keep.contains(q)).collect();
+        let mut rho = Matrix::zeros(dim, dim);
+        for env in 0..1usize << env_qubits.len() {
+            let mut sub = vec![Complex::ZERO; dim];
+            for (i, &amp) in psi.amps.iter().enumerate() {
+                if extract(i, &env_qubits) == env {
+                    sub[extract(i, keep)] = amp;
+                }
+            }
+            for r in 0..dim {
+                for c in 0..dim {
+                    let v = rho.get(r, c) + sub[r] * sub[c].conj();
+                    rho.set(r, c, v);
+                }
+            }
+        }
+        rho
+    }
+
+    #[test]
+    fn gathered_reduced_density_equals_the_full_scan() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let qc = generators::random_circuit(10, 12, &mut StdRng::seed_from_u64(23));
+        let psi = StateVector::from_circuit(&qc).unwrap();
+        for keep in [&[7, 2, 4][..], &[0, 9], &[8], &[1, 3, 5, 6]] {
+            let want = reduced_density_by_full_scan(&psi, keep);
+            assert!(psi.reduced_density_matrix(keep) == want, "{keep:?}");
+        }
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! Export telemetry:     `... -- telemetry --trace t.json --metrics m.jsonl`
 //!
 //! `--backend <spec>` (repeatable) selects the engines the `engines`
-//! experiment instruments; specs are anything the engine registry
+//! experiment profiles; specs are anything `qdt::create_engine`
 //! accepts: `array`, `dd`, `tensor-network`, `mps:16`, `mps(χ=16)`,
 //! `density(depol=0.01)`, `traj(1000, seed=7, depol=0.01):dd`, …
-//! Invalid specs are rejected up front with the registry's own
+//! Invalid specs are rejected up front with `create_engine`'s own
 //! diagnostic.
 //!
 //! `--trace <file>` writes the `telemetry` experiment's span stream in
@@ -82,7 +82,7 @@ fn run_repro() {
                 .next()
                 .expect("--backend needs a spec, e.g. --backend mps:16");
             // Build one throwaway engine so bad specs fail fast with
-            // the registry's diagnostic instead of mid-experiment.
+            // `create_engine`'s diagnostic instead of mid-experiment.
             if let Err(e) = qdt::create_engine(&spec) {
                 eprintln!("{e}");
                 std::process::exit(2);
@@ -193,9 +193,9 @@ fn header(title: &str) {
     println!("\n{:=^78}", format!(" {title} "));
 }
 
-/// Engines: the same run loop over every selected backend, with the
-/// per-gate instrumentation hooks reporting each data structure's own
-/// cost metric — the paper's trade-off table, measured.
+/// Engines: the same traced run loop over every selected backend,
+/// reporting each data structure's own cost metric — the paper's
+/// trade-off table, measured.
 fn engines(backends: &[String]) {
     header("Engines — one run loop, four data structures (instrumented)");
     println!(
@@ -357,7 +357,7 @@ fn auto_dispatch() {
 /// The kernel thread count a spec runs with: an explicit `threads=N`
 /// key, else the `QDT_THREADS` environment default — shown only for
 /// the dense engines that have chunked parallel kernels. `engine` is
-/// the engine the spec built, so aliases resolve through the registry.
+/// the engine the spec built, so aliases resolve as `create_engine` does.
 fn spec_threads(spec: &str, engine: &dyn qdt::SimulationEngine) -> String {
     if !matches!(engine.name(), "array" | "density" | "stabilizer") {
         return "-".into();
@@ -1292,7 +1292,7 @@ fn c8_noise() {
 
 /// Noise subsystem: stochastic Kraus trajectories converge on the
 /// exact density-matrix ground truth as the trajectory count grows —
-/// both engines built through the registry spec grammar.
+/// both engines built through the spec grammar.
 fn noise_subsystem() {
     use qdt::circuit::PauliString;
     use qdt::noise::{DensityMatrixEngine, KrausChannel, NoiseModel};

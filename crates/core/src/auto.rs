@@ -6,9 +6,9 @@
 //! low-entanglement ones. [`AutoEngine`] turns that observation into a
 //! spec: `"auto"` buffers the incoming gate stream, and at the first
 //! query prices every backend with the dataflow cost model of
-//! `qdt-analysis` ([`qdt_analysis::plan_dispatch`]) and materialises
-//! the predicted-cheapest one from the registry, replaying the buffer
-//! into it.
+//! `qdt-analysis` ([`qdt_analysis::plan_dispatch`]), builds the
+//! predicted-cheapest one from its spec ([`create_engine`]) and replays
+//! the buffer into it.
 //!
 //! Dispatch is *static*: it happens once per prepared circuit, before
 //! any simulation work, from the interaction cut-width, Clifford-region
@@ -31,12 +31,12 @@ use qdt_engine::{
     check_instruction_width, CostMetric, EngineCaps, EngineError, SimulationEngine, TelemetrySink,
 };
 
-use crate::engine::EngineRegistry;
+use crate::engine::create_engine;
 
 /// A wrapper engine that statically dispatches each circuit to the
-/// predicted-cheapest registered backend (see the module docs).
+/// predicted-cheapest backend (see the module docs).
+#[derive(Default)]
 pub struct AutoEngine {
-    registry: EngineRegistry,
     buffer: Circuit,
     chosen: Option<String>,
     inner: Option<Box<dyn SimulationEngine>>,
@@ -44,37 +44,16 @@ pub struct AutoEngine {
 }
 
 impl AutoEngine {
-    /// An undispatched engine resolving specs against `registry`.
-    #[must_use]
-    pub fn new(registry: EngineRegistry) -> Self {
-        AutoEngine {
-            registry,
-            buffer: Circuit::new(0),
-            chosen: None,
-            inner: None,
-            sink: None,
-        }
-    }
-
-    /// The spec the cost model chose, or `None` before the first query.
-    #[must_use]
-    pub fn chosen_spec(&self) -> Option<&str> {
-        self.chosen.as_deref()
-    }
-
     /// Prices the buffered circuit, constructs the winning backend and
     /// replays the buffer into it. Idempotent after the first call.
     fn dispatch(&mut self) -> Result<&mut (dyn SimulationEngine + 'static), EngineError> {
         if self.inner.is_none() {
             let _frame = qdt_engine::telemetry::profile_frame("auto:dispatch");
             let decision = dispatch_circuit(&self.buffer);
-            let mut engine =
-                self.registry
-                    .create(&decision.chosen)
-                    .map_err(|e| EngineError::Backend {
-                        engine: "auto",
-                        message: format!("dispatch to `{}` failed: {e}", decision.chosen),
-                    })?;
+            let mut engine = create_engine(&decision.chosen).map_err(|e| EngineError::Backend {
+                engine: "auto",
+                message: format!("dispatch to `{}` failed: {e}", decision.chosen),
+            })?;
             if let Some(sink) = &self.sink {
                 engine.telemetry(sink);
                 for estimate in &decision.estimates {
@@ -229,16 +208,14 @@ mod tests {
     use qdt_circuit::generators;
 
     fn auto_engine() -> Box<dyn SimulationEngine> {
-        EngineRegistry::with_defaults()
-            .create("auto")
-            .expect("auto spec resolves")
+        create_engine("auto").expect("auto spec resolves")
     }
 
     #[test]
     fn auto_agrees_with_the_array_backend_on_bell() {
         let qc = generators::bell();
         let mut auto = auto_engine();
-        let mut array = EngineRegistry::with_defaults().create("array").unwrap();
+        let mut array = create_engine("array").unwrap();
         run(auto.as_mut(), &qc).unwrap();
         run(array.as_mut(), &qc).unwrap();
         let (a, b) = (auto.amplitudes().unwrap(), array.amplitudes().unwrap());
@@ -352,9 +329,8 @@ mod tests {
 
     #[test]
     fn auto_spec_rejects_arguments_and_inner_specs() {
-        let registry = EngineRegistry::with_defaults();
         for spec in ["auto(8)", "auto(threads=2)", "auto:dd"] {
-            assert!(registry.create(spec).is_err(), "`{spec}` must be rejected");
+            assert!(create_engine(spec).is_err(), "`{spec}` must be rejected");
         }
     }
 }

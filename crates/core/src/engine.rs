@@ -1,10 +1,9 @@
-//! The engine registry and the engine-spec grammar.
+//! Engine construction from textual specs, and the spec grammar.
 //!
-//! The registry maps textual engine specs to constructors of boxed
-//! [`SimulationEngine`]s, so backends are selectable from configuration
-//! and CLIs without code edits — and so later PRs (or downstream
-//! crates) can [`register`](EngineRegistry::register) additional
-//! engines that every registry-driven caller picks up automatically.
+//! [`create_from_spec`] maps a parsed spec to a boxed
+//! [`SimulationEngine`] with one `match` over the engine names, so
+//! backends are selectable from configuration and CLIs without code
+//! edits.
 //!
 //! The spec grammar ([`parse_spec`]) is compositional:
 //!
@@ -38,10 +37,9 @@ use qdt_tensor::{MpsEngine, TensorNetEngine};
 use crate::auto::AutoEngine;
 
 pub use qdt_engine::{
-    check_pauli_width, dense_expectation, run, run_instrumented, run_traced,
-    sample_from_amplitudes, CostMetric, EngineCaps, EngineError, GateLog, GateRecord, Instrument,
-    NoInstrument, RunStats, ShotConfig, ShotExecutor, ShotFactory, ShotGateHook, ShotResult,
-    ShotStats, SimulationEngine, TelemetrySink,
+    check_pauli_width, dense_expectation, run, run_traced, sample_from_amplitudes, CostMetric,
+    EngineCaps, EngineError, EngineFactory, GateLog, GateRecord, RunStats, ShotConfig,
+    ShotExecutor, ShotGateHook, ShotResult, ShotStats, SimulationEngine, TelemetrySink,
 };
 
 use crate::QdtError;
@@ -338,312 +336,152 @@ fn parse_args(args_str: &str, full: &str) -> Result<Vec<SpecArg>, QdtError> {
     Ok(args)
 }
 
-/// Constructor signature stored in the registry: receives the parsed
-/// spec and the registry itself, so composite engines (like `traj`) can
-/// construct their substrate through the same registry.
-pub type EngineFactory =
-    fn(&EngineSpec, &EngineRegistry) -> Result<Box<dyn SimulationEngine>, QdtError>;
+/// The canonical name of every engine [`create_from_spec`] builds, in
+/// the order its unknown-name error lists them.
+const ENGINE_NAMES: [&str; 8] = [
+    "array",
+    "decision-diagram",
+    "stabilizer",
+    "tensor-network",
+    "mps",
+    "density",
+    "traj",
+    "auto",
+];
 
-/// One registered engine: its canonical name, accepted aliases, an
-/// optional parameter description, and the constructor.
-#[derive(Clone)]
-pub struct EngineEntry {
-    name: &'static str,
-    aliases: &'static [&'static str],
-    parameter: Option<&'static str>,
-    summary: &'static str,
-    factory: EngineFactory,
-}
-
-impl EngineEntry {
-    /// Builds a registry entry.
-    pub fn new(
-        name: &'static str,
-        aliases: &'static [&'static str],
-        parameter: Option<&'static str>,
-        summary: &'static str,
-        factory: EngineFactory,
-    ) -> Self {
-        EngineEntry {
-            name,
-            aliases,
-            parameter,
-            summary,
-            factory,
-        }
-    }
-
-    /// The canonical engine name (what [`SimulationEngine::name`]
-    /// returns).
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Alternative spellings accepted by [`EngineRegistry::create`].
-    pub fn aliases(&self) -> &'static [&'static str] {
-        self.aliases
-    }
-
-    /// Human-readable description of the engine's parameters, if it
-    /// takes any.
-    pub fn parameter(&self) -> Option<&'static str> {
-        self.parameter
-    }
-
-    /// One-line description for help output.
-    pub fn summary(&self) -> &'static str {
-        self.summary
-    }
-
-    fn matches(&self, name: &str) -> bool {
-        self.name == name || self.aliases.contains(&name)
-    }
-}
-
-impl fmt::Debug for EngineEntry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("EngineEntry")
-            .field("name", &self.name)
-            .field("aliases", &self.aliases)
-            .field("parameter", &self.parameter)
-            .finish_non_exhaustive()
-    }
-}
-
-/// The engine registry: every backend, addressed by its spec string.
+/// Constructs the engine an already-parsed spec names (aliases in
+/// parentheses, then the arguments it takes):
+///
+/// * `array` (`arrays`, `statevector`, `sv`): `threads=`, `threshold=`, `fuse=`;
+/// * `decision-diagram` (`dd`, `qmdd`), `tensor-network` (`tn`, `tensor`): none;
+/// * `stabilizer` (`tableau`, `chp`): `threads=`, `threshold=`;
+/// * `mps`: the bond cap χ, positional or as `χ=`, `chi=` or `max_bond=`;
+/// * `density` (`density-matrix`, `dm`): noise channels, `threads=`, `threshold=`;
+/// * `traj` (`trajectories`, `stochastic`): the count, `seed=`, `workers=`,
+///   noise channels, and `:substrate` (decision diagram by default);
+/// * `auto` (`dispatch`): none.
+///
+/// # Errors
+///
+/// Fails on unknown engine names (the error lists the canonical ones)
+/// and on engine-specific argument errors.
 ///
 /// # Example
 ///
 /// ```
-/// use qdt::engine::run;
-/// use qdt::EngineRegistry;
+/// use qdt::engine::{create_from_spec, parse_spec, run};
 /// use qdt::circuit::generators;
 ///
-/// let registry = EngineRegistry::with_defaults();
-/// let mut engine = registry.create("mps:8")?;
+/// let mut engine = create_from_spec(&parse_spec("mps:8")?)?;
 /// run(engine.as_mut(), &generators::ghz(12))?;
 /// assert!((engine.amplitude(0)?.abs() - 1.0 / 2f64.sqrt()).abs() < 1e-9);
 /// # Ok::<(), qdt::QdtError>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct EngineRegistry {
-    entries: Vec<EngineEntry>,
-}
-
-impl EngineRegistry {
-    /// An empty registry (for fully custom engine sets).
-    pub fn new() -> Self {
-        EngineRegistry {
-            entries: Vec::new(),
+pub fn create_from_spec(spec: &EngineSpec) -> Result<Box<dyn SimulationEngine>, QdtError> {
+    match spec.name.as_str() {
+        "array" | "arrays" | "statevector" | "sv" => {
+            spec.expect_no_inner("array")?;
+            let ctx = kernel_context_from_spec(spec, &[KEY_FUSE])?;
+            let fuse = fuse_width_from_spec(spec)?;
+            Ok(Box::new(ArrayEngine::with_context(ctx).with_fusion(fuse)))
         }
-    }
-
-    /// The registry preloaded with the four pure-state engines of the
-    /// paper, the Clifford-only stabilizer tableau, and the two
-    /// noise-aware engines of `qdt-noise`.
-    pub fn with_defaults() -> Self {
-        let mut r = EngineRegistry::new();
-        r.register(EngineEntry::new(
-            "array",
-            &["arrays", "statevector", "sv"],
-            Some("kernel scheduling and gate fusion, e.g. threads=4, threshold=2048, fuse=5"),
-            "dense state vector (Sec. II): exact, exponential memory",
-            |spec, _| {
-                spec.expect_no_inner("array")?;
-                let ctx = kernel_context_from_spec(spec, &[KEY_FUSE])?;
-                let fuse = fuse_width_from_spec(spec)?;
-                Ok(Box::new(ArrayEngine::with_context(ctx).with_fusion(fuse)))
-            },
-        ));
-        r.register(EngineEntry::new(
-            "decision-diagram",
-            &["dd", "qmdd"],
-            None,
-            "QMDD decision diagram (Sec. III): exact, small on structured states",
-            |spec, _| {
-                spec.expect_no_args("decision-diagram")?;
-                spec.expect_no_inner("decision-diagram")?;
-                Ok(Box::new(DdEngine::new()))
-            },
-        ));
-        r.register(EngineEntry::new(
-            "stabilizer",
-            &["tableau", "chp"],
-            Some("kernel scheduling, e.g. threads=4, threshold=2048"),
-            "bit-packed Clifford tableau (Aaronson-Gottesman): polynomial, Clifford-only",
-            |spec, _| {
-                spec.expect_no_inner("stabilizer")?;
-                let ctx = kernel_context_from_spec(spec, &[])?;
-                Ok(Box::new(StabilizerEngine::with_context(ctx)))
-            },
-        ));
-        r.register(EngineEntry::new(
-            "tensor-network",
-            &["tn", "tensor"],
-            None,
-            "tensor-network contraction (Sec. IV): cheap single amplitudes",
-            |spec, _| {
-                spec.expect_no_args("tensor-network")?;
-                spec.expect_no_inner("tensor-network")?;
-                Ok(Box::new(TensorNetEngine::new()))
-            },
-        ));
-        r.register(EngineEntry::new(
-            "mps",
-            &[],
-            Some("χ (bond-dimension cap)"),
-            "matrix product state (Sec. IV): approximate once χ truncates",
-            |spec, _| {
-                spec.expect_no_inner("mps")?;
-                Ok(Box::new(MpsEngine::new(mps_bond_from_spec(spec)?)))
-            },
-        ));
-        r.register(EngineEntry::new(
-            "density",
-            &["density-matrix", "dm"],
-            Some("noise channels and kernel threads, e.g. depol=0.01, readout=0.02, threads=4"),
-            "dense density matrix (ref [13]): exact noise, quadratic memory",
-            |spec, _| {
-                spec.expect_no_inner("density")?;
-                if spec.positional()?.is_some() {
-                    return Err(QdtError::new(format!(
-                        "`{spec}`: density takes only `key=value` noise arguments"
-                    )));
-                }
-                let ctx = kernel_context_from_spec(spec, &["*"])?;
-                let model = noise_model_from_args(spec, &[KEY_THREADS, KEY_THRESHOLD])?;
-                let engine = DensityMatrixEngine::with_noise_and_context(&model, ctx)
-                    .map_err(QdtError::new)?;
-                Ok(Box::new(engine))
-            },
-        ));
-        r.register(EngineEntry::new(
-            "traj",
-            &["trajectories", "stochastic"],
-            Some("count, seed=, workers=, noise channels; `:substrate` names the inner engine"),
-            "stochastic noise trajectories (ref [13]) over any Kraus-capable substrate",
-            |spec, registry| {
-                let defaults = TrajectoryConfig::default();
-                let trajectories = match spec.positional()? {
-                    Some(v) => v.parse::<usize>().map_err(|_| {
-                        QdtError::new(format!(
-                            "`{spec}`: trajectory count must be an integer, got `{v}`"
-                        ))
-                    })?,
-                    None => spec
-                        .usize_of(&["trajectories", "count"])?
-                        .unwrap_or(defaults.trajectories),
-                };
-                if trajectories == 0 {
-                    return Err(QdtError::new(format!(
-                        "`{spec}`: trajectory count must be ≥ 1"
-                    )));
-                }
-                let seed = match spec.value_of(&["seed"]) {
-                    None => defaults.seed,
-                    Some(v) => v.parse::<u64>().map_err(|_| {
-                        QdtError::new(format!("`{spec}`: seed must be an integer, got `{v}`"))
-                    })?,
-                };
-                let workers = spec.usize_of(&["workers"])?.unwrap_or(defaults.workers);
-                check_thread_count(spec, "workers", workers)?;
-                let model =
-                    noise_model_from_args(spec, &["trajectories", "count", "seed", "workers"])?;
-                let inner_spec = spec
-                    .inner
-                    .as_deref()
-                    .cloned()
-                    .unwrap_or_else(|| EngineSpec::named("decision-diagram"));
-                let registry = registry.clone();
-                let factory: qdt_noise::InnerFactory = Arc::new(move || {
-                    registry
-                        .create_from_spec(&inner_spec)
-                        .map_err(|e| EngineError::Backend {
-                            engine: "trajectories",
-                            message: e.to_string(),
-                        })
-                });
-                let config = TrajectoryConfig {
-                    trajectories,
-                    seed,
-                    workers,
-                };
-                let engine =
-                    TrajectoryEngine::new(factory, config, &model).map_err(QdtError::new)?;
-                Ok(Box::new(engine))
-            },
-        ));
-        r.register(EngineEntry::new(
-            "auto",
-            &["dispatch"],
-            None,
-            "cost-model dispatch: statically picks the predicted-cheapest backend",
-            |spec, registry| {
-                spec.expect_no_args("auto")?;
-                spec.expect_no_inner("auto")?;
-                Ok(Box::new(AutoEngine::new(registry.clone())))
-            },
-        ));
-        r
-    }
-
-    /// Registers an engine (replacing any entry with the same canonical
-    /// name, so defaults can be overridden).
-    pub fn register(&mut self, entry: EngineEntry) {
-        self.entries.retain(|e| e.name != entry.name);
-        self.entries.push(entry);
-    }
-
-    /// The registered entries, in registration order.
-    pub fn entries(&self) -> &[EngineEntry] {
-        &self.entries
-    }
-
-    /// The canonical names of all registered engines.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.entries.iter().map(|e| e.name).collect()
-    }
-
-    /// Constructs the engine named by `spec` (see [`parse_spec`] for
-    /// the accepted grammar).
-    ///
-    /// # Errors
-    ///
-    /// Fails on malformed specs and unknown engine names.
-    pub fn create(&self, spec: &str) -> Result<Box<dyn SimulationEngine>, QdtError> {
-        self.create_from_spec(&parse_spec(spec)?)
-    }
-
-    /// Constructs an engine from an already-parsed spec. Composite
-    /// engine factories call back into this for their substrates.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unknown engine names and factory-specific argument
-    /// errors.
-    pub fn create_from_spec(
-        &self,
-        spec: &EngineSpec,
-    ) -> Result<Box<dyn SimulationEngine>, QdtError> {
-        let entry = self
-            .entries
-            .iter()
-            .find(|e| e.matches(&spec.name))
-            .ok_or_else(|| {
-                QdtError::new(format!(
-                    "unknown engine `{}` (registered: {})",
-                    spec.name,
-                    self.names().join(", ")
-                ))
-            })?;
-        (entry.factory)(spec, self)
+        "decision-diagram" | "dd" | "qmdd" => {
+            spec.expect_no_args("decision-diagram")?;
+            spec.expect_no_inner("decision-diagram")?;
+            Ok(Box::new(DdEngine::new()))
+        }
+        "stabilizer" | "tableau" | "chp" => {
+            spec.expect_no_inner("stabilizer")?;
+            let ctx = kernel_context_from_spec(spec, &[])?;
+            Ok(Box::new(StabilizerEngine::with_context(ctx)))
+        }
+        "tensor-network" | "tn" | "tensor" => {
+            spec.expect_no_args("tensor-network")?;
+            spec.expect_no_inner("tensor-network")?;
+            Ok(Box::new(TensorNetEngine::new()))
+        }
+        "mps" => {
+            spec.expect_no_inner("mps")?;
+            Ok(Box::new(MpsEngine::new(mps_bond_from_spec(spec)?)))
+        }
+        "density" | "density-matrix" | "dm" => {
+            spec.expect_no_inner("density")?;
+            if spec.positional()?.is_some() {
+                return Err(QdtError::new(format!(
+                    "`{spec}`: density takes only `key=value` noise arguments"
+                )));
+            }
+            let ctx = kernel_context_from_spec(spec, &["*"])?;
+            let model = noise_model_from_args(spec, &[KEY_THREADS, KEY_THRESHOLD])?;
+            let engine =
+                DensityMatrixEngine::with_noise_and_context(&model, ctx).map_err(QdtError::new)?;
+            Ok(Box::new(engine))
+        }
+        "traj" | "trajectories" | "stochastic" => trajectory_engine(spec),
+        "auto" | "dispatch" => {
+            spec.expect_no_args("auto")?;
+            spec.expect_no_inner("auto")?;
+            Ok(Box::<AutoEngine>::default())
+        }
+        other => Err(QdtError::new(format!(
+            "unknown engine `{other}` (known: {})",
+            ENGINE_NAMES.join(", ")
+        ))),
     }
 }
 
-impl Default for EngineRegistry {
-    fn default() -> Self {
-        EngineRegistry::with_defaults()
+/// Builds a `traj(...)` engine whose workers construct their substrates
+/// from the spec's inner engine.
+fn trajectory_engine(spec: &EngineSpec) -> Result<Box<dyn SimulationEngine>, QdtError> {
+    let defaults = TrajectoryConfig::default();
+    let trajectories = match spec.positional()? {
+        Some(v) => v.parse::<usize>().map_err(|_| {
+            QdtError::new(format!(
+                "`{spec}`: trajectory count must be an integer, got `{v}`"
+            ))
+        })?,
+        None => spec
+            .usize_of(&["trajectories", "count"])?
+            .unwrap_or(defaults.trajectories),
+    };
+    if trajectories == 0 {
+        return Err(QdtError::new(format!(
+            "`{spec}`: trajectory count must be ≥ 1"
+        )));
     }
+    let seed = match spec.value_of(&["seed"]) {
+        None => defaults.seed,
+        Some(v) => v
+            .parse::<u64>()
+            .map_err(|_| QdtError::new(format!("`{spec}`: seed must be an integer, got `{v}`")))?,
+    };
+    let workers = spec.usize_of(&["workers"])?.unwrap_or(defaults.workers);
+    check_thread_count(spec, "workers", workers)?;
+    let model = noise_model_from_args(spec, &["trajectories", "count", "seed", "workers"])?;
+    let inner_spec = spec
+        .inner
+        .as_deref()
+        .cloned()
+        .unwrap_or_else(|| EngineSpec::named("decision-diagram"));
+    let factory = spec_factory(inner_spec, "trajectories");
+    let config = TrajectoryConfig {
+        trajectories,
+        seed,
+        workers,
+    };
+    let engine = TrajectoryEngine::new(factory, config, &model).map_err(QdtError::new)?;
+    Ok(Box::new(engine))
+}
+
+/// An [`EngineFactory`] building `spec`'s engine on every call; a
+/// failure surfaces as a backend error of `engine`.
+fn spec_factory(spec: EngineSpec, engine: &'static str) -> EngineFactory {
+    Arc::new(move || {
+        create_from_spec(&spec).map_err(|e| EngineError::Backend {
+            engine,
+            message: e.to_string(),
+        })
+    })
 }
 
 /// Extracts the MPS bond cap from a spec: the positional argument or a
@@ -789,26 +627,27 @@ fn noise_model_from_args(spec: &EngineSpec, reserved: &[&str]) -> Result<NoiseMo
     Ok(model)
 }
 
-/// Constructs an engine from a spec string using the default registry —
-/// the one-liner for CLIs and tests.
+/// Constructs an engine from a spec string — the one-liner for CLIs and
+/// tests.
 ///
 /// # Errors
 ///
-/// See [`EngineRegistry::create`].
+/// Fails on malformed specs (see [`parse_spec`]) and as
+/// [`create_from_spec`] does.
 pub fn create_engine(spec: &str) -> Result<Box<dyn SimulationEngine>, QdtError> {
-    EngineRegistry::with_defaults().create(spec)
+    create_from_spec(&parse_spec(spec)?)
 }
 
-/// Wraps a registry spec into a [`ShotFactory`] for the dynamic-circuit
-/// shot loop: [`ShotExecutor::sample`] calls it once per worker thread,
-/// so each worker gets its own engine built from the same spec.
+/// Wraps a spec into an [`EngineFactory`] for the dynamic-circuit shot
+/// loop: [`ShotExecutor::sample`] calls it once per worker thread, so
+/// each worker gets its own engine built from the same spec.
 ///
 /// The spec is parsed and probed once up front, so unknown names and
 /// bad arguments fail here rather than inside a worker.
 ///
 /// # Errors
 ///
-/// See [`EngineRegistry::create`].
+/// As for [`create_engine`].
 ///
 /// # Example
 ///
@@ -823,23 +662,23 @@ pub fn create_engine(spec: &str) -> Result<Box<dyn SimulationEngine>, QdtError> 
 /// assert_eq!(result.counts.values().sum::<usize>(), 64);
 /// # Ok::<(), qdt::QdtError>(())
 /// ```
-pub fn shot_factory(spec: &str) -> Result<ShotFactory, QdtError> {
+pub fn shot_factory(spec: &str) -> Result<EngineFactory, QdtError> {
     let parsed = parse_spec(spec)?;
-    let registry = EngineRegistry::with_defaults();
-    registry.create_from_spec(&parsed)?;
-    Ok(Arc::new(move || {
-        registry
-            .create_from_spec(&parsed)
-            .map_err(|e| EngineError::Backend {
-                engine: "shots",
-                message: e.to_string(),
-            })
-    }))
+    create_from_spec(&parsed)?;
+    Ok(spec_factory(parsed, "shots"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The message `spec` is rejected with.
+    fn create_err(spec: &str) -> String {
+        match create_engine(spec) {
+            Ok(_) => panic!("{spec} unexpectedly built an engine"),
+            Err(e) => e.to_string(),
+        }
+    }
 
     #[test]
     fn spec_parser_handles_composites_and_round_trips() {
@@ -949,7 +788,6 @@ mod tests {
 
     #[test]
     fn registry_creates_all_default_engines() {
-        let r = EngineRegistry::with_defaults();
         for spec in [
             "array",
             "array(threads=4)",
@@ -970,20 +808,44 @@ mod tests {
             "traj(16):mps(4)",
             "traj(16,depol=0.05):stabilizer",
         ] {
-            let e = r.create(spec).unwrap();
+            let e = create_engine(spec).unwrap();
             assert!(!e.name().is_empty(), "{spec}");
         }
-        assert!(r.create("nope").is_err());
-        assert!(r.create("array:7").is_err(), "array takes no parameter");
+        // Every canonical name and every alias builds with default
+        // arguments, an alias the same engine as its canonical name.
+        for (canonical, aliases) in [
+            ("array", &["arrays", "statevector", "sv"][..]),
+            ("decision-diagram", &["dd", "qmdd"]),
+            ("stabilizer", &["tableau", "chp"]),
+            ("tensor-network", &["tn", "tensor"]),
+            ("mps", &[]),
+            ("density", &["density-matrix", "dm"]),
+            ("traj", &["trajectories", "stochastic"]),
+            ("auto", &["dispatch"]),
+        ] {
+            assert!(ENGINE_NAMES.contains(&canonical), "{canonical}");
+            let described = create_engine(canonical).unwrap().describe();
+            for alias in aliases {
+                assert_eq!(
+                    create_engine(alias).unwrap().describe(),
+                    described,
+                    "{alias}"
+                );
+            }
+        }
+        let err = create_engine("nope").err().expect("nope").to_string();
+        assert!(err.contains("unknown engine `nope`"), "{err}");
+        for name in ENGINE_NAMES {
+            assert!(err.contains(name), "`{name}` missing from: {err}");
+        }
+        assert!(
+            create_engine("array:7").is_err(),
+            "array takes no parameter"
+        );
     }
 
     #[test]
     fn noise_specs_validate_their_arguments() {
-        let r = EngineRegistry::with_defaults();
-        let create_err = |spec: &str| match r.create(spec) {
-            Ok(_) => panic!("{spec} unexpectedly built an engine"),
-            Err(e) => e.to_string(),
-        };
         let err = create_err("density(depol=1.5)");
         assert!(err.contains("outside [0, 1]"), "{err}");
         let err = create_err("density(thermal=0.1)");
@@ -1003,11 +865,6 @@ mod tests {
 
     #[test]
     fn parallel_kernel_specs_validate_their_arguments() {
-        let r = EngineRegistry::with_defaults();
-        let create_err = |spec: &str| match r.create(spec) {
-            Ok(_) => panic!("{spec} unexpectedly built an engine"),
-            Err(e) => e.to_string(),
-        };
         let err = create_err("array(threads=0)");
         assert!(err.contains("must be ≥ 1"), "{err}");
         let err = create_err("array(threads=many)");
@@ -1027,19 +884,12 @@ mod tests {
         let err = create_err("density(threads=2,thermal=0.1)");
         assert!(err.contains("unknown noise key"), "{err}");
         // threads=/threshold= are kernel keys, not noise channels.
-        assert!(r
-            .create("density(threads=2,threshold=16,depol=0.05)")
-            .is_ok());
-        assert!(r.create("array(threads=4,threshold=1)").is_ok());
+        assert!(create_engine("density(threads=2,threshold=16,depol=0.05)").is_ok());
+        assert!(create_engine("array(threads=4,threshold=1)").is_ok());
     }
 
     #[test]
     fn fusion_specs_validate_their_arguments() {
-        let r = EngineRegistry::with_defaults();
-        let create_err = |spec: &str| match r.create(spec) {
-            Ok(_) => panic!("{spec} unexpectedly built an engine"),
-            Err(e) => e.to_string(),
-        };
         // Beyond the 5-qubit kernel-width cap.
         let err = create_err("array(fuse=6)");
         assert!(err.contains("fuse width 6 exceeds"), "{err}");
@@ -1061,37 +911,17 @@ mod tests {
             "array(fuse=5)",
             "array(fuse=5,threads=4,threshold=1)",
         ] {
-            assert!(r.create(spec).is_ok(), "{spec} should build");
+            assert!(create_engine(spec).is_ok(), "{spec} should build");
         }
     }
 
     #[test]
     fn trajectory_defaults_to_decision_diagram_substrate() {
-        let r = EngineRegistry::with_defaults();
-        let mut e = r.create("traj(8,seed=3)").unwrap();
+        let mut e = create_engine("traj(8,seed=3)").unwrap();
         let mut qc = qdt_circuit::Circuit::new(2);
         qc.h(0).cx(0, 1);
         qdt_engine::run(e.as_mut(), &qc).unwrap();
         assert_eq!(e.name(), "trajectories");
         assert_eq!(e.cost_metric().name, "trajectory-gates");
-    }
-
-    #[test]
-    fn registry_registration_overrides_and_extends() {
-        let mut r = EngineRegistry::with_defaults();
-        let before = r.entries().len();
-        r.register(EngineEntry::new(
-            "mps",
-            &[],
-            Some("χ"),
-            "override",
-            |_, _| Ok(Box::new(qdt_tensor::MpsEngine::new(2))),
-        ));
-        assert_eq!(r.entries().len(), before, "same-name registration replaces");
-        r.register(EngineEntry::new("null", &[], None, "extension", |_, _| {
-            Ok(Box::new(qdt_array::ArrayEngine::new()))
-        }));
-        assert_eq!(r.entries().len(), before + 1);
-        assert!(r.create("null").is_ok());
     }
 }

@@ -24,8 +24,8 @@
 //!
 //! Classical simulation (design task 1) is exposed uniformly over the
 //! four data structures through the [`engine`] module: each backend
-//! implements the [`SimulationEngine`] trait in its own crate, the
-//! [`EngineRegistry`] constructs engines from textual specs
+//! implements the [`SimulationEngine`] trait in its own crate,
+//! [`create_engine`] constructs engines from textual specs
 //! (`"array"`, `"dd"`, `"mps:16"`…), and [`engine::run`] drives any of
 //! them over a circuit while tracking the backend's own cost metric.
 //! The [`amplitudes`]/[`amplitude`]/[`sample`]/[`expectation`] entry
@@ -81,8 +81,8 @@ pub mod engine;
 
 pub use auto::AutoEngine;
 pub use engine::{
-    create_engine, parse_spec, shot_factory, EngineEntry, EngineFactory, EngineRegistry,
-    EngineSpec, SpecArg, DEFAULT_MPS_BOND,
+    create_engine, create_from_spec, parse_spec, shot_factory, EngineSpec, SpecArg,
+    DEFAULT_MPS_BOND,
 };
 pub use qdt_engine::{run_traced, EngineError, RunStats, SimulationEngine, TelemetrySink};
 
@@ -91,8 +91,11 @@ use std::fmt;
 
 use qdt_circuit::Circuit;
 use qdt_complex::Complex;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+
+/// The README's code blocks, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+struct ReadmeDoctests;
 
 /// Unified error type of the façade.
 #[derive(Debug, Clone, PartialEq)]
@@ -156,17 +159,18 @@ pub fn amplitude(circuit: &Circuit, basis: u128, spec: &str) -> Result<Complex, 
 
 /// Samples `shots` measurement outcomes of a circuit, keyed by basis
 /// index (static circuits) or by the final classical register (dynamic
-/// circuits).
+/// circuits), through the single-worker
+/// [`ShotExecutor`](qdt_engine::ShotExecutor).
 ///
 /// Static circuits run once and sample the final state without
 /// collapse, on all four backends: array and decision-diagram natively
 /// (the DD backend scales to wide, structured states), tensor network
 /// and MPS through the shared amplitude-based sampler of the engine
-/// layer (dense widths only).
+/// layer (dense widths only). Their classical register is never read,
+/// so it may be of any width.
 ///
 /// Circuits with mid-circuit measurement, reset, or classical control
-/// ([`Circuit::is_dynamic`]) are routed through the per-shot
-/// [`ShotExecutor`](qdt_engine::ShotExecutor) on backends advertising
+/// ([`Circuit::is_dynamic`]) run shot by shot on backends advertising
 /// [`EngineCaps::dynamic`](qdt_engine::EngineCaps) — array,
 /// decision-diagram, MPS, and the Clifford-only stabilizer tableau.
 /// See [`sample_dynamic`] for worker-striped
@@ -174,9 +178,10 @@ pub fn amplitude(circuit: &Circuit, basis: u128, spec: &str) -> Result<Complex, 
 ///
 /// # Errors
 ///
-/// Fails on malformed specs, for non-unitary static circuits, when a
-/// dense-sampling backend exceeds its width limit, or for dynamic
-/// circuits on a backend without collapse support (tensor network).
+/// Fails on malformed specs, when a dense-sampling backend exceeds its
+/// width limit, for dynamic circuits on a backend without collapse
+/// support (tensor network), or for dynamic circuits with more than
+/// 128 classical bits (the histogram key).
 pub fn sample(
     circuit: &Circuit,
     shots: usize,
@@ -184,14 +189,9 @@ pub fn sample(
     seed: u64,
 ) -> Result<BTreeMap<u128, usize>, QdtError> {
     let mut engine = create_engine(spec)?;
-    if circuit.is_dynamic() {
-        let result = qdt_engine::ShotExecutor::new(qdt_engine::ShotConfig::new(shots, seed))
-            .run_on(engine.as_mut(), circuit)?;
-        return Ok(result.counts);
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    qdt_engine::run(engine.as_mut(), circuit)?;
-    Ok(engine.sample(shots, &mut rng)?)
+    let result = qdt_engine::ShotExecutor::new(qdt_engine::ShotConfig::new(shots, seed))
+        .run_on(engine.as_mut(), circuit)?;
+    Ok(result.counts)
 }
 
 /// Runs a dynamic circuit through the per-shot executor on `workers`
@@ -199,7 +199,7 @@ pub fn sample(
 /// [`ShotResult`](qdt_engine::ShotResult) — the histogram plus
 /// collapse/feed-forward counters.
 ///
-/// `spec` is any registry spec whose engine advertises
+/// `spec` is any engine spec whose engine advertises
 /// [`EngineCaps::dynamic`](qdt_engine::EngineCaps) (`"array"`, `"dd"`,
 /// `"mps:16"`…). Histograms are bit-identical for every worker count;
 /// static circuits are accepted and keyed by one final-state sample per
@@ -351,6 +351,22 @@ mod tests {
         let counts = sample(&qc, 10, "decision-diagram", 0).unwrap();
         assert_eq!(counts.values().sum::<usize>(), 10);
         assert!(counts.keys().all(|&k| k <= 1));
+    }
+
+    #[test]
+    fn static_circuit_with_a_wide_register_samples_its_state() {
+        // The classical register of a static circuit is never read, so
+        // it may exceed the 128-bit histogram key; a dynamic circuit
+        // that writes such a register is still rejected.
+        let mut qc = qdt_circuit::Circuit::with_clbits(3, 130);
+        qc.h(0).cx(0, 1).cx(1, 2);
+        let counts = sample(&qc, 200, "array", 5).unwrap();
+        assert!(counts.keys().all(|&k| k == 0 || k == 0b111), "{counts:?}");
+        let ghz = sample(&generators::ghz(3), 200, "array", 5).unwrap();
+        assert_eq!(counts, ghz);
+        qc.measure(0, 129);
+        let err = sample(&qc, 10, "array", 5).unwrap_err();
+        assert!(err.to_string().contains("128-bit histogram key"), "{err}");
     }
 
     #[test]

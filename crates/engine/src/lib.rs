@@ -4,10 +4,9 @@
 //! The reproduced paper's central theme is that arrays, decision
 //! diagrams, tensor networks, and the ZX-calculus are *interchangeable*
 //! substrates for the same design tasks. This crate turns that theme
-//! into an extension point: every simulation backend implements one
-//! trait, every caller drives backends through one shared run-loop
-//! ([`run`] / [`run_instrumented`]), and new backends plug in without
-//! touching any caller.
+//! into one interface: every simulation backend implements one trait,
+//! and every caller drives backends through one shared run-loop, so
+//! callers never name a backend's concrete type.
 //!
 //! The pieces:
 //!
@@ -17,22 +16,22 @@
 //!   derives from another (a single amplitude from the dense vector,
 //!   sampling from the amplitude distribution, expectations from dense
 //!   amplitudes);
-//! * [`run`] / [`run_instrumented`] — the shared run-loop that walks the
-//!   gate stream once, handles barriers and measurement uniformly, and
-//!   reports [`RunStats`] (gate counter plus the engine's cost-metric
+//! * [`run`] — the shared run-loop that walks the gate stream once,
+//!   handles barriers and measurement uniformly, and reports
+//!   [`RunStats`] (gate counter plus the engine's cost-metric
 //!   high-water mark);
-//! * [`Instrument`] — per-gate observation hooks for observability
-//!   tooling (progress displays, node-growth plots, schedulers);
-//! * [`run_traced`] — the telemetry-aware run-loop: attaches a
+//! * [`run_traced`] — the same loop with telemetry: attaches a
 //!   [`TelemetrySink`] to the engine, wraps the run and every gate in
 //!   spans, and captures a per-gate [`GateLog`] of all registered
 //!   metrics;
+//! * [`ShotExecutor`] — the per-shot loop of dynamic circuits, fed by
+//!   an [`EngineFactory`] when shots stripe across workers;
 //! * [`sample_from_amplitudes`] — the shared amplitude-based sampler
 //!   used by engines without a native sampling path.
 //!
 //! Engine *implementations* live with their data structures
-//! (`qdt-array`, `qdt-dd`, `qdt-tensor`); the registry tying names to
-//! constructors lives in the umbrella crate `qdt`.
+//! (`qdt-array`, `qdt-dd`, `qdt-tensor`, …); the umbrella crate `qdt`
+//! builds them from spec strings.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -45,7 +44,7 @@ pub use qdt_telemetry as telemetry;
 pub use qdt_telemetry::{GateLog, GateRecord, TelemetrySink};
 
 pub mod shot;
-pub use shot::{ShotConfig, ShotExecutor, ShotFactory, ShotGateHook, ShotResult, ShotStats};
+pub use shot::{EngineFactory, ShotConfig, ShotExecutor, ShotGateHook, ShotResult, ShotStats};
 
 /// Errors produced by simulation engines and the shared run-loop.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -160,61 +159,6 @@ pub struct RunStats {
     /// Largest [`SimulationEngine::memory_bytes`] observed after any
     /// gate (0 for engines that don't report memory).
     pub peak_memory_bytes: usize,
-}
-
-/// Per-gate observation hook for [`run_instrumented`].
-///
-/// Implemented for any
-/// `FnMut(usize, &Instruction, CostMetric, &RunStats)` closure, so
-/// ad-hoc instrumentation needs no new type. The running [`RunStats`]
-/// are passed by reference so hooks can read totals (peak so far, gates
-/// applied) without recomputing them.
-pub trait Instrument {
-    /// Called immediately before a unitary instruction is applied.
-    ///
-    /// The default does nothing; telemetry implementations open their
-    /// per-gate span here.
-    fn on_gate_start(&mut self, gate_index: usize, inst: &Instruction) {
-        let _ = (gate_index, inst);
-    }
-
-    /// Called after each applied gate with the gate's stream index, the
-    /// instruction, the engine's cost metric at that point, and the
-    /// running totals accumulated so far (including this gate).
-    fn on_gate(
-        &mut self,
-        gate_index: usize,
-        inst: &Instruction,
-        metric: CostMetric,
-        stats: &RunStats,
-    );
-}
-
-impl<F: FnMut(usize, &Instruction, CostMetric, &RunStats)> Instrument for F {
-    fn on_gate(
-        &mut self,
-        gate_index: usize,
-        inst: &Instruction,
-        metric: CostMetric,
-        stats: &RunStats,
-    ) {
-        self(gate_index, inst, metric, stats);
-    }
-}
-
-/// The no-op hook used by the uninstrumented [`run`] loop.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoInstrument;
-
-impl Instrument for NoInstrument {
-    fn on_gate(
-        &mut self,
-        _gate_index: usize,
-        _inst: &Instruction,
-        _metric: CostMetric,
-        _stats: &RunStats,
-    ) {
-    }
 }
 
 /// Static capability flags of an engine, so callers can pick a backend
@@ -697,34 +641,30 @@ pub fn sample_from_amplitudes(
     counts
 }
 
-/// Runs a unitary circuit through an engine with the shared run-loop
-/// (no instrumentation).
-///
-/// # Errors
-///
-/// See [`run_instrumented`].
-pub fn run(engine: &mut dyn SimulationEngine, circuit: &Circuit) -> Result<RunStats, EngineError> {
-    run_instrumented(engine, circuit, &mut NoInstrument)
-}
-
-/// The shared run-loop: prepares `|0…0⟩`, walks the gate stream once,
-/// skips barriers, rejects non-unitary instructions uniformly, applies
-/// everything else through the engine, and tracks the cost-metric
-/// high-water mark — calling `instrument` after every applied gate.
+/// Runs a unitary circuit through an engine with the shared run-loop:
+/// prepares `|0…0⟩`, walks the gate stream once, skips barriers, rejects
+/// non-unitary instructions uniformly, applies everything else through
+/// the engine, and tracks the cost-metric high-water mark.
 ///
 /// All engine-dispatching entry points (the `qdt` façade, the verifier's
-/// stimuli runs, the benchmark harness) funnel through here, so
-/// measurement/barrier semantics and instrumentation are defined in
-/// exactly one place.
+/// stimuli runs, the benchmark harness) funnel through here or through
+/// [`run_traced`], which shares the loop, so measurement/barrier
+/// semantics are defined in exactly one place.
 ///
 /// # Errors
 ///
 /// [`EngineError::NonUnitary`] for measurement, reset, or conditioned
 /// instructions; engine errors from `prepare`/`apply_instruction`.
-pub fn run_instrumented(
+pub fn run(engine: &mut dyn SimulationEngine, circuit: &Circuit) -> Result<RunStats, EngineError> {
+    run_loop(engine, circuit, None)
+}
+
+/// The loop behind [`run`] and [`run_traced`]; `trace` spans and logs
+/// every applied gate when present.
+fn run_loop(
     engine: &mut dyn SimulationEngine,
     circuit: &Circuit,
-    instrument: &mut dyn Instrument,
+    mut trace: Option<&mut GateTrace<'_>>,
 ) -> Result<RunStats, EngineError> {
     engine.prepare(circuit.num_qubits().max(1))?;
     let mut stats = RunStats {
@@ -745,11 +685,10 @@ pub fn run_instrumented(
             OpKind::Measure { .. } | OpKind::Reset { .. } => {
                 return Err(EngineError::NonUnitary { op: inst.name() });
             }
-            OpKind::Unitary { .. } | OpKind::Swap { .. } => {
-                instrument.on_gate_start(i, inst);
-                engine.apply_instruction(inst)?;
-            }
+            OpKind::Unitary { .. } | OpKind::Swap { .. } => {}
         }
+        let span = trace.as_deref().map(|trace| trace.gate_start(inst));
+        engine.apply_instruction(inst)?;
         let metric = engine.cost_metric();
         stats.gates_applied += 1;
         if stats.gates_applied == 1 || metric.value > stats.peak_metric {
@@ -758,7 +697,9 @@ pub fn run_instrumented(
         }
         stats.final_metric = metric.value;
         stats.peak_memory_bytes = stats.peak_memory_bytes.max(engine.memory_bytes());
-        instrument.on_gate(i, inst, metric, &stats);
+        if let (Some(trace), Some(span)) = (trace.as_deref_mut(), span) {
+            trace.gate_end(span, i, inst, metric, &stats);
+        }
     }
     if stats.gates_applied == 0 {
         let metric = engine.cost_metric();
@@ -769,13 +710,12 @@ pub fn run_instrumented(
     Ok(stats)
 }
 
-/// The [`Instrument`] behind [`run_traced`]: spans every gate on the
-/// sink's tracer and snapshots every registered metric after each gate
-/// into a [`GateLog`].
-struct TraceInstrument<'a> {
+/// The per-gate state of [`run_traced`]: spans every gate on the sink's
+/// tracer and snapshots every registered metric after each gate into a
+/// [`GateLog`].
+struct GateTrace<'a> {
     sink: &'a TelemetrySink,
     log: GateLog,
-    open: Option<(qdt_telemetry::SpanGuard, std::time::Instant)>,
     /// Interned id of the `engine.cost.<metric>` gauge, resolved on the
     /// first gate (the metric name isn't known earlier).
     cost_id: Option<qdt_telemetry::MetricId>,
@@ -783,25 +723,26 @@ struct TraceInstrument<'a> {
     mem_id: qdt_telemetry::MetricId,
 }
 
-impl Instrument for TraceInstrument<'_> {
-    fn on_gate_start(&mut self, _gate_index: usize, inst: &Instruction) {
-        self.open = Some((
-            self.sink.tracer().span_in("gate", &inst.name()),
-            std::time::Instant::now(),
-        ));
+impl GateTrace<'_> {
+    /// Opens the gate's span, immediately before it is applied.
+    fn gate_start(&self, inst: &Instruction) -> (qdt_telemetry::SpanGuard, std::time::Instant) {
+        let guard = self.sink.tracer().span_in("gate", &inst.name());
+        (guard, std::time::Instant::now())
     }
 
-    fn on_gate(
+    /// Closes the gate's span and records its [`GateRecord`], given the
+    /// engine's cost metric and the running totals including this gate.
+    fn gate_end(
         &mut self,
+        (guard, t0): (qdt_telemetry::SpanGuard, std::time::Instant),
         gate_index: usize,
         inst: &Instruction,
         metric: CostMetric,
         stats: &RunStats,
     ) {
+        let dt_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
         // Dropping the guard records the span-end event.
-        let dt_ns = self.open.take().map_or(0, |(_guard, t0)| {
-            u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
-        });
+        drop(guard);
         #[allow(clippy::cast_precision_loss)]
         let cost = metric.value as f64;
         let cost_id = *self.cost_id.get_or_insert_with(|| {
@@ -839,7 +780,7 @@ impl Instrument for TraceInstrument<'_> {
 ///
 /// # Errors
 ///
-/// Same as [`run_instrumented`].
+/// Same as [`run`].
 pub fn run_traced(
     engine: &mut dyn SimulationEngine,
     circuit: &Circuit,
@@ -847,16 +788,15 @@ pub fn run_traced(
 ) -> Result<(RunStats, GateLog), EngineError> {
     engine.telemetry(sink);
     let run_span = sink.tracer().span_in("run", engine.name());
-    let mut instrument = TraceInstrument {
+    let mut trace = GateTrace {
         sink,
         log: GateLog::new(),
-        open: None,
         cost_id: None,
         mem_id: sink.metrics().register("engine.mem.peak_bytes"),
     };
-    let stats = run_instrumented(engine, circuit, &mut instrument)?;
+    let stats = run_loop(engine, circuit, Some(&mut trace))?;
     drop(run_span);
-    Ok((stats, instrument.log))
+    Ok((stats, trace.log))
 }
 
 /// A minimal dense reference engine, used by this crate's tests and doc
@@ -1097,23 +1037,6 @@ mod tests {
             run(&mut e, &qc),
             Err(EngineError::NonUnitary { .. })
         ));
-    }
-
-    #[test]
-    fn instrumentation_hook_sees_every_gate_and_running_totals() {
-        let qc = bell();
-        let mut seen = Vec::new();
-        let mut hook = |i: usize, inst: &Instruction, m: CostMetric, stats: &RunStats| {
-            seen.push((i, inst.name(), m.value, stats.gates_applied));
-        };
-        let mut e = ReferenceEngine::default();
-        run_instrumented(&mut e, &qc, &mut hook).unwrap();
-        assert_eq!(seen.len(), 2);
-        assert_eq!(seen[0].1, "h");
-        assert_eq!(seen[1].1, "cx");
-        // The stats passed to the hook already include the current gate.
-        assert_eq!(seen[0].3, 1);
-        assert_eq!(seen[1].3, 2);
     }
 
     #[test]

@@ -64,10 +64,10 @@ use rand::{Rng, SeedableRng};
 
 use crate::{run, EngineError, SimulationEngine, TelemetrySink};
 
-/// Constructor of fresh engines, one per worker thread — the same shape
-/// the noise layer's trajectory factory uses. The umbrella crate wraps
-/// registry specs (`array`, `dd`, `mps:16`…) into this.
-pub type ShotFactory =
+/// Constructor of fresh engines, one per worker thread of the shot loop
+/// or of the noise layer's trajectories. The umbrella crate wraps engine
+/// specs (`array`, `dd`, `mps:16`…) into this.
+pub type EngineFactory =
     Arc<dyn Fn() -> Result<Box<dyn SimulationEngine>, EngineError> + Send + Sync>;
 
 /// Per-gate decoration of the shot loop, called after every applied
@@ -312,9 +312,8 @@ impl ShotExecutor {
         circuit: &Circuit,
         inspect: Option<&mut Inspect<'_>>,
     ) -> Result<ShotResult, EngineError> {
-        let plan = ShotPlan::new(circuit, engine, self.hook.as_deref())?;
         let shots = self.config.shots;
-        if !plan.dynamic {
+        if !circuit.is_dynamic() && self.hook.is_none() {
             // Classic two-step: evolve once, sample the final state.
             run(engine, circuit)?;
             let mut rng = StdRng::seed_from_u64(self.config.seed);
@@ -329,6 +328,7 @@ impl ShotExecutor {
             self.report(&result, 0);
             return Ok(result);
         }
+        let plan = ShotPlan::new(circuit, engine, self.hook.as_deref())?;
         {
             let _frame = qdt_telemetry::profile_frame("shot:prefix");
             run(engine, &plan.prefix)?;
@@ -360,7 +360,7 @@ impl ShotExecutor {
     /// As for [`run_on`](ShotExecutor::run_on), plus factory errors.
     pub fn sample(
         &self,
-        factory: &ShotFactory,
+        factory: &EngineFactory,
         circuit: &Circuit,
     ) -> Result<ShotResult, EngineError> {
         let shots = self.config.shots;
@@ -425,14 +425,13 @@ impl ShotExecutor {
     }
 }
 
-/// The split circuit: static unitary prefix plus dynamic suffix, and
-/// the gate hook decorating the suffix.
+/// The per-shot split of a dynamic or hooked circuit: static unitary
+/// prefix plus dynamic suffix, and the gate hook decorating the suffix.
 struct ShotPlan<'c> {
     prefix: Circuit,
     suffix: &'c [Instruction],
     hook: Option<GateHookRef<'c>>,
     num_clbits: usize,
-    dynamic: bool,
     /// Whether any suffix instruction is a measurement — if so, the
     /// classical register is the histogram key; otherwise each shot is
     /// keyed by one sample of its final state.
@@ -445,8 +444,7 @@ impl<'c> ShotPlan<'c> {
         engine: &mut dyn SimulationEngine,
         hook: Option<GateHookRef<'c>>,
     ) -> Result<Self, EngineError> {
-        let dynamic = circuit.is_dynamic();
-        if dynamic && !engine.caps().dynamic {
+        if circuit.is_dynamic() && !engine.caps().dynamic {
             return Err(EngineError::Unsupported {
                 engine: engine.name(),
                 what: "dynamic circuits (mid-circuit measurement, reset, classical \
@@ -486,7 +484,6 @@ impl<'c> ShotPlan<'c> {
             suffix,
             hook,
             num_clbits: circuit.num_clbits(),
-            dynamic: dynamic || hook.is_some(),
             has_measure,
         })
     }
@@ -937,7 +934,7 @@ mod tests {
 
     #[test]
     fn parallel_striping_is_bit_identical_to_sequential() {
-        let factory: ShotFactory =
+        let factory: EngineFactory =
             Arc::new(|| Ok(Box::new(ReferenceEngine::default()) as Box<dyn SimulationEngine>));
         let mut qc = Circuit::with_clbits(3, 3);
         qc.h(0).cx(0, 1);
@@ -1017,7 +1014,7 @@ mod tests {
             }
             Ok(())
         });
-        let factory: ShotFactory =
+        let factory: EngineFactory =
             Arc::new(|| Ok(Box::new(ReferenceEngine::default()) as Box<dyn SimulationEngine>));
         let mut qc = Circuit::with_clbits(2, 2);
         qc.h(0).cx(0, 1);
@@ -1129,7 +1126,7 @@ mod tests {
     #[test]
     fn telemetry_reports_replays_beside_shots() {
         let sink = TelemetrySink::new();
-        let factory: ShotFactory =
+        let factory: EngineFactory =
             Arc::new(|| Ok(Box::new(ReferenceEngine::default()) as Box<dyn SimulationEngine>));
         for workers in [1, 2] {
             ShotExecutor::new(ShotConfig::new(64, 1).with_workers(workers))

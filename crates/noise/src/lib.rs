@@ -20,9 +20,9 @@
 //!   across `std::thread` workers with per-trajectory seeds, so fixed
 //!   seeds reproduce bit-identically at any worker count.
 //!
-//! The umbrella crate `qdt` registers both engines in its
-//! `EngineRegistry` under the specs `density(...)` and
-//! `traj(...):substrate`.
+//! The umbrella crate `qdt` builds both engines from the specs
+//! `density(...)` and `traj(...):substrate`; a trajectory engine gets
+//! its substrates from a [`qdt_engine::EngineFactory`].
 //!
 //! # Example: trajectory average converges to the density matrix
 //!
@@ -42,7 +42,7 @@
 //! let zz: qdt_circuit::PauliString = "ZZ".parse().unwrap();
 //! let truth = exact.expectation(&zz)?;
 //!
-//! let factory: qdt_noise::InnerFactory = Arc::new(|| {
+//! let factory: qdt_engine::EngineFactory = Arc::new(|| {
 //!     Ok(Box::new(qdt_engine::test_engine::ReferenceEngine::default())
 //!         as Box<dyn SimulationEngine>)
 //! });
@@ -65,7 +65,7 @@ mod trajectory;
 pub use channel::{channel_from_key, completeness_defect, KrausChannel, CPTP_TOLERANCE};
 pub use density::{DensityMatrixEngine, MAX_DENSITY_QUBITS};
 pub use model::{CompiledNoise, GateSelector, NoiseModel, NoiseRule};
-pub use trajectory::{InnerFactory, TrajectoryConfig, TrajectoryEngine};
+pub use trajectory::{TrajectoryConfig, TrajectoryEngine};
 
 /// Errors of the noise layer: invalid channels/models, or substrate
 /// engine failures surfaced during trajectory construction.

@@ -332,7 +332,7 @@ mod tests {
         use std::sync::Arc;
 
         use qdt_array::ArrayEngine;
-        use qdt_engine::{ShotConfig, ShotExecutor, ShotFactory, SimulationEngine};
+        use qdt_engine::{EngineFactory, ShotConfig, ShotExecutor, SimulationEngine};
 
         // Bell + feed-forward: measure q0, flip q1 if it read 1. The
         // noiseless histogram is exactly {00, 01}; heavy bit-flip noise
@@ -344,7 +344,7 @@ mod tests {
         qc.measure(0, 0);
         qc.x(1).c_if(0, true);
         qc.measure(1, 1);
-        let factory: ShotFactory =
+        let factory: EngineFactory =
             Arc::new(|| Ok(Box::new(ArrayEngine::new()) as Box<dyn SimulationEngine>));
 
         let clean = ShotExecutor::new(ShotConfig::new(200, 11))

@@ -20,12 +20,12 @@
 //! bit-identical for any worker count.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 use qdt_circuit::{Instruction, PauliString};
 use qdt_complex::Complex;
 use qdt_engine::{
-    check_instruction_width, check_pauli_width, CostMetric, EngineCaps, EngineError,
+    check_instruction_width, check_pauli_width, CostMetric, EngineCaps, EngineError, EngineFactory,
     SimulationEngine, TelemetrySink,
 };
 use qdt_parallel::WorkerPool;
@@ -33,12 +33,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 use crate::{CompiledNoise, NoiseError, NoiseModel};
-
-/// Constructor of fresh substrate engines, one per worker thread. The
-/// umbrella crate's registry wraps engine specs (`array`, `dd`,
-/// `mps:16`…) into this shape.
-pub type InnerFactory =
-    Arc<dyn Fn() -> Result<Box<dyn SimulationEngine>, EngineError> + Send + Sync>;
 
 /// How many trajectories to run, on how many threads, from which seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,7 +87,7 @@ fn trajectory_seed(seed: u64, t: u64) -> u64 {
 /// qc.h(0).cx(0, 1);
 /// let noise = NoiseModel::uniform(KrausChannel::BitFlip { p: 0.05 });
 /// let config = TrajectoryConfig { trajectories: 200, seed: 7, workers: 2 };
-/// let factory: qdt_noise::InnerFactory = Arc::new(|| {
+/// let factory: qdt_engine::EngineFactory = Arc::new(|| {
 ///     Ok(Box::new(qdt_engine::test_engine::ReferenceEngine::default())
 ///         as Box<dyn SimulationEngine>)
 /// });
@@ -106,7 +100,7 @@ fn trajectory_seed(seed: u64, t: u64) -> u64 {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct TrajectoryEngine {
-    factory: InnerFactory,
+    factory: EngineFactory,
     config: TrajectoryConfig,
     noise: CompiledNoise,
     num_qubits: usize,
@@ -129,7 +123,7 @@ impl TrajectoryEngine {
     /// cannot apply Kraus operators; model validation errors as for
     /// [`NoiseModel::compile`](crate::NoiseModel::compile).
     pub fn new(
-        factory: InnerFactory,
+        factory: EngineFactory,
         config: TrajectoryConfig,
         model: &NoiseModel,
     ) -> Result<Self, NoiseError> {
@@ -402,6 +396,7 @@ impl std::fmt::Debug for TrajectoryEngine {
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     use super::*;
     use qdt_circuit::Circuit;
@@ -410,7 +405,7 @@ mod tests {
 
     use crate::{KrausChannel, NoiseModel};
 
-    fn reference_factory() -> InnerFactory {
+    fn reference_factory() -> EngineFactory {
         Arc::new(|| Ok(Box::new(ReferenceEngine::default()) as Box<dyn SimulationEngine>))
     }
 
@@ -521,7 +516,7 @@ mod tests {
                 self.0.amplitudes()
             }
         }
-        let factory: InnerFactory =
+        let factory: EngineFactory =
             Arc::new(|| Ok(Box::new(NoKraus(ReferenceEngine::default())) as _));
         let err = TrajectoryEngine::new(factory, TrajectoryConfig::default(), &NoiseModel::new());
         assert!(matches!(
@@ -566,10 +561,10 @@ mod tests {
     }
 
     /// A factory of [`CountingKraus`] engines sharing one call counter.
-    fn counting_factory() -> (InnerFactory, Arc<AtomicUsize>) {
+    fn counting_factory() -> (EngineFactory, Arc<AtomicUsize>) {
         let calls = Arc::new(AtomicUsize::new(0));
         let counted = Arc::clone(&calls);
-        let factory: InnerFactory = Arc::new(move || {
+        let factory: EngineFactory = Arc::new(move || {
             Ok(Box::new(CountingKraus(
                 ReferenceEngine::default(),
                 Arc::clone(&counted),

@@ -20,10 +20,8 @@ use std::sync::Arc;
 use qdt_array::StateVector;
 use qdt_circuit::Circuit;
 use qdt_dd::DdEngine;
-use qdt_engine::{run, SimulationEngine};
-use qdt_noise::{
-    DensityMatrixEngine, InnerFactory, NoiseModel, TrajectoryConfig, TrajectoryEngine,
-};
+use qdt_engine::{run, EngineFactory, SimulationEngine};
+use qdt_noise::{DensityMatrixEngine, NoiseModel, TrajectoryConfig, TrajectoryEngine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -90,7 +88,7 @@ fn dd_trajectories(
     trajectories: usize,
     seed: u64,
 ) -> Result<TrajectoryEngine, VerifyError> {
-    let factory: InnerFactory =
+    let factory: EngineFactory =
         Arc::new(|| Ok(Box::new(DdEngine::new()) as Box<dyn SimulationEngine>));
     let config = TrajectoryConfig {
         trajectories,

@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if backends.is_empty() {
         backends = vec!["array".into(), "dd".into()];
     }
-    // Reject malformed specs up front with the registry's diagnostic.
+    // Reject malformed specs up front with `create_engine`'s diagnostic.
     for spec in &backends {
         qdt::create_engine(spec)?;
     }

@@ -5,7 +5,7 @@
 //! depolarizing noise model through both engines of the noise
 //! subsystem — the exact density-matrix engine and Monte-Carlo Kraus
 //! trajectories over a decision-diagram substrate — using nothing but
-//! registry spec strings, shows they agree, and then pushes the
+//! engine spec strings, shows they agree, and then pushes the
 //! trajectory path to a width where no density matrix could exist.
 //!
 //! Run with: `cargo run --example noisy_simulation --release`
@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         p * 100.0
     );
 
-    // (a) exact density matrix — the registry spelling is
+    // (a) exact density matrix — the spec spelling is
     // `density(depol=0.05)`; the concrete type is constructed directly
     // here so ρ's outcome distribution can be read back.
     let model = NoiseModel::uniform(KrausChannel::Depolarizing { p });

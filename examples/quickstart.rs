@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("The Bell circuit (paper Figs. 1-3):\n{bell}");
 
     // --- Section II: arrays -------------------------------------------------
-    // Every backend is a SimulationEngine; the registry builds one from a
+    // Every backend is a SimulationEngine; `create_engine` builds one from a
     // spec string and the shared run loop reports what the run cost.
     println!("== Arrays (Fig. 1a) ==");
     let mut engine = qdt::create_engine("array")?;

@@ -1,4 +1,4 @@
-//! Cross-engine agreement: every engine in the default registry must
+//! Cross-engine agreement: every engine built from a spec must
 //! tell the same story about the same random Clifford+T circuit.
 //!
 //! Three properties over strategy-generated circuits (≤ 6 qubits, so
@@ -15,8 +15,8 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use qdt::circuit::{generators, Circuit, Gate, PauliString};
+use qdt::create_engine;
 use qdt::engine::run;
-use qdt::EngineRegistry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -141,12 +141,11 @@ proptest! {
     /// applies the same number of gates.
     #[test]
     fn amplitudes_agree_across_registered_engines(qc in any_circuit()) {
-        let registry = EngineRegistry::with_defaults();
-        let mut reference = registry.create("array").unwrap();
+        let mut reference = create_engine("array").unwrap();
         let ref_stats = run(reference.as_mut(), &qc).unwrap();
         let ref_amps = reference.amplitudes().unwrap();
         for spec in SPECS {
-            let mut e = registry.create(spec).unwrap();
+            let mut e = create_engine(spec).unwrap();
             let stats = run(e.as_mut(), &qc).unwrap();
             prop_assert!(
                 stats.gates_applied == ref_stats.gates_applied,
@@ -169,13 +168,12 @@ proptest! {
         (qc, pauli) in circuit_with_pauli()
     ) {
         let p: PauliString = pauli.parse().unwrap();
-        let registry = EngineRegistry::with_defaults();
-        let mut reference = registry.create("array").unwrap();
+        let mut reference = create_engine("array").unwrap();
         run(reference.as_mut(), &qc).unwrap();
         let expected = reference.expectation(&p).unwrap();
         prop_assert!(expected.abs() <= 1.0 + 1e-9, "non-physical expectation");
         for spec in SPECS {
-            let mut e = registry.create(spec).unwrap();
+            let mut e = create_engine(spec).unwrap();
             run(e.as_mut(), &qc).unwrap();
             let got = e.expectation(&p).unwrap();
             prop_assert!(
@@ -194,8 +192,7 @@ proptest! {
     #[test]
     fn sample_distributions_agree_across_registered_engines(qc in any_circuit()) {
         const SHOTS: usize = 4000;
-        let registry = EngineRegistry::with_defaults();
-        let mut reference = registry.create("array").unwrap();
+        let mut reference = create_engine("array").unwrap();
         run(reference.as_mut(), &qc).unwrap();
         let probs: Vec<f64> = reference
             .amplitudes()
@@ -204,7 +201,7 @@ proptest! {
             .map(|a| a.norm_sqr())
             .collect();
         for (k, spec) in SPECS.iter().enumerate() {
-            let mut e = registry.create(spec).unwrap();
+            let mut e = create_engine(spec).unwrap();
             run(e.as_mut(), &qc).unwrap();
             let mut rng = StdRng::seed_from_u64(0xA11CE + k as u64);
             let counts = e.sample(SHOTS, &mut rng).unwrap();
@@ -241,14 +238,13 @@ fn clifford_amplitudes_agree_with_the_array() {
     // the comparison aligns the first nonzero amplitude before asking
     // for entrywise equality (relative phases ARE physical and must
     // match exactly).
-    let registry = EngineRegistry::with_defaults();
     for seed in 0..12u64 {
         let qc = generators::random_clifford_seeded(6, 16, seed);
-        let mut reference = registry.create("array").unwrap();
+        let mut reference = create_engine("array").unwrap();
         run(reference.as_mut(), &qc).unwrap();
         let ref_amps = reference.amplitudes().unwrap();
         for spec in CLIFFORD_SPECS {
-            let mut e = registry.create(spec).unwrap();
+            let mut e = create_engine(spec).unwrap();
             run(e.as_mut(), &qc).unwrap();
             let amps = e.amplitudes().unwrap();
             assert_eq!(amps.len(), ref_amps.len(), "{spec} seed {seed}");
@@ -273,7 +269,6 @@ fn clifford_amplitudes_agree_with_the_array() {
 
 #[test]
 fn clifford_expectations_agree_with_the_array() {
-    let registry = EngineRegistry::with_defaults();
     for (seed, pauli) in [
         (1u64, "ZZIIII"),
         (2, "XXXXXX"),
@@ -282,11 +277,11 @@ fn clifford_expectations_agree_with_the_array() {
     ] {
         let qc = generators::random_clifford_seeded(6, 16, seed);
         let p: PauliString = pauli.parse().unwrap();
-        let mut reference = registry.create("array").unwrap();
+        let mut reference = create_engine("array").unwrap();
         run(reference.as_mut(), &qc).unwrap();
         let expected = reference.expectation(&p).unwrap();
         for spec in CLIFFORD_SPECS {
-            let mut e = registry.create(spec).unwrap();
+            let mut e = create_engine(spec).unwrap();
             run(e.as_mut(), &qc).unwrap();
             let got = e.expectation(&p).unwrap();
             assert!(
@@ -300,10 +295,9 @@ fn clifford_expectations_agree_with_the_array() {
 #[test]
 fn clifford_sample_distributions_agree_with_the_array() {
     const SHOTS: usize = 4000;
-    let registry = EngineRegistry::with_defaults();
     for seed in 0..6u64 {
         let qc = generators::random_clifford_seeded(5, 12, seed);
-        let mut reference = registry.create("array").unwrap();
+        let mut reference = create_engine("array").unwrap();
         run(reference.as_mut(), &qc).unwrap();
         let probs: Vec<f64> = reference
             .amplitudes()
@@ -312,7 +306,7 @@ fn clifford_sample_distributions_agree_with_the_array() {
             .map(|a| a.norm_sqr())
             .collect();
         for (k, spec) in CLIFFORD_SPECS.iter().enumerate() {
-            let mut e = registry.create(spec).unwrap();
+            let mut e = create_engine(spec).unwrap();
             run(e.as_mut(), &qc).unwrap();
             let mut rng = StdRng::seed_from_u64(0xC11F + seed * 31 + k as u64);
             let counts = e.sample(SHOTS, &mut rng).unwrap();
@@ -332,10 +326,9 @@ fn stabilizer_sampling_is_bit_identical_across_thread_counts() {
     // The PR 5 determinism contract extends to the tableau: identical
     // seeds must give identical histograms at any worker count, even on
     // a register wide enough that the row kernels actually chunk.
-    let registry = EngineRegistry::with_defaults();
     let qc = generators::random_clifford_seeded(40, 8, 9);
     let sample_with = |spec: &str| {
-        let mut e = registry.create(spec).unwrap();
+        let mut e = create_engine(spec).unwrap();
         run(e.as_mut(), &qc).unwrap();
         let mut rng = StdRng::seed_from_u64(77);
         e.sample(512, &mut rng).unwrap()

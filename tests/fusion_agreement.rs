@@ -24,8 +24,8 @@
 use proptest::prelude::*;
 use qdt::circuit::{generators, Circuit, Gate, OpKind};
 use qdt::complex::Complex;
+use qdt::create_engine;
 use qdt::engine::run;
-use qdt::EngineRegistry;
 
 /// Per-component tolerance when the SIMD path may be active. The
 /// shipped kernels keep the same floating-point operation order per
@@ -80,9 +80,7 @@ fn assert_amplitudes_agree(
 }
 
 fn amplitudes_on(spec: &str, qc: &Circuit) -> Vec<Complex> {
-    let mut e = EngineRegistry::with_defaults()
-        .create(spec)
-        .expect("spec builds");
+    let mut e = create_engine(spec).expect("spec builds");
     run(e.as_mut(), qc).expect("unitary run");
     e.amplitudes().expect("dense amplitudes")
 }

@@ -8,8 +8,8 @@ use std::f64::consts::PI;
 
 use qdt::circuit::{generators, Circuit};
 use qdt::complex::Complex;
+use qdt::create_engine;
 use qdt::engine::run;
-use qdt::EngineRegistry;
 
 /// Per-amplitude tolerance for the fixtures (the values are exact up to
 /// a handful of floating-point rounding steps).
@@ -28,9 +28,8 @@ const SPECS: [&str; 5] = [
 
 /// Runs `qc` on `spec` and checks every amplitude against `want`.
 fn check_fixture(name: &str, qc: &Circuit, want: &[Complex]) {
-    let registry = EngineRegistry::with_defaults();
     for spec in SPECS {
-        let mut e = registry.create(spec).unwrap();
+        let mut e = create_engine(spec).unwrap();
         run(e.as_mut(), qc).unwrap();
         let got = e.amplitudes().unwrap();
         assert_eq!(got.len(), want.len(), "{name} on {spec}: dimension");

@@ -36,7 +36,7 @@ fn exact_probabilities(circuit: &Circuit) -> Vec<f64> {
     engine.density().probabilities()
 }
 
-/// Merged trajectory histogram for `circuit` via the registry spec
+/// Merged trajectory histogram for `circuit` via the engine spec
 /// grammar (decision-diagram substrate).
 fn trajectory_histogram(circuit: &Circuit, workers: usize) -> BTreeMap<u128, usize> {
     let spec = format!("traj({TRAJECTORIES}, seed={SEED}, workers={workers}, depol={DEPOL}):dd");

@@ -22,7 +22,7 @@ use qdt::engine::run;
 use qdt::noise::{DensityMatrixEngine, KrausChannel, NoiseModel};
 use qdt::parallel::KernelContext;
 use qdt::telemetry::deterministic_stream;
-use qdt::{run_traced, EngineRegistry, TelemetrySink};
+use qdt::{create_engine, run_traced, TelemetrySink};
 
 /// Parallel specs checked against the `threads=1` reference.
 const PARALLEL_SPECS: [&str; 3] = [
@@ -117,12 +117,11 @@ proptest! {
     /// amplitude bits on random circuits.
     #[test]
     fn amplitudes_are_bit_identical_across_thread_counts(qc in any_circuit()) {
-        let registry = EngineRegistry::with_defaults();
-        let mut reference = registry.create("array(threads=1)").unwrap();
+        let mut reference = create_engine("array(threads=1)").unwrap();
         run(reference.as_mut(), &qc).unwrap();
         let want = reference.amplitudes().unwrap();
         for spec in PARALLEL_SPECS {
-            let mut e = registry.create(spec).unwrap();
+            let mut e = create_engine(spec).unwrap();
             run(e.as_mut(), &qc).unwrap();
             let got = e.amplitudes().unwrap();
             // Exact ==: bit-identity, not numerical closeness.
@@ -182,9 +181,8 @@ fn sampling_is_bit_identical_across_thread_counts() {
     use rand::SeedableRng;
 
     let qc = generators::qft(5, true);
-    let registry = EngineRegistry::with_defaults();
     let sample_with = |spec: &str| {
-        let mut e = registry.create(spec).unwrap();
+        let mut e = create_engine(spec).unwrap();
         run(e.as_mut(), &qc).unwrap();
         let mut rng = StdRng::seed_from_u64(0xD1FF);
         e.sample(2000, &mut rng).unwrap()

@@ -15,8 +15,8 @@ use std::sync::Arc;
 use qdt::circuit::{generators, Circuit, ClassicalState, Gate, Instruction, OpKind, PauliString};
 use qdt::complex::{Complex, Matrix};
 use qdt::engine::{
-    run, shot_factory, CostMetric, EngineCaps, EngineError, ShotConfig, ShotExecutor, ShotFactory,
-    ShotResult, SimulationEngine,
+    run, shot_factory, CostMetric, EngineCaps, EngineError, EngineFactory, ShotConfig,
+    ShotExecutor, ShotResult, SimulationEngine,
 };
 use qdt_engine::shot::shot_seed;
 use qdt_engine::{collapse_qubit, reset_to_zero};
@@ -260,7 +260,7 @@ fn count_materialisations(spec: &str, qc: &Circuit, shots: usize) -> (ShotResult
     let materialised = Arc::new(AtomicU64::new(0));
     let counter = Arc::clone(&materialised);
     let spec = spec.to_string();
-    let factory: ShotFactory = Arc::new(move || {
+    let factory: EngineFactory = Arc::new(move || {
         Ok(Box::new(Counting {
             inner: qdt::create_engine(&spec).expect("spec builds"),
             materialised: Arc::clone(&counter),

@@ -6,7 +6,8 @@ use std::sync::Arc;
 
 use qdt::circuit::{generators, Circuit};
 use qdt::dd::DdEngine;
-use qdt::noise::{InnerFactory, KrausChannel, NoiseModel, TrajectoryConfig, TrajectoryEngine};
+use qdt::engine::EngineFactory;
+use qdt::noise::{KrausChannel, NoiseModel, TrajectoryConfig, TrajectoryEngine};
 use qdt::telemetry::json::{parse, JsonValue};
 use qdt::telemetry::{chrome_trace, deterministic_stream, gate_log_jsonl, GateLog};
 use qdt::{run_traced, SimulationEngine, TelemetrySink};
@@ -34,7 +35,7 @@ fn trajectory_worker_count_does_not_change_metric_stream() {
     let qc = generators::bell();
     let noise = NoiseModel::uniform(KrausChannel::Depolarizing { p: 0.1 });
     let run_with = |workers: usize| {
-        let factory: InnerFactory =
+        let factory: EngineFactory =
             Arc::new(|| Ok(Box::new(DdEngine::new()) as Box<dyn SimulationEngine>));
         let config = TrajectoryConfig {
             trajectories: 16,
@@ -178,7 +179,7 @@ fn enabled_telemetry_overhead_stays_in_budget() {
         times.sort_by(f64::total_cmp);
         times[times.len() / 2]
     };
-    // Warm up allocators and the engine registry before timing.
+    // Warm up allocators and the engine before timing.
     let _ = median_secs(false);
     let disabled = median_secs(false);
     let enabled = median_secs(true);
