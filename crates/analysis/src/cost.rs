@@ -44,13 +44,13 @@
 //! matters, and ties break toward the earlier entry in
 //! [`DispatchDecision::estimates`] (exact-and-simple first).
 
-use qdt_circuit::{Circuit, Instruction, OpKind, QubitMap};
+use qdt_circuit::{Circuit, OpKind, QubitMap};
 
 use crate::passes::{
     clifford_regions, interaction_facts, lightcone_facts, CliffordRegion, InteractionFacts,
     LightconeFacts,
 };
-use crate::resources::{is_clifford_inst, resource_report, ResourceReport};
+use crate::resources::{resource_report, ResourceReport};
 
 /// Widest register the dense array backend is considered feasible for.
 pub const ARRAY_MAX_QUBITS: usize = 28;
@@ -287,16 +287,6 @@ pub fn dispatch_circuit(circuit: &Circuit) -> DispatchDecision {
     plan_dispatch(&circuit_facts(circuit))
 }
 
-/// Whether some backend can still take `inst` on a `num_qubits`-wide
-/// register. Past [`WIDE_ENGINE_MAX_QUBITS`] only the stabilizer tableau
-/// is left (up to [`STABILIZER_MAX_QUBITS`]), and it takes Clifford
-/// operations only.
-#[must_use]
-pub fn feasible_at_width(inst: &Instruction, num_qubits: usize) -> bool {
-    num_qubits <= WIDE_ENGINE_MAX_QUBITS
-        || (num_qubits <= STABILIZER_MAX_QUBITS && is_clifford_inst(inst))
-}
-
 /// Width above which a Clifford-only circuit on an exponential backend
 /// is reported (`QDT404`): below this, dense simulation is trivially
 /// cheap anyway.
@@ -410,17 +400,6 @@ mod tests {
         let decision = dispatch_circuit(&wide_t);
         assert!(!decision.chosen_estimate().feasible, "{decision:?}");
         assert!(decision.estimates.iter().all(|e| !e.feasible));
-    }
-
-    #[test]
-    fn feasibility_at_width_leaves_only_clifford_gates_past_128_qubits() {
-        let mut qc = Circuit::new(200);
-        qc.h(0).cx(0, 199).t(3);
-        let [h, cx, t] = [0, 1, 2].map(|i| &qc.instructions()[i]);
-        assert!([h, cx, t].iter().all(|i| feasible_at_width(i, 128)));
-        assert!(feasible_at_width(h, 200) && feasible_at_width(cx, 200));
-        assert!(!feasible_at_width(t, 200));
-        assert!(!feasible_at_width(h, STABILIZER_MAX_QUBITS + 1));
     }
 
     #[test]

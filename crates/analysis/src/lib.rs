@@ -1,5 +1,4 @@
-//! Static analysis for quantum circuits and (behind the `audit` feature)
-//! invariant auditing of the backing data structures.
+//! Static analysis for quantum circuits.
 //!
 //! The paper's three design tasks — simulation, compilation, verification
 //! — all assume their inputs are *well-formed*. This crate makes that
@@ -19,14 +18,6 @@
 //! * **A resource report** ([`ResourceReport`]) summarises gate counts,
 //!   T-count, depth and Clifford membership — the quantities compilers
 //!   and fault-tolerance estimates key off.
-//! * **A simulation profile** ([`SimulationProfile`]) captures what a
-//!   run *cost* on a concrete simulation engine: gate throughput and the
-//!   engine's own cost metric (DD nodes, MPS bond, …) at its peak and
-//!   at the end of the run.
-//! * **Invariant auditors** (feature `audit`, re-exported in the `audit`
-//!   module) check the decision-diagram unique
-//!   tables, ZX adjacency symmetry, and MPS bond consistency that make
-//!   the backends sound.
 //!
 //! # Example
 //!
@@ -53,7 +44,6 @@
 //! | QDT101 | warning | dead gate on a qubit after its final measurement  |
 //! | QDT102 | info    | qubit never touched by any instruction            |
 //! | QDT201 | warning | pair cancels; nothing between shares its qubits   |
-//! | QDT301 | error   | data-structure invariant auditor violation        |
 //! | QDT401 | warning | other gate outside every measurement lightcone    |
 //! | QDT402 | warning | pair cancels through shared, commuting gates      |
 //! | QDT403 | info    | qubit never entangled with the measured set       |
@@ -65,20 +55,12 @@ pub mod dag;
 pub mod dataflow;
 pub mod passes;
 
-mod profile;
 mod report;
 mod resources;
 mod wellformed;
 
-#[cfg(feature = "audit")]
-pub mod audit;
-
 pub use cost::{
-    circuit_facts, dispatch_circuit, feasible_at_width, plan_dispatch, BackendCost, CircuitFacts,
-    DispatchDecision,
-};
-pub use profile::{
-    render_simulation_profile, simulation_profile, simulation_profile_traced, SimulationProfile,
+    circuit_facts, dispatch_circuit, plan_dispatch, BackendCost, CircuitFacts, DispatchDecision,
 };
 pub use report::{render_json, render_text};
 pub use resources::{resource_report, ResourceReport};
@@ -109,8 +91,7 @@ impl Severity {
 
 /// Stable diagnostic codes. The numeric bands group related findings:
 /// `QDT0xx` well-formedness, `QDT1xx` dead code, `QDT2xx` redundancy,
-/// `QDT3xx` data-structure audit violations, `QDT4xx` dataflow facts
-/// computed on the def-use DAG.
+/// `QDT4xx` dataflow facts computed on the def-use DAG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Code {
     /// QDT001: a qubit index is out of range for the register.
@@ -130,8 +111,6 @@ pub enum Code {
     /// QDT201: two instructions cancel (H·H, X·X, CX·CX, …) and no
     /// instruction between them shares a qubit with them.
     RedundantPair,
-    /// QDT301: a data-structure invariant auditor found a violation.
-    AuditViolation,
     /// QDT401: a gate lies outside every measurement lightcone — no
     /// def-use chain connects it to an observed outcome — and touches
     /// no qubit after its final measurement (that case is QDT101).
@@ -153,7 +132,7 @@ pub enum Code {
 
 impl Code {
     /// Every code, in `as_str` order — handy for exhaustive table tests.
-    pub const ALL: [Code; 13] = [
+    pub const ALL: [Code; 12] = [
         Code::QubitOutOfRange,
         Code::DuplicateQubit,
         Code::ClbitOutOfRange,
@@ -161,7 +140,6 @@ impl Code {
         Code::GateAfterMeasure,
         Code::UntouchedQubit,
         Code::RedundantPair,
-        Code::AuditViolation,
         Code::OutsideLightcone,
         Code::CommutingCancellation,
         Code::UnentangledQubit,
@@ -181,7 +159,6 @@ impl Code {
             Code::GateAfterMeasure => "QDT101",
             Code::UntouchedQubit => "QDT102",
             Code::RedundantPair => "QDT201",
-            Code::AuditViolation => "QDT301",
             Code::OutsideLightcone => "QDT401",
             Code::CommutingCancellation => "QDT402",
             Code::UnentangledQubit => "QDT403",
@@ -203,7 +180,6 @@ impl Code {
             Code::UntouchedQubit | Code::UnentangledQubit | Code::CliffordOnlyExponential => {
                 Severity::Info
             }
-            Code::AuditViolation => Severity::Error,
         }
     }
 }

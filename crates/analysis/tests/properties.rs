@@ -1,13 +1,6 @@
-//! Property tests for the analysis crate.
-//!
-//! Two families of invariants:
-//!
-//! * Every circuit the generator library produces must lint **clean**
-//!   (no error-severity diagnostics) — the linter must not cry wolf on
-//!   known-good circuits.
-//! * With `--features audit`, the backend auditors must come back clean
-//!   after simulating random Clifford+T circuits — random workloads must
-//!   not be able to drive the data structures out of their invariants.
+//! Property tests for the analysis crate: every circuit the generator
+//! library produces must lint **clean** (no error-severity diagnostics)
+//! — the linter must not cry wolf on known-good circuits.
 
 use proptest::prelude::*;
 use qdt_analysis::Analyzer;
@@ -58,49 +51,5 @@ proptest! {
         prop_assert!(r.two_qubit_depth <= r.depth);
         prop_assert!(r.two_qubit_gate_count <= qc.len());
         prop_assert_eq!(r.clifford_only, r.t_count == 0);
-    }
-}
-
-#[cfg(feature = "audit")]
-mod audits {
-    use super::*;
-    use qdt_analysis::audit::{audit_dd, audit_mps, audit_zx};
-
-    proptest! {
-        #[test]
-        fn dd_package_invariants_survive_random_simulation(
-            seed in 0u64..500, n in 2usize..6,
-        ) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let qc = generators::random_clifford_t(n, 25, 0.3, &mut rng);
-            let mut dd = qdt_dd::DdPackage::new();
-            dd.run_circuit(&qc).expect("simulates");
-            let diags = audit_dd(&dd);
-            prop_assert!(diags.is_empty(), "{:?}", diags);
-        }
-
-        #[test]
-        fn zx_invariants_survive_lowering_and_reduction(
-            seed in 0u64..500, n in 2usize..6,
-        ) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let qc = generators::random_clifford_t(n, 20, 0.3, &mut rng);
-            let mut d = qdt_zx::Diagram::from_circuit(&qc).expect("lowers");
-            prop_assert!(audit_zx(&d).is_empty());
-            qdt_zx::simplify::full_reduce(&mut d);
-            let diags = audit_zx(&d);
-            prop_assert!(diags.is_empty(), "{:?}", diags);
-        }
-
-        #[test]
-        fn mps_invariants_survive_random_simulation(
-            seed in 0u64..500, n in 2usize..7,
-        ) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let qc = generators::random_clifford_t(n, 20, 0.3, &mut rng);
-            let mps = qdt_tensor::mps::Mps::from_circuit(&qc, 16).expect("simulates");
-            let diags = audit_mps(&mps);
-            prop_assert!(diags.is_empty(), "{:?}", diags);
-        }
     }
 }

@@ -142,11 +142,6 @@ impl ArrayEngine {
         self.fuser.width()
     }
 
-    /// The kernel scheduling context in use.
-    pub fn kernel_context(&self) -> &KernelContext {
-        &self.ctx
-    }
-
     /// Read access to the underlying state vector, after flushing any
     /// pending fused gates and moving the amplitudes into logical order
     /// (one swap pass per displaced qubit, one `X` pass per flipped bit:

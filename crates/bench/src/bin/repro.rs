@@ -215,20 +215,25 @@ fn engines(backends: &[String]) {
                     continue;
                 }
             };
-            let (profile, secs) =
-                timed(|| qdt::analysis::simulation_profile(e.as_mut(), &qc).expect("profiles"));
+            let (stats, secs) = timed(|| run(e.as_mut(), &qc).expect("simulates"));
+            // `run` alone must resolve `auto`, so its row reports the
+            // dispatched engine's work, not a deferred replay.
+            assert!(
+                e.name() != "auto" || e.describe().starts_with("auto->"),
+                "{b}: `run` left auto undispatched"
+            );
             println!(
                 "{:>16} {:>8} {:>8} {:>7} {:>8} {:>12} {:>8} {:>7} {:>8} {:>10} {:>8.4}s",
                 b.to_string(),
                 fam.name(),
-                profile.num_qubits,
-                profile.gates_applied,
+                e.num_qubits(),
+                stats.gates_applied,
                 spec_threads(b, e.as_ref()),
-                profile.metric_name,
-                profile.peak_metric,
-                profile.peak_gate_index,
-                profile.final_metric,
-                format_bytes(profile.peak_memory_bytes),
+                stats.metric_name,
+                stats.peak_metric,
+                stats.peak_gate_index,
+                stats.final_metric,
+                format_bytes(stats.peak_memory_bytes),
                 secs
             );
         }

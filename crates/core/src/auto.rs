@@ -4,15 +4,21 @@
 //! wins on every circuit shape — arrays are unbeatable on narrow dense
 //! circuits, decision diagrams and MPS on structured or
 //! low-entanglement ones. [`AutoEngine`] turns that observation into a
-//! spec: `"auto"` buffers the incoming gate stream, and at the first
-//! query prices every backend with the dataflow cost model of
-//! `qdt-analysis` ([`qdt_analysis::plan_dispatch`]), builds the
-//! predicted-cheapest one from its spec ([`create_engine`]) and replays
-//! the buffer into it.
+//! spec: when [`run`](qdt_engine::run) hands `"auto"` its circuit
+//! ([`SimulationEngine::prepare_for`]), it prices every backend on the
+//! whole circuit with the dataflow cost model of `qdt-analysis`
+//! ([`qdt_analysis::plan_dispatch`]), builds the predicted-cheapest one
+//! from its spec ([`create_engine`]) and runs the circuit on it, so the
+//! run's [`RunStats`](qdt_engine::RunStats) are the backend's own.
 //!
-//! Dispatch is *static*: it happens once per prepared circuit, before
-//! any simulation work, from the interaction cut-width, Clifford-region
-//! and gate-count facts alone. The decision is observable two ways:
+//! Dispatch is *static*: it happens once per run, before any
+//! simulation work, from the interaction cut-width, Clifford-region
+//! and gate-count facts alone. Before `run` there is no backend: queries
+//! and a bare [`prepare`](SimulationEngine::prepare) are
+//! [`EngineError::Unsupported`], and the empty register takes no gate.
+//! After `run`, a gate beyond the dispatched circuit's own is
+//! `Unsupported` too: the backend was priced on that circuit alone.
+//! The decision is observable two ways:
 //!
 //! * [`SimulationEngine::describe`] returns `auto->{backend}` after
 //!   dispatch, and
@@ -26,7 +32,7 @@ use rand::RngCore;
 use std::collections::BTreeMap;
 
 use qdt_analysis::cost::{STABILIZER_MAX_QUBITS, WIDE_ENGINE_MAX_QUBITS};
-use qdt_analysis::{dispatch_circuit, feasible_at_width};
+use qdt_analysis::dispatch_circuit;
 use qdt_engine::{
     check_instruction_width, CostMetric, EngineCaps, EngineError, SimulationEngine, TelemetrySink,
 };
@@ -37,41 +43,23 @@ use crate::engine::create_engine;
 /// predicted-cheapest backend (see the module docs).
 #[derive(Default)]
 pub struct AutoEngine {
-    buffer: Circuit,
     chosen: Option<String>,
     inner: Option<Box<dyn SimulationEngine>>,
+    /// Gates of the dispatched circuit not yet applied: the stream the
+    /// backend was priced on.
+    pending: usize,
     sink: Option<TelemetrySink>,
 }
 
 impl AutoEngine {
-    /// Prices the buffered circuit, constructs the winning backend and
-    /// replays the buffer into it. Idempotent after the first call.
-    fn dispatch(&mut self) -> Result<&mut (dyn SimulationEngine + 'static), EngineError> {
-        if self.inner.is_none() {
-            let _frame = qdt_engine::telemetry::profile_frame("auto:dispatch");
-            let decision = dispatch_circuit(&self.buffer);
-            let mut engine = create_engine(&decision.chosen).map_err(|e| EngineError::Backend {
+    /// The backend `run` dispatched to.
+    fn inner(&mut self) -> Result<&mut (dyn SimulationEngine + 'static), EngineError> {
+        self.inner
+            .as_deref_mut()
+            .ok_or_else(|| EngineError::Unsupported {
                 engine: "auto",
-                message: format!("dispatch to `{}` failed: {e}", decision.chosen),
-            })?;
-            if let Some(sink) = &self.sink {
-                engine.telemetry(sink);
-                for estimate in &decision.estimates {
-                    sink.metrics()
-                        .gauge_set(&format!("auto.cost.{}", estimate.spec), estimate.cost);
-                }
-                sink.metrics().counter_add("auto.dispatches", 1);
-                sink.tracer()
-                    .instant(&format!("auto.dispatch:{}", decision.chosen));
-            }
-            engine.prepare(self.buffer.num_qubits())?;
-            for inst in self.buffer.iter() {
-                engine.apply_instruction(inst)?;
-            }
-            self.chosen = Some(decision.chosen);
-            self.inner = Some(engine);
-        }
-        Ok(self.inner.as_deref_mut().expect("dispatched above"))
+                what: "queries before `run` has dispatched a circuit".into(),
+            })
     }
 }
 
@@ -90,7 +78,7 @@ impl SimulationEngine for AutoEngine {
     fn caps(&self) -> EngineCaps {
         match &self.inner {
             Some(inner) => inner.caps(),
-            // Pre-dispatch the backend is unknown: advertise the union
+            // Before `run` the backend is unknown: advertise the union
             // of what the candidates can do, conservatively marked
             // approximate (the dispatched spec may be a bounded-bond
             // MPS).
@@ -101,61 +89,84 @@ impl SimulationEngine for AutoEngine {
                 native_sampling: true,
                 approximate: true,
                 stochastic_kraus: false,
-                // Dispatch happens at the first measurement boundary,
-                // too late for the shot loop's up-front capability
-                // check; run dynamic circuits on a concrete spec.
+                // The shot loop checks capabilities before `run`
+                // dispatches; run dynamic circuits on a concrete spec.
                 dynamic: false,
             },
         }
     }
 
     fn num_qubits(&self) -> usize {
-        match &self.inner {
-            Some(inner) => inner.num_qubits(),
-            None => self.buffer.num_qubits(),
-        }
+        self.inner.as_ref().map_or(0, |inner| inner.num_qubits())
     }
 
-    fn prepare(&mut self, num_qubits: usize) -> Result<(), EngineError> {
-        // No candidate takes a register wider than the tableau's.
-        if num_qubits > STABILIZER_MAX_QUBITS {
-            return Err(EngineError::TooWide {
-                num_qubits,
-                limit: STABILIZER_MAX_QUBITS,
-                what: "auto-dispatched register",
-            });
-        }
-        self.buffer = Circuit::new(num_qubits);
+    fn prepare(&mut self, _num_qubits: usize) -> Result<(), EngineError> {
+        Err(EngineError::Unsupported {
+            engine: "auto",
+            what: "a register without its circuit; dispatch through `run`".into(),
+        })
+    }
+
+    fn prepare_for(&mut self, circuit: &Circuit) -> Result<(), EngineError> {
+        let _frame = qdt_engine::telemetry::profile_frame("auto:dispatch");
         self.chosen = None;
         self.inner = None;
+        self.pending = 0;
+        let decision = dispatch_circuit(circuit);
+        if !decision.chosen_estimate().feasible {
+            // Past the general engines' width only the tableau is left,
+            // and past the tableau's width nothing is.
+            let num_qubits = circuit.num_qubits();
+            let (limit, what) = if num_qubits > STABILIZER_MAX_QUBITS {
+                (STABILIZER_MAX_QUBITS, "auto-dispatched register")
+            } else {
+                (WIDE_ENGINE_MAX_QUBITS, "non-Clifford register")
+            };
+            return Err(EngineError::TooWide {
+                num_qubits,
+                limit,
+                what,
+            });
+        }
+        let mut engine = create_engine(&decision.chosen).map_err(|e| EngineError::Backend {
+            engine: "auto",
+            message: format!("dispatch to `{}` failed: {e}", decision.chosen),
+        })?;
+        if let Some(sink) = &self.sink {
+            engine.telemetry(sink);
+            for estimate in &decision.estimates {
+                sink.metrics()
+                    .gauge_set(&format!("auto.cost.{}", estimate.spec), estimate.cost);
+            }
+            sink.metrics().counter_add("auto.dispatches", 1);
+            sink.tracer()
+                .instant(&format!("auto.dispatch:{}", decision.chosen));
+        }
+        engine.prepare_for(circuit)?;
+        self.chosen = Some(decision.chosen);
+        self.inner = Some(engine);
+        self.pending = circuit
+            .iter()
+            .filter(|i| i.cond.is_none())
+            .filter(|i| matches!(i.kind, OpKind::Unitary { .. } | OpKind::Swap { .. }))
+            .count();
         Ok(())
     }
 
     fn apply_instruction(&mut self, inst: &Instruction) -> Result<(), EngineError> {
-        check_instruction_width(self.num_qubits(), inst)?;
-        if let Some(inner) = &mut self.inner {
-            // Gates arriving after the first query evolve the inner
-            // state directly; the decision is not revisited.
-            return inner.apply_instruction(inst);
-        }
-        match inst.kind {
-            OpKind::Barrier(_) => Ok(()),
-            // Past the general engines' width only the tableau is left:
-            // a gate it cannot take fails now, not at the first query.
-            OpKind::Unitary { .. } | OpKind::Swap { .. }
-                if !feasible_at_width(inst, self.buffer.num_qubits()) =>
-            {
-                Err(EngineError::TooWide {
-                    num_qubits: self.buffer.num_qubits(),
-                    limit: WIDE_ENGINE_MAX_QUBITS,
-                    what: "non-Clifford register",
-                })
+        match &mut self.inner {
+            Some(_) if self.pending == 0 => Err(EngineError::Unsupported {
+                engine: "auto",
+                what: "gates beyond the circuit `run` dispatched on; the backend was \
+                       priced on that circuit alone"
+                    .into(),
+            }),
+            Some(inner) => {
+                self.pending -= 1;
+                inner.apply_instruction(inst)
             }
-            OpKind::Unitary { .. } | OpKind::Swap { .. } => {
-                self.buffer.push_unchecked(inst.clone());
-                Ok(())
-            }
-            _ => Err(EngineError::NonUnitary { op: inst.name() }),
+            // Before `run` the register is empty.
+            None => check_instruction_width(0, inst),
         }
     }
 
@@ -163,18 +174,18 @@ impl SimulationEngine for AutoEngine {
         match &self.inner {
             Some(inner) => inner.cost_metric(),
             None => CostMetric {
-                name: "buffered-gates",
-                value: self.buffer.len(),
+                name: "none",
+                value: 0,
             },
         }
     }
 
     fn amplitudes(&mut self) -> Result<Vec<Complex>, EngineError> {
-        self.dispatch()?.amplitudes()
+        self.inner()?.amplitudes()
     }
 
     fn amplitude(&mut self, basis: u128) -> Result<Complex, EngineError> {
-        self.dispatch()?.amplitude(basis)
+        self.inner()?.amplitude(basis)
     }
 
     fn sample(
@@ -182,11 +193,11 @@ impl SimulationEngine for AutoEngine {
         shots: usize,
         rng: &mut dyn RngCore,
     ) -> Result<BTreeMap<u128, usize>, EngineError> {
-        self.dispatch()?.sample(shots, rng)
+        self.inner()?.sample(shots, rng)
     }
 
     fn expectation(&mut self, pauli: &PauliString) -> Result<f64, EngineError> {
-        self.dispatch()?.expectation(pauli)
+        self.inner()?.expectation(pauli)
     }
 
     fn memory_bytes(&self) -> usize {
@@ -204,7 +215,7 @@ impl SimulationEngine for AutoEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run;
+    use crate::engine::{run, run_traced};
     use qdt_circuit::generators;
 
     fn auto_engine() -> Box<dyn SimulationEngine> {
@@ -242,8 +253,8 @@ mod tests {
         run(engine.as_mut(), &generators::ghz(200)).unwrap();
         engine.amplitude(0).unwrap();
         assert_eq!(engine.describe(), "auto->stabilizer");
-        // Its non-Clifford variant fits no engine: `run` fails at the T
-        // gate, before anything is dispatched.
+        // Its non-Clifford variant fits no engine: `run` fails in
+        // dispatch, before any backend is built.
         let mut wide_t = generators::ghz(200);
         wide_t.t(5);
         let mut engine = auto_engine();
@@ -260,9 +271,12 @@ mod tests {
             "{err:?}"
         );
         assert_eq!(engine.describe(), "auto");
-        // A register wider than every engine fails in `prepare`.
-        let err = engine.prepare(STABILIZER_MAX_QUBITS + 1).unwrap_err();
-        assert!(matches!(err, EngineError::TooWide { .. }), "{err:?}");
+        // A register wider than every engine fails too.
+        let err = run(engine.as_mut(), &Circuit::new(STABILIZER_MAX_QUBITS + 1)).unwrap_err();
+        assert!(
+            matches!(err, EngineError::TooWide { limit, .. } if limit == STABILIZER_MAX_QUBITS),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -286,11 +300,17 @@ mod tests {
     }
 
     #[test]
-    fn describe_is_plain_auto_before_dispatch() {
+    fn run_dispatches_and_reports_the_dispatched_engine() {
+        let qc = generators::ghz(12);
         let mut engine = auto_engine();
-        run(engine.as_mut(), &generators::bell()).unwrap();
-        assert_eq!(engine.describe(), "auto");
-        assert_eq!(engine.name(), "auto");
+        let (stats, _log) = run_traced(engine.as_mut(), &qc, &TelemetrySink::disabled()).unwrap();
+        // No query yet: `run` alone dispatched and simulated.
+        let chosen = dispatch_circuit(&qc).chosen;
+        assert_eq!(engine.describe(), format!("auto->{chosen}"));
+        let mut fixed = create_engine(&chosen).unwrap();
+        let fixed_stats = run(fixed.as_mut(), &qc).unwrap();
+        assert_eq!(stats, fixed_stats);
+        assert!(stats.peak_memory_bytes > 0, "{stats:?}");
     }
 
     #[test]
@@ -319,12 +339,60 @@ mod tests {
     }
 
     #[test]
-    fn non_unitary_instructions_are_rejected_while_buffering() {
+    fn before_run_there_is_no_backend_to_query_or_feed() {
         let mut engine = auto_engine();
-        engine.prepare(1).unwrap();
-        let measure = Instruction::new(OpKind::Measure { qubit: 0, clbit: 0 });
-        let err = engine.apply_instruction(&measure).unwrap_err();
-        assert!(matches!(err, EngineError::NonUnitary { .. }), "{err:?}");
+        assert_eq!(engine.describe(), "auto");
+        assert_eq!(engine.name(), "auto");
+        let unsupported = |res: Result<(), EngineError>| match res {
+            Err(EngineError::Unsupported {
+                engine: "auto",
+                what,
+            }) => {
+                assert!(what.contains("`run`"), "{what}");
+            }
+            other => panic!("{other:?}"),
+        };
+        unsupported(engine.prepare(2));
+        unsupported(engine.amplitude(0).map(drop));
+        unsupported(engine.amplitudes().map(drop));
+        // The register is empty until `run`: no instruction fits it.
+        for kind in [
+            OpKind::Unitary {
+                gate: qdt_circuit::Gate::H,
+                target: 0,
+                controls: vec![],
+            },
+            OpKind::Measure { qubit: 0, clbit: 0 },
+        ] {
+            let err = engine
+                .apply_instruction(&Instruction::new(kind))
+                .unwrap_err();
+            assert!(matches!(err, EngineError::InvalidQubits(_)), "{err:?}");
+        }
+    }
+
+    #[test]
+    fn a_gate_stream_longer_than_the_dispatched_circuit_is_refused() {
+        use qdt_noise::{KrausChannel, NoiseModel};
+        // A gate hook makes the shot loop `run` an empty prefix, then
+        // replay QFT-5 gate by gate: `auto` priced an empty circuit.
+        let noise = NoiseModel::uniform(KrausChannel::Depolarizing { p: 0.02 });
+        let executor = qdt_engine::ShotExecutor::new(qdt_engine::ShotConfig::new(64, 7))
+            .with_gate_hook(noise.shot_hook().unwrap());
+        let err = executor
+            .run_on(auto_engine().as_mut(), &generators::qft(5, true))
+            .unwrap_err();
+        let refused = |e: &EngineError| matches!(e, EngineError::Unsupported { what, .. } if what.contains("`run`"));
+        assert!(refused(&err), "{err:?}");
+        // `run`'s own gates are taken; one more is not.
+        let bell = generators::bell();
+        let mut engine = auto_engine();
+        run(engine.as_mut(), &bell).unwrap();
+        assert!(refused(
+            &engine
+                .apply_instruction(&bell.instructions()[0])
+                .unwrap_err()
+        ));
     }
 
     #[test]

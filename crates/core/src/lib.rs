@@ -19,8 +19,9 @@
 //! * [`compile`] — gate-set rebasing, optimisation, routing (design
 //!   task 2);
 //! * [`verify`] — cross-method equivalence checking (design task 3);
-//! * [`analysis`] — circuit lints, resource reports and (feature
-//!   `audit`) data-structure invariant auditors.
+//! * [`analysis`] — circuit lints, resource reports and the cost model
+//!   behind the `auto` engine spec. With feature `audit`, the DD, ZX and
+//!   MPS structures each gain an `audit()` invariant check.
 //!
 //! Classical simulation (design task 1) is exposed uniformly over the
 //! four data structures through the [`engine`] module: each backend

@@ -43,7 +43,7 @@ fn spec_text() -> impl Strategy<Value = String> {
     })
 }
 
-/// Every engine of the default registry, in a small configuration.
+/// Every engine spec name, in a small default configuration.
 const DEFAULT_SPECS: &str =
     "array array(fuse=5) dd tn mps:8 stabilizer density traj(8,workers=1) auto";
 

@@ -243,6 +243,22 @@ pub trait SimulationEngine {
     /// [`EngineError::TooWide`] past the engine's width limit.
     fn prepare(&mut self, num_qubits: usize) -> Result<(), EngineError>;
 
+    /// Prepares `|0…0⟩` for a run of `circuit`, which the engine may
+    /// inspect first: the run-loop calls this, not
+    /// [`prepare`](SimulationEngine::prepare). The default prepares
+    /// `circuit.num_qubits().max(1)` qubits; the umbrella crate's `auto`
+    /// dispatcher overrides it to pick its backend from the whole
+    /// circuit. An engine that delegates to an inner engine must
+    /// forward this as well as `prepare`: the default calls `prepare`,
+    /// so the inner engine's own `prepare_for` would be skipped.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`prepare`](SimulationEngine::prepare).
+    fn prepare_for(&mut self, circuit: &Circuit) -> Result<(), EngineError> {
+        self.prepare(circuit.num_qubits().max(1))
+    }
+
     /// Applies one unitary IR instruction (gates and swaps; barriers
     /// are filtered out by the run-loop and need not be handled).
     ///
@@ -654,7 +670,7 @@ pub fn sample_from_amplitudes(
 /// # Errors
 ///
 /// [`EngineError::NonUnitary`] for measurement, reset, or conditioned
-/// instructions; engine errors from `prepare`/`apply_instruction`.
+/// instructions; engine errors from `prepare_for`/`apply_instruction`.
 pub fn run(engine: &mut dyn SimulationEngine, circuit: &Circuit) -> Result<RunStats, EngineError> {
     run_loop(engine, circuit, None)
 }
@@ -666,7 +682,7 @@ fn run_loop(
     circuit: &Circuit,
     mut trace: Option<&mut GateTrace<'_>>,
 ) -> Result<RunStats, EngineError> {
-    engine.prepare(circuit.num_qubits().max(1))?;
+    engine.prepare_for(circuit)?;
     let mut stats = RunStats {
         metric_name: engine.cost_metric().name,
         ..RunStats::default()

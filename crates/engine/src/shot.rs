@@ -910,6 +910,9 @@ mod tests {
             fn prepare(&mut self, n: usize) -> Result<(), EngineError> {
                 self.0.prepare(n)
             }
+            fn prepare_for(&mut self, circuit: &Circuit) -> Result<(), EngineError> {
+                self.0.prepare_for(circuit)
+            }
             fn apply_instruction(&mut self, inst: &Instruction) -> Result<(), EngineError> {
                 self.0.apply_instruction(inst)
             }

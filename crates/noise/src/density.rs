@@ -143,11 +143,6 @@ impl DensityMatrixEngine {
         })
     }
 
-    /// The kernel scheduling context in use.
-    pub fn kernel_context(&self) -> &KernelContext {
-        &self.ctx
-    }
-
     /// The current density matrix.
     pub fn density(&self) -> &DensityMatrix {
         &self.rho
@@ -691,6 +686,25 @@ mod tests {
         assert!(
             noisy.cost_metric().value > 4,
             "noise fills in density-matrix entries"
+        );
+    }
+
+    #[test]
+    fn run_stats_report_density_engine_nonzeros() {
+        let mut ideal = DensityMatrixEngine::new();
+        let stats = run(&mut ideal, &bell()).unwrap();
+        assert_eq!(stats.metric_name, "rho-nonzeros");
+        // A pure Bell state has exactly four nonzero density entries.
+        assert_eq!(stats.final_metric, 4);
+        // ρ is the dense 4×4 complex matrix: 16 entries of 16 bytes.
+        assert_eq!(stats.peak_memory_bytes, 16 * 16);
+
+        let model = NoiseModel::uniform(KrausChannel::Depolarizing { p: 0.05 });
+        let mut noisy = DensityMatrixEngine::with_noise(&model).unwrap();
+        let stats = run(&mut noisy, &bell()).unwrap();
+        assert!(
+            stats.final_metric > 4,
+            "depolarizing noise spreads ρ beyond the pure-state support"
         );
     }
 }

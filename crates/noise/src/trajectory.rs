@@ -151,11 +151,6 @@ impl TrajectoryEngine {
         &self.config
     }
 
-    /// The substrate engine's name (e.g. `"decision-diagram"`).
-    pub fn inner_name(&self) -> &'static str {
-        self.inner_name
-    }
-
     /// Replays the recorded program as trajectory `t`: fresh substrate,
     /// per-trajectory RNG, one stochastic channel branch per matching
     /// gate and touched qubit ([`CompiledNoise::apply_stochastic`]).
@@ -506,6 +501,9 @@ mod tests {
             fn prepare(&mut self, n: usize) -> Result<(), EngineError> {
                 self.0.prepare(n)
             }
+            fn prepare_for(&mut self, circuit: &Circuit) -> Result<(), EngineError> {
+                self.0.prepare_for(circuit)
+            }
             fn apply_instruction(&mut self, inst: &Instruction) -> Result<(), EngineError> {
                 self.0.apply_instruction(inst)
             }
@@ -539,6 +537,9 @@ mod tests {
         }
         fn prepare(&mut self, n: usize) -> Result<(), EngineError> {
             self.0.prepare(n)
+        }
+        fn prepare_for(&mut self, circuit: &Circuit) -> Result<(), EngineError> {
+            self.0.prepare_for(circuit)
         }
         fn apply_instruction(&mut self, inst: &Instruction) -> Result<(), EngineError> {
             self.0.apply_instruction(inst)

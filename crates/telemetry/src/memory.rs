@@ -9,7 +9,8 @@
 //!
 //! The traced run loop additionally maintains `engine.mem.peak_bytes`,
 //! the peak of `SimulationEngine::memory_bytes` across the whole run,
-//! and mirrors it into `RunStats`/`SimulationProfile` for `repro`.
+//! and mirrors it into `RunStats::peak_memory_bytes`, which `repro`
+//! prints.
 
 use crate::metrics::{MetricId, MetricValue, MetricsRegistry};
 

@@ -18,7 +18,6 @@ pub struct TensorNetwork {
     /// The open output index of each qubit, in qubit order.
     open_outputs: Vec<IndexId>,
     num_qubits: usize,
-    next_index: IndexId,
 }
 
 /// Builds the `2^k × 2^k` unitary of an instruction restricted to its own
@@ -148,7 +147,6 @@ impl TensorNetwork {
             tensors,
             open_outputs: wire,
             num_qubits: n,
-            next_index,
         }
     }
 
@@ -246,31 +244,12 @@ impl TensorNetwork {
     /// contraction). `open_outputs` lists the labels that must remain
     /// open, in the caller's qubit order.
     pub fn from_tensors(tensors: Vec<Tensor>, open_outputs: Vec<IndexId>) -> Self {
-        let next_index = tensors
-            .iter()
-            .flat_map(|t| t.labels().iter().copied())
-            .max()
-            .map_or(0, |m| m + 1);
         let num_qubits = open_outputs.len();
         TensorNetwork {
             tensors,
             open_outputs,
             num_qubits,
-            next_index,
         }
-    }
-
-    /// Allocates a fresh index id (used by extensions building custom
-    /// networks on top of a circuit network).
-    pub fn fresh_index(&mut self) -> IndexId {
-        let i = self.next_index;
-        self.next_index += 1;
-        i
-    }
-
-    /// Adds an arbitrary tensor to the network.
-    pub fn push_tensor(&mut self, t: Tensor) {
-        self.tensors.push(t);
     }
 }
 

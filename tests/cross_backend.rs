@@ -144,7 +144,6 @@ fn wide_adder_on_dd_only() {
 #[cfg(feature = "audit")]
 mod audits {
     use super::*;
-    use qdt::analysis::audit::{audit_dd, audit_mps, audit_zx};
 
     #[test]
     fn backends_audit_clean_on_suite_circuits() {
@@ -158,17 +157,14 @@ mod audits {
         for qc in &circuits {
             let mut dd = qdt::dd::DdPackage::new();
             dd.run_circuit(qc).expect("dd simulates");
-            let diags = audit_dd(&dd);
-            assert!(diags.is_empty(), "{qc}: {diags:?}");
+            assert_eq!(dd.audit(), Ok(()), "{qc}");
 
             let mps = qdt::tensor::mps::Mps::from_circuit(qc, 64).expect("mps simulates");
-            let diags = audit_mps(&mps);
-            assert!(diags.is_empty(), "{qc}: {diags:?}");
+            assert_eq!(mps.audit(), Ok(()), "{qc}");
 
             let mut zx = qdt::zx::Diagram::from_circuit(qc).expect("zx lowers");
             qdt::zx::simplify::full_reduce(&mut zx);
-            let diags = audit_zx(&zx);
-            assert!(diags.is_empty(), "{qc}: {diags:?}");
+            assert_eq!(zx.audit(), Ok(()), "{qc}");
         }
     }
 }

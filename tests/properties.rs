@@ -259,3 +259,49 @@ proptest! {
         prop_assert!(ua.approx_eq(&ub, 1e-8));
     }
 }
+
+/// With `--features audit`, the backend auditors must come back clean
+/// after simulating random Clifford+T circuits: random workloads must
+/// not be able to drive the data structures out of their invariants.
+#[cfg(feature = "audit")]
+mod audits {
+    use super::*;
+    use qdt::circuit::generators;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    proptest! {
+        #[test]
+        fn dd_package_invariants_survive_random_simulation(
+            seed in 0u64..500, n in 2usize..6,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let qc = generators::random_clifford_t(n, 25, 0.3, &mut rng);
+            let mut dd = DdPackage::new();
+            dd.run_circuit(&qc).expect("simulates");
+            prop_assert_eq!(dd.audit(), Ok(()));
+        }
+
+        #[test]
+        fn zx_invariants_survive_lowering_and_reduction(
+            seed in 0u64..500, n in 2usize..6,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let qc = generators::random_clifford_t(n, 20, 0.3, &mut rng);
+            let mut d = qdt::zx::Diagram::from_circuit(&qc).expect("lowers");
+            prop_assert_eq!(d.audit(), Ok(()));
+            qdt::zx::simplify::full_reduce(&mut d);
+            prop_assert_eq!(d.audit(), Ok(()));
+        }
+
+        #[test]
+        fn mps_invariants_survive_random_simulation(
+            seed in 0u64..500, n in 2usize..7,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let qc = generators::random_clifford_t(n, 20, 0.3, &mut rng);
+            let mps = qdt::tensor::mps::Mps::from_circuit(&qc, 16).expect("simulates");
+            prop_assert_eq!(mps.audit(), Ok(()));
+        }
+    }
+}

@@ -216,6 +216,9 @@ impl SimulationEngine for Counting {
     fn prepare(&mut self, num_qubits: usize) -> Result<(), EngineError> {
         self.inner.prepare(num_qubits)
     }
+    fn prepare_for(&mut self, circuit: &Circuit) -> Result<(), EngineError> {
+        self.inner.prepare_for(circuit)
+    }
     fn apply_instruction(&mut self, inst: &Instruction) -> Result<(), EngineError> {
         self.inner.apply_instruction(inst)
     }
