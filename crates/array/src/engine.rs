@@ -339,6 +339,11 @@ impl SimulationEngine for ArrayEngine {
         Ok(())
     }
 
+    fn flush(&mut self) -> Result<(), EngineError> {
+        self.flush_fusion();
+        Ok(())
+    }
+
     fn cost_metric(&self) -> CostMetric {
         CostMetric {
             name: "amplitudes",
@@ -454,12 +459,12 @@ impl SimulationEngine for ArrayEngine {
     fn telemetry(&mut self, sink: &TelemetrySink) {
         self.metrics = sink.enabled_clone().map(ArrayMetrics::new);
         if let Some(metrics) = &self.metrics {
-            // 1 when the AVX2/FMA kernels are live, 0 on the scalar
-            // fallback (feature missing or QDT_SIMD override).
-            metrics.sink.metrics().gauge_set_id(
-                metrics.simd,
-                if crate::simd::simd_active() { 1.0 } else { 0.0 },
-            );
+            // The kernel level that will run: 0 scalar (feature missing
+            // or QDT_SIMD override), 1 AVX2/FMA, 2 AVX-512.
+            metrics
+                .sink
+                .metrics()
+                .gauge_set_id(metrics.simd, f64::from(crate::simd::simd_level() as u8));
         }
         // The pool records only spans and a `_us` histogram — both off
         // the deterministic gate metric stream.
@@ -628,6 +633,28 @@ mod tests {
             Some(MetricValue::Counter(n)) => assert_eq!(n, 84),
             other => panic!("missing flops counter: {other:?}"),
         }
+    }
+
+    #[test]
+    fn run_applies_the_last_fused_group_before_it_returns() {
+        use qdt_engine::telemetry::MetricValue;
+
+        let qc = generators::qft(8, true);
+        let sink = TelemetrySink::new();
+        let mut e = ArrayEngine::with_threads(1).with_fusion(5);
+        e.telemetry(&sink);
+        run(&mut e, &qc).unwrap();
+        // No query yet: every group, the last included, ran inside `run`.
+        let planned = crate::plan_groups(qc.instructions(), 5)
+            .iter()
+            .filter(|s| s.fused)
+            .count() as u64;
+        assert!(planned > 1);
+        match sink.metrics().get("array.fuse.groups") {
+            Some(MetricValue::Counter(n)) => assert_eq!(n, planned),
+            other => panic!("missing fuse.groups counter: {other:?}"),
+        }
+        assert_eq!(e.fuser.pending(), 0);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! to `2^10` amplitudes (never more than a quarter of the state, so
 //! planning stays small next to the sweep), which makes the block a few
 //! long unit-stride runs. Each constituent is planned once into run lists
-//! of [`crate::simd`] updates; every block then applies them in program
+//! of [`crate::simd`] updates (controls and diagonal targets on the
+//! block's bits 0–2 become lanes of one tile, so its diagonal runs are
+//! at least 8 amplitudes long); every block then applies them in program
 //! order while its amplitudes are L1-resident. One memory sweep replaces
 //! one sweep *per gate*.
 //!
@@ -45,8 +47,11 @@ use qdt_parallel::SharedSlice;
 use qdt_complex::Complex;
 
 use crate::simd::{
-    apply_runs, gate_runs, outside_diagonal_runs, swap_runs, PairGate, Run, RunSet, RunSpec, Update,
+    apply_runs, gate_runs, outside_diagonal_runs, swap_runs, Kernels, PairGate, Run, RunSet,
+    RunSpec, Scalar, SimdLevel, Update,
 };
+#[cfg(target_arch = "x86_64")]
+use crate::simd::{Avx2, Avx512};
 
 /// The maximum fusion width: the number of qubits one group may *mix*
 /// (targets of non-diagonal gates and swap operands; controls and
@@ -424,33 +429,41 @@ impl BlockPlan {
 
     /// Applies the plan to every block in `range`, updating the shared
     /// amplitude slice in place. Dispatches the whole chunk to one
-    /// AVX2+FMA-compiled instantiation when `simd` is true, and to the
-    /// plain scalar instantiation otherwise — both run the same
-    /// expressions in the same order, so the bits agree either way.
+    /// instantiation of the block loop for `level` (AVX-512, AVX2+FMA or
+    /// plain scalar) — all run the same expressions in the same order,
+    /// so the bits agree whichever runs.
     pub(crate) fn run(
         &self,
         amps: &SharedSlice<'_, Complex>,
         range: core::ops::Range<usize>,
-        simd: bool,
+        level: SimdLevel,
     ) {
-        #[cfg(target_arch = "x86_64")]
-        if simd {
-            // SAFETY: `simd` is only true after a runtime AVX2+FMA check
-            // (see `crate::simd::simd_active`).
+        match level {
+            // SAFETY: `level` is only a vector level after the runtime
+            // feature check of `crate::simd::simd_level`.
+            #[cfg(target_arch = "x86_64")]
             #[allow(unsafe_code)]
-            unsafe {
-                return self.run_avx2(amps, range);
-            }
+            SimdLevel::Avx512 => unsafe { self.run_avx512(amps, range) },
+            // SAFETY: as above.
+            #[cfg(target_arch = "x86_64")]
+            #[allow(unsafe_code)]
+            SimdLevel::Avx2 => unsafe { self.run_avx2(amps, range) },
+            _ => self.run_body::<Scalar>(amps, range),
         }
-        let _ = simd;
-        self.run_body::<false>(amps, range);
     }
 
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2", enable = "fma")]
     #[allow(unsafe_code)]
     unsafe fn run_avx2(&self, amps: &SharedSlice<'_, Complex>, range: core::ops::Range<usize>) {
-        self.run_body::<true>(amps, range);
+        self.run_body::<Avx2>(amps, range);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+    #[allow(unsafe_code)]
+    unsafe fn run_avx512(&self, amps: &SharedSlice<'_, Complex>, range: core::ops::Range<usize>) {
+        self.run_body::<Avx512>(amps, range);
     }
 
     /// The shared per-block loop: expand the block number to its base
@@ -461,7 +474,7 @@ impl BlockPlan {
     /// across all the ops: in place, the chunks of a block lie a power
     /// of two apart and evict each other from the cache.
     #[inline(always)]
-    fn run_body<const SIMD: bool>(
+    fn run_body<K: Kernels>(
         &self,
         amps: &SharedSlice<'_, Complex>,
         range: core::ops::Range<usize>,
@@ -510,7 +523,7 @@ impl BlockPlan {
                     let Some(update) = &op.updates[usize::from(base & op.select != 0)] else {
                         continue;
                     };
-                    apply_runs::<SIMD>(block, op.runs.len(), |k| op.runs[k], update);
+                    apply_runs::<K>(block, op.runs.len(), |k| op.runs[k], update);
                 }
                 if gathered {
                     for (c, &off) in self.chunks.iter().enumerate() {
@@ -757,6 +770,39 @@ mod tests {
         assert_eq!(plan.ops[0].select, 0);
         // CCZ targets qubit 1 (in the block), controlled from outside.
         assert_eq!(plan.ops[2].guard, (1 << 15) | (1 << 13));
+        assert_fused_matches_unfused(&qc);
+    }
+
+    #[test]
+    fn low_controls_and_diagonal_targets_fold_into_tiles() {
+        // Controls on block bits 0–2 and diagonal targets there: every
+        // diagonal op runs in whole, aligned 8-amplitude tiles.
+        let mut qc = Circuit::new(14);
+        qc.h(12)
+            .cp(0.3, 1, 12)
+            .cp(0.5, 2, 12)
+            .cp(0.7, 0, 12)
+            .crz(0.9, 12, 2)
+            .cp(1.1, 1, 2)
+            .t(1)
+            .ry(0.4, 12);
+        let mut fuser = Fuser::new(MAX_FUSE_WIDTH);
+        for inst in qc.instructions() {
+            assert!(fuser.try_push(inst));
+        }
+        let plan = BlockPlan::new(&fuser.take().expect("pending group"), 14);
+        let mut diagonal_ops = 0;
+        for op in &plan.ops {
+            if let Some(Update::Scale(_)) = op.updates[0].or(op.updates[1]) {
+                diagonal_ops += 1;
+                assert!(
+                    op.runs.iter().all(|r| r.o0.is_multiple_of(8) && r.len >= 8),
+                    "{:?} splits a tile",
+                    op.runs
+                );
+            }
+        }
+        assert_eq!(diagonal_ops, 6);
         assert_fused_matches_unfused(&qc);
     }
 

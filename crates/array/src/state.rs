@@ -355,13 +355,13 @@ impl StateVector {
         specs: impl IntoIterator<Item = &'s crate::simd::RunSpec>,
         ctx: &KernelContext,
     ) {
-        let simd = crate::simd::simd_active();
+        let level = crate::simd::simd_level();
         let n = self.num_qubits;
         let amps = SharedSlice::new(&mut self.amps);
         for spec in specs {
             let runs = crate::simd::RunSet::new(n, spec);
             ctx.run(runs.count(), runs.weight(), &|range| {
-                crate::simd::apply_run_set(&amps, range, &runs, &spec.update, simd);
+                crate::simd::apply_run_set(&amps, range, &runs, &spec.update, level);
             });
         }
     }
@@ -396,13 +396,13 @@ impl StateVector {
             "fused qubit out of range"
         );
         let plan = crate::fusion::BlockPlan::new(group, self.num_qubits);
-        let simd = crate::simd::simd_active();
+        let level = crate::simd::simd_level();
         let amps = SharedSlice::new(&mut self.amps);
         ctx.run(
             plan.blocks(self.num_qubits),
             plan.block_weight(),
             &|range| {
-                plan.run(&amps, range, simd);
+                plan.run(&amps, range, level);
             },
         );
     }

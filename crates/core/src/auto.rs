@@ -170,6 +170,10 @@ impl SimulationEngine for AutoEngine {
         }
     }
 
+    fn flush(&mut self) -> Result<(), EngineError> {
+        self.inner.as_mut().map_or(Ok(()), |inner| inner.flush())
+    }
+
     fn cost_metric(&self) -> CostMetric {
         match &self.inner {
             Some(inner) => inner.cost_metric(),

@@ -259,6 +259,19 @@ pub trait SimulationEngine {
         self.prepare(circuit.num_qubits().max(1))
     }
 
+    /// Completes any gate work the engine deferred (the array engine's
+    /// pending fused group): the run-loop calls this before it returns,
+    /// so a run's work is charged to the run and not to the first query
+    /// after it. The default does nothing. An engine that delegates to
+    /// an inner engine must forward it.
+    ///
+    /// # Errors
+    ///
+    /// Whatever applying the deferred gates can raise.
+    fn flush(&mut self) -> Result<(), EngineError> {
+        Ok(())
+    }
+
     /// Applies one unitary IR instruction (gates and swaps; barriers
     /// are filtered out by the run-loop and need not be handled).
     ///
@@ -717,6 +730,7 @@ fn run_loop(
             trace.gate_end(span, i, inst, metric, &stats);
         }
     }
+    engine.flush()?;
     if stats.gates_applied == 0 {
         let metric = engine.cost_metric();
         stats.peak_metric = metric.value;

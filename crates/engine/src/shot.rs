@@ -913,6 +913,9 @@ mod tests {
             fn prepare_for(&mut self, circuit: &Circuit) -> Result<(), EngineError> {
                 self.0.prepare_for(circuit)
             }
+            fn flush(&mut self) -> Result<(), EngineError> {
+                self.0.flush()
+            }
             fn apply_instruction(&mut self, inst: &Instruction) -> Result<(), EngineError> {
                 self.0.apply_instruction(inst)
             }

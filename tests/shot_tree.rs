@@ -219,6 +219,9 @@ impl SimulationEngine for Counting {
     fn prepare_for(&mut self, circuit: &Circuit) -> Result<(), EngineError> {
         self.inner.prepare_for(circuit)
     }
+    fn flush(&mut self) -> Result<(), EngineError> {
+        self.inner.flush()
+    }
     fn apply_instruction(&mut self, inst: &Instruction) -> Result<(), EngineError> {
         self.inner.apply_instruction(inst)
     }
