@@ -329,6 +329,7 @@ mod tests {
 
     #[test]
     fn shot_hook_composes_noise_with_dynamic_circuits() {
+        use std::collections::BTreeMap;
         use std::sync::Arc;
 
         use qdt_array::ArrayEngine;
@@ -360,6 +361,10 @@ mod tests {
             .sample(&factory, &qc)
             .unwrap();
         assert!(noisy.counts.keys().any(|&k| k == 0b10 || k == 0b11));
+        assert_eq!(
+            noisy.counts,
+            BTreeMap::from([(0b00, 82), (0b01, 46), (0b10, 36), (0b11, 36)])
+        );
 
         let striped = ShotExecutor::new(ShotConfig::new(200, 11).with_workers(4))
             .with_gate_hook(hook)

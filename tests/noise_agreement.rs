@@ -96,3 +96,59 @@ fn verify_facade_agrees_on_noisy_bell() {
         report.threshold
     );
 }
+
+/// Noisy teleportation (depolarizing 0.02 after every gate, 4096 shots,
+/// seed 42): every shot is one noise trajectory through the feedback.
+/// The histogram is pinned on `array` and `dd`, at 1 and 4 workers.
+#[test]
+fn noisy_teleportation_histogram_is_pinned() {
+    use qdt::engine::{ShotConfig, ShotExecutor};
+
+    let (theta, phi) = (std::f64::consts::FRAC_PI_3, std::f64::consts::FRAC_PI_4);
+    let qc = generators::teleportation(theta, phi);
+    let model = NoiseModel::uniform(KrausChannel::Depolarizing { p: 0.02 });
+    for spec in ["array", "dd"] {
+        let factory = qdt::shot_factory(spec).expect("spec builds");
+        for workers in [1, 4] {
+            let result = ShotExecutor::new(ShotConfig::new(4096, 42).with_workers(workers))
+                .with_gate_hook(model.shot_hook().expect("valid model"))
+                .sample(&factory, &qc)
+                .expect("noisy shots run");
+            assert_eq!(
+                result.counts,
+                BTreeMap::from([(0, 1038), (1, 1018), (2, 1034), (3, 1006)]),
+                "{spec}, {workers} workers"
+            );
+        }
+    }
+}
+
+/// `traj(256, seed=7, depol=0.01, workers=1):dd` on GHZ-8: the ⟨Z₀Z₅⟩
+/// estimate, bit for bit.
+#[test]
+fn ghz8_trajectory_estimate_is_pinned() {
+    let mut engine = create_engine("traj(256,seed=7,depol=0.01,workers=1):dd").expect("spec");
+    run(engine.as_mut(), &generators::ghz(8)).expect("trajectory run");
+    let z0z5: qdt::circuit::PauliString = "IIZIIIIZ".parse().expect("pauli");
+    let estimate = engine.expectation(&z0z5).expect("expectation");
+    assert_eq!(estimate.to_bits(), 0x3fee_4000_0000_0001, "{estimate}");
+}
+
+/// `density(depol=0.01)` on GHZ-8: an order-sensitive digest of every
+/// entry of ρ, bit for bit.
+#[test]
+fn ghz8_density_matrix_is_pinned() {
+    let model = NoiseModel::uniform(KrausChannel::Depolarizing { p: 0.01 });
+    let mut engine = DensityMatrixEngine::with_noise(&model).expect("valid model");
+    run(&mut engine, &generators::ghz(8)).expect("density run");
+    let digest = engine
+        .density()
+        .as_matrix()
+        .as_slice()
+        .iter()
+        .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, bits| {
+            (h ^ bits).wrapping_mul(0x0100_0000_01b3)
+        });
+    assert_eq!(digest, 0xa0fd_f29f_d186_f50d);
+}
