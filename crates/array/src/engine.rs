@@ -6,8 +6,8 @@ use std::collections::BTreeMap;
 use qdt_circuit::{Instruction, OpKind, PauliString};
 use qdt_complex::{Complex, Matrix};
 use qdt_engine::{
-    check_basis, check_instruction_width, check_pauli_width, check_qubit, CostMetric, EngineCaps,
-    EngineError, SimulationEngine, TelemetrySink,
+    check_basis, check_instruction_width, check_pauli_width, check_qubit, refuse_channel,
+    CostMetric, EngineCaps, EngineError, SimulationEngine, TelemetrySink,
 };
 use qdt_parallel::KernelContext;
 use rand::RngCore;
@@ -310,6 +310,7 @@ impl SimulationEngine for ArrayEngine {
 
     fn apply_instruction(&mut self, inst: &Instruction) -> Result<(), EngineError> {
         check_instruction_width(self.num_qubits(), inst)?;
+        refuse_channel(self.name(), inst)?;
         // Uncontrolled `x` and `swap` only change the frame: no pass, no
         // flush (buffered gates are already in stored qubits).
         if self.frame.relabel(inst) {

@@ -2,8 +2,11 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
-use crate::{CircuitError, Gate};
+use qdt_complex::Matrix;
+
+use crate::{CircuitError, Gate, Pauli};
 
 /// One operation in a circuit.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,6 +45,66 @@ pub enum OpKind {
     },
     /// A scheduling barrier over the given qubits (no semantic effect).
     Barrier(Vec<usize>),
+    /// A noise channel on `qubit`: not unitary, so a shot loop draws it
+    /// per shot (one Kraus branch) and a density matrix applies it whole.
+    Channel {
+        /// The qubit the channel acts on.
+        qubit: usize,
+        /// The channel's Kraus operators.
+        channel: Arc<Channel>,
+    },
+}
+
+/// A single-qubit Kraus channel `ρ → Σ Kᵢ ρ Kᵢ†`, the payload of
+/// [`OpKind::Channel`].
+///
+/// When every operator is a scaled Pauli `cᵢ·Pᵢ` (depolarizing, bit and
+/// phase flip) the channel also holds the Paulis and their Born weights
+/// `|cᵢ|²`, which are the same on every state, so a stochastic simulator
+/// can draw the branch first and apply one Pauli as a gate.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Channel {
+    kraus: Vec<Matrix>,
+    pauli_mix: Option<(Vec<Pauli>, Vec<f64>)>,
+}
+
+impl Channel {
+    /// A channel from its Kraus operators (trace preservation is the
+    /// noise model's to check).
+    ///
+    /// # Errors
+    ///
+    /// [`CircuitError::InvalidChannel`] for an empty operator list or an
+    /// operator that is not 2×2.
+    pub fn new(kraus: Vec<Matrix>) -> Result<Channel, CircuitError> {
+        let reason = if kraus.is_empty() {
+            "no Kraus operators"
+        } else if kraus.iter().any(|k| (k.rows(), k.cols()) != (2, 2)) {
+            "a Kraus operator is not 2×2"
+        } else {
+            let pauli_mix = kraus
+                .iter()
+                .map(|k| Pauli::from_scaled_matrix(k).map(|(p, c)| (p, c.norm_sqr())))
+                .collect::<Option<Vec<_>>>()
+                .map(|mix| mix.into_iter().unzip());
+            return Ok(Channel { kraus, pauli_mix });
+        };
+        Err(CircuitError::InvalidChannel { reason })
+    }
+
+    /// The Kraus operators.
+    #[must_use]
+    pub fn kraus(&self) -> &[Matrix] {
+        &self.kraus
+    }
+
+    /// The Paulis and their Born weights, when every operator is a
+    /// scaled Pauli.
+    #[must_use]
+    pub fn pauli_mix(&self) -> Option<(&[Pauli], &[f64])> {
+        let (paulis, weights) = self.pauli_mix.as_ref()?;
+        Some((paulis, weights))
+    }
 }
 
 /// A classical condition attached to an instruction: execute only if
@@ -187,7 +250,9 @@ impl Instruction {
                 target, controls, ..
             } => ([*target, 0], 1, controls),
             OpKind::Swap { a, b, controls } => ([*a, *b], 2, controls),
-            OpKind::Measure { qubit, .. } | OpKind::Reset { qubit } => ([*qubit, 0], 1, &[]),
+            OpKind::Measure { qubit, .. }
+            | OpKind::Reset { qubit }
+            | OpKind::Channel { qubit, .. } => ([*qubit, 0], 1, &[]),
             OpKind::Barrier(qs) => ([0; 2], 0, qs),
         };
         Qubits {
@@ -247,6 +312,10 @@ impl Instruction {
             },
             OpKind::Reset { qubit } => OpKind::Reset { qubit: f(*qubit) },
             OpKind::Barrier(qs) => OpKind::Barrier(qs.iter().map(|&q| f(q)).collect()),
+            OpKind::Channel { qubit, channel } => OpKind::Channel {
+                qubit: f(*qubit),
+                channel: Arc::clone(channel),
+            },
         };
         Instruction {
             kind,
@@ -285,8 +354,8 @@ impl Instruction {
     }
 
     /// The qubits this instruction *mixes*, or `None` when it cannot join
-    /// a fused gate group at all (measurements, resets, barriers, and
-    /// classically conditioned instructions).
+    /// a fused gate group at all (measurements, resets, barriers, noise
+    /// channels, and classically conditioned instructions).
     ///
     /// A gate mixes its target unless it is diagonal ([`Gate::is_diagonal`]);
     /// a swap mixes both operands. Controls never mix anything: they only
@@ -311,7 +380,10 @@ impl Instruction {
                 qubits: [*a, *b],
                 len: 2,
             }),
-            OpKind::Measure { .. } | OpKind::Reset { .. } | OpKind::Barrier(_) => None,
+            OpKind::Measure { .. }
+            | OpKind::Reset { .. }
+            | OpKind::Barrier(_)
+            | OpKind::Channel { .. } => None,
         }
     }
 
@@ -327,6 +399,7 @@ impl Instruction {
             OpKind::Measure { .. } => "measure".into(),
             OpKind::Reset { .. } => "reset".into(),
             OpKind::Barrier(_) => "barrier".into(),
+            OpKind::Channel { .. } => "channel".into(),
         }
     }
 }
@@ -864,8 +937,8 @@ impl Circuit {
     }
 
     /// Returns `true` if the circuit needs per-shot dynamic execution:
-    /// it contains a measurement, a reset, or a classically conditioned
-    /// instruction.
+    /// it contains a measurement, a reset, a noise channel, or a
+    /// classically conditioned instruction.
     pub fn is_dynamic(&self) -> bool {
         self.static_prefix_len() < self.instructions.len()
     }
@@ -989,7 +1062,8 @@ impl Circuit {
         Ok(inv)
     }
 
-    /// Returns a copy with all measurements, resets and barriers removed.
+    /// Returns a copy with all measurements, resets, channels and
+    /// barriers removed.
     pub fn unitary_part(&self) -> Circuit {
         let mut qc = Circuit::with_clbits(self.num_qubits, self.num_clbits);
         qc.instructions = self
@@ -1156,6 +1230,19 @@ mod tests {
             }))
             .unwrap_err();
         assert_eq!(err, CircuitError::DuplicateQubit { qubit: 2 });
+    }
+
+    #[test]
+    fn channels_need_2x2_operators_and_keep_their_pauli_mix() {
+        let no_ops = CircuitError::InvalidChannel {
+            reason: "no Kraus operators",
+        };
+        assert_eq!(Channel::new(vec![]), Err(no_ops));
+        assert!(Channel::new(vec![Matrix::identity(4)]).is_err());
+        let flip = Channel::new(vec![Gate::X.matrix()]).unwrap();
+        assert_eq!(flip.pauli_mix(), Some((&[Pauli::X][..], &[1.0][..])));
+        let decay = Channel::new(vec![Gate::T.matrix(), Matrix::zeros(2, 2)]).unwrap();
+        assert_eq!((decay.pauli_mix(), decay.kraus().len()), (None, 2));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! * [`Gate`] — the single-qubit gate alphabet with exact 2×2 matrices,
 //!   inverses, and names.
 //! * [`Circuit`] / [`Instruction`] — a gate-list IR with arbitrary control
-//!   qubits, measurement, reset and barriers, plus a fluent builder API.
+//!   qubits, measurement, reset, noise [`Channel`]s and barriers, plus a
+//!   fluent builder API.
 //! * [`qasm`] — an OpenQASM 2.0 subset parser and writer, so circuits can
 //!   round-trip through the lingua franca of quantum toolchains.
 //! * [`generators`] — the benchmark families used throughout the paper's
@@ -34,7 +35,8 @@ mod pauli;
 pub mod qasm;
 
 pub use circuit::{
-    Circuit, ClassicalState, Condition, FusionSupport, Instruction, OpKind, QubitMap, Qubits,
+    Channel, Circuit, ClassicalState, Condition, FusionSupport, Instruction, OpKind, QubitMap,
+    Qubits,
 };
 pub use gate::Gate;
 pub use pauli::{ParsePauliError, Pauli, PauliString};
@@ -74,6 +76,11 @@ pub enum CircuitError {
         /// Name of the non-invertible operation.
         op: String,
     },
+    /// A [`Channel`] was given no Kraus operators, or one that is not 2×2.
+    InvalidChannel {
+        /// What is wrong with the operators.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for CircuitError {
@@ -103,6 +110,7 @@ impl fmt::Display for CircuitError {
             CircuitError::NotInvertible { op } => {
                 write!(f, "operation {op} has no unitary inverse")
             }
+            CircuitError::InvalidChannel { reason } => write!(f, "invalid channel: {reason}"),
         }
     }
 }

@@ -711,7 +711,8 @@ fn swap(a: usize, b: usize, controls: Vec<usize>) -> OpKind {
 ///
 /// Returns [`WriteQasmError`] for instructions outside the OpenQASM 2.0
 /// subset: more than two controls, controlled gates with no standard name
-/// (e.g. controlled-T), or controlled swaps with more than one control.
+/// (e.g. controlled-T), controlled swaps with more than one control, or
+/// noise channels.
 pub fn write(circuit: &Circuit) -> Result<String, WriteQasmError> {
     let mut out = String::new();
     out.push_str("OPENQASM 2.0;\ninclude \"qelib1.inc\";\n");
@@ -835,6 +836,7 @@ fn write_kind(
         },
         OpKind::Measure { qubit, clbit } => format!("measure q[{qubit}] -> c[{clbit}];"),
         OpKind::Reset { qubit } => format!("reset q[{qubit}];"),
+        OpKind::Channel { .. } => return Err(unsupported("a noise channel")),
         OpKind::Barrier(qs) => {
             let args: Vec<String> = qs.iter().map(|q| format!("q[{q}]")).collect();
             format!("barrier {};", args.join(", "))

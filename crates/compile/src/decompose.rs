@@ -20,8 +20,8 @@ use crate::CompileError;
 /// Returns [`CompileError::NotRepresentable`] when a continuous rotation
 /// hits a discrete basis (e.g. `Rz(0.3)` under Clifford+T) or a gate has
 /// more than 15 controls (its parity network would have 2^16 terms or
-/// more), and [`CompileError::NonUnitary`] only never — measurement/reset/barrier
-/// pass through untouched.
+/// more), and [`CompileError::NonUnitary`] only never — measurements,
+/// resets, noise channels and barriers pass through untouched.
 pub fn rebase(circuit: &Circuit, gate_set: &GateSet) -> Result<Circuit, CompileError> {
     let mut out = Circuit::with_clbits(circuit.num_qubits(), circuit.num_clbits());
     for inst in circuit {
@@ -32,7 +32,7 @@ pub fn rebase(circuit: &Circuit, gate_set: &GateSet) -> Result<Circuit, CompileE
 
 /// The number of instructions [`rebase`] lowers one instruction to on
 /// `gate_set`: 1 for a gate already in the set and for the measurements,
-/// resets and barriers that pass through untouched. Multi-controlled
+/// resets, channels and barriers that pass through untouched. Multi-controlled
 /// gates are counted in closed form, without building their lowering.
 ///
 /// This is the instruction's cost after compilation, the weight by which
@@ -53,7 +53,10 @@ pub fn lowered_len(inst: &Instruction, gate_set: &GateSet) -> Result<usize, Comp
             emit_instruction(&mut out, inst, gate_set)?;
             Ok(out.len())
         }
-        OpKind::Measure { .. } | OpKind::Reset { .. } | OpKind::Barrier(_) => Ok(1),
+        OpKind::Measure { .. }
+        | OpKind::Reset { .. }
+        | OpKind::Barrier(_)
+        | OpKind::Channel { .. } => Ok(1),
     }
 }
 
@@ -64,7 +67,10 @@ fn emit_instruction(
     gate_set: &GateSet,
 ) -> Result<(), CompileError> {
     match &inst.kind {
-        OpKind::Measure { .. } | OpKind::Reset { .. } | OpKind::Barrier(_) => {
+        OpKind::Measure { .. }
+        | OpKind::Reset { .. }
+        | OpKind::Barrier(_)
+        | OpKind::Channel { .. } => {
             out.push(inst.clone()).expect("same register sizes");
         }
         OpKind::Swap { a, b, controls } => match controls.len() {

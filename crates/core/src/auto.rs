@@ -45,8 +45,8 @@ use crate::engine::create_engine;
 pub struct AutoEngine {
     chosen: Option<String>,
     inner: Option<Box<dyn SimulationEngine>>,
-    /// Gates of the dispatched circuit not yet applied: the stream the
-    /// backend was priced on.
+    /// Instructions of the dispatched circuit not yet applied (barriers
+    /// never reach the engine): the stream the backend was priced on.
     pending: usize,
     sink: Option<TelemetrySink>,
 }
@@ -145,10 +145,10 @@ impl SimulationEngine for AutoEngine {
         engine.prepare_for(circuit)?;
         self.chosen = Some(decision.chosen);
         self.inner = Some(engine);
+        // `run` hands over everything but barriers, or fails first.
         self.pending = circuit
             .iter()
-            .filter(|i| i.cond.is_none())
-            .filter(|i| matches!(i.kind, OpKind::Unitary { .. } | OpKind::Swap { .. }))
+            .filter(|i| !matches!(i.kind, OpKind::Barrier(_)))
             .count();
         Ok(())
     }
@@ -378,14 +378,17 @@ mod tests {
     #[test]
     fn a_gate_stream_longer_than_the_dispatched_circuit_is_refused() {
         use qdt_noise::{KrausChannel, NoiseModel};
-        // A gate hook makes the shot loop `run` an empty prefix, then
-        // replay QFT-5 gate by gate: `auto` priced an empty circuit.
-        let noise = NoiseModel::uniform(KrausChannel::Depolarizing { p: 0.02 });
-        let executor = qdt_engine::ShotExecutor::new(qdt_engine::ShotConfig::new(64, 7))
-            .with_gate_hook(noise.shot_hook().unwrap());
-        let err = executor
-            .run_on(auto_engine().as_mut(), &generators::qft(5, true))
-            .unwrap_err();
+        // On an `auto` that already ran, the shot loop `run`s a
+        // channelled QFT-5's prefix (its first gate), then plays the
+        // rest gate by gate: `auto` priced that one gate alone.
+        let qft = generators::qft(5, true);
+        let noisy = NoiseModel::uniform(KrausChannel::Depolarizing { p: 0.02 })
+            .apply(&qft)
+            .unwrap();
+        let mut engine = auto_engine();
+        run(engine.as_mut(), &qft).unwrap();
+        let executor = qdt_engine::ShotExecutor::new(qdt_engine::ShotConfig::new(64, 7));
+        let err = executor.run_on(engine.as_mut(), &noisy).unwrap_err();
         let refused = |e: &EngineError| matches!(e, EngineError::Unsupported { what, .. } if what.contains("`run`"));
         assert!(refused(&err), "{err:?}");
         // `run`'s own gates are taken; one more is not.

@@ -39,7 +39,7 @@ use crate::auto::AutoEngine;
 pub use qdt_engine::{
     check_pauli_width, dense_expectation, run, run_traced, sample_from_amplitudes, CostMetric,
     EngineCaps, EngineError, EngineFactory, GateLog, GateRecord, RunStats, ShotConfig,
-    ShotExecutor, ShotGateHook, ShotResult, ShotStats, SimulationEngine, TelemetrySink,
+    ShotExecutor, ShotResult, ShotStats, SimulationEngine, TelemetrySink,
 };
 
 use crate::QdtError;

@@ -3,11 +3,17 @@
 //! abort, and every accepted spec round-trips through `Display`; misuse
 //! of every default engine (queries before `prepare`, qubits past the
 //! register, `rollback` without `checkpoint`) is `Ok` or a typed
-//! `EngineError`, never a panic.
+//! `EngineError`, never a panic; so is every engine, shot loop and static
+//! tool handed a circuit with noise channels in it.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
-use qdt::circuit::{Gate, Instruction, OpKind, PauliString};
-use qdt::engine::parse_spec;
+use qdt::circuit::{generators, qasm, Channel, Gate, Instruction, OpKind, PauliString};
+use qdt::compile::coupling::CouplingMap;
+use qdt::compile::target::GateSet;
+use qdt::engine::{parse_spec, run, ShotConfig, ShotExecutor};
+use qdt::noise::{KrausChannel, NoiseModel};
 use qdt::EngineError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -93,6 +99,50 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    #[test]
+    fn channels_are_ok_or_a_typed_error(
+        spec in 0..DEFAULT_SPECS.split(' ').count(),
+        kind in 0..5usize,
+        shape in 0..3usize,
+        seed in 0..1000u64,
+        qubit in 0..5usize,
+    ) {
+        let spec = DEFAULT_SPECS.split(' ').nth(spec).expect("in range");
+        let kraus = KrausChannel::all_kinds(0.1)[kind];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let qc = match shape {
+            0 => generators::random_circuit(3, 3, &mut rng),
+            1 => generators::random_clifford(3, 4, &mut rng),
+            _ => generators::teleportation(0.3, 0.7),
+        };
+        let noisy = NoiseModel::uniform(kraus).apply(&qc).expect("valid model");
+        let channel = Arc::new(Channel::new(kraus.kraus_operators()).expect("2×2 operators"));
+        let inst = Instruction::new(OpKind::Channel { qubit, channel });
+
+        let mut e = qdt::create_engine(spec).expect("default spec builds");
+        for _ in 0..2 {
+            // Before `run` and after it; past the register it is refused as such.
+            let invalid = inst.check_qubits(e.num_qubits()).is_err();
+            let res = e.apply_instruction(&inst);
+            prop_assert!(!invalid || matches!(res, Err(EngineError::InvalidQubits(_))), "{spec}: {res:?}");
+            let ran = run(e.as_mut(), &noisy);
+            let mixed = spec.starts_with("density") || spec.starts_with("traj");
+            prop_assert!(ran.is_ok() == (mixed && shape < 2), "{spec}: {ran:?}");
+        }
+        drop(ShotExecutor::new(ShotConfig::new(4, seed)).run_on(e.as_mut(), &noisy));
+        drop(qdt::sample_dynamic(&noisy, 4, spec, seed, 2));
+
+        drop(qdt::analysis::Analyzer.analyze(&noisy));
+        drop(qdt::analysis::circuit_facts(&noisy));
+        let compiled = qdt::compile::compile(&noisy, &GateSet::ibm_basis(), &CouplingMap::linear(3));
+        prop_assert!(compiled.is_ok(), "{compiled:?}");
+        prop_assert!(qasm::write(&noisy).is_err());
     }
 }
 

@@ -6,8 +6,8 @@ use std::collections::BTreeMap;
 use qdt_circuit::{Instruction, PauliString};
 use qdt_complex::{Complex, Matrix};
 use qdt_engine::{
-    check_basis, check_instruction_width, check_pauli_width, check_qubit, CostMetric, EngineCaps,
-    EngineError, SimulationEngine, TelemetrySink,
+    check_basis, check_instruction_width, check_pauli_width, check_qubit, refuse_channel,
+    CostMetric, EngineCaps, EngineError, SimulationEngine, TelemetrySink,
 };
 use rand::{Rng, RngCore};
 
@@ -306,6 +306,7 @@ impl SimulationEngine for DdEngine {
 
     fn apply_instruction(&mut self, inst: &Instruction) -> Result<(), EngineError> {
         check_instruction_width(self.num_qubits(), inst)?;
+        refuse_channel(self.name(), inst)?;
         self.v = self.dd.apply_instruction(&self.v, inst).map_err(map_err)?;
         self.push_metrics();
         Ok(())

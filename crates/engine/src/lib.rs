@@ -36,7 +36,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use qdt_circuit::{Circuit, CircuitError, Instruction, OpKind, PauliString};
+use qdt_circuit::{Channel, Circuit, CircuitError, Gate, Instruction, OpKind, Pauli, PauliString};
 use qdt_complex::{Complex, Matrix};
 use rand::{Rng, RngCore};
 
@@ -44,7 +44,7 @@ pub use qdt_telemetry as telemetry;
 pub use qdt_telemetry::{GateLog, GateRecord, TelemetrySink};
 
 pub mod shot;
-pub use shot::{EngineFactory, ShotConfig, ShotExecutor, ShotGateHook, ShotResult, ShotStats};
+pub use shot::{EngineFactory, ShotConfig, ShotExecutor, ShotResult, ShotStats};
 
 /// Errors produced by simulation engines and the shared run-loop.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -141,7 +141,7 @@ pub struct CostMetric {
 /// key off.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RunStats {
-    /// Unitary instructions applied.
+    /// Gates, swaps and noise channels applied.
     pub gates_applied: usize,
     /// Barriers skipped (they have no semantic effect on any engine).
     pub barriers_skipped: usize,
@@ -272,15 +272,17 @@ pub trait SimulationEngine {
         Ok(())
     }
 
-    /// Applies one unitary IR instruction (gates and swaps; barriers
-    /// are filtered out by the run-loop and need not be handled).
+    /// Applies one IR instruction: a gate or swap, or a noise channel
+    /// on the engines that hold a mixed state (barriers are filtered out
+    /// by the run-loop and need not be handled).
     ///
     /// # Errors
     ///
     /// [`EngineError::InvalidQubits`] for a qubit outside the register or
     /// named twice (see [`check_instruction_width`]),
-    /// [`EngineError::NonUnitary`] for non-unitary instructions and
-    /// engine-specific errors for unsupported gate shapes.
+    /// [`EngineError::NonUnitary`] for non-unitary instructions,
+    /// [`refuse_channel`]'s error for a channel on a pure-state engine,
+    /// and engine-specific errors for unsupported gate shapes.
     fn apply_instruction(&mut self, inst: &Instruction) -> Result<(), EngineError>;
 
     /// The engine's current size figure (see [`CostMetric`]). Called by
@@ -534,6 +536,58 @@ pub fn reset_to_zero(
     Ok(outcome)
 }
 
+/// Draws one branch of a noise channel on `qubit` of a pure-state
+/// engine from `rng`: a noise trajectory's step, and how the shot loop
+/// runs an [`OpKind::Channel`]. A channel of scaled Paulis
+/// ([`Channel::pauli_mix`]) has state-independent Born weights, so the
+/// branch is drawn with [`choose_weighted`] first and only the drawn
+/// Pauli is applied, as a gate (nothing for `I`); any other channel goes
+/// through [`SimulationEngine::apply_kraus`]. Either way one channel
+/// consumes one draw.
+///
+/// # Errors
+///
+/// The engine's error from applying the Pauli gate or the Kraus channel.
+pub fn apply_channel(
+    engine: &mut dyn SimulationEngine,
+    channel: &Channel,
+    qubit: usize,
+    rng: &mut dyn RngCore,
+) -> Result<(), EngineError> {
+    let Some((paulis, weights)) = channel.pauli_mix() else {
+        return engine.apply_kraus(channel.kraus(), qubit, rng).map(drop);
+    };
+    let gate = match paulis[choose_weighted(weights, rng)] {
+        Pauli::I => return Ok(()),
+        Pauli::X => Gate::X,
+        Pauli::Y => Gate::Y,
+        Pauli::Z => Gate::Z,
+    };
+    engine.apply_instruction(&Instruction::new(OpKind::Unitary {
+        gate,
+        target: qubit,
+        controls: Vec::new(),
+    }))
+}
+
+/// A pure-state engine's guard in `apply_instruction`: a noise channel
+/// is refused, naming the two places that draw it.
+///
+/// # Errors
+///
+/// [`EngineError::Unsupported`] for an [`OpKind::Channel`].
+pub fn refuse_channel(engine: &'static str, inst: &Instruction) -> Result<(), EngineError> {
+    let OpKind::Channel { .. } = inst.kind else {
+        return Ok(());
+    };
+    Err(EngineError::Unsupported {
+        engine,
+        what: "noise channels on a pure state; sample the circuit with the shot loop \
+               (`ShotExecutor`) or run it on `traj(...)`"
+            .into(),
+    })
+}
+
 /// Inverse-transform choice among non-negative weights: draws an index
 /// with probability `weights[i] / Σ weights` — the shared Kraus-operator
 /// selection step of every [`SimulationEngine::apply_kraus`]
@@ -670,10 +724,11 @@ pub fn sample_from_amplitudes(
     counts
 }
 
-/// Runs a unitary circuit through an engine with the shared run-loop:
-/// prepares `|0…0⟩`, walks the gate stream once, skips barriers, rejects
-/// non-unitary instructions uniformly, applies everything else through
-/// the engine, and tracks the cost-metric high-water mark.
+/// Runs a circuit through an engine with the shared run-loop: prepares
+/// `|0…0⟩`, walks the instruction stream once, skips barriers, rejects
+/// measurements, resets and conditions uniformly, applies gates and
+/// noise channels through the engine, and tracks the cost-metric
+/// high-water mark.
 ///
 /// All engine-dispatching entry points (the `qdt` façade, the verifier's
 /// stimuli runs, the benchmark harness) funnel through here or through
@@ -714,7 +769,7 @@ fn run_loop(
             OpKind::Measure { .. } | OpKind::Reset { .. } => {
                 return Err(EngineError::NonUnitary { op: inst.name() });
             }
-            OpKind::Unitary { .. } | OpKind::Swap { .. } => {}
+            OpKind::Unitary { .. } | OpKind::Swap { .. } | OpKind::Channel { .. } => {}
         }
         let span = trace.as_deref().map(|trace| trace.gate_start(inst));
         engine.apply_instruction(inst)?;

@@ -10,12 +10,13 @@
 //! 1. **Static prefix** — the leading unconditioned unitaries run once
 //!    through the ordinary [`run`] loop, exactly as before;
 //! 2. **Dynamic suffix** — everything from the first measurement,
-//!    reset, or condition onward runs per outcome path, threading a
-//!    [`ClassicalState`] through the shot: measurements collapse the
-//!    state (the draw of [`collapse_qubit`](crate::collapse_qubit)) and
-//!    write clbits, resets measure-and-correct
-//!    ([`reset_to_zero`](crate::reset_to_zero)), and conditions gate
-//!    execution on the clbits written so far.
+//!    reset, noise channel or condition onward runs per outcome path,
+//!    threading a [`ClassicalState`] through the shot: measurements
+//!    collapse the state (the draw of
+//!    [`collapse_qubit`](crate::collapse_qubit)) and write clbits, resets
+//!    measure-and-correct ([`reset_to_zero`](crate::reset_to_zero)),
+//!    channels draw one Kraus branch ([`apply_channel`]), and conditions
+//!    gate execution on the clbits written so far.
 //!
 //! **Outcome tree.** A shot's state after the prefix depends only on
 //! the outcomes it has drawn so far, so shots are walks down a binary
@@ -34,9 +35,9 @@
 //! stops growing at 2^16 draw nodes; past the cap, new paths run live
 //! without being recorded.
 //!
-//! Two cases materialise every shot. With a gate hook (noise
-//! trajectories) the hook's own draws interleave with the collapses,
-//! so no tree is kept. With an inspector
+//! Two cases materialise every shot. With a noise channel in the suffix
+//! the channel draws interleave with the collapses, so no tree is kept
+//! and each shot is one noise trajectory. With an inspector
 //! ([`ShotExecutor::run_on_inspected`]) each shot replays its walked
 //! path, so the inspector sees that shot's collapsed state.
 //!
@@ -55,44 +56,20 @@
 //! the noise-trajectory engine.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use qdt_circuit::{Circuit, ClassicalState, Instruction, OpKind};
 use qdt_parallel::WorkerPool;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{run, EngineError, SimulationEngine, TelemetrySink};
+use crate::{apply_channel, run, EngineError, SimulationEngine, TelemetrySink};
 
 /// Constructor of fresh engines, one per worker thread of the shot loop
 /// or of the noise layer's trajectories. The umbrella crate wraps engine
 /// specs (`array`, `dd`, `mps:16`…) into this.
 pub type EngineFactory =
     Arc<dyn Fn() -> Result<Box<dyn SimulationEngine>, EngineError> + Send + Sync>;
-
-/// Per-gate decoration of the shot loop, called after every applied
-/// unitary with the working engine and the shot's RNG — the seam where
-/// stochastic noise composes with dynamic execution (`qdt-noise`'s
-/// `NoiseModel::shot_hook` applies its Kraus channels here, making each
-/// shot one noise trajectory).
-pub type ShotGateHook = Arc<
-    dyn Fn(
-            &mut dyn SimulationEngine,
-            &Instruction,
-            &mut dyn rand::RngCore,
-        ) -> Result<(), EngineError>
-        + Send
-        + Sync,
->;
-
-/// Borrowed form of [`ShotGateHook`] threaded through the shot loop.
-type GateHookRef<'h> = &'h (dyn Fn(
-    &mut dyn SimulationEngine,
-    &Instruction,
-    &mut dyn rand::RngCore,
-) -> Result<(), EngineError>
-         + Send
-         + Sync);
 
 /// Per-shot inspection callback of [`ShotExecutor::run_on_inspected`].
 type Inspect<'i> = dyn FnMut(u64, &mut dyn SimulationEngine, &ClassicalState) + 'i;
@@ -207,44 +184,16 @@ pub fn shot_seed(seed: u64, shot: u64) -> u64 {
 /// ```
 ///
 /// [`EngineCaps::dynamic`]: crate::EngineCaps::dynamic
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct ShotExecutor {
     config: ShotConfig,
     sink: Option<TelemetrySink>,
-    hook: Option<ShotGateHook>,
-}
-
-impl std::fmt::Debug for ShotExecutor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShotExecutor")
-            .field("config", &self.config)
-            .field("hook", &self.hook.is_some())
-            .finish_non_exhaustive()
-    }
 }
 
 impl ShotExecutor {
     /// An executor with the given configuration.
     pub fn new(config: ShotConfig) -> ShotExecutor {
-        ShotExecutor {
-            config,
-            sink: None,
-            hook: None,
-        }
-    }
-
-    /// Attaches a per-gate hook (see [`ShotGateHook`]). With a hook the
-    /// static-prefix optimisation is disabled and no outcome tree is
-    /// kept: every shot replays the *whole* circuit live, because the
-    /// hook's own draws interleave with the collapses, so two shots
-    /// that measure alike need not share a state. Each shot is an
-    /// independent realisation — exactly the noise-trajectory semantics
-    /// of `traj(...)`, composed with mid-circuit measurement and
-    /// feedback.
-    #[must_use]
-    pub fn with_gate_hook(mut self, hook: ShotGateHook) -> ShotExecutor {
-        self.hook = Some(hook);
-        self
+        ShotExecutor { config, sink: None }
     }
 
     /// Attaches telemetry: the executor reports the `shots.dynamic`,
@@ -313,7 +262,7 @@ impl ShotExecutor {
         inspect: Option<&mut Inspect<'_>>,
     ) -> Result<ShotResult, EngineError> {
         let shots = self.config.shots;
-        if !circuit.is_dynamic() && self.hook.is_none() {
+        if !circuit.is_dynamic() {
             // Classic two-step: evolve once, sample the final state.
             run(engine, circuit)?;
             let mut rng = StdRng::seed_from_u64(self.config.seed);
@@ -328,7 +277,22 @@ impl ShotExecutor {
             self.report(&result, 0);
             return Ok(result);
         }
-        let plan = ShotPlan::new(circuit, engine, self.hook.as_deref())?;
+        let (result, replayed) = self.run_stripe(engine, circuit, 0..shots as u64, inspect)?;
+        self.report(&result, replayed);
+        Ok(result)
+    }
+
+    /// Runs the static prefix once on `engine`, then the given shots
+    /// (global indices) from its anchor; returns their outcomes and how
+    /// many shots materialised.
+    fn run_stripe(
+        &self,
+        engine: &mut dyn SimulationEngine,
+        circuit: &Circuit,
+        shots: impl Iterator<Item = u64>,
+        inspect: Option<&mut Inspect<'_>>,
+    ) -> Result<(ShotResult, u64), EngineError> {
+        let plan = ShotPlan::new(circuit, engine)?;
         {
             let _frame = qdt_telemetry::profile_frame("shot:prefix");
             run(engine, &plan.prefix)?;
@@ -336,16 +300,9 @@ impl ShotExecutor {
         let _frame = qdt_telemetry::profile_frame("shot:suffix-loop");
         let mut result = ShotResult::default();
         let mut worker = ShotWorker::default();
-        worker.run_shots(
-            &plan,
-            engine,
-            0..shots as u64,
-            self.config.seed,
-            inspect,
-            &mut result,
-        )?;
-        self.report(&result, worker.replayed);
-        Ok(result)
+        let seed = self.config.seed;
+        worker.run_shots(&plan, engine, shots, seed, inspect, &mut result)?;
+        Ok((result, worker.replayed))
     }
 
     /// Runs the shots striped across the shared worker pool, one fresh
@@ -365,7 +322,7 @@ impl ShotExecutor {
     ) -> Result<ShotResult, EngineError> {
         let shots = self.config.shots;
         let workers = self.config.workers.max(1).min(shots.max(1));
-        if workers == 1 || (!circuit.is_dynamic() && self.hook.is_none()) {
+        if workers == 1 || !circuit.is_dynamic() {
             let mut engine = factory()?;
             return self.run_on(engine.as_mut(), circuit);
         }
@@ -373,38 +330,17 @@ impl ShotExecutor {
             #[allow(clippy::cast_precision_loss)]
             sink.metrics().gauge_set("shots.workers", workers as f64);
         }
-        // One result slot per worker, folded in worker order (the same
+        // Per-worker results come back in worker order (the same
         // deterministic striping the trajectory engine uses).
-        type Slot = Mutex<Option<Result<(ShotResult, u64), EngineError>>>;
-        let slots: Vec<Slot> = (0..workers).map(|_| Mutex::new(None)).collect();
-        let seed = self.config.seed;
-        WorkerPool::shared(workers).run_per_worker(workers, &|w| {
+        let partials = WorkerPool::shared(workers).run_per_worker(workers, &|w| {
             let _frame = qdt_telemetry::profile_frame("shot:worker");
-            let out = (|| {
-                let mut engine = factory()?;
-                let plan = ShotPlan::new(circuit, engine.as_mut(), self.hook.as_deref())?;
-                run(engine.as_mut(), &plan.prefix)?;
-                let mut partial = ShotResult::default();
-                let mut worker = ShotWorker::default();
-                worker.run_shots(
-                    &plan,
-                    engine.as_mut(),
-                    (w as u64..shots as u64).step_by(workers),
-                    seed,
-                    None,
-                    &mut partial,
-                )?;
-                Ok((partial, worker.replayed))
-            })();
-            *slots[w].lock().expect("shot slot poisoned") = Some(out);
+            let stripe = (w as u64..shots as u64).step_by(workers);
+            self.run_stripe(factory()?.as_mut(), circuit, stripe, None)
         });
         let mut result = ShotResult::default();
         let mut replayed = 0;
-        for slot in slots {
-            let (partial, partial_replayed) = slot
-                .into_inner()
-                .expect("shot slot poisoned")
-                .expect("shot worker slot unfilled")?;
+        for out in partials {
+            let (partial, partial_replayed) = out?;
             for (key, count) in partial.counts {
                 *result.counts.entry(key).or_insert(0) += count;
             }
@@ -425,12 +361,14 @@ impl ShotExecutor {
     }
 }
 
-/// The per-shot split of a dynamic or hooked circuit: static unitary
-/// prefix plus dynamic suffix, and the gate hook decorating the suffix.
+/// The per-shot split of a dynamic circuit: static unitary prefix plus
+/// dynamic suffix.
 struct ShotPlan<'c> {
     prefix: Circuit,
     suffix: &'c [Instruction],
-    hook: Option<GateHookRef<'c>>,
+    /// Whether shots share an outcome tree: not when the suffix draws
+    /// noise channels, whose draws interleave with the collapses.
+    tree: bool,
     num_clbits: usize,
     /// Whether any suffix instruction is a measurement — if so, the
     /// classical register is the histogram key; otherwise each shot is
@@ -439,17 +377,13 @@ struct ShotPlan<'c> {
 }
 
 impl<'c> ShotPlan<'c> {
-    fn new(
-        circuit: &'c Circuit,
-        engine: &mut dyn SimulationEngine,
-        hook: Option<GateHookRef<'c>>,
-    ) -> Result<Self, EngineError> {
+    fn new(circuit: &'c Circuit, engine: &mut dyn SimulationEngine) -> Result<Self, EngineError> {
         if circuit.is_dynamic() && !engine.caps().dynamic {
             return Err(EngineError::Unsupported {
                 engine: engine.name(),
-                what: "dynamic circuits (mid-circuit measurement, reset, classical \
-                       control); use an engine with `EngineCaps::dynamic` (array, \
-                       decision-diagram, mps, or stabilizer)"
+                what: "dynamic circuits (mid-circuit measurement, reset, noise \
+                       channels, classical control); use an engine with \
+                       `EngineCaps::dynamic` (array, decision-diagram, mps, or stabilizer)"
                     .into(),
             });
         }
@@ -463,26 +397,17 @@ impl<'c> ShotPlan<'c> {
                 ),
             });
         }
-        // With a gate hook every shot is its own stochastic
-        // realisation, so the whole circuit becomes the per-shot
-        // suffix; without one, the static prefix runs once and is
-        // anchored.
-        let (prefix, suffix) = if hook.is_some() {
-            // The empty prefix still carries the register widths, so
-            // `run` (and the per-shot snapshot) prepares `|0…0⟩` at the
-            // right size before the whole circuit replays as suffix.
-            let empty = Circuit::with_clbits(circuit.num_qubits(), circuit.num_clbits());
-            (empty, circuit.instructions())
-        } else {
-            circuit.split_dynamic()
-        };
+        let (prefix, suffix) = circuit.split_dynamic();
         let has_measure = suffix
             .iter()
             .any(|i| matches!(i.kind, OpKind::Measure { .. }));
+        let tree = !suffix
+            .iter()
+            .any(|i| matches!(i.kind, OpKind::Channel { .. }));
         Ok(ShotPlan {
             prefix,
             suffix,
-            hook,
+            tree,
             num_clbits: circuit.num_clbits(),
             has_measure,
         })
@@ -574,6 +499,9 @@ impl<'c> ShotPlan<'c> {
                     stats.collapses += 1;
                     stats.resets += 1;
                 }
+                OpKind::Channel { qubit, channel } => {
+                    apply_channel(work, channel, *qubit, draws.rng)?;
+                }
                 OpKind::Unitary { .. } | OpKind::Swap { .. } => {
                     // The condition is resolved here, in the shot loop;
                     // backends only ever see bare unitaries (they
@@ -582,14 +510,8 @@ impl<'c> ShotPlan<'c> {
                         let mut bare = inst.clone();
                         bare.cond = None;
                         work.apply_instruction(&bare)?;
-                        if let Some(hook) = self.hook {
-                            hook(work, &bare, draws.rng)?;
-                        }
                     } else {
                         work.apply_instruction(inst)?;
-                        if let Some(hook) = self.hook {
-                            hook(work, inst, draws.rng)?;
-                        }
                     }
                 }
             }
@@ -760,7 +682,8 @@ impl ShotWorker {
     /// The shot routine: runs the given shots (global indices) on
     /// `engine`, which holds the post-prefix state, and adds their
     /// outcomes to `result`. Each shot walks the tree and materialises
-    /// only when it leaves it — or always, under a hook or inspector.
+    /// only when it leaves it — or always, with noise channels or an
+    /// inspector.
     fn run_shots(
         &mut self,
         plan: &ShotPlan<'_>,
@@ -774,11 +697,9 @@ impl ShotWorker {
             let mut rng = StdRng::seed_from_u64(shot_seed(seed, shot));
             self.path.clear();
             self.live.clear();
-            // A hook draws from the shot RNG between collapses, so its
-            // shots share no tree; they run live from the anchor.
-            let grow_at = if plan.hook.is_some() {
-                None
-            } else {
+            // Channels draw from the shot RNG between collapses, so
+            // their shots share no tree; they run live from the anchor.
+            let grow_at = if plan.tree {
                 match self.tree.walk(&mut rng, &mut self.path) {
                     Ok(leaf) if inspect.is_none() => {
                         result.add(leaf.key, &leaf.stats);
@@ -789,6 +710,8 @@ impl ShotWorker {
                     Ok(_) => None,
                     Err(slot) => Some(slot),
                 }
+            } else {
+                None
             };
             let mut draws = Draws {
                 rng: &mut rng,
@@ -814,11 +737,15 @@ mod tests {
     use crate::test_engine::ReferenceEngine;
     use crate::EngineCaps;
 
-    fn flip(q: usize) -> Instruction {
-        Instruction::new(OpKind::Unitary {
-            gate: qdt_circuit::Gate::X,
-            target: q,
-            controls: vec![],
+    /// A bit flip of probability `p` on qubit `q`.
+    fn bit_flip(p: f64, q: usize) -> Instruction {
+        use qdt_complex::{Complex, Matrix};
+        let keep = Matrix::identity(2).scale(Complex::real((1.0 - p).sqrt()));
+        let flip = qdt_circuit::Gate::X.matrix().scale(Complex::real(p.sqrt()));
+        let channel = qdt_circuit::Channel::new(vec![keep, flip]).unwrap();
+        Instruction::new(OpKind::Channel {
+            qubit: q,
+            channel: Arc::new(channel),
         })
     }
 
@@ -980,53 +907,35 @@ mod tests {
     }
 
     #[test]
-    fn gate_hook_fires_per_gate_and_forces_full_replay() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-
-        // A hook that deterministically applies X after each gate turns
-        // H·H = I into X·H·X·H = X (X fixes |+⟩, the trailing X flips
-        // |0⟩), so every shot reads 1 — only possible if the hook
-        // decorated both H gates. The counter proves it ran once per
-        // unitary per shot, including the gate that would otherwise sit
-        // in the static prefix.
-        let calls = Arc::new(AtomicU64::new(0));
-        let seen = Arc::clone(&calls);
-        let hook: ShotGateHook = Arc::new(move |work, _inst, _rng| {
-            seen.fetch_add(1, Ordering::SeqCst);
-            work.apply_instruction(&flip(0))
-        });
+    fn channels_draw_in_every_shot_without_a_tree() {
+        // A certain bit flip after each H turns H·H = I into X·H·X·H = X
+        // (X fixes |+⟩, the last X flips |0⟩), so every shot reads 1. The
+        // first H is the static prefix; each shot replays the rest live.
         let mut qc = Circuit::with_clbits(1, 1);
-        qc.h(0).h(0);
+        qc.h(0);
+        qc.push(bit_flip(1.0, 0)).unwrap();
+        qc.h(0);
+        qc.push(bit_flip(1.0, 0)).unwrap();
         qc.measure(0, 0);
-        let result = ShotExecutor::new(ShotConfig::new(8, 3))
-            .with_gate_hook(hook)
-            .run_on(&mut ReferenceEngine::default(), &qc)
-            .unwrap();
+        let (worker, result) = run_worker(&qc, 8, 3);
         assert_eq!(result.counts, BTreeMap::from([(1u128, 8)]));
-        // 2 unitaries × 8 shots: full replay means the leading H (the
-        // would-be static prefix) is decorated in every shot too.
-        assert_eq!(calls.load(Ordering::SeqCst), 16);
+        assert_eq!(worker.replayed, 8);
+        assert!(worker.tree.nodes.is_empty() && worker.tree.leaves.is_empty());
     }
 
     #[test]
-    fn gate_hook_sampling_is_deterministic_across_workers() {
-        let hook: ShotGateHook = Arc::new(|work, inst, rng| {
-            // A 20% stochastic bit-flip channel on each gate's first
-            // target — classic trajectory noise, driven by the shot RNG.
-            if rand::Rng::gen_bool(rng, 0.2) {
-                if let Some(q) = inst.qubits().next() {
-                    work.apply_instruction(&flip(q))?;
-                }
-            }
-            Ok(())
-        });
+    fn channel_sampling_is_deterministic_across_workers() {
+        // A 20% bit flip after each gate, on its first qubit — classic
+        // trajectory noise, drawn from the shot RNG.
         let factory: EngineFactory =
             Arc::new(|| Ok(Box::new(ReferenceEngine::default()) as Box<dyn SimulationEngine>));
         let mut qc = Circuit::with_clbits(2, 2);
-        qc.h(0).cx(0, 1);
+        qc.h(0);
+        qc.push(bit_flip(0.2, 0)).unwrap();
+        qc.cx(0, 1);
+        qc.push(bit_flip(0.2, 1)).unwrap();
         qc.measure(0, 0).measure(1, 1);
         let sequential = ShotExecutor::new(ShotConfig::new(129, 5))
-            .with_gate_hook(Arc::clone(&hook))
             .sample(&factory, &qc)
             .unwrap();
         // Noise must actually change the Bell statistics: without it
@@ -1034,7 +943,6 @@ mod tests {
         assert!(sequential.counts.keys().any(|&k| k == 0b01 || k == 0b10));
         for workers in [2, 4] {
             let striped = ShotExecutor::new(ShotConfig::new(129, 5).with_workers(workers))
-                .with_gate_hook(Arc::clone(&hook))
                 .sample(&factory, &qc)
                 .unwrap();
             assert_eq!(striped.counts, sequential.counts, "workers={workers}");
@@ -1055,7 +963,7 @@ mod tests {
     /// result, so tests can look at the tree.
     fn run_worker(qc: &Circuit, shots: usize, seed: u64) -> (ShotWorker, ShotResult) {
         let mut engine = ReferenceEngine::default();
-        let plan = ShotPlan::new(qc, &mut engine, None).unwrap();
+        let plan = ShotPlan::new(qc, &mut engine).unwrap();
         run(&mut engine, &plan.prefix).unwrap();
         let mut worker = ShotWorker::default();
         let mut result = ShotResult::default();

@@ -37,9 +37,11 @@ const NONZERO_EPS: f64 = 1e-24;
 /// The attached [`NoiseModel`]'s channels fire inside
 /// [`apply_instruction`](SimulationEngine::apply_instruction), after
 /// the instruction's unitary — so the shared run-loop drives noisy and
-/// noiseless engines identically. The cost metric is the number of
-/// nonzero entries of ρ (`"rho-nonzeros"`): pure structured states stay
-/// sparse, decoherence fills the matrix.
+/// noiseless engines identically. A channel written into the circuit
+/// ([`OpKind::Channel`], see [`NoiseModel::apply`]) applies through the
+/// same arm, so the two spellings give the same ρ. The cost metric is
+/// the number of nonzero entries of ρ (`"rho-nonzeros"`): pure
+/// structured states stay sparse, decoherence fills the matrix.
 ///
 /// # Example
 ///
@@ -259,19 +261,23 @@ impl SimulationEngine for DensityMatrixEngine {
                 self.rho
                     .apply_controlled_gate_with(&x, *b, &ctrl_a, &self.ctx);
             }
+            OpKind::Channel { qubit, channel } => {
+                self.rho
+                    .apply_kraus_with(channel.kraus(), *qubit, &self.ctx);
+                self.push_metrics(inst, 1);
+                return Ok(());
+            }
             other => {
                 return Err(EngineError::NonUnitary {
                     op: format!("{other:?}"),
                 });
             }
         }
-        let mut kraus_applications = 0u64;
-        for (qubit, kraus) in self.noise.channels_for(inst) {
-            self.rho.apply_kraus_with(kraus, qubit, &self.ctx);
-            kraus_applications += 1;
-        }
-        self.push_metrics(inst, kraus_applications);
-        Ok(())
+        self.push_metrics(inst, 0);
+        let channels: Vec<Instruction> = self.noise.channels_after(inst).collect();
+        channels
+            .iter()
+            .try_for_each(|ch| self.apply_instruction(ch))
     }
 
     fn cost_metric(&self) -> CostMetric {
@@ -310,7 +316,6 @@ impl SimulationEngine for DensityMatrixEngine {
     ) -> Result<BTreeMap<u128, usize>, EngineError> {
         let probs = self.rho.probabilities();
         let n = self.rho.num_qubits();
-        let flip = self.noise.readout_flip();
         let mut counts = BTreeMap::new();
         for _ in 0..shots {
             let mut r: f64 = rng.gen();
@@ -322,14 +327,7 @@ impl SimulationEngine for DensityMatrixEngine {
                 }
                 r -= p;
             }
-            let mut outcome = chosen as u128;
-            if flip > 0.0 {
-                for q in 0..n {
-                    if rng.gen_bool(flip) {
-                        outcome ^= 1 << q;
-                    }
-                }
-            }
+            let outcome = self.noise.flip_readout(chosen as u128, n, rng);
             *counts.entry(outcome).or_insert(0) += 1;
         }
         Ok(counts)
@@ -487,6 +485,24 @@ mod tests {
         let mut e = DensityMatrixEngine::with_noise(model).unwrap();
         run(&mut e, qc).unwrap();
         e.density().clone()
+    }
+
+    #[test]
+    fn written_in_channels_equal_the_model_weave() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let circuits = [
+            generators::ghz(8),
+            generators::random_circuit(4, 4, &mut rng),
+            generators::random_circuit(5, 3, &mut rng),
+        ];
+        for qc in &circuits {
+            for ch in KrausChannel::all_kinds(0.07) {
+                let model = NoiseModel::uniform(ch);
+                let woven = density_after(qc, &model);
+                let written = density_after(&model.apply(qc).unwrap(), &NoiseModel::new());
+                assert_eq!(woven.as_matrix(), written.as_matrix(), "{ch}");
+            }
+        }
     }
 
     #[test]

@@ -3,22 +3,23 @@
 //!
 //! A [`NoiseModel`] is a list of rules — a [`GateSelector`] paired with
 //! a [`KrausChannel`] — plus an optional classical readout-flip
-//! probability. Both noise engines ([`DensityMatrixEngine`] and
-//! [`TrajectoryEngine`]) consume the same [`CompiledNoise`], in which
-//! the per-rule Kraus matrices are materialised once instead of per
-//! gate.
+//! probability. [`CompiledNoise::channels_after`] places the rules'
+//! channels after a gate as [`OpKind::Channel`] instructions, each rule's
+//! operators materialised once; [`NoiseModel::apply`] writes them into
+//! a circuit, and both noise engines ([`DensityMatrixEngine`] and
+//! [`TrajectoryEngine`]) weave them in as the gates arrive.
 //!
 //! [`DensityMatrixEngine`]: crate::DensityMatrixEngine
 //! [`TrajectoryEngine`]: crate::TrajectoryEngine
 
-use qdt_circuit::{Gate, Instruction, OpKind, Pauli};
-use qdt_complex::Matrix;
-use qdt_engine::{choose_weighted, EngineError, SimulationEngine};
-use rand::RngCore;
+use std::sync::Arc;
+
+use qdt_circuit::{Channel, Circuit, Instruction, OpKind};
+use rand::{Rng, RngCore};
 
 use crate::{KrausChannel, NoiseError};
 
-/// Which instructions a noise rule fires after.
+/// Which gates a noise rule fires after.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GateSelector {
     /// Every gate and swap.
@@ -139,142 +140,98 @@ impl NoiseModel {
     }
 
     /// Validates the model and materialises each rule's Kraus
-    /// operators once, for per-gate reuse by the engines.
+    /// operators once, as the [`Channel`] its instructions share.
     ///
     /// # Errors
     ///
     /// See [`validate`](NoiseModel::validate).
     pub fn compile(&self) -> Result<CompiledNoise, NoiseError> {
         self.validate()?;
+        let rules = self.rules.iter().map(|r| {
+            let channel = Channel::new(r.channel.kraus_operators())
+                .expect("a built-in channel has 2×2 operators");
+            (r.selector.clone(), Arc::new(channel))
+        });
         Ok(CompiledNoise {
-            rules: self
-                .rules
-                .iter()
-                .map(|r| CompiledRule::new(r.selector.clone(), r.channel.kraus_operators()))
-                .collect(),
+            rules: rules.collect(),
             readout_flip: self.readout_flip,
         })
     }
 
-    /// Wraps the compiled model into a [`ShotGateHook`] for
-    /// [`ShotExecutor::with_gate_hook`]: after every unitary the shot
-    /// loop applies, the hook fires the matching rules' channels with
-    /// the shot's RNG through [`CompiledNoise::apply_stochastic`] — so
-    /// each shot of a dynamic circuit is one
-    /// noise trajectory, composed with mid-circuit measurement, reset,
-    /// and feedback. The classical [`readout_flip`] probability is
-    /// *not* applied by the hook (the shot loop owns the measurement
-    /// outcomes); it remains a property of the noise engines' samplers.
+    /// `circuit` with the model's channels written in: after every gate,
+    /// the [`OpKind::Channel`] instructions of
+    /// [`CompiledNoise::channels_after`]. Sampled with the shot loop,
+    /// each shot is one noise trajectory, composed with mid-circuit
+    /// measurement, reset and feedback; on `density(...)` the result
+    /// equals this model's engine on `circuit`. The classical
+    /// [`readout_flip`](NoiseModel::readout_flip) is not a channel and
+    /// is not written in.
     ///
     /// # Errors
     ///
     /// See [`validate`](NoiseModel::validate).
-    ///
-    /// [`ShotGateHook`]: qdt_engine::ShotGateHook
-    /// [`ShotExecutor::with_gate_hook`]: qdt_engine::ShotExecutor::with_gate_hook
-    /// [`readout_flip`]: CompiledNoise::readout_flip
-    pub fn shot_hook(&self) -> Result<qdt_engine::ShotGateHook, NoiseError> {
-        let compiled = self.compile()?;
-        Ok(std::sync::Arc::new(move |engine, inst, rng| {
-            compiled.apply_stochastic(engine, inst, rng)
-        }))
-    }
-}
-
-/// One compiled rule: the selector plus its materialised operators.
-#[derive(Debug, Clone)]
-struct CompiledRule {
-    selector: GateSelector,
-    kraus: Vec<Matrix>,
-    /// `Some` when every operator is a scaled Pauli `cᵢ·Pᵢ`: the Paulis
-    /// and their Born weights `|cᵢ|²`.
-    pauli_mix: Option<(Vec<Pauli>, Vec<f64>)>,
-}
-
-impl CompiledRule {
-    fn new(selector: GateSelector, kraus: Vec<Matrix>) -> Self {
-        let pauli_mix = kraus
-            .iter()
-            .map(|k| Pauli::from_scaled_matrix(k).map(|(p, c)| (p, c.norm_sqr())))
-            .collect::<Option<Vec<_>>>()
-            .map(|mix| mix.into_iter().unzip());
-        CompiledRule {
-            selector,
-            kraus,
-            pauli_mix,
+    pub fn apply(&self, circuit: &Circuit) -> Result<Circuit, NoiseError> {
+        let noise = self.compile()?;
+        let mut noisy = Circuit::with_clbits(circuit.num_qubits(), circuit.num_clbits());
+        for inst in circuit {
+            noisy.push_unchecked(inst.clone());
+            noise
+                .channels_after(inst)
+                .for_each(|ch| noisy.push_unchecked(ch));
         }
+        Ok(noisy)
     }
 }
 
-/// A validated noise model with materialised Kraus matrices — what the
-/// engines consume per instruction.
+/// A validated noise model with materialised Kraus channels — what the
+/// engines consume per gate.
 #[derive(Debug, Clone, Default)]
 pub struct CompiledNoise {
-    rules: Vec<CompiledRule>,
+    rules: Vec<(GateSelector, Arc<Channel>)>,
     readout_flip: f64,
 }
 
 impl CompiledNoise {
-    /// The channel applications an instruction triggers, as
-    /// `(qubit, operators)` pairs in rule order.
-    pub fn channels_for<'a>(
+    /// The channel instructions that follow `inst`: for a gate or swap,
+    /// one per matching rule and touched qubit, in rule order and then
+    /// qubit order, each under the gate's condition; nothing for any
+    /// other instruction. This is where the model places its channels.
+    pub fn channels_after<'a>(
         &'a self,
         inst: &'a Instruction,
-    ) -> impl Iterator<Item = (usize, &'a [Matrix])> + 'a {
+    ) -> impl Iterator<Item = Instruction> + 'a {
+        let gate = matches!(inst.kind, OpKind::Unitary { .. } | OpKind::Swap { .. });
         self.rules
             .iter()
-            .filter(|r| r.selector.matches(inst))
-            .flat_map(|r| inst.qubits().map(move |q| (q, r.kraus.as_slice())))
+            .filter(move |(selector, _)| gate && selector.matches(inst))
+            .flat_map(move |(_, channel)| {
+                inst.qubits().map(move |qubit| Instruction {
+                    kind: OpKind::Channel {
+                        qubit,
+                        channel: Arc::clone(channel),
+                    },
+                    cond: inst.cond,
+                })
+            })
     }
 
-    /// Fires the channels `inst` triggers on a pure-state engine, drawing
-    /// one branch per channel application from `rng` (a noise
-    /// trajectory's step; same order as [`channels_for`]).
-    ///
-    /// A channel whose operators are all scaled Paulis `cᵢ·Pᵢ`
-    /// (depolarizing, bit flip, phase flip) has the Born weight `|cᵢ|²`
-    /// on every state, so the branch is drawn with [`choose_weighted`]
-    /// before touching the state, and only the drawn Pauli is applied,
-    /// as a gate (nothing for `I`). Other channels go through
-    /// [`SimulationEngine::apply_kraus`]. Either way one channel
-    /// consumes one draw.
-    ///
-    /// # Errors
-    ///
-    /// The engine's error from applying a Pauli gate or a Kraus channel.
-    ///
-    /// [`channels_for`]: CompiledNoise::channels_for
-    pub fn apply_stochastic(
+    /// `outcome` (a register of `num_qubits` bits) after classical
+    /// readout error: each bit flips independently with the readout
+    /// probability, one `gen_bool` per bit, none when it is zero.
+    pub fn flip_readout(
         &self,
-        engine: &mut dyn SimulationEngine,
-        inst: &Instruction,
+        mut outcome: u128,
+        num_qubits: usize,
         rng: &mut dyn RngCore,
-    ) -> Result<(), EngineError> {
-        for rule in self.rules.iter().filter(|r| r.selector.matches(inst)) {
-            for qubit in inst.qubits() {
-                let Some((paulis, weights)) = &rule.pauli_mix else {
-                    engine.apply_kraus(&rule.kraus, qubit, rng)?;
-                    continue;
-                };
-                let gate = match paulis[choose_weighted(weights, rng)] {
-                    Pauli::I => continue,
-                    Pauli::X => Gate::X,
-                    Pauli::Y => Gate::Y,
-                    Pauli::Z => Gate::Z,
-                };
-                engine.apply_instruction(&Instruction::new(OpKind::Unitary {
-                    gate,
-                    target: qubit,
-                    controls: Vec::new(),
-                }))?;
+    ) -> u128 {
+        if self.readout_flip > 0.0 {
+            for q in 0..num_qubits {
+                if rng.gen_bool(self.readout_flip) {
+                    outcome ^= 1 << q;
+                }
             }
         }
-        Ok(())
-    }
-
-    /// The per-bit readout flip probability.
-    pub fn readout_flip(&self) -> f64 {
-        self.readout_flip
+        outcome
     }
 
     /// `true` if no rule and no readout error is present.
@@ -311,11 +268,15 @@ mod tests {
         let model = NoiseModel::uniform(KrausChannel::BitFlip { p: 0.1 });
         let compiled = model.compile().unwrap();
         let qc = bell();
-        let on_h: Vec<_> = compiled.channels_for(&qc.instructions()[0]).collect();
-        let on_cx: Vec<_> = compiled.channels_for(&qc.instructions()[1]).collect();
+        let on_h: Vec<_> = compiled.channels_after(&qc.instructions()[0]).collect();
+        let on_cx: Vec<_> = compiled.channels_after(&qc.instructions()[1]).collect();
         assert_eq!(on_h.len(), 1);
         assert_eq!(on_cx.len(), 2, "both CX qubits get the channel");
-        assert_eq!(on_h[0].1.len(), 2, "bit flip has two Kraus operators");
+        let OpKind::Channel { qubit, channel } = &on_h[0].kind else {
+            panic!("{:?}", on_h[0]);
+        };
+        assert_eq!(*qubit, 0);
+        assert_eq!(channel.kraus().len(), 2, "bit flip has two Kraus operators");
     }
 
     #[test]
@@ -328,7 +289,7 @@ mod tests {
     }
 
     #[test]
-    fn shot_hook_composes_noise_with_dynamic_circuits() {
+    fn channels_compose_with_dynamic_circuits() {
         use std::collections::BTreeMap;
         use std::sync::Arc;
 
@@ -353,12 +314,11 @@ mod tests {
             .unwrap();
         assert!(clean.counts.keys().all(|&k| k == 0b00 || k == 0b01));
 
-        let hook = NoiseModel::uniform(KrausChannel::BitFlip { p: 0.25 })
-            .shot_hook()
+        let noisy_qc = NoiseModel::uniform(KrausChannel::BitFlip { p: 0.25 })
+            .apply(&qc)
             .unwrap();
         let noisy = ShotExecutor::new(ShotConfig::new(200, 11))
-            .with_gate_hook(Arc::clone(&hook))
-            .sample(&factory, &qc)
+            .sample(&factory, &noisy_qc)
             .unwrap();
         assert!(noisy.counts.keys().any(|&k| k == 0b10 || k == 0b11));
         assert_eq!(
@@ -367,15 +327,46 @@ mod tests {
         );
 
         let striped = ShotExecutor::new(ShotConfig::new(200, 11).with_workers(4))
-            .with_gate_hook(hook)
-            .sample(&factory, &qc)
+            .sample(&factory, &noisy_qc)
             .unwrap();
         assert_eq!(striped.counts, noisy.counts);
     }
 
     #[test]
-    fn shot_hook_validates_the_model() {
+    fn apply_validates_the_model() {
         let bad = NoiseModel::uniform(KrausChannel::Depolarizing { p: 2.0 });
-        assert!(bad.shot_hook().is_err());
+        assert!(bad.apply(&bell()).is_err());
+    }
+
+    #[test]
+    fn apply_writes_channels_after_gates_only_under_their_conditions() {
+        let model = NoiseModel::new()
+            .with_rule(GateSelector::TwoQubit, KrausChannel::BitFlip { p: 0.1 })
+            .with_rule(GateSelector::All, KrausChannel::PhaseFlip { p: 0.2 });
+        let mut qc = Circuit::with_clbits(2, 1);
+        qc.h(0).cx(0, 1).barrier();
+        qc.measure(0, 0).reset(1);
+        qc.x(1).c_if(0, true);
+        let noisy = model.apply(&qc).unwrap();
+        let steps: Vec<String> = noisy
+            .iter()
+            .map(|i| format!("{}{}", i.name(), i.qubits().next().unwrap()))
+            .collect();
+        // After `cx` (qubits 1, 0): rule order first, then qubit order.
+        let placed = "h0 channel0 cx1 channel1 channel0 channel1 channel0 barrier0";
+        assert_eq!(
+            steps.join(" "),
+            format!("{placed} measure0 reset1 x1 channel1")
+        );
+        assert_eq!(noisy.instructions()[11].cond, qc.instructions()[5].cond);
+        let kraus = |i: usize| match &noisy.instructions()[i].kind {
+            OpKind::Channel { channel, .. } => channel.kraus().to_vec(),
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(kraus(3), KrausChannel::BitFlip { p: 0.1 }.kraus_operators());
+        assert_eq!(
+            kraus(5),
+            KrausChannel::PhaseFlip { p: 0.2 }.kraus_operators()
+        );
     }
 }

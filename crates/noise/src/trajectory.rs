@@ -2,13 +2,13 @@
 //!
 //! Instead of evolving the full density matrix, each *trajectory*
 //! evolves one pure state on an ordinary pure-state engine: after every
-//! gate, each matching [`NoiseModel`](crate::NoiseModel) rule picks
-//! **one** Kraus operator with its Born probability, applies it, and
-//! renormalises (the method of the paper's reference \[13\],
-//! Grurl/Fuß/Wille). For a mixture of scaled Paulis `cᵢ·Pᵢ` the Born
-//! probability is `|cᵢ|²` on every state, so the branch is drawn first
-//! and only the drawn Pauli is applied, as a gate. Averaging many
-//! trajectories converges to the
+//! gate, each channel a [`NoiseModel`](crate::NoiseModel) rule places
+//! there picks **one** Kraus operator with its Born probability, applies
+//! it, and renormalises (the method of the paper's reference \[13\],
+//! Grurl/Fuß/Wille; [`apply_channel`] is the step). For a mixture of
+//! scaled Paulis `cᵢ·Pᵢ` the Born probability is `|cᵢ|²` on every
+//! state, so the branch is drawn first and only the drawn Pauli is
+//! applied, as a gate. Averaging many trajectories converges to the
 //! density-matrix result — at pure-state memory cost, on any substrate
 //! engine that advertises
 //! [`EngineCaps::stochastic_kraus`](qdt_engine::EngineCaps).
@@ -20,17 +20,17 @@
 //! bit-identical for any worker count.
 
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
-use qdt_circuit::{Instruction, PauliString};
+use qdt_circuit::{Instruction, OpKind, PauliString};
 use qdt_complex::Complex;
 use qdt_engine::{
-    check_instruction_width, check_pauli_width, CostMetric, EngineCaps, EngineError, EngineFactory,
-    SimulationEngine, TelemetrySink,
+    apply_channel, check_instruction_width, check_pauli_width, CostMetric, EngineCaps, EngineError,
+    EngineFactory, SimulationEngine, TelemetrySink,
 };
 use qdt_parallel::WorkerPool;
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{RngCore, SeedableRng};
 
 use crate::{CompiledNoise, NoiseError, NoiseModel};
 
@@ -70,11 +70,13 @@ fn trajectory_seed(seed: u64, t: u64) -> u64 {
 /// Monte-Carlo noisy simulation wrapping any stochastic-Kraus-capable
 /// substrate engine, as a pluggable [`SimulationEngine`].
 ///
-/// The engine records the gate stream during the run-loop pass and
-/// replays it once per trajectory at query time (`sample`,
-/// `expectation`), so one `TrajectoryEngine` supports any number of
-/// queries. Dense `amplitudes` are rejected — the averaged state is
-/// mixed and has no amplitude vector.
+/// The engine records the gate stream during the run-loop pass, each
+/// gate followed by the channels the model places after it
+/// ([`CompiledNoise::channels_after`]), and replays it once per
+/// trajectory at query time (`sample`, `expectation`), so one
+/// `TrajectoryEngine` supports any number of queries. Dense
+/// `amplitudes` are rejected — the averaged state is mixed and has no
+/// amplitude vector.
 ///
 /// # Example
 ///
@@ -104,7 +106,10 @@ pub struct TrajectoryEngine {
     config: TrajectoryConfig,
     noise: CompiledNoise,
     num_qubits: usize,
+    /// The recorded gates, each followed by its channels.
     program: Vec<Instruction>,
+    /// Gates in `program` (channels not counted).
+    gates: usize,
     inner_name: &'static str,
     inner_caps: EngineCaps,
     /// Attached telemetry, if any (see [`SimulationEngine::telemetry`]).
@@ -140,6 +145,7 @@ impl TrajectoryEngine {
             noise: model.compile()?,
             num_qubits: 0,
             program: Vec::new(),
+            gates: 0,
             inner_name: probe.name(),
             inner_caps: probe.caps(),
             sink: None,
@@ -152,16 +158,19 @@ impl TrajectoryEngine {
     }
 
     /// Replays the recorded program as trajectory `t`: fresh substrate,
-    /// per-trajectory RNG, one stochastic channel branch per matching
-    /// gate and touched qubit ([`CompiledNoise::apply_stochastic`]).
+    /// per-trajectory RNG, one drawn branch per channel
+    /// ([`apply_channel`]).
     fn evolve(&self, t: u64) -> Result<(Box<dyn SimulationEngine>, StdRng), EngineError> {
         let mut rng = StdRng::seed_from_u64(trajectory_seed(self.config.seed, t));
         let mut engine = (self.factory)()?;
         engine.prepare(self.num_qubits.max(1))?;
         for inst in &self.program {
-            engine.apply_instruction(inst)?;
-            self.noise
-                .apply_stochastic(engine.as_mut(), inst, &mut rng)?;
+            match &inst.kind {
+                OpKind::Channel { qubit, channel } => {
+                    apply_channel(engine.as_mut(), channel, *qubit, &mut rng)?;
+                }
+                _ => engine.apply_instruction(inst)?,
+            }
         }
         Ok((engine, rng))
     }
@@ -186,14 +195,8 @@ impl TrajectoryEngine {
             #[allow(clippy::cast_precision_loss)]
             sink.metrics().gauge_set("traj.workers", workers as f64);
         }
-        // One result slot per worker; each worker locks only its own
-        // slot, so there is no contention, and folding the slots in
-        // order preserves the stripe ordering of the scoped-thread
-        // implementation this replaces.
-        type WorkerSlot<T> = Mutex<Option<Result<Vec<T>, EngineError>>>;
-        let slots: Vec<WorkerSlot<T>> = (0..workers).map(|_| Mutex::new(None)).collect();
         let sink = &self.sink;
-        WorkerPool::shared(workers).run_per_worker(workers, &|w| {
+        let stripes = WorkerPool::shared(workers).run_per_worker(workers, &|w| {
             let _frame = qdt_engine::telemetry::profile_frame("traj:worker");
             let _span = sink
                 .as_ref()
@@ -219,18 +222,14 @@ impl TrajectoryEngine {
                 #[allow(clippy::cast_precision_loss)]
                 m.histogram_record("traj.worker.busy_us", started.elapsed().as_micros() as f64);
             }
-            *slots[w].lock().expect("trajectory slot poisoned") = Some(match failure {
+            match failure {
                 Some(e) => Err(e),
                 None => Ok(out),
-            });
+            }
         });
         let mut results: Vec<T> = Vec::with_capacity(total);
-        for slot in slots {
-            let worker_out = slot
-                .into_inner()
-                .expect("trajectory slot poisoned")
-                .expect("trajectory worker slot unfilled")?;
-            results.extend(worker_out);
+        for stripe in stripes {
+            results.extend(stripe?);
         }
         Ok(results)
     }
@@ -250,9 +249,8 @@ impl SimulationEngine for TrajectoryEngine {
             approximate: true, // Monte-Carlo estimates carry sampling error
             stochastic_kraus: false,
             // The averaged state is mixed, so no projective collapse;
-            // dynamic circuits compose with noise through
-            // `ShotExecutor::with_gate_hook` + `NoiseModel::shot_hook`
-            // instead.
+            // dynamic circuits compose with noise in the shot loop
+            // instead, on `NoiseModel::apply`'s circuit.
             dynamic: false,
         }
     }
@@ -271,18 +269,22 @@ impl SimulationEngine for TrajectoryEngine {
         }
         self.num_qubits = num_qubits;
         self.program.clear();
+        self.gates = 0;
         Ok(())
     }
 
     fn apply_instruction(&mut self, inst: &Instruction) -> Result<(), EngineError> {
         check_instruction_width(self.num_qubits(), inst)?;
         // Gates are recorded, not executed: each trajectory replays the
-        // program with its own noise realisation at query time.
+        // program with its own noise realisation at query time. The
+        // model's rules are matched here, once per run.
         self.program.push(inst.clone());
+        self.program.extend(self.noise.channels_after(inst));
+        self.gates += usize::from(!matches!(inst.kind, OpKind::Channel { .. }));
         if let Some(sink) = &self.sink {
             #[allow(clippy::cast_precision_loss)]
             sink.metrics()
-                .gauge_set("traj.program.gates", self.program.len() as f64);
+                .gauge_set("traj.program.gates", self.gates as f64);
         }
         Ok(())
     }
@@ -290,7 +292,7 @@ impl SimulationEngine for TrajectoryEngine {
     fn cost_metric(&self) -> CostMetric {
         CostMetric {
             name: "trajectory-gates",
-            value: self.program.len(),
+            value: self.gates,
         }
     }
 
@@ -324,28 +326,17 @@ impl SimulationEngine for TrajectoryEngine {
         let total = self.config.trajectories.max(1);
         let (base, extra) = (shots / total, shots % total);
         let n = self.num_qubits;
-        let flip = self.noise.readout_flip();
         let histograms = self.parallel_trajectories(|t| {
             let shots_t = base + usize::from((t as usize) < extra);
             if shots_t == 0 {
                 return Ok(None);
             }
             let (mut engine, mut rng) = self.evolve(t)?;
-            let counts = engine.sample(shots_t, &mut rng)?;
-            if flip == 0.0 {
-                return Ok(Some(counts));
-            }
-            // Classical readout error: flip each measured bit
-            // independently, per shot.
+            // Classical readout error, per shot.
             let mut flipped = BTreeMap::new();
-            for (outcome, count) in counts {
+            for (outcome, count) in engine.sample(shots_t, &mut rng)? {
                 for _ in 0..count {
-                    let mut noisy = outcome;
-                    for q in 0..n {
-                        if rng.gen_bool(flip) {
-                            noisy ^= 1 << q;
-                        }
-                    }
+                    let noisy = self.noise.flip_readout(outcome, n, &mut rng);
                     *flipped.entry(noisy).or_insert(0) += 1;
                 }
             }
@@ -383,7 +374,7 @@ impl std::fmt::Debug for TrajectoryEngine {
             .field("config", &self.config)
             .field("inner", &self.inner_name)
             .field("num_qubits", &self.num_qubits)
-            .field("program_len", &self.program.len())
+            .field("gates", &self.gates)
             .finish_non_exhaustive()
     }
 }
@@ -484,41 +475,13 @@ mod tests {
 
     #[test]
     fn substrate_without_kraus_support_is_rejected_up_front() {
-        struct NoKraus(ReferenceEngine);
-        impl SimulationEngine for NoKraus {
-            fn name(&self) -> &'static str {
-                "no-kraus"
-            }
-            fn caps(&self) -> EngineCaps {
-                EngineCaps {
-                    stochastic_kraus: false,
-                    ..self.0.caps()
-                }
-            }
-            fn num_qubits(&self) -> usize {
-                self.0.num_qubits()
-            }
-            fn prepare(&mut self, n: usize) -> Result<(), EngineError> {
-                self.0.prepare(n)
-            }
-            fn prepare_for(&mut self, circuit: &Circuit) -> Result<(), EngineError> {
-                self.0.prepare_for(circuit)
-            }
-            fn flush(&mut self) -> Result<(), EngineError> {
-                self.0.flush()
-            }
-            fn apply_instruction(&mut self, inst: &Instruction) -> Result<(), EngineError> {
-                self.0.apply_instruction(inst)
-            }
-            fn cost_metric(&self) -> CostMetric {
-                self.0.cost_metric()
-            }
-            fn amplitudes(&mut self) -> Result<Vec<Complex>, EngineError> {
-                self.0.amplitudes()
-            }
-        }
-        let factory: EngineFactory =
-            Arc::new(|| Ok(Box::new(NoKraus(ReferenceEngine::default())) as _));
+        let factory: EngineFactory = Arc::new(|| {
+            Ok(Box::new(CountingKraus(
+                ReferenceEngine::default(),
+                Arc::default(),
+                false,
+            )) as _)
+        });
         let err = TrajectoryEngine::new(factory, TrajectoryConfig::default(), &NoiseModel::new());
         assert!(matches!(
             err,
@@ -526,14 +489,18 @@ mod tests {
         ));
     }
 
-    /// Forwards to [`ReferenceEngine`], counting `apply_kraus` calls.
-    struct CountingKraus(ReferenceEngine, Arc<AtomicUsize>);
+    /// Forwards to [`ReferenceEngine`], counting `apply_kraus` calls;
+    /// the flag is what it advertises as `stochastic_kraus`.
+    struct CountingKraus(ReferenceEngine, Arc<AtomicUsize>, bool);
     impl SimulationEngine for CountingKraus {
         fn name(&self) -> &'static str {
             "counting-kraus"
         }
         fn caps(&self) -> EngineCaps {
-            self.0.caps()
+            EngineCaps {
+                stochastic_kraus: self.2,
+                ..self.0.caps()
+            }
         }
         fn num_qubits(&self) -> usize {
             self.0.num_qubits()
@@ -575,6 +542,7 @@ mod tests {
             Ok(Box::new(CountingKraus(
                 ReferenceEngine::default(),
                 Arc::clone(&counted),
+                true,
             )) as _)
         });
         (factory, calls)
@@ -603,8 +571,11 @@ mod tests {
                 e.prepare(4).unwrap();
                 for inst in qc.instructions() {
                     e.apply_instruction(inst).unwrap();
-                    for (qubit, kraus) in compiled.channels_for(inst) {
-                        e.apply_kraus(kraus, qubit, &mut rng).unwrap();
+                    for ch in compiled.channels_after(inst) {
+                        let OpKind::Channel { qubit, channel } = ch.kind else {
+                            unreachable!("channels_after yields channels");
+                        };
+                        e.apply_kraus(channel.kraus(), qubit, &mut rng).unwrap();
                     }
                 }
                 for (sum, p) in born.iter_mut().zip(&paulis) {

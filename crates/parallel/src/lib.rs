@@ -300,9 +300,11 @@ impl WorkerPool {
     }
 
     /// Runs `job(k)` exactly once for every `k < active`, with `k`
-    /// pinned to a distinct pool thread (`k = 0` is the caller). Used by
-    /// the trajectory engine so each logical worker stripe runs on its
-    /// own thread and traces as its own track.
+    /// pinned to a distinct pool thread (`k = 0` is the caller), and
+    /// returns the results in worker order, so a fold over them is the
+    /// same at any thread count. Used by the shot loop and the
+    /// trajectory engine so each logical worker stripe runs on its own
+    /// thread and traces as its own track.
     ///
     /// Unlike [`WorkerPool::run_chunks`] no pool-level telemetry is
     /// recorded; per-worker jobs do their own domain-specific tracing.
@@ -311,27 +313,38 @@ impl WorkerPool {
     ///
     /// Panics if `active` exceeds the pool's thread count, and re-raises
     /// any panic from `job`.
-    pub fn run_per_worker(&self, active: usize, job: &(dyn Fn(usize) + Sync)) {
+    pub fn run_per_worker<T: Send>(
+        &self,
+        active: usize,
+        job: &(dyn Fn(usize) -> T + Sync),
+    ) -> Vec<T> {
         assert!(
             active <= self.threads,
             "run_per_worker: {active} workers exceed pool of {} threads",
             self.threads
         );
-        if active == 0 {
-            return;
+        if self.threads <= 1 || active <= 1 || IN_POOL_JOB.get() {
+            return (0..active).map(job).collect();
         }
-        if self.threads <= 1 || active == 1 || IN_POOL_JOB.get() {
-            for slot in 0..active {
-                job(slot);
-            }
-            return;
-        }
+        // One slot per worker; each worker locks only its own.
+        let slots: Vec<Mutex<Option<T>>> = (0..active).map(|_| Mutex::new(None)).collect();
         self.launch(JobParams {
             chunks: active,
             sink: None,
             fixed: true,
-            job,
+            job: &|k| {
+                let out = job(k);
+                *slots[k].lock().expect("worker slot poisoned") = Some(out);
+            },
         });
+        slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("worker slot poisoned")
+                    .expect("worker slot unfilled")
+            })
+            .collect()
     }
 
     /// Installs a job for one epoch, participates, waits for all workers.
@@ -664,6 +677,20 @@ mod tests {
             counts[k].fetch_add(1, Ordering::Relaxed);
         });
         assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn per_worker_results_come_back_in_worker_order() {
+        for threads in [1, 4] {
+            let pool = WorkerPool::new(threads);
+            let squares = pool.run_per_worker(threads, &|k| k * k);
+            let expect: Vec<usize> = (0..threads).map(|k| k * k).collect();
+            assert_eq!(squares, expect);
+        }
+        // Inside a pool job the workers run inline, still in order.
+        let outer = WorkerPool::new(2);
+        let nested = outer.run_per_worker(2, &|k| outer.run_per_worker(2, &|j| 10 * k + j));
+        assert_eq!(nested, [vec![0, 1], vec![10, 11]]);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use qdt_complex::{Complex, Matrix};
 use qdt_engine::telemetry::{MemoryGauge, MetricId};
 use qdt_engine::{
     check_basis, check_instruction_width, check_pauli_width, check_qubit, choose_weighted,
-    CostMetric, EngineCaps, EngineError, SimulationEngine, TelemetrySink,
+    refuse_channel, CostMetric, EngineCaps, EngineError, SimulationEngine, TelemetrySink,
 };
 use qdt_parallel::KernelContext;
 use rand::RngCore;
@@ -292,6 +292,7 @@ impl SimulationEngine for StabilizerEngine {
 
     fn apply_instruction(&mut self, inst: &Instruction) -> Result<(), EngineError> {
         check_instruction_width(self.num_qubits(), inst)?;
+        refuse_channel(self.name(), inst)?;
         if inst.cond.is_some() {
             return Err(EngineError::NonUnitary {
                 op: format!("conditioned {}", inst.name()),

@@ -5,8 +5,8 @@ use qdt_circuit::{Circuit, Instruction, OpKind, PauliString};
 use qdt_complex::{Complex, Matrix};
 use qdt_engine::telemetry::{MemoryGauge, MetricId};
 use qdt_engine::{
-    check_basis, check_instruction_width, check_pauli_width, check_qubit, CostMetric, EngineCaps,
-    EngineError, SimulationEngine, TelemetrySink,
+    check_basis, check_instruction_width, check_pauli_width, check_qubit, refuse_channel,
+    CostMetric, EngineCaps, EngineError, SimulationEngine, TelemetrySink,
 };
 use rand::RngCore;
 
@@ -180,6 +180,7 @@ impl SimulationEngine for TensorNetEngine {
 
     fn apply_instruction(&mut self, inst: &Instruction) -> Result<(), EngineError> {
         check_instruction_width(self.num_qubits(), inst)?;
+        refuse_channel(self.name(), inst)?;
         if !inst.is_unitary() {
             return Err(EngineError::Unsupported {
                 engine: "tensor-network",
@@ -358,6 +359,7 @@ impl SimulationEngine for MpsEngine {
 
     fn apply_instruction(&mut self, inst: &Instruction) -> Result<(), EngineError> {
         check_instruction_width(self.num_qubits(), inst)?;
+        refuse_channel(self.name(), inst)?;
         self.mps
             .apply_instruction(inst)
             .map_err(|e| map_err("mps", e))?;

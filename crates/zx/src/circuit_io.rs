@@ -44,7 +44,7 @@ fn lower(circuit: &Circuit) -> Result<Vec<LoweredOp>, ZxError> {
         }
         match &inst.kind {
             OpKind::Barrier(_) => {}
-            OpKind::Measure { .. } | OpKind::Reset { .. } => {
+            OpKind::Measure { .. } | OpKind::Reset { .. } | OpKind::Channel { .. } => {
                 return Err(unsupported(format!(
                     "{} — a ZX-diagram denotes one fixed linear map; run dynamic \
                      circuits on an engine with `Capabilities::dynamic` (array, \

@@ -11,7 +11,6 @@
 //! Run with: `cargo run --example teleportation --release`
 
 use qdt::circuit::generators;
-use qdt::engine::{ShotConfig, ShotExecutor};
 use qdt::noise::{KrausChannel, NoiseModel};
 use qdt::verify::dynamic::check_teleportation;
 
@@ -53,17 +52,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sequential.stats.collapses, sequential.stats.cond_applied
     );
 
-    // (c) noise composes with feedback: each shot becomes one noise
-    // trajectory via the per-gate hook, and fidelity drops below 1.
-    let noisy = NoiseModel::uniform(KrausChannel::Depolarizing { p: 0.02 });
-    let factory = qdt::shot_factory("array")?;
-    let result = ShotExecutor::new(ShotConfig::new(4096, 42).with_workers(4))
-        .with_gate_hook(noisy.shot_hook()?)
-        .sample(&factory, &qc)?;
+    // (c) noise composes with feedback: the model writes a channel after
+    // every gate, each shot draws its own noise trajectory, and the
+    // histogram is still the same at any worker count.
+    let noisy = NoiseModel::uniform(KrausChannel::Depolarizing { p: 0.02 }).apply(&qc)?;
     println!(
-        "\nwith 2% depolarizing noise per gate: {} outcome patterns, {} shots",
-        result.counts.len(),
-        result.stats.shots
+        "\nwith 2% depolarizing noise per gate ({} instructions):",
+        noisy.len()
     );
+    for spec in ["array", "dd"] {
+        let sequential = qdt::sample_dynamic(&noisy, 4096, spec, 42, 1)?;
+        let striped = qdt::sample_dynamic(&noisy, 4096, spec, 42, 4)?;
+        assert_eq!(sequential.counts, striped.counts);
+        println!("  {spec:>5}: {:?}", sequential.counts);
+    }
     Ok(())
 }

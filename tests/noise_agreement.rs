@@ -111,8 +111,7 @@ fn noisy_teleportation_histogram_is_pinned() {
         let factory = qdt::shot_factory(spec).expect("spec builds");
         for workers in [1, 4] {
             let result = ShotExecutor::new(ShotConfig::new(4096, 42).with_workers(workers))
-                .with_gate_hook(model.shot_hook().expect("valid model"))
-                .sample(&factory, &qc)
+                .sample(&factory, &model.apply(&qc).expect("valid model"))
                 .expect("noisy shots run");
             assert_eq!(
                 result.counts,
@@ -134,8 +133,9 @@ fn ghz8_trajectory_estimate_is_pinned() {
     assert_eq!(estimate.to_bits(), 0x3fee_4000_0000_0001, "{estimate}");
 }
 
-/// `density(depol=0.01)` on GHZ-8: an order-sensitive digest of every
-/// entry of ρ, bit for bit.
+/// GHZ-8 on the density-matrix engine under depolarizing 0.01 (the
+/// `density(depol=0.01)` engine): a digest of every entry of ρ, in
+/// order, bit for bit.
 #[test]
 fn ghz8_density_matrix_is_pinned() {
     let model = NoiseModel::uniform(KrausChannel::Depolarizing { p: 0.01 });

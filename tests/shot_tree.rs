@@ -19,7 +19,7 @@ use qdt::engine::{
     ShotExecutor, ShotResult, SimulationEngine,
 };
 use qdt_engine::shot::shot_seed;
-use qdt_engine::{collapse_qubit, reset_to_zero};
+use qdt_engine::{apply_channel, collapse_qubit, reset_to_zero};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -65,6 +65,9 @@ fn oracle(spec: &str, qc: &Circuit, shots: usize, seed: u64) -> ShotResult {
                     reset_to_zero(work, *qubit, &mut rng).unwrap();
                     stats.collapses += 1;
                     stats.resets += 1;
+                }
+                OpKind::Channel { qubit, channel } => {
+                    apply_channel(work, channel, *qubit, &mut rng).unwrap();
                 }
                 OpKind::Unitary { .. } | OpKind::Swap { .. } => {
                     let mut bare = inst.clone();
