@@ -532,6 +532,7 @@ fn dynamic_circuits() {
 /// timings) are written as JSON for CI to diff against the committed
 /// `BENCH_stabilizer.json`.
 fn stabilizer_scaling(snapshot_path: Option<&str>) {
+    use qdt::circuit::{Pauli, PauliString};
     use qdt::stabilizer::StabilizerEngine;
     use qdt::SimulationEngine;
 
@@ -593,6 +594,58 @@ fn stabilizer_scaling(snapshot_path: Option<&str>) {
             t_secs
         );
     }
+
+    // Run-only rows: gates applied by `run` alone, before any query; the
+    // first query then switches the tableau from its gate layout (bit
+    // columns) to rows once.
+    const CLIFFORD_SEED: u64 = 0xC11F;
+    let clifford = generators::random_clifford_seeded(200, 6, CLIFFORD_SEED);
+    println!("\nrun only (no query), then one query (random Clifford seed {CLIFFORD_SEED:#x}):");
+    println!(
+        "{:>24} {:>7} {:>10} {:>12} {:>18}",
+        "circuit", "gates", "time", "gates/s", "switches run/query"
+    );
+    for (label, circuit) in [
+        (format!("ghz-{GHZ_QUBITS}"), &qc),
+        ("random-clifford-200x6".to_string(), &clifford),
+    ] {
+        let (gates, r_secs) = timed(|| {
+            let mut e = StabilizerEngine::new();
+            run(&mut e, circuit)
+                .expect("Clifford circuit runs")
+                .gates_applied
+        });
+        let mut e = StabilizerEngine::new();
+        run(&mut e, circuit).expect("Clifford circuit runs");
+        let during_run = e.layout_switches();
+        let z0 = PauliString::new(
+            std::iter::once(Pauli::Z)
+                .chain(std::iter::repeat(Pauli::I))
+                .take(circuit.num_qubits())
+                .collect(),
+        );
+        e.expectation(&z0).expect("Pauli expectation");
+        let with_query = e.layout_switches();
+        assert_eq!(
+            (during_run, with_query),
+            (0, 1),
+            "{label}: a gate run must switch layout only at its first query"
+        );
+        #[allow(clippy::cast_precision_loss)]
+        let rate = gates as f64 / r_secs;
+        println!(
+            "{label:>24} {gates:>7} {:>8.3}ms {rate:>12.3e} {:>18}",
+            r_secs * 1e3,
+            format!("{during_run}/{with_query}")
+        );
+    }
+    let mut e = StabilizerEngine::new();
+    e.prepare(GHZ_QUBITS).expect("prepare");
+    println!(
+        "  GHZ-{GHZ_QUBITS} storage: {} words held (X/Z padded to 64-row blocks, \
+         sign column, scratch row) for {words} tableau words",
+        e.memory_bytes() / std::mem::size_of::<u64>()
+    );
 
     const CODE_DISTANCE: usize = 41;
     const CODE_ROUNDS: usize = 3;

@@ -1,12 +1,16 @@
 //! [`StabilizerEngine`] — the tableau behind [`SimulationEngine`].
 //!
-//! The engine is *exact* and *polynomial*: gates conjugate the tableau
-//! in `O(n/64)` words per row, measurement is the Aaronson–Gottesman
-//! deterministic-vs-random split in `O(n²/64)`, and global sampling
-//! plus single-amplitude queries go through the canonical reduced
-//! echelon form in `O(k·n/64)` per shot. The price is expressiveness:
-//! any gate outside the Clifford group is rejected with
-//! [`EngineError::Unsupported`] naming the supported set.
+//! The engine is *exact* and *polynomial*: a gate is a sweep over the
+//! `⌈2n/64⌉` words of one or two qubits' bit columns (`O(n/64)` in
+//! all), measurement is the Aaronson–Gottesman deterministic-vs-random
+//! split in `O(n²/64)` on rows, and global sampling plus
+//! single-amplitude queries go through the canonical reduced echelon
+//! form in `O(k·n/64)` per shot. The tableau switches between columns
+//! and rows only when the next operation needs the other layout, at
+//! `O(n²/64)` a switch, so a circuit's gate run pays one switch at its
+//! first query. The price is expressiveness: any gate outside the
+//! Clifford group is rejected with [`EngineError::Unsupported`] naming
+//! the supported set.
 //!
 //! Clifford recognition is *numeric*, not name-based: a gate's 2×2
 //! matrix conjugates X, Z, and Y, and each image must land on a signed
@@ -15,7 +19,9 @@
 //! descriptive rejection. A singly controlled gate is Clifford exactly
 //! when its base matrix is a fourth-root-of-unity multiple of a Pauli
 //! (`CU = (controlled-P) · diag(1, i^t)_ctrl`); two or more controls
-//! (Toffoli-shaped gates) are never Clifford.
+//! (Toffoli-shaped gates) are never Clifford. The engine classifies
+//! each distinct gate once and reuses the rule for every later
+//! application.
 
 use std::collections::BTreeMap;
 
@@ -69,6 +75,48 @@ pub struct StabilizerEngine {
     metrics: Option<StabilizerMetrics>,
     /// Memoised canonical form; any mutation clears it.
     canon: Option<Canonical>,
+    rules: GateRules,
+}
+
+/// Most distinct gates [`GateRules`] remembers; past it, further gates
+/// are classified afresh on every application.
+const RULES_CAP: usize = 32;
+
+/// The update rule of each distinct gate seen so far, classified once:
+/// the single-qubit LUT and the controlled-Pauli decomposition, `None`
+/// when the gate is not Clifford. `Gate` is `Copy + PartialEq`, and a
+/// circuit uses a handful of distinct gates, so a scanned `Vec` is the
+/// whole cache.
+#[derive(Debug, Clone, Default)]
+struct GateRules {
+    single: Vec<(Gate, Option<SingleLut>)>,
+    controlled: Vec<(Gate, Option<(Pauli, u8)>)>,
+}
+
+impl GateRules {
+    fn single(&mut self, gate: &Gate) -> Option<SingleLut> {
+        memo(&mut self.single, gate, single_lut)
+    }
+
+    fn controlled(&mut self, gate: &Gate) -> Option<(Pauli, u8)> {
+        memo(&mut self.controlled, gate, controlled_rule)
+    }
+}
+
+/// Looks `gate` up in `rules`, classifying and remembering it on a miss.
+fn memo<R: Copy>(
+    rules: &mut Vec<(Gate, Option<R>)>,
+    gate: &Gate,
+    classify: fn(&Gate) -> Option<R>,
+) -> Option<R> {
+    if let Some((_, rule)) = rules.iter().find(|(g, _)| g == gate) {
+        return *rule;
+    }
+    let rule = classify(gate);
+    if rules.len() < RULES_CAP {
+        rules.push((*gate, rule));
+    }
+    rule
 }
 
 /// Interned metric handles for [`StabilizerEngine`], built once when a
@@ -127,6 +175,7 @@ impl StabilizerEngine {
             ctx,
             metrics: None,
             canon: None,
+            rules: GateRules::default(),
         }
     }
 
@@ -149,9 +198,16 @@ impl StabilizerEngine {
         counts
     }
 
+    /// Layout switches of the tableau since the last `prepare`: a run of
+    /// gates followed by queries pays one.
+    #[must_use]
+    pub fn layout_switches(&self) -> u64 {
+        self.t.layout_switches()
+    }
+
     fn canonical(&mut self) -> &Canonical {
         if self.canon.is_none() {
-            self.canon = Some(self.t.canonicalize());
+            self.canon = Some(self.t.canonicalize(&self.ctx));
         }
         self.canon.as_ref().expect("just memoised")
     }
@@ -184,7 +240,7 @@ impl StabilizerEngine {
 
     /// Applies an uncontrolled single-qubit Clifford gate.
     fn apply_gate(&mut self, gate: &Gate, q: usize) -> Result<(), EngineError> {
-        let Some(lut) = single_lut(gate) else {
+        let Some(lut) = self.rules.single(gate) else {
             return Err(non_clifford(gate.name()));
         };
         let rows = self.t.apply_single(q, lut, &self.ctx);
@@ -207,10 +263,7 @@ impl StabilizerEngine {
                 message: format!("control qubit {ctrl} equals the target"),
             });
         }
-        let Some((pauli, ipow)) = Pauli::from_scaled_matrix(&gate.matrix()) else {
-            return Err(non_clifford(&format!("controlled-{}", gate.name())));
-        };
-        let Some(ipow) = unit_phase(ipow) else {
+        let Some((pauli, ipow)) = self.rules.controlled(gate) else {
             return Err(non_clifford(&format!("controlled-{}", gate.name())));
         };
         match pauli {
@@ -420,7 +473,7 @@ impl SimulationEngine for StabilizerEngine {
                 Pauli::I => {}
             }
         }
-        let (value, rowsums) = self.t.expectation(&px, &pz);
+        let (value, rowsums) = self.t.expectation(&px, &pz, &self.ctx);
         self.push_rowsums(rowsums);
         Ok(f64::from(value))
     }
@@ -472,7 +525,7 @@ impl SimulationEngine for StabilizerEngine {
 
     fn probability_of_one(&mut self, qubit: usize) -> Result<f64, EngineError> {
         check_qubit(self.t.num_qubits(), qubit)?;
-        let (kind, rowsums) = self.t.measure_kind(qubit);
+        let (kind, rowsums) = self.t.measure_kind(qubit, &self.ctx);
         self.push_rowsums(rowsums);
         Ok(match kind {
             MeasureKind::Random { .. } => 0.5,
@@ -488,7 +541,7 @@ impl SimulationEngine for StabilizerEngine {
 
     fn project(&mut self, qubit: usize, outcome: bool) -> Result<(), EngineError> {
         check_qubit(self.t.num_qubits(), qubit)?;
-        let (kind, rowsums) = self.t.measure_kind(qubit);
+        let (kind, rowsums) = self.t.measure_kind(qubit, &self.ctx);
         self.push_rowsums(rowsums);
         match kind {
             MeasureKind::Random { pivot } => {
@@ -518,7 +571,7 @@ impl SimulationEngine for StabilizerEngine {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.t.total_words() * std::mem::size_of::<u64>()
+        self.t.storage_words() * std::mem::size_of::<u64>()
     }
 
     fn telemetry(&mut self, sink: &TelemetrySink) {
@@ -594,7 +647,7 @@ fn match_signed_pauli(m: &Matrix) -> Option<PauliImage> {
 /// any image is not a signed Pauli, i.e. the gate is not Clifford.
 /// (Global phase drops out of conjugation, so `Rz(π/2)` and `S` yield
 /// the same LUT.)
-fn single_lut(gate: &Gate) -> Option<SingleLut> {
+pub(crate) fn single_lut(gate: &Gate) -> Option<SingleLut> {
     let u = gate.matrix();
     let ud = adjoint(&u);
     let conj = |p: Pauli| match_signed_pauli(&u.mul(&p.matrix()).mul(&ud));
@@ -603,6 +656,14 @@ fn single_lut(gate: &Gate) -> Option<SingleLut> {
         on_z: conj(Pauli::Z)?,
         on_y: conj(Pauli::Y)?,
     })
+}
+
+/// The `CU = (controlled-P) · diag(1, i^t)_ctrl` decomposition of a
+/// singly controlled gate as `(P, t)`; `None` when the base matrix is
+/// not a fourth-root-of-unity multiple of a Pauli.
+fn controlled_rule(gate: &Gate) -> Option<(Pauli, u8)> {
+    let (pauli, coeff) = Pauli::from_scaled_matrix(&gate.matrix())?;
+    Some((pauli, unit_phase(coeff)?))
 }
 
 /// Matches a unit coefficient against the fourth roots of unity,

@@ -6,8 +6,12 @@
 //! one regime none of them reaches is *large Clifford circuits*. The
 //! CHP tableau of Aaronson & Gottesman ("Improved simulation of
 //! stabilizer circuits") tracks such states in `O(n²)` bits and applies
-//! gates in `O(n)` — here packed 64 qubits per `u64` word, so a CX on a
-//! 1000-qubit register touches 2000 rows of 16 words each.
+//! gates in `O(n)`. Here the bits are packed into `u64` words and, during
+//! a run of gates, stored as bit columns (Gidney, "Stim: a fast
+//! stabilizer circuit simulator"), so a CX on a 1000-qubit register
+//! sweeps the 32 words of each of its five columns (two X, two Z, the
+//! signs). Measurements and queries switch the tableau to rows with
+//! 64×64 block transposes, only when they need rows.
 //!
 //! The crate provides:
 //!
@@ -22,9 +26,10 @@
 //!   `stabilizer` spec in the umbrella crate.
 //!
 //! Non-Clifford gates are rejected with an error naming the supported
-//! gate set; every row kernel is scheduled over the `qdt-parallel`
-//! pool with disjoint row partitions, so histograms are bit-identical
-//! at any thread count (the PR 5 determinism contract).
+//! gate set; the layout switch and the measurement update are scheduled
+//! over the `qdt-parallel` pool with disjoint 64-row blocks, so
+//! histograms are bit-identical at any thread count (the PR 5
+//! determinism contract).
 //!
 //! [`SimulationEngine`]: qdt_engine::SimulationEngine
 

@@ -2,16 +2,27 @@
 //!
 //! A stabilizer state on `n` qubits is represented by `2n` Pauli
 //! generators: rows `0..n` are *destabilizers*, rows `n..2n` are
-//! *stabilizers*, and one extra scratch row (index `2n`) serves the
-//! measurement algorithm. Each row stores its X and Z binary vectors
-//! bit-packed into `u64` words plus one sign bit, so a row with bits
-//! `(x, z)` and sign `r` represents the Pauli
-//! `(−1)^r · i^{|x∧z|} · X^x Z^z` (i.e. `Y` where both bits are set).
+//! *stabilizers*, and one extra scratch row serves the measurement
+//! algorithm. Each row holds its X and Z binary vectors bit-packed into
+//! `u64` words plus one sign bit, so a row with bits `(x, z)` and sign
+//! `r` represents the Pauli `(−1)^r · i^{|x∧z|} · X^x Z^z` (i.e. `Y`
+//! where both bits are set).
 //!
-//! Row multiplication ([`Tableau::rowsum`]) is word-parallel: the bit
-//! vectors XOR in `⌈n/64⌉` word operations and the `i`-power
-//! bookkeeping of the Aaronson–Gottesman `g` function reduces to two
-//! popcounts per word (DESIGN.md §14).
+//! The X and Z matrices live in one of two layouts (DESIGN.md §14):
+//!
+//! * **rows** — row `r`'s words are contiguous, so row multiplication
+//!   ([`rowsum_words`]) XORs `⌈n/64⌉` words and the `i`-power
+//!   bookkeeping of the Aaronson–Gottesman `g` function reduces to two
+//!   popcounts per word. Measurement, expectation values and the
+//!   canonical form work here;
+//! * **columns** — every 64×64 bit block is transposed in place, so the
+//!   X (or Z) bits of one qubit over all `2n` rows are `⌈2n/64⌉` words
+//!   and a Clifford gate is a word sweep over one or two such columns.
+//!
+//! Each operation switches to the layout it needs, lazily: a run of
+//! gates pays at most one switch in and one out. The signs are a bit
+//! column in both layouts, and the scratch row lives outside the
+//! transposed matrices.
 
 use qdt_parallel::{KernelContext, SharedSlice};
 
@@ -59,7 +70,7 @@ pub enum MeasureKind {
 /// The computational-basis support of a stabilizer state is the affine
 /// space `v0 ⊕ span{x-parts of the k X-pivot generators}`, each basis
 /// state carrying probability `2^{−k}`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Canonical {
     /// Reduced-echelon generators with an X pivot, ascending pivot column.
     pivots: Vec<PivotRow>,
@@ -70,7 +81,7 @@ pub struct Canonical {
     v0: Vec<u64>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct PivotRow {
     col: usize,
     x: Vec<u64>,
@@ -169,38 +180,66 @@ impl Canonical {
     }
 }
 
-/// The 2n×2n destabilizer/stabilizer tableau with bit-packed rows.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Which way the X and Z matrices are laid out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Layout {
+    /// Row `r`, word `j` at `r·w + j`.
+    Rows,
+    /// Every 64×64 block transposed: qubit `c`'s word for rows
+    /// `64i..64i+64` at `(64i + c mod 64)·w + c/64`.
+    Columns,
+}
+
+/// The 2n×2n destabilizer/stabilizer tableau with bit-packed rows or
+/// columns (see the module docs).
+#[derive(Debug, Clone)]
 pub struct Tableau {
     n: usize,
-    /// Words per row half: `⌈n/64⌉`.
+    /// Words per row: `⌈n/64⌉`, the number of 64-qubit block columns.
     w: usize,
-    /// X bits, `(2n+1)` rows by `w` words, row-major.
+    /// 64-row block rows: `⌈2n/64⌉`, the words of one bit column.
+    rb: usize,
+    /// X bits of `64·rb` rows (rows `2n..` stay zero), `w` words each,
+    /// in `layout`.
     x: Vec<u64>,
-    /// Z bits, same layout.
+    /// Z bits, same shape and layout.
     z: Vec<u64>,
-    /// Sign bits, one per row (0 or 1).
-    r: Vec<u8>,
+    /// Sign bits: row `r` is bit `r mod 64` of word `r/64`.
+    r: Vec<u64>,
+    layout: Layout,
+    /// Layout switches since [`Tableau::new`].
+    switches: u64,
+    /// The scratch row's X and Z words (its sign is a local of each
+    /// query that uses it).
+    scratch_x: Vec<u64>,
+    scratch_z: Vec<u64>,
 }
 
 impl Tableau {
     /// The identity tableau of the all-zeros state: destabilizer `i` is
-    /// `X_i`, stabilizer `i` is `Z_i`.
+    /// `X_i`, stabilizer `i` is `Z_i`. It starts in the column layout,
+    /// ready for a run of gates.
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "tableau needs at least one qubit");
         let w = n.div_ceil(64);
-        let rows = 2 * n + 1;
+        let rb = (2 * n).div_ceil(64);
         let mut t = Tableau {
             n,
             w,
-            x: vec![0; rows * w],
-            z: vec![0; rows * w],
-            r: vec![0; rows],
+            rb,
+            x: vec![0; 64 * rb * w],
+            z: vec![0; 64 * rb * w],
+            r: vec![0; rb],
+            layout: Layout::Columns,
+            switches: 0,
+            scratch_x: vec![0; w],
+            scratch_z: vec![0; w],
         };
         for i in 0..n {
-            let (wq, bq) = (i / 64, 1u64 << (i % 64));
-            t.x[i * w + wq] |= bq; // destabilizer X_i
-            t.z[(n + i) * w + wq] |= bq; // stabilizer Z_i
+            let (at, bit) = t.locate(i, i);
+            t.x[at] |= bit; // destabilizer X_i
+            let (at, bit) = t.locate(n + i, i);
+            t.z[at] |= bit; // stabilizer Z_i
         }
         t
     }
@@ -215,69 +254,136 @@ impl Tableau {
         self.w
     }
 
-    /// Total `u64` words held by the X and Z matrices — the engine's
-    /// cost metric.
+    /// `u64` words of the logical X and Z matrices, scratch row
+    /// included: `2·(2n+1)·⌈n/64⌉` — the engine's cost metric.
     pub fn total_words(&self) -> usize {
         2 * (2 * self.n + 1) * self.w
     }
 
+    /// `u64` words actually held: the X and Z matrices padded to whole
+    /// 64-row blocks, the sign column and the scratch row.
+    pub fn storage_words(&self) -> usize {
+        self.x.len() + self.z.len() + self.r.len() + self.scratch_x.len() + self.scratch_z.len()
+    }
+
+    /// How many times the matrices switched layout since
+    /// [`Tableau::new`].
+    pub fn layout_switches(&self) -> u64 {
+        self.switches
+    }
+
+    /// Word index and bit mask of entry `(row, q)` in the current layout.
     #[inline]
-    fn bit(v: &[u64], w: usize, row: usize, q: usize) -> bool {
-        v[row * w + q / 64] & (1u64 << (q % 64)) != 0
+    fn locate(&self, row: usize, q: usize) -> (usize, u64) {
+        debug_assert!(row < 2 * self.n && q < self.n);
+        match self.layout {
+            Layout::Rows => (row * self.w + q / 64, 1u64 << (q % 64)),
+            Layout::Columns => ((row & !63 | (q % 64)) * self.w + q / 64, 1u64 << (row % 64)),
+        }
     }
 
-    /// X bit of `row` at qubit `q`.
+    /// X bit of `row` (in `0..2n`) at qubit `q`.
     pub fn x_bit(&self, row: usize, q: usize) -> bool {
-        Self::bit(&self.x, self.w, row, q)
+        let (at, bit) = self.locate(row, q);
+        self.x[at] & bit != 0
     }
 
-    /// Z bit of `row` at qubit `q`.
+    /// Z bit of `row` (in `0..2n`) at qubit `q`.
     pub fn z_bit(&self, row: usize, q: usize) -> bool {
-        Self::bit(&self.z, self.w, row, q)
+        let (at, bit) = self.locate(row, q);
+        self.z[at] & bit != 0
     }
 
-    /// Sign bit of `row`.
+    /// Sign bit of `row` (in `0..2n`).
     pub fn sign(&self, row: usize) -> u8 {
-        self.r[row]
+        (self.r[row / 64] >> (row % 64) & 1) as u8
+    }
+
+    fn set_sign(&mut self, row: usize, bit: u8) {
+        let mask = 1u64 << (row % 64);
+        let word = &mut self.r[row / 64];
+        *word = (*word & !mask) | (u64::from(bit) << (row % 64));
+    }
+
+    // --- layouts -------------------------------------------------------------
+
+    fn ensure_rows(&mut self, ctx: &KernelContext) {
+        if self.layout == Layout::Columns {
+            self.transpose_blocks(ctx);
+            self.layout = Layout::Rows;
+        }
+    }
+
+    fn ensure_columns(&mut self, ctx: &KernelContext) {
+        if self.layout == Layout::Rows {
+            self.transpose_blocks(ctx);
+            self.layout = Layout::Columns;
+        }
+    }
+
+    /// Transposes every 64×64 block of X and Z in place — the switch
+    /// between the two layouts, either way. Block row `i` (rows
+    /// `64i..64i+64`) is `64·w` contiguous words, and its `w` blocks are
+    /// the word columns of that stretch, so each work item owns its
+    /// block row outright and any thread count is bit-identical.
+    fn transpose_blocks(&mut self, ctx: &KernelContext) {
+        let w = self.w;
+        let xs = SharedSlice::new(&mut self.x);
+        let zs = SharedSlice::new(&mut self.z);
+        ctx.run(self.rb, 64 * w, &|range| {
+            for i in range {
+                for s in [xs, zs] {
+                    // SAFETY: `i < rb`, so words 64·i·w..64·(i+1)·w lie
+                    // inside the 64·rb·w-word matrix, and block row `i`
+                    // is owned by exactly one chunk.
+                    #[allow(unsafe_code)]
+                    let stretch = unsafe {
+                        std::slice::from_raw_parts_mut(s.as_mut_ptr().add(64 * i * w), 64 * w)
+                    };
+                    let mut block = [0u64; 64];
+                    for j in 0..w {
+                        for (k, word) in block.iter_mut().enumerate() {
+                            *word = stretch[k * w + j];
+                        }
+                        transpose64(&mut block);
+                        for (k, word) in block.iter().enumerate() {
+                            stretch[k * w + j] = *word;
+                        }
+                    }
+                }
+            }
+        });
+        self.switches += 1;
     }
 
     // --- gates ---------------------------------------------------------------
 
     /// Conjugates the tableau by a single-qubit Clifford described by
-    /// its Pauli images, scheduled over `ctx` (row partitions are
-    /// disjoint, so any thread count is bit-identical). Returns the
-    /// number of rows updated (for telemetry).
+    /// its Pauli images: one sweep over the qubit's X and Z columns and
+    /// the sign column, each bit picking its image by mask. Returns the
+    /// number of logical rows updated (`2n`, for telemetry).
+    ///
+    /// The sweep runs inline: a column is at most a few hundred words,
+    /// less than a pool dispatch costs. `ctx` schedules the layout
+    /// switch, if one is due.
     pub fn apply_single(&mut self, q: usize, lut: SingleLut, ctx: &KernelContext) -> u64 {
-        let (wq, bq) = (q / 64, 1u64 << (q % 64));
-        let rows = 2 * self.n;
-        let w = self.w;
-        let xs = SharedSlice::new(&mut self.x[..rows * w]);
-        let zs = SharedSlice::new(&mut self.z[..rows * w]);
-        let rs = SharedSlice::new(&mut self.r[..rows]);
-        ctx.run(rows, 2, &|range| {
-            for i in range {
-                // SAFETY: each row index is owned by exactly one chunk,
-                // and all touched words live in row `i`.
-                #[allow(unsafe_code)]
-                unsafe {
-                    let xw = xs.get(i * w + wq);
-                    let zw = zs.get(i * w + wq);
-                    let (xb, zb) = (xw & bq != 0, zw & bq != 0);
-                    let img = match (xb, zb) {
-                        (false, false) => continue,
-                        (true, false) => lut.on_x,
-                        (false, true) => lut.on_z,
-                        (true, true) => lut.on_y,
-                    };
-                    xs.set(i * w + wq, if img.x { xw | bq } else { xw & !bq });
-                    zs.set(i * w + wq, if img.z { zw | bq } else { zw & !bq });
-                    if img.neg {
-                        rs.set(i, rs.get(i) ^ 1);
-                    }
-                }
-            }
-        });
-        rows as u64
+        self.ensure_columns(ctx);
+        let sel = |b: bool| 0u64.wrapping_sub(u64::from(b));
+        let [on_x, on_z, on_y] = [lut.on_x, lut.on_z, lut.on_y];
+        let (xx, xz, xy) = (sel(on_x.x), sel(on_z.x), sel(on_y.x));
+        let (zx, zz, zy) = (sel(on_x.z), sel(on_z.z), sel(on_y.z));
+        let (nx, nz, ny) = (sel(on_x.neg), sel(on_z.neg), sel(on_y.neg));
+        let (base, stride) = self.column(q);
+        for (i, sign) in self.r.iter_mut().enumerate() {
+            let at = base + i * stride;
+            let (xw, zw) = (self.x[at], self.z[at]);
+            // Rows holding X, Z and Y at `q`; identity rows stay put.
+            let (px, pz, py) = (xw & !zw, !xw & zw, xw & zw);
+            self.x[at] = (px & xx) | (pz & xz) | (py & xy);
+            self.z[at] = (px & zx) | (pz & zz) | (py & zy);
+            *sign ^= (px & nx) | (pz & nz) | (py & ny);
+        }
+        (2 * self.n) as u64
     }
 
     /// Conjugates by CX with control `c` and target `t`:
@@ -300,70 +406,58 @@ impl Tableau {
 
     /// Conjugates by SWAP: exchanges the two bit columns (no signs).
     pub fn apply_swap(&mut self, a: usize, b: usize, ctx: &KernelContext) -> u64 {
-        self.two_qubit(a, b, ctx, |xa, za, xb, zb| (xb, zb, xa, za, false))
+        self.two_qubit(a, b, ctx, |xa, za, xb, zb| (xb, zb, xa, za, 0))
     }
 
-    /// Shared per-row driver for two-qubit bit updates, scheduled over
-    /// `ctx` (each chunk owns its rows outright, so any thread count is
-    /// bit-identical): `f(x_a, z_a, x_b, z_b)` returns
-    /// `(x_a', z_a', x_b', z_b', sign_flip)`.
+    /// Shared column sweep for two-qubit updates: `f(x_a, z_a, x_b,
+    /// z_b)` maps 64 rows' words to `(x_a', z_a', x_b', z_b',
+    /// sign_flips)`. Every formula sends all-zero rows to all-zero rows
+    /// without a flip, so the padding rows stay clear.
     fn two_qubit(
         &mut self,
         a: usize,
         b: usize,
         ctx: &KernelContext,
-        f: impl Fn(bool, bool, bool, bool) -> (bool, bool, bool, bool, bool) + Sync,
+        f: impl Fn(u64, u64, u64, u64) -> (u64, u64, u64, u64, u64),
     ) -> u64 {
         assert_ne!(a, b, "two-qubit update needs distinct qubits");
-        let (wa, ba) = (a / 64, 1u64 << (a % 64));
-        let (wb, bb) = (b / 64, 1u64 << (b % 64));
-        let rows = 2 * self.n;
-        let w = self.w;
-        let xs = SharedSlice::new(&mut self.x[..rows * w]);
-        let zs = SharedSlice::new(&mut self.z[..rows * w]);
-        let rs = SharedSlice::new(&mut self.r[..rows]);
-        ctx.run(rows, 2, &|range| {
-            for i in range {
-                // SAFETY: each row index is owned by exactly one chunk,
-                // and all touched words live in row `i`.
-                #[allow(unsafe_code)]
-                unsafe {
-                    let (xa, za) = (xs.get(i * w + wa) & ba != 0, zs.get(i * w + wa) & ba != 0);
-                    let (xb, zb) = (xs.get(i * w + wb) & bb != 0, zs.get(i * w + wb) & bb != 0);
-                    let (nxa, nza, nxb, nzb, flip) = f(xa, za, xb, zb);
-                    let put = |slice: SharedSlice<'_, u64>, idx: usize, mask: u64, on: bool| {
-                        let word = slice.get(idx);
-                        slice.set(idx, if on { word | mask } else { word & !mask });
-                    };
-                    put(xs, i * w + wa, ba, nxa);
-                    put(zs, i * w + wa, ba, nza);
-                    put(xs, i * w + wb, bb, nxb);
-                    put(zs, i * w + wb, bb, nzb);
-                    if flip {
-                        rs.set(i, rs.get(i) ^ 1);
-                    }
-                }
-            }
-        });
-        rows as u64
+        self.ensure_columns(ctx);
+        let (base_a, stride) = self.column(a);
+        let (base_b, _) = self.column(b);
+        for (i, sign) in self.r.iter_mut().enumerate() {
+            let (ia, ib) = (base_a + i * stride, base_b + i * stride);
+            let (xa, za, xb, zb, flip) = f(self.x[ia], self.z[ia], self.x[ib], self.z[ib]);
+            self.x[ia] = xa;
+            self.z[ia] = za;
+            self.x[ib] = xb;
+            self.z[ib] = zb;
+            *sign ^= flip;
+        }
+        (2 * self.n) as u64
+    }
+
+    /// Index of qubit `q`'s first column word and the stride between
+    /// its words, in the column layout.
+    fn column(&self, q: usize) -> (usize, usize) {
+        debug_assert!(self.layout == Layout::Columns && q < self.n);
+        ((q % 64) * self.w + q / 64, 64 * self.w)
     }
 
     // --- row multiplication --------------------------------------------------
 
-    /// Word-parallel row product: row `h` ← row `i` · row `h`, the
-    /// Aaronson–Gottesman `rowsum(h, i)`. Bits XOR; the `i`-power sum
-    /// of the `g` function is two popcounts per word.
-    pub fn rowsum(&mut self, h: usize, i: usize) {
-        debug_assert_ne!(h, i);
+    /// The scratch row becomes its product with row `i`, whose sign is
+    /// `ri`; `sr` is the scratch sign (row layout only).
+    fn scratch_mul(&mut self, i: usize, sr: &mut u8) {
         let w = self.w;
-        let ri = self.r[i];
-        let mut rh = self.r[h];
-        {
-            let (xh, xi) = row_pair_mut(&mut self.x, w, h, i);
-            let (zh, zi) = row_pair_mut(&mut self.z, w, h, i);
-            rowsum_words(xh, zh, &mut rh, xi, zi, ri);
-        }
-        self.r[h] = rh;
+        let ri = self.sign(i);
+        rowsum_words(
+            &mut self.scratch_x,
+            &mut self.scratch_z,
+            sr,
+            &self.x[i * w..(i + 1) * w],
+            &self.z[i * w..(i + 1) * w],
+            ri,
+        );
     }
 
     // --- measurement ---------------------------------------------------------
@@ -375,7 +469,8 @@ impl Tableau {
     /// sign of the product of the stabilizer rows indicated by the
     /// destabilizer X bits, accumulated into the scratch row. Returns
     /// the classification plus the number of rowsums performed.
-    pub fn measure_kind(&mut self, q: usize) -> (MeasureKind, u64) {
+    pub fn measure_kind(&mut self, q: usize, ctx: &KernelContext) -> (MeasureKind, u64) {
+        self.ensure_rows(ctx);
         let n = self.n;
         for p in n..2 * n {
             if self.x_bit(p, q) {
@@ -384,27 +479,26 @@ impl Tableau {
         }
         // Deterministic: scratch ← Π { stabilizer i+n : destabilizer i
         // has the X bit at q }.
-        let scratch = 2 * n;
-        let w = self.w;
-        self.x[scratch * w..(scratch + 1) * w].fill(0);
-        self.z[scratch * w..(scratch + 1) * w].fill(0);
-        self.r[scratch] = 0;
+        self.scratch_x.fill(0);
+        self.scratch_z.fill(0);
+        let mut sr = 0;
         let mut rowsums = 0;
         for i in 0..n {
             if self.x_bit(i, q) {
-                self.rowsum(scratch, n + i);
+                self.scratch_mul(n + i, &mut sr);
                 rowsums += 1;
             }
         }
-        (MeasureKind::Determined(self.r[scratch] == 1), rowsums)
+        (MeasureKind::Determined(sr == 1), rowsums)
     }
 
     /// Collapses qubit `q` after a random measurement with pivot row
     /// `p` and chosen `outcome`: every other row whose X bit at `q` is
-    /// set is multiplied by the pivot row (parallelized over rows —
-    /// disjoint writes, bit-identical at any thread count), the pivot
-    /// is demoted to the destabilizer bank, and the fresh stabilizer
-    /// `±Z_q` takes its place. Returns the number of rowsums.
+    /// set is multiplied by the pivot row in place (parallelized over
+    /// 64-row blocks, which own their sign word — disjoint writes,
+    /// bit-identical at any thread count), the pivot is demoted to the
+    /// destabilizer bank, and the fresh stabilizer `±Z_q` takes its
+    /// place. Returns the number of rowsums.
     pub fn project_random(
         &mut self,
         q: usize,
@@ -412,6 +506,7 @@ impl Tableau {
         outcome: bool,
         ctx: &KernelContext,
     ) -> u64 {
+        self.ensure_rows(ctx);
         let n = self.n;
         let w = self.w;
         let (wq, bq) = (q / 64, 1u64 << (q % 64));
@@ -419,44 +514,35 @@ impl Tableau {
         // Snapshot the pivot row so the parallel pass reads a stable copy.
         let xp: Vec<u64> = self.x[p * w..(p + 1) * w].to_vec();
         let zp: Vec<u64> = self.z[p * w..(p + 1) * w].to_vec();
-        let rp = self.r[p];
+        let rp = self.sign(p);
         let rows = 2 * n;
-        let mut rowsums = 0;
-        for i in 0..rows {
-            if i != p && self.x[i * w + wq] & bq != 0 {
-                rowsums += 1;
-            }
-        }
+        let rowsums = (0..rows)
+            .filter(|&i| i != p && self.x[i * w + wq] & bq != 0)
+            .count() as u64;
         {
-            let xs = SharedSlice::new(&mut self.x[..rows * w]);
-            let zs = SharedSlice::new(&mut self.z[..rows * w]);
-            let rs = SharedSlice::new(&mut self.r[..rows]);
+            let xs = SharedSlice::new(&mut self.x);
+            let zs = SharedSlice::new(&mut self.z);
+            let rs = SharedSlice::new(&mut self.r);
             let (xp, zp) = (&xp, &zp);
-            ctx.run(rows, w, &|range| {
-                for i in range {
-                    if i == p {
-                        continue;
-                    }
-                    // SAFETY: row `i` is owned by exactly one chunk; the
-                    // pivot row is only read through the local snapshot.
+            ctx.run(self.rb, 64 * w, &|range| {
+                for blk in range {
+                    // SAFETY: block `blk` (rows 64·blk..64·blk+64 and
+                    // sign word `blk`) is owned by exactly one chunk;
+                    // the pivot row is only read through its snapshot.
                     #[allow(unsafe_code)]
                     unsafe {
-                        if xs.get(i * w + wq) & bq == 0 {
-                            continue;
+                        let mut signs = rs.get(blk);
+                        for i in 64 * blk..rows.min(64 * blk + 64) {
+                            if i == p || xs.get(i * w + wq) & bq == 0 {
+                                continue;
+                            }
+                            let xh = std::slice::from_raw_parts_mut(xs.as_mut_ptr().add(i * w), w);
+                            let zh = std::slice::from_raw_parts_mut(zs.as_mut_ptr().add(i * w), w);
+                            let mut rh = (signs >> (i % 64) & 1) as u8;
+                            rowsum_words(xh, zh, &mut rh, xp, zp, rp);
+                            signs = (signs & !(1u64 << (i % 64))) | (u64::from(rh) << (i % 64));
                         }
-                        let mut rh = rs.get(i);
-                        let mut xh = vec![0u64; w];
-                        let mut zh = vec![0u64; w];
-                        for k in 0..w {
-                            xh[k] = xs.get(i * w + k);
-                            zh[k] = zs.get(i * w + k);
-                        }
-                        rowsum_words(&mut xh, &mut zh, &mut rh, xp, zp, rp);
-                        for k in 0..w {
-                            xs.set(i * w + k, xh[k]);
-                            zs.set(i * w + k, zh[k]);
-                        }
-                        rs.set(i, rh);
+                        rs.set(blk, signs);
                     }
                 }
             });
@@ -465,11 +551,11 @@ impl Tableau {
         let d = p - n;
         self.x.copy_within(p * w..(p + 1) * w, d * w);
         self.z.copy_within(p * w..(p + 1) * w, d * w);
-        self.r[d] = rp;
+        self.set_sign(d, rp);
         self.x[p * w..(p + 1) * w].fill(0);
         self.z[p * w..(p + 1) * w].fill(0);
         self.z[p * w + wq] = bq;
-        self.r[p] = u8::from(outcome);
+        self.set_sign(p, u8::from(outcome));
         rowsums
     }
 
@@ -479,7 +565,8 @@ impl Tableau {
     /// `0` when `P` anticommutes with some stabilizer, else `±1` from
     /// the sign of `P` as a product of generators. Returns the value
     /// and the rowsums performed.
-    pub fn expectation(&mut self, px: &[u64], pz: &[u64]) -> (i8, u64) {
+    pub fn expectation(&mut self, px: &[u64], pz: &[u64], ctx: &KernelContext) -> (i8, u64) {
+        self.ensure_rows(ctx);
         let n = self.n;
         let w = self.w;
         debug_assert_eq!(px.len(), w);
@@ -498,22 +585,21 @@ impl Tableau {
         }
         // P commutes with the whole group, so P = ±Π s_i over the
         // generators whose destabilizers anticommute with P.
-        let scratch = 2 * n;
-        self.x[scratch * w..(scratch + 1) * w].fill(0);
-        self.z[scratch * w..(scratch + 1) * w].fill(0);
-        self.r[scratch] = 0;
+        self.scratch_x.fill(0);
+        self.scratch_z.fill(0);
+        let mut sr = 0;
         let mut rowsums = 0;
         for i in 0..n {
             if anticommutes(self, i) {
-                self.rowsum(scratch, n + i);
+                self.scratch_mul(n + i, &mut sr);
                 rowsums += 1;
             }
         }
         debug_assert!(
-            (0..w).all(|k| self.x[scratch * w + k] == px[k] && self.z[scratch * w + k] == pz[k]),
+            self.scratch_x == px && self.scratch_z == pz,
             "a commuting Pauli must reduce to a generator product"
         );
-        (if self.r[scratch] == 1 { -1 } else { 1 }, rowsums)
+        (if sr == 1 { -1 } else { 1 }, rowsums)
     }
 
     // --- canonical form ------------------------------------------------------
@@ -521,7 +607,8 @@ impl Tableau {
     /// Reduces the stabilizer half to the canonical form used by the
     /// global sampler and amplitude queries. `O(n³/64)` once; the
     /// returned [`Canonical`] answers each query in `O(k·n/64)`.
-    pub fn canonicalize(&self) -> Canonical {
+    pub fn canonicalize(&mut self, ctx: &KernelContext) -> Canonical {
+        self.ensure_rows(ctx);
         let n = self.n;
         let w = self.w;
         // Working copy of the stabilizer rows.
@@ -531,7 +618,7 @@ impl Tableau {
         let mut rz: Vec<Vec<u64>> = (0..n)
             .map(|i| self.z[(n + i) * w..(n + i + 1) * w].to_vec())
             .collect();
-        let mut rr: Vec<u8> = (0..n).map(|i| self.r[n + i]).collect();
+        let mut rr: Vec<u8> = (0..n).map(|i| self.sign(n + i)).collect();
 
         let mut pivots = Vec::new();
         let mut next = 0usize;
@@ -607,18 +694,52 @@ impl Tableau {
     }
 }
 
-/// Splits `v` into the mutable destination row `h` and the shared
-/// source row `i` (each `w` words).
-fn row_pair_mut(v: &mut [u64], w: usize, h: usize, i: usize) -> (&mut [u64], &[u64]) {
-    debug_assert_ne!(h, i);
-    let (lo, hi) = (h.min(i), h.max(i));
-    let (head, tail) = v.split_at_mut(hi * w);
-    let lo_row = &mut head[lo * w..lo * w + w];
-    let hi_row = &mut tail[..w];
-    if h < i {
-        (lo_row, &*hi_row)
-    } else {
-        (hi_row, &*lo_row)
+/// Two tableaux are equal when rows `0..2n` agree in every X, Z and sign
+/// bit, whatever layout each is in (the scratch row holds no state).
+impl PartialEq for Tableau {
+    fn eq(&self, other: &Self) -> bool {
+        if self.n != other.n {
+            return false;
+        }
+        if self.layout == other.layout {
+            // Padding rows and columns are zero in both.
+            return self.x == other.x && self.z == other.z && self.r == other.r;
+        }
+        (0..2 * self.n).all(|row| {
+            self.sign(row) == other.sign(row)
+                && (0..self.n).all(|q| {
+                    self.x_bit(row, q) == other.x_bit(row, q)
+                        && self.z_bit(row, q) == other.z_bit(row, q)
+                })
+        })
+    }
+}
+
+impl Eq for Tableau {}
+
+/// Transposes a 64×64 bit matrix in place: bit `b` of word `k` trades
+/// places with bit `k` of word `b`. Six rounds, `j = 32, 16, …, 1`,
+/// each swapping the off-diagonal `j×j` sub-blocks of every `2j×2j`
+/// block between words `j` apart.
+fn transpose64(a: &mut [u64; 64]) {
+    const MASKS: [u64; 6] = [
+        0x0000_0000_FFFF_FFFF,
+        0x0000_FFFF_0000_FFFF,
+        0x00FF_00FF_00FF_00FF,
+        0x0F0F_0F0F_0F0F_0F0F,
+        0x3333_3333_3333_3333,
+        0x5555_5555_5555_5555,
+    ];
+    let mut j = 32;
+    for m in MASKS {
+        for base in (0..64).step_by(2 * j) {
+            for k in base..base + j {
+                let t = ((a[k] >> j) ^ a[k + j]) & m;
+                a[k] ^= t << j;
+                a[k + j] ^= t;
+            }
+        }
+        j /= 2;
     }
 }
 
@@ -714,7 +835,7 @@ mod tests {
     fn identity_tableau_stabilizes_all_zeros() {
         let mut t = Tableau::new(3);
         for q in 0..3 {
-            let (kind, _) = t.measure_kind(q);
+            let (kind, _) = t.measure_kind(q, &seq());
             assert_eq!(kind, MeasureKind::Determined(false));
         }
     }
@@ -723,10 +844,10 @@ mod tests {
     fn hadamard_makes_measurement_random() {
         let mut t = Tableau::new(2);
         t.apply_single(0, lut_h(), &seq());
-        let (kind, _) = t.measure_kind(0);
+        let (kind, _) = t.measure_kind(0, &seq());
         assert!(matches!(kind, MeasureKind::Random { .. }));
         // Qubit 1 stays deterministic.
-        let (kind, _) = t.measure_kind(1);
+        let (kind, _) = t.measure_kind(1, &seq());
         assert_eq!(kind, MeasureKind::Determined(false));
     }
 
@@ -735,13 +856,13 @@ mod tests {
         let mut t = Tableau::new(2);
         t.apply_single(0, lut_h(), &seq());
         t.apply_cx(0, 1, &seq());
-        let (kind, _) = t.measure_kind(0);
+        let (kind, _) = t.measure_kind(0, &seq());
         let MeasureKind::Random { pivot } = kind else {
             panic!("GHZ qubit must be random");
         };
         t.project_random(0, pivot, true, &seq());
         // After seeing |1⟩ on qubit 0, qubit 1 is forced to |1⟩.
-        let (kind, _) = t.measure_kind(1);
+        let (kind, _) = t.measure_kind(1, &seq());
         assert_eq!(kind, MeasureKind::Determined(true));
     }
 
@@ -751,11 +872,11 @@ mod tests {
         let mut t = Tableau::new(1);
         t.apply_single(0, lut_h(), &seq());
         t.apply_single(0, lut_s(), &seq());
-        let (y, _) = t.expectation(&[1], &[1]);
+        let (y, _) = t.expectation(&[1], &[1], &seq());
         assert_eq!(y, 1);
-        let (x, _) = t.expectation(&[1], &[0]);
+        let (x, _) = t.expectation(&[1], &[0], &seq());
         assert_eq!(x, 0);
-        let (z, _) = t.expectation(&[0], &[1]);
+        let (z, _) = t.expectation(&[0], &[1], &seq());
         assert_eq!(z, 0);
     }
 
@@ -784,7 +905,7 @@ mod tests {
         t.apply_single(0, lut_h(), &seq());
         t.apply_cx(0, 1, &seq());
         t.apply_cx(1, 2, &seq());
-        let canon = t.canonicalize();
+        let canon = t.canonicalize(&seq());
         assert_eq!(canon.rank(), 1);
         assert_eq!(canon.anchor(), &[0]);
         assert!(canon.supports(&[0b111]));
@@ -823,12 +944,283 @@ mod tests {
             for q in (0..67).step_by(3) {
                 t.apply_single(q, lut_s(), ctx);
             }
-            let (kind, _) = t.measure_kind(0);
+            let (kind, _) = t.measure_kind(0, ctx);
             if let MeasureKind::Random { pivot } = kind {
                 t.project_random(0, pivot, true, ctx);
             }
             t
         };
         assert_eq!(build(&seq()), build(&par));
+    }
+
+    #[test]
+    fn block_transpose_matches_the_naive_transpose() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut a = [0u64; 64];
+        for word in &mut a {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            *word = state;
+        }
+        let mut t = a;
+        transpose64(&mut t);
+        for (k, row) in a.iter().enumerate() {
+            for (b, col) in t.iter().enumerate() {
+                assert_eq!(row >> b & 1, col >> k & 1, "bit ({k}, {b})");
+            }
+        }
+        transpose64(&mut t);
+        assert_eq!(t, a, "the transpose is an involution");
+    }
+
+    #[test]
+    fn a_gate_run_pays_one_switch_each_way() {
+        let ctx = seq();
+        let mut t = Tableau::new(130);
+        for q in 0..129 {
+            t.apply_single(q, lut_h(), &ctx);
+            t.apply_cx(q, q + 1, &ctx);
+        }
+        assert_eq!(t.layout_switches(), 0, "a fresh tableau starts in columns");
+        t.measure_kind(5, &ctx);
+        t.expectation(&[0, 0, 1], &[0, 0, 0], &ctx);
+        t.canonicalize(&ctx);
+        assert_eq!(t.layout_switches(), 1, "queries share one switch to rows");
+        t.apply_swap(3, 7, &ctx);
+        t.apply_cz(3, 7, &ctx);
+        assert_eq!(t.layout_switches(), 2);
+        assert_eq!(t.total_words(), 2 * (2 * 130 + 1) * 3);
+        assert_eq!(t.storage_words(), 2 * 320 * 3 + 5 + 2 * 3);
+    }
+
+    /// The row-major gate kernels the column sweeps replaced, kept as
+    /// the oracle: per row, gather the qubit's bits, map them, scatter.
+    mod oracle {
+        use super::super::{SingleLut, Tableau};
+        use qdt_parallel::KernelContext;
+
+        pub fn single(t: &mut Tableau, q: usize, lut: SingleLut) {
+            t.ensure_rows(&KernelContext::sequential());
+            let (wq, bq) = (q / 64, 1u64 << (q % 64));
+            let w = t.w;
+            for i in 0..2 * t.n {
+                let (xw, zw) = (t.x[i * w + wq], t.z[i * w + wq]);
+                let img = match (xw & bq != 0, zw & bq != 0) {
+                    (false, false) => continue,
+                    (true, false) => lut.on_x,
+                    (false, true) => lut.on_z,
+                    (true, true) => lut.on_y,
+                };
+                t.x[i * w + wq] = if img.x { xw | bq } else { xw & !bq };
+                t.z[i * w + wq] = if img.z { zw | bq } else { zw & !bq };
+                if img.neg {
+                    t.set_sign(i, t.sign(i) ^ 1);
+                }
+            }
+        }
+
+        pub fn two_qubit(
+            t: &mut Tableau,
+            a: usize,
+            b: usize,
+            f: impl Fn(bool, bool, bool, bool) -> (bool, bool, bool, bool, bool),
+        ) {
+            t.ensure_rows(&KernelContext::sequential());
+            let (wa, ba) = (a / 64, 1u64 << (a % 64));
+            let (wb, bb) = (b / 64, 1u64 << (b % 64));
+            let w = t.w;
+            for i in 0..2 * t.n {
+                let (xa, za) = (t.x[i * w + wa] & ba != 0, t.z[i * w + wa] & ba != 0);
+                let (xb, zb) = (t.x[i * w + wb] & bb != 0, t.z[i * w + wb] & bb != 0);
+                let (nxa, nza, nxb, nzb, flip) = f(xa, za, xb, zb);
+                let put = |word: &mut u64, mask: u64, on: bool| {
+                    *word = if on { *word | mask } else { *word & !mask };
+                };
+                put(&mut t.x[i * w + wa], ba, nxa);
+                put(&mut t.z[i * w + wa], ba, nza);
+                put(&mut t.x[i * w + wb], bb, nxb);
+                put(&mut t.z[i * w + wb], bb, nzb);
+                if flip {
+                    t.set_sign(i, t.sign(i) ^ 1);
+                }
+            }
+        }
+
+        pub fn cx(t: &mut Tableau, c: usize, tq: usize) {
+            two_qubit(t, c, tq, |xc, zc, xt, zt| {
+                (xc, zc ^ zt, xt ^ xc, zt, xc & zt & !(xt ^ zc))
+            });
+        }
+
+        pub fn cz(t: &mut Tableau, c: usize, tq: usize) {
+            two_qubit(t, c, tq, |xc, zc, xt, zt| {
+                (xc, zc ^ xt, xt, zt ^ xc, xc & xt & (zc ^ zt))
+            });
+        }
+
+        pub fn swap(t: &mut Tableau, a: usize, b: usize) {
+            two_qubit(t, a, b, |xa, za, xb, zb| (xb, zb, xa, za, false));
+        }
+    }
+
+    mod sweeps_match_the_oracle {
+        use super::super::*;
+        use super::oracle;
+        use crate::engine::single_lut;
+        use proptest::prelude::*;
+        use qdt_circuit::Gate;
+
+        const WIDTHS: [usize; 9] = [1, 31, 63, 64, 65, 127, 128, 129, 1000];
+
+        /// The qubits ops act on, reduced modulo the width: few enough
+        /// that gates pile up on the same rows (signs flip only where a
+        /// row carries X and Z on the pair), spread across word and
+        /// block boundaries.
+        const POOL: [usize; 9] = [0, 1, 31, 63, 64, 65, 128, 500, 999];
+
+        /// The single-qubit gates whose numerically derived LUTs the
+        /// sweeps are checked on (every image pattern the engine emits:
+        /// swaps, phases, sign flips).
+        const GATES: [Gate; 8] = [
+            Gate::H,
+            Gate::S,
+            Gate::Sdg,
+            Gate::X,
+            Gate::Y,
+            Gate::Z,
+            Gate::Sx,
+            Gate::Sxdg,
+        ];
+
+        /// One step, qubits given as [`POOL`] slots.
+        #[derive(Debug, Clone)]
+        enum Op {
+            Single(usize, usize),
+            Cx(usize, usize),
+            Cz(usize, usize),
+            Swap(usize, usize),
+            Measure(usize, bool),
+            /// A Pauli on the pool qubits, two bits per slot.
+            Expect(u64),
+            Canonicalize,
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            let slot = 0..POOL.len();
+            let gate = || (0..GATES.len(), 0..POOL.len()).prop_map(|(g, a)| Op::Single(g, a));
+            prop_oneof![
+                gate(),
+                gate(),
+                (slot.clone(), slot.clone()).prop_map(|(a, b)| Op::Cx(a, b)),
+                (slot.clone(), slot.clone()).prop_map(|(a, b)| Op::Cz(a, b)),
+                (slot.clone(), slot.clone()).prop_map(|(a, b)| Op::Swap(a, b)),
+                (slot, 0..2usize).prop_map(|(a, o)| Op::Measure(a, o == 1)),
+                (0..u64::MAX).prop_map(Op::Expect),
+                Just(Op::Canonicalize),
+            ]
+        }
+
+        /// The identity tableau written straight into the row layout, so
+        /// the oracle never goes through a block transpose.
+        fn row_identity(n: usize) -> Tableau {
+            let mut o = Tableau::new(n);
+            o.x.fill(0);
+            o.z.fill(0);
+            o.layout = Layout::Rows;
+            for i in 0..n {
+                let (at, bit) = o.locate(i, i);
+                o.x[at] |= bit;
+                let (at, bit) = o.locate(n + i, i);
+                o.z[at] |= bit;
+            }
+            o
+        }
+
+        /// Applies `op` to the swept tableau `t` and the row oracle `o`.
+        fn step(op: &Op, t: &mut Tableau, o: &mut Tableau, ctx: &KernelContext) {
+            let n = t.num_qubits();
+            let qubit = |slot: usize| POOL[slot] % n;
+            let seq = KernelContext::sequential();
+            match *op {
+                Op::Single(g, a) => {
+                    let lut = single_lut(&GATES[g]).expect("Clifford");
+                    t.apply_single(qubit(a), lut, ctx);
+                    oracle::single(o, qubit(a), lut);
+                }
+                Op::Cx(a, b) | Op::Cz(a, b) | Op::Swap(a, b) => {
+                    let (a, b) = (qubit(a), qubit(b));
+                    if a == b {
+                        return;
+                    }
+                    match op {
+                        Op::Cx(..) => {
+                            t.apply_cx(a, b, ctx);
+                            oracle::cx(o, a, b);
+                        }
+                        Op::Cz(..) => {
+                            t.apply_cz(a, b, ctx);
+                            oracle::cz(o, a, b);
+                        }
+                        _ => {
+                            t.apply_swap(a, b, ctx);
+                            oracle::swap(o, a, b);
+                        }
+                    }
+                }
+                Op::Measure(a, outcome) => {
+                    let q = qubit(a);
+                    let kind = t.measure_kind(q, ctx);
+                    assert_eq!(kind, o.measure_kind(q, &seq));
+                    if let (MeasureKind::Random { pivot }, _) = kind {
+                        let rowsums = t.project_random(q, pivot, outcome, ctx);
+                        assert_eq!(rowsums, o.project_random(q, pivot, outcome, &seq));
+                    }
+                }
+                Op::Expect(bits) => {
+                    let w = t.words_per_row();
+                    let mut px = vec![0u64; w];
+                    let mut pz = vec![0u64; w];
+                    for slot in 0..POOL.len() {
+                        let q = qubit(slot);
+                        let pauli = bits >> (2 * slot) & 3;
+                        px[q / 64] ^= (pauli & 1) << (q % 64);
+                        pz[q / 64] ^= (pauli >> 1) << (q % 64);
+                    }
+                    assert_eq!(t.expectation(&px, &pz, ctx), o.expectation(&px, &pz, &seq));
+                }
+                Op::Canonicalize => {
+                    assert_eq!(t.canonicalize(ctx), o.canonicalize(&seq));
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(12))]
+
+            /// Runs of column sweeps interleaved with measurements,
+            /// expectations and canonical forms leave the tableau equal,
+            /// bit for bit, to the row-major kernels' — at every width
+            /// straddling a word or block boundary, sequentially and on
+            /// four threads that chunk every parallel loop.
+            #[test]
+            fn column_sweeps_equal_the_row_kernels(
+                ops in prop::collection::vec(op(), 1..48),
+            ) {
+                let par = KernelContext::with_threads(4).with_threshold(1);
+                for n in WIDTHS {
+                    for ctx in [KernelContext::sequential(), par.clone()] {
+                        let mut t = Tableau::new(n);
+                        let mut o = row_identity(n);
+                        for op in &ops {
+                            step(op, &mut t, &mut o, &ctx);
+                        }
+                        // Same layout: `==` compares the words outright.
+                        t.ensure_rows(&ctx);
+                        prop_assert!(t == o, "width {}: tableau diverged from the row oracle", n);
+                    }
+                }
+            }
+        }
     }
 }
