@@ -445,8 +445,8 @@ impl Tableau {
 
     // --- row multiplication --------------------------------------------------
 
-    /// The scratch row becomes its product with row `i`, whose sign is
-    /// `ri`; `sr` is the scratch sign (row layout only).
+    /// The scratch row, whose sign is `sr`, becomes its product with
+    /// row `i` (row layout only).
     fn scratch_mul(&mut self, i: usize, sr: &mut u8) {
         let w = self.w;
         let ri = self.sign(i);
@@ -983,10 +983,12 @@ mod tests {
             t.apply_cx(q, q + 1, &ctx);
         }
         assert_eq!(t.layout_switches(), 0, "a fresh tableau starts in columns");
+        let swept = t.clone();
         t.measure_kind(5, &ctx);
         t.expectation(&[0, 0, 1], &[0, 0, 0], &ctx);
         t.canonicalize(&ctx);
         assert_eq!(t.layout_switches(), 1, "queries share one switch to rows");
+        assert_eq!(t, swept, "a switch changes the layout, not the state");
         t.apply_swap(3, 7, &ctx);
         t.apply_cz(3, 7, &ctx);
         assert_eq!(t.layout_switches(), 2);
