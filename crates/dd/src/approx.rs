@@ -14,7 +14,8 @@ use std::collections::HashMap;
 
 use qdt_complex::Complex;
 
-use crate::package::{DdPackage, NodeId, VEdge, TERMINAL};
+use crate::package::DdPackage;
+use crate::table::{NodeId, VEdge, TERMINAL};
 use crate::VectorDd;
 
 /// The result of an approximation pass.
@@ -62,7 +63,7 @@ impl DdPackage {
             if node_norm == 0.0 {
                 continue;
             }
-            let node = self.vnode(id).clone();
+            let node = self.vectors.node(id).clone();
             for (i, c) in node.children.iter().enumerate() {
                 if c.is_zero() {
                     continue;
@@ -104,7 +105,7 @@ impl DdPackage {
         let mut memo: HashMap<NodeId, VEdge> = HashMap::new();
         let rebuilt = self.rebuild_pruned(v.root.node, &prune, &mut memo);
         let mut out = VectorDd {
-            root: self.vscale(rebuilt, v.root.weight),
+            root: rebuilt.scaled(&mut self.ctable, v.root.weight),
             num_qubits: v.num_qubits,
         };
         let pruned_edges = prune.len();
@@ -131,19 +132,9 @@ impl DdPackage {
     fn topological_order(&self, root: NodeId) -> Vec<NodeId> {
         // Nodes sorted by descending level — parents precede children
         // because vector DDs never skip levels.
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = vec![root];
         let mut out = Vec::new();
-        while let Some(id) = stack.pop() {
-            if id == TERMINAL || !seen.insert(id) {
-                continue;
-            }
-            out.push(id);
-            for c in self.vnode(id).children {
-                stack.push(c.node);
-            }
-        }
-        out.sort_by_key(|&id| std::cmp::Reverse(self.vnode(id).level));
+        self.vectors.for_each_reachable(root, |id| out.push(id));
+        out.sort_by_key(|&id| std::cmp::Reverse(self.vectors.node(id).level));
         out
     }
 
@@ -159,16 +150,18 @@ impl DdPackage {
         if let Some(&e) = memo.get(&id) {
             return e;
         }
-        let node = self.vnode(id).clone();
+        let node = self.vectors.node(id).clone();
         let mut children = [VEdge::ZERO; 2];
         for (i, c) in node.children.iter().enumerate() {
             if c.is_zero() || prune.contains_key(&(id, i)) {
                 continue;
             }
             let sub = self.rebuild_pruned(c.node, prune, memo);
-            children[i] = self.vscale(sub, c.weight);
+            children[i] = sub.scaled(&mut self.ctable, c.weight);
         }
-        let e = self.make_vnode(node.level, children);
+        let e = self
+            .vectors
+            .make_node(&mut self.ctable, node.level, children);
         memo.insert(id, e);
         e
     }

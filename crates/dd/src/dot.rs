@@ -4,116 +4,101 @@
 //! `dot -Tsvg` on the output reproduces drawings in the style of Fig. 1b,
 //! with edge weights annotated and weight-1 edges left unlabelled.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use crate::package::{DdPackage, NodeId, TERMINAL};
+use crate::package::DdPackage;
+use crate::table::{Edge, NodeId, NodeTable, TERMINAL};
 use crate::{MatrixDd, VectorDd};
 
 impl DdPackage {
     /// Renders a vector DD as a Graphviz digraph.
     pub fn vector_to_dot(&self, v: &VectorDd) -> String {
-        let mut out = String::from("digraph vectordd {\n  rankdir=TB;\n  node [shape=circle];\n");
-        let mut names: HashMap<NodeId, String> = HashMap::new();
-        names.insert(TERMINAL, "T".to_string());
-        writeln!(out, "  T [shape=box, label=\"1\"];").expect("write to string");
-        writeln!(
-            out,
-            "  root [shape=point]; root -> {} [label=\"{}\"];",
-            self.v_name(v.root.node, &mut names),
-            fmt_weight(v.root.weight)
-        )
-        .expect("write to string");
-        let mut stack = vec![v.root.node];
-        let mut seen = std::collections::HashSet::new();
-        while let Some(id) = stack.pop() {
-            if id == TERMINAL || !seen.insert(id) {
-                continue;
-            }
-            let node = self.vnode(id).clone();
-            let name = self.v_name(id, &mut names);
-            writeln!(out, "  {name} [label=\"q{}\"];", node.level).expect("write to string");
-            for (i, c) in node.children.iter().enumerate() {
-                if c.is_zero() {
+        to_dot(
+            &self.vectors,
+            "vectordd",
+            'v',
+            v.root,
+            |out, name, i, child| {
+                let style = if i == 0 { "dashed" } else { "solid" };
+                match child {
                     // 0-stub per the paper's visual convention.
-                    writeln!(out, "  {name}_z{i} [shape=none, label=\"0\"];").expect("write");
-                    writeln!(
-                        out,
-                        "  {name} -> {name}_z{i} [style={}];",
-                        if i == 0 { "dashed" } else { "solid" }
-                    )
-                    .expect("write to string");
-                } else {
-                    let cname = self.v_name(c.node, &mut names);
-                    let label = fmt_weight(c.weight);
-                    let style = if i == 0 { "dashed" } else { "solid" };
-                    if label.is_empty() {
-                        writeln!(out, "  {name} -> {cname} [style={style}];").expect("write");
-                    } else {
-                        writeln!(
-                            out,
-                            "  {name} -> {cname} [style={style}, label=\"{label}\"];"
-                        )
-                        .expect("write to string");
+                    None => {
+                        writeln!(out, "  {name}_z{i} [shape=none, label=\"0\"];").expect("write");
+                        writeln!(out, "  {name} -> {name}_z{i} [style={style}];").expect("write");
                     }
-                    stack.push(c.node);
+                    Some((cname, w)) if w.is_empty() => {
+                        writeln!(out, "  {name} -> {cname} [style={style}];").expect("write");
+                    }
+                    Some((cname, w)) => {
+                        writeln!(out, "  {name} -> {cname} [style={style}, label=\"{w}\"];")
+                            .expect("write");
+                    }
                 }
-            }
-        }
-        out.push_str("}\n");
-        out
+            },
+        )
     }
 
     /// Renders a matrix DD as a Graphviz digraph (children labelled by
     /// their row/column block).
     pub fn matrix_to_dot(&self, m: &MatrixDd) -> String {
-        let mut out = String::from("digraph matrixdd {\n  rankdir=TB;\n  node [shape=circle];\n");
-        let mut names: HashMap<NodeId, String> = HashMap::new();
-        names.insert(TERMINAL, "T".to_string());
-        writeln!(out, "  T [shape=box, label=\"1\"];").expect("write to string");
-        writeln!(
-            out,
-            "  root [shape=point]; root -> {} [label=\"{}\"];",
-            self.m_name(m.root.node, &mut names),
-            fmt_weight(m.root.weight)
-        )
-        .expect("write to string");
-        let mut stack = vec![m.root.node];
-        let mut seen = std::collections::HashSet::new();
-        while let Some(id) = stack.pop() {
-            if id == TERMINAL || !seen.insert(id) {
-                continue;
-            }
-            let node = self.mnode(id).clone();
-            let name = self.m_name(id, &mut names);
-            writeln!(out, "  {name} [label=\"q{}\"];", node.level).expect("write to string");
-            for (i, c) in node.children.iter().enumerate() {
+        to_dot(
+            &self.matrices,
+            "matrixdd",
+            'm',
+            m.root,
+            |out, name, i, child| {
+                // Zero blocks are omitted to keep matrix plots legible.
+                let Some((cname, w)) = child else { return };
                 let block = format!("{}{}", i / 2, i % 2);
-                if c.is_zero() {
-                    continue; // zero blocks omitted to keep matrix plots legible
-                }
-                let cname = self.m_name(c.node, &mut names);
-                let w = fmt_weight(c.weight);
                 let label = if w.is_empty() {
                     block
                 } else {
                     format!("{block}: {w}")
                 };
                 writeln!(out, "  {name} -> {cname} [label=\"{label}\"];").expect("write");
-                stack.push(c.node);
-            }
+            },
+        )
+    }
+}
+
+/// The Graphviz digraph `graph` of the diagram under `root`: nodes named
+/// `prefix` + id, each labelled by its qubit. `child` writes the lines
+/// of child edge `i` of node `name`, given the child's name and weight
+/// label, or `None` for a zero edge.
+fn to_dot<const K: usize>(
+    table: &NodeTable<K>,
+    graph: &str,
+    prefix: char,
+    root: Edge<K>,
+    child: impl Fn(&mut String, &str, usize, Option<(String, String)>),
+) -> String {
+    let name = |id: NodeId| {
+        if id == TERMINAL {
+            "T".to_string()
+        } else {
+            format!("{prefix}{id}")
         }
-        out.push_str("}\n");
-        out
-    }
-
-    fn v_name(&self, id: NodeId, names: &mut HashMap<NodeId, String>) -> String {
-        names.entry(id).or_insert_with(|| format!("v{id}")).clone()
-    }
-
-    fn m_name(&self, id: NodeId, names: &mut HashMap<NodeId, String>) -> String {
-        names.entry(id).or_insert_with(|| format!("m{id}")).clone()
-    }
+    };
+    let mut out = format!("digraph {graph} {{\n  rankdir=TB;\n  node [shape=circle];\n");
+    writeln!(out, "  T [shape=box, label=\"1\"];").expect("write to string");
+    writeln!(
+        out,
+        "  root [shape=point]; root -> {} [label=\"{}\"];",
+        name(root.node),
+        fmt_weight(root.weight)
+    )
+    .expect("write to string");
+    table.for_each_reachable(root.node, |id| {
+        let node = table.node(id);
+        let node_name = name(id);
+        writeln!(out, "  {node_name} [label=\"q{}\"];", node.level).expect("write to string");
+        for (i, c) in node.children.iter().enumerate() {
+            let target = (!c.is_zero()).then(|| (name(c.node), fmt_weight(c.weight)));
+            child(&mut out, &node_name, i, target);
+        }
+    });
+    out.push_str("}\n");
+    out
 }
 
 /// Formats an edge weight, omitting exact ones per the paper's convention.

@@ -47,6 +47,7 @@ mod engine;
 mod equivalence;
 mod matrix;
 mod package;
+mod table;
 mod vector;
 
 pub use approx::ApproxResult;

@@ -1,12 +1,13 @@
 //! Matrix decision diagrams: gate construction, application and the
 //! identity check used for equivalence checking.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use qdt_circuit::{Circuit, Gate, Instruction, OpKind};
 use qdt_complex::{Complex, Matrix};
 
-use crate::package::{DdPackage, MEdge, NodeId, TERMINAL};
+use crate::package::DdPackage;
+use crate::table::{MEdge, NodeId, TERMINAL};
 use crate::{DdError, MatrixDd, VectorDd};
 
 /// Widest register whose gates [`DdPackage::gate_dd`] memoises: the
@@ -80,23 +81,23 @@ impl DdPackage {
                     let row = idx / 2;
                     let col = idx % 2;
                     let c00 = if row == col { ident_below } else { MEdge::ZERO };
-                    *e = self.make_mnode(z as u16, [c00, MEdge::ZERO, MEdge::ZERO, *e]);
+                    *e = self.block_diagonal(z, c00, *e);
                 }
             } else {
                 for e in em.iter_mut() {
-                    *e = self.make_mnode(z as u16, [*e, MEdge::ZERO, MEdge::ZERO, *e]);
+                    *e = self.block_diagonal(z, *e, *e);
                 }
             }
         }
         // The target level merges the four entries.
-        let mut e = self.make_mnode(target as u16, em);
+        let mut e = self.matrices.make_node(&mut self.ctable, target as u16, em);
         // Above the target: controls gate the whole operator.
         for z in target + 1..num_qubits {
             if controls.contains(&z) {
                 let ident_below = self.identity_edge(z as isize - 1);
-                e = self.make_mnode(z as u16, [ident_below, MEdge::ZERO, MEdge::ZERO, e]);
+                e = self.block_diagonal(z, ident_below, e);
             } else {
-                e = self.make_mnode(z as u16, [e, MEdge::ZERO, MEdge::ZERO, e]);
+                e = self.block_diagonal(z, e, e);
             }
         }
         if let Some(key) = key {
@@ -274,17 +275,7 @@ impl DdPackage {
 
     /// The number of distinct nodes reachable from the matrix root.
     pub fn matrix_node_count(&self, m: &MatrixDd) -> usize {
-        let mut seen: HashSet<NodeId> = HashSet::new();
-        let mut stack = vec![m.root.node];
-        while let Some(id) = stack.pop() {
-            if id == TERMINAL || !seen.insert(id) {
-                continue;
-            }
-            for c in self.mnode(id).children {
-                stack.push(c.node);
-            }
-        }
-        seen.len()
+        self.matrices.count_reachable(m.root.node)
     }
 
     /// A single matrix entry `⟨row|U|col⟩`, reconstructed by walking the
@@ -296,7 +287,7 @@ impl DdPackage {
             return Complex::ZERO;
         }
         while node != TERMINAL {
-            let n = self.mnode(node);
+            let n = self.matrices.node(node);
             let r = ((row >> n.level) & 1) as usize;
             let c = ((col >> n.level) & 1) as usize;
             let e = n.children[2 * r + c];
@@ -354,7 +345,7 @@ impl DdPackage {
         let inner = if let Some(cached) = memo.get(&e.node) {
             *cached
         } else {
-            let node = self.mnode(e.node).clone();
+            let node = self.matrices.node(e.node).clone();
             let computed = (|| {
                 let l01 = self.identity_lambda(node.children[1], tol, memo)?;
                 let l10 = self.identity_lambda(node.children[2], tol, memo)?;
@@ -520,7 +511,7 @@ mod tests {
         assert!(lambda.approx_eq(Complex::ONE, 1e-9));
         // A global-phase multiple is still accepted.
         let mut phased = i;
-        phased.root = p.mscale(phased.root, Complex::cis(0.3));
+        phased.root = phased.root.scaled(&mut p.ctable, Complex::cis(0.3));
         let lambda = p.identity_phase(&phased, 1e-9).expect("phase identity");
         assert!(lambda.approx_eq(Complex::cis(0.3), 1e-9));
     }

@@ -1,101 +1,18 @@
-//! The decision-diagram package: node arenas, unique tables, compute
-//! caches and normalisation.
-//!
-//! Canonicity contract: every node stored in the arena is *normalised* —
-//! its child edge weights are divided by the maximum-magnitude weight
-//! (ties broken toward the lower child index), so that one child weight is
-//! exactly `1`. Combined with the tolerance-canonicalising
-//! [`ComplexTable`], structurally equal sub-diagrams always hash to the
-//! same node, which is what makes sharing (and therefore compactness)
-//! work.
+//! The decision-diagram package: one node table per arity (`table.rs`),
+//! the complex table both share, and the package-level caches of
+//! products, gates, identities and norms.
 
 use qdt_complex::{Complex, ComplexTable, FastMap};
 
-pub(crate) type NodeId = u32;
-/// Sentinel node id for the terminal.
-pub(crate) const TERMINAL: NodeId = u32::MAX;
+use crate::table::{MEdge, NodeId, NodeTable, VEdge, TERMINAL};
 
-/// An edge of a vector decision diagram: target node plus complex weight.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct VEdge {
-    pub node: NodeId,
-    pub weight: Complex,
-}
+/// Normalisation tie tolerance of vector nodes: the exact maximum child
+/// is extracted, ties going to index 0.
+const VECTOR_TIE_TOLERANCE: f64 = 0.0;
+/// Normalisation tie tolerance of matrix nodes: the first child within
+/// `1e-12` (relative) of the maximum magnitude is extracted.
+const MATRIX_TIE_TOLERANCE: f64 = 1e-12;
 
-impl VEdge {
-    pub(crate) const ZERO: VEdge = VEdge {
-        node: TERMINAL,
-        weight: Complex::ZERO,
-    };
-
-    pub(crate) fn terminal(weight: Complex) -> VEdge {
-        if weight == Complex::ZERO {
-            VEdge::ZERO
-        } else {
-            VEdge {
-                node: TERMINAL,
-                weight,
-            }
-        }
-    }
-
-    pub(crate) fn is_zero(&self) -> bool {
-        self.weight == Complex::ZERO
-    }
-
-    fn key(&self) -> (NodeId, (u64, u64)) {
-        (self.node, self.weight.to_bits())
-    }
-}
-
-/// An edge of a matrix decision diagram.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct MEdge {
-    pub node: NodeId,
-    pub weight: Complex,
-}
-
-impl MEdge {
-    pub(crate) const ZERO: MEdge = MEdge {
-        node: TERMINAL,
-        weight: Complex::ZERO,
-    };
-
-    pub(crate) fn terminal(weight: Complex) -> MEdge {
-        if weight == Complex::ZERO {
-            MEdge::ZERO
-        } else {
-            MEdge {
-                node: TERMINAL,
-                weight,
-            }
-        }
-    }
-
-    pub(crate) fn is_zero(&self) -> bool {
-        self.weight == Complex::ZERO
-    }
-
-    fn key(&self) -> (NodeId, (u64, u64)) {
-        (self.node, self.weight.to_bits())
-    }
-}
-
-#[derive(Debug, Clone)]
-pub(crate) struct VNode {
-    pub level: u16,
-    pub children: [VEdge; 2],
-}
-
-#[derive(Debug, Clone)]
-pub(crate) struct MNode {
-    pub level: u16,
-    /// Row-major blocks: `children[2*row + col]`.
-    pub children: [MEdge; 4],
-}
-
-type VKey = (u16, [(NodeId, (u64, u64)); 2]);
-type MKey = (u16, [(NodeId, (u64, u64)); 4]);
 /// Memo key of a constructed gate diagram: the four 2×2 entry bit
 /// patterns, the register width, the target and the control set as a
 /// bit mask.
@@ -182,15 +99,13 @@ pub struct DdMemory {
 /// mixed.
 #[derive(Debug, Clone)]
 pub struct DdPackage {
-    pub(crate) vnodes: Vec<VNode>,
-    pub(crate) mnodes: Vec<MNode>,
-    vunique: FastMap<VKey, NodeId>,
-    munique: FastMap<MKey, NodeId>,
+    /// Vector nodes: arena, unique table, add cache.
+    pub(crate) vectors: NodeTable<2>,
+    /// Matrix nodes: arena, unique table, add cache.
+    pub(crate) matrices: NodeTable<4>,
     pub(crate) ctable: ComplexTable,
-    // Compute caches. Keys factor the incoming edge weights out so cache
+    // Product caches. Keys factor the incoming edge weights out so cache
     // hits are maximal (see each op).
-    vadd_cache: FastMap<(NodeId, NodeId, (u64, u64)), VEdge>,
-    madd_cache: FastMap<(NodeId, NodeId, (u64, u64)), MEdge>,
     mv_cache: FastMap<(NodeId, NodeId), VEdge>,
     mm_cache: FastMap<(NodeId, NodeId), MEdge>,
     /// Memoised [`gate_dd`](DdPackage::gate_dd) roots keyed by gate
@@ -204,7 +119,8 @@ pub struct DdPackage {
     ident: Vec<MEdge>,
     /// Cached squared norms of vector nodes.
     nsq_cache: FastMap<NodeId, f64>,
-    /// Table/cache activity counters (see [`DdStats`]).
+    /// Product-cache activity (the node tables count their own unique
+    /// and add lookups; see [`DdPackage::stats`]).
     stats: DdStats,
 }
 
@@ -227,13 +143,9 @@ impl DdPackage {
     /// Panics if `tol` is not finite and positive.
     pub fn with_tolerance(tol: f64) -> Self {
         DdPackage {
-            vnodes: Vec::new(),
-            mnodes: Vec::new(),
-            vunique: FastMap::default(),
-            munique: FastMap::default(),
+            vectors: NodeTable::new(VECTOR_TIE_TOLERANCE),
+            matrices: NodeTable::new(MATRIX_TIE_TOLERANCE),
             ctable: ComplexTable::with_tolerance(tol),
-            vadd_cache: FastMap::default(),
-            madd_cache: FastMap::default(),
             mv_cache: FastMap::default(),
             mm_cache: FastMap::default(),
             gate_cache: FastMap::default(),
@@ -245,12 +157,12 @@ impl DdPackage {
 
     /// Total number of vector nodes ever created (arena size).
     pub fn vector_arena_size(&self) -> usize {
-        self.vnodes.len()
+        self.vectors.len()
     }
 
     /// Total number of matrix nodes ever created (arena size).
     pub fn matrix_arena_size(&self) -> usize {
-        self.mnodes.len()
+        self.matrices.len()
     }
 
     /// Approximate resident bytes of the package's four memory
@@ -260,21 +172,18 @@ impl DdPackage {
     /// lengths, cheap enough for the run-loop to poll per gate.
     pub fn memory_breakdown(&self) -> DdMemory {
         use std::mem::size_of;
-        let arena = self.vnodes.len() * size_of::<VNode>() + self.mnodes.len() * size_of::<MNode>();
-        let unique_tables = self.vunique.len() * size_of::<(VKey, NodeId)>()
-            + self.munique.len() * size_of::<(MKey, NodeId)>();
-        let complex_table = self.ctable.len() * size_of::<Complex>();
-        let compute_tables = self.vadd_cache.len()
-            * size_of::<((NodeId, NodeId, (u64, u64)), VEdge)>()
-            + self.madd_cache.len() * size_of::<((NodeId, NodeId, (u64, u64)), MEdge)>()
+        let (v_arena, v_unique, v_add) = self.vectors.memory();
+        let (m_arena, m_unique, m_add) = self.matrices.memory();
+        let compute_tables = v_add
+            + m_add
             + self.mv_cache.len() * size_of::<((NodeId, NodeId), VEdge)>()
             + self.mm_cache.len() * size_of::<((NodeId, NodeId), MEdge)>()
             + self.gate_cache.len() * size_of::<(GateKey, MEdge)>()
             + self.nsq_cache.len() * size_of::<(NodeId, f64)>();
         DdMemory {
-            arena,
-            unique_tables,
-            complex_table,
+            arena: v_arena + m_arena,
+            unique_tables: v_unique + m_unique,
+            complex_table: self.ctable.len() * size_of::<Complex>(),
             compute_tables,
         }
     }
@@ -288,11 +197,16 @@ impl DdPackage {
 
     /// Cumulative table/cache activity since package creation.
     pub fn stats(&self) -> DdStats {
+        let parts = [self.stats, self.vectors.stats, self.matrices.stats];
+        let sum = |field: fn(&DdStats) -> u64| parts.iter().map(field).sum();
         DdStats {
+            unique_lookups: sum(|s| s.unique_lookups),
+            unique_hits: sum(|s| s.unique_hits),
+            compute_lookups: sum(|s| s.compute_lookups),
+            compute_hits: sum(|s| s.compute_hits),
             ctable_lookups: self.ctable.lookups(),
             ctable_hits: self.ctable.hits(),
             ctable_entries: self.ctable.len() as u64,
-            ..self.stats
         }
     }
 
@@ -301,8 +215,8 @@ impl DdPackage {
     /// Useful between independent runs to bound memory; correctness never
     /// requires calling this.
     pub fn clear_caches(&mut self) {
-        self.vadd_cache.clear();
-        self.madd_cache.clear();
+        self.vectors.clear_add_cache();
+        self.matrices.clear_add_cache();
         self.mv_cache.clear();
         self.mm_cache.clear();
         self.nsq_cache.clear();
@@ -310,237 +224,6 @@ impl DdPackage {
 
     pub(crate) fn canon(&mut self, c: Complex) -> Complex {
         self.ctable.canonicalize(c)
-    }
-
-    pub(crate) fn vnode(&self, id: NodeId) -> &VNode {
-        &self.vnodes[id as usize]
-    }
-
-    pub(crate) fn mnode(&self, id: NodeId) -> &MNode {
-        &self.mnodes[id as usize]
-    }
-
-    /// Scales an edge weight, canonicalising and collapsing to the zero
-    /// edge when the product vanishes.
-    pub(crate) fn vscale(&mut self, e: VEdge, f: Complex) -> VEdge {
-        if e.is_zero() || f == Complex::ZERO {
-            return VEdge::ZERO;
-        }
-        let w = self.canon(e.weight * f);
-        if w == Complex::ZERO {
-            VEdge::ZERO
-        } else {
-            VEdge {
-                node: e.node,
-                weight: w,
-            }
-        }
-    }
-
-    pub(crate) fn mscale(&mut self, e: MEdge, f: Complex) -> MEdge {
-        if e.is_zero() || f == Complex::ZERO {
-            return MEdge::ZERO;
-        }
-        let w = self.canon(e.weight * f);
-        if w == Complex::ZERO {
-            MEdge::ZERO
-        } else {
-            MEdge {
-                node: e.node,
-                weight: w,
-            }
-        }
-    }
-
-    /// Creates (or finds) the normalised vector node `level → children`
-    /// and returns the edge pointing to it, carrying the extracted factor.
-    pub(crate) fn make_vnode(&mut self, level: u16, mut children: [VEdge; 2]) -> VEdge {
-        for c in &mut children {
-            if c.is_zero() {
-                *c = VEdge::ZERO;
-            } else {
-                c.weight = self.canon(c.weight);
-                if c.weight == Complex::ZERO {
-                    *c = VEdge::ZERO;
-                }
-            }
-        }
-        let m0 = children[0].weight.norm_sqr();
-        let m1 = children[1].weight.norm_sqr();
-        if m0 == 0.0 && m1 == 0.0 {
-            return VEdge::ZERO;
-        }
-        // Normalise by the max-magnitude child (ties toward index 0).
-        let k = if m0 >= m1 { 0 } else { 1 };
-        let top = children[k].weight;
-        let inv = top.recip();
-        for (i, c) in children.iter_mut().enumerate() {
-            if i == k {
-                c.weight = Complex::ONE;
-            } else if !c.is_zero() {
-                c.weight = self.canon(c.weight * inv);
-                if c.weight == Complex::ZERO {
-                    *c = VEdge::ZERO;
-                }
-            }
-        }
-        let key: VKey = (level, [children[0].key(), children[1].key()]);
-        self.stats.unique_lookups += 1;
-        let id = match self.vunique.get(&key) {
-            Some(&id) => {
-                self.stats.unique_hits += 1;
-                id
-            }
-            None => {
-                let id = self.vnodes.len() as NodeId;
-                self.vnodes.push(VNode { level, children });
-                self.vunique.insert(key, id);
-                id
-            }
-        };
-        VEdge {
-            node: id,
-            weight: self.canon(top),
-        }
-    }
-
-    /// Creates (or finds) the normalised matrix node.
-    pub(crate) fn make_mnode(&mut self, level: u16, mut children: [MEdge; 4]) -> MEdge {
-        let mut max_m = 0.0f64;
-        for c in &mut children {
-            if c.is_zero() {
-                *c = MEdge::ZERO;
-            } else {
-                c.weight = self.canon(c.weight);
-                if c.weight == Complex::ZERO {
-                    *c = MEdge::ZERO;
-                }
-            }
-            max_m = max_m.max(c.weight.norm_sqr());
-        }
-        if max_m == 0.0 {
-            return MEdge::ZERO;
-        }
-        // First child whose magnitude is (numerically) maximal.
-        let mut k = 0;
-        for (i, c) in children.iter().enumerate() {
-            if c.weight.norm_sqr() >= max_m * (1.0 - 1e-12) {
-                k = i;
-                break;
-            }
-        }
-        let top = children[k].weight;
-        let inv = top.recip();
-        for (i, c) in children.iter_mut().enumerate() {
-            if i == k {
-                c.weight = Complex::ONE;
-            } else if !c.is_zero() {
-                c.weight = self.canon(c.weight * inv);
-                if c.weight == Complex::ZERO {
-                    *c = MEdge::ZERO;
-                }
-            }
-        }
-        let key: MKey = (
-            level,
-            [
-                children[0].key(),
-                children[1].key(),
-                children[2].key(),
-                children[3].key(),
-            ],
-        );
-        self.stats.unique_lookups += 1;
-        let id = match self.munique.get(&key) {
-            Some(&id) => {
-                self.stats.unique_hits += 1;
-                id
-            }
-            None => {
-                let id = self.mnodes.len() as NodeId;
-                self.mnodes.push(MNode { level, children });
-                self.munique.insert(key, id);
-                id
-            }
-        };
-        MEdge {
-            node: id,
-            weight: self.canon(top),
-        }
-    }
-
-    // --- vector arithmetic -------------------------------------------------
-
-    /// Pointwise sum of two vector diagrams (same qubit count).
-    pub(crate) fn vadd(&mut self, a: VEdge, b: VEdge) -> VEdge {
-        if a.is_zero() {
-            return b;
-        }
-        if b.is_zero() {
-            return a;
-        }
-        if a.node == TERMINAL && b.node == TERMINAL {
-            return VEdge::terminal(self.canon(a.weight + b.weight));
-        }
-        debug_assert!(
-            a.node != TERMINAL && b.node != TERMINAL,
-            "level skew in vadd"
-        );
-        // Factor out a.weight: a + b = w_a · (A + (w_b/w_a)·B).
-        let alpha = self.canon(b.weight / a.weight);
-        let key = (a.node, b.node, alpha.to_bits());
-        self.stats.compute_lookups += 1;
-        if let Some(&r) = self.vadd_cache.get(&key) {
-            self.stats.compute_hits += 1;
-            return self.vscale(r, a.weight);
-        }
-        let an = self.vnode(a.node).clone();
-        let bn = self.vnode(b.node).clone();
-        debug_assert_eq!(an.level, bn.level, "vadd level mismatch");
-        let mut children = [VEdge::ZERO; 2];
-        for (i, child) in children.iter_mut().enumerate() {
-            let bscaled = self.vscale(bn.children[i], alpha);
-            *child = self.vadd(an.children[i], bscaled);
-        }
-        let r = self.make_vnode(an.level, children);
-        self.vadd_cache.insert(key, r);
-        self.vscale(r, a.weight)
-    }
-
-    // --- matrix arithmetic -------------------------------------------------
-
-    pub(crate) fn madd(&mut self, a: MEdge, b: MEdge) -> MEdge {
-        if a.is_zero() {
-            return b;
-        }
-        if b.is_zero() {
-            return a;
-        }
-        if a.node == TERMINAL && b.node == TERMINAL {
-            return MEdge::terminal(self.canon(a.weight + b.weight));
-        }
-        debug_assert!(
-            a.node != TERMINAL && b.node != TERMINAL,
-            "level skew in madd"
-        );
-        let alpha = self.canon(b.weight / a.weight);
-        let key = (a.node, b.node, alpha.to_bits());
-        self.stats.compute_lookups += 1;
-        if let Some(&r) = self.madd_cache.get(&key) {
-            self.stats.compute_hits += 1;
-            return self.mscale(r, a.weight);
-        }
-        let an = self.mnode(a.node).clone();
-        let bn = self.mnode(b.node).clone();
-        debug_assert_eq!(an.level, bn.level, "madd level mismatch");
-        let mut children = [MEdge::ZERO; 4];
-        for (i, child) in children.iter_mut().enumerate() {
-            let bscaled = self.mscale(bn.children[i], alpha);
-            *child = self.madd(an.children[i], bscaled);
-        }
-        let r = self.make_mnode(an.level, children);
-        self.madd_cache.insert(key, r);
-        self.mscale(r, a.weight)
     }
 
     /// Matrix–vector product of diagram edges.
@@ -558,20 +241,20 @@ impl DdPackage {
         self.stats.compute_lookups += 1;
         if let Some(&r) = self.mv_cache.get(&key) {
             self.stats.compute_hits += 1;
-            return self.vscale(r, f);
+            return r.scaled(&mut self.ctable, f);
         }
-        let mn = self.mnode(m.node).clone();
-        let vn = self.vnode(v.node).clone();
+        let mn = self.matrices.node(m.node).clone();
+        let vn = self.vectors.node(v.node).clone();
         debug_assert_eq!(mn.level, vn.level, "mat_vec level mismatch");
         let mut children = [VEdge::ZERO; 2];
         for (i, child) in children.iter_mut().enumerate() {
             let a = self.mat_vec(mn.children[2 * i], vn.children[0]);
             let b = self.mat_vec(mn.children[2 * i + 1], vn.children[1]);
-            *child = self.vadd(a, b);
+            *child = self.vectors.add(&mut self.ctable, a, b);
         }
-        let r = self.make_vnode(mn.level, children);
+        let r = self.vectors.make_node(&mut self.ctable, mn.level, children);
         self.mv_cache.insert(key, r);
-        self.vscale(r, f)
+        r.scaled(&mut self.ctable, f)
     }
 
     /// Matrix–matrix product of diagram edges (`a · b`).
@@ -587,32 +270,34 @@ impl DdPackage {
         // Gate diagrams are the identity below their target, so this
         // skips most of a gate product's recursion and cache probes.
         if self.is_identity_node(a.node) {
-            return self.mscale(b, a.weight);
+            return b.scaled(&mut self.ctable, a.weight);
         }
         if self.is_identity_node(b.node) {
-            return self.mscale(a, b.weight);
+            return a.scaled(&mut self.ctable, b.weight);
         }
         let f = self.canon(a.weight * b.weight);
         let key = (a.node, b.node);
         self.stats.compute_lookups += 1;
         if let Some(&r) = self.mm_cache.get(&key) {
             self.stats.compute_hits += 1;
-            return self.mscale(r, f);
+            return r.scaled(&mut self.ctable, f);
         }
-        let an = self.mnode(a.node).clone();
-        let bn = self.mnode(b.node).clone();
+        let an = self.matrices.node(a.node).clone();
+        let bn = self.matrices.node(b.node).clone();
         debug_assert_eq!(an.level, bn.level, "mat_mat level mismatch");
         let mut children = [MEdge::ZERO; 4];
         for i in 0..2 {
             for k in 0..2 {
                 let p = self.mat_mat(an.children[2 * i], bn.children[k]);
                 let q = self.mat_mat(an.children[2 * i + 1], bn.children[2 + k]);
-                children[2 * i + k] = self.madd(p, q);
+                children[2 * i + k] = self.matrices.add(&mut self.ctable, p, q);
             }
         }
-        let r = self.make_mnode(an.level, children);
+        let r = self
+            .matrices
+            .make_node(&mut self.ctable, an.level, children);
         self.mm_cache.insert(key, r);
-        self.mscale(r, f)
+        r.scaled(&mut self.ctable, f)
     }
 
     /// The identity diagram on qubits `0..=level`.
@@ -628,15 +313,23 @@ impl DdPackage {
             } else {
                 self.ident[l - 1]
             };
-            let e = self.make_mnode(l as u16, [below, MEdge::ZERO, MEdge::ZERO, below]);
+            let e = self.block_diagonal(l, below, below);
             self.ident.push(e);
         }
         self.ident[level]
     }
 
+    /// The matrix node at `level` with diagonal blocks `upper` (row and
+    /// column bit 0) and `lower` and zero off-diagonal blocks.
+    pub(crate) fn block_diagonal(&mut self, level: usize, upper: MEdge, lower: MEdge) -> MEdge {
+        let children = [upper, MEdge::ZERO, MEdge::ZERO, lower];
+        self.matrices
+            .make_node(&mut self.ctable, level as u16, children)
+    }
+
     /// Whether the (non-terminal) node is the cached identity of its level.
     fn is_identity_node(&self, id: NodeId) -> bool {
-        let level = usize::from(self.mnode(id).level);
+        let level = usize::from(self.matrices.node(id).level);
         self.ident.get(level).is_some_and(|e| e.node == id)
     }
 
@@ -654,7 +347,7 @@ impl DdPackage {
         if let Some(&n) = self.nsq_cache.get(&id) {
             return n;
         }
-        let node = self.vnode(id).clone();
+        let node = self.vectors.node(id).clone();
         let mut acc = 0.0;
         for c in node.children {
             if !c.is_zero() {
@@ -689,150 +382,13 @@ impl DdPackage {
     #[cfg(feature = "audit")]
     pub fn audit(&self) -> Result<(), Vec<String>> {
         let mut violations = Vec::new();
-        let vn = self.vnodes.len();
-        let mn = self.mnodes.len();
-
-        if self.vunique.len() != vn {
-            violations.push(format!(
-                "vector unique table has {} entries for {vn} arena nodes",
-                self.vunique.len()
-            ));
-        }
-        if self.munique.len() != mn {
-            violations.push(format!(
-                "matrix unique table has {} entries for {mn} arena nodes",
-                self.munique.len()
-            ));
-        }
-        for (key, &id) in &self.vunique {
-            if id as usize >= vn {
-                violations.push(format!("vunique entry {id} out of arena range {vn}"));
-                continue;
-            }
-            let node = &self.vnodes[id as usize];
-            let recomputed: VKey = (node.level, [node.children[0].key(), node.children[1].key()]);
-            if recomputed != *key {
-                violations.push(format!("vunique key for node {id} is stale"));
-            }
-        }
-        for (key, &id) in &self.munique {
-            if id as usize >= mn {
-                violations.push(format!("munique entry {id} out of arena range {mn}"));
-                continue;
-            }
-            let node = &self.mnodes[id as usize];
-            let recomputed: MKey = (
-                node.level,
-                [
-                    node.children[0].key(),
-                    node.children[1].key(),
-                    node.children[2].key(),
-                    node.children[3].key(),
-                ],
-            );
-            if recomputed != *key {
-                violations.push(format!("munique key for node {id} is stale"));
-            }
-        }
-
-        // Magnitudes may exceed 1 by numerical round-off only.
-        const MAG_SLACK: f64 = 1e-9;
-        for (id, node) in self.vnodes.iter().enumerate() {
-            audit_children(
-                &mut violations,
-                "vector",
-                id,
-                node.level,
-                &node.children.map(|c| (c.node, c.weight)),
-                |child| {
-                    if child == TERMINAL {
-                        None
-                    } else {
-                        Some((
-                            child as usize >= vn,
-                            self.vnodes.get(child as usize).map(|n| n.level),
-                        ))
-                    }
-                },
-                MAG_SLACK,
-            );
-        }
-        for (id, node) in self.mnodes.iter().enumerate() {
-            audit_children(
-                &mut violations,
-                "matrix",
-                id,
-                node.level,
-                &node.children.map(|c| (c.node, c.weight)),
-                |child| {
-                    if child == TERMINAL {
-                        None
-                    } else {
-                        Some((
-                            child as usize >= mn,
-                            self.mnodes.get(child as usize).map(|n| n.level),
-                        ))
-                    }
-                },
-                MAG_SLACK,
-            );
-        }
-
+        self.vectors.audit("vector", &mut violations);
+        self.matrices.audit("matrix", &mut violations);
         if violations.is_empty() {
             Ok(())
         } else {
             Err(violations)
         }
-    }
-}
-
-/// Shared child checks for [`DdPackage::audit`]: normalisation, zero
-/// canonicalisation, and strictly decreasing levels.
-#[cfg(feature = "audit")]
-fn audit_children(
-    violations: &mut Vec<String>,
-    kind: &str,
-    id: usize,
-    level: u16,
-    children: &[(NodeId, Complex)],
-    lookup: impl Fn(NodeId) -> Option<(bool, Option<u16>)>,
-    mag_slack: f64,
-) {
-    let mut has_unit = false;
-    let mut max_sqr = 0.0f64;
-    for &(child, weight) in children {
-        if weight == Complex::ONE {
-            has_unit = true;
-        }
-        max_sqr = max_sqr.max(weight.norm_sqr());
-        if weight == Complex::ZERO && child != TERMINAL {
-            violations.push(format!(
-                "{kind} node {id}: zero-weight child not collapsed to the zero edge"
-            ));
-        }
-        if let Some((out_of_range, child_level)) = lookup(child) {
-            if out_of_range {
-                violations.push(format!("{kind} node {id}: child id {child} out of range"));
-            } else if let Some(cl) = child_level {
-                if cl >= level {
-                    violations.push(format!(
-                        "{kind} node {id} (level {level}): child level {cl} does not \
-                         decrease — terminal unreachable"
-                    ));
-                }
-            }
-        }
-    }
-    if !has_unit {
-        violations.push(format!(
-            "{kind} node {id}: no child has weight exactly 1 (normalisation broken)"
-        ));
-    }
-    if max_sqr > 1.0 + mag_slack {
-        violations.push(format!(
-            "{kind} node {id}: child magnitude² {max_sqr} exceeds 1 \
-             (top weight not extracted)"
-        ));
     }
 }
 
@@ -849,9 +405,11 @@ mod tests {
     #[test]
     fn zero_edges_collapse() {
         let mut p = DdPackage::new();
-        let e = p.make_vnode(0, [VEdge::ZERO, VEdge::ZERO]);
+        let e = p
+            .vectors
+            .make_node(&mut p.ctable, 0, [VEdge::ZERO, VEdge::ZERO]);
         assert!(e.is_zero());
-        let m = p.make_mnode(0, [MEdge::ZERO; 4]);
+        let m = p.matrices.make_node(&mut p.ctable, 0, [MEdge::ZERO; 4]);
         assert!(m.is_zero());
     }
 
@@ -860,12 +418,41 @@ mod tests {
         let mut p = DdPackage::new();
         let half = Complex::real(0.5);
         let quarter = Complex::real(0.25);
-        let e = p.make_vnode(0, [VEdge::terminal(quarter), VEdge::terminal(half)]);
+        let e = p.vectors.make_node(
+            &mut p.ctable,
+            0,
+            [VEdge::terminal(quarter), VEdge::terminal(half)],
+        );
         // Max-magnitude child (index 1) becomes 1; factor 0.5 extracted.
         assert!(e.weight.approx_eq(half, 1e-12));
-        let node = p.vnode(e.node);
+        let node = p.vectors.node(e.node);
         assert!(node.children[1].weight.approx_eq(Complex::ONE, 1e-12));
         assert!(node.children[0].weight.approx_eq(half, 1e-12));
+    }
+
+    #[test]
+    fn tie_tolerance_is_exact_for_vectors_and_loose_for_matrices() {
+        // Magnitudes 1 and 1 + 8e-13 differ by less than the matrix
+        // tie tolerance: vectors extract the larger, matrices the first.
+        let mut p = DdPackage::with_tolerance(1e-300);
+        let (a, b) = (Complex::ONE, Complex::real(1.0 + 4e-13));
+        let v = p
+            .vectors
+            .make_node(&mut p.ctable, 0, [VEdge::terminal(a), VEdge::terminal(b)]);
+        assert_eq!(v.weight, b);
+        assert_eq!(p.vectors.node(v.node).children[1].weight, Complex::ONE);
+        let m = p.matrices.make_node(
+            &mut p.ctable,
+            0,
+            [
+                MEdge::terminal(a),
+                MEdge::terminal(b),
+                MEdge::ZERO,
+                MEdge::ZERO,
+            ],
+        );
+        assert_eq!(m.weight, a);
+        assert_eq!(p.matrices.node(m.node).children[0].weight, Complex::ONE);
     }
 
     #[test]
@@ -873,7 +460,7 @@ mod tests {
         let mut p = DdPackage::new();
         let mk = |p: &mut DdPackage| {
             let t = VEdge::terminal(Complex::ONE);
-            p.make_vnode(0, [t, VEdge::ZERO])
+            p.vectors.make_node(&mut p.ctable, 0, [t, VEdge::ZERO])
         };
         let a = mk(&mut p);
         let b = mk(&mut p);
@@ -884,14 +471,16 @@ mod tests {
     #[test]
     fn tolerance_merges_nearby_nodes() {
         let mut p = DdPackage::new();
-        let a = p.make_vnode(
+        let a = p.vectors.make_node(
+            &mut p.ctable,
             0,
             [
                 VEdge::terminal(Complex::ONE),
                 VEdge::terminal(Complex::real(0.5)),
             ],
         );
-        let b = p.make_vnode(
+        let b = p.vectors.make_node(
+            &mut p.ctable,
             0,
             [
                 VEdge::terminal(Complex::ONE),
@@ -918,7 +507,7 @@ mod tests {
         let mut p = DdPackage::new();
         let mk = |p: &mut DdPackage| {
             let t = VEdge::terminal(Complex::ONE);
-            p.make_vnode(0, [t, VEdge::ZERO])
+            p.vectors.make_node(&mut p.ctable, 0, [t, VEdge::ZERO])
         };
         let before = p.stats();
         mk(&mut p); // miss (insert)
@@ -935,8 +524,10 @@ mod tests {
         let mut p = DdPackage::new();
         // (Unnormalised) H ⊗ I: identity operands skip the cache.
         let below = p.identity_edge(2);
-        let minus = p.mscale(below, -Complex::ONE);
-        let h = p.make_mnode(3, [below, below, below, minus]);
+        let minus = below.scaled(&mut p.ctable, -Complex::ONE);
+        let h = p
+            .matrices
+            .make_node(&mut p.ctable, 3, [below, below, below, minus]);
         let before = p.stats();
         let _ = p.mat_mat(h, h); // populates the mm cache
         let mid = p.stats();
@@ -951,9 +542,9 @@ mod tests {
     fn vadd_of_opposites_is_zero() {
         let mut p = DdPackage::new();
         let t = VEdge::terminal(Complex::ONE);
-        let e = p.make_vnode(0, [t, VEdge::ZERO]);
-        let minus = p.vscale(e, -Complex::ONE);
-        let sum = p.vadd(e, minus);
+        let e = p.vectors.make_node(&mut p.ctable, 0, [t, VEdge::ZERO]);
+        let minus = e.scaled(&mut p.ctable, -Complex::ONE);
+        let sum = p.vectors.add(&mut p.ctable, e, minus);
         assert!(sum.is_zero());
     }
 
@@ -971,10 +562,12 @@ mod tests {
         let mut p = DdPackage::new();
         let i = p.identity_edge(3);
         let below = p.identity_edge(2);
-        let minus = p.mscale(below, -Complex::ONE);
-        let h = p.make_mnode(3, [below, below, below, minus]);
+        let minus = below.scaled(&mut p.ctable, -Complex::ONE);
+        let h = p
+            .matrices
+            .make_node(&mut p.ctable, 3, [below, below, below, minus]);
         let w = Complex::new(0.0, 2.0);
-        let scaled = p.mscale(i, w);
+        let scaled = i.scaled(&mut p.ctable, w);
         let before = p.stats();
         let left = p.mat_mat(scaled, h);
         let right = p.mat_mat(h, scaled);
@@ -989,8 +582,8 @@ mod tests {
     fn node_norm_of_normalised_basis_chain() {
         let mut p = DdPackage::new();
         let t = VEdge::terminal(Complex::ONE);
-        let mut e = p.make_vnode(0, [t, VEdge::ZERO]);
-        e = p.make_vnode(1, [e, VEdge::ZERO]);
+        let mut e = p.vectors.make_node(&mut p.ctable, 0, [t, VEdge::ZERO]);
+        e = p.vectors.make_node(&mut p.ctable, 1, [e, VEdge::ZERO]);
         assert!((p.node_norm_sqr(e.node) - 1.0).abs() < 1e-12);
     }
 }
@@ -1044,8 +637,8 @@ mod tolerance_tests {
             // Sabotage one child weight: the normalization invariant
             // (some child has weight exactly 1) and the unique-table key
             // both break.
-            let node = p.vnodes.len() - 1;
-            for c in &mut p.vnodes[node].children {
+            let node = p.vectors.nodes.len() - 1;
+            for c in &mut p.vectors.nodes[node].children {
                 c.weight = Complex::real(2.0);
             }
             let violations = p.audit().expect_err("corruption must be caught");

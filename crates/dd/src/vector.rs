@@ -1,12 +1,11 @@
 //! Vector decision diagrams: state construction, amplitude
 //! reconstruction, measurement and statistics.
 
-use std::collections::HashSet;
-
 use qdt_complex::Complex;
 use rand::Rng;
 
-use crate::package::{DdPackage, NodeId, VEdge, TERMINAL};
+use crate::package::DdPackage;
+use crate::table::{NodeId, VEdge, TERMINAL};
 use crate::VectorDd;
 
 impl DdPackage {
@@ -37,7 +36,7 @@ impl DdPackage {
             } else {
                 [e, VEdge::ZERO]
             };
-            e = self.make_vnode(q as u16, children);
+            e = self.vectors.make_node(&mut self.ctable, q as u16, children);
         }
         VectorDd {
             root: e,
@@ -68,7 +67,8 @@ impl DdPackage {
         let half = amps.len() / 2;
         let lo = self.build_from_slice(&amps[..half], level - 1);
         let hi = self.build_from_slice(&amps[half..], level - 1);
-        self.make_vnode((level - 1) as u16, [lo, hi])
+        self.vectors
+            .make_node(&mut self.ctable, (level - 1) as u16, [lo, hi])
     }
 
     /// Reconstructs the amplitude of basis state `index` by multiplying
@@ -81,7 +81,7 @@ impl DdPackage {
             return Complex::ZERO;
         }
         while node != TERMINAL {
-            let n = self.vnode(node);
+            let n = self.vectors.node(node);
             let bit = ((index >> n.level) & 1) as usize;
             let e = n.children[bit];
             if e.is_zero() {
@@ -122,7 +122,7 @@ impl DdPackage {
             out[prefix] = acc;
             return;
         }
-        let n = self.vnode(e.node);
+        let n = self.vectors.node(e.node);
         let bit = 1usize << n.level;
         let (c0, c1) = (n.children[0], n.children[1]);
         let _ = level;
@@ -133,17 +133,7 @@ impl DdPackage {
     /// The number of distinct nodes reachable from the root (the paper's
     /// DD size metric; terminals excluded).
     pub fn vector_node_count(&self, v: &VectorDd) -> usize {
-        let mut seen: HashSet<NodeId> = HashSet::new();
-        let mut stack = vec![v.root.node];
-        while let Some(id) = stack.pop() {
-            if id == TERMINAL || !seen.insert(id) {
-                continue;
-            }
-            for c in self.vnode(id).children {
-                stack.push(c.node);
-            }
-        }
-        seen.len()
+        self.vectors.count_reachable(v.root.node)
     }
 
     /// The squared 2-norm of the represented state.
@@ -162,7 +152,7 @@ impl DdPackage {
     pub fn normalize(&mut self, v: &mut VectorDd) {
         let n = self.norm_sqr(v).sqrt();
         assert!(n > 1e-300, "cannot normalize the zero vector");
-        v.root = self.vscale(v.root, Complex::real(1.0 / n));
+        v.root = v.root.scaled(&mut self.ctable, Complex::real(1.0 / n));
     }
 
     /// Probability of measuring `qubit` as |1⟩.
@@ -186,7 +176,7 @@ impl DdPackage {
         if id == TERMINAL {
             return 0.0;
         }
-        let node = self.vnode(id).clone();
+        let node = self.vectors.node(id).clone();
         if node.level == q {
             let c1 = node.children[1];
             if c1.is_zero() {
@@ -227,20 +217,24 @@ impl DdPackage {
             // level along non-zero paths.
             return e;
         }
-        let node = self.vnode(e.node).clone();
+        let node = self.vectors.node(e.node).clone();
         if node.level == q {
             let children = if outcome {
                 [VEdge::ZERO, node.children[1]]
             } else {
                 [node.children[0], VEdge::ZERO]
             };
-            let r = self.make_vnode(node.level, children);
-            return self.vscale(r, e.weight);
+            let r = self
+                .vectors
+                .make_node(&mut self.ctable, node.level, children);
+            return r.scaled(&mut self.ctable, e.weight);
         }
         let c0 = self.project_edge(node.children[0], q, outcome);
         let c1 = self.project_edge(node.children[1], q, outcome);
-        let r = self.make_vnode(node.level, [c0, c1]);
-        self.vscale(r, e.weight)
+        let r = self
+            .vectors
+            .make_node(&mut self.ctable, node.level, [c0, c1]);
+        r.scaled(&mut self.ctable, e.weight)
     }
 
     /// Measures `qubit`, collapsing the state.
@@ -263,7 +257,7 @@ impl DdPackage {
         let mut result: u128 = 0;
         let mut node = v.root.node;
         while node != TERMINAL {
-            let n = self.vnode(node).clone();
+            let n = self.vectors.node(node).clone();
             let m0 = if n.children[0].is_zero() {
                 0.0
             } else {
@@ -313,8 +307,8 @@ impl DdPackage {
             return a.weight.conj() * b.weight;
         }
         debug_assert!(a.node != TERMINAL && b.node != TERMINAL, "level skew");
-        let an = self.vnode(a.node).clone();
-        let bn = self.vnode(b.node).clone();
+        let an = self.vectors.node(a.node).clone();
+        let bn = self.vectors.node(b.node).clone();
         let mut acc = Complex::ZERO;
         for i in 0..2 {
             acc += self.inner_rec(an.children[i], bn.children[i]);
