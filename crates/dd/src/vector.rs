@@ -1,7 +1,7 @@
 //! Vector decision diagrams: state construction, amplitude
 //! reconstruction, measurement and statistics.
 
-use qdt_complex::Complex;
+use qdt_complex::{Complex, FastMap};
 use rand::Rng;
 
 use crate::package::DdPackage;
@@ -296,10 +296,20 @@ impl DdPackage {
     /// Panics if the qubit counts differ.
     pub fn inner_product(&mut self, a: &VectorDd, b: &VectorDd) -> Complex {
         assert_eq!(a.num_qubits, b.num_qubits, "qubit count mismatch");
-        self.inner_rec(a.root, b.root)
+        self.inner_rec(a.root, b.root, &mut FastMap::default())
     }
 
-    fn inner_rec(&mut self, a: VEdge, b: VEdge) -> Complex {
+    /// `⟨a|b⟩` of two edges. `memo` holds, per node pair, the sum over
+    /// the children pairs, so each pair is expanded once per call: the
+    /// cost is the product of the two diagrams' sizes, not their path
+    /// counts. The sum is the same expression the path walk computes,
+    /// so the result is bit-identical to it.
+    fn inner_rec(
+        &self,
+        a: VEdge,
+        b: VEdge,
+        memo: &mut FastMap<(NodeId, NodeId), Complex>,
+    ) -> Complex {
         if a.is_zero() || b.is_zero() {
             return Complex::ZERO;
         }
@@ -307,12 +317,19 @@ impl DdPackage {
             return a.weight.conj() * b.weight;
         }
         debug_assert!(a.node != TERMINAL && b.node != TERMINAL, "level skew");
-        let an = self.vectors.node(a.node).clone();
-        let bn = self.vectors.node(b.node).clone();
-        let mut acc = Complex::ZERO;
-        for i in 0..2 {
-            acc += self.inner_rec(an.children[i], bn.children[i]);
-        }
+        let acc = match memo.get(&(a.node, b.node)) {
+            Some(&acc) => acc,
+            None => {
+                let an = self.vectors.node(a.node);
+                let bn = self.vectors.node(b.node);
+                let mut acc = Complex::ZERO;
+                for i in 0..2 {
+                    acc += self.inner_rec(an.children[i], bn.children[i], memo);
+                }
+                memo.insert((a.node, b.node), acc);
+                acc
+            }
+        };
         a.weight.conj() * b.weight * acc
     }
 }
@@ -453,6 +470,55 @@ mod tests {
         let b = p.basis_state(3, 0b011);
         assert!(p.inner_product(&a, &b).abs() < 1e-12);
         assert!((p.fidelity(&a, &a) - 1.0).abs() < 1e-12);
+    }
+
+    /// `⟨a|b⟩` by walking every root-to-terminal path pair: the
+    /// unmemoised recursion the package's inner product must reproduce
+    /// bit for bit.
+    fn inner_by_paths(p: &DdPackage, a: VEdge, b: VEdge) -> Complex {
+        if a.is_zero() || b.is_zero() {
+            return Complex::ZERO;
+        }
+        if a.node == TERMINAL && b.node == TERMINAL {
+            return a.weight.conj() * b.weight;
+        }
+        let an = p.vectors.node(a.node);
+        let bn = p.vectors.node(b.node);
+        let mut acc = Complex::ZERO;
+        for i in 0..2 {
+            acc += inner_by_paths(p, an.children[i], bn.children[i]);
+        }
+        a.weight.conj() * b.weight * acc
+    }
+
+    #[test]
+    fn memoised_inner_product_equals_the_path_walk_bit_for_bit() {
+        use qdt_circuit::{generators, PauliString};
+        let mut rng = StdRng::seed_from_u64(13);
+        let circuits = [
+            generators::qft(7, true),
+            generators::random_circuit(8, 4, &mut rng),
+            generators::random_clifford_seeded(12, 2, 3),
+        ];
+        for qc in &circuits {
+            let mut p = DdPackage::new();
+            let v = p.run_circuit(qc).unwrap();
+            let n = v.num_qubits();
+            let pauli: PauliString = (0..n)
+                .map(|q| ["X", "Y", "Z"][q % 3])
+                .collect::<String>()
+                .parse()
+                .unwrap();
+            let mut w = v;
+            for (q, g) in pauli.support() {
+                w = p.apply_gate(&w, &g.matrix(), q, &[]);
+            }
+            for (a, b) in [(v, v), (v, w), (w, v)] {
+                let memoised = p.inner_product(&a, &b);
+                let walked = inner_by_paths(&p, a.root, b.root);
+                assert_eq!(memoised.to_bits(), walked.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -47,9 +47,7 @@ fn static_circuits() -> Vec<(String, Circuit)> {
     for (n, seed) in [(40usize, 1u64), (64, 2), (65, 3), (128, 4)] {
         out.push((format!("permuted-ghz-{n}"), permuted_ghz(n, seed)));
     }
-    // Depths stay shallow: the DD's inner product walks every path, and
-    // a depth-1 layer on 64 qubits takes over a minute in a debug build.
-    for (n, depth, seed) in [(40usize, 2usize, 5u64), (48, 1, 6), (40, 1, 8)] {
+    for (n, depth, seed) in [(40usize, 2usize, 5u64), (48, 1, 6), (40, 1, 8), (64, 1, 7)] {
         out.push((
             format!("random-clifford-{n}x{depth}"),
             generators::random_clifford_seeded(n, depth, seed),
