@@ -177,7 +177,9 @@ impl TrajectoryEngine {
 
     /// Runs `job` for every trajectory index, striped across the shared
     /// worker pool (worker `w` owns trajectories `w, w + workers, …`),
-    /// and folds the per-worker outputs in worker order.
+    /// and returns the outputs in trajectory-index order, so any fold
+    /// over them (a float sum included) is the same for every worker
+    /// count.
     ///
     /// With telemetry attached, each worker opens a `worker` span (the
     /// tracer tags it with the worker thread's own id) and reports its
@@ -207,7 +209,7 @@ impl TrajectoryEngine {
             let mut failure = None;
             for t in (w..total).step_by(workers) {
                 match job(t as u64) {
-                    Ok(Some(v)) => out.push(v),
+                    Ok(Some(v)) => out.push((t, v)),
                     Ok(None) => {}
                     Err(e) => {
                         failure = Some(e);
@@ -227,11 +229,12 @@ impl TrajectoryEngine {
                 None => Ok(out),
             }
         });
-        let mut results: Vec<T> = Vec::with_capacity(total);
+        let mut results: Vec<(usize, T)> = Vec::with_capacity(total);
         for stripe in stripes {
             results.extend(stripe?);
         }
-        Ok(results)
+        results.sort_unstable_by_key(|&(t, _)| t);
+        Ok(results.into_iter().map(|(_, v)| v).collect())
     }
 }
 

@@ -152,3 +152,29 @@ fn ghz8_density_matrix_is_pinned() {
         });
     assert_eq!(digest, 0xa0fd_f29f_d186_f50d);
 }
+
+/// A trajectory expectation is the same float for any worker count:
+/// the per-trajectory values are summed in trajectory order, not in the
+/// order the workers' stripes come back.
+#[test]
+fn trajectory_expectation_is_worker_invariant() {
+    let circuit = generators::random_circuit(6, 4, &mut StdRng::seed_from_u64(3));
+    let pauli: qdt::circuit::PauliString = "ZIIIXZ".parse().expect("pauli");
+    for noise in ["damp", "depol", "dephase"] {
+        let estimate = |workers: usize| {
+            let spec = format!("traj(97,seed=5,workers={workers},{noise}=0.05):dd");
+            let mut engine = create_engine(&spec).expect("spec");
+            run(engine.as_mut(), &circuit).expect("trajectory run");
+            engine.expectation(&pauli).expect("expectation")
+        };
+        let one = estimate(1);
+        for workers in [2, 3, 4] {
+            let other = estimate(workers);
+            assert_eq!(
+                other.to_bits(),
+                one.to_bits(),
+                "{noise}: {workers} workers give {other}, 1 worker {one}"
+            );
+        }
+    }
+}
