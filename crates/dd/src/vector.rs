@@ -513,7 +513,14 @@ mod tests {
             for (q, g) in pauli.support() {
                 w = p.apply_gate(&w, &g.matrix(), q, &[]);
             }
-            for (a, b) in [(v, v), (v, w), (w, v)] {
+            // |+…+⟩ has one node per level, so its nodes meet many
+            // distinct partner nodes: the memo must key on both.
+            let mut layer = qdt_circuit::Circuit::new(n);
+            for q in 0..n {
+                layer.h(q);
+            }
+            let plus = p.run_circuit(&layer).unwrap();
+            for (a, b) in [(v, v), (v, w), (w, v), (plus, w), (w, plus)] {
                 let memoised = p.inner_product(&a, &b);
                 let walked = inner_by_paths(&p, a.root, b.root);
                 assert_eq!(memoised.to_bits(), walked.to_bits());
