@@ -252,4 +252,129 @@ mod tests {
         assert_eq!(report.with_code(Code::GateAfterMeasure).count(), 0);
         assert_eq!(report.with_code(Code::OutsideLightcone).count(), 0);
     }
+
+    /// Forward-taint oracle: instruction `i` is live when taint started
+    /// on its in-range qubits reaches a measurement. A gate touching a
+    /// tainted qubit taints all of its qubits; a reset clears its qubit.
+    fn oracle_live(qc: &Circuit) -> Vec<bool> {
+        let insts = qc.instructions();
+        if !insts
+            .iter()
+            .any(|i| matches!(i.kind, OpKind::Measure { .. }))
+        {
+            return vec![true; insts.len()];
+        }
+        let nq = qc.num_qubits();
+        let live = |i: usize| {
+            match insts[i].kind {
+                OpKind::Measure { .. } => return true,
+                OpKind::Barrier(_) => return false,
+                _ => {}
+            }
+            let mut tainted = vec![false; nq];
+            insts[i]
+                .qubits()
+                .filter(|&q| q < nq)
+                .for_each(|q| tainted[q] = true);
+            for later in &insts[i + 1..] {
+                if !later.qubits().any(|q| q < nq && tainted[q]) {
+                    continue;
+                }
+                match later.kind {
+                    OpKind::Barrier(_) => {}
+                    OpKind::Measure { .. } => return true,
+                    OpKind::Reset { qubit } => tainted[qubit] = false,
+                    _ => later
+                        .qubits()
+                        .filter(|&q| q < nq)
+                        .for_each(|q| tainted[q] = true),
+                }
+            }
+            false
+        };
+        (0..insts.len()).map(live).collect()
+    }
+
+    /// A random dynamic circuit on 1–5 qubits: gates, measurements,
+    /// resets, `c_if`, barriers, noise channels, and out-of-range
+    /// operands built with `push_unchecked`.
+    fn random_dynamic_circuit(rng: &mut rand::rngs::StdRng) -> Circuit {
+        use qdt_circuit::{Channel, Gate, Instruction};
+        use rand::Rng;
+        use std::sync::Arc;
+        let nq = rng.gen_range(1usize..6);
+        let nc = rng.gen_range(1usize..4);
+        let flip = Arc::new(Channel::new(vec![Gate::X.matrix()]).expect("unitary Kraus"));
+        let mut qc = Circuit::with_clbits(nq, nc);
+        for _ in 0..rng.gen_range(0usize..16) {
+            let q = rng.gen_range(0..nq);
+            let (r, s) = ((q + 1) % nq, (q + 2) % nq);
+            let gate = match rng.gen_range(0u32..11) {
+                0 => qc.h(q),
+                1 => qc.t(q),
+                2 if nq > 1 => qc.cx(q, r),
+                3 if nq > 1 => qc.swap(q, r),
+                4 if nq > 2 => qc.ccx(q, r, s),
+                5 => {
+                    qc.measure(q, rng.gen_range(0..nc));
+                    continue;
+                }
+                6 => {
+                    qc.reset(q);
+                    continue;
+                }
+                7 => {
+                    qc.barrier();
+                    continue;
+                }
+                8 => {
+                    qc.push(Instruction::new(OpKind::Channel {
+                        qubit: q,
+                        channel: Arc::clone(&flip),
+                    }))
+                    .expect("in-range channel");
+                    continue;
+                }
+                9 => {
+                    qc.push_unchecked(Instruction::new(OpKind::Unitary {
+                        gate: Gate::X,
+                        target: nq + 2,
+                        controls: vec![q],
+                    }));
+                    continue;
+                }
+                10 => {
+                    qc.push_unchecked(Instruction::new(OpKind::Measure {
+                        qubit: nq + 1,
+                        clbit: 0,
+                    }));
+                    continue;
+                }
+                _ => qc.x(q),
+            };
+            if rng.gen_bool(0.3) {
+                gate.c_if(rng.gen_range(0..nc), rng.gen_bool(0.5));
+            }
+        }
+        qc
+    }
+
+    #[test]
+    fn liveness_matches_the_forward_taint_oracle() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+        let (mut measured, mut dead) = (0, 0);
+        for case in 0..5000 {
+            let qc = random_dynamic_circuit(&mut rng);
+            let facts = lightcone_facts(&qc);
+            assert_eq!(facts.live, oracle_live(&qc), "case {case}: {qc:?}");
+            measured += usize::from(facts.has_measurements);
+            dead += facts.live.iter().filter(|&&l| !l).count();
+        }
+        // The cases exercise both outcomes, not just the all-live path.
+        assert!(
+            measured > 2500 && dead > 2500,
+            "{measured} measured, {dead} dead"
+        );
+    }
 }
