@@ -50,7 +50,7 @@ use crate::passes::{
     clifford_regions, interaction_facts, lightcone_facts, CliffordRegion, InteractionFacts,
     LightconeFacts,
 };
-use crate::resources::{resource_report, ResourceReport};
+use crate::resources::{is_clifford_inst, resource_report, ResourceReport};
 
 /// Widest register the dense array backend is considered feasible for.
 pub const ARRAY_MAX_QUBITS: usize = 28;
@@ -146,14 +146,12 @@ pub fn fused_group_count(circuit: &Circuit, width: usize) -> usize {
 pub fn circuit_facts(circuit: &Circuit) -> CircuitFacts {
     let lightcone = lightcone_facts(circuit);
     let dead_gates = lightcone.dead_gates(circuit);
-    let regions = clifford_regions(circuit);
-    let clifford_in_regions: usize = regions.iter().map(|r| r.gates).sum();
-    let resources = resource_report(circuit);
-    let num_gates: usize = resources.gate_counts.values().sum();
     CircuitFacts {
-        non_clifford_gates: num_gates.saturating_sub(clifford_in_regions),
-        resources,
-        regions,
+        // Non-unitary instructions pass `is_clifford_inst`; a conditioned
+        // Clifford gate counts as Clifford though it breaks a region.
+        non_clifford_gates: circuit.iter().filter(|i| !is_clifford_inst(i)).count(),
+        resources: resource_report(circuit),
+        regions: clifford_regions(circuit),
         interaction: interaction_facts(circuit),
         lightcone,
         dead_gates,
@@ -496,5 +494,17 @@ mod tests {
         assert_eq!(facts.dead_gates, 1);
         // h, cx, and t all fit one width-5 group before the measure.
         assert_eq!(facts.fused_groups, 1);
+    }
+
+    #[test]
+    fn conditioned_clifford_gates_are_not_counted_as_non_clifford() {
+        let mut qc = Circuit::with_clbits(1, 1);
+        qc.h(0).measure(0, 0).x(0).c_if(0, true);
+        let facts = circuit_facts(&qc);
+        assert_eq!(facts.non_clifford_gates, 0);
+        // The conditioned x breaks the region but stays Clifford.
+        assert_eq!(facts.regions.len(), 1);
+        qc.t(0).c_if(0, true);
+        assert_eq!(circuit_facts(&qc).non_clifford_gates, 1);
     }
 }

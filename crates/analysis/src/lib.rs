@@ -221,7 +221,7 @@ pub struct DataflowSummary {
     /// Unitary gates outside every measurement lightcone (0 when the
     /// circuit has no measurements).
     pub dead_gates: usize,
-    /// Unitary gates outside every Clifford region.
+    /// Non-Clifford unitary gates, conditioned or not.
     pub non_clifford_gates: usize,
     /// The cost model's backend choice and all per-backend estimates.
     pub dispatch: DispatchDecision,
