@@ -8,9 +8,9 @@
 //!   structured [`Diagnostic`]s: well-formedness (`QDT0xx`), dead code
 //!   (`QDT1xx`), redundancy (`QDT2xx`), and dataflow findings
 //!   (`QDT4xx`). Each lint is a function of one [`CircuitFacts`],
-//!   computed once per analysis on the def-use DAG ([`dag`]) by
-//!   fixed-point passes ([`dataflow`], [`passes`]): dead gates
-//!   (`QDT101`/`QDT401`) come from lightcone liveness, cancelling pairs
+//!   computed once per analysis by direct scans of the instruction
+//!   stream ([`passes`]): dead gates (`QDT101`/`QDT401`) come from
+//!   lightcone liveness, one reverse pass; cancelling pairs
 //!   (`QDT201`/`QDT402`) from one commutation-aware scan.
 //! * **A cost model** ([`cost`]) prices every backend from the same
 //!   dataflow facts; it powers the `auto` engine spec of the umbrella
@@ -51,8 +51,6 @@
 //! | QDT405 | warning | measurement result overwritten before any read    |
 
 pub mod cost;
-pub mod dag;
-pub mod dataflow;
 pub mod passes;
 
 mod report;
@@ -91,7 +89,7 @@ impl Severity {
 
 /// Stable diagnostic codes. The numeric bands group related findings:
 /// `QDT0xx` well-formedness, `QDT1xx` dead code, `QDT2xx` redundancy,
-/// `QDT4xx` dataflow facts computed on the def-use DAG.
+/// `QDT4xx` dataflow facts (liveness, commutation, interaction).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Code {
     /// QDT001: a qubit index is out of range for the register.
@@ -592,6 +590,99 @@ mod redundancy {
             // The second H is conditioned: not a static pair with
             // anything.
             assert!(redundant_pairs(&qc).is_empty());
+        }
+    }
+}
+
+/// The dependence rules liveness follows (qubit chains, condition
+/// reads, barriers, out-of-range operands), asserted through the
+/// liveness they produce.
+#[cfg(test)]
+mod dag {
+    mod tests {
+        use crate::passes::lightcone_facts;
+        use qdt_circuit::{Circuit, Gate, Instruction, OpKind};
+
+        #[test]
+        fn qubit_chains_link_consecutive_touches() {
+            // h(0) → cx through q0; cx → x(1) through q1 → measure. The
+            // x(0) after the cx reaches no measurement.
+            let mut qc = Circuit::with_clbits(2, 1);
+            qc.h(0).cx(0, 1).x(1).x(0).measure(1, 0);
+            assert_eq!(lightcone_facts(&qc).live, [true, true, true, false, true]);
+        }
+
+        #[test]
+        fn condition_edge_links_measurement_to_reader() {
+            // The reader gains nothing from the measurement it reads,
+            // and the measurement is live already.
+            let mut qc = Circuit::with_clbits(2, 1);
+            qc.h(0).measure(0, 0).x(1).c_if(0, true);
+            assert_eq!(lightcone_facts(&qc).live, [true, true, false]);
+        }
+
+        #[test]
+        fn clbit_redefinition_shadows_earlier_measurement() {
+            let mut qc = Circuit::with_clbits(2, 1);
+            qc.measure(0, 0).measure(1, 0).z(0).c_if(0, true);
+            assert_eq!(lightcone_facts(&qc).live, [true, true, false]);
+        }
+
+        #[test]
+        fn barriers_are_isolated_nodes() {
+            // The qubit chain flows straight through the barrier.
+            let mut qc = Circuit::with_clbits(2, 1);
+            qc.h(0).barrier().h(0).measure(0, 0);
+            assert_eq!(lightcone_facts(&qc).live, [true, false, true, true]);
+        }
+
+        #[test]
+        fn out_of_range_indices_contribute_no_edges() {
+            let mut qc = Circuit::with_clbits(1, 1);
+            for _ in 0..2 {
+                qc.push_unchecked(Instruction::new(OpKind::Unitary {
+                    gate: Gate::X,
+                    target: 9,
+                    controls: vec![],
+                }));
+            }
+            qc.push_unchecked(Instruction::new(OpKind::Measure { qubit: 9, clbit: 0 }));
+            assert_eq!(lightcone_facts(&qc).live, [false, false, true]);
+        }
+    }
+}
+
+/// Liveness propagation: through entangling gates, cut at resets, and
+/// settled by one reverse pass.
+#[cfg(test)]
+mod dataflow {
+    mod tests {
+        use crate::passes::lightcone_facts;
+        use qdt_circuit::Circuit;
+
+        #[test]
+        fn forward_reachability_follows_entanglement() {
+            // h(0) reaches the measurement of q1 through the cx; x(2)
+            // reaches nothing.
+            let mut qc = Circuit::with_clbits(3, 1);
+            qc.h(0).cx(0, 1).x(2).measure(1, 0);
+            assert_eq!(lightcone_facts(&qc).live, [true, true, false, true]);
+        }
+
+        #[test]
+        fn backward_liveness_stops_at_reset() {
+            let mut qc = Circuit::with_clbits(1, 1);
+            qc.h(0).reset(0).x(0).measure(0, 0);
+            // The H before the reset cannot influence the measurement.
+            assert_eq!(lightcone_facts(&qc).live, [false, true, true, true]);
+        }
+
+        #[test]
+        fn diamond_dependencies_converge_in_one_sweep() {
+            // h(0); h(1); cx(0,1); measure — the cx joins two chains.
+            let mut qc = Circuit::with_clbits(2, 1);
+            qc.h(0).h(1).cx(0, 1).measure(1, 0);
+            assert!(lightcone_facts(&qc).live.iter().all(|&l| l));
         }
     }
 }

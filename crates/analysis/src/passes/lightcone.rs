@@ -1,16 +1,20 @@
 //! Backward lightcone / qubit-liveness from measurements, and the
 //! dead-gate lints built on it (`QDT101`, `QDT401`).
 //!
-//! An instruction is *live* when some chain of dependence edges leads
-//! from it to a measurement: its effect can reach an observed outcome.
-//! The analysis runs backward over the def-use DAG with two wrinkles a
-//! per-wire scan cannot see:
+//! An instruction is *live* when a chain of instructions, each sharing
+//! a qubit with the next one on that qubit, leads from it to a
+//! measurement: its effect can reach an observed outcome. The stream
+//! order is already a topological order, so one reverse pass computes
+//! liveness, keeping one flag per qubit: whether the next instruction
+//! on that qubit is live and lets liveness through.
 //!
 //! * **Reset kills** — liveness does not flow backwards through a
 //!   `reset`, which overwrites its qubit regardless of history.
-//! * **Condition edges** — a classically-conditioned gate reads the
-//!   measurement that wrote its clbit, so a conditioned gate feeding a
-//!   measurement keeps *that* measurement's whole cone live too.
+//! * **Conditions add nothing** — a classically-conditioned gate reads
+//!   a clbit that only a measurement writes, and every measurement is
+//!   live already, so a condition never makes another instruction live.
+//! * **Barriers carry no data** — they are never live, and liveness
+//!   flows across them to the instruction before.
 //!
 //! A gate outside every lightcone is reported once: as `QDT101` when it
 //! touches a qubit after that qubit's final measurement, as `QDT401`
@@ -23,40 +27,7 @@
 
 use qdt_circuit::{Circuit, OpKind};
 
-use crate::dag::{CircuitDag, Edge, EdgeKind};
-use crate::dataflow::{solve, Analysis, Direction};
 use crate::{CircuitFacts, Code, Diagnostic};
-
-/// The liveness analysis: `true` = inside some measurement lightcone.
-struct Liveness;
-
-impl Analysis for Liveness {
-    type Fact = bool;
-
-    fn direction(&self) -> Direction {
-        Direction::Backward
-    }
-
-    fn seed(&self, i: usize, circuit: &Circuit) -> bool {
-        matches!(circuit.instructions()[i].kind, OpKind::Measure { .. })
-    }
-
-    fn transfer(&self, edge: &Edge, fact: &bool, circuit: &Circuit) -> Option<bool> {
-        if let EdgeKind::Qubit(q) = edge.kind {
-            let later = &circuit.instructions()[edge.to];
-            if matches!(later.kind, OpKind::Reset { qubit } if qubit == q) {
-                return None;
-            }
-        }
-        Some(*fact)
-    }
-
-    fn join(&self, acc: &mut bool, incoming: &bool) -> bool {
-        let grew = *incoming && !*acc;
-        *acc |= *incoming;
-        grew
-    }
-}
 
 /// Per-instruction liveness facts.
 #[derive(Debug, Clone)]
@@ -83,9 +54,8 @@ impl LightconeFacts {
     }
 }
 
-/// Computes liveness for every instruction of `circuit`. The def-use
-/// DAG is built only when the circuit measures something: without a
-/// measurement every instruction is live and there is nothing to solve.
+/// Computes liveness for every instruction of `circuit` in one reverse
+/// pass. Without a measurement every instruction is live.
 #[must_use]
 pub fn lightcone_facts(circuit: &Circuit) -> LightconeFacts {
     let has_measurements = circuit
@@ -97,9 +67,24 @@ pub fn lightcone_facts(circuit: &Circuit) -> LightconeFacts {
             has_measurements,
         };
     }
-    let solution = solve(&Liveness, circuit, &CircuitDag::build(circuit));
+    let nq = circuit.num_qubits();
+    // Whether the next instruction on each qubit is live and not a reset.
+    let mut next_live = vec![false; nq];
+    let mut live = vec![false; circuit.len()];
+    for (i, inst) in circuit.iter().enumerate().rev() {
+        if matches!(inst.kind, OpKind::Barrier(_)) {
+            continue;
+        }
+        let qubits = inst.qubits().filter(|&q| q < nq);
+        live[i] =
+            matches!(inst.kind, OpKind::Measure { .. }) || qubits.clone().any(|q| next_live[q]);
+        let flows_back = live[i] && !matches!(inst.kind, OpKind::Reset { .. });
+        for q in qubits {
+            next_live[q] = flows_back;
+        }
+    }
     LightconeFacts {
-        live: solution.facts,
+        live,
         has_measurements,
     }
 }

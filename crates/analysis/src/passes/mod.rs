@@ -1,4 +1,4 @@
-//! Dataflow-backed analysis passes over the def-use DAG.
+//! Analysis passes, each a direct scan of the instruction stream.
 //!
 //! Each submodule exposes a *facts* function (pure data, consumed by
 //! the cost model and the reporters) and, where a finding is worth a
