@@ -675,6 +675,83 @@ mod tests {
         }
     }
 
+    /// Every gate kind, uncontrolled and controlled, plus swaps, on 4
+    /// qubits: the gates that are not their own conjugate (`Y`, `Sx`,
+    /// `Rx`, `Rz`, `U`, …) catch a missing conjugation on the column
+    /// side.
+    fn every_gate_kind() -> Circuit {
+        let gates = [
+            Gate::I,
+            Gate::X,
+            Gate::Y,
+            Gate::Z,
+            Gate::H,
+            Gate::S,
+            Gate::Sdg,
+            Gate::T,
+            Gate::Tdg,
+            Gate::Sx,
+            Gate::Sxdg,
+            Gate::Rx(0.7),
+            Gate::Ry(-1.1),
+            Gate::Rz(0.4),
+            Gate::Phase(2.3),
+            Gate::U(0.3, -0.9, 1.7),
+        ];
+        let mut qc = Circuit::new(4);
+        for (i, gate) in gates.into_iter().enumerate() {
+            let t = i % 4;
+            let others: Vec<usize> = (1..4).map(|k| (t + k) % 4).collect();
+            qc.gate(gate, t, &[]);
+            qc.gate(gate, t, &others[..1]);
+            qc.gate(gate, t, &others[..2]);
+            qc.gate(gate, t, &others);
+        }
+        qc.swap(0, 3).swap(2, 1).cswap(1, 0, 2).cswap(3, 2, 0);
+        qc.push(Instruction::new(OpKind::Swap {
+            a: 1,
+            b: 3,
+            controls: vec![0, 2],
+        }))
+        .unwrap();
+        qc
+    }
+
+    #[test]
+    fn gates_on_mixed_states_match_the_full_matrix_oracle() {
+        let qc = every_gate_kind();
+        let parallel = KernelContext::with_threads(4).with_threshold(1);
+        for seed in [7, 8] {
+            let rho = random_mixed_state(seed);
+            assert!(rho.purity() < 0.99, "the input must be mixed");
+            for inst in &qc {
+                let u = qdt_array::instruction_unitary(inst, 4).unwrap();
+                let expect = u.mul(rho.as_matrix()).mul(&u.dagger());
+                let apply = |ctx: &KernelContext| {
+                    let mut e = DensityMatrixEngine::with_noise_and_context(
+                        &NoiseModel::new(),
+                        ctx.clone(),
+                    )
+                    .unwrap();
+                    e.rho = rho.clone();
+                    e.apply_instruction(inst).unwrap();
+                    e.rho
+                };
+                let one = apply(&KernelContext::with_threads(1));
+                assert!(
+                    one.as_matrix().approx_eq(&expect, 1e-12),
+                    "{inst:?} (seed {seed}) differs from UρU†"
+                );
+                let four = apply(&parallel);
+                assert_eq!(
+                    four.as_matrix().as_slice(),
+                    one.as_matrix().as_slice(),
+                    "{inst:?} (seed {seed}): 4 threads must be bit-identical"
+                );
+            }
+        }
+    }
+
     #[test]
     fn purity_is_the_squared_frobenius_norm() {
         for seed in [4, 5, 6] {
