@@ -4,16 +4,28 @@
 //! to mixed states, enabling the noise-aware simulation the paper cites as
 //! reference \[13\] (Grurl/Fuß/Wille). States are `2^n × 2^n` density
 //! matrices ρ; gates act as `ρ → UρU†` and noise as Kraus channels
-//! `ρ → Σ_i K_i ρ K_i†`. Both are one in-place sweep over the 2×2 blocks
-//! of ρ on the target qubit: a gate maps each block `B` to `L·B·R†`, a
-//! channel maps it through the 4×4 superoperator `Σ_i K_i ⊗ K̄_i`, so a
-//! channel costs about as much as a gate. Circuits and noise models run
-//! on it through `qdt-noise`'s `DensityMatrixEngine`.
+//! `ρ → Σ_i K_i ρ K_i†`.
+//!
+//! ρ is stored row-major, which is the vectorised form of ρ: a
+//! [`StateVector`] of `2n` qubits whose entry `(r, c)` sits at index
+//! `(r << n) | c`, so column bits are qubits `0..n` and row bits are
+//! qubits `n..2n`. A gate is `U` on the row qubit and `Ū` on the column
+//! qubit, run by the state vector's own kernels (SIMD levels, diagonal
+//! skip, threading); a swap is one swap on each half. A channel is one
+//! pass mapping each quad of entries through the 4×4 superoperator
+//! `Σ_i K_i ⊗ K̄_i`, so it costs about as much as a gate. Circuits and
+//! noise models run on it through `qdt-noise`'s `DensityMatrixEngine`.
 
+use qdt_circuit::PauliString;
 use qdt_complex::{Complex, Matrix};
 use qdt_parallel::{KernelContext, SharedSlice};
 
+use crate::state::PauliMasks;
 use crate::StateVector;
+
+/// Widest register a [`DensityMatrix`] holds. ρ has `4^n` entries, so
+/// the cap is half the state-vector exponent.
+pub const MAX_DENSITY_QUBITS: usize = 12;
 
 /// A mixed quantum state as a dense density matrix.
 ///
@@ -40,49 +52,41 @@ use crate::StateVector;
 #[derive(Debug, Clone)]
 pub struct DensityMatrix {
     num_qubits: usize,
-    rho: Matrix,
+    /// ρ as a `2n`-qubit vector: entry `(r, c)` at index `(r << n) | c`.
+    vec: StateVector,
 }
-
-/// Density matrices square the memory cost, so the cap is half the
-/// state-vector exponent.
-const MAX_DM_QUBITS: usize = 12;
 
 impl DensityMatrix {
     /// The pure state `|0…0⟩⟨0…0|`.
     ///
     /// # Panics
     ///
-    /// Panics if `num_qubits > 12` (density matrices square the memory
-    /// footprint).
+    /// Panics if `num_qubits` exceeds [`MAX_DENSITY_QUBITS`] (density
+    /// matrices square the memory footprint).
     pub fn zero_state(num_qubits: usize) -> Self {
         assert!(
-            num_qubits <= MAX_DM_QUBITS,
-            "{num_qubits} qubits exceed the density-matrix limit of {MAX_DM_QUBITS}"
+            num_qubits <= MAX_DENSITY_QUBITS,
+            "{num_qubits} qubits exceed the density-matrix limit of {MAX_DENSITY_QUBITS}"
         );
-        let dim = 1usize << num_qubits;
-        let mut rho = Matrix::zeros(dim, dim);
-        rho.set(0, 0, Complex::ONE);
-        DensityMatrix { num_qubits, rho }
+        DensityMatrix {
+            num_qubits,
+            vec: StateVector::zero_state(2 * num_qubits),
+        }
     }
 
     /// The pure density matrix `|ψ⟩⟨ψ|` of a state vector.
     ///
     /// # Panics
     ///
-    /// Panics if the state exceeds 12 qubits.
+    /// Panics if the state exceeds [`MAX_DENSITY_QUBITS`].
     pub fn from_pure(psi: &StateVector) -> Self {
-        assert!(psi.num_qubits() <= MAX_DM_QUBITS, "state too large");
-        let dim = psi.amplitudes().len();
-        let mut rho = Matrix::zeros(dim, dim);
-        for i in 0..dim {
-            for j in 0..dim {
-                rho.set(i, j, psi.amplitude(i) * psi.amplitude(j).conj());
-            }
+        let n = psi.num_qubits();
+        let mut rho = DensityMatrix::zero_state(n);
+        let amps = psi.amplitudes();
+        for (k, entry) in rho.vec.amplitudes_mut().iter_mut().enumerate() {
+            *entry = amps[k >> n] * amps[k & (amps.len() - 1)].conj();
         }
-        DensityMatrix {
-            num_qubits: psi.num_qubits(),
-            rho,
-        }
+        rho
     }
 
     /// The number of qubits.
@@ -90,14 +94,31 @@ impl DensityMatrix {
         self.num_qubits
     }
 
-    /// The raw density matrix.
-    pub fn as_matrix(&self) -> &Matrix {
-        &self.rho
+    /// The entries of ρ, row-major: entry `(r, c)` at index `(r << n) | c`.
+    pub fn entries(&self) -> &[Complex] {
+        self.vec.amplitudes()
+    }
+
+    /// The entry `ρ[r][c]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` or `c` is not below `2^n`.
+    pub fn entry(&self, r: usize, c: usize) -> Complex {
+        let dim = 1usize << self.num_qubits;
+        assert!(r < dim && c < dim, "entry ({r}, {c}) out of range");
+        self.entries()[r << self.num_qubits | c]
+    }
+
+    /// ρ copied into a `2^n × 2^n` [`Matrix`].
+    pub fn to_matrix(&self) -> Matrix {
+        let dim = 1usize << self.num_qubits;
+        Matrix::from_rows(dim, dim, self.entries())
     }
 
     /// `Tr(ρ)` — 1 for any valid state.
     pub fn trace(&self) -> f64 {
-        self.rho.trace().re
+        self.probabilities().iter().sum()
     }
 
     /// `Tr(ρ²)` — 1 for pure states, `1/2^n` for the maximally mixed state.
@@ -105,17 +126,19 @@ impl DensityMatrix {
     /// Computed as `Σ_ij |ρ_ij|²`, which equals `Tr(ρ²)` for Hermitian ρ,
     /// in `O(4^n)` instead of the `O(8^n)` matrix product.
     pub fn purity(&self) -> f64 {
-        self.rho.as_slice().iter().map(|c| c.norm_sqr()).sum()
+        self.entries().iter().map(|c| c.norm_sqr()).sum()
     }
 
     /// Measurement probability of basis state `index` (the diagonal).
     pub fn probability(&self, index: usize) -> f64 {
-        self.rho.get(index, index).re
+        self.entry(index, index).re
     }
 
     /// All `2^n` measurement probabilities.
     pub fn probabilities(&self) -> Vec<f64> {
-        (0..self.rho.rows()).map(|i| self.probability(i)).collect()
+        (0..1usize << self.num_qubits)
+            .map(|i| self.probability(i))
+            .collect()
     }
 
     /// The fidelity `⟨ψ|ρ|ψ⟩` against a pure state.
@@ -125,19 +148,36 @@ impl DensityMatrix {
     /// Panics if the qubit counts differ.
     pub fn fidelity_with_pure(&self, psi: &StateVector) -> f64 {
         assert_eq!(self.num_qubits, psi.num_qubits(), "qubit count mismatch");
-        let dim = self.rho.rows();
+        let amps = psi.amplitudes();
         let mut acc = Complex::ZERO;
-        for i in 0..dim {
-            for j in 0..dim {
-                acc += psi.amplitude(i).conj() * self.rho.get(i, j) * psi.amplitude(j);
-            }
+        for (k, &entry) in self.entries().iter().enumerate() {
+            acc += amps[k >> self.num_qubits].conj() * entry * amps[k & (amps.len() - 1)];
         }
         acc.re
     }
 
-    /// Applies a (controlled) 2×2 unitary: `ρ → UρU†`, as one sweep over
-    /// the 2×2 blocks of ρ on the target qubit, so the cost stays `O(4^n)`
-    /// per gate.
+    /// `Tr(ρP)` for a Pauli string `P`, without materialising `P`: row
+    /// `i` of `P` has its one nonzero at column `i ⊕ x`, with the phase
+    /// rule of [`StateVector::expectation_pauli`], so
+    /// `Tr(ρP) = Σ_i phase(i) · ρ[i ⊕ x][i]`, summed in index order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the string's width differs from the state's.
+    pub fn expectation_pauli(&self, pauli: &PauliString) -> f64 {
+        assert_eq!(pauli.num_qubits(), self.num_qubits, "Pauli width mismatch");
+        let masks = PauliMasks::new(pauli, |q| q);
+        (0..1usize << self.num_qubits)
+            .map(|i| masks.re_phased(i, self.entry(i ^ masks.x, i)))
+            .sum()
+    }
+
+    /// Heap memory held by the entries, in bytes.
+    pub fn memory_bytes(&self) -> usize {
+        self.vec.memory_bytes()
+    }
+
+    /// Applies a (controlled) 2×2 unitary: `ρ → UρU†`.
     ///
     /// # Panics
     ///
@@ -148,12 +188,10 @@ impl DensityMatrix {
     }
 
     /// [`DensityMatrix::apply_controlled_gate`] scheduled through a
-    /// [`KernelContext`]: workers own disjoint row pairs of ρ, so results
-    /// are bit-identical across thread counts.
-    ///
-    /// Each block `B` becomes `L·B·R†`, where `L` is `U` when the block's
-    /// rows satisfy the controls (`I` otherwise) and `R` likewise for its
-    /// columns.
+    /// [`KernelContext`]: `U` on the row qubit `target + n` under the
+    /// row controls, then `Ū` on the column qubit `target` under the
+    /// column controls, each one [`StateVector::apply_controlled_gate_with`]
+    /// pass, so results are bit-identical across thread counts.
     ///
     /// # Panics
     ///
@@ -165,41 +203,31 @@ impl DensityMatrix {
         controls: &[usize],
         ctx: &KernelContext,
     ) {
-        assert_eq!((gate.rows(), gate.cols()), (2, 2), "gate must be 2x2");
-        assert!(target < self.num_qubits, "target out of range");
-        let mut cmask = 0usize;
-        for &c in controls {
-            assert!(c < self.num_qubits, "control out of range");
-            assert_ne!(c, target, "control equals target");
-            cmask |= 1 << c;
-        }
-        let [u00, u01, u10, u11] = [
-            gate.get(0, 0),
-            gate.get(0, 1),
-            gate.get(1, 0),
-            gate.get(1, 1),
-        ];
-        self.sweep_blocks(
-            1usize << target,
-            ctx,
-            |r0, c0, [mut b00, mut b01, mut b10, mut b11]| {
-                if r0 & cmask == cmask {
-                    (b00, b10) = (u00 * b00 + u01 * b10, u10 * b00 + u11 * b10);
-                    (b01, b11) = (u00 * b01 + u01 * b11, u10 * b01 + u11 * b11);
-                }
-                if c0 & cmask == cmask {
-                    (b00, b01) = (
-                        b00 * u00.conj() + b01 * u01.conj(),
-                        b00 * u10.conj() + b01 * u11.conj(),
-                    );
-                    (b10, b11) = (
-                        b10 * u00.conj() + b11 * u01.conj(),
-                        b10 * u10.conj() + b11 * u11.conj(),
-                    );
-                }
-                [b00, b01, b10, b11]
-            },
-        );
+        let n = self.num_qubits;
+        assert!(target < n, "target out of range");
+        assert!(controls.iter().all(|&c| c < n), "control out of range");
+        let rows: Vec<usize> = controls.iter().map(|c| c + n).collect();
+        self.vec
+            .apply_controlled_gate_with(gate, target + n, &rows, ctx);
+        let conj = gate.dagger().transpose();
+        self.vec
+            .apply_controlled_gate_with(&conj, target, controls, ctx);
+    }
+
+    /// Swaps qubits `a` and `b` of ρ, optionally controlled: one swap on
+    /// the row qubits and one on the column qubits.
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-range or duplicate indices (as for
+    /// [`StateVector::apply_swap`]).
+    pub fn apply_swap_with(&mut self, a: usize, b: usize, controls: &[usize], ctx: &KernelContext) {
+        let n = self.num_qubits;
+        assert!(a < n && b < n, "qubit out of range");
+        assert!(controls.iter().all(|&c| c < n), "control out of range");
+        let rows: Vec<usize> = controls.iter().map(|c| c + n).collect();
+        self.vec.apply_swap_with(a + n, b + n, &rows, ctx);
+        self.vec.apply_swap_with(a, b, controls, ctx);
     }
 
     /// Applies an arbitrary single-qubit Kraus channel, given directly
@@ -217,10 +245,11 @@ impl DensityMatrix {
     /// [`DensityMatrix::apply_kraus`] scheduled through a
     /// [`KernelContext`]. The operators are folded into the 4×4
     /// superoperator `S = Σ_i K_i ⊗ K̄_i` once per call, then one in-place
-    /// sweep maps every 2×2 block of ρ on `qubit`, flattened row-major,
-    /// through `S`. Workers own disjoint row pairs and each entry is
-    /// computed the same way under any partition, so results are
-    /// bit-identical across thread counts.
+    /// pass maps every quad of entries on (row, column) qubits
+    /// `(qubit + n, qubit)` — the 2×2 block of ρ flattened row-major —
+    /// through `S`. Workers own disjoint quads and each entry is computed
+    /// the same way under any partition, so results are bit-identical
+    /// across thread counts.
     ///
     /// # Panics
     ///
@@ -237,51 +266,23 @@ impl DensityMatrix {
                 }
             }
         }
-        self.sweep_blocks(1usize << qubit, ctx, |_, _, b| {
-            std::array::from_fn(|i| {
-                let r = &s[i];
-                r[0] * b[0] + r[1] * b[1] + r[2] * b[2] + r[3] * b[3]
-            })
-        });
-    }
-
-    /// One in-place pass over the 2×2 blocks of ρ on the target bit
-    /// `tbit`: the block on rows `(r0, r0|tbit)` and columns
-    /// `(c0, c0|tbit)`, flattened row-major, is replaced by
-    /// `f(r0, c0, block)`. A work item is one row pair, so workers write
-    /// disjoint rows, and `f` sees the same inputs under any partition.
-    fn sweep_blocks<F>(&mut self, tbit: usize, ctx: &KernelContext, f: F)
-    where
-        F: Fn(usize, usize, [Complex; 4]) -> [Complex; 4] + Sync,
-    {
-        let dim = self.rho.rows();
-        let low = tbit - 1;
-        let data = SharedSlice::new(self.rho.as_mut_slice());
-        ctx.run(dim / 2, 2 * dim, &|range| {
-            for pair in range {
-                // Spread the pair index over every bit but `tbit`.
-                let r0 = (pair & low) | ((pair & !low) << 1);
-                // SAFETY: `pair < dim / 2` maps to a distinct `r0 < dim`
-                // without `tbit`, so rows `r0` and `r0 | tbit` are two
-                // disjoint in-bounds rows that belong to this item alone.
+        let col = 1usize << qubit;
+        let row = col << self.num_qubits;
+        let entries = SharedSlice::new(self.vec.amplitudes_mut());
+        ctx.run(entries.len() / 4, 2, &|range| {
+            for quad in range {
+                // Spread the quad index over every bit but `col` and `row`.
+                let i = (quad & (col - 1)) | ((quad & !(col - 1)) << 1);
+                let i = (i & (row - 1)) | ((i & !(row - 1)) << 1);
+                let at = [i, i | col, i | row, i | row | col];
+                // SAFETY: distinct quads spread to disjoint in-bounds index
+                // sets, and a work item is one quad, so no other worker
+                // reads or writes these four entries.
                 #[allow(unsafe_code)]
-                let (row0, row1) = unsafe {
-                    let base = data.as_mut_ptr();
-                    (
-                        std::slice::from_raw_parts_mut(base.add(r0 * dim), dim),
-                        std::slice::from_raw_parts_mut(base.add((r0 | tbit) * dim), dim),
-                    )
-                };
-                let spans = row0
-                    .chunks_exact_mut(2 * tbit)
-                    .zip(row1.chunks_exact_mut(2 * tbit));
-                for (span, (top, bottom)) in spans.enumerate() {
-                    let (t0, t1) = top.split_at_mut(tbit);
-                    let (b0, b1) = bottom.split_at_mut(tbit);
-                    let cells = t0.iter_mut().zip(t1).zip(b0.iter_mut().zip(b1));
-                    for (j, ((x00, x01), (x10, x11))) in cells.enumerate() {
-                        let c0 = span * 2 * tbit + j;
-                        [*x00, *x01, *x10, *x11] = f(r0, c0, [*x00, *x01, *x10, *x11]);
+                unsafe {
+                    let x = at.map(|k| entries.get(k));
+                    for (r, &k) in s.iter().zip(&at) {
+                        entries.set(k, r[0] * x[0] + r[1] * x[1] + r[2] * x[2] + r[3] * x[3]);
                     }
                 }
             }

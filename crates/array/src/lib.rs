@@ -24,8 +24,11 @@
 //! (`qdt_engine::ShotExecutor`, or `qdt::sample_dynamic`).
 //!
 //! The [`DensityMatrix`] substrate extends the representation to mixed
-//! states and Kraus channels (the paper's reference \[13\]); the
-//! `qdt-noise` crate drives it with noise models.
+//! states and Kraus channels (the paper's reference \[13\]). It stores ρ
+//! as a [`StateVector`] of `2n` qubits (row bits above column bits), so
+//! its gates run on the same kernels; only the channel's 4×4
+//! superoperator pass is its own. The `qdt-noise` crate drives it with
+//! noise models.
 //!
 //! # Example
 //!
@@ -49,7 +52,7 @@ pub mod simd;
 mod state;
 mod unitary;
 
-pub use density::DensityMatrix;
+pub use density::{DensityMatrix, MAX_DENSITY_QUBITS};
 pub use engine::ArrayEngine;
 pub use fusion::{plan_groups, FusedGroup, Fuser, GroupSpan, MAX_FUSE_WIDTH};
 pub use simd::simd_active;

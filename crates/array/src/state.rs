@@ -116,6 +116,12 @@ impl StateVector {
         &self.amps
     }
 
+    /// The amplitude array, for crate kernels that keep a pass of their
+    /// own (the density channel).
+    pub(crate) fn amplitudes_mut(&mut self) -> &mut [Complex] {
+        &mut self.amps
+    }
+
     /// The amplitude of basis state `index`.
     ///
     /// # Panics
@@ -922,26 +928,9 @@ impl StateVector {
 
     /// [`StateVector::expectation_pauli`] of a string given by its masks.
     pub(crate) fn expectation_masks(&self, masks: &PauliMasks) -> f64 {
-        let PauliMasks {
-            x: xmask,
-            yz: yzmask,
-            num_y,
-        } = *masks;
-        // (−i)^#Y: an odd count rotates by ∓i (swap the components), and
-        // #Y ≡ 2, 3 (mod 4) contributes an extra −1.
-        let rotated = num_y % 2 == 1;
-        let negated = num_y % 4 >= 2;
         let mut sum = 0.0;
         for (i, a) in self.amps.iter().enumerate() {
-            let b = self.amps[i ^ xmask];
-            // Re(conj(a) · phase · b) for phase ∈ {1, −i} before the sign.
-            let term = if rotated {
-                a.re * b.im - a.im * b.re
-            } else {
-                a.re * b.re + a.im * b.im
-            };
-            let odd = (i & yzmask).count_ones() % 2 == 1;
-            sum += if odd != negated { -term } else { term };
+            sum += masks.re_phased(i, a.conj() * self.amps[i ^ masks.x]);
         }
         sum
     }
@@ -979,6 +968,22 @@ impl PauliMasks {
             }
         }
         masks
+    }
+
+    /// `Re(phase(i) · w)`, with `phase(i) = (−i)^#Y · (−1)^popcount(i ∧ yz)`
+    /// the coefficient of the string's one nonzero in row `i` (at column
+    /// `i ⊕ x`). The phase only swaps and negates components, so this
+    /// is exact.
+    pub(crate) fn re_phased(&self, i: usize, w: Complex) -> f64 {
+        // (−i)^#Y: an odd count rotates by ∓i (takes the other
+        // component), and #Y ≡ 2, 3 (mod 4) contributes an extra −1.
+        let term = if self.num_y % 2 == 1 { w.im } else { w.re };
+        let odd = (i & self.yz).count_ones() % 2 == 1;
+        if odd != (self.num_y % 4 >= 2) {
+            -term
+        } else {
+            term
+        }
     }
 }
 

@@ -10,8 +10,8 @@
 
 use std::collections::BTreeMap;
 
-use qdt_array::DensityMatrix;
-use qdt_circuit::{Gate, Instruction, OpKind, Pauli, PauliString};
+use qdt_array::{DensityMatrix, MAX_DENSITY_QUBITS};
+use qdt_circuit::{Instruction, OpKind, PauliString};
 use qdt_complex::Complex;
 use qdt_engine::telemetry::{MemoryGauge, MetricId};
 use qdt_engine::{
@@ -22,10 +22,6 @@ use qdt_parallel::KernelContext;
 use rand::{Rng, RngCore};
 
 use crate::{CompiledNoise, NoiseError, NoiseModel};
-
-/// Widest register the density-matrix engine accepts (the `4^n` dense
-/// representation of `qdt_array::DensityMatrix` stops at 12 qubits).
-pub const MAX_DENSITY_QUBITS: usize = 12;
 
 /// Entries of ρ with squared magnitude below this count as zero in the
 /// cost metric.
@@ -152,8 +148,7 @@ impl DensityMatrixEngine {
 
     fn nonzero_entries(&self) -> usize {
         self.rho
-            .as_matrix()
-            .as_slice()
+            .entries()
             .iter()
             .filter(|c| c.norm_sqr() > NONZERO_EPS)
             .count()
@@ -162,14 +157,13 @@ impl DensityMatrixEngine {
     /// Pushes ρ health gauges and flop/byte estimates for one applied
     /// instruction into the attached sink (no-op without one).
     ///
-    /// The cost model is the array engine's per-statevector count lifted
-    /// to the superoperator `ρ → UρU†`: the left multiply runs the
-    /// controlled 1-qubit kernel over every column of ρ, the right
-    /// multiply over every row, so each side multiplies the pure-state
-    /// pair count (`2^(n-1-#controls)` pairs of 28 flops / 64 bytes) by
-    /// the `2^n` rows/columns. A swap decomposes into 3 CX gates with
-    /// one extra control each. Kraus channel applications are counted
-    /// separately (`density.noise.kraus_applications`), not flop-modeled.
+    /// The cost model is the array engine's count on ρ's `2n`-qubit
+    /// vector: a gate is two controlled 1-qubit passes (`U` on the row
+    /// qubit, `Ū` on the column qubit), each over `2^(2n-1-#controls)`
+    /// pairs of 28 flops / 64 bytes, and a swap is two swap passes, each
+    /// moving `2^(2n-2-#controls)` pairs with no arithmetic. Kraus
+    /// channel applications are counted separately
+    /// (`density.noise.kraus_applications`), not flop-modeled.
     fn push_metrics(&self, inst: &Instruction, kraus_applications: u64) {
         let Some(metrics) = &self.metrics else { return };
         let n = self.rho.num_qubits();
@@ -181,7 +175,7 @@ impl DensityMatrixEngine {
             }
             OpKind::Swap { controls, .. } if n >= 2 => {
                 let pairs = (1u64 << (n - 2 - controls.len().min(n - 2)) as u32) * 2 * dim;
-                (3 * 28 * pairs, 3 * 64 * pairs)
+                (0, 64 * pairs)
             }
             _ => (0, 0),
         };
@@ -247,19 +241,7 @@ impl SimulationEngine for DensityMatrixEngine {
                     .apply_controlled_gate_with(&gate.matrix(), *target, controls, &self.ctx);
             }
             OpKind::Swap { a, b, controls } => {
-                // SWAP = CX(a→b) · CX(b→a) · CX(a→b), with the swap's own
-                // controls carried onto each CX.
-                let x = Gate::X.matrix();
-                let mut ctrl_a = controls.clone();
-                ctrl_a.push(*a);
-                let mut ctrl_b = controls.clone();
-                ctrl_b.push(*b);
-                self.rho
-                    .apply_controlled_gate_with(&x, *b, &ctrl_a, &self.ctx);
-                self.rho
-                    .apply_controlled_gate_with(&x, *a, &ctrl_b, &self.ctx);
-                self.rho
-                    .apply_controlled_gate_with(&x, *b, &ctrl_a, &self.ctx);
+                self.rho.apply_swap_with(*a, *b, controls, &self.ctx);
             }
             OpKind::Channel { qubit, channel } => {
                 self.rho
@@ -305,8 +287,9 @@ impl SimulationEngine for DensityMatrixEngine {
             .max_by(|a, b| a.1.total_cmp(b.1))
             .expect("density matrix has at least one diagonal entry");
         let scale = 1.0 / pj.sqrt().max(f64::MIN_POSITIVE);
-        let m = self.rho.as_matrix();
-        Ok((0..probs.len()).map(|i| m.get(i, j).scale(scale)).collect())
+        Ok((0..probs.len())
+            .map(|i| self.rho.entry(i, j).scale(scale))
+            .collect())
     }
 
     fn sample(
@@ -335,36 +318,11 @@ impl SimulationEngine for DensityMatrixEngine {
 
     fn expectation(&mut self, pauli: &PauliString) -> Result<f64, EngineError> {
         check_pauli_width(self.rho.num_qubits(), pauli)?;
-        // Tr(ρP) without materialising P: a Pauli string has one
-        // nonzero per row, at column i⊕xmask with a ±1/±i coefficient.
-        let mut xmask = 0usize;
-        for (q, p) in pauli.support() {
-            if matches!(p, Pauli::X | Pauli::Y) {
-                xmask |= 1 << q;
-            }
-        }
-        let m = self.rho.as_matrix();
-        let dim = m.rows();
-        let mut total = Complex::ZERO;
-        for i in 0..dim {
-            let mut coeff = Complex::ONE;
-            for (q, p) in pauli.support() {
-                let bit = i >> q & 1;
-                coeff *= match (p, bit) {
-                    (Pauli::X, _) | (Pauli::I, _) => Complex::ONE,
-                    (Pauli::Y, 1) => Complex::I,
-                    (Pauli::Y, _) => -Complex::I,
-                    (Pauli::Z, 0) => Complex::ONE,
-                    (Pauli::Z, _) => -Complex::ONE,
-                };
-            }
-            total += coeff * m.get(i ^ xmask, i);
-        }
-        Ok(total.re)
+        Ok(self.rho.expectation_pauli(pauli))
     }
 
     fn memory_bytes(&self) -> usize {
-        std::mem::size_of_val(self.rho.as_matrix().as_slice())
+        self.rho.memory_bytes()
     }
 
     fn telemetry(&mut self, sink: &TelemetrySink) {
@@ -379,7 +337,7 @@ impl SimulationEngine for DensityMatrixEngine {
 mod tests {
     use super::*;
     use qdt_array::StateVector;
-    use qdt_circuit::{generators, Circuit};
+    use qdt_circuit::{generators, Circuit, Gate};
     use qdt_engine::run;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -500,7 +458,7 @@ mod tests {
                 let model = NoiseModel::uniform(ch);
                 let woven = density_after(qc, &model);
                 let written = density_after(&model.apply(qc).unwrap(), &NoiseModel::new());
-                assert_eq!(woven.as_matrix(), written.as_matrix(), "{ch}");
+                assert_eq!(woven.entries(), written.entries(), "{ch}");
             }
         }
     }
@@ -577,10 +535,7 @@ mod tests {
         let noise = NoiseModel::uniform(KrausChannel::PhaseDamping { lambda: 1.0 });
         let dm = density_after(&qc, &noise);
         assert!((dm.probability(0) - 0.5).abs() < 1e-12);
-        assert!(
-            dm.as_matrix().get(0, 1).abs() < 1e-12,
-            "coherence must vanish"
-        );
+        assert!(dm.entry(0, 1).abs() < 1e-12, "coherence must vanish");
     }
 
     #[test]
@@ -654,20 +609,20 @@ mod tests {
                         let full = Matrix::identity(1 << (n - 1 - q))
                             .kron(k)
                             .kron(&Matrix::identity(1 << q));
-                        let term = full.mul(rho.as_matrix()).mul(&full.dagger());
+                        let term = full.mul(&rho.to_matrix()).mul(&full.dagger());
                         expect = expect.add(&term);
                     }
                     let mut swept = rho.clone();
                     swept.apply_kraus(&kraus, q);
                     assert!(
-                        swept.as_matrix().approx_eq(&expect, 1e-12),
+                        swept.to_matrix().approx_eq(&expect, 1e-12),
                         "{ch} on qubit {q} (seed {seed}) differs from Σ KρK†"
                     );
                     let mut threaded = rho.clone();
                     threaded.apply_kraus_with(&kraus, q, &parallel);
                     assert_eq!(
-                        threaded.as_matrix().as_slice(),
-                        swept.as_matrix().as_slice(),
+                        threaded.entries(),
+                        swept.entries(),
                         "{ch} on qubit {q}: 4 threads must be bit-identical"
                     );
                 }
@@ -726,7 +681,7 @@ mod tests {
             assert!(rho.purity() < 0.99, "the input must be mixed");
             for inst in &qc {
                 let u = qdt_array::instruction_unitary(inst, 4).unwrap();
-                let expect = u.mul(rho.as_matrix()).mul(&u.dagger());
+                let expect = u.mul(&rho.to_matrix()).mul(&u.dagger());
                 let apply = |ctx: &KernelContext| {
                     let mut e = DensityMatrixEngine::with_noise_and_context(
                         &NoiseModel::new(),
@@ -739,13 +694,13 @@ mod tests {
                 };
                 let one = apply(&KernelContext::with_threads(1));
                 assert!(
-                    one.as_matrix().approx_eq(&expect, 1e-12),
+                    one.to_matrix().approx_eq(&expect, 1e-12),
                     "{inst:?} (seed {seed}) differs from UρU†"
                 );
                 let four = apply(&parallel);
                 assert_eq!(
-                    four.as_matrix().as_slice(),
-                    one.as_matrix().as_slice(),
+                    four.entries(),
+                    one.entries(),
                     "{inst:?} (seed {seed}): 4 threads must be bit-identical"
                 );
             }
@@ -756,8 +711,8 @@ mod tests {
     fn purity_is_the_squared_frobenius_norm() {
         for seed in [4, 5, 6] {
             let rho = random_mixed_state(seed);
-            let m = rho.as_matrix();
-            let tr_rho_squared = m.mul(m).trace().re;
+            let m = rho.to_matrix();
+            let tr_rho_squared = m.mul(&m).trace().re;
             assert!(
                 (rho.purity() - tr_rho_squared).abs() < 1e-12,
                 "seed {seed}: {} vs Tr(ρ²) = {tr_rho_squared}",

@@ -63,8 +63,9 @@ mod model;
 mod trajectory;
 
 pub use channel::{channel_from_key, completeness_defect, KrausChannel, CPTP_TOLERANCE};
-pub use density::{DensityMatrixEngine, MAX_DENSITY_QUBITS};
+pub use density::DensityMatrixEngine;
 pub use model::{CompiledNoise, GateSelector, NoiseModel, NoiseRule};
+pub use qdt_array::MAX_DENSITY_QUBITS;
 pub use trajectory::{TrajectoryConfig, TrajectoryEngine};
 
 /// Errors of the noise layer: invalid channels/models, or substrate

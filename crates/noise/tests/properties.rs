@@ -51,7 +51,7 @@ proptest! {
         prop_assert!((rho.trace() - 1.0).abs() < 1e-9, "trace {}", rho.trace());
         prop_assert!(rho.purity() <= 1.0 + 1e-9, "purity {}", rho.purity());
 
-        let m = rho.as_matrix();
+        let m = rho.to_matrix();
         for r in 0..m.rows() {
             for c in r..m.cols() {
                 let defect = (m.get(r, c) - m.get(c, r).conj()).norm_sqr();

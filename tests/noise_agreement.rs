@@ -143,8 +143,7 @@ fn ghz8_density_matrix_is_pinned() {
     run(&mut engine, &generators::ghz(8)).expect("density run");
     let digest = engine
         .density()
-        .as_matrix()
-        .as_slice()
+        .entries()
         .iter()
         .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
         .fold(0xcbf2_9ce4_8422_2325_u64, |h, bits| {

@@ -107,7 +107,7 @@ fn density_entries(qc: &Circuit, ctx: KernelContext) -> Vec<qdt::complex::Comple
     let model = NoiseModel::uniform(KrausChannel::Depolarizing { p: 0.05 });
     let mut e = DensityMatrixEngine::with_noise_and_context(&model, ctx).expect("valid model");
     run(&mut e, qc).expect("density run");
-    e.density().as_matrix().as_slice().to_vec()
+    e.density().entries().to_vec()
 }
 
 proptest! {
