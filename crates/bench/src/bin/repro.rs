@@ -4,6 +4,7 @@
 //!
 //! Run all experiments:  `cargo run -p qdt-bench --bin repro --release`
 //! Run one:              `cargo run -p qdt-bench --bin repro --release -- c2`
+//! (an unknown experiment name exits 2 and lists the valid names)
 //! Pick backends:        `... -- engines --backend dd --backend mps:16`
 //! Export telemetry:     `... -- telemetry --trace t.json --metrics m.jsonl`
 //!
@@ -115,78 +116,89 @@ fn run_repro() {
             .map(String::from)
             .to_vec();
     }
-    let want = |id: &str| filter.is_empty() || filter.iter().any(|f| f == id);
-
-    if want("engines") {
-        engines(&backends);
-    }
-    if want("auto") || want("auto_dispatch") {
-        auto_dispatch();
-    }
-    if want("telemetry") {
-        telemetry(
-            trace_path.as_deref(),
-            metrics_path.as_deref(),
-            metrics_format,
+    let unknown = unknown_names(&filter);
+    if !unknown.is_empty() {
+        let valid: Vec<&str> = EXPERIMENTS
+            .iter()
+            .flat_map(|(names, _)| *names)
+            .copied()
+            .collect();
+        eprintln!(
+            "unknown experiment name(s): {}\nvalid names: {}",
+            unknown.join(", "),
+            valid.join(", ")
         );
+        std::process::exit(2);
     }
-    if want("fig1") {
-        fig1();
+    let opts = Options {
+        backends,
+        trace_path,
+        metrics_path,
+        metrics_format,
+        snapshot_path,
+    };
+    for (names, experiment) in EXPERIMENTS {
+        if filter.is_empty() || filter.iter().any(|f| names.contains(&f.as_str())) {
+            experiment(&opts);
+        }
     }
-    if want("fig2") {
-        fig2();
-    }
-    if want("fig3") {
-        fig3();
-    }
-    if want("c1") {
-        c1_array_scaling();
-    }
-    if want("c2") {
-        c2_dd_vs_array();
-    }
-    if want("c3") {
-        c3_tn_contraction();
-    }
-    if want("c4") {
-        c4_mps_truncation();
-    }
-    if want("c5") {
-        c5_zx_simplification();
-    }
-    if want("c6") {
-        c6_equivalence();
-    }
-    if want("c7") {
-        c7_compilation();
-    }
-    if want("c8") {
-        c8_noise();
-    }
-    if want("noise") {
-        noise_subsystem();
-    }
-    if want("parallel") || want("parallel_scaling") {
-        parallel_scaling();
-    }
-    if want("dynamic") {
-        dynamic_circuits();
-    }
-    if want("stabilizer") || want("stabilizer_scaling") {
-        stabilizer_scaling(snapshot_path.as_deref());
-    }
-    if want("kernels") || want("kernel_fusion") {
-        kernel_fusion(snapshot_path.as_deref());
-    }
-    if want("c9") {
-        c9_approximation();
-    }
-    if want("a1") {
-        a1_tolerance_ablation();
-    }
-    if want("c10") {
-        c10_zx_extraction();
-    }
+}
+
+/// The command-line settings an experiment may read.
+struct Options {
+    backends: Vec<String>,
+    trace_path: Option<String>,
+    metrics_path: Option<String>,
+    metrics_format: MetricsFormat,
+    snapshot_path: Option<String>,
+}
+
+/// An experiment: the names that select it, and what it runs.
+type Experiment = (&'static [&'static str], fn(&Options));
+
+/// Every experiment, in run order.
+const EXPERIMENTS: &[Experiment] = &[
+    (&["engines"], |o| engines(&o.backends)),
+    (&["auto", "auto_dispatch"], |_| auto_dispatch()),
+    (&["telemetry"], |o| {
+        telemetry(
+            o.trace_path.as_deref(),
+            o.metrics_path.as_deref(),
+            o.metrics_format,
+        );
+    }),
+    (&["fig1"], |_| fig1()),
+    (&["fig2"], |_| fig2()),
+    (&["fig3"], |_| fig3()),
+    (&["c1"], |_| c1_array_scaling()),
+    (&["c2"], |_| c2_dd_vs_array()),
+    (&["c3"], |_| c3_tn_contraction()),
+    (&["c4"], |_| c4_mps_truncation()),
+    (&["c5"], |_| c5_zx_simplification()),
+    (&["c6"], |_| c6_equivalence()),
+    (&["c7"], |_| c7_compilation()),
+    (&["c8"], |_| c8_noise()),
+    (&["noise"], |_| noise_subsystem()),
+    (&["parallel", "parallel_scaling"], |_| parallel_scaling()),
+    (&["dynamic"], |_| dynamic_circuits()),
+    (&["stabilizer", "stabilizer_scaling"], |o| {
+        stabilizer_scaling(o.snapshot_path.as_deref());
+    }),
+    (&["kernels", "kernel_fusion"], |o| {
+        kernel_fusion(o.snapshot_path.as_deref());
+    }),
+    (&["c9"], |_| c9_approximation()),
+    (&["a1"], |_| a1_tolerance_ablation()),
+    (&["c10"], |_| c10_zx_extraction()),
+];
+
+/// The filter entries that select no experiment.
+fn unknown_names(filter: &[String]) -> Vec<&str> {
+    filter
+        .iter()
+        .map(String::as_str)
+        .filter(|f| !EXPERIMENTS.iter().any(|(names, _)| names.contains(f)))
+        .collect()
 }
 
 fn header(title: &str) {
@@ -1558,4 +1570,16 @@ fn c7_compilation() {
     println!("(sparser connectivity -> more SWAPs; every output is re-verified, the");
     println!(" miter pairing each source gate with the compiled gates it lowers to and");
     println!(" relabelling wires for SWAPs instead of multiplying them in)");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unknown_experiment_names_are_reported() {
+        let filter = ["c1", "--c1", "noise", "parallel_scaling", "nosie"].map(String::from);
+        assert_eq!(unknown_names(&filter), ["--c1", "nosie"]);
+        assert!(unknown_names(&[]).is_empty());
+    }
 }
