@@ -532,8 +532,8 @@ impl KernelContext {
     /// threshold and inline otherwise.
     ///
     /// `weight` is the relative cost of one item (1 for an amplitude
-    /// pair, `dim` for a density-matrix column) so the threshold compares
-    /// total work, not item counts. Chunk boundaries are a pure
+    /// pair, 2 for a quad of density-matrix entries) so the threshold
+    /// compares total work, not item counts. Chunk boundaries are a pure
     /// scheduling artefact: `job` must give bit-identical results for any
     /// partition of the index space, which holds whenever per-item work
     /// is independent and writes are disjoint.
