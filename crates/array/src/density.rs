@@ -172,11 +172,6 @@ impl DensityMatrix {
             .sum()
     }
 
-    /// Heap memory held by the entries, in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.vec.memory_bytes()
-    }
-
     /// Applies a (controlled) 2×2 unitary: `ρ → UρU†`.
     ///
     /// # Panics

@@ -36,9 +36,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// How `--metrics <file>` serialises the telemetry registry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum MetricsFormat {
     /// Per-gate metric stream as JSON Lines (the default).
+    #[default]
     Jsonl,
     /// Registry totals in Prometheus/OpenMetrics text exposition.
     Prometheus,
@@ -71,11 +72,7 @@ fn main() {
 
 fn run_repro() {
     let mut filter: Vec<String> = Vec::new();
-    let mut backends: Vec<String> = Vec::new();
-    let mut trace_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut snapshot_path: Option<String> = None;
-    let mut metrics_format = MetricsFormat::Jsonl;
+    let mut opts = Options::default();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         if a == "--backend" {
@@ -88,16 +85,16 @@ fn run_repro() {
                 eprintln!("{e}");
                 std::process::exit(2);
             }
-            backends.push(spec);
+            opts.backends.push(spec);
         } else if a == "--trace" {
-            trace_path = Some(args.next().expect("--trace needs a file path"));
+            opts.trace_path = Some(args.next().expect("--trace needs a file path"));
         } else if a == "--metrics" {
-            metrics_path = Some(args.next().expect("--metrics needs a file path"));
+            opts.metrics_path = Some(args.next().expect("--metrics needs a file path"));
         } else if a == "--format" {
             let fmt = args
                 .next()
                 .expect("--format needs a value: jsonl or prometheus");
-            metrics_format = match fmt.as_str() {
+            opts.metrics_format = match fmt.as_str() {
                 "jsonl" => MetricsFormat::Jsonl,
                 "prometheus" | "openmetrics" => MetricsFormat::Prometheus,
                 other => {
@@ -106,13 +103,13 @@ fn run_repro() {
                 }
             };
         } else if a == "--snapshot" {
-            snapshot_path = Some(args.next().expect("--snapshot needs a file path"));
+            opts.snapshot_path = Some(args.next().expect("--snapshot needs a file path"));
         } else {
             filter.push(a.to_lowercase());
         }
     }
-    if backends.is_empty() {
-        backends = ["array", "decision-diagram", "tensor-network", "mps:64"]
+    if opts.backends.is_empty() {
+        opts.backends = ["array", "decision-diagram", "tensor-network", "mps:64"]
             .map(String::from)
             .to_vec();
     }
@@ -130,13 +127,6 @@ fn run_repro() {
         );
         std::process::exit(2);
     }
-    let opts = Options {
-        backends,
-        trace_path,
-        metrics_path,
-        metrics_format,
-        snapshot_path,
-    };
     for (names, experiment) in EXPERIMENTS {
         if filter.is_empty() || filter.iter().any(|f| names.contains(&f.as_str())) {
             experiment(&opts);
@@ -145,6 +135,7 @@ fn run_repro() {
 }
 
 /// The command-line settings an experiment may read.
+#[derive(Default)]
 struct Options {
     backends: Vec<String>,
     trace_path: Option<String>,

@@ -322,7 +322,7 @@ impl SimulationEngine for DensityMatrixEngine {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.rho.memory_bytes()
+        std::mem::size_of_val(self.rho.entries())
     }
 
     fn telemetry(&mut self, sink: &TelemetrySink) {
@@ -630,8 +630,8 @@ mod tests {
         }
     }
 
-    /// Every gate kind, uncontrolled and controlled, plus swaps, on 4
-    /// qubits: the gates that are not their own conjugate (`Y`, `Sx`,
+    /// Every gate kind under zero to three controls, plus swaps under
+    /// zero to two, on 4 qubits. The gates that are not their own conjugate (`Y`, `Sx`,
     /// `Rx`, `Rz`, `U`, …) catch a missing conjugation on the column
     /// side.
     fn every_gate_kind() -> Circuit {
