@@ -304,6 +304,9 @@ impl SimulationEngine for ArrayEngine {
         // Discard any gates still buffered for the old register.
         self.fuser = Fuser::new(self.fuser.width());
         self.frame = Frame::default();
+        // Drop the old state before building the new one, so the two
+        // never coexist; at the same width the new one reuses its buffer.
+        self.psi = StateVector::zero_state(1);
         self.psi = StateVector::zero_state(num_qubits.max(1));
         Ok(())
     }

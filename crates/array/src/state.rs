@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::{Mutex, PoisonError};
 
 use qdt_circuit::{Circuit, Instruction, OpKind};
 use qdt_complex::{Complex, Matrix};
@@ -14,6 +15,34 @@ use crate::ArrayError;
 /// (2^30 amplitudes ≈ 16 GiB); chosen so that accidental huge allocations
 /// fail fast with a useful error instead of an abort.
 const MAX_QUBITS: usize = 30;
+
+/// Amplitude buffers of at least this length (2^21 amplitudes, 32 MiB:
+/// glibc's largest mmap threshold) are mapped fresh on allocation and
+/// unmapped on free, so every new state faults in every page again.
+/// Smaller ones the allocator already recycles.
+const SPARE_FLOOR: usize = 1 << 21;
+
+/// The one spare amplitude buffer: the last dropped state at or above
+/// [`SPARE_FLOOR`], handed back only to a state of exactly its length.
+/// Every update is one `take` or `replace`, so a poisoned lock still
+/// guards a valid value and is recovered.
+static SPARE: Mutex<Option<Vec<Complex>>> = Mutex::new(None);
+
+/// `dim` zero amplitudes. A request at or above [`SPARE_FLOOR`] takes
+/// the spare when the lengths match, and otherwise frees it *before*
+/// allocating, so a spare never coexists with a new large buffer.
+fn zeroed_amplitudes(dim: usize) -> Vec<Complex> {
+    if dim >= SPARE_FLOOR {
+        let spare = SPARE.lock().unwrap_or_else(PoisonError::into_inner).take();
+        if let Some(mut amps) = spare {
+            if amps.len() == dim {
+                amps.fill(Complex::ZERO);
+                return amps;
+            }
+        }
+    }
+    vec![Complex::ZERO; dim]
+}
 
 /// A pure quantum state stored as a dense array of `2^n` amplitudes.
 ///
@@ -35,6 +64,23 @@ const MAX_QUBITS: usize = 30;
 pub struct StateVector {
     num_qubits: usize,
     amps: Vec<Complex>,
+}
+
+impl Drop for StateVector {
+    /// Keeps a buffer of at least 2^21 amplitudes as the spare for the
+    /// next state of its length, freeing the spare it replaces.
+    fn drop(&mut self) {
+        // A larger capacity would hide memory from `memory_bytes()`.
+        if self.amps.len() >= SPARE_FLOOR && self.amps.capacity() == self.amps.len() {
+            let amps = std::mem::take(&mut self.amps);
+            let replaced = SPARE
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .replace(amps);
+            // The lock is released: free the old spare outside it.
+            drop(replaced);
+        }
+    }
 }
 
 impl StateVector {
@@ -60,7 +106,7 @@ impl StateVector {
         );
         let dim = 1usize << num_qubits;
         assert!(index < dim, "basis index {index} out of range");
-        let mut amps = vec![Complex::ZERO; dim];
+        let mut amps = zeroed_amplitudes(dim);
         amps[index] = Complex::ONE;
         StateVector { num_qubits, amps }
     }

@@ -225,6 +225,9 @@ impl SimulationEngine for DensityMatrixEngine {
                 what: "dense density matrix",
             });
         }
+        // Drop the old ρ before building the new one, so the two never
+        // coexist; at the same width the new one reuses its buffer.
+        self.rho = DensityMatrix::zero_state(1);
         self.rho = DensityMatrix::zero_state(num_qubits.max(1));
         Ok(())
     }

@@ -510,3 +510,56 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Re-prepare on a reused buffer
+// ---------------------------------------------------------------------
+
+/// Bit patterns of every amplitude, so `-0.0` and `+0.0` differ.
+fn amplitude_bits(amps: &[Complex]) -> Vec<(u64, u64)> {
+    amps.iter()
+        .map(|a| (a.re.to_bits(), a.im.to_bits()))
+        .collect()
+}
+
+/// Re-preparing a 21-qubit fused engine (the width where a dropped
+/// state becomes the spare buffer) after a dirtying circuit that leaves
+/// X/SWAP relabels in the frame and a fused group pending: the next run
+/// must reproduce a fresh engine bit for bit, so neither the old
+/// amplitudes, the frame nor the pending group survive the re-prepare.
+#[test]
+fn reprepared_engine_on_a_reused_buffer_matches_a_fresh_one() {
+    const N: usize = 21;
+    let mut dirty = Circuit::new(N);
+    dirty
+        .h(0)
+        .h(1)
+        .h(20)
+        .x(3)
+        .swap(2, 7)
+        .cx(0, 1)
+        .rz(0.3, 4)
+        .t(20);
+    let mut qc = Circuit::new(N);
+    qc.h(0)
+        .cx(0, 5)
+        .x(9)
+        .swap(1, 20)
+        .ry(0.7, 20)
+        .cp(0.4, 20, 0)
+        .h(13);
+
+    // The fresh engine runs first, so its state is a new allocation.
+    let fresh = amplitudes_on("array(fuse=5)", &qc);
+    let mut e = create_engine("array(fuse=5)").expect("spec builds");
+    e.prepare(N).expect("21 qubits fit");
+    for inst in &dirty {
+        e.apply_instruction(inst).expect("unitary");
+    }
+    run(e.as_mut(), &qc).expect("re-prepares and runs");
+    let reused = e.amplitudes().expect("dense amplitudes");
+    assert!(
+        amplitude_bits(&reused) == amplitude_bits(&fresh),
+        "re-prepared array(fuse=5) drifted from a fresh engine"
+    );
+}

@@ -177,3 +177,37 @@ fn trajectory_expectation_is_worker_invariant() {
         }
     }
 }
+
+/// Re-preparing an 11-qubit density engine (ρ is a 22-qubit vector, at
+/// the width where a dropped state becomes the spare buffer) after a
+/// dirtying noisy run: the next run must reproduce a fresh engine's ρ
+/// bit for bit.
+#[test]
+fn reprepared_density_on_a_reused_buffer_matches_a_fresh_one() {
+    const N: usize = 11;
+    let model = NoiseModel::uniform(KrausChannel::Depolarizing { p: 0.01 });
+    let mut dirty = Circuit::new(N);
+    dirty.h(0).cx(0, 10).ry(0.9, 5);
+    let mut qc = Circuit::new(N);
+    qc.h(2).cx(2, 9).rz(0.4, 9);
+    let bits = |engine: &DensityMatrixEngine| -> Vec<(u64, u64)> {
+        let entries = engine.density().entries();
+        entries
+            .iter()
+            .map(|c| (c.re.to_bits(), c.im.to_bits()))
+            .collect()
+    };
+
+    // The fresh engine runs first, so its ρ is a new allocation.
+    let mut fresh = DensityMatrixEngine::with_noise(&model).expect("valid model");
+    run(&mut fresh, &qc).expect("density run");
+    let want = bits(&fresh);
+    drop(fresh);
+    let mut engine = DensityMatrixEngine::with_noise(&model).expect("valid model");
+    run(&mut engine, &dirty).expect("dirtying run");
+    run(&mut engine, &qc).expect("re-prepares and runs");
+    assert!(
+        bits(&engine) == want,
+        "re-prepared density drifted from a fresh engine"
+    );
+}
