@@ -8,7 +8,8 @@
 //! per backend:
 //!
 //! * `n` qubits, `g` gates (`g₂` multi-qubit), `m` non-Clifford gates,
-//!   `w` the interaction cut-width proxy, `χ̂ = 2^min(w, n/2)` the
+//!   `w` the interaction cut-width proxy in the natural qubit order (the
+//!   order the MPS and DD engines run in), `χ̂ = 2^min(w, n/2)` the
 //!   predicted peak Schmidt rank;
 //! * **array** — `g · 2^n`, infeasible past
 //!   [`ARRAY_MAX_QUBITS`] (dense allocation);
@@ -28,10 +29,13 @@
 //!   `ℓ = min(n, w + m/2)`: width-bounded entanglement plus
 //!   non-Clifford density drive node growth. Pure-Clifford spans get
 //!   the stabilizer-shaped discount automatically (`m = 0 ⇒ ℓ ≤ w`);
-//! * **MPS** — `8·g₂·χ̂³ + 4·(g−g₂)·χ̂²` (per-gate contraction + SVD);
-//!   the dispatched spec caps χ at the default bond, so
-//!   high-entanglement circuits are priced out rather than silently
-//!   truncated;
+//! * **MPS** — `8·g₂·χ̂³ + 4·(g−g₂)·χ̂²` (per-gate contraction + SVD),
+//!   dispatched as `mps:`[`MPS_DISPATCH_BOND_CAP`] and feasible only
+//!   when `χ̂` fits that bond. `χ̂` prices the run but does not set the
+//!   bond: the engine drops numerically zero singular values, so an
+//!   accurate estimate costs nothing extra, and an underestimate costs
+//!   time instead of fidelity (the `auto` engine refuses a run that
+//!   still had to truncate);
 //! * **tensor network** — `16 · g · 2^min(2w, n)`: single-amplitude
 //!   contraction with intermediate tensors bounded by the cut.
 //!
@@ -60,7 +64,8 @@ pub const ARRAY_MAX_QUBITS: usize = 28;
 /// sample keys are `u128`).
 pub const WIDE_ENGINE_MAX_QUBITS: usize = 128;
 
-/// Bond-dimension cap written into a dispatched `mps:<χ>` spec.
+/// Bond-dimension cap of the dispatched MPS spec (`mps:64`); MPS is
+/// feasible only when the predicted `χ̂` fits it.
 pub const MPS_DISPATCH_BOND_CAP: usize = 64;
 
 /// Widest register the stabilizer tableau is considered feasible for
@@ -162,7 +167,7 @@ pub fn circuit_facts(circuit: &Circuit) -> CircuitFacts {
 /// One backend's predicted cost.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BackendCost {
-    /// The engine spec this estimate prices (e.g. `"mps:8"`).
+    /// The engine spec this estimate prices (e.g. `"mps:64"`).
     pub spec: String,
     /// Predicted cost in arbitrary flop-shaped units.
     pub cost: f64,
@@ -232,7 +237,6 @@ pub fn plan_dispatch(facts: &CircuitFacts) -> DispatchDecision {
         facts.resources.clifford_only && n > QDT404_WIDTH_THRESHOLD && n <= STABILIZER_MAX_QUBITS;
 
     let wide_feasible = n <= WIDE_ENGINE_MAX_QUBITS;
-    let mps_spec = format!("mps:{}", (chi_hat as usize).clamp(2, MPS_DISPATCH_BOND_CAP));
     let estimates = vec![
         BackendCost {
             spec: "array".into(),
@@ -255,9 +259,9 @@ pub fn plan_dispatch(facts: &CircuitFacts) -> DispatchDecision {
             feasible: wide_feasible,
         },
         BackendCost {
-            spec: mps_spec,
+            spec: format!("mps:{MPS_DISPATCH_BOND_CAP}"),
             cost: cost_mps,
-            feasible: wide_feasible,
+            feasible: wide_feasible && chi_hat <= MPS_DISPATCH_BOND_CAP as f64,
         },
         BackendCost {
             spec: "tensor-network".into(),
@@ -382,7 +386,7 @@ mod tests {
     #[test]
     fn dispatch_respects_engine_width_limits() {
         // Past 128 qubits DD, MPS and TN cannot take the register: the
-        // wide GHZ goes to the tableau, not to `mps:2`.
+        // wide GHZ goes to the tableau, not to `mps:64`.
         let decision = dispatch_circuit(&generators::ghz(200));
         assert_eq!(decision.chosen, "stabilizer", "{:?}", decision.estimates);
         for e in &decision.estimates {
@@ -411,6 +415,32 @@ mod tests {
             "{:?}",
             decision.chosen
         );
+    }
+
+    #[test]
+    fn mps_runs_at_the_cap_and_only_when_the_estimate_fits_it() {
+        // A chain needs χ̂ = 2, yet the dispatched bond is the cap: the
+        // estimate prices the run, it does not truncate it.
+        let decision = dispatch_circuit(&generators::w_state(16));
+        assert_eq!(decision.chosen, "mps:64", "{:?}", decision.estimates);
+        // A 40-qubit QFT needs χ̂ = 2^20: past the cap, MPS is out.
+        let decision = dispatch_circuit(&generators::qft(40, false));
+        let mps = &decision.estimates[4];
+        assert_eq!(mps.spec, "mps:64");
+        assert!(!mps.feasible, "{:?}", decision.estimates);
+    }
+
+    #[test]
+    fn nested_pairs_are_priced_in_the_natural_order() {
+        // Five edges cross the middle cut of the order the engines run
+        // in, however a reordering would pair them off.
+        let mut qc = Circuit::new(10);
+        for q in 0..5 {
+            qc.h(q).cx(q, 9 - q);
+        }
+        assert_eq!(circuit_facts(&qc).interaction.cut_width, 5);
+        let decision = dispatch_circuit(&qc);
+        assert!(!decision.chosen.starts_with("mps"), "{decision:?}");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The qubit interaction graph, its greedy cut-width, and the
+//! The qubit interaction graph, its cut-width, and the
 //! entanglement-isolation lint (`QDT403`).
 //!
 //! Multi-qubit unitaries connect their qubits in the *interaction
@@ -6,16 +6,16 @@
 //!
 //! * **Connected components** — a qubit in no component with a measured
 //!   qubit can never influence an observed outcome (`QDT403`).
-//! * **Cut-width proxy** — sweep the qubits in a linear order and count
-//!   distinct interaction edges crossing each prefix cut; the maximum,
-//!   further capped by the smaller side of the cut, upper-bounds the
-//!   log₂ of any Schmidt rank an MPS sweep must carry. The proxy takes
-//!   the best of the natural order and a greedy order that repeatedly
-//!   places the qubit with the most edges into the placed set, so
-//!   chain-like circuits (GHZ, W) score 1 while all-to-all circuits
-//!   (QFT) score ~n/2.
+//! * **Cut-width proxy** — sweep the qubits in their natural order, the
+//!   one the MPS and DD engines run in, and count distinct interaction
+//!   edges crossing each prefix cut; the maximum, further capped by the
+//!   smaller side of the cut, estimates log₂ of the peak Schmidt rank an
+//!   MPS sweep must carry. Chain-like circuits (GHZ, W) score 1 while
+//!   all-to-all circuits (QFT) score ~n/2. A pair that interacts many
+//!   times still counts as one edge, so the proxy can underestimate;
+//!   the `auto` engine refuses a run whose MPS had to truncate.
 
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use qdt_circuit::{Circuit, OpKind};
 
@@ -32,8 +32,8 @@ pub struct InteractionFacts {
     pub component: Vec<usize>,
     /// Qubits touched by at least one gate.
     pub touched: Vec<bool>,
-    /// The cut-width proxy: an upper-bound estimate of log₂ of the
-    /// peak Schmidt rank across any linear qubit ordering sweep.
+    /// The cut-width proxy: an estimate of log₂ of the peak Schmidt
+    /// rank across the natural-order qubit sweep.
     pub cut_width: usize,
 }
 
@@ -80,9 +80,7 @@ pub fn interaction_facts(circuit: &Circuit) -> InteractionFacts {
         }
     }
     let component: Vec<usize> = (0..nq).map(|q| find(&mut parent, q)).collect();
-    let natural: Vec<usize> = (0..nq).collect();
-    let cut_width =
-        cut_width_of(&natural, &edges).min(cut_width_of(&greedy_order(nq, &edges), &edges));
+    let cut_width = cut_width_of(nq, &edges);
     InteractionFacts {
         edges,
         component,
@@ -91,25 +89,19 @@ pub fn interaction_facts(circuit: &Circuit) -> InteractionFacts {
     }
 }
 
-/// The cut-width of one linear order: the maximum over prefix cuts of
-/// the number of distinct edges crossing, capped per cut by the
+/// The natural-order cut-width of `n` qubits: the maximum over prefix
+/// cuts of the number of distinct edges crossing, capped per cut by the
 /// smaller side's size (entanglement across a cut of `k` qubits is at
 /// most `2^k` regardless of how many gates straddle it).
 ///
-/// An edge between positions `lo < hi` crosses cuts `lo+1..=hi`, so one
+/// An edge `(a, b)` with `a < b` crosses cuts `a+1..=b`, so one
 /// difference array over the cuts counts every crossing in O(n + E).
-fn cut_width_of(order: &[usize], edges: &BTreeMap<(usize, usize), usize>) -> usize {
-    let n = order.len();
-    let mut position = vec![0usize; n];
-    for (pos, &q) in order.iter().enumerate() {
-        position[q] = pos;
-    }
+fn cut_width_of(n: usize, edges: &BTreeMap<(usize, usize), usize>) -> usize {
     // (edges starting to cross at this cut, edges no longer crossing it)
     let mut delta = vec![(0usize, 0usize); n + 1];
     for &(a, b) in edges.keys() {
-        let (pa, pb) = (position[a], position[b]);
-        delta[pa.min(pb) + 1].0 += 1;
-        delta[pa.max(pb) + 1].1 += 1;
+        delta[a + 1].0 += 1;
+        delta[b + 1].1 += 1;
     }
     let mut crossing = 0;
     let mut width = 0;
@@ -118,61 +110,6 @@ fn cut_width_of(order: &[usize], edges: &BTreeMap<(usize, usize), usize>) -> usi
         width = width.max(crossing.min(cut).min(n - cut));
     }
     width
-}
-
-/// Greedy linear arrangement: start from a minimum-degree qubit, then
-/// repeatedly place the qubit with the most edges into the placed set
-/// (ties to the lower degree, then the lowest index), closing edges as
-/// early as possible.
-///
-/// Placing a qubit bumps its unplaced neighbours' counts and pushes
-/// their new keys on a max-heap; outdated keys are skipped when popped,
-/// so the order costs O((n + E) log n).
-fn greedy_order(nq: usize, edges: &BTreeMap<(usize, usize), usize>) -> Vec<usize> {
-    // Adjacency in compressed rows: the neighbours of `q` are
-    // `adj[start[q]..start[q + 1]]`.
-    let mut start = vec![0usize; nq + 1];
-    for &(a, b) in edges.keys() {
-        start[a + 1] += 1;
-        start[b + 1] += 1;
-    }
-    for q in 0..nq {
-        start[q + 1] += start[q];
-    }
-    let mut next = start.clone();
-    let mut adj = vec![0usize; 2 * edges.len()];
-    for &(a, b) in edges.keys() {
-        adj[next[a]] = b;
-        next[a] += 1;
-        adj[next[b]] = a;
-        next[b] += 1;
-    }
-    // Seed choice (no one placed yet): prefer low degree; ties then
-    // lowest index, via the reversed key.
-    let key = |q: usize, into_placed: usize| {
-        let degree = start[q + 1] - start[q];
-        (into_placed, usize::MAX - degree, usize::MAX - q)
-    };
-    let mut into_placed = vec![0usize; nq];
-    let mut placed = vec![false; nq];
-    let mut heap = BinaryHeap::with_capacity(nq + adj.len());
-    heap.extend((0..nq).map(|q| key(q, 0)));
-    let mut order = Vec::with_capacity(nq);
-    while let Some((into, _, reversed)) = heap.pop() {
-        let q = usize::MAX - reversed;
-        if placed[q] || into != into_placed[q] {
-            continue;
-        }
-        placed[q] = true;
-        order.push(q);
-        for &r in &adj[start[q]..start[q + 1]] {
-            if !placed[r] {
-                into_placed[r] += 1;
-                heap.push(key(r, into_placed[r]));
-            }
-        }
-    }
-    order
 }
 
 /// Flags qubits that gates touch but that can never be entangled with
@@ -223,68 +160,21 @@ mod tests {
     use qdt_circuit::generators;
 
     /// The quadratic cut width the linear one replaced, kept as its
-    /// oracle: every cut counts every edge, and every greedy step
-    /// rescans each unplaced qubit's adjacency.
+    /// oracle: every cut counts every edge.
     fn oracle_cut_width(nq: usize, edges: &BTreeMap<(usize, usize), usize>) -> usize {
-        let width_of = |order: &[usize]| {
-            let n = order.len();
-            let mut position = vec![0usize; n];
-            for (pos, &q) in order.iter().enumerate() {
-                position[q] = pos;
-            }
-            let mut width = 0;
-            for cut in 1..n {
-                let crossing = edges
-                    .keys()
-                    .filter(|&&(a, b)| {
-                        let (pa, pb) = (position[a], position[b]);
-                        pa.min(pb) < cut && pa.max(pb) >= cut
-                    })
-                    .count();
-                width = width.max(crossing.min(cut).min(n - cut));
-            }
-            width
-        };
-        let natural: Vec<usize> = (0..nq).collect();
-        width_of(&natural).min(width_of(&oracle_greedy_order(nq, edges)))
-    }
-
-    fn oracle_greedy_order(nq: usize, edges: &BTreeMap<(usize, usize), usize>) -> Vec<usize> {
-        let mut degree = vec![0usize; nq];
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); nq];
-        for &(a, b) in edges.keys() {
-            degree[a] += 1;
-            degree[b] += 1;
-            adj[a].push(b);
-            adj[b].push(a);
+        let mut width = 0;
+        for cut in 1..nq {
+            let crossing = edges.keys().filter(|&&(a, b)| a < cut && b >= cut).count();
+            width = width.max(crossing.min(cut).min(nq - cut));
         }
-        let mut placed = vec![false; nq];
-        let mut order = Vec::with_capacity(nq);
-        while order.len() < nq {
-            let next = (0..nq)
-                .filter(|&q| !placed[q])
-                .max_by_key(|&q| {
-                    let into_placed = adj[q].iter().filter(|&&r| placed[r]).count();
-                    (into_placed, usize::MAX - degree[q], usize::MAX - q)
-                })
-                .expect("some qubit unplaced");
-            placed[next] = true;
-            order.push(next);
-        }
-        order
+        width
     }
 
     fn assert_matches_oracle(qc: &Circuit, label: &str) {
         let facts = interaction_facts(qc);
-        let nq = qc.num_qubits();
-        assert_eq!(
-            greedy_order(nq, &facts.edges),
-            oracle_greedy_order(nq, &facts.edges),
-            "{label}: greedy order"
-        );
         assert_eq!(
             facts.cut_width,
-            oracle_cut_width(nq, &facts.edges),
+            oracle_cut_width(qc.num_qubits(), &facts.edges),
             "{label}: cut width"
         );
     }

@@ -280,10 +280,6 @@ impl SimulationEngine for ArrayEngine {
     fn caps(&self) -> EngineCaps {
         EngineCaps {
             max_qubits: MAX_QUBITS,
-            dense_limit: MAX_QUBITS,
-            wide_amplitudes: false,
-            native_sampling: true,
-            approximate: false,
             stochastic_kraus: true,
             dynamic: true,
         }

@@ -275,11 +275,21 @@ fn format_bytes(bytes: usize) -> String {
 fn auto_dispatch() {
     header("Auto dispatch — cost-model backend selection (mixed workload)");
     let mut rng = StdRng::seed_from_u64(0xAD);
+    // Nested pairs: five CX edges cross the middle cut in natural order,
+    // the order the MPS engine runs in.
+    let mut nested = qdt::circuit::Circuit::new(10);
+    for q in 0..5 {
+        nested.h(q);
+    }
+    for q in 0..5 {
+        nested.cx(q, 9 - q).t(9 - q).h(9 - q);
+    }
     let workload: Vec<(&str, qdt::circuit::Circuit)> = vec![
         ("ghz-24", generators::ghz(24)),
         ("qft-12", generators::qft(12, true)),
         ("random-12", generators::random_circuit(12, 10, &mut rng)),
         ("wstate-16", generators::w_state(16)),
+        ("nested-10", nested),
     ];
     // The fixed backends, then `auto` last.
     let specs = [
@@ -317,7 +327,7 @@ fn auto_dispatch() {
         }
 
         let mut row = [0.0f64; 5];
-        let mut resolved = String::new();
+        let mut engines = Vec::with_capacity(specs.len());
         for (i, spec) in specs.iter().enumerate() {
             let mut e = qdt::create_engine(spec).expect("spec builds");
             row[i] = timed(|| {
@@ -326,7 +336,19 @@ fn auto_dispatch() {
             })
             .1;
             totals[i] += row[i];
-            resolved = e.describe();
+            engines.push(e);
+        }
+        let resolved = engines[4].describe();
+        if qc.num_qubits() <= 16 {
+            // `auto` answers, not only times: its state is the array's.
+            let want = engines[0].amplitudes().expect("dense amplitudes");
+            let got = engines[4].amplitudes().expect("dense amplitudes");
+            for (i, (x, y)) in got.iter().zip(&want).enumerate() {
+                assert!(
+                    x.approx_eq(*y, 1e-10),
+                    "{name}: {resolved} amplitude {i} is {x}, the array's {y}"
+                );
+            }
         }
         assert!(
             resolved.starts_with("auto->"),

@@ -18,6 +18,9 @@
 //! [`EngineError::Unsupported`], and the empty register takes no gate.
 //! After `run`, a gate beyond the dispatched circuit's own is
 //! `Unsupported` too: the backend was priced on that circuit alone.
+//! `auto` answers exactly or not at all: a run whose backend discarded
+//! weight ([`SimulationEngine::discarded_weight`]) fails with
+//! [`EngineError::Backend`] instead of returning the truncated state.
 //! The decision is observable two ways:
 //!
 //! * [`SimulationEngine::describe`] returns `auto->{backend}` after
@@ -78,16 +81,10 @@ impl SimulationEngine for AutoEngine {
     fn caps(&self) -> EngineCaps {
         match &self.inner {
             Some(inner) => inner.caps(),
-            // Before `run` the backend is unknown: advertise the union
-            // of what the candidates can do, conservatively marked
-            // approximate (the dispatched spec may be a bounded-bond
-            // MPS).
+            // Before `run` the backend is unknown: advertise the widest
+            // register any candidate takes.
             None => EngineCaps {
                 max_qubits: STABILIZER_MAX_QUBITS,
-                dense_limit: 28,
-                wide_amplitudes: true,
-                native_sampling: true,
-                approximate: true,
                 stochastic_kraus: false,
                 // The shot loop checks capabilities before `run`
                 // dispatches; run dynamic circuits on a concrete spec.
@@ -170,8 +167,26 @@ impl SimulationEngine for AutoEngine {
         }
     }
 
+    /// The run loop's last call: a backend that had to discard weight
+    /// (a bounded-bond MPS whose cut-width estimate was low) fails the
+    /// run instead of returning a truncated state.
     fn flush(&mut self) -> Result<(), EngineError> {
-        self.inner.as_mut().map_or(Ok(()), |inner| inner.flush())
+        let Some(inner) = &mut self.inner else {
+            return Ok(());
+        };
+        inner.flush()?;
+        let weight = inner.discarded_weight();
+        if weight > 0.0 {
+            return Err(EngineError::Backend {
+                engine: "auto",
+                message: format!(
+                    "`{}` discarded weight {weight:.3e} of the state; run the circuit \
+                     on an exact spec (`array`, `decision-diagram`) instead",
+                    self.chosen.as_deref().unwrap_or_default()
+                ),
+            });
+        }
+        Ok(())
     }
 
     fn cost_metric(&self) -> CostMetric {
@@ -400,6 +415,34 @@ mod tests {
                 .apply_instruction(&bell.instructions()[0])
                 .unwrap_err()
         ));
+    }
+
+    #[test]
+    fn a_truncated_run_is_an_error_not_a_state() {
+        // Two 8-qubit halves that meet only through `cx(7, 8)`, once per
+        // round: one distinct edge prices the middle cut at χ̂ = 2, but
+        // eight CX gates across it need more than the dispatched bond.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let mut qc = Circuit::new(16);
+        for _ in 0..8 {
+            for q in 0..16 {
+                let mut angle = || rng.gen_range(0.0..std::f64::consts::TAU);
+                qc.u(angle(), angle(), angle(), q);
+            }
+            for q in (0..7).chain(8..15) {
+                qc.cx(q, q + 1);
+            }
+            qc.cx(7, 8);
+        }
+        assert!(dispatch_circuit(&qc).chosen.starts_with("mps:"));
+        let mut engine = auto_engine();
+        let err = run(engine.as_mut(), &qc).unwrap_err();
+        assert!(
+            matches!(&err, EngineError::Backend { engine: "auto", message }
+                if message.contains("discarded weight")),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -260,10 +260,6 @@ impl SimulationEngine for DdEngine {
     fn caps(&self) -> EngineCaps {
         EngineCaps {
             max_qubits: MAX_QUBITS,
-            dense_limit: DENSE_LIMIT,
-            wide_amplitudes: true,
-            native_sampling: true,
-            approximate: false,
             stochastic_kraus: true,
             dynamic: true,
         }

@@ -167,17 +167,6 @@ pub struct RunStats {
 pub struct EngineCaps {
     /// Widest register `prepare` accepts.
     pub max_qubits: usize,
-    /// Widest register the dense `amplitudes` output supports.
-    pub dense_limit: usize,
-    /// `true` if single amplitudes scale past the dense limit.
-    pub wide_amplitudes: bool,
-    /// `true` if the engine has a native sampler (otherwise the shared
-    /// amplitude-based sampler is used, which is capped by
-    /// `dense_limit`).
-    pub native_sampling: bool,
-    /// `true` if the engine's results are approximate (e.g. bounded-bond
-    /// MPS truncation).
-    pub approximate: bool,
     /// `true` if the engine implements
     /// [`apply_kraus`](SimulationEngine::apply_kraus), i.e. it can serve
     /// as the substrate of stochastic noise trajectories.
@@ -298,6 +287,13 @@ pub trait SimulationEngine {
     /// reports 0 for engines without memory accounting.
     fn memory_bytes(&self) -> usize {
         0
+    }
+
+    /// Probability weight the engine has discarded from the state so
+    /// far: the bounded-bond MPS's truncated singular values. The
+    /// default, 0, is for engines that never truncate.
+    fn discarded_weight(&self) -> f64 {
+        0.0
     }
 
     /// The dense `2^n` amplitude vector of the current state.
@@ -914,10 +910,6 @@ pub mod test_engine {
         fn caps(&self) -> EngineCaps {
             EngineCaps {
                 max_qubits: LIMIT,
-                dense_limit: LIMIT,
-                wide_amplitudes: false,
-                native_sampling: false,
-                approximate: false,
                 stochastic_kraus: true,
                 dynamic: true,
             }

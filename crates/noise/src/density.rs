@@ -204,10 +204,6 @@ impl SimulationEngine for DensityMatrixEngine {
     fn caps(&self) -> EngineCaps {
         EngineCaps {
             max_qubits: MAX_DENSITY_QUBITS,
-            dense_limit: MAX_DENSITY_QUBITS,
-            wide_amplitudes: false,
-            native_sampling: true,
-            approximate: false,
             stochastic_kraus: false,
             dynamic: false,
         }

@@ -246,10 +246,6 @@ impl SimulationEngine for TrajectoryEngine {
     fn caps(&self) -> EngineCaps {
         EngineCaps {
             max_qubits: self.inner_caps.max_qubits,
-            dense_limit: 0, // the averaged state is mixed: no amplitudes
-            wide_amplitudes: false,
-            native_sampling: true,
-            approximate: true, // Monte-Carlo estimates carry sampling error
             stochastic_kraus: false,
             // The averaged state is mixed, so no projective collapse;
             // dynamic circuits compose with noise in the shot loop

@@ -309,10 +309,6 @@ impl SimulationEngine for StabilizerEngine {
     fn caps(&self) -> EngineCaps {
         EngineCaps {
             max_qubits: MAX_QUBITS,
-            dense_limit: DENSE_LIMIT,
-            wide_amplitudes: true,
-            native_sampling: true,
-            approximate: false,
             stochastic_kraus: true,
             dynamic: true,
         }

@@ -149,10 +149,6 @@ impl SimulationEngine for TensorNetEngine {
     fn caps(&self) -> EngineCaps {
         EngineCaps {
             max_qubits: MAX_QUBITS,
-            dense_limit: TN_DENSE_LIMIT,
-            wide_amplitudes: true,
-            native_sampling: false,
-            approximate: false,
             stochastic_kraus: false,
             dynamic: false,
         }
@@ -332,10 +328,6 @@ impl SimulationEngine for MpsEngine {
     fn caps(&self) -> EngineCaps {
         EngineCaps {
             max_qubits: MAX_QUBITS,
-            dense_limit: MPS_DENSE_LIMIT,
-            wide_amplitudes: true,
-            native_sampling: false,
-            approximate: true,
             stochastic_kraus: true,
             dynamic: true,
         }
@@ -448,6 +440,10 @@ impl SimulationEngine for MpsEngine {
 
     fn memory_bytes(&self) -> usize {
         self.mps.memory_entries() * std::mem::size_of::<Complex>()
+    }
+
+    fn discarded_weight(&self) -> f64 {
+        self.truncation_error()
     }
 
     fn telemetry(&mut self, sink: &TelemetrySink) {

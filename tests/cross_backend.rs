@@ -1,15 +1,23 @@
 //! Integration: the four data structures must agree on every circuit.
 //!
 //! This is the suite-wide consistency net: arrays are the ground truth,
-//! and decision diagrams, tensor networks, and MPS must reproduce their
-//! amplitudes on a spread of circuit families.
+//! and decision diagrams, tensor networks, MPS and the `auto` dispatcher
+//! must reproduce their amplitudes on a spread of circuit families,
+//! including ones whose qubit-order cuts are wider than their
+//! interaction graphs suggest.
 
 use qdt::circuit::{generators, Circuit};
 use qdt::{amplitude, amplitudes};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
-const DENSE_BACKENDS: [&str; 4] = ["array", "decision-diagram", "tensor-network", "mps:64"];
+const DENSE_BACKENDS: [&str; 5] = [
+    "array",
+    "decision-diagram",
+    "tensor-network",
+    "mps:64",
+    "auto",
+];
 
 fn assert_backends_agree(qc: &Circuit, label: &str) {
     let reference = amplitudes(qc, "array").expect("array simulation");
@@ -85,6 +93,55 @@ fn hardware_ansatz_agrees() {
 fn phase_estimation_agrees() {
     let qc = generators::phase_estimation(4, 0.3125);
     assert_backends_agree(&qc, "qpe");
+}
+
+#[test]
+fn nested_pairs_agree() {
+    // Five CX edges cross the middle cut in natural order, though a
+    // reordering of the qubits would pair them off.
+    let mut qc = Circuit::new(10);
+    for q in 0..5 {
+        qc.h(q);
+    }
+    for q in 0..5 {
+        qc.cx(q, 9 - q).t(9 - q).h(9 - q);
+    }
+    assert_backends_agree(&qc, "nested-pairs");
+}
+
+#[test]
+fn repeated_pairs_agree() {
+    // Three distinct edges, each interacting once per layer.
+    let mut rng = StdRng::seed_from_u64(14);
+    let mut qc = Circuit::new(12);
+    for _ in 0..4 {
+        for q in 0..12 {
+            let mut angle = || rng.gen_range(0.0..std::f64::consts::TAU);
+            qc.u(angle(), angle(), angle(), q);
+        }
+        qc.cx(5, 6).cx(4, 5).cx(6, 7);
+    }
+    assert_backends_agree(&qc, "repeated-pairs");
+}
+
+#[test]
+fn long_range_ladder_agrees() {
+    for n in [8, 11] {
+        let mut qc = Circuit::new(n);
+        for i in 0..n / 2 {
+            qc.h(i).cx(i, n - 1 - i).t(n - 1 - i).h(i);
+        }
+        assert_backends_agree(&qc, &format!("ladder{n}"));
+    }
+}
+
+#[test]
+fn wider_random_circuits_agree() {
+    let mut rng = StdRng::seed_from_u64(15);
+    for n in [8, 10, 12] {
+        let qc = generators::random_circuit(n, 3, &mut rng);
+        assert_backends_agree(&qc, &format!("random{n}"));
+    }
 }
 
 #[test]

@@ -260,10 +260,6 @@ impl SimulationEngine for OracleEngine {
     fn caps(&self) -> EngineCaps {
         EngineCaps {
             max_qubits: 16,
-            dense_limit: 16,
-            wide_amplitudes: false,
-            native_sampling: true,
-            approximate: false,
             stochastic_kraus: false,
             dynamic: true,
         }
