@@ -90,10 +90,12 @@ impl ArrayMetrics {
 
 impl ArrayEngine {
     /// A fresh engine (one qubit in `|0⟩` until
-    /// [`prepare`](SimulationEngine::prepare) is called), honouring the
-    /// `QDT_THREADS` environment variable for its kernel thread count
-    /// (sequential when unset). Results are bit-identical for every
-    /// thread count.
+    /// [`prepare`](SimulationEngine::prepare) is called) whose kernels run
+    /// on [`qdt_parallel::default_threads`] threads: `QDT_THREADS` when
+    /// set, else the host's cores. Kernels below the default threshold
+    /// (QFT-12's fused groups, every unfused gate on fewer than 20
+    /// qubits) stay inline. Results are bit-identical for every thread
+    /// count.
     pub fn new() -> Self {
         ArrayEngine::with_context(KernelContext::from_env())
     }

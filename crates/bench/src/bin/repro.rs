@@ -246,7 +246,8 @@ fn engines(backends: &[String]) {
     println!(" peak@ is the 0-based gate index where the peak first occurred;");
     println!(" mem is the engine's self-reported peak state memory over the run;");
     println!(" threads is the kernel worker count for the dense engines — an");
-    println!(" explicit threads= key or the QDT_THREADS default, - otherwise)");
+    println!(" explicit threads= key, else QDT_THREADS or the host's cores;");
+    println!(" - for the other engines)");
 }
 
 /// Human-readable byte count for the engines table (`-` for engines
@@ -385,7 +386,7 @@ fn auto_dispatch() {
 }
 
 /// The kernel thread count a spec runs with: an explicit `threads=N`
-/// key, else the `QDT_THREADS` environment default — shown only for
+/// key, else [`qdt::parallel::default_threads`] — shown only for
 /// the dense engines that have chunked parallel kernels. `engine` is
 /// the engine the spec built, so aliases resolve as `create_engine` does;
 /// an `auto` engine is keyed on the spec it dispatched to in `run`.
@@ -406,39 +407,81 @@ fn spec_threads(spec: &str, engine: &dyn qdt::SimulationEngine) -> String {
     }
 }
 
-/// Parallel: the chunked dense kernels across thread counts. The
-/// amplitudes are asserted bit-identical at every thread count, so the
-/// table measures scheduling overhead and speed-up alone.
+/// Parallel: the thread crossover of the chunked state-vector kernels,
+/// on plain GHZ and fused QFT at 12–22 qubits. The `threads=2`/`4` rows
+/// force every kernel onto the pool (`threshold=1`), so their speed-up
+/// over `threads=1` is the raw crossover; the `default` row is the bare
+/// spec, on the default thread count and threshold. `pool` marks the
+/// circuits whose kernels the default threshold sends to the pool. The
+/// amplitudes are asserted bit-identical to `threads=1` on every row.
 fn parallel_scaling() {
-    header("Parallel — chunked state-vector kernels vs thread count");
+    use qdt::parallel::{default_threads, host_threads, DEFAULT_PARALLEL_THRESHOLD};
+    header("Parallel — thread crossover of the chunked state-vector kernels");
     println!(
-        "{:>8} {:>8} {:>8} {:>12} {:>9}",
-        "circuit", "qubits", "threads", "time", "speedup"
+        "default: {} threads ({} cores), threshold {DEFAULT_PARALLEL_THRESHOLD} weighted items",
+        default_threads(),
+        host_threads()
     );
-    for (fam, n) in [(Family::Qft, 12usize), (Family::Ghz, 16)] {
-        let qc = fam.circuit(n);
-        let mut reference: Option<(Vec<Complex>, f64)> = None;
-        for threads in [1usize, 2, 4, 8] {
-            let spec = format!("array(threads={threads})");
-            let (amps, secs) = timed(|| {
-                let mut e = qdt::create_engine(&spec).expect("spec builds");
-                run(e.as_mut(), &qc).expect("simulates");
-                e.amplitudes().expect("dense amplitudes")
-            });
-            let (base_amps, base_secs) = reference.get_or_insert((amps.clone(), secs));
-            assert_eq!(&amps, base_amps, "thread count changed the amplitudes");
-            println!(
-                "{:>8} {:>8} {:>8} {:>10.4}s {:>8.2}x",
-                fam.name(),
-                n,
-                threads,
-                secs,
-                *base_secs / secs
-            );
+    println!(
+        "{:>7} {:>6} {:>35} {:>10} {:>8} {:>7}",
+        "circuit", "qubits", "spec", "time", "speedup", "default"
+    );
+    // Each family's bare spec, and the prefix its keyed specs share.
+    for (fam, bare, keyed) in [
+        (Family::Ghz, "array", "array("),
+        (Family::Qft, "array(fuse=5)", "array(fuse=5,"),
+    ] {
+        for n in [12usize, 14, 16, 18, 20, 22] {
+            let qc = fam.circuit(n);
+            let pooled = if reaches_pool(&format!("{keyed}threads=2)"), &qc) {
+                "pool"
+            } else {
+                "inline"
+            };
+            let mut reference: Option<(Vec<Complex>, f64)> = None;
+            for spec in [
+                format!("{keyed}threads=1)"),
+                format!("{keyed}threads=2,threshold=1)"),
+                format!("{keyed}threads=4,threshold=1)"),
+                bare.to_string(),
+            ] {
+                let (amps, secs) = timed(|| {
+                    let mut e = qdt::create_engine(&spec).expect("spec builds");
+                    run(e.as_mut(), &qc).expect("simulates");
+                    e.amplitudes().expect("dense amplitudes")
+                });
+                let (base_amps, base_secs) = reference.get_or_insert((amps.clone(), secs));
+                assert_eq!(
+                    &amps, base_amps,
+                    "{spec}: thread count changed the amplitudes"
+                );
+                println!(
+                    "{:>7} {:>6} {:>35} {:>8.3}ms {:>7.2}x {:>7}",
+                    fam.name(),
+                    n,
+                    spec,
+                    secs * 1e3,
+                    *base_secs / secs,
+                    if spec == bare { pooled } else { "" }
+                );
+            }
         }
     }
-    println!("(every row's amplitudes are asserted bit-identical to threads=1;");
-    println!(" on a multi-core host the larger rows show the kernel speed-up)");
+    println!("(speed-up is threads=1 time over the row's time; `default` reads");
+    println!(" `pool` when a traced threads=2 run at the default threshold records");
+    println!(" a parallel/worker span; every row's amplitudes equal threads=1's)");
+}
+
+/// Whether running `qc` on `spec` hands any kernel to the worker pool:
+/// a traced run records a `parallel/worker` span exactly then.
+fn reaches_pool(spec: &str, qc: &qdt::circuit::Circuit) -> bool {
+    let sink = qdt::TelemetrySink::new();
+    let mut e = qdt::create_engine(spec).expect("spec builds");
+    qdt::run_traced(e.as_mut(), qc, &sink).expect("traced run");
+    sink.tracer()
+        .events()
+        .iter()
+        .any(|ev| ev.category == qdt::parallel::WORKER_SPAN_CATEGORY && ev.name == "worker")
 }
 
 /// Dynamic circuits: mid-circuit measurement, reset, and classical
@@ -596,14 +639,17 @@ fn stabilizer_scaling(snapshot_path: Option<&str>) {
         "GHZ-{GHZ_QUBITS} prepare+sample took {secs:.3}s (budget: 1s)"
     );
 
-    println!("\nthread-count invariance (same RNG seed, identical histograms):");
+    // `threshold=1` sends the row-block kernels to the pool: at the
+    // default threshold a 1000-qubit tableau's stay inline.
+    println!("\nthread-count invariance (same RNG seed, identical histograms, threshold=1):");
     println!(
         "{:>10} {:>12} {:>12} {:>10}",
         "threads", "all-zeros", "all-ones", "time"
     );
     for threads in [1usize, 2, 4] {
         let (t_counts, t_secs) = timed(|| {
-            let mut e = StabilizerEngine::with_threads(threads);
+            let ctx = qdt::parallel::KernelContext::with_threads(threads).with_threshold(1);
+            let mut e = StabilizerEngine::with_context(ctx);
             run(&mut e, &qc).expect("Clifford circuit runs");
             e.sample_bits(GHZ_SHOTS, &mut StdRng::seed_from_u64(GHZ_SEED))
         });

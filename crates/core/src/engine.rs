@@ -540,8 +540,9 @@ const KEY_THREADS: &str = "threads";
 const KEY_THRESHOLD: &str = "threshold";
 
 /// Builds a [`KernelContext`] from a spec's `threads=`/`threshold=`
-/// arguments, defaulting to the `QDT_THREADS` environment variable
-/// (sequential when unset) exactly like [`ArrayEngine::new`].
+/// arguments, defaulting to [`qdt_parallel::default_threads`]
+/// (`QDT_THREADS` when set, else the host's cores) and the default
+/// threshold exactly like [`ArrayEngine::new`].
 ///
 /// `other_keys` lists additional keys the engine consumes itself; any
 /// key outside that set (and outside `threads`/`threshold`) is rejected

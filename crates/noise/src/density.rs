@@ -99,10 +99,11 @@ impl DensityMetrics {
 }
 
 impl DensityMatrixEngine {
-    /// A noiseless density-matrix engine, honouring the `QDT_THREADS`
-    /// environment variable for its superoperator kernel thread count
-    /// (sequential when unset). Results are bit-identical for every
-    /// thread count.
+    /// A noiseless density-matrix engine whose superoperator kernels run
+    /// on [`qdt_parallel::default_threads`] threads: `QDT_THREADS` when
+    /// set, else the host's cores. Passes below the default threshold
+    /// (every ρ of at most 9 qubits) stay inline. Results are
+    /// bit-identical for every thread count.
     pub fn new() -> Self {
         DensityMatrixEngine {
             rho: DensityMatrix::zero_state(1),

@@ -20,7 +20,6 @@
 //! bit-identical for any worker count.
 
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
 
 use qdt_circuit::{Instruction, OpKind, PauliString};
 use qdt_complex::Complex;
@@ -28,7 +27,7 @@ use qdt_engine::{
     apply_channel, check_instruction_width, check_pauli_width, CostMetric, EngineCaps, EngineError,
     EngineFactory, SimulationEngine, TelemetrySink,
 };
-use qdt_parallel::WorkerPool;
+use qdt_parallel::{host_threads, WorkerPool};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -49,13 +48,10 @@ pub struct TrajectoryConfig {
 impl Default for TrajectoryConfig {
     /// 500 trajectories from seed `0x5EED` on `min(4, cores)` workers.
     fn default() -> Self {
-        // Read the core count once: the query costs tens of microseconds.
-        static WORKERS: OnceLock<usize> = OnceLock::new();
         TrajectoryConfig {
             trajectories: 500,
             seed: 0x5EED,
-            workers: *WORKERS
-                .get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get().min(4))),
+            workers: host_threads().min(4),
         }
     }
 }

@@ -57,12 +57,18 @@ pub const WORKER_SPAN_CATEGORY: &str = "parallel";
 pub const WORKER_BUSY_METRIC: &str = "parallel.worker.busy_us";
 
 /// Default sequential-fallback threshold, in weighted work items (see
-/// [`KernelContext::run`]): below this, chunking costs more than it buys.
+/// [`KernelContext::run`]): below this, handing a kernel to the pool
+/// costs more than the extra cores buy, so it runs inline.
 ///
-/// 2048 weighted items corresponds to the pair loop of a 12-qubit state
-/// vector (2¹¹ amplitude pairs) or the superoperator pass of a 6-qubit
-/// density matrix (2⁶ columns × 2⁶ weight).
-pub const DEFAULT_PARALLEL_THRESHOLD: usize = 1 << 11;
+/// Measured with `repro parallel` (DESIGN.md §11): forcing every kernel
+/// onto two threads of a 2-vCPU host made plain GHZ slower up to 16
+/// qubits (2¹⁵ amplitude pairs per gate), about even at 18–20 and
+/// faster at 22, and made fused QFT slower at 12 qubits (largest group
+/// 204,800 items) and faster from 14 (983,040). 2¹⁹ sits above every
+/// size that loses, so QFT-12, random-12, a 1000-qubit tableau's row
+/// blocks (32,768) and an 8-qubit density channel pass (32,768) all
+/// stay inline.
+pub const DEFAULT_PARALLEL_THRESHOLD: usize = 1 << 19;
 
 /// How many chunks each thread gets on average in a chunked run; > 1 so
 /// the atomic-counter scheduler can balance uneven progress.
@@ -73,16 +79,30 @@ const CHUNKS_PER_THREAD: usize = 4;
 /// to spawn pool threads (which aborts the process).
 pub const MAX_THREADS: usize = 256;
 
-/// The number of kernel threads requested through the `QDT_THREADS`
-/// environment variable, defaulting to 1 (sequential) when the variable
-/// is unset, unparsable, 0 or above [`MAX_THREADS`].
+/// The host's core count as `std::thread::available_parallelism`
+/// reports it (affinity and cgroup quota included), bounded by
+/// [`MAX_THREADS`]; 1 when the query fails. Read once: the query reads
+/// cgroup files and costs tens of microseconds, and every engine built
+/// from a bare spec asks for it.
+#[must_use]
+pub fn host_threads() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism().map_or(1, |n| n.get().min(MAX_THREADS))
+    })
+}
+
+/// The kernel thread count of an engine built without an explicit
+/// `threads=`: the `QDT_THREADS` environment variable when it parses to
+/// 1..=[`MAX_THREADS`], else [`host_threads`]. Kernels below
+/// [`DEFAULT_PARALLEL_THRESHOLD`] stay inline whatever this returns.
 #[must_use]
 pub fn default_threads() -> usize {
     std::env::var("QDT_THREADS")
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&n| (1..=MAX_THREADS).contains(&n))
-        .unwrap_or(1)
+        .unwrap_or_else(host_threads)
 }
 
 thread_local! {
@@ -494,8 +514,8 @@ impl KernelContext {
         }
     }
 
-    /// A context honouring the `QDT_THREADS` environment variable (see
-    /// [`default_threads`]).
+    /// A context on [`default_threads`] threads: `QDT_THREADS` when set,
+    /// else the host's cores.
     #[must_use]
     pub fn from_env() -> Self {
         KernelContext::with_threads(default_threads())
@@ -743,7 +763,7 @@ mod tests {
 
     #[test]
     fn context_below_threshold_runs_inline() {
-        let ctx = KernelContext::with_threads(4); // default threshold 2048
+        let ctx = KernelContext::with_threads(4); // default threshold
         let sum = AtomicU32::new(0);
         ctx.run(10, 1, &|range| {
             assert_eq!(range, 0..10, "small runs must stay one chunk");
@@ -817,15 +837,15 @@ mod tests {
     fn env_default_threads_parses_and_falls_back() {
         // No other test in this binary touches the variable.
         std::env::remove_var("QDT_THREADS");
-        assert_eq!(default_threads(), 1);
+        assert_eq!(default_threads(), host_threads());
         std::env::set_var("QDT_THREADS", "6");
         assert_eq!(default_threads(), 6);
         std::env::set_var("QDT_THREADS", "zero");
-        assert_eq!(default_threads(), 1);
+        assert_eq!(default_threads(), host_threads());
         std::env::set_var("QDT_THREADS", "0");
-        assert_eq!(default_threads(), 1);
+        assert_eq!(default_threads(), host_threads());
         std::env::set_var("QDT_THREADS", "1000000");
-        assert_eq!(default_threads(), 1);
+        assert_eq!(default_threads(), host_threads());
         std::env::remove_var("QDT_THREADS");
     }
 }

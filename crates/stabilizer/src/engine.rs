@@ -154,8 +154,10 @@ impl StabilizerMetrics {
 }
 
 impl StabilizerEngine {
-    /// An engine scheduled over the environment-selected worker pool
-    /// (`QDT_THREADS`).
+    /// An engine whose row-block kernels (layout transposes, collapse
+    /// row sums) run on [`qdt_parallel::default_threads`] threads:
+    /// `QDT_THREADS` when set, else the host's cores. On a tableau under
+    /// 4096 qubits they fall below the default threshold and stay inline.
     #[must_use]
     pub fn new() -> Self {
         Self::with_context(KernelContext::from_env())

@@ -190,6 +190,46 @@ fn enabled_telemetry_overhead_stays_in_budget() {
     );
 }
 
+/// `parallel/worker` spans a traced run of `qc` on `spec` records: one
+/// per thread that claimed work in a kernel that reached the pool, none
+/// for a kernel that ran inline.
+fn worker_spans(spec: &str, qc: &Circuit) -> usize {
+    let sink = TelemetrySink::new();
+    let mut engine = qdt::create_engine(spec).expect("spec builds");
+    run_traced(engine.as_mut(), qc, &sink).expect("traced run");
+    sink.tracer()
+        .events()
+        .iter()
+        .filter(|e| e.category == qdt::parallel::WORKER_SPAN_CATEGORY && e.name == "worker")
+        .count()
+}
+
+/// The default context (no `threads=` or `threshold=`) keeps 12-qubit
+/// registers inline, where two threads measure slower than one, and
+/// hands a 16-qubit fused QFT to the pool whenever it has more than one
+/// thread.
+#[test]
+fn default_threshold_keeps_small_registers_inline() {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+    let random = generators::random_circuit(12, 12, &mut rng);
+    for (name, qc) in [("qft-12", generators::qft(12, true)), ("random-12", random)] {
+        for spec in ["array", "array(fuse=5)"] {
+            assert_eq!(
+                worker_spans(spec, &qc),
+                0,
+                "{name} on {spec} reached the pool"
+            );
+        }
+    }
+    let spans = worker_spans("array(fuse=5)", &generators::qft(16, true));
+    if qdt::parallel::default_threads() > 1 {
+        assert!(spans > 0, "qft-16 on array(fuse=5) stayed inline");
+    } else {
+        assert_eq!(spans, 0, "a one-thread context recorded worker spans");
+    }
+}
+
 mod thread_count_determinism {
     use proptest::prelude::*;
     use qdt::array::ArrayEngine;
