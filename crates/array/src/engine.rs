@@ -6,8 +6,8 @@ use std::collections::BTreeMap;
 use qdt_circuit::{Instruction, OpKind, PauliString};
 use qdt_complex::{Complex, Matrix};
 use qdt_engine::{
-    check_basis, check_instruction_width, check_pauli_width, check_qubit, refuse_channel,
-    CostMetric, EngineCaps, EngineError, SimulationEngine, TelemetrySink,
+    check_basis, check_instruction_width, check_kraus, check_pauli_width, check_qubit,
+    refuse_channel, CostMetric, EngineCaps, EngineError, SimulationEngine, TelemetrySink,
 };
 use qdt_parallel::KernelContext;
 use rand::RngCore;
@@ -408,16 +408,7 @@ impl SimulationEngine for ArrayEngine {
         rng: &mut dyn RngCore,
     ) -> Result<usize, EngineError> {
         self.flush_fusion();
-        if kraus.is_empty() || qubit >= self.psi.num_qubits() {
-            return Err(EngineError::Backend {
-                engine: "array",
-                message: format!(
-                    "invalid Kraus application: {} operators on qubit {qubit} of {}",
-                    kraus.len(),
-                    self.psi.num_qubits()
-                ),
-            });
-        }
+        check_kraus("array", self.psi.num_qubits(), kraus, qubit)?;
         Ok(self.psi.apply_kraus_framed(
             kraus,
             self.frame.qubit(qubit),

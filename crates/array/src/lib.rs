@@ -18,6 +18,10 @@
 //!   paper's Example 1) — exponentially expensive, but exact and useful
 //!   for cross-validation.
 //!
+//! Equivalence checking uses neither matrix: [`miter_phase`] runs the
+//! miter `G₂⁻¹·G₁` on its `2n`-qubit Choi state through the engine and
+//! compares every entry with `λ·I`.
+//!
 //! Circuits execute through one path: [`ArrayEngine`], the array backend
 //! of the `SimulationEngine` trait. Measurement, reset and classical
 //! control run through the same engine under the shot executor
@@ -48,6 +52,7 @@ mod density;
 mod engine;
 mod frame;
 pub mod fusion;
+mod miter;
 pub mod simd;
 mod state;
 mod unitary;
@@ -55,6 +60,7 @@ mod unitary;
 pub use density::{DensityMatrix, MAX_DENSITY_QUBITS};
 pub use engine::ArrayEngine;
 pub use fusion::{plan_groups, FusedGroup, Fuser, GroupSpan, MAX_FUSE_WIDTH};
+pub use miter::{miter_phase, MITER_MAX_QUBITS};
 pub use simd::simd_active;
 pub use state::StateVector;
 pub use unitary::{circuit_unitary, instruction_unitary};

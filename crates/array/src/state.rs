@@ -7,7 +7,7 @@ use std::sync::{Mutex, PoisonError};
 use qdt_circuit::{Circuit, Instruction, OpKind};
 use qdt_complex::{Complex, Matrix};
 use qdt_parallel::{KernelContext, SharedSlice};
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 use crate::ArrayError;
 
@@ -261,12 +261,7 @@ impl StateVector {
     ///
     /// Panics if `kraus` is empty, an operator is not 2×2, or `target`
     /// is out of range.
-    pub fn apply_kraus<R: Rng + ?Sized>(
-        &mut self,
-        kraus: &[Matrix],
-        target: usize,
-        rng: &mut R,
-    ) -> usize {
+    pub fn apply_kraus(&mut self, kraus: &[Matrix], target: usize, rng: &mut dyn RngCore) -> usize {
         self.apply_kraus_framed(kraus, target, false, rng)
     }
 
@@ -274,12 +269,12 @@ impl StateVector {
     /// `flipped`: the logical `|0⟩` side of each pair is the stored `1`
     /// side, so the operators see their usual amplitudes in their usual
     /// order.
-    pub(crate) fn apply_kraus_framed<R: Rng + ?Sized>(
+    pub(crate) fn apply_kraus_framed(
         &mut self,
         kraus: &[Matrix],
         target: usize,
         flipped: bool,
-        rng: &mut R,
+        rng: &mut dyn RngCore,
     ) -> usize {
         assert!(!kraus.is_empty(), "empty Kraus operator list");
         assert!(target < self.num_qubits, "target out of range");
@@ -306,16 +301,7 @@ impl StateVector {
                     + (k.get(1, 0) * a0 + k.get(1, 1) * a1).norm_sqr();
             }
         }
-        let total: f64 = weights.iter().sum();
-        let mut r: f64 = rng.gen_range(0.0..total.max(f64::MIN_POSITIVE));
-        let mut chosen = weights.len() - 1;
-        for (i, w) in weights.iter().enumerate() {
-            if r < *w {
-                chosen = i;
-                break;
-            }
-            r -= w;
-        }
+        let chosen = qdt_engine::choose_weighted(&weights, rng);
         let k = &kraus[chosen];
         let scale = 1.0 / weights[chosen].sqrt().max(1e-300);
         for i in 0..self.amps.len() {

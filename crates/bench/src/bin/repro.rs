@@ -1305,7 +1305,7 @@ fn c6_equivalence() {
         let (pos, pos_secs) = timed(|| check(&qc, &optimized, m).expect("check runs"));
         let (neg, neg_secs) = timed(|| check(&qc, &mutant, m).expect("check runs"));
         println!(
-            "{:>22} {:>15?} {:.3}s {:>15?} {:.3}s",
+            "{:>22} {:>15?} {:.4}s {:>15?} {:.4}s",
             m.to_string(),
             pos,
             pos_secs,

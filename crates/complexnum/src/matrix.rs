@@ -281,21 +281,15 @@ impl Matrix {
     }
 
     /// Approximate equality up to a global phase: returns `true` if there
-    /// exists a unit-modulus `λ` with `self ≈ λ · other`.
+    /// exists a unit-modulus `λ` with `self ≈ λ · other`, with `λ` read
+    /// off the largest entry of `other` (both all-zero counts as equal).
     ///
     /// Quantum states and operators that differ only by a global phase are
     /// physically indistinguishable, so equivalence checking is typically
     /// performed modulo this factor.
     pub fn approx_eq_up_to_global_phase(&self, other: &Matrix, tol: f64) -> bool {
-        self.global_phase_to(other, tol).is_some()
-    }
-
-    /// The unit-modulus `λ` with `self ≈ λ · other`, read off the largest
-    /// entry of `other`, or `None` if there is none (`1` when both are
-    /// zero).
-    pub fn global_phase_to(&self, other: &Matrix, tol: f64) -> Option<Complex> {
         if self.rows != other.rows || self.cols != other.cols {
-            return None;
+            return false;
         }
         // Find the largest entry of `other` to estimate the phase robustly.
         let mut best = 0usize;
@@ -308,20 +302,15 @@ impl Matrix {
             }
         }
         if best_mag == 0.0 {
-            return self
-                .data
-                .iter()
-                .all(|a| a.is_zero(tol))
-                .then_some(Complex::ONE);
+            return self.data.iter().all(|a| a.is_zero(tol));
         }
         let lambda = self.data[best] / other.data[best];
-        ((lambda.abs() - 1.0).abs() <= 1e-6
+        (lambda.abs() - 1.0).abs() <= 1e-6
             && self
                 .data
                 .iter()
                 .zip(&other.data)
-                .all(|(&a, &b)| a.approx_eq(lambda * b, tol)))
-        .then_some(lambda)
+                .all(|(&a, &b)| a.approx_eq(lambda * b, tol))
     }
 }
 

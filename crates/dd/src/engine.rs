@@ -6,10 +6,11 @@ use std::collections::BTreeMap;
 use qdt_circuit::{Instruction, PauliString};
 use qdt_complex::{Complex, Matrix};
 use qdt_engine::{
-    check_basis, check_instruction_width, check_pauli_width, check_qubit, refuse_channel,
-    CostMetric, EngineCaps, EngineError, SimulationEngine, TelemetrySink,
+    check_basis, check_instruction_width, check_kraus, check_pauli_width, check_qubit,
+    choose_weighted, refuse_channel, CostMetric, EngineCaps, EngineError, SimulationEngine,
+    TelemetrySink,
 };
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 use crate::{DdError, DdPackage, DdStats, VectorDd};
 
@@ -204,44 +205,6 @@ impl Default for DdEngine {
     }
 }
 
-/// Samples one operator of a non-empty single-qubit Kraus channel
-/// according to the Born probabilities `‖K_i|ψ⟩‖²`, applies it to `v`,
-/// and renormalises. Returns the index of the chosen operator.
-fn apply_stochastic_kraus(
-    dd: &mut DdPackage,
-    v: &mut VectorDd,
-    kraus: &[Matrix],
-    qubit: usize,
-    rng: &mut dyn RngCore,
-) -> usize {
-    // Born probabilities per operator: p_i = ‖K_i ψ‖².
-    let mut candidates = Vec::with_capacity(kraus.len());
-    let mut total = 0.0;
-    for k in kraus {
-        let applied = dd.apply_gate(v, k, qubit, &[]);
-        let p = dd.norm_sqr(&applied);
-        total += p;
-        candidates.push((applied, p));
-    }
-    debug_assert!(
-        (total - dd.norm_sqr(v)).abs() < 1e-9,
-        "channel not trace preserving"
-    );
-    let mut r: f64 = rng.gen_range(0.0..total.max(f64::MIN_POSITIVE));
-    let mut chosen = candidates.len() - 1;
-    for (i, (_, p)) in candidates.iter().enumerate() {
-        if r < *p {
-            chosen = i;
-            break;
-        }
-        r -= p;
-    }
-    let (mut state, _) = candidates.swap_remove(chosen);
-    dd.normalize(&mut state);
-    *v = state;
-    chosen
-}
-
 fn map_err(e: DdError) -> EngineError {
     match e {
         DdError::NonUnitary { op } => EngineError::NonUnitary { op },
@@ -359,17 +322,22 @@ impl SimulationEngine for DdEngine {
         qubit: usize,
         rng: &mut dyn RngCore,
     ) -> Result<usize, EngineError> {
-        if kraus.is_empty() || qubit >= self.v.num_qubits() {
-            return Err(EngineError::Backend {
-                engine: "decision-diagram",
-                message: format!(
-                    "invalid Kraus application: {} operators on qubit {qubit} of {}",
-                    kraus.len(),
-                    self.v.num_qubits()
-                ),
-            });
+        check_kraus("decision-diagram", self.v.num_qubits(), kraus, qubit)?;
+        // Born probabilities per operator: p_i = ‖K_i ψ‖².
+        let mut candidates = Vec::with_capacity(kraus.len());
+        let mut weights = Vec::with_capacity(kraus.len());
+        for k in kraus {
+            let applied = self.dd.apply_gate(&self.v, k, qubit, &[]);
+            weights.push(self.dd.norm_sqr(&applied));
+            candidates.push(applied);
         }
-        let chosen = apply_stochastic_kraus(&mut self.dd, &mut self.v, kraus, qubit, rng);
+        debug_assert!(
+            (weights.iter().sum::<f64>() - self.dd.norm_sqr(&self.v)).abs() < 1e-9,
+            "channel not trace preserving"
+        );
+        let chosen = choose_weighted(&weights, rng);
+        self.v = candidates.swap_remove(chosen);
+        self.dd.normalize(&mut self.v);
         // Long trajectory batches reuse one engine arena; keep it bounded.
         if self.dd.vector_arena_size() > 1 << 20 {
             self.dd.clear_caches();

@@ -672,6 +672,30 @@ pub fn check_qubit(engine_qubits: usize, qubit: usize) -> Result<(), EngineError
     }))
 }
 
+/// Validates a Kraus application (the guard of every `apply_kraus`): at
+/// least one operator, on a qubit of a register of `engine_qubits`.
+///
+/// # Errors
+///
+/// [`EngineError::Backend`] naming `engine` otherwise.
+pub fn check_kraus(
+    engine: &'static str,
+    engine_qubits: usize,
+    kraus: &[Matrix],
+    qubit: usize,
+) -> Result<(), EngineError> {
+    if !kraus.is_empty() && qubit < engine_qubits {
+        return Ok(());
+    }
+    Err(EngineError::Backend {
+        engine,
+        message: format!(
+            "invalid Kraus application: {} operators on qubit {qubit} of {engine_qubits}",
+            kraus.len()
+        ),
+    })
+}
+
 /// `⟨ψ|P|ψ⟩` evaluated on a dense amplitude vector (the derivation the
 /// trait's default `expectation` uses).
 pub fn dense_expectation(amps: &[Complex], pauli: &PauliString) -> f64 {
@@ -884,8 +908,8 @@ pub fn run_traced(
 /// examples. Real engines live with their data structures.
 pub mod test_engine {
     use super::{
-        check_instruction_width, check_pauli_width, check_qubit, choose_weighted, CostMetric,
-        EngineCaps, EngineError, SimulationEngine,
+        check_instruction_width, check_kraus, check_pauli_width, check_qubit, choose_weighted,
+        CostMetric, EngineCaps, EngineError, SimulationEngine,
     };
     use qdt_circuit::{Instruction, OpKind, PauliString};
     use qdt_complex::{Complex, Matrix};
@@ -1032,12 +1056,7 @@ pub mod test_engine {
             qubit: usize,
             rng: &mut dyn RngCore,
         ) -> Result<usize, EngineError> {
-            if kraus.is_empty() || qubit >= self.num_qubits {
-                return Err(EngineError::Backend {
-                    engine: "reference",
-                    message: format!("invalid Kraus application on qubit {qubit}"),
-                });
-            }
+            check_kraus("reference", self.num_qubits, kraus, qubit)?;
             // Candidate states and their Born weights, the naive way.
             let bit = 1usize << qubit;
             let candidates: Vec<Vec<Complex>> = kraus

@@ -29,8 +29,9 @@ use qdt_circuit::{Gate, Instruction, OpKind, Pauli, PauliString};
 use qdt_complex::{Complex, Matrix};
 use qdt_engine::telemetry::{MemoryGauge, MetricId};
 use qdt_engine::{
-    check_basis, check_instruction_width, check_pauli_width, check_qubit, choose_weighted,
-    refuse_channel, CostMetric, EngineCaps, EngineError, SimulationEngine, TelemetrySink,
+    check_basis, check_instruction_width, check_kraus, check_pauli_width, check_qubit,
+    choose_weighted, refuse_channel, CostMetric, EngineCaps, EngineError, SimulationEngine,
+    TelemetrySink,
 };
 use qdt_parallel::KernelContext;
 use rand::RngCore;
@@ -482,16 +483,7 @@ impl SimulationEngine for StabilizerEngine {
         qubit: usize,
         rng: &mut dyn RngCore,
     ) -> Result<usize, EngineError> {
-        let n = self.t.num_qubits();
-        if kraus.is_empty() || qubit >= n {
-            return Err(EngineError::Backend {
-                engine: "stabilizer",
-                message: format!(
-                    "invalid Kraus application: {} operators on qubit {qubit} of {n}",
-                    kraus.len()
-                ),
-            });
-        }
+        check_kraus("stabilizer", self.t.num_qubits(), kraus, qubit)?;
         // Every operator must be a scaled Pauli for the tableau to
         // track the post-channel state exactly.
         let mut paulis = Vec::with_capacity(kraus.len());
@@ -874,8 +866,10 @@ mod tests {
     #[test]
     fn sampling_is_bit_identical_across_thread_counts() {
         let qc = generators::random_clifford_seeded(40, 120, 17);
+        // threshold=1: the 128-item row blocks reach the pool.
         let histogram = |threads: usize| {
-            let mut e = StabilizerEngine::with_threads(threads);
+            let ctx = KernelContext::with_threads(threads).with_threshold(1);
+            let mut e = StabilizerEngine::with_context(ctx);
             run(&mut e, &qc).unwrap();
             let mut rng = StdRng::seed_from_u64(23);
             e.sample(256, &mut rng).unwrap()

@@ -5,8 +5,8 @@ use qdt_circuit::{Circuit, Instruction, OpKind, PauliString};
 use qdt_complex::{Complex, Matrix};
 use qdt_engine::telemetry::{MemoryGauge, MetricId};
 use qdt_engine::{
-    check_basis, check_instruction_width, check_pauli_width, check_qubit, refuse_channel,
-    CostMetric, EngineCaps, EngineError, SimulationEngine, TelemetrySink,
+    check_basis, check_instruction_width, check_kraus, check_pauli_width, check_qubit,
+    refuse_channel, CostMetric, EngineCaps, EngineError, SimulationEngine, TelemetrySink,
 };
 use rand::RngCore;
 
@@ -401,16 +401,7 @@ impl SimulationEngine for MpsEngine {
         qubit: usize,
         rng: &mut dyn RngCore,
     ) -> Result<usize, EngineError> {
-        if kraus.is_empty() || qubit >= self.mps.num_qubits() {
-            return Err(EngineError::Backend {
-                engine: "mps",
-                message: format!(
-                    "invalid Kraus application: {} operators on qubit {qubit} of {}",
-                    kraus.len(),
-                    self.mps.num_qubits()
-                ),
-            });
-        }
+        check_kraus("mps", self.mps.num_qubits(), kraus, qubit)?;
         Ok(self.mps.apply_kraus(kraus, qubit, rng))
     }
 

@@ -10,7 +10,7 @@
 
 use qdt_circuit::{Circuit, Instruction, OpKind};
 use qdt_complex::{svd, Complex, Matrix};
-use rand::Rng;
+use rand::RngCore;
 
 use crate::network::local_unitary;
 use crate::TensorError;
@@ -194,12 +194,7 @@ impl Mps {
     ///
     /// Panics if `kraus` is empty, the site is out of range, or an
     /// operator is not 2×2.
-    pub fn apply_kraus<R: Rng + ?Sized>(
-        &mut self,
-        kraus: &[Matrix],
-        site: usize,
-        rng: &mut R,
-    ) -> usize {
+    pub fn apply_kraus(&mut self, kraus: &[Matrix], site: usize, rng: &mut dyn RngCore) -> usize {
         assert!(!kraus.is_empty(), "empty Kraus operator list");
         assert!(site < self.sites.len(), "site out of range");
         let mut weights = Vec::with_capacity(kraus.len());
@@ -210,16 +205,7 @@ impl Mps {
             weights.push(cand.norm_sqr());
             branches.push(cand);
         }
-        let total: f64 = weights.iter().sum();
-        let mut r: f64 = rng.gen_range(0.0..total.max(f64::MIN_POSITIVE));
-        let mut chosen = weights.len() - 1;
-        for (i, w) in weights.iter().enumerate() {
-            if r < *w {
-                chosen = i;
-                break;
-            }
-            r -= w;
-        }
+        let chosen = qdt_engine::choose_weighted(&weights, rng);
         *self = branches.swap_remove(chosen);
         let scale = 1.0 / weights[chosen].sqrt().max(1e-300);
         for a in &mut self.sites[site].data {

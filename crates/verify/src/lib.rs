@@ -8,7 +8,7 @@
 //!
 //! | Method | Data structure | Scale | Verdict |
 //! |---|---|---|---|
-//! | [`Method::Array`] | dense unitaries (Sec. II) | ≤ ~10 qubits | exact |
+//! | [`Method::Array`] | Choi state of `G₂⁻¹·G₁` on the array engine (Sec. II) | ≤ [`MITER_MAX_QUBITS`] (10) | exact |
 //! | [`Method::DecisionDiagram`] | QMDD miter `G₂†·G₁` (Sec. III) | structured circuits, large | exact |
 //! | [`Method::Zx`] | graph-like rewriting (Sec. V) | Clifford-dominated, large | exact or inconclusive |
 //! | [`Method::RandomStimuli`] | engine simulation of both circuits | any | probabilistic |
@@ -44,7 +44,7 @@ mod swaps;
 
 use std::fmt;
 
-use qdt_array::circuit_unitary;
+use qdt_array::{miter_phase, MITER_MAX_QUBITS};
 use qdt_circuit::{Circuit, Instruction};
 use qdt_compile::coupling::CouplingMap;
 use qdt_compile::decompose::lowered_len;
@@ -60,7 +60,9 @@ use rand::{Rng, SeedableRng};
 /// The equivalence-checking backend to use.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Method {
-    /// Build both full unitaries and compare (exponential; ≤ 10 qubits).
+    /// Run the miter `G₂⁻¹·G₁` on its 2n-qubit Choi state and compare
+    /// every entry with `λ·I` ([`qdt_array::miter_phase`]; at most
+    /// [`MITER_MAX_QUBITS`] qubits).
     Array,
     /// Decision-diagram miter with gate-cost alternation: each gate is
     /// weighed by the number of instructions it lowers to on the IBM
@@ -201,24 +203,19 @@ pub fn check_traced(
     comparable(g1, g2)?;
     match method {
         Method::Array => {
-            if g1.num_qubits() > 10 {
+            if g1.num_qubits() > MITER_MAX_QUBITS {
                 return Err(VerifyError::TooLargeForMethod {
                     method: "array".into(),
                     num_qubits: g1.num_qubits(),
                 });
             }
-            let build = tracer.span_in("verify", "build-unitaries");
-            let u1 = circuit_unitary(g1).map_err(|_| VerifyError::NonUnitary)?;
-            let u2 = circuit_unitary(g2).map_err(|_| VerifyError::NonUnitary)?;
-            drop(build);
             let _compare = tracer.span_in("verify", "compare-unitaries");
-            if u1.approx_eq(&u2, 1e-9) {
-                Ok(Equivalence::Equivalent)
-            } else if let Some(lambda) = u1.global_phase_to(&u2, 1e-9) {
-                Ok(Equivalence::EquivalentUpToGlobalPhase(lambda))
-            } else {
-                Ok(Equivalence::NotEquivalent)
-            }
+            let lambda = miter_phase(g1, g2).map_err(|_| VerifyError::NonUnitary)?;
+            Ok(match lambda {
+                Some(l) if l.approx_eq(Complex::ONE, 1e-9) => Equivalence::Equivalent,
+                Some(l) => Equivalence::EquivalentUpToGlobalPhase(l),
+                None => Equivalence::NotEquivalent,
+            })
         }
         Method::DecisionDiagram => {
             let _miter = tracer.span_in("verify", "fold-miter");
@@ -456,14 +453,15 @@ fn check_routing(original: &Circuit, routed: &RoutedCircuit, n: usize) -> Result
 }
 
 /// Runs every exact method that applies and reports the verdicts
-/// (used by the cross-method agreement experiment C6).
+/// (used by the cross-method agreement experiment C6): the array method
+/// up to [`MITER_MAX_QUBITS`] qubits, the others at any width.
 pub fn check_all(g1: &Circuit, g2: &Circuit) -> Vec<(Method, Result<Equivalence, VerifyError>)> {
     let mut methods = vec![
         Method::DecisionDiagram,
         Method::Zx,
         Method::RandomStimuli { samples: 8 },
     ];
-    if g1.num_qubits() <= 8 {
+    if g1.num_qubits() <= MITER_MAX_QUBITS {
         methods.insert(0, Method::Array);
     }
     methods.into_iter().map(|m| (m, check(g1, g2, m))).collect()
@@ -602,6 +600,28 @@ mod tests {
             check(&a, &b, Method::Array),
             Err(VerifyError::TooLargeForMethod { .. })
         ));
+    }
+
+    #[test]
+    fn array_method_decides_a_seeded_pair_near_the_width_cap() {
+        // 9 qubits, not 10: a debug build runs the 18-qubit Choi state
+        // in about a quarter of the time.
+        let g = generators::random_circuit(9, 10, &mut StdRng::seed_from_u64(1));
+        let mut mutant = Circuit::new(9);
+        for (i, inst) in g.iter().enumerate() {
+            if i == 75 {
+                mutant.x(1);
+            }
+            mutant.push(inst.clone()).unwrap();
+        }
+        assert_eq!(
+            check(&g, &g, Method::Array).unwrap(),
+            Equivalence::Equivalent
+        );
+        assert_eq!(
+            check(&g, &mutant, Method::Array).unwrap(),
+            Equivalence::NotEquivalent
+        );
     }
 
     #[test]
@@ -794,15 +814,21 @@ mod tests {
 
     #[test]
     fn check_all_agreement() {
-        let qc = generators::ghz(4);
-        let results = check_all(&qc, &qc);
-        assert!(results.len() >= 3);
-        for (m, r) in results {
-            let verdict = r.unwrap();
-            assert!(
-                verdict.is_equivalent() || verdict == Equivalence::Inconclusive,
-                "{m}: {verdict:?}"
-            );
+        for qc in [generators::ghz(4), generators::qft(9, true)] {
+            let results = check_all(&qc, &qc);
+            assert!(results.len() >= 3);
+            for (m, r) in results {
+                let verdict = r.unwrap();
+                assert!(
+                    verdict.is_equivalent() || verdict == Equivalence::Inconclusive,
+                    "{m}: {verdict:?}"
+                );
+            }
         }
+        // Every width the dense miter admits includes the array method.
+        let wide = generators::ghz(MITER_MAX_QUBITS);
+        let results = check_all(&wide, &wide);
+        assert_eq!(results[0].0, Method::Array);
+        assert_eq!(results[0].1, Ok(Equivalence::Equivalent));
     }
 }

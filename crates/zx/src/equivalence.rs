@@ -4,12 +4,14 @@
 //! diagram of `G₁ ; G₂†` and simplify. If the result is a bundle of bare
 //! wires matching input `i` to output `i`, the circuits are equivalent
 //! (up to the global phase read off the remaining scalar). Because the
-//! interior simplifier is not complete for arbitrary circuits, a small
-//! residual diagram is decided exactly through the brute-force evaluator,
-//! and only genuinely-too-large residuals are reported as inconclusive.
+//! interior simplifier is not complete for arbitrary circuits, a residual
+//! diagram of at most [`MITER_MAX_QUBITS`] qubits is decided exactly by
+//! the array engine's dense miter ([`qdt_array::miter_phase`]); only a
+//! wider residual is reported as inconclusive.
 
+use qdt_array::{miter_phase, MITER_MAX_QUBITS};
 use qdt_circuit::Circuit;
-use qdt_complex::{Complex, Matrix};
+use qdt_complex::Complex;
 
 use crate::diagram::{Diagram, EdgeType, VertexKind};
 use crate::simplify;
@@ -24,7 +26,8 @@ pub enum ZxEquivalence {
     EquivalentUpToGlobalPhase(Complex),
     /// The circuits implement different unitaries.
     NotEquivalent,
-    /// The simplified miter stayed too large to decide by brute force.
+    /// The simplified miter kept spiders and the circuits are wider
+    /// than [`MITER_MAX_QUBITS`].
     Inconclusive,
 }
 
@@ -37,10 +40,6 @@ impl ZxEquivalence {
         )
     }
 }
-
-/// Largest residual spider count decided by evaluating the leftover
-/// diagram (tensor-network contraction — cheap for small residuals).
-const BRUTE_FORCE_SPIDERS: usize = 40;
 
 /// Checks two circuits for equivalence with the ZX-calculus.
 ///
@@ -64,23 +63,16 @@ pub fn check_equivalence(g1: &Circuit, g2: &Circuit) -> Result<ZxEquivalence, Zx
     if let Some(result) = decide_wire_identity(&miter) {
         return Ok(result);
     }
-    // Residual spiders remain: decide exactly if small enough.
-    if miter.num_spiders() <= BRUTE_FORCE_SPIDERS
-        && miter.inputs().len() + miter.outputs().len() <= 20
-    {
-        let m = miter.to_matrix();
-        let n = miter.inputs().len();
-        let id = Matrix::identity(1 << n);
-        if m.approx_eq(&id, 1e-8) {
-            return Ok(ZxEquivalence::Equivalent);
-        }
-        if m.approx_eq_up_to_global_phase(&id, 1e-8) {
-            let lambda = m.get(0, 0);
-            return Ok(ZxEquivalence::EquivalentUpToGlobalPhase(lambda));
-        }
-        return Ok(ZxEquivalence::NotEquivalent);
+    if g1.num_qubits() > MITER_MAX_QUBITS {
+        return Ok(ZxEquivalence::Inconclusive);
     }
-    Ok(ZxEquivalence::Inconclusive)
+    // Residual spiders remain: decide on the dense miter.
+    let lambda = miter_phase(g1, g2).map_err(|e| ZxError::Unsupported { op: e.to_string() })?;
+    Ok(match lambda {
+        Some(l) if l.approx_eq(Complex::ONE, 1e-9) => ZxEquivalence::Equivalent,
+        Some(l) => ZxEquivalence::EquivalentUpToGlobalPhase(l),
+        None => ZxEquivalence::NotEquivalent,
+    })
 }
 
 /// If the diagram is spider-free, decides identity-ness structurally.
@@ -210,6 +202,22 @@ mod tests {
         a.cx(0, 1);
         let mut b = Circuit::new(2);
         b.cx(1, 0);
+        let r = check_equivalence(&a, &b).unwrap();
+        assert_eq!(r, ZxEquivalence::NotEquivalent);
+    }
+
+    #[test]
+    fn residual_beyond_forty_spiders_is_decided_on_the_dense_miter() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let a = generators::random_circuit(6, 6, &mut rng);
+        let mut b = a.clone();
+        b.t(1);
+        let mut miter = Diagram::from_circuit(&a).unwrap();
+        miter
+            .compose(&Diagram::from_circuit(&b).unwrap().adjoint())
+            .unwrap();
+        simplify::full_reduce(&mut miter);
+        assert!(miter.num_spiders() > 40, "{} spiders", miter.num_spiders());
         let r = check_equivalence(&a, &b).unwrap();
         assert_eq!(r, ZxEquivalence::NotEquivalent);
     }
