@@ -60,7 +60,7 @@ mod unitary;
 pub use density::{DensityMatrix, MAX_DENSITY_QUBITS};
 pub use engine::ArrayEngine;
 pub use fusion::{plan_groups, FusedGroup, Fuser, GroupSpan, MAX_FUSE_WIDTH};
-pub use miter::{miter_phase, MITER_MAX_QUBITS};
+pub use miter::{miter_phase, MiterPhase, MITER_MAX_QUBITS};
 pub use simd::simd_active;
 pub use state::StateVector;
 pub use unitary::{circuit_unitary, instruction_unitary};

@@ -14,61 +14,88 @@ use crate::{ArrayEngine, ArrayError};
 /// the suite is bounded by this one constant.
 pub const MITER_MAX_QUBITS: usize = 10;
 
-/// Decides whether `M = G₂⁻¹·G₁ ≈ λ·I`, and returns that `λ`.
+/// What [`miter_phase`] found `M = G₂⁻¹·G₁` to be.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum MiterPhase {
+    /// `M ≈ I`: the circuits are equivalent.
+    Identity,
+    /// `M ≈ λ·I`, `λ` more than 1e-9 from 1: a global phase apart.
+    Global(Complex),
+    /// `M` is no multiple of the identity: the circuits differ.
+    NotIdentity,
+}
+
+/// Decides whether `M = G₂⁻¹·G₁ ≈ λ·I`, and for which `λ`.
 ///
 /// n Bell pairs on 2n qubits (`H` on q, `CX q → q+n`) hold
 /// `vec(I)/2^{n/2}`; `G₁` and then `G₂⁻¹`, moved onto the row qubits
 /// `n..2n`, turn it into `vec(M)/2^{n/2}`, with `M[r][c]` at amplitude
 /// `(r << n) | c` (the layout [`DensityMatrix`](crate::DensityMatrix)
 /// gives ρ). This runs through [`qdt_engine::run`] on a fused
-/// [`ArrayEngine`]. With `λ = M[0][0]`, the answer is `Some(λ)` when
-/// `|λ|` is within 1e-6 of 1 and every entry is within 1e-9 of
-/// `λ·δ_rc`, else `None`. Every entry is tested: the Bell-pair overlap
-/// alone is `|tr M|/2^n`, a weaker test. A circuit narrower than the
-/// other acts as the identity on the extra qubits.
+/// [`ArrayEngine`]. With `λ = M[0][0]`, `M ≈ λ·I` when `|λ|` is within
+/// 1e-6 of 1 and every entry is within 1e-9 of `λ·δ_rc`; it is
+/// [`MiterPhase::Identity`] when `λ` is also within 1e-9 of 1. Every
+/// entry is tested: the Bell-pair overlap alone is `|tr M|/2^n`, a
+/// weaker test. A circuit narrower than the other acts as the identity
+/// on the extra qubits, and classical bits that no instruction uses are
+/// ignored.
 ///
 /// # Errors
 ///
 /// [`ArrayError::TooManyQubits`] beyond [`MITER_MAX_QUBITS`];
 /// [`ArrayError::NonUnitary`] for a measurement, reset, channel or
 /// classically conditioned instruction.
-pub fn miter_phase(g1: &Circuit, g2: &Circuit) -> Result<Option<Complex>, ArrayError> {
+pub fn miter_phase(g1: &Circuit, g2: &Circuit) -> Result<MiterPhase, ArrayError> {
     let n = g1.num_qubits().max(g2.num_qubits());
     if n > MITER_MAX_QUBITS {
         return Err(ArrayError::TooManyQubits { num_qubits: n });
     }
-    let non_unitary = |e: &dyn std::fmt::Display| ArrayError::NonUnitary { op: e.to_string() };
-    if let Some(inst) =
-        (g1.iter().chain(g2)).find(|i| !i.is_unitary() && !matches!(i.kind, OpKind::Barrier(_)))
-    {
-        return Err(non_unitary(&inst.name()));
-    }
-    let inverse = g2.inverse().map_err(|e| non_unitary(&e))?;
-    let mut choi = Circuit::new((2 * n).max(1));
-    for q in 0..n {
-        choi.h(q).cx(q, q + n);
-    }
-    let rows: Vec<usize> = (n..2 * n).collect();
-    for g in [g1, &inverse] {
-        choi.append(&g.remap(&rows[..g.num_qubits()], choi.num_qubits()));
-    }
     let mut engine = ArrayEngine::new().with_fusion(MAX_FUSE_WIDTH);
-    qdt_engine::run(&mut engine, &choi).map_err(|e| non_unitary(&e))?;
+    qdt_engine::run(&mut engine, &choi_circuit(g1, g2, n)?).map_err(non_unitary)?;
     let amps = engine.state().amplitudes();
     let scale = f64::from(1u32 << n).sqrt();
     let lambda = amps[0].scale(scale);
     // M[r][c] sits at r·2^n + c: the diagonal is every (2^n + 1)-th entry.
     let stride = (1usize << n) + 1;
-    let identity = (lambda.abs() - 1.0).abs() <= 1e-6
-        && amps.iter().enumerate().all(|(i, a)| {
-            let expected = if i % stride == 0 {
-                lambda
-            } else {
-                Complex::ZERO
-            };
-            a.scale(scale).approx_eq(expected, 1e-9)
-        });
-    Ok(identity.then_some(lambda))
+    let entry_ok = |(i, a): (usize, &Complex)| {
+        let on_diagonal = i % stride == 0;
+        let expected = if on_diagonal { lambda } else { Complex::ZERO };
+        a.scale(scale).approx_eq(expected, 1e-9)
+    };
+    let scalar = (lambda.abs() - 1.0).abs() <= 1e-6 && amps.iter().enumerate().all(entry_ok);
+    Ok(if !scalar {
+        MiterPhase::NotIdentity
+    } else if lambda.approx_eq(Complex::ONE, 1e-9) {
+        MiterPhase::Identity
+    } else {
+        MiterPhase::Global(lambda)
+    })
+}
+
+/// The `2n`-qubit circuit whose output is `vec(G₂⁻¹·G₁)/2^{n/2}`: the
+/// Bell pairs, then `G₁` and `G₂⁻¹` shifted onto the row qubits `n..2n`.
+/// It has no classical bits: every instruction of a unitary circuit is
+/// unconditioned, so none reads one.
+fn choi_circuit(g1: &Circuit, g2: &Circuit, n: usize) -> Result<Circuit, ArrayError> {
+    if let Some(inst) =
+        (g1.iter().chain(g2)).find(|i| !i.is_unitary() && !matches!(i.kind, OpKind::Barrier(_)))
+    {
+        return Err(non_unitary(inst.name()));
+    }
+    let inverse = g2.inverse().map_err(non_unitary)?;
+    let mut choi = Circuit::new((2 * n).max(1));
+    for q in 0..n {
+        choi.h(q).cx(q, q + n);
+    }
+    for inst in g1.iter().chain(&inverse) {
+        // Already validated on at most n qubits, so valid shifted by n.
+        choi.push_unchecked(inst.remapped(|q| q + n));
+    }
+    Ok(choi)
+}
+
+fn non_unitary(op: impl std::fmt::Display) -> ArrayError {
+    ArrayError::NonUnitary { op: op.to_string() }
 }
 
 #[cfg(test)]
@@ -89,14 +116,8 @@ mod tests {
         let m = circuit_unitary(&g2.inverse().unwrap())
             .unwrap()
             .mul(&circuit_unitary(&g1).unwrap());
-        let mut choi = Circuit::new(6);
-        for q in 0..3 {
-            choi.h(q).cx(q, q + 3);
-        }
-        choi.append(&g1.remap(&[3, 4, 5], 6));
-        choi.append(&g2.inverse().unwrap().remap(&[3, 4, 5], 6));
         let mut engine = ArrayEngine::new().with_fusion(MAX_FUSE_WIDTH);
-        qdt_engine::run(&mut engine, &choi).unwrap();
+        qdt_engine::run(&mut engine, &choi_circuit(&g1, &g2, 3).unwrap()).unwrap();
         let amps = engine.state().amplitudes();
         for r in 0..8 {
             for c in 0..8 {
@@ -106,28 +127,31 @@ mod tests {
         }
     }
 
-    /// `λ` of an equivalent pair, within rounding of 1.
-    fn is_one(lambda: Option<Complex>) -> bool {
-        lambda.is_some_and(|l| l.approx_eq(Complex::ONE, 1e-12))
-    }
-
     #[test]
     fn reads_the_global_phase_off_the_first_entry() {
         let (mut a, mut b) = (Circuit::new(1), Circuit::new(1));
         a.rz(0.8, 0);
         b.p(0.8, 0);
-        let lambda = miter_phase(&a, &b).unwrap().expect("equal up to a phase");
-        assert!(lambda.approx_eq(Complex::cis(-0.4), 1e-12), "{lambda}");
+        match miter_phase(&a, &b).unwrap() {
+            MiterPhase::Global(lambda) => {
+                assert!(lambda.approx_eq(Complex::cis(-0.4), 1e-12), "{lambda}");
+            }
+            other => panic!("expected a global phase, got {other:?}"),
+        }
     }
 
     #[test]
     fn accepts_a_self_pair_and_refutes_its_mutants() {
         let qft = generators::qft(4, true);
-        assert!(is_one(miter_phase(&qft, &qft).unwrap()));
+        assert_eq!(miter_phase(&qft, &qft).unwrap(), MiterPhase::Identity);
         for mutation in [qdt_circuit::Gate::T, qdt_circuit::Gate::X] {
             let mut mutant = qft.clone();
             mutant.gate(mutation, 2, &[]);
-            assert_eq!(miter_phase(&qft, &mutant).unwrap(), None, "{mutation:?}");
+            assert_eq!(
+                miter_phase(&qft, &mutant).unwrap(),
+                MiterPhase::NotIdentity,
+                "{mutation:?}"
+            );
         }
     }
 
@@ -138,7 +162,7 @@ mod tests {
         let a = Circuit::new(6);
         let mut b = Circuit::new(6);
         b.gate(qdt_circuit::Gate::Phase(1e-3), 5, &[0, 1, 2, 3, 4]);
-        assert_eq!(miter_phase(&a, &b).unwrap(), None);
+        assert_eq!(miter_phase(&a, &b).unwrap(), MiterPhase::NotIdentity);
     }
 
     #[test]
@@ -147,10 +171,29 @@ mod tests {
         a.h(0);
         let mut b = Circuit::new(2);
         b.h(0).z(1).z(1);
-        assert!(is_one(miter_phase(&a, &b).unwrap()));
-        assert!(is_one(
-            miter_phase(&Circuit::new(0), &Circuit::new(0)).unwrap()
-        ));
+        assert_eq!(miter_phase(&a, &b).unwrap(), MiterPhase::Identity);
+        assert_eq!(
+            miter_phase(&Circuit::new(0), &Circuit::new(0)).unwrap(),
+            MiterPhase::Identity
+        );
+    }
+
+    #[test]
+    fn unused_classical_bits_are_ignored() {
+        // A QASM `creg` without a measurement, and a measured circuit
+        // after `unitary_part`, both keep their classical bits.
+        let mut bell = Circuit::with_clbits(2, 2);
+        bell.h(0).cx(0, 1);
+        let mut measured = Circuit::with_clbits(2, 3);
+        measured.h(0).cx(0, 1).measure(0, 2);
+        let measured = measured.unitary_part();
+        assert_eq!(miter_phase(&bell, &measured).unwrap(), MiterPhase::Identity);
+        let mut flipped = Circuit::new(2);
+        flipped.h(0).cx(1, 0);
+        assert_eq!(
+            miter_phase(&flipped, &bell).unwrap(),
+            MiterPhase::NotIdentity
+        );
     }
 
     #[test]

@@ -44,7 +44,7 @@ mod swaps;
 
 use std::fmt;
 
-use qdt_array::{miter_phase, MITER_MAX_QUBITS};
+use qdt_array::{miter_phase, ArrayError, MiterPhase, MITER_MAX_QUBITS};
 use qdt_circuit::{Circuit, Instruction};
 use qdt_compile::coupling::CouplingMap;
 use qdt_compile::decompose::lowered_len;
@@ -203,19 +203,19 @@ pub fn check_traced(
     comparable(g1, g2)?;
     match method {
         Method::Array => {
-            if g1.num_qubits() > MITER_MAX_QUBITS {
-                return Err(VerifyError::TooLargeForMethod {
-                    method: "array".into(),
-                    num_qubits: g1.num_qubits(),
-                });
-            }
             let _compare = tracer.span_in("verify", "compare-unitaries");
-            let lambda = miter_phase(g1, g2).map_err(|_| VerifyError::NonUnitary)?;
-            Ok(match lambda {
-                Some(l) if l.approx_eq(Complex::ONE, 1e-9) => Equivalence::Equivalent,
-                Some(l) => Equivalence::EquivalentUpToGlobalPhase(l),
-                None => Equivalence::NotEquivalent,
-            })
+            match miter_phase(g1, g2) {
+                Ok(MiterPhase::Identity) => Ok(Equivalence::Equivalent),
+                Ok(MiterPhase::Global(l)) => Ok(Equivalence::EquivalentUpToGlobalPhase(l)),
+                Ok(MiterPhase::NotIdentity) => Ok(Equivalence::NotEquivalent),
+                Err(ArrayError::TooManyQubits { num_qubits }) => {
+                    Err(VerifyError::TooLargeForMethod {
+                        method: "array".into(),
+                        num_qubits,
+                    })
+                }
+                Err(_) => Err(VerifyError::NonUnitary),
+            }
         }
         Method::DecisionDiagram => {
             let _miter = tracer.span_in("verify", "fold-miter");
@@ -622,6 +622,26 @@ mod tests {
             check(&g, &mutant, Method::Array).unwrap(),
             Equivalence::NotEquivalent
         );
+    }
+
+    #[test]
+    fn unused_classical_bits_do_not_block_a_verdict() {
+        // A QASM `creg` without a measurement, and a measured circuit
+        // after `unitary_part`, keep their classical bits. Seed 3 leaves
+        // the ZX miter a residual, so both methods reach the dense miter.
+        let mut a = Circuit::with_clbits(6, 6);
+        a.append(&generators::random_circuit(
+            6,
+            6,
+            &mut StdRng::seed_from_u64(3),
+        ));
+        let mut b = a.clone();
+        b.t(1).measure(0, 0);
+        let b = b.unitary_part();
+        for m in [Method::Array, Method::Zx] {
+            assert!(check(&a, &a, m).unwrap().is_equivalent(), "{m}");
+            assert_eq!(check(&a, &b, m).unwrap(), Equivalence::NotEquivalent, "{m}");
+        }
     }
 
     #[test]

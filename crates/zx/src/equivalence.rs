@@ -5,11 +5,12 @@
 //! wires matching input `i` to output `i`, the circuits are equivalent
 //! (up to the global phase read off the remaining scalar). Because the
 //! interior simplifier is not complete for arbitrary circuits, a residual
-//! diagram of at most [`MITER_MAX_QUBITS`] qubits is decided exactly by
-//! the array engine's dense miter ([`qdt_array::miter_phase`]); only a
-//! wider residual is reported as inconclusive.
+//! diagram is decided exactly by the array engine's dense miter
+//! ([`qdt_array::miter_phase`]) up to
+//! [`MITER_MAX_QUBITS`](qdt_array::MITER_MAX_QUBITS) qubits; only a wider
+//! residual is reported as inconclusive.
 
-use qdt_array::{miter_phase, MITER_MAX_QUBITS};
+use qdt_array::{miter_phase, ArrayError, MiterPhase};
 use qdt_circuit::Circuit;
 use qdt_complex::Complex;
 
@@ -27,7 +28,7 @@ pub enum ZxEquivalence {
     /// The circuits implement different unitaries.
     NotEquivalent,
     /// The simplified miter kept spiders and the circuits are wider
-    /// than [`MITER_MAX_QUBITS`].
+    /// than [`MITER_MAX_QUBITS`](qdt_array::MITER_MAX_QUBITS).
     Inconclusive,
 }
 
@@ -63,16 +64,14 @@ pub fn check_equivalence(g1: &Circuit, g2: &Circuit) -> Result<ZxEquivalence, Zx
     if let Some(result) = decide_wire_identity(&miter) {
         return Ok(result);
     }
-    if g1.num_qubits() > MITER_MAX_QUBITS {
-        return Ok(ZxEquivalence::Inconclusive);
-    }
     // Residual spiders remain: decide on the dense miter.
-    let lambda = miter_phase(g1, g2).map_err(|e| ZxError::Unsupported { op: e.to_string() })?;
-    Ok(match lambda {
-        Some(l) if l.approx_eq(Complex::ONE, 1e-9) => ZxEquivalence::Equivalent,
-        Some(l) => ZxEquivalence::EquivalentUpToGlobalPhase(l),
-        None => ZxEquivalence::NotEquivalent,
-    })
+    match miter_phase(g1, g2) {
+        Ok(MiterPhase::Identity) => Ok(ZxEquivalence::Equivalent),
+        Ok(MiterPhase::Global(l)) => Ok(ZxEquivalence::EquivalentUpToGlobalPhase(l)),
+        Ok(MiterPhase::NotIdentity) => Ok(ZxEquivalence::NotEquivalent),
+        Err(ArrayError::TooManyQubits { .. }) => Ok(ZxEquivalence::Inconclusive),
+        Err(e) => Err(ZxError::Unsupported { op: e.to_string() }),
+    }
 }
 
 /// If the diagram is spider-free, decides identity-ness structurally.
